@@ -19,11 +19,25 @@ bulk loading from sorted data.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.io.disk import Block, BlockId
 
 Pair = Tuple[Any, Any]
+
+
+def _packed_entries(block: Block) -> Tuple[Any, Optional[Tuple[Any, ...]]]:
+    """``(columns, keys)`` of a node still in its page's columns.
+
+    ``keys`` is ``None`` for an in-memory block, or when the keys fit no
+    packed column (strings, mixed numbers) — callers then walk
+    ``block.records``.
+    """
+    columns = block.columns
+    keys = getattr(columns, "firsts", None)
+    return columns, keys if type(keys) is tuple else None
 
 
 class _HybridBulkLoad:
@@ -181,9 +195,15 @@ class BPlusTree:
         path: List[Tuple[BlockId, int]] = []
         block = self.disk.read(self.root_id)
         while not block.header["leaf"]:
-            idx = self._route(block, key)
+            columns, keys = _packed_entries(block)
+            if keys is not None and type(columns.seconds) is tuple:
+                # a page still in columns: route on the key column alone
+                idx = min(bisect_left(keys, key), len(keys) - 1)
+                child_id = columns.seconds[idx]
+            else:
+                idx = self._route(block, key)
+                child_id = block.records[idx][1]
             path.append((block.block_id, idx))
-            child_id = block.records[idx][1]
             block = self.disk.read(child_id)
         return block, path
 
@@ -254,17 +274,52 @@ class BPlusTree:
         that stop early (``itertools.islice``, ``QueryResult.first``) pay
         only for the blocks they actually touched.
         """
+        return chain.from_iterable(
+            self.iter_range_blocks(
+                lo, hi, min_inclusive=min_inclusive, max_inclusive=max_inclusive
+            )
+        )
+
+    def iter_range_blocks(
+        self,
+        lo: Any,
+        hi: Any,
+        *,
+        min_inclusive: bool = True,
+        max_inclusive: bool = True,
+        values: bool = False,
+    ) -> Iterator[List[Any]]:
+        """The range scan a leaf at a time: one list of matches per leaf read.
+
+        As lazy as :meth:`iter_range` (which is this, flattened).  With
+        ``values`` the lists hold the stored values instead of ``(key,
+        value)`` pairs.  On a leaf still in its page's columns the range is
+        found by bisecting the packed key column and only the entries
+        inside it are built.
+        """
         if lo > hi or (lo == hi and not (min_inclusive and max_inclusive)):
             return
         leaf, _ = self._find_leaf(lo)
         while True:
-            for k, v in leaf.records:
-                if k > hi or (k == hi and not max_inclusive):
-                    return
-                if k > lo or (k == lo and min_inclusive):
-                    yield (k, v)
+            columns, keys = _packed_entries(leaf)
+            if keys is not None:
+                start = bisect_left(keys, lo) if min_inclusive else bisect_right(keys, lo)
+                stop = bisect_right(keys, hi) if max_inclusive else bisect_left(keys, hi)
+                done = stop < len(keys)
+                chunk = leaf.take(columns, range(start, stop), payloads=values) if start < stop else []
+            else:
+                chunk = []
+                done = False
+                for k, v in leaf.records:
+                    if k > hi or (k == hi and not max_inclusive):
+                        done = True
+                        break
+                    if k > lo or (k == lo and min_inclusive):
+                        chunk.append(v if values else (k, v))
+            if chunk:
+                yield chunk
             next_id = leaf.header["next"]
-            if next_id is None:
+            if done or next_id is None:
                 return
             leaf = self.disk.read(next_id)
 
@@ -370,11 +425,12 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)
     # ------------------------------------------------------------------ #
-    def query(self, q: Any) -> "Any":
+    def query(self, q: Any, *, values: bool = False) -> "Any":
         """Answer an engine query descriptor with a lazy ``QueryResult``.
 
         * :class:`~repro.engine.queries.Range` -> ``(key, value)`` pairs in
-          key order, honouring per-bound inclusivity;
+          key order, honouring per-bound inclusivity — or, with ``values``,
+          the stored values alone;
         * :class:`~repro.engine.queries.Stab` -> values stored under the
           exact key.
         """
@@ -385,16 +441,17 @@ class BPlusTree:
         n, b = max(self.size, 2), self.branching
         if isinstance(q, Range):
             return QueryResult(
-                lambda: self.iter_range(
-                    q.low, q.high, min_inclusive=q.min_inclusive, max_inclusive=q.max_inclusive
-                ),
+                lambda: chain.from_iterable(self.iter_range_blocks(
+                    q.low, q.high, min_inclusive=q.min_inclusive,
+                    max_inclusive=q.max_inclusive, values=values,
+                )),
                 disk=self.disk,
                 bound=lambda t: btree_query_bound(n, b, t),
                 label=f"{self.name}:range",
             )
         if isinstance(q, Stab):
             return QueryResult(
-                lambda: (v for _, v in self.iter_range(q.x, q.x)),
+                lambda: chain.from_iterable(self.iter_range_blocks(q.x, q.x, values=True)),
                 disk=self.disk,
                 bound=lambda t: btree_query_bound(n, b, t),
                 label=f"{self.name}:key",

@@ -300,8 +300,21 @@ def _render_top(payload: "dict", previous: "Optional[dict]",
         name.split(".ops.", 1)[1]: value
         for name, value in counters.items() if ".ops." in name
     }
+    def bytes_per_op(direction: str, cmd: str) -> str:
+        # same precedence as the latency histograms: the server's own
+        # counters, else (a cluster frontend) the router's
+        for prefix in ("server", "router"):
+            handled = counters.get(f"{prefix}.ops.{cmd}")
+            if handled:
+                moved = counters.get(f"{prefix}.bytes_{direction}.{cmd}", 0)
+                return f"{moved / handled:.0f}"
+        return "-"
+
     if ops:
-        lines.append("  cmd            ops      rate        p50        p95        p99 (ms)")
+        lines.append(
+            "  cmd            ops      rate        p50        p95        p99 (ms)"
+            "   in B/op  out B/op"
+        )
         for cmd in sorted(ops):
             total = ops[cmd]
             rate = "-"
@@ -316,7 +329,8 @@ def _render_top(payload: "dict", previous: "Optional[dict]",
             lines.append(
                 f"  {cmd:<12s} {total:>6d} {rate:>9s} "
                 f"{hist.get('p50', 0.0):>10.3f} {hist.get('p95', 0.0):>10.3f} "
-                f"{hist.get('p99', 0.0):>10.3f}"
+                f"{hist.get('p99', 0.0):>10.3f}      "
+                f"{bytes_per_op('in', cmd):>9s} {bytes_per_op('out', cmd):>9s}"
             )
     return lines
 
@@ -326,10 +340,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     Polls the ``metrics`` wire command every ``--interval`` seconds and
     redraws a one-screen summary: per-command ops and request rates with
-    latency percentiles, plan-cache hit ratio, WAL group-absorption,
-    epoch pins, routing spread (against a cluster frontend).  ``--once``
-    prints a single frame and exits — the scriptable/CI form; ``--json``
-    dumps the raw payload instead of the rendered table.
+    latency percentiles and bytes in/out per op, plan-cache hit ratio, WAL
+    group-absorption, epoch pins, routing spread (against a cluster
+    frontend).  ``--once`` prints a single frame and exits — the
+    scriptable/CI form; ``--json`` dumps the raw payload instead of the
+    rendered table.
     """
     from repro.server import ReproClient
 

@@ -61,6 +61,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.queries import Limit, OrderBy, bind_params, unbound_params
@@ -134,17 +135,22 @@ class ShardConnection:
             client.close()
 
 
-def _wire_sort_key(order: OrderBy) -> Callable[[Dict[str, Any]], Any]:
-    """A sort key over *wire* records (dicts) for a top-level OrderBy."""
+#: positions of the fields in a wire row ``[low, high, payload, uid]``
+_ROW_FIELDS = {"low": 0, "high": 1, "payload": 2, "uid": 3}
+
+
+def _wire_sort_key(order: OrderBy) -> Callable[[List[Any]], Any]:
+    """A sort key over *wire* records (rows) for a top-level OrderBy."""
     key = order.key
     if key is None:
-        return lambda rec: (rec.get("low"), rec.get("high"), rec.get("uid"))
-    if callable(key):
+        return lambda row: (row[0], row[1], row[3])
+    position = None if callable(key) else _ROW_FIELDS.get(key)
+    if position is None:
         raise P.ProtocolError(
             "a routed OrderBy needs a field-name key ('low'/'high'), "
-            "not a callable"
+            f"not {key!r}"
         )
-    return lambda rec: rec.get(key)
+    return itemgetter(position)
 
 
 class ShardRouter:
@@ -349,16 +355,18 @@ class ShardRouter:
     def _merge_read(
         self, q: Any, pairs: List[Tuple[int, Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        records: List[Dict[str, Any]] = []
-        seen: Set[Any] = set()
-        for _shard, resp in pairs:
-            for rec in resp.get("records", []):
-                uid = rec.get("uid")
-                if uid is not None:
-                    if uid in seen:
-                        continue
-                    seen.add(uid)
-                records.append(rec)
+        records: List[List[Any]] = []
+        if len(pairs) == 1:
+            # one shard answered: its rows are the union, already distinct
+            records = pairs[0][1].get("records", [])
+        else:
+            seen: Set[Any] = set()
+            for _shard, resp in pairs:
+                for row in resp.get("records", []):
+                    uid = row[3]
+                    if uid not in seen:
+                        seen.add(uid)
+                        records.append(row)
         # peel the top-level modifier chain: every Limit caps the union,
         # the outermost OrderBy decides the final order
         cap: Optional[int] = None
@@ -412,11 +420,11 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
-    def insert(self, index: str, record_data: Dict[str, Any]) -> Dict[str, Any]:
+    def insert(self, index: str, record_data: Any) -> Dict[str, Any]:
         record = P.record_from_dict(record_data, fresh_uid=True)
         self._note_records([record])
         shard = self._map.shard_for_record(record)
-        wire = P.record_to_dict(record)
+        wire = P.record_to_row(record)
         resp = self._call_shard(shard, "insert", index=index, record=wire,
                                 keep_uids=True)
         self._count("writes", [shard])
@@ -426,11 +434,11 @@ class ShardRouter:
             "shard": shard,
         }
 
-    def delete_record(self, index: str, record_data: Dict[str, Any]) -> Dict[str, Any]:
+    def delete_record(self, index: str, record_data: Any) -> Dict[str, Any]:
         record = P.record_from_dict(record_data)  # the wire uid is the name
         shard = self._map.shard_for_record(record)
         resp = self._call_shard(
-            shard, "delete", index=index, record=P.record_to_dict(record)
+            shard, "delete", index=index, record=P.record_to_row(record)
         )
         self._count("writes", [shard])
         return {
@@ -681,6 +689,7 @@ class ClusterFrontend(JsonLineServer):
     """The cluster's client-facing server: protocol in, router out."""
 
     thread_name = "repro-cluster"
+    metrics_prefix = "router"
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ bounds.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List
 
 from repro.analysis.complexity import metablock_query_bound, rebuild_due
@@ -220,32 +221,39 @@ class ExternalIntervalManager:
         return list(self.iter_intersection(low, high))
 
     def iter_stabbing(self, x: Any) -> Iterator[Interval]:
-        """Stream the intervals containing ``x``, block by block.
+        """Stream the intervals containing ``x`` (the blocks, flattened)."""
+        return chain.from_iterable(self.iter_stabbing_blocks(x))
 
-        Tombstoned records (deleted but not yet swept by a global rebuild)
-        are filtered out of the stream; the filter is free of I/O.
+    def iter_stabbing_blocks(self, x: Any) -> Iterator[List[Interval]]:
+        """The intervals containing ``x``, one list per organisation read.
+
+        Lazy like the metablock tree's block stream it wraps.  Tombstoned
+        records (deleted but not yet swept by a global rebuild) are
+        filtered out of each list; the filter is free of I/O.
         """
+        blocks = self._stabbing.iter_diagonal_blocks(x, payloads=True)
         if not self._tombstones:
-            for p in self._stabbing.iter_diagonal_query(x):
-                yield p.payload
-            return
+            return blocks
         tombstones = self._tombstones
-        for p in self._stabbing.iter_diagonal_query(x):
-            if p.payload.uid not in tombstones:
-                yield p.payload
+        return ([iv for iv in block if iv.uid not in tombstones] for block in blocks)
 
     def iter_intersection(self, low: Any, high: Any) -> Iterator[Interval]:
-        """Stream the intervals intersecting ``[low, high]``, block by block."""
+        """Stream the intervals intersecting ``[low, high]`` (blocks, flattened)."""
+        return chain.from_iterable(self.iter_intersection_blocks(low, high))
+
+    def iter_intersection_blocks(self, low: Any, high: Any) -> Iterator[List[Interval]]:
+        """The intervals intersecting ``[low, high]``, a block at a time."""
         if high < low:
             return
         # types 3 and 4: intervals that contain the left end of the query
-        yield from self.iter_stabbing(low)
+        yield from self.iter_stabbing_blocks(low)
         # types 1 and 2: intervals whose left endpoint starts strictly inside
         # the query — the open lower bound replaces the old `key > low`
         # post-filter (same block reads; boundary records are now skipped
         # inside the B+-tree scan instead of discarded by the caller)
-        for _, interval in self._endpoints.iter_range(low, high, min_inclusive=False):
-            yield interval
+        yield from self._endpoints.iter_range_blocks(
+            low, high, min_inclusive=False, values=True
+        )
 
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)

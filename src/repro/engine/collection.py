@@ -306,7 +306,7 @@ class Collection:
                 f"{side}-endpoints",
                 tree,
                 translate=translate,
-                run=lambda pq: (iv for _, iv in tree.query(pq)),
+                run=lambda pq: tree.query(pq, values=True),
                 insert=lambda iv: tree.insert(getattr(iv, side), iv),
                 delete=lambda iv: tree.delete(
                     getattr(iv, side), match=lambda v: v.uid == iv.uid

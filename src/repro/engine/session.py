@@ -353,17 +353,34 @@ class EngineSession:
             with self.engine.read_turn(name) as epoch:
                 with self._attributed() as sink:
                     result = self.engine.query(name, q)
-                    with obs_tracer.span(
-                        "plan.execute", stats=self.engine.io_stats(), index=name
-                    ):
-                        records = self.engine.visible_records(
-                            name, result.all(), epoch
-                        )
+                    records = self._execute(name, result, epoch)
                     bound = result.bound
                     plan = result.plan
         return self._finish_request(
             root, SessionResult(records, sink, bound=bound, plan=plan)
         )
+
+    def _execute(self, name: str, result: Any, epoch: int) -> List[Any]:
+        """Drain ``result`` to its epoch-visible records under ``plan.execute``.
+
+        When tracing is on and the backend decodes pages (``FileDisk``),
+        the span also says how many pages this request decoded and how
+        many record objects it built from them — the codec's share of the
+        request, without a profiler.
+        """
+        with obs_tracer.span(
+            "plan.execute", stats=self.engine.io_stats(), index=name
+        ) as sp:
+            tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
+            if tally is not None:
+                pages, built = tally.pages, tally.records
+            records = self.engine.visible_records(name, result.all(), epoch)
+            if tally is not None:
+                sp.annotate(
+                    pages_decoded=tally.pages - pages,
+                    records_materialised=tally.records - built,
+                )
+        return records
 
     def run(self, prepared: Any, **params: Any) -> SessionResult:
         """Execute a :class:`~repro.engine.prepared.PreparedQuery` handle.
@@ -377,13 +394,7 @@ class EngineSession:
             with self.engine.read_turn(prepared.name) as epoch:
                 with self._attributed() as sink:
                     result = prepared.run(**params)
-                    with obs_tracer.span(
-                        "plan.execute", stats=self.engine.io_stats(),
-                        index=prepared.name,
-                    ):
-                        records = self.engine.visible_records(
-                            prepared.name, result.all(), epoch
-                        )
+                    records = self._execute(prepared.name, result, epoch)
                     bound = result.bound
                     plan = result.plan
         return self._finish_request(

@@ -15,7 +15,7 @@ data items" and control information of constant size per block is ignored.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.io.counters import IOStats, Measurement
 
@@ -38,7 +38,7 @@ class Block:
         Kept separate from ``records`` so capacity checks only apply to data.
     """
 
-    __slots__ = ("block_id", "capacity", "records", "header")
+    __slots__ = ("block_id", "capacity", "header", "_records", "_columns", "_count", "_tally")
 
     def __init__(
         self,
@@ -49,22 +49,95 @@ class Block:
     ) -> None:
         self.block_id = block_id
         self.capacity = capacity
-        self.records: List[Any] = list(records) if records is not None else []
+        self._records: Optional[List[Any]] = list(records) if records is not None else []
         self.header: Dict[str, Any] = dict(header) if header is not None else {}
-        if len(self.records) > capacity:
+        self._columns: Any = None
+        self._count = 0
+        self._tally: Any = None
+        if len(self._records) > capacity:
             raise ValueError(
-                f"block {block_id} overfull: {len(self.records)} > capacity {capacity}"
+                f"block {block_id} overfull: {len(self._records)} > capacity {capacity}"
             )
+
+    @classmethod
+    def lazy(
+        cls,
+        block_id: BlockId,
+        capacity: int,
+        count: int,
+        header: Dict[str, Any],
+        columns: Any,
+        tally: Any,
+    ) -> "Block":
+        """A block over a decoded page's columns: no record object built yet.
+
+        ``columns`` is a :mod:`~repro.io.pagecodec` column reader and
+        ``tally`` the owning disk's :class:`~repro.io.pagecodec.DecodeTally`,
+        which counts every record this block materialises.
+        """
+        block = cls.__new__(cls)
+        block.block_id = block_id
+        block.capacity = capacity
+        block.header = header
+        block._records = None
+        block._columns = columns
+        block._count = count
+        block._tally = tally
+        return block
+
+    @property
+    def records(self) -> List[Any]:
+        """The payload records (materialised from the columns on first use)."""
+        records = self._records
+        if records is None:
+            columns = self._columns
+            if columns is None:
+                # a concurrent reader of this (cached) block got here first
+                return self._records  # type: ignore[return-value]
+            records = self._records = columns.tolist()
+            self._tally.records += len(records)
+            # callers may mutate the list, so from here on it is the truth
+            # (dropped only after _records is set: see the early return)
+            self._columns = None
+        return records
+
+    @records.setter
+    def records(self, records: List[Any]) -> None:
+        self._records = records
+        self._columns = None
+
+    @property
+    def columns(self) -> Any:
+        """The undecoded record columns, or ``None``.
+
+        Set only on a block read from a page store whose ``records`` have
+        not been touched; scans filter on these and :meth:`take` the rows
+        that match instead of materialising the page.
+        """
+        return self._columns
+
+    def take(self, columns: Any, rows: Sequence[int], *, payloads: bool = False) -> List[Any]:
+        """Materialise rows ``rows`` of ``columns`` — what :attr:`columns`
+        returned to the caller that filtered them.
+
+        With ``payloads`` only what the records carry is built (a point's
+        payload, an entry's value).  The caller hands its own reference
+        back because the block may have dropped its: under a buffer pool
+        concurrent readers share one cached block, and one of them touching
+        ``records`` must not pull the columns out from under another's scan.
+        """
+        self._tally.records += len(rows)
+        return columns.take_payloads(rows) if payloads else columns.take(rows)
 
     @property
     def is_full(self) -> bool:
-        return len(self.records) >= self.capacity
+        return len(self) >= self.capacity
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count if self._records is None else len(self._records)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Block(id={self.block_id}, n={len(self.records)}/{self.capacity})"
+        return f"Block(id={self.block_id}, n={len(self)}/{self.capacity})"
 
 
 class SimulatedDisk:

@@ -2,18 +2,23 @@
 
 :class:`FileDisk` implements the same :class:`~repro.io.backend.StorageBackend`
 contract as :class:`~repro.io.disk.SimulatedDisk`, but every block lives in
-an append-only page file on the real filesystem.  Reads seek and
-deserialize; writes append a fresh version of the page and advance the
-in-memory offset table (a tiny log-structured store).  I/O accounting is
-identical to the simulated disk, so every bound-checking experiment runs
-unchanged against real pages.
+an append-only page file on the real filesystem.  Reads seek, verify the
+page's frame and checksum and decode its columns; writes append a fresh
+version of the page and advance the in-memory offset table (a tiny
+log-structured store).  The bytes of a page are owned by
+:mod:`repro.io.pagecodec`.  I/O accounting is identical to the simulated
+disk, so every bound-checking experiment runs unchanged against real pages.
 
-Because a read deserializes a *fresh copy* of the page, ``FileDisk`` is the
+Because a read decodes a *fresh copy* of the page, ``FileDisk`` is the
 honest implementation of the disk contract: structures that forget a
 ``write`` after mutating a page, or that rely on two reads aliasing the
 same Python object, fail loudly here.  The repository's structures carry
 stable record uids (see :class:`~repro.metablock.geometry.PlanarPoint`)
 precisely so that identity-based deduplication survives the round-trip.
+
+A block read from here is *lazy* (:meth:`~repro.io.disk.Block.lazy`): it
+holds the page's columns and builds record objects only when ``records``
+is touched or a scan takes the rows that matched.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import lockdep
+from repro.io import pagecodec
 from repro.io.counters import IOStats, Measurement
 from repro.io.disk import Block, BlockId
+from repro.io.pagecodec import PAGE_FORMAT, PageFormatError
 
 
 class FileDisk:
-    """An append-only, pickle-serialized page file with I/O counting.
+    """An append-only file of framed, checksummed pages with I/O counting.
 
     Parameters
     ----------
@@ -66,6 +73,8 @@ class FileDisk:
             raise ValueError("block_size must be at least 2")
         self.block_size = block_size
         self.stats = IOStats()
+        #: pages decoded / records materialised by the calling thread
+        self.decoded = pagecodec.DecodeTally()
         self._extents: Dict[BlockId, Tuple[int, int]] = {}
         self._capacities: Dict[BlockId, int] = {}
         self._next_id: BlockId = 0
@@ -97,16 +106,27 @@ class FileDisk:
         Loads the ``<path>.meta`` sidecar that :meth:`sync` wrote — offset
         table, capacities, allocation cursor and the :attr:`meta`
         dictionary — and reopens the page file in place.  Raises
-        :class:`FileNotFoundError` when either file is missing.
+        :class:`FileNotFoundError` when either file is missing and
+        :class:`~repro.io.pagecodec.PageFormatError` when the file was
+        written under another page format (a sidecar without the field
+        dates from the pickled pages before format 1).
         """
         with open(cls._meta_path_for(path), "rb") as fh:
             # the sidecar is constant-size control information, exactly like
             # the block headers — not an I/O in the model (see :meth:`sync`)
             # lint: allow(uncounted-io)
             state = pickle.loads(fh.read())
+        written = state.get("page_format", 0)
+        if written != PAGE_FORMAT:
+            raise PageFormatError(
+                f"page file {path!r} was written in page format {written}; this "
+                f"build reads and writes page format {PAGE_FORMAT} only — "
+                "rebuild the database from its source records"
+            )
         disk = cls.__new__(cls)
         disk.block_size = state["block_size"]
         disk.stats = IOStats()
+        disk.decoded = pagecodec.DecodeTally()
         disk._extents = dict(state["extents"])
         disk._capacities = dict(state["capacities"])
         disk._next_id = state["next_id"]
@@ -150,6 +170,7 @@ class FileDisk:
             return
         with self._io_lock:
             state = {
+                "page_format": PAGE_FORMAT,
                 "block_size": self.block_size,
                 "extents": dict(self._extents),
                 "capacities": dict(self._capacities),
@@ -178,27 +199,29 @@ class FileDisk:
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
-    def _append(self, block: Block) -> None:
-        payload = pickle.dumps(
-            (block.capacity, block.records, block.header), protocol=pickle.HIGHEST_PROTOCOL
-        )
+    def _append(self, block_id: BlockId, capacity: int, page: bytes) -> None:
         with self._io_lock:
             self._file.seek(self._end)
-            self._file.write(payload)
-            self._extents[block.block_id] = (self._end, len(payload))
-            self._capacities[block.block_id] = block.capacity
-            self._end += len(payload)
+            self._file.write(page)
+            self._extents[block_id] = (self._end, len(page))
+            self._capacities[block_id] = capacity
+            self._end += len(page)
 
-    def _load(self, block_id: BlockId) -> Block:
+    def _extent(self, block_id: BlockId) -> Tuple[int, int, bytes]:
+        """A block's raw page: ``(offset, recorded length, bytes read)``."""
         with self._io_lock:
             try:
                 offset, length = self._extents[block_id]
             except KeyError as exc:
                 raise KeyError(f"no such block: {block_id}") from exc
             self._file.seek(offset)
-            raw = self._file.read(length)
-        capacity, records, header = pickle.loads(raw)
-        return Block(block_id, capacity, records, header)
+            return offset, length, self._file.read(length)
+
+    def _decode(self, block_id: BlockId, offset: int, length: int, raw: bytes) -> Block:
+        capacity, count, header, columns = pagecodec.decode(raw, block_id, offset, length)
+        tally = self.decoded
+        tally.pages += 1
+        return Block.lazy(block_id, capacity, count, header, columns, tally)
 
     # ------------------------------------------------------------------ #
     # StorageBackend surface
@@ -215,7 +238,10 @@ class FileDisk:
             block_id = self._next_id
             self._next_id += 1
             block = Block(block_id, capacity or self.block_size, records, header)
-            self._append(block)
+            self._append(
+                block_id, block.capacity,
+                pagecodec.encode(block.capacity, block.records, block.header),
+            )
         self.stats.count(allocations=1, writes=1)
         return block
 
@@ -229,9 +255,13 @@ class FileDisk:
         self.stats.count(frees=1)
 
     def read(self, block_id: BlockId) -> Block:
-        """Read and deserialize a block from the page file (one I/O)."""
+        """Read, verify and decode a block from the page file (one I/O).
+
+        Raises :class:`~repro.io.pagecodec.PageCorruptError` when the page
+        fails its frame or checksum — a damaged page is never data.
+        """
         self._check_open()
-        block = self._load(block_id)
+        block = self._decode(block_id, *self._extent(block_id))
         self.stats.count(reads=1)
         return block
 
@@ -245,13 +275,16 @@ class FileDisk:
                 f"block {block.block_id} overfull: "
                 f"{len(block.records)} > capacity {block.capacity}"
             )
-        self._append(block)
+        self._append(
+            block.block_id, block.capacity,
+            pagecodec.encode(block.capacity, block.records, block.header),
+        )
         self.stats.count(writes=1)
 
     def peek(self, block_id: BlockId) -> Block:
-        """Deserialize a block without counting an I/O (tests/invariants only)."""
+        """Decode a block without counting an I/O (tests/invariants only)."""
         self._check_open()
-        return self._load(block_id)
+        return self._decode(block_id, *self._extent(block_id))
 
     # ------------------------------------------------------------------ #
     # accounting helpers (same surface as SimulatedDisk)
@@ -283,17 +316,25 @@ class FileDisk:
         """Rewrite the page file keeping only live block versions.
 
         Returns the number of bytes reclaimed.  Not an I/O in the model (it
-        is maintenance, not query/update work).
+        is maintenance, not query/update work).  Pages move as verified
+        bytes — each is checksummed before anything is truncated, so a
+        damaged page raises :class:`~repro.io.pagecodec.PageCorruptError`
+        with the file untouched — and no record is decoded.
         """
         self._check_open()
-        before = self._end
-        live = {bid: self._load(bid) for bid in self._extents}
-        self._file.seek(0)
-        self._file.truncate()
-        self._end = 0
-        for block in live.values():
-            self._append(block)
-        return before - self._end
+        with self._io_lock:
+            before = self._end
+            live = []
+            for bid in self._extents:
+                offset, length, raw = self._extent(bid)
+                pagecodec.verify(raw, bid, offset, length)
+                live.append((bid, self._capacities[bid], raw))
+            self._file.seek(0)
+            self._file.truncate()
+            self._end = 0
+            for bid, capacity, raw in live:
+                self._append(bid, capacity, raw)
+            return before - self._end
 
     def close(self) -> None:
         """Sync the sidecar, then close the page file (temporaries are deleted)."""

@@ -94,11 +94,16 @@ class CornerStructure:
     # ------------------------------------------------------------------ #
     # query
     # ------------------------------------------------------------------ #
-    def query(self, corner: Any) -> Tuple[List[PlanarPoint], int]:
+    def query(
+        self, corner: Any, hits: Optional[blk.Hits] = None
+    ) -> Tuple[List[Any], int]:
         """Answer a diagonal corner query anchored at ``(corner, corner)``.
 
         Returns ``(points, ios)`` where ``ios`` counts the block reads
-        performed by this call (also reflected in the disk counters).
+        performed by this call (also reflected in the disk counters).  With
+        ``hits`` (see :class:`~repro.metablock.blocking.Hits`) the answer
+        leaves out what the caller's query already reported and comes in
+        the form ``hits`` asks for.
         """
         if not self._points:
             return [], 0
@@ -115,14 +120,15 @@ class CornerStructure:
                 explicit_blocking = blocking
                 break
 
-        out: List[PlanarPoint] = []
+        out: List[Any] = []
 
         # Stage 1: the explicitly blocked answer for the corner just below,
         # scanned top-down until the bottom of the query is crossed.
         if explicit_blocking is not None:
-            stage1, reads = blk.scan_horizontal_downto(self.disk, explicit_blocking, corner)
+            out, reads = blk.scan_horizontal_downto(
+                self.disk, explicit_blocking, corner, hits=hits
+            )
             ios += reads
-            out.extend(stage1)
 
         # Stage 2: vertical blocks strictly to the right of the explicit
         # corner, up to the block containing the query corner.
@@ -134,9 +140,7 @@ class CornerStructure:
                 break
             block = self.disk.read(bid)
             ios += 1
-            for p in block.records:
-                if p.x <= corner and p.y >= corner and (lower is None or p.x > lower):
-                    out.append(p)
+            out.extend(blk.select(block, hits, corner, corner, lower))
         return out, ios
 
     # ------------------------------------------------------------------ #

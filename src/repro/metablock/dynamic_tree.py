@@ -378,27 +378,29 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # ------------------------------------------------------------------ #
     # query hooks (extend the static query with the dynamic organisations)
     # ------------------------------------------------------------------ #
-    def _extra_sources(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
+    def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Read the update block of a visited metablock."""
         if not isinstance(mb, DynamicMetablock):
-            return
-        if mb.update_block_id is not None and mb.update_points:
-            # one I/O to fetch the update block; the in-memory list is the
-            # authoritative copy (identical content except transiently during
-            # an interrupted batch reorganisation)
-            self.disk.read(mb.update_block_id)
-            out.extend(p for p in mb.update_points if p.x <= q and p.y >= q)
+            return []
+        if mb.update_block_id is None or not mb.update_points:
+            return []
+        # one I/O to fetch the update block; the in-memory list is the
+        # authoritative copy (identical content except transiently during
+        # an interrupted batch reorganisation)
+        self.disk.read(mb.update_block_id)
+        return hits.fresh([p for p in mb.update_points if p.x <= q and p.y >= q])
 
-    def _td_sources(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
+    def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Query the TD corner structure of a visited nonleaf metablock."""
         if not isinstance(mb, DynamicMetablock):
-            return
+            return []
+        out: List[Any] = []
         if mb.td_corner is not None:
-            pts, _ = mb.td_corner.query(q)
-            out.extend(pts)
+            out = mb.td_corner.query(q, hits)[0]
         if mb.td_update_block_id is not None and mb.td_update_points:
             self.disk.read(mb.td_update_block_id)
-            out.extend(p for p in mb.td_update_points if p.x <= q and p.y >= q)
+            out.extend(hits.fresh([p for p in mb.td_update_points if p.x <= q and p.y >= q]))
+        return out
 
     # ------------------------------------------------------------------ #
     # introspection / invariants

@@ -22,7 +22,8 @@ corner queries in ``O(log_B n + t/B)`` I/Os (Theorem 3.2), which is optimal
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from itertools import chain
+from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.metablock import blocking as blk
 from repro.metablock.corner import CornerStructure
@@ -227,17 +228,28 @@ class StaticMetablockTree:
         """
         return list(self.iter_diagonal_query(corner))
 
-    def iter_diagonal_query(self, corner: Any):
-        """Stream the answer to a diagonal corner query, metablock by metablock.
+    def iter_diagonal_query(self, corner: Any) -> Iterator[PlanarPoint]:
+        """Stream the answer to a diagonal corner query, point by point.
+
+        The flattened form of :meth:`iter_diagonal_blocks` — same laziness,
+        same order, same deduplication.
+        """
+        return chain.from_iterable(self.iter_diagonal_blocks(corner))
+
+    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[List[Any]]:
+        """Stream the answer a block at a time: one list per organisation read.
 
         The generator performs no I/O until the first ``next()`` and then
-        reads blocks only as far as the consumer iterates; output is
-        deduplicated by record uid on the fly, so the stream is exactly
-        :meth:`diagonal_query` without the up-front materialisation.
+        reads blocks only as far as the consumer iterates.  Each list holds
+        what one scan (a blocking, a corner structure, an update block)
+        added to the answer, already deduplicated by record uid against
+        everything handed up before; with ``payloads`` it holds the points'
+        payloads instead of the points (see :class:`~repro.metablock.
+        blocking.Hits`).
         """
         if self.root is None:
-            return
-        yield from self._iter_query_node(self.root, corner, set())
+            return iter(())
+        return self._iter_query_node(self.root, corner, blk.Hits(payloads))
 
     def query(self, query: DiagonalCornerQuery) -> List[PlanarPoint]:
         """Answer a :class:`DiagonalCornerQuery` object."""
@@ -256,44 +268,33 @@ class StaticMetablockTree:
         return Bound.of("log_B n + t/B", lambda t: metablock_query_bound(n, b, t))
 
     # -- per-metablock reporting ------------------------------------------ #
-    def _report_own_points(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
-        """Report the points stored *in* ``mb`` that match the query."""
+    def _report_own_points(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
+        """The points stored *in* ``mb`` that match the query."""
         bbox = mb.bbox
         if bbox is None or bbox.max_y < q or bbox.min_x > q:
-            return
+            return []
         corner_inside = bbox.min_x <= q <= bbox.max_x and bbox.min_y <= q <= bbox.max_y
         if corner_inside and mb.corner is not None:
             # Type II: the corner falls inside this metablock
-            pts, _ = mb.corner.query(q)
-            out.extend(pts)
-        elif bbox.min_y >= q:
-            if bbox.max_x <= q:
-                # Type III: the whole metablock is inside the query
-                pts, _ = blk.scan_horizontal_downto(self.disk, mb.horizontal, q)
-                out.extend(pts)
-            else:
-                # Type I: crossed by the vertical side only
-                pts, _ = blk.scan_vertical_upto(self.disk, mb.vertical, q)
-                out.extend(p for p in pts if p.y >= q)
-        elif bbox.max_x <= q:
-            # Type IV: crossed by the bottom boundary only
-            pts, _ = blk.scan_horizontal_downto(self.disk, mb.horizontal, q)
-            out.extend(pts)
-        else:
-            # Corner inside the box but no corner structure (defensive
-            # fallback; with the build rule this branch is unreachable).
-            pts, _ = blk.scan_vertical_upto(self.disk, mb.vertical, q)
-            out.extend(p for p in pts if p.y >= q)
+            return mb.corner.query(q, hits)[0]
+        if bbox.max_x <= q:
+            # Type III (the whole metablock is inside the query) and Type IV
+            # (crossed by the bottom boundary only): top-down until crossed
+            return blk.scan_horizontal_downto(self.disk, mb.horizontal, q, hits=hits)[0]
+        # Type I: crossed by the vertical side only — or the corner inside
+        # the box without a corner structure (defensive; with the build rule
+        # that case is unreachable)
+        return blk.scan_vertical_upto(self.disk, mb.vertical, q, y_min=q, hits=hits)[0]
 
-    def _extra_sources(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
+    def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Hook for the dynamic tree (update blocks); static tree: nothing."""
+        return []
 
-    def _ts_points(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
+    def _ts_points(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Read TS(mb) top-down until the query bottom is crossed."""
         if mb.ts is None:
-            return
-        pts, _ = blk.scan_horizontal_downto(self.disk, mb.ts, q)
-        out.extend(p for p in pts if p.x <= q)
+            return []
+        return blk.scan_horizontal_downto(self.disk, mb.ts, q, x_max=q, hits=hits)[0]
 
     def _ts_covers(self, mb: Metablock, q: Any, left_siblings: List[Metablock]) -> Optional[bool]:
         """Decide how to handle the left siblings of ``mb`` for query bottom ``q``.
@@ -317,16 +318,7 @@ class StaticMetablockTree:
         return False
 
     # -- recursion --------------------------------------------------------- #
-    @staticmethod
-    def _emit(points: List[PlanarPoint], seen: set):
-        """Yield points not yet reported (dedupe by record uid, see geometry)."""
-        for p in points:
-            if p.uid in seen:
-                continue
-            seen.add(p.uid)
-            yield p
-
-    def _iter_query_node(self, mb: Metablock, q: Any, seen: set):
+    def _iter_query_node(self, mb: Metablock, q: Any, hits: blk.Hits) -> Iterator[List[Any]]:
         if mb.subtree_min_x is not None and mb.subtree_min_x > q:
             return
         if mb.subtree_max_y is not None and mb.subtree_max_y < q:
@@ -336,10 +328,9 @@ class StaticMetablockTree:
         if mb.control_block_id is not None:
             self.disk.read(mb.control_block_id)
 
-        chunk: List[PlanarPoint] = []
-        self._report_own_points(mb, q, chunk)
-        self._extra_sources(mb, q, chunk)
-        yield from self._emit(chunk, seen)
+        for chunk in (self._report_own_points(mb, q, hits), self._extra_sources(mb, q, hits)):
+            if chunk:
+                yield chunk
 
         if mb.is_leaf or not mb.children:
             return
@@ -357,27 +348,28 @@ class StaticMetablockTree:
             # children entirely to the right of q are skipped
 
         if path_child is not None and path_child.subtree_max_y >= q:
-            yield from self._iter_query_node(path_child, q, seen)
+            yield from self._iter_query_node(path_child, q, hits)
 
         candidates = [c for c in left_children if c.subtree_max_y is not None and c.subtree_max_y >= q]
         if candidates:
             rightmost = max(left_children, key=lambda c: c.subtree_max_x)
             covered = self._ts_covers(rightmost, q, [c for c in left_children if c is not rightmost])
             if covered is True:
-                chunk = []
-                self._ts_points(rightmost, q, chunk)
-                yield from self._emit(chunk, seen)
+                chunk = self._ts_points(rightmost, q, hits)
+                if chunk:
+                    yield chunk
                 if rightmost in candidates:
-                    yield from self._iter_query_node(rightmost, q, seen)
+                    yield from self._iter_query_node(rightmost, q, hits)
             else:
                 for child in candidates:
-                    yield from self._iter_query_node(child, q, seen)
-        chunk = []
-        self._td_sources(mb, q, chunk)
-        yield from self._emit(chunk, seen)
+                    yield from self._iter_query_node(child, q, hits)
+        chunk = self._td_sources(mb, q, hits)
+        if chunk:
+            yield chunk
 
-    def _td_sources(self, mb: Metablock, q: Any, out: List[PlanarPoint]) -> None:
+    def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Hook for the dynamic tree (TD corner structures); static: nothing."""
+        return []
 
     # ------------------------------------------------------------------ #
     # accounting / introspection

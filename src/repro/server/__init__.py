@@ -29,6 +29,7 @@ from repro.server.protocol import (
     query_to_wire,
     record_from_dict,
     record_to_dict,
+    record_to_row,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "query_to_wire",
     "record_from_dict",
     "record_to_dict",
+    "record_to_row",
 ]

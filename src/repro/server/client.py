@@ -2,9 +2,10 @@
 
 One socket, one request in flight at a time (the protocol is strictly
 request/response per connection; open several clients for parallelism —
-that is exactly what the concurrent workload driver does).  Records come
-back as real :class:`~repro.interval.Interval` objects whose uids are the
-server's authoritative record names — pass them straight back to
+that is exactly what the concurrent workload driver does).  Records cross
+the wire as ``[low, high, payload, uid]`` rows and come back as real
+:class:`~repro.interval.Interval` objects whose uids are the server's
+authoritative record names — pass them straight back to
 :meth:`~ReproClient.delete`.
 
 >>> with ReproClient("127.0.0.1", 7411) as db:          # doctest: +SKIP
@@ -206,7 +207,7 @@ class ReproClient:
     def insert(self, index: str, record: Any) -> Any:
         """Insert; returns the *stored* record (authoritative server uid)."""
         response = self.call(
-            "insert", index=index, record=P.record_to_dict(record)
+            "insert", index=index, record=P.record_to_row(record)
         )
         return P.record_from_dict(response["record"])
 
@@ -215,7 +216,7 @@ class ReproClient:
         if (record is None) == (q is None):
             raise ValueError("delete takes exactly one of record= or q=")
         if record is not None:
-            return self.call("delete", index=index, record=P.record_to_dict(record))
+            return self.call("delete", index=index, record=P.record_to_row(record))
         payload: Dict[str, Any] = {"index": index, "q": P.query_to_wire(q)}
         if limit is not None:
             payload["limit"] = limit

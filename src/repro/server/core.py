@@ -63,6 +63,9 @@ class JsonLineServer:
 
     #: name of the background serving thread (subclasses override)
     thread_name = "repro-server"
+    #: metric namespace of this surface: the always-on per-command byte
+    #: counters are ``<prefix>.bytes_in.<cmd>`` / ``<prefix>.bytes_out.<cmd>``
+    metrics_prefix = "server"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         outer = self
@@ -171,10 +174,10 @@ class JsonLineServer:
             for line in handler.rfile:
                 if not line.strip():
                     continue
-                request_id = None
+                request_id = cmd = None
                 try:
                     message = P.decode_message(line)
-                    request_id = message.get("id")
+                    request_id, cmd = message.get("id"), message.get("cmd")
                     response = self._dispatch_message(conn, message)
                 except _ShutdownRequested:
                     handler.wfile.write(
@@ -186,7 +189,15 @@ class JsonLineServer:
                     return
                 except Exception as exc:  # noqa: BLE001 - fault barrier
                     response = P.error_response(request_id, exc)
-                handler.wfile.write(P.encode_message(response))
+                reply = P.encode_message(response)
+                if cmd in P.COMMANDS:  # never a metric per garbage command name
+                    # counted before the reply leaves, so whoever reads the
+                    # reply also reads counters that include it
+                    prefix = self.metrics_prefix
+                    counter = obs_metrics.REGISTRY.counter
+                    counter(f"{prefix}.bytes_in.{cmd}").inc(len(line))
+                    counter(f"{prefix}.bytes_out.{cmd}").inc(len(reply))
+                handler.wfile.write(reply)
                 handler.wfile.flush()
         except (ConnectionError, BrokenPipeError, OSError):
             pass  # client went away mid-write; the session just ends
@@ -455,7 +466,7 @@ class ReproServer(JsonLineServer):
         [record] = self._wire_records(message, [_required(message, "record")])
         res = session.insert(name, record)
         return P.ok_response(
-            request_id, record=P.record_to_dict(record), ios=res.ios
+            request_id, record=P.record_to_row(record), ios=res.ios
         )
 
     def _cmd_delete(self, session: Any, leases: Dict[int, Any],

@@ -29,9 +29,21 @@ Query descriptors cross the wire through the algebra's
 :meth:`~repro.algebra.AlgebraicQuery.to_dict` /
 :func:`~repro.engine.queries.query_from_dict` round-trip, which preserves
 ``signature()`` and ``matches`` semantics for every node type, ``Param``
-placeholders included.  Records travel as tagged dicts
-(:func:`record_to_dict` / :func:`record_from_dict`); payloads must be
-JSON-serializable.
+placeholders included.
+
+Records (``PROTOCOL_VERSION = 2``) travel as **rows**: the JSON array
+``[low, high, payload, uid]`` (:func:`record_to_row`).  Every record a
+server or router *emits* — ``records`` of a read, a ``delete`` by query or
+a ``bulk_load`` echo, ``record`` of an ``insert`` — is a row, and rows are
+what :class:`~repro.server.client.ReproClient` sends.  On *input* (the
+``record`` / ``records`` fields of ``create``, ``insert``, ``delete``,
+``bulk_load``) a server also still accepts the version-1 tagged dict
+``{"record": "interval", "low": ..., "high": ..., "payload": ...,
+"uid": ...}`` (:func:`record_to_dict`), so a version-1 writer keeps
+working; nothing emits it.  Either form is validated by
+:func:`record_from_dict` before it becomes a record — endpoints must be
+finite numbers in order, a uid (where present) an ``int`` — and a
+violation is a ``bad_request``.  Payloads must be JSON-serializable.
 
 Responses are ``{"id": ..., "ok": true, ...}`` or a **structured error**
 ``{"id": ..., "ok": false, "error": {"code": ..., "type": ..., "message":
@@ -61,9 +73,10 @@ import json
 from typing import Any, Dict, List
 
 from repro.engine.queries import query_from_dict
-from repro.interval import Interval
+from repro.interval import Interval, fresh_interval_uid, trusted_interval
 
-PROTOCOL_VERSION = 1
+#: 2: records travel as ``[low, high, payload, uid]`` rows (1: tagged dicts)
+PROTOCOL_VERSION = 2
 
 #: commands a server must route (the client refuses to send others)
 COMMANDS = (
@@ -91,9 +104,17 @@ class ProtocolError(ValueError):
 # --------------------------------------------------------------------------- #
 # framing
 # --------------------------------------------------------------------------- #
+#: one encoder for every message: ``json.dumps`` with non-default
+#: separators builds a fresh ``JSONEncoder`` per call.  No circular-
+#: reference bookkeeping (a dict insert and delete per container, ~15% of
+#: a 200-row reply): messages are built from decoded JSON and record
+#: fields, and a cyclic payload still fails — as a ``RecursionError``
+_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def encode_message(message: Dict[str, Any]) -> bytes:
     """One protocol message as a JSON line (the only frame format)."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_encode_json(message) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
@@ -112,54 +133,92 @@ def decode_message(line: bytes) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # record codec
 # --------------------------------------------------------------------------- #
-def record_to_dict(record: Any) -> Dict[str, Any]:
-    """A stored record as wire data (uid included — it names the record)."""
-    if isinstance(record, Interval):
-        return {
-            "record": "interval",
-            "low": record.low,
-            "high": record.high,
-            "payload": record.payload,
-            "uid": record.uid,
-        }
-    raise ProtocolError(
+_INF = float("inf")
+
+
+def _no_wire_form(record: Any) -> "ProtocolError":
+    return ProtocolError(
         f"record type {type(record).__name__} has no wire form; the server "
         "serves interval collections"
     )
 
 
-def record_from_dict(data: Dict[str, Any], *, fresh_uid: bool = False) -> Any:
-    """Rebuild a record from its wire form.
+def record_to_row(record: Any) -> List[Any]:
+    """A stored record as its wire row ``[low, high, payload, uid]``."""
+    if not isinstance(record, Interval):
+        raise _no_wire_form(record)
+    return [record.low, record.high, record.payload, record.uid]
+
+
+def record_to_dict(record: Any) -> Dict[str, Any]:
+    """A record as the version-1 tagged dict (accepted on input only)."""
+    if not isinstance(record, Interval):
+        raise _no_wire_form(record)
+    return {
+        "record": "interval",
+        "low": record.low,
+        "high": record.high,
+        "payload": record.payload,
+        "uid": record.uid,
+    }
+
+
+def record_from_dict(data: Any, *, fresh_uid: bool = False) -> Any:
+    """Validate a wire record — a row or a tagged dict — and build it.
 
     ``fresh_uid`` mints a new process-unique uid instead of honouring the
     one on the wire — what the server's *insert* paths use, so clients can
     never collide with resident records; the returned (serialized) record
     carries the authoritative uid back to the client, which then names it
-    in ``delete`` requests.
+    in ``delete`` requests.  A record without a uid gets a fresh one too.
+
+    Raises :class:`ProtocolError` (``bad_request``) unless both endpoints
+    are finite ``int``/``float`` values with ``low <= high`` and the uid,
+    when present, is an ``int``: a NaN endpoint would otherwise be stored
+    as a key no comparison can find again, and an unhashable uid only
+    fails deep inside the engine.
     """
-    if not isinstance(data, dict):
+    if type(data) is list:
+        if len(data) != 4:
+            raise ProtocolError(
+                f"a record row is [low, high, payload, uid], not {data!r}"
+            )
+        low, high, payload, uid = data
+    elif isinstance(data, dict):
+        kind = data.get("record", "interval")
+        if kind != "interval":
+            raise ProtocolError(f"unknown record kind {kind!r}")
+        try:
+            low, high = data["low"], data["high"]
+        except KeyError as exc:
+            raise ProtocolError(f"interval record missing field {exc}") from exc
+        payload, uid = data.get("payload"), data.get("uid")
+    else:
         raise ProtocolError(f"not a serialized record: {data!r}")
-    kind = data.get("record", "interval")
-    if kind != "interval":
-        raise ProtocolError(f"unknown record kind {kind!r}")
-    try:
-        kwargs: Dict[str, Any] = {
-            "low": data["low"],
-            "high": data["high"],
-            "payload": data.get("payload"),
-        }
-    except KeyError as exc:
-        raise ProtocolError(f"interval record missing field {exc}") from exc
-    if not fresh_uid and "uid" in data:
-        kwargs["uid"] = data["uid"]
-    try:
-        return Interval(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed interval record {data!r}: {exc}") from exc
+    low_type, high_type = type(low), type(high)
+    if not (
+        (low_type is float or low_type is int)
+        and (high_type is float or high_type is int)
+        and -_INF < low <= high < _INF
+    ):
+        raise ProtocolError(
+            f"malformed interval record {data!r}: endpoints must be finite "
+            "numbers with low <= high"
+        )
+    if uid is not None and type(uid) is not int:
+        raise ProtocolError(
+            f"malformed interval record {data!r}: uid must be an integer"
+        )
+    if fresh_uid or uid is None:
+        uid = fresh_interval_uid()
+    return trusted_interval(low, high, payload, uid)
 
 
-def records_to_wire(records: List[Any]) -> List[Dict[str, Any]]:
-    return [record_to_dict(r) for r in records]
+def records_to_wire(records: List[Any]) -> List[List[Any]]:
+    """Records as wire rows (what every response carries)."""
+    if set(map(type, records)) <= {Interval}:  # one C-level pass, then no per-row check
+        return [[r.low, r.high, r.payload, r.uid] for r in records]
+    return [record_to_row(r) for r in records]
 
 
 def records_from_wire(data: List[Any], *, fresh_uid: bool = False) -> List[Any]:

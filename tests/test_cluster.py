@@ -460,9 +460,9 @@ class TestShardSideKeepUids:
             wire = {"kind": "interval", "low": 1.0, "high": 2.0, "uid": 424242}
             kept = db.call("insert", index="base", record=dict(wire),
                            keep_uids=True)
-            assert kept["record"]["uid"] == 424242
+            assert kept["record"][3] == 424242          # rows: [low, high, payload, uid]
             minted = db.call("insert", index="base", record=dict(wire))
-            assert minted["record"]["uid"] != 424242   # default: server mints
+            assert minted["record"][3] != 424242        # default: server mints
 
 
 class TestSimulatedCommitLatency:

@@ -1,0 +1,398 @@
+"""The page format (``repro.io.pagecodec``): round trip, canonical bytes,
+corruption, format refusal, lazy materialisation, cross-backend equivalence.
+"""
+
+import os
+import pickle
+import random
+import struct
+import sys
+import threading
+import time
+import zlib
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import ClassRange, EndpointRange, Engine, FileDisk, Range, SimulatedDisk, Stab
+from repro.classes.hierarchy import ClassObject
+from repro.interval import Interval
+from repro.io import pagecodec
+from repro.io.disk import Block
+from repro.io.pagecodec import PAGE_FORMAT, PageCorruptError, PageFormatError
+from repro.metablock import blocking as blk
+from repro.metablock.geometry import PlanarPoint
+from repro.workloads.generators import (
+    balanced_hierarchy,
+    random_class_objects,
+    random_intervals,
+)
+
+SETTINGS = dict(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# --------------------------------------------------------------------------- #
+# every shape a page holds today
+# --------------------------------------------------------------------------- #
+floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+big_ints = st.integers(min_value=2**63, max_value=2**80)
+uids = st.integers(min_value=0, max_value=2**40)
+payloads = st.one_of(
+    st.none(), ints, floats, st.text(max_size=8),
+    st.dictionaries(st.text(max_size=3), ints, max_size=2),
+)
+
+
+def _ordered(endpoints):
+    return st.tuples(endpoints, endpoints).map(sorted)
+
+
+#: int / float / mixed / string endpoint pairs, low <= high within a pair
+endpoint_pairs = st.one_of(
+    _ordered(ints), _ordered(floats), _ordered(st.text(max_size=4)),
+    st.tuples(ints, floats).map(lambda p: sorted(p, key=float)),
+)
+
+
+def _uniform(pairs):
+    """Lists whose endpoints all come from one strategy (a typed column)
+    next to lists that mix them (the escape hatch)."""
+    return st.one_of(
+        st.lists(_ordered(floats), max_size=12),
+        st.lists(_ordered(ints), max_size=12),
+        st.lists(pairs, max_size=12),
+    )
+
+
+@st.composite
+def intervals(draw, payload=payloads):
+    return [
+        Interval(low, high, draw(payload), draw(uids))
+        for low, high in draw(_uniform(endpoint_pairs))
+    ]
+
+
+@st.composite
+def stab_points(draw):
+    """What the interval manager stores: the point (low, high) of an interval."""
+    none_or_any = draw(st.sampled_from([st.none(), payloads]))
+    return [
+        PlanarPoint(iv.low, iv.high, payload=iv, uid=draw(uids))
+        for iv in draw(intervals(none_or_any))
+    ]
+
+
+@st.composite
+def class_objects(draw):
+    return [
+        ClassObject(draw(floats), draw(st.sampled_from(["A", "B", "C"])), draw(payloads), draw(uids))
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+
+
+record_lists = st.one_of(
+    stab_points(),
+    # a point whose payload interval is *not* its own coordinates
+    st.lists(st.builds(PlanarPoint, floats, floats, st.builds(Interval, st.just(0), st.just(1)), uids), max_size=6),
+    class_objects().map(lambda objs: [PlanarPoint(o.key, o.key, o, o.uid) for o in objs]),
+    intervals(),
+    intervals().map(lambda ivs: [(iv.low, iv) for iv in ivs]),                   # leaf entries
+    class_objects().map(lambda objs: [(o.key, o) for o in objs]),
+    st.lists(st.tuples(floats, ints), max_size=12),                               # internal nodes
+    st.lists(floats, max_size=12),                                                # corner index
+    st.lists(ints, max_size=12),
+    st.lists(big_ints, max_size=4),
+    st.lists(st.booleans(), max_size=4),
+    st.lists(st.tuples(ints, ints, ints), max_size=4),
+    st.just([]),
+)
+headers = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"leaf": st.booleans(), "next": st.one_of(st.none(), ints)}),
+    st.fixed_dictionaries({"is_leaf": st.booleans(), "n_points": ints, "children": ints}),
+    st.dictionaries(st.text(max_size=4), st.one_of(floats, st.text(max_size=4)), max_size=3),
+    st.just({"entries": [{"name": "c", "params": {"dynamic": True}}], "format": 1}),
+)
+
+
+def _identity(record):
+    """Everything equality ignores: uids and payloads, types included."""
+    if isinstance(record, tuple):
+        return tuple(_identity(part) for part in record)
+    out = [type(record)]
+    for field in ("x", "y", "low", "high", "key"):
+        if hasattr(record, field):
+            out.append((type(getattr(record, field)), getattr(record, field)))
+    if hasattr(record, "uid"):
+        out += [record.uid, _identity(record.payload)]
+    else:
+        out.append(record)
+    return out
+
+
+@settings(**SETTINGS)
+@given(records=record_lists, header=headers, extra=st.integers(0, 5))
+def test_decode_inverts_encode(records, header, extra):
+    capacity = len(records) + extra
+    raw = pagecodec.encode(capacity, records, header)
+    got_capacity, count, got_header, column = pagecodec.decode(raw)
+    decoded = column.tolist()
+    assert (got_capacity, count, got_header) == (capacity, len(records), header)
+    assert type(decoded) is list and decoded == records            # values, order
+    assert [_identity(r) for r in decoded] == [_identity(r) for r in records]
+    assert {k: type(v) for k, v in got_header.items()} == {k: type(v) for k, v in header.items()}
+    # rows taken one at a time are the same records
+    assert column.take(range(len(records))) == records
+
+
+@settings(**SETTINGS)
+@given(records=record_lists, header=headers)
+def test_encoding_is_canonical(records, header):
+    """Equal blocks give equal bytes: a rebuilt copy, a header built in
+    another key order, and the decoded block all encode identically."""
+    raw = pagecodec.encode(len(records), records, header)
+    copy = pickle.loads(pickle.dumps(records))
+    shuffled = dict(sorted(header.items(), reverse=True))
+    assert pagecodec.encode(len(records), copy, shuffled) == raw
+    _capacity, _count, got_header, column = pagecodec.decode(raw)
+    assert pagecodec.encode(len(records), column.tolist(), got_header) == raw
+
+
+def test_typed_kinds_and_omitted_payload_column():
+    def kind(records):
+        return chr(pagecodec.encode(16, records, {})[9])
+
+    ivs = [Interval(1.0, 2.0), Interval(3.0, 4.5)]
+    assert kind([PlanarPoint(iv.low, iv.high, iv) for iv in ivs]) == "S"
+    assert kind([PlanarPoint(0.0, 9.0, iv) for iv in ivs]) == "P"
+    assert kind([(iv.low, iv) for iv in ivs]) == "T"
+    assert kind(ivs) == "I" and kind([1.0, 2.0]) == "d" and kind([1, 2]) == "q"
+    assert kind([]) == "-" and kind([None]) == "N"
+    assert kind([ClassObject(1.0, "A")]) == "O" and kind([1, 2.0]) == "O"
+    bare = pagecodec.encode(16, ivs, {})
+    tagged = pagecodec.encode(16, [Interval(1.0, 2.0, 7), Interval(3.0, 4.5, 8)], {})
+    assert len(tagged) - len(bare) == 8 * len(ivs)      # all-None payloads cost no bytes
+
+
+# --------------------------------------------------------------------------- #
+# a damaged page is an error, never data
+# --------------------------------------------------------------------------- #
+def _disk_with_page(tmp_path):
+    disk = FileDisk(str(tmp_path / "db.pages"), block_size=8)
+    ivs = [Interval(float(i), float(i + 2), i) for i in range(6)]
+    block = disk.allocate(
+        records=[PlanarPoint(iv.low, iv.high, iv) for iv in ivs], header={"leaf": True}
+    )
+    disk._file.flush()          # the tests below damage the file through a second handle
+    return disk, block.block_id
+
+
+def _flip(disk, at):
+    offset, _length = disk._extents[0]
+    with open(disk.path, "r+b") as fh:
+        fh.seek(offset + at)
+        byte = fh.read(1)
+        fh.seek(offset + at)
+        fh.write(bytes([byte[0] ^ 0x40]))
+
+
+#: one byte in each section of the page: magic, crc, version, kind, count,
+#: capacity, body length, header section, record column, last byte
+SECTIONS = {"magic": 0, "crc": 5, "version": 8, "kind": 9, "count": 12, "capacity": 16,
+            "body_length": 20, "header": 30, "column": 60, "tail": -1}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_flipped_byte_raises_typed_error_from_every_read_path(tmp_path, section):
+    disk, bid = _disk_with_page(tmp_path)
+    try:
+        at = SECTIONS[section]
+        _flip(disk, at if at >= 0 else disk._extents[bid][1] + at)
+        for access in (disk.read, disk.peek, lambda _bid: disk.compact()):
+            with pytest.raises(PageCorruptError) as err:
+                access(bid)
+            assert err.value.block_id == bid and err.value.offset == 0
+            assert err.value.reason and str(bid) in str(err.value)
+        assert disk.file_bytes == disk._extents[bid][1]      # compact touched nothing
+    finally:
+        disk.close()
+
+
+def test_truncated_extent_wrong_magic_and_unknown_version(tmp_path):
+    disk, bid = _disk_with_page(tmp_path)
+    try:
+        raw = Path(disk.path).read_bytes()
+        with pytest.raises(PageCorruptError, match="bad magic"):
+            pagecodec.decode(b"XXXX" + raw[4:], bid)
+        future = raw[:8] + bytes([PAGE_FORMAT + 1]) + raw[9:]
+        with pytest.raises(PageCorruptError, match=f"version {PAGE_FORMAT + 1}.*version {PAGE_FORMAT}"):
+            pagecodec.decode(future, bid)
+        with pytest.raises(PageCorruptError, match="truncated"):
+            pagecodec.decode(raw[:10], bid)
+        os.truncate(disk.path, len(raw) - 7)
+        with pytest.raises(PageCorruptError, match="truncated extent"):
+            disk.read(bid)
+    finally:
+        disk.close()
+
+
+def test_body_the_checksum_blesses_but_cannot_be_decoded_fails_typed(tmp_path):
+    # a foreign writer with a valid crc over a nonsense column tag
+    body = bytes([0]) + b"?" + struct.pack("<2d", 1.0, 2.0)
+    tail = struct.pack("<BBxxIII", PAGE_FORMAT, ord("?"), 2, 4, len(body))
+    raw = pagecodec.MAGIC + struct.pack("<I", zlib.crc32(tail + body)) + tail + body
+    with pytest.raises(PageCorruptError, match="undecodable"):
+        pagecodec.decode(raw, 3, 64)
+
+
+def test_other_page_formats_are_refused_not_misdecoded(tmp_path):
+    path = str(tmp_path / "db.pages")
+    engine = Engine(FileDisk(path, block_size=8))
+    engine.create_collection("c", [Interval(1.0, 2.0)])
+    engine.close()
+    sidecar = path + ".meta"
+    state = pickle.loads(Path(sidecar).read_bytes())
+    assert state["page_format"] == PAGE_FORMAT
+    for written, label in ((None, "0"), (PAGE_FORMAT + 1, str(PAGE_FORMAT + 1))):
+        other = dict(state)
+        if written is None:
+            del other["page_format"]            # a pre-format-1 (pickled pages) sidecar
+        else:
+            other["page_format"] = written
+        Path(sidecar).write_bytes(pickle.dumps(other))
+        for opener in (FileDisk.open, Engine.open):
+            with pytest.raises(PageFormatError, match=f"format {label}.*format {PAGE_FORMAT}"):
+                opener(path)
+    Path(sidecar).write_bytes(pickle.dumps(state))
+    reopened = Engine.open(path)
+    assert len(reopened.query("c", Stab(1.5)).all()) == 1
+    reopened.close()
+
+
+# --------------------------------------------------------------------------- #
+# lazy blocks
+# --------------------------------------------------------------------------- #
+def test_block_from_filedisk_is_lazy_until_records_are_touched(tmp_path):
+    disk, bid = _disk_with_page(tmp_path)
+    try:
+        block = disk.read(bid)
+        assert disk.decoded.pages == 1 and disk.decoded.records == 0
+        assert len(block) == 6 and not block.is_full and block.columns is not None
+        assert [iv.payload for iv in block.take(block.columns, [1, 4], payloads=True)] == [1, 4]
+        assert disk.decoded.records == 2
+        records = block.records
+        assert block.columns is None and disk.decoded.records == 8
+        records.append(records[0])                      # the list is now the truth
+        disk.write(block)
+        assert len(disk.read(bid).records) == 7
+        block.records = records[:2]
+        assert len(block) == 2
+        assert isinstance(Block(9, 4, [1]).columns, type(None))
+    finally:
+        disk.close()
+
+
+def test_readers_sharing_a_cached_lazy_block_do_not_race(tmp_path):
+    """Under a buffer pool concurrent readers share one Block object: some
+    scan its columns while others touch ``records`` (which drops them)."""
+    disk = FileDisk(str(tmp_path / "db.pages"), block_size=16)
+    points = [PlanarPoint(float(i), float(i + 5), Interval(float(i), float(i + 5), "p%d" % i))
+              for i in range(16)]
+    bid = disk.allocate(records=points).block_id
+    errors, done = [], threading.Event()
+
+    def reader(kind):
+        try:
+            while not done.is_set():
+                block = shared[0]
+                if kind == "scan":
+                    got = blk.select(block, blk.Hits(payloads=True), x_max=7.0, y_min=6.0)
+                    assert [iv.payload for iv in got] == ["p%d" % i for i in range(1, 8)]
+                else:
+                    assert block.records == points and len(block) == 16
+        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    shared = [disk.read(bid)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=reader, args=(kind,)) for kind in ("scan", "records") * 3]
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 1.5
+        while time.monotonic() < deadline and not errors:
+            shared[0] = disk.read(bid)          # a fresh lazy block for them to fight over
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+        disk.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_filedisk_stab_materialises_what_it_returns_plus_at_most_a_block(tmp_path):
+    B = 16
+    disk = FileDisk(str(tmp_path / "db.pages"), block_size=B)
+    engine = Engine(disk)
+    engine.create_collection("c", random_intervals(3000, (0.0, 1000.0), 20.0, seed=3))
+    try:
+        rnd = random.Random(4)
+        for _ in range(25):
+            before = (disk.decoded.pages, disk.decoded.records)
+            result = engine.query("c", Stab(rnd.uniform(0.0, 1000.0)))
+            hits = result.all()
+            assert disk.decoded.pages - before[0] == result.ios
+            assert len(hits) <= disk.decoded.records - before[1] <= len(hits) + B
+    finally:
+        engine.close()
+
+
+# --------------------------------------------------------------------------- #
+# the backend does not change answers or I/Os
+# --------------------------------------------------------------------------- #
+def test_same_answers_and_same_ios_on_memory_and_file(tmp_path):
+    hierarchy = balanced_hierarchy(2, 3)
+    answers = {}
+    for label, backend in (
+        ("memory", SimulatedDisk(16)),
+        ("file", FileDisk(str(tmp_path / "db.pages"), block_size=16)),
+    ):
+        engine = Engine(backend)
+        ivs = random_intervals(2500, (0.0, 1000.0), 20.0, seed=9)
+        engine.create_collection("c", [Interval(iv.low, iv.high, iv.payload, uid=i)
+                                       for i, iv in enumerate(ivs)])
+        objects = random_class_objects(hierarchy, 1200, seed=9)
+        engine.create_class_index("k", hierarchy, [
+            ClassObject(o.key, o.class_name, o.payload, uid=i) for i, o in enumerate(objects)
+        ])
+        # writes too, so update blocks and split leaves are on the read path
+        for i in range(40):
+            engine.insert("c", Interval(10.0 * i, 10.0 * i + 35.0, -i, uid=100_000 + i))
+        rnd = random.Random(10)
+        got = []
+        for _ in range(30):
+            x = rnd.uniform(0.0, 1000.0)
+            queries = [
+                ("c", Stab(x)),
+                ("c", Range(x, x + 15.0)),
+                ("c", EndpointRange("low", x, x + 5.0)),
+                ("c", EndpointRange("high", x, x + 5.0, min_inclusive=False)),
+                ("k", ClassRange(rnd.choice(hierarchy.classes()), x, x + 80.0)),
+            ]
+            for name, q in queries:
+                result = engine.query(name, q)
+                records = result.all()
+                got.append(([(r.uid, r) for r in records], result.ios))
+        answers[label] = got
+        engine.close()
+    assert answers["memory"] == answers["file"]
+    assert sum(ios for _records, ios in answers["file"]) > 0

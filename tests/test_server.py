@@ -18,6 +18,7 @@ import pytest
 from repro import Engine, Interval, Param, SimulatedDisk, Stab
 from repro.engine.queries import EndpointRange, Range
 from repro.server import (
+    PROTOCOL_VERSION,
     ProtocolError,
     ReproClient,
     ReproServer,
@@ -75,7 +76,7 @@ class TestProtocolCodecs:
 class TestServerCommands:
     def test_ping(self, client):
         response = client.ping()
-        assert response["pong"] and response["version"] == 1
+        assert response["pong"] and response["version"] == PROTOCOL_VERSION == 2
 
     def test_query_matches_oracle_with_accounting(self, client):
         base = make_base(client)
