@@ -76,7 +76,6 @@ from repro.engine import (
     RWLock,
     SessionResult,
     Stab,
-    WriteIntentError,
     bind_params,
     query_from_dict,
     unbound_params,
@@ -140,7 +139,6 @@ __all__ = [
     "StorageBackend",
     "ThreeSidedMetablockTree",
     "ThreeSidedQuery",
-    "WriteIntentError",
     "bind_params",
     "query_from_dict",
     "unbound_params",

@@ -1,7 +1,8 @@
 """Closed-form I/O cost predictions for the paper's bounds.
 
-EXPERIMENTS.md compares every measured I/O count against the corresponding
-bound evaluated by these helpers; the reproduction claims the *shape*
+The benchmarks and the bound checks compare every measured I/O count
+against the corresponding bound evaluated by these helpers; the
+reproduction claims the *shape*
 (constant ``measured / bound`` ratios as ``n``, ``B``, ``c`` and ``t``
 grow), not specific constants.
 """

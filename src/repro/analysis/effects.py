@@ -30,18 +30,19 @@ built on top are phrased so that a missing edge can only *suppress* a
 finding, never invent one.
 
 The module also collects the **wire artifacts** the cross-artifact rule
-compares: ``COMMANDS`` / ``ERROR_CODES`` tuples, ``_cmd_*`` handler
-classes, ``*Client`` method surfaces, the serialization registry inside
-``_node_registry`` and the string literals ``classify_error`` returns.
-Everything here is pure data extraction — policy lives in
-:mod:`repro.analysis.lintrules`.
+compares — the declared string sets (``COMMANDS``, ``ERROR_CODES``, the
+rows of ``COMMAND_TABLE``, the codes of ``ERROR_TABLE``), the ``Executor``
+protocol's members and its implementations, ``*Client`` method surfaces,
+the serialization registry and the string literals ``classify_error``
+returns — under the names :data:`WIRE_NAMES` declares.  Everything here
+is pure data extraction — policy lives in :mod:`repro.analysis.lintrules`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "CallRef",
@@ -49,8 +50,30 @@ __all__ = [
     "FunctionSummary",
     "ModuleArtifacts",
     "Program",
+    "TRANSPORT_COMMANDS",
+    "WIRE_NAMES",
     "dotted",
 ]
+
+#: role -> the name the wire contract's artifact goes by in source: data,
+#: so renaming an artifact edits this table, not the extraction or the rule
+WIRE_NAMES = {
+    "commands": "COMMANDS",            # tuple of command names
+    "error_codes": "ERROR_CODES",      # tuple of error codes
+    "command_table": "COMMAND_TABLE",  # dict: command -> row
+    "error_table": "ERROR_TABLE",      # tuple of (exception class, code)
+    "executor": "Executor",            # the protocol; bases name implementations
+    "classify": "classify_error",
+    "registry": "_node_registry",
+    "node_base": "AlgebraicQuery",
+    "client_suffix": "Client",
+}
+#: commands the transport answers itself: a table row, no executor member
+TRANSPORT_COMMANDS = {"shutdown"}
+_DECLARED = {
+    WIRE_NAMES[role]: role
+    for role in ("commands", "error_codes", "command_table", "error_table")
+}
 
 #: effect flags a summary can carry directly and a closure can propagate
 EFFECTS = ("charge", "wal_sync", "epoch_publish", "gen_bump")
@@ -162,14 +185,16 @@ class ModuleArtifacts:
     """Phase-1 output per module: the wire-contract artifacts."""
 
     path: str
-    #: ``COMMANDS = ("ping", ...)`` at module level -> (names, site)
-    commands: Optional[Tuple[Set[str], EffectSite]] = None
-    #: ``ERROR_CODES = (...)`` at module level -> (codes, site)
-    error_codes: Optional[Tuple[Set[str], EffectSite]] = None
+    #: role (``commands`` / ``error_codes`` / ``command_table`` /
+    #: ``error_table``) -> (the strings its module-level literal declares —
+    #: a dict's keys, else every string in it —, site)
+    declared: Dict[str, Tuple[Set[str], EffectSite]] = field(default_factory=dict)
     #: string literals ``classify_error`` returns -> (codes, def site)
     classify_returns: Optional[Tuple[Set[str], EffectSite]] = None
-    #: class name -> ({command suffixes of its _cmd_* methods}, class site)
-    handler_classes: Dict[str, Tuple[Set[str], EffectSite]] = field(
+    #: the ``Executor`` protocol's public members -> (names, class site)
+    executor_protocol: Optional[Tuple[Set[str], EffectSite]] = None
+    #: class with an ``Executor`` base -> ({public method names}, class site)
+    executor_classes: Dict[str, Tuple[Set[str], EffectSite]] = field(
         default_factory=dict
     )
     #: class name (endswith "Client") -> ({public method names}, class site)
@@ -201,28 +226,24 @@ class _EffectCollector(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
         base_names = {dotted(b).rsplit(".", 1)[-1] for b in node.bases}
-        if "AlgebraicQuery" in base_names and not self._fn_stack:
-            self.artifacts.node_classes[node.name] = node.lineno
-        cmds = {
-            stmt.name[len("_cmd_"):]
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.name.startswith("_cmd_")
-        }
-        if cmds:
-            self.artifacts.handler_classes[node.name] = (
-                cmds, EffectSite(node.lineno, node.col_offset)
+        if not self._fn_stack:
+            surface = (
+                {
+                    stmt.name
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not stmt.name.startswith("_")
+                },
+                EffectSite(node.lineno, node.col_offset),
             )
-        if node.name.endswith("Client") and not self._fn_stack:
-            methods = {
-                stmt.name
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not stmt.name.startswith("_")
-            }
-            self.artifacts.client_classes[node.name] = (
-                methods, EffectSite(node.lineno, node.col_offset)
-            )
+            if WIRE_NAMES["node_base"] in base_names:
+                self.artifacts.node_classes[node.name] = node.lineno
+            if node.name == WIRE_NAMES["executor"]:
+                self.artifacts.executor_protocol = surface
+            elif WIRE_NAMES["executor"] in base_names:
+                self.artifacts.executor_classes[node.name] = surface
+            if node.name.endswith(WIRE_NAMES["client_suffix"]):
+                self.artifacts.client_classes[node.name] = surface
         self.generic_visit(node)
         self._class_stack.pop()
 
@@ -248,9 +269,9 @@ class _EffectCollector(ast.NodeVisitor):
                 CallRef(summary.key, node.lineno, node.col_offset)
             )
         self.program.functions[summary.key] = summary
-        if node.name == "classify_error" and not self._fn_stack:
+        if node.name == WIRE_NAMES["classify"] and not self._fn_stack:
             self._collect_classify_returns(node)
-        if node.name == "_node_registry" and not self._fn_stack:
+        if node.name == WIRE_NAMES["registry"] and not self._fn_stack:
             self._collect_registry(node)
         self._fn_stack.append(summary)
         self.generic_visit(node)
@@ -263,32 +284,32 @@ class _EffectCollector(ast.NodeVisitor):
         self._visit_function(node)
 
     # -- wire artifacts --------------------------------------------------- #
-    @staticmethod
-    def _string_tuple(value: ast.expr) -> Optional[Set[str]]:
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            return None
-        out: Set[str] = set()
-        for elt in value.elts:
-            if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-                return None
-            out.add(elt.value)
-        return out
+    def _declare(self, target: ast.expr, value: Optional[ast.expr], node: ast.stmt) -> None:
+        """A module-level ``<artifact> = <literal>``: record its strings."""
+        if self._fn_stack or not isinstance(target, ast.Name):
+            return
+        role = _DECLARED.get(target.id)
+        if role is None or not isinstance(value, (ast.Tuple, ast.List, ast.Dict)):
+            return
+        scope: Iterable[Optional[ast.AST]] = (
+            value.keys if isinstance(value, ast.Dict) else ast.walk(value)
+        )
+        self.artifacts.declared[role] = (
+            {
+                n.value for n in scope
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            },
+            EffectSite(node.lineno, node.col_offset),
+        )
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._declare(node.target, node.value, node)
+        self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         fn = self._fn_stack[-1] if self._fn_stack else None
         for target in node.targets:
-            if (
-                fn is None
-                and isinstance(target, ast.Name)
-                and target.id in ("COMMANDS", "ERROR_CODES")
-            ):
-                names = self._string_tuple(node.value)
-                if names is not None:
-                    site = EffectSite(node.lineno, node.col_offset)
-                    if target.id == "COMMANDS":
-                        self.artifacts.commands = (names, site)
-                    else:
-                        self.artifacts.error_codes = (names, site)
+            self._declare(target, node.value, node)
             if (
                 fn is not None
                 and isinstance(target, ast.Attribute)
@@ -342,11 +363,11 @@ class _EffectCollector(ast.NodeVisitor):
             self.artifacts.imported_names.add(alias.asname or alias.name)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if node.id == "COMMANDS":
+        if node.id == WIRE_NAMES["commands"]:
             self.artifacts.mentions_commands = True
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "COMMANDS":
+        if node.attr == WIRE_NAMES["commands"]:
             self.artifacts.mentions_commands = True
         self.generic_visit(node)
 

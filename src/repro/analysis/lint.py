@@ -6,7 +6,7 @@ codebase actually uses —
 * ``with self._lock:`` / ``with wal._sync_lock:`` (plain mutex/leaf locks),
 * ``lock.acquire()`` … ``lock.release()`` pairs inside one function,
 * RWLock latches: ``latch.acquire_read()`` / ``acquire_write()`` /
-  ``with latch.read():`` / ``.write()`` / ``.upgrade()``,
+  ``with latch.read():`` / ``.write()``,
 * the engine turns: ``with engine.write_turn():`` (an engine-wide lock) and
   ``with engine.read_turn(name) as (idx, stats):`` (a snapshot scope),
 
@@ -43,7 +43,7 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.effects import Program
+from repro.analysis.effects import Program, dotted as _dotted
 from repro.analysis.lintrules import (
     Context,
     Finding,
@@ -62,7 +62,7 @@ _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(\s*([a-z0-9_,\s-]+?)\s*\)")
 #: substrings that mark an attribute / name as a lock object
 _LOCKY = ("lock", "mutex", "latch", "cond")
 #: with-item method calls that acquire an RWLock latch
-_LATCH_CM = {"read", "write", "upgrade"}
+_LATCH_CM = {"read", "write"}
 _LATCH_ACQUIRE = {"acquire_read": "read", "acquire_write": "write"}
 _LATCH_RELEASE = {"release_read", "release_write"}
 
@@ -70,19 +70,6 @@ _LATCH_RELEASE = {"release_read", "release_write"}
 def _is_locky(name: str) -> bool:
     low = name.lower()
     return any(part in low for part in _LOCKY)
-
-
-def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted repr of a receiver/callee expression."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return f"{_dotted(node.value)}.{node.attr}"
-    if isinstance(node, ast.Call):
-        return f"{_dotted(node.func)}(...)"
-    if isinstance(node, ast.Subscript):
-        return f"{_dotted(node.value)}[...]"
-    return "<expr>"
 
 
 def _scan_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[int]]:

@@ -30,9 +30,8 @@ Rule ids (the names ``# lint: allow(...)`` takes):
     (``counter[0] += 1``).
 ``engine-lock-in-read-turn``
     Read turns pin an MVCC epoch and share one index latch; they must
-    never take an engine-wide lock (``_write_mutex`` / ``write_turn()`` /
-    the legacy session RWLock) — that is what keeps readers unblockable
-    by writers on other indexes.
+    never take an engine-wide lock (``_write_mutex`` / ``write_turn()``)
+    — that is what keeps readers unblockable by writers on other indexes.
 
 The four rules below are **interprocedural**: they run over the
 whole-program effect summaries of :mod:`repro.analysis.effects`
@@ -60,20 +59,24 @@ an fsync reached through two calls still violates the barrier rules.
     directly or transitively — otherwise cached strategies keep pointing
     at freed blocks.
 ``wire-exhaustiveness``
-    The wire contract's artifacts must agree: every declared ``COMMANDS``
-    entry has a ``_cmd_*`` handler in every handler class and a method on
-    every protocol client class; ``_node_registry`` covers every
-    ``AlgebraicQuery`` subclass in its module and names only resolvable
-    types; ``classify_error``'s returned codes match ``ERROR_CODES``.
+    The wire contract's artifacts must agree: ``COMMANDS`` ↔ the rows of
+    the one ``COMMAND_TABLE`` ↔ the ``Executor`` protocol's members ↔
+    every class with an ``Executor`` base ↔ every protocol client class;
+    ``_node_registry`` covers every ``AlgebraicQuery`` subclass in its
+    module and names only resolvable types; ``ERROR_CODES`` ↔ the codes of
+    ``ERROR_TABLE`` plus ``classify_error``'s literal returns.  The names
+    are data (:data:`repro.analysis.effects.WIRE_NAMES`), not rule code.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Type
 
-from repro.analysis.effects import FunctionSummary, Program
+from repro.analysis.effects import (
+    TRANSPORT_COMMANDS, EffectSite, FunctionSummary, ModuleArtifacts, Program,
+)
 from repro.analysis.lockdep import RANK_LATCH, RANK_LEAF, RANK_MUTEX, RANK_WAL
 
 # --------------------------------------------------------------------------- #
@@ -81,8 +84,6 @@ from repro.analysis.lockdep import RANK_LATCH, RANK_LEAF, RANK_MUTEX, RANK_WAL
 # --------------------------------------------------------------------------- #
 #: attribute names that denote the engine-wide write mutex
 MUTEX_ATTRS = {"_write_mutex"}
-#: attribute names that denote an engine-wide readers-writer lock
-ENGINE_RWLOCK_ATTRS = {"_rwlock"}
 #: attribute names that denote the WAL's internal locks; ``_sync_lock`` is
 #: a *barrier* lock — the group-commit fsync legitimately runs under it
 WAL_LOCK_CLASSES = {"WriteAheadLog"}
@@ -141,7 +142,7 @@ class LockToken:
 
 def classify_lock(owner: str, attr: str) -> LockToken:
     """The token for ``with <recv>.<attr>`` given the enclosing class name."""
-    if attr in MUTEX_ATTRS or attr in ENGINE_RWLOCK_ATTRS:
+    if attr in MUTEX_ATTRS:
         return LockToken(f"{owner}.{attr}", RANK_MUTEX)
     if attr in CLUSTER_LATCH_ATTRS:
         return LockToken(f"{owner}.{attr}", RANK_LATCH)
@@ -156,9 +157,6 @@ def classify_lock(owner: str, attr: str) -> LockToken:
 
 def latch_token(receiver: str) -> LockToken:
     """The token for an RWLock acquisition on ``receiver``."""
-    if receiver.endswith("_rwlock") or receiver.endswith(".rwlock"):
-        # the engine-wide session RWLock ranks as a mutex, not a latch
-        return LockToken(receiver, RANK_MUTEX)
     return LockToken(f"latch:{receiver}", RANK_LATCH)
 
 
@@ -393,9 +391,9 @@ class EngineLockInReadTurnRule(Rule):
 
     id = "engine-lock-in-read-turn"
     description = (
-        "no engine-wide lock acquisition (_write_mutex, write_turn(), the "
-        "engine RWLock) inside a read_turn scope; snapshot reads share one "
-        "index latch and nothing else"
+        "no engine-wide lock acquisition (_write_mutex, write_turn()) inside "
+        "a read_turn scope; snapshot reads share one index latch and nothing "
+        "else"
     )
 
     def on_acquire(self, ctx: Context, token: LockToken, node: ast.AST) -> None:
@@ -552,89 +550,106 @@ class StalePlanCacheRule(Rule):
             ))
 
 
+_Found = Tuple[Set[str], EffectSite]
+
+
 @register
 class WireExhaustivenessRule(Rule):
-    """COMMANDS, _cmd_* handlers, client methods and codecs must agree."""
+    """COMMANDS, the command table, executors, clients and codecs must agree."""
 
     id = "wire-exhaustiveness"
     description = (
-        "the wire artifacts must stay in lockstep: every COMMANDS entry has "
-        "a _cmd_* handler in every handler class and a method on every "
-        "protocol client; the serialization registry covers every "
-        "AlgebraicQuery subclass and names only resolvable types; "
-        "classify_error's codes match ERROR_CODES"
+        "the wire artifacts must stay in lockstep: COMMANDS, the rows of the "
+        "one COMMAND_TABLE, the Executor protocol's members, every Executor "
+        "implementation and every protocol client; the serialization registry "
+        "covers every AlgebraicQuery subclass and names only resolvable "
+        "types; ERROR_TABLE's and classify_error's codes match ERROR_CODES"
     )
 
     def finalize_program(
         self, program: Program, emit: Callable[[Finding], None]
     ) -> None:
-        commands: Optional[Set[str]] = None
+        def first(pick: Callable[[ModuleArtifacts], Optional[_Found]]) -> Set[str]:
+            """The first module declaring an artifact speaks for the program."""
+            return next(
+                (found[0] for found in map(pick, program.modules) if found), set()
+            )
+
+        commands = first(lambda m: m.declared.get("commands"))
+        members = first(lambda m: m.executor_protocol)
         for module in program.modules:
-            if module.commands is not None:
-                commands = module.commands[0]
-                break
-        for module in program.modules:
-            if commands is not None:
-                for cls, (handlers, site) in module.handler_classes.items():
-                    for missing in sorted(commands - handlers):
-                        emit(Finding(
-                            module.path, site.line, site.col, self.id,
-                            f"handler class {cls!r} has no _cmd_{missing} "
-                            f"for declared command {missing!r}",
-                        ))
-                    for extra in sorted(handlers - commands):
-                        emit(Finding(
-                            module.path, site.line, site.col, self.id,
-                            f"handler {cls}._cmd_{extra} serves a command "
-                            f"{extra!r} that COMMANDS does not declare "
-                            f"(clients can never reach it)",
-                        ))
-                if module.mentions_commands:
-                    for cls, (methods, site) in module.client_classes.items():
-                        for missing in sorted(commands - methods):
-                            emit(Finding(
-                                module.path, site.line, site.col, self.id,
-                                f"client class {cls!r} has no method for "
-                                f"declared command {missing!r}",
-                            ))
-            if module.registry is not None:
-                names, site = module.registry
-                for cls, line in sorted(module.node_classes.items()):
-                    if cls not in names:
-                        emit(Finding(
-                            module.path, line, 0, self.id,
-                            f"query node {cls!r} is missing from the "
-                            f"serialization registry; it cannot cross the "
-                            f"wire",
-                        ))
-                defined = set(module.node_classes) | module.imported_names
-                defined |= {
-                    fn.cls for fn in program.functions.values()
-                    if fn.path == module.path and fn.cls is not None
-                }
-                for name in sorted(names - defined):
-                    emit(Finding(
-                        module.path, site.line, site.col, self.id,
-                        f"registry names {name!r}, which is neither defined "
-                        f"nor imported in this module (deserialization "
-                        f"would NameError)",
-                    ))
-            if module.error_codes is not None and module.classify_returns is not None:
-                codes, codes_site = module.error_codes
-                returns, returns_site = module.classify_returns
-                for missing in sorted(codes - returns):
-                    emit(Finding(
-                        module.path, codes_site.line, codes_site.col, self.id,
-                        f"ERROR_CODES declares {missing!r} but "
-                        f"classify_error never returns it",
-                    ))
-                for extra in sorted(returns - codes):
-                    emit(Finding(
-                        module.path, returns_site.line, returns_site.col,
-                        self.id,
-                        f"classify_error returns {extra!r}, which "
-                        f"ERROR_CODES does not declare",
-                    ))
+            for site, message in self._drift(program, module, commands, members):
+                emit(Finding(module.path, site.line, site.col, self.id, message))
+
+    @staticmethod
+    def _drift(
+        program: Program, module: ModuleArtifacts, commands: Set[str], members: Set[str]
+    ) -> Iterator[Tuple[EffectSite, str]]:
+        def serves(member: str, cmd: str) -> bool:
+            return member == cmd or member.startswith(cmd + "_")
+
+        if commands and "command_table" in module.declared:
+            rows, site = module.declared["command_table"]
+            for missing in sorted(commands - rows):
+                yield site, f"the command table has no row for declared command {missing!r}"
+            for extra in sorted(rows - commands):
+                yield site, (
+                    f"the command table serves {extra!r}, which COMMANDS does "
+                    f"not declare (clients can never reach it)"
+                )
+        if commands and module.executor_protocol is not None:
+            own, site = module.executor_protocol
+            for cmd in sorted(commands - TRANSPORT_COMMANDS):
+                if not any(serves(member, cmd) for member in own):
+                    yield site, f"no Executor member serves declared command {cmd!r}"
+            for member in sorted(own):
+                if not any(serves(member, cmd) for cmd in commands):
+                    yield site, f"Executor member {member!r} serves no declared command"
+        for cls, (methods, site) in module.executor_classes.items():
+            for missing in sorted(members - methods):
+                yield site, f"executor {cls!r} does not implement Executor.{missing}"
+        if commands and module.mentions_commands:
+            for cls, (methods, site) in module.client_classes.items():
+                for missing in sorted(commands - methods):
+                    yield site, (
+                        f"client class {cls!r} has no method for declared "
+                        f"command {missing!r}"
+                    )
+        if module.registry is not None:
+            names, site = module.registry
+            for cls, line in sorted(module.node_classes.items()):
+                if cls not in names:
+                    yield EffectSite(line, 0), (
+                        f"query node {cls!r} is missing from the serialization "
+                        f"registry; it cannot cross the wire"
+                    )
+            defined = set(module.node_classes) | module.imported_names
+            defined |= {
+                fn.cls for fn in program.functions.values()
+                if fn.path == module.path and fn.cls is not None
+            }
+            for name in sorted(names - defined):
+                yield site, (
+                    f"registry names {name!r}, which is neither defined nor "
+                    f"imported in this module (deserialization would NameError)"
+                )
+        produced = [
+            found for found in
+            (module.declared.get("error_table"), module.classify_returns) if found
+        ]
+        if "error_codes" in module.declared and produced:
+            codes, codes_site = module.declared["error_codes"]
+            for missing in sorted(codes.difference(*(found[0] for found in produced))):
+                yield codes_site, (
+                    f"ERROR_CODES declares {missing!r} but neither ERROR_TABLE "
+                    f"nor classify_error produces it"
+                )
+            for strings, site in produced:
+                for extra in sorted(strings - codes):
+                    yield site, (
+                        f"the error classification produces {extra!r}, which "
+                        f"ERROR_CODES does not declare"
+                    )
 
 
 # re-exported so a downstream rule module can extend the leaf set

@@ -1,10 +1,11 @@
 """``ShardRouter`` + ``ClusterFrontend`` — scatter-gather over N shards.
 
-The frontend is a :class:`~repro.server.core.JsonLineServer` speaking the
-**identical wire protocol** as a single ``ReproServer`` — a client cannot
-tell the difference.  Behind it, the router holds one pooled
-:class:`ShardConnection` per shard and turns each request into per-shard
-requests plus a merge:
+The frontend is a :class:`~repro.server.core.JsonLineServer` — the same
+command table, validation, leases and error codes as a single
+``ReproServer``, so a client cannot tell the difference — whose
+:class:`~repro.server.core.Executor` is the router.  The router holds one
+pooled :class:`ShardConnection` per shard and turns each validated
+request into per-shard requests plus a merge:
 
 =============  ===========================================================
 request        routing
@@ -20,9 +21,10 @@ request        routing
                summed — ``bound`` gains ``+2`` per extra shard so the
                paper's ``BOUND_SLACK`` check stays valid per request
                (k per-shard slacks, not one).
-``insert``     the router **mints the authoritative uid**, then routes by
-               partition key; the shard honours it (``keep_uids``) — one
-               identity per record across the whole cluster.
+``insert``     the frontend process **mints the authoritative uid** as it
+               decodes the record; the router routes by partition key and
+               the shard honours the uid (``keep_uids``) — one identity
+               per record across the whole cluster.
 ``delete``     by record: the owning shard.  By query: the classified
                targets; with a ``limit`` the scatter degrades to an
                ordered walk that decrements the remaining budget so the
@@ -30,13 +32,13 @@ request        routing
 ``bulk_load``  minted uids, split per shard, loaded **in parallel**.
 ``create``     every shard gets the index (records partitioned as above);
 ``drop``       broadcast.
-``prepare``    leased on the frontend connection (handle + declared
-``run``        params, exactly like a single server); ``run`` binds the
-               parameters locally — which both validates them and makes
-               the *bound* query classifiable — then executes as a read.
-               A shard answering ``unknown_index`` invalidates the lease
-               into the same structured ``stale_handle`` the single
-               server emits.
+``prepare``    the lease is ``(index, q)``; ``run`` binds the parameters
+``run``        locally — which both validates them and makes the *bound*
+               query classifiable — then executes as a read.  A shard
+               answering ``unknown_index`` raises the same
+               :class:`~repro.errors.UnknownIndexError` a dropped index
+               raises in process, which the server turns into
+               ``stale_handle``.
 ``stats``      aggregated: engine counters summed, sessions namespaced
                ``s<shard>:<id>``, plus a ``cluster`` section (topology,
                routing counters, shard health).
@@ -57,19 +59,20 @@ the pool, exactly like the WAL's group-commit sync lock.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.engine.queries import Limit, OrderBy, bind_params, unbound_params
+from repro.errors import UnknownIndexError
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.server import protocol as P
 from repro.server.client import ReproClient, ServerError
-from repro.server.core import JsonLineServer, _required, _ShutdownRequested
+from repro.server.core import Executor, JsonLineServer, Payload, _Connection, _Row
 from repro.cluster.topology import ShardMap
 
 
@@ -153,7 +156,7 @@ def _wire_sort_key(order: OrderBy) -> Callable[[List[Any]], Any]:
     return itemgetter(position)
 
 
-class ShardRouter:
+class ShardRouter(Executor):
     """Scatter-gather execution over a :class:`ShardMap` (see module doc)."""
 
     def __init__(
@@ -194,10 +197,6 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def shard_map(self) -> ShardMap:
-        return self._map
-
     def bootstrap(self) -> Dict[str, Any]:
         """Adopt what the shards already hold (open of a persisted cluster).
 
@@ -212,14 +211,6 @@ class ShardRouter:
         with self._topology_lock:
             self._indexes.update(info["engine"].get("indexes", []))
         return info
-
-    def known_index(self, name: str) -> bool:
-        with self._topology_lock:
-            return name in self._indexes
-
-    def known_indexes(self) -> List[str]:
-        with self._topology_lock:
-            return sorted(self._indexes)
 
     def close(self) -> None:
         self._executor.shutdown(wait=False)
@@ -342,7 +333,7 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def read(self, index: str, q: Any) -> Dict[str, Any]:
+    def query(self, index: str, q: Any) -> Dict[str, Any]:
         """Classify, scatter, merge one query; the response payload."""
         targets = self._map.shards_for_query(q)
         wire = P.query_to_wire(q)
@@ -417,11 +408,30 @@ class ShardRouter:
         )
         return {"plan": plan}
 
+    def prepare(self, index: str, q: Any) -> Tuple[Any, Payload]:
+        with self._topology_lock:
+            if index not in self._indexes:
+                raise UnknownIndexError(
+                    f"no index named {index!r}; the cluster serves "
+                    f"{sorted(self._indexes)}"
+                )
+        return (index, q), {"index": index, "params": sorted(unbound_params(q))}
+
+    def run(self, lease: Any, params: Dict[str, Any]) -> Payload:
+        index, q = lease
+        bound = bind_params(q, params)  # strict: bad names raise
+        try:
+            return self.query(index, bound)
+        except ServerError as exc:
+            if exc.code == "unknown_index":
+                # every shard lost the index this lease was planned against
+                raise UnknownIndexError(*exc.args) from exc
+            raise
+
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
-    def insert(self, index: str, record_data: Any) -> Dict[str, Any]:
-        record = P.record_from_dict(record_data, fresh_uid=True)
+    def insert(self, index: str, record: Any) -> Dict[str, Any]:
         self._note_records([record])
         shard = self._map.shard_for_record(record)
         wire = P.record_to_row(record)
@@ -434,8 +444,7 @@ class ShardRouter:
             "shard": shard,
         }
 
-    def delete_record(self, index: str, record_data: Any) -> Dict[str, Any]:
-        record = P.record_from_dict(record_data)  # the wire uid is the name
+    def delete_record(self, index: str, record: Any) -> Dict[str, Any]:
         shard = self._map.shard_for_record(record)
         resp = self._call_shard(
             shard, "delete", index=index, record=P.record_to_row(record)
@@ -478,8 +487,7 @@ class ShardRouter:
             "shards_contacted": len(pairs),
         }
 
-    def bulk_load(self, index: str, records_data: List[Any]) -> Dict[str, Any]:
-        records = P.records_from_wire(records_data, fresh_uid=True)
+    def bulk_load(self, index: str, records: List[Any]) -> Dict[str, Any]:
         self._note_records(records)
         groups = self._map.partition(records)
         targets = sorted(groups)
@@ -505,13 +513,8 @@ class ShardRouter:
     # namespace
     # ------------------------------------------------------------------ #
     def create(
-        self, index: str, kind: str, records_data: List[Any], dynamic: bool
+        self, index: str, kind: str, records: List[Any], dynamic: bool
     ) -> Dict[str, Any]:
-        if kind not in ("collection", "interval"):
-            raise P.ProtocolError(
-                f"unknown index kind {kind!r}; know ['collection', 'interval']"
-            )
-        records = P.records_from_wire(records_data, fresh_uid=True)
         self._note_records(records)
         groups = self._map.partition(records)
         pairs = self._scatter(
@@ -548,6 +551,13 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
+    def ping(self) -> Payload:
+        return {
+            "pong": True,
+            "version": P.PROTOCOL_VERSION,
+            "cluster": {"shards": self._map.shards, "strategy": self._map.strategy},
+        }
+
     def stats(self) -> Dict[str, Any]:
         pairs = self._scatter(self._map.all_shards(), "stats", lambda s: {})
         indexes: Set[str] = set()
@@ -673,20 +683,8 @@ class ShardRouter:
         }
 
 
-class _RouterConnection:
-    """One frontend connection's leases (mirrors the single server's)."""
-
-    __slots__ = ("conn_id", "leases", "lease_ids", "requests")
-
-    def __init__(self, conn_id: int) -> None:
-        self.conn_id = conn_id
-        self.leases: Dict[int, Dict[str, Any]] = {}
-        self.lease_ids = itertools.count(1)
-        self.requests = 0
-
-
 class ClusterFrontend(JsonLineServer):
-    """The cluster's client-facing server: protocol in, router out."""
+    """The cluster's client-facing server: the router is its executor."""
 
     thread_name = "repro-cluster"
     metrics_prefix = "router"
@@ -702,162 +700,24 @@ class ClusterFrontend(JsonLineServer):
         super().__init__(host, port)
         self.router = router
         self._close_router = close_router
-        self._conn_ids = itertools.count(1)
-
-    def __enter__(self) -> "ClusterFrontend":
-        self.start()
-        return self
 
     def _on_close(self) -> None:
         if self._close_router:
             self.router.close()
 
-    # ------------------------------------------------------------------ #
-    # dispatch
-    # ------------------------------------------------------------------ #
-    def _open_connection(self) -> _RouterConnection:
-        return _RouterConnection(next(self._conn_ids))
+    @contextmanager
+    def _connection(self) -> Iterator[Executor]:
+        yield self.router
 
-    def _dispatch_message(
-        self, conn: _RouterConnection, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        cmd = message.get("cmd")
-        request_id = message.get("id")
-        handler = getattr(self, f"_cmd_{cmd}", None) if isinstance(cmd, str) else None
-        if handler is None:
-            raise P.ProtocolError(
-                f"unknown command {cmd!r}; know {sorted(P.COMMANDS)}"
-            )
-        conn.requests += 1
-        obs_metrics.REGISTRY.counter(f"router.ops.{cmd}").inc()
-        t0 = time.perf_counter()
-        with obs_tracer.span("router.request", cmd=cmd, conn=conn.conn_id):
-            response = handler(conn, request_id, message)
-        obs_metrics.REGISTRY.histogram(f"router.latency_ms.{cmd}").observe(
-            (time.perf_counter() - t0) * 1e3
-        )
-        return response
-
-    # -- control --------------------------------------------------------- #
-    def _cmd_ping(self, conn: _RouterConnection, request_id: Any,
-                  message: Dict[str, Any]) -> Dict[str, Any]:
-        shard_map = self.router.shard_map
-        return P.ok_response(
-            request_id, pong=True, version=P.PROTOCOL_VERSION,
-            session=conn.conn_id,
-            cluster={"shards": shard_map.shards, "strategy": shard_map.strategy},
-        )
-
-    def _cmd_shutdown(self, conn: _RouterConnection, request_id: Any,
-                      message: Dict[str, Any]) -> Dict[str, Any]:
-        raise _ShutdownRequested
-
-    # -- namespace ------------------------------------------------------- #
-    def _cmd_create(self, conn: _RouterConnection, request_id: Any,
-                    message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        payload = self.router.create(
-            name,
-            message.get("kind", "collection"),
-            message.get("records", []),
-            bool(message.get("dynamic", True)),
-        )
-        return P.ok_response(request_id, **payload)
-
-    def _cmd_drop(self, conn: _RouterConnection, request_id: Any,
-                  message: Dict[str, Any]) -> Dict[str, Any]:
-        return P.ok_response(
-            request_id, **self.router.drop(_required(message, "index"))
-        )
-
-    # -- reads ----------------------------------------------------------- #
-    def _cmd_query(self, conn: _RouterConnection, request_id: Any,
-                   message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        q = P.query_from_wire(_required(message, "q"))
-        return P.ok_response(request_id, **self.router.read(name, q))
-
-    def _cmd_explain(self, conn: _RouterConnection, request_id: Any,
-                     message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        q = P.query_from_wire(_required(message, "q"))
-        return P.ok_response(request_id, **self.router.explain(name, q))
-
-    def _cmd_prepare(self, conn: _RouterConnection, request_id: Any,
-                     message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        q = P.query_from_wire(_required(message, "q"))
-        if not self.router.known_index(name):
-            raise KeyError(
-                f"no index named {name!r}; the cluster serves "
-                f"{self.router.known_indexes()}"
-            )
-        params = sorted(unbound_params(q))
-        handle = next(conn.lease_ids)
-        conn.leases[handle] = {"index": name, "q": q, "params": params}
-        return P.ok_response(request_id, handle=handle, index=name, params=params)
-
-    def _cmd_run(self, conn: _RouterConnection, request_id: Any,
-                 message: Dict[str, Any]) -> Dict[str, Any]:
-        handle = _required(message, "handle")
-        lease = conn.leases.get(handle)
-        if lease is None:
-            raise P.StaleHandleError(
-                f"no prepared handle {handle!r} on this connection; "
-                "handles are leased per connection by 'prepare'"
-            )
-        params = message.get("params", {})
-        if not isinstance(params, dict):
-            raise P.ProtocolError("'params' must be an object of name -> value")
-        bound = bind_params(lease["q"], params)  # strict: bad names raise
-        try:
-            payload = self.router.read(lease["index"], bound)
-        except ServerError as exc:
-            if exc.code == "unknown_index":
-                # the index this lease was planned against is gone: same
-                # invalidation surface as the single server
-                conn.leases.pop(handle, None)
-                raise P.StaleHandleError(
-                    f"prepared handle {handle} is stale: "
-                    + (exc.args[0] if exc.args else repr(exc))
-                ) from exc
-            raise
-        return P.ok_response(request_id, **payload)
-
-    # -- writes ---------------------------------------------------------- #
-    def _cmd_insert(self, conn: _RouterConnection, request_id: Any,
-                    message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        payload = self.router.insert(name, _required(message, "record"))
-        return P.ok_response(request_id, **payload)
-
-    def _cmd_delete(self, conn: _RouterConnection, request_id: Any,
-                    message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        if "record" in message:
-            payload = self.router.delete_record(name, message["record"])
-        elif "q" in message:
-            q = P.query_from_wire(message["q"])
-            payload = self.router.delete_matching(name, q, message.get("limit"))
-        else:
-            raise P.ProtocolError("'delete' takes a 'record' or a 'q' selector")
-        return P.ok_response(request_id, **payload)
-
-    def _cmd_bulk_load(self, conn: _RouterConnection, request_id: Any,
-                       message: Dict[str, Any]) -> Dict[str, Any]:
-        name = _required(message, "index")
-        payload = self.router.bulk_load(name, _required(message, "records"))
-        return P.ok_response(request_id, **payload)
-
-    # -- accounting ------------------------------------------------------ #
-    def _cmd_stats(self, conn: _RouterConnection, request_id: Any,
-                   message: Dict[str, Any]) -> Dict[str, Any]:
-        payload = self.router.stats()
-        payload["session"] = {"id": conn.conn_id, "requests": conn.requests}
-        return P.ok_response(request_id, **payload)
-
-    def _cmd_metrics(self, conn: _RouterConnection, request_id: Any,
-                     message: Dict[str, Any]) -> Dict[str, Any]:
-        payload = self.router.metrics()
-        payload["session"] = {"id": conn.conn_id, "requests": conn.requests}
-        return P.ok_response(request_id, **payload)
+    def _execute(
+        self, conn: _Connection, cmd: str, row: _Row, message: Dict[str, Any]
+    ) -> Payload:
+        with obs_tracer.span("router.request", cmd=cmd, conn=conn.id):
+            payload = super()._execute(conn, cmd, row, message)
+        # the router is shared by every connection and has no session of
+        # its own: replies that describe one carry the frontend connection
+        if cmd == "ping":
+            payload["session"] = conn.id
+        elif cmd in ("stats", "metrics"):
+            payload["session"] = {"id": conn.id, "requests": conn.requests}
+        return payload

@@ -33,6 +33,7 @@ from repro.classes.baselines import (
 from repro.classes.combined_index import CombinedClassIndex
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
 from repro.classes.simple_index import SimpleClassIndex
+from repro.errors import DuplicateError
 from repro.records import fresh_record_keys
 
 _METHODS = {
@@ -88,7 +89,7 @@ class ClassIndexer:
     def insert(self, obj: ClassObject) -> None:
         """Insert an object into its class."""
         if obj.uid in self._objects:
-            raise ValueError(
+            raise DuplicateError(
                 f"record uid {obj.uid} is already indexed ({obj!r}); "
                 "records carry a process-unique uid, so inserting the same "
                 "object twice would silently double-index it"

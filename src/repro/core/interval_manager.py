@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List
 
 from repro.analysis.complexity import metablock_query_bound, rebuild_due
+from repro.errors import DuplicateError
 from repro.records import fresh_record_keys
 from repro.btree import BPlusTree
 from repro.interval import Interval
@@ -100,7 +101,7 @@ class ExternalIntervalManager:
                 "dynamic=True for insertions (Theorem 3.7)"
             )
         if interval.uid in self._by_uid:
-            raise ValueError(
+            raise DuplicateError(
                 f"record uid {interval.uid} is already indexed ({interval!s}); "
                 "records carry a process-unique uid, so inserting the same "
                 "object twice would silently double-index it"

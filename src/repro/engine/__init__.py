@@ -59,7 +59,6 @@ from repro.engine.session import (
     EngineSession,
     RWLock,
     SessionResult,
-    WriteIntentError,
 )
 from repro.engine.protocols import (
     Bound,
@@ -117,7 +116,6 @@ __all__ = [
     "ThreeSidedQuery",
     "TwoSidedQuery",
     "WriteBatch",
-    "WriteIntentError",
     "bind_params",
     "query_from_dict",
     "supports_bulk_load",

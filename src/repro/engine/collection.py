@@ -38,6 +38,7 @@ from repro.engine.planner import Accessor, Plan, QueryPlanner
 from repro.engine.protocols import Bound
 from repro.engine.queries import EndpointRange, Range, Stab
 from repro.engine.result import QueryResult
+from repro.errors import DuplicateError
 from repro.records import fresh_record_keys, record_key
 
 
@@ -70,7 +71,7 @@ class WriteBatch:
     def insert(self, record: Any) -> None:
         key = record_key(record)
         if key in self._staged_uids:
-            raise ValueError(
+            raise DuplicateError(
                 f"record uid {key!r} is already indexed (or staged); "
                 "inserting the same object twice would silently double-index it"
             )
@@ -374,7 +375,7 @@ class Collection:
         if old_key not in staged:
             raise KeyError(f"cannot update: no record with uid {old_key!r}")
         if new_key != old_key and new_key in staged:
-            raise ValueError(
+            raise DuplicateError(
                 f"cannot update: record uid {new_key!r} is already indexed"
             )
         if self._batch is not None:
@@ -433,7 +434,7 @@ class Collection:
     def _apply_insert(self, record: Any) -> None:
         key = record_key(record)
         if key in self._uids:
-            raise ValueError(
+            raise DuplicateError(
                 f"record uid {key!r} is already indexed; inserting the same "
                 "object twice would silently double-index it"
             )

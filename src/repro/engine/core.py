@@ -41,6 +41,7 @@ from repro.engine.queries import COMPOSED
 from repro.engine.rebuilding import RebuildingIndex
 from repro.engine.result import QueryResult
 from repro.engine.session import EngineSession, RWLock
+from repro.errors import DuplicateError, UnknownIndexError
 from repro.interval import Interval
 from repro.io import BufferManager, FileDisk, SimulatedDisk
 from repro.obs import metrics as obs_metrics
@@ -157,10 +158,6 @@ class Engine:
             BufferManager(self.backend, buffer_pages) if buffer_pages else self.backend
         )
         self._indexes: Dict[str, Any] = {}
-        #: kept for compatibility with callers that constructed sessions
-        #: around it; sessions no longer hold it for reads (they pin an
-        #: MVCC epoch and take a per-index latch instead)
-        self._rwlock = RWLock("engine.session_rwlock", rank=lockdep.RANK_MUTEX)
         #: the global MVCC epoch clock: committed writes advance it,
         #: reader sessions pin it (see :mod:`repro.durability.mvcc`)
         self._epochs = EpochManager()
@@ -332,7 +329,7 @@ class Engine:
     def _claim_name(self, name: str) -> None:
         """Reject duplicates *before* any blocks are allocated for the index."""
         if name in self._indexes:
-            raise ValueError(f"an index named {name!r} already exists")
+            raise DuplicateError(f"an index named {name!r} already exists")
 
     def _register(self, name: str, index: Any, kind: str, **params: Any) -> Any:
         self._indexes[name] = index
@@ -516,7 +513,7 @@ class Engine:
         try:
             return self._indexes[name]
         except KeyError as exc:
-            raise KeyError(
+            raise UnknownIndexError(
                 f"no index named {name!r}; have {sorted(self._indexes)}"
             ) from exc
 
@@ -734,14 +731,14 @@ class Engine:
     def session(self) -> EngineSession:
         """A thread-safe :class:`~repro.engine.session.EngineSession` handle.
 
-        All sessions of one engine share its readers-writer lock: queries
-        drain under shared read turns, writes take exclusive turns, and
-        each request's I/O is attributed to the issuing session (see the
-        consistency model in :mod:`repro.engine.session`).  Open one
+        Queries drain as pinned-epoch snapshot turns sharing one index
+        latch, writes go through the commit kernel, and each request's
+        I/O is attributed to the issuing session (see the consistency
+        model in :mod:`repro.engine.session`).  Open one
         session per thread or client connection — the session object
         itself is not shared between threads.
         """
-        return EngineSession(self, self._rwlock)
+        return EngineSession(self)
 
     def query_many(self, queries: Iterable[Tuple[str, Any]]) -> List[QueryResult]:
         """Batch API: build one lazy result per ``(index_name, descriptor)``.

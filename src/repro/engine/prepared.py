@@ -19,9 +19,10 @@ Correctness is guarded twice:
   threshold-triggered global rebuild) forces a full re-plan before
   execution; and
 * an **identity check against the engine namespace** — running a prepared
-  query whose index was dropped raises the engine's descriptive
-  :class:`KeyError`, and one whose name was re-bound to a *different*
-  index object raises :class:`RuntimeError`, instead of silently answering
+  query whose index was dropped raises the engine's
+  :class:`~repro.errors.UnknownIndexError`, and one whose name was re-bound
+  to a *different* index object raises
+  :class:`~repro.errors.StalePreparedError`, instead of silently answering
   from freed blocks.
 
 The :attr:`PreparedQuery.last_from_cache` flag reports which path the most
@@ -44,6 +45,7 @@ from typing import Any, List, Optional, Set
 from repro.engine.planner import Plan, PlanTemplate, QueryPlanner
 from repro.engine.queries import bind_params, unbound_params
 from repro.engine.result import QueryResult
+from repro.errors import ParameterError, StalePreparedError
 
 
 class PreparedQuery:
@@ -117,9 +119,9 @@ class PreparedQuery:
         """Fail loudly when the prepared index left the engine namespace."""
         if self._engine is None:
             return
-        live = self._engine.index(self.name)  # descriptive KeyError if dropped
+        live = self._engine.index(self.name)  # UnknownIndexError if dropped
         if live is not self._index:
-            raise RuntimeError(
+            raise StalePreparedError(
                 f"index {self.name!r} was dropped and re-created since this "
                 "query was prepared; call Engine.prepare again"
             )
@@ -133,7 +135,7 @@ class PreparedQuery:
                 detail.append(f"missing {missing}")
             if extras:
                 detail.append(f"unknown {extras}")
-            raise KeyError(
+            raise ParameterError(
                 f"prepared query {self.name!r} takes parameters "
                 f"{self.params}: " + ", ".join(detail)
             )

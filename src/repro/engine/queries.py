@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Mapping, Optional, Set, Tuple, Union
 
 from repro.algebra import AlgebraicQuery
+from repro.errors import ParameterError
 from repro.metablock.geometry import (  # noqa: F401  (re-exported)
     DiagonalCornerQuery,
     ThreeSidedQuery,
@@ -129,7 +130,7 @@ def bind_params(q: Any, params: Mapping[str, Any], *, partial: bool = False) -> 
     """Return ``q`` with every :class:`Param` replaced by its bound value.
 
     Strict by default: a :class:`Param` with no binding raises
-    :class:`KeyError`, as does a binding no parameter uses (catching typo'd
+    :class:`~repro.errors.ParameterError` (a ``KeyError``), as does a binding no parameter uses (catching typo'd
     keyword names).  ``partial=True`` relaxes both — unknown parameters stay
     in place and extras are ignored — which is what plan rebinding uses when
     a sub-expression only mentions a subset of the query's parameters.
@@ -139,10 +140,10 @@ def bind_params(q: Any, params: Mapping[str, Any], *, partial: bool = False) -> 
     bound = _walk_bind(q, params, missing, used)
     if not partial:
         if missing:
-            raise KeyError(f"unbound query parameters: {sorted(missing)}")
+            raise ParameterError(f"unbound query parameters: {sorted(missing)}")
         extras = set(params) - used
         if extras:
-            raise KeyError(f"unknown query parameters: {sorted(extras)}")
+            raise ParameterError(f"unknown query parameters: {sorted(extras)}")
     return bound
 
 

@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional
 from repro.analysis.complexity import rebuild_due
 from repro.engine.protocols import Bound
 from repro.engine.result import QueryResult
+from repro.errors import DuplicateError
 from repro.records import fresh_record_keys, record_key
 
 
@@ -83,7 +84,7 @@ class RebuildingIndex:
         """Insert via the side log; rebuild when a block's worth is pending."""
         key = record_key(item)
         if key in self._keys:
-            raise ValueError(
+            raise DuplicateError(
                 f"record uid {key!r} is already indexed; records carry a "
                 "process-unique uid, so inserting the same object twice "
                 "would silently double-index it"

@@ -5,14 +5,11 @@ its indexes mutate shared block structures, planners mutate their plan
 caches, and the paper's bounds are stated per operation.  The serving
 subsystem multiplexes it with two small pieces:
 
-* :class:`RWLock` — a readers-writer lock with **writer preference** and a
-  **write-intent upgrade**.  Many readers hold it together (queries drain
-  in parallel); writers (inserts, deletes, bulk loads, drops, rebuilds)
-  take exclusive turns, and a waiting writer blocks *new* readers so it
-  cannot starve.  A reader that discovers it must write — e.g. a
-  delete-by-query that first streams its victims — can :meth:`~RWLock.
-  upgrade` to exclusive access without releasing the read lock, so no
-  other writer can slip between what it read and what it writes.
+* :class:`RWLock` — a readers-writer lock with **writer preference**, the
+  latch the engine instantiates per index name.  Many readers hold it
+  together (queries drain in parallel); the committing writer takes it
+  exclusively for the structural change, and a waiting writer blocks
+  *new* readers so it cannot starve.
 
 * :class:`EngineSession` — one caller's handle on a shared engine.  Reads
   run as **MVCC snapshot turns**: the session pins the engine's current
@@ -36,9 +33,6 @@ of the record set at the pinned epoch — a prefix of the committed write
 history (commits publish in order).  A session that writes sees its own
 write in every later read (the ack happens after publication).  There are
 no multi-request transactions — each request is one atomic turn.
-
-:class:`RWLock` remains the latch primitive the engine instantiates per
-index name; its upgrade path still serves engine-wide exclusive turns.
 """
 
 from __future__ import annotations
@@ -61,62 +55,36 @@ _SESSION_IDS = itertools.count(1)
 _RWLOCK_IDS = itertools.count(1)
 
 
-class WriteIntentError(RuntimeError):
-    """A second reader asked to upgrade while an upgrade is pending.
-
-    Two readers upgrading at once would deadlock (each waits for the other
-    to release its read lock), so only one upgrade intent may be pending
-    per lock; later contenders get this error and should fall back to
-    release-reacquire-revalidate (what :meth:`EngineSession.delete_matching`
-    does).
-    """
-
-
 class RWLock:
-    """A readers-writer lock with writer preference and write-intent upgrade.
+    """A readers-writer lock with writer preference.
 
-    * Any number of readers share the lock while no writer is active *and*
-      no writer is waiting — a queued writer blocks new readers, so write
-      turns come around even under a heavy read load.
-    * :meth:`upgrade` turns a held read lock into the write lock without a
-      release window: the upgrader declares intent (blocking new readers),
-      waits for the *other* readers to drain, writes, and returns to being
-      a reader when the block exits.  Only one intent may be pending at a
-      time; a concurrent second upgrader raises :class:`WriteIntentError`
-      immediately rather than deadlocking.
+    Any number of readers share the lock while no writer is active *and*
+    no writer is waiting — a queued writer blocks new readers, so write
+    turns come around even under a heavy read load.
 
     Non-reentrant by design: a thread holding the write lock must not
     re-acquire either side, and a reader must not call :meth:`read` again.
 
     When a :mod:`repro.analysis.lockdep` witness is enabled, every grant
-    and release is reported under this lock's ``name`` with its declared
-    ``rank`` — the engine names its per-index latches ``latch:<index>``
-    (rank *latch*, ``no_block=True``: holding one across a durability
-    barrier is a violation) and its legacy session lock
-    ``engine.session_rwlock`` (rank *mutex*).  The disabled path costs one
-    module-global load per acquisition.
+    and release is reported under this lock's ``name`` at rank *latch* —
+    the engine names its per-index latches ``latch:<index>``
+    (``no_block=True``: holding one across a durability barrier is a
+    violation).  The disabled path costs one module-global load per
+    acquisition.
     """
 
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        *,
-        rank: int = lockdep.RANK_LATCH,
-        no_block: bool = False,
-    ) -> None:
+    def __init__(self, name: Optional[str] = None, *, no_block: bool = False) -> None:
         self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
         self._waiting_writers = 0
-        self._upgrader: Optional[int] = None
         self.name = name if name is not None else f"rwlock-{next(_RWLOCK_IDS)}"
-        self.rank = rank
         self.no_block = no_block
 
     def _witness_acquired(self) -> None:
         witness = lockdep.ACTIVE
         if witness is not None:
-            witness.acquired(self.name, self.rank, no_block=self.no_block)
+            witness.acquired(self.name, lockdep.RANK_LATCH, no_block=self.no_block)
 
     def _witness_released(self) -> None:
         witness = lockdep.ACTIVE
@@ -134,7 +102,7 @@ class RWLock:
     def release_read(self) -> None:
         with self._cond:
             self._readers -= 1
-            if self._readers <= (1 if self._upgrader is not None else 0):
+            if self._readers <= 0:
                 self._cond.notify_all()
         self._witness_released()
 
@@ -173,46 +141,6 @@ class RWLock:
             yield
         finally:
             self.release_write()
-
-    # -- upgrade --------------------------------------------------------- #
-    @contextmanager
-    def upgrade(self) -> Iterator[None]:
-        """Exclusive access for a thread currently holding a read lock.
-
-        ``with lock.read(): ... with lock.upgrade(): ...`` — between what
-        the caller read and what it writes, no other writer can intervene.
-        On exit the thread is a plain reader again.  Raises
-        :class:`WriteIntentError` when another upgrade is already pending.
-        """
-        me = threading.get_ident()
-        with self._cond:
-            if self._upgrader is not None:
-                raise WriteIntentError(
-                    "another session already holds the write-intent slot; "
-                    "release the read lock and retry as a plain writer"
-                )
-            self._upgrader = me
-            # count as a waiting writer so new readers queue behind us
-            self._waiting_writers += 1
-            try:
-                while self._writer or self._readers > 1:
-                    self._cond.wait()
-                self._readers -= 1
-                self._writer = True
-            except BaseException:
-                self._upgrader = None
-                self._cond.notify_all()
-                raise
-            finally:
-                self._waiting_writers -= 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._readers += 1
-                self._upgrader = None
-                self._cond.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -271,11 +199,8 @@ class EngineSession:
     shared between threads — one session per client connection.
     """
 
-    def __init__(self, engine: Any, lock: Optional[RWLock] = None) -> None:
+    def __init__(self, engine: Any) -> None:
         self.engine = engine
-        #: kept for compatibility (pre-MVCC sessions serialized on one
-        #: engine-wide RWLock); requests no longer take it
-        self.lock = lock if lock is not None else RWLock()
         self.session_id = next(_SESSION_IDS)
         #: cumulative I/O attributed to this session's requests
         self.stats = IOStats()
@@ -292,13 +217,6 @@ class EngineSession:
             yield sink
         self.stats.merge(sink)
         self.requests += 1
-
-    def _read(self, name: str, fn: Callable[[], List[Any]]) -> SessionResult:
-        with self._root_span(op="read", index=name) as root:
-            with self.engine.read_turn(name) as epoch:
-                with self._attributed() as sink:
-                    records = self.engine.visible_records(name, fn(), epoch)
-        return self._finish_request(root, SessionResult(records, sink))
 
     def _write(self, fn: Callable[[], Any], *, op: str = "write") -> SessionResult:
         # no session-side lock: the engine's commit kernel serializes,
@@ -453,9 +371,7 @@ class EngineSession:
         and the per-victim delete commits, so no other writer can run
         between what was read and what is deleted — the victims cannot go
         stale.  Concurrent readers keep streaming their pinned snapshots
-        throughout; each delete publishes as its own epoch.  (The lock
-        upgrade this method used pre-MVCC survives on :class:`RWLock` for
-        the engine's per-index latches.)
+        throughout; each delete publishes as its own epoch.
         """
         with self._root_span(op="delete_matching", index=name) as root:
             with self._attributed() as sink:

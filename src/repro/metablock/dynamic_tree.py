@@ -27,7 +27,7 @@ metablock; both add only a constant number of I/Os per visited metablock
 (Lemma 3.5), so the query bound remains ``O(log_B n + t/B)``.  Amortized
 insertion costs ``O(log_B n + (log_B n)^2/B)`` I/Os (Lemma 3.6).
 
-Reproduction notes (see DESIGN.md): TS rebuilds triggered by dynamic events
+Reproduction notes: TS rebuilds triggered by dynamic events
 take the *subtree* point sets of the left siblings (a superset of the
 paper's "points stored in the left siblings") so that the TS-shortcut in
 the query remains sound in every interleaving of inserts and

@@ -167,8 +167,8 @@ def dedupe_points(points: Iterable[PlanarPoint]) -> List[PlanarPoint]:
     Identity is the record ``uid``: the structures store the same
     :class:`PlanarPoint` record in every block that mentions it (the update
     block, the TD corner structure, ...), so a record surfaced through two
-    organisations (see DESIGN.md, "Double-reporting") is reported once while
-    two distinct records that happen to share coordinates are both kept.
+    organisations is reported once while two distinct records that happen
+    to share coordinates are both kept.
     The uid survives serialization, so deduplication also works on backends
     (``FileDisk``) where two reads of the same page yield distinct objects.
     """

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Set
 
+from repro.errors import DuplicateError
+
 
 def record_key(record: Any) -> Any:
     """A deduplication identity for a logical record.
@@ -34,8 +36,8 @@ def fresh_record_keys(
 ) -> Set[Any]:
     """The identity keys of ``items``, validated process-unique.
 
-    Raises a descriptive :class:`ValueError` when the batch repeats a key
-    internally or collides with ``existing`` — the shared guard every
+    Raises :class:`~repro.errors.DuplicateError` (a ``ValueError``) when the
+    batch repeats a key internally or collides with ``existing`` — the guard every
     bulk-loading structure applies *before* touching any blocks, so a
     duplicate can never be half-indexed.
     """
@@ -43,7 +45,7 @@ def fresh_record_keys(
     fresh = set(keys)
     existing = existing if isinstance(existing, (set, frozenset, dict)) else set(existing)
     if len(fresh) != len(keys) or fresh & set(existing):
-        raise ValueError(
+        raise DuplicateError(
             f"duplicate record uids in {context}; records carry a "
             "process-unique uid, so loading the same object twice would "
             "silently double-index it"

@@ -3,14 +3,15 @@
 Layers (bottom up):
 
 * the concurrency kernel lives in :mod:`repro.engine.session`
-  (``Engine.session()`` handles over a readers-writer lock with
-  write-intent upgrade, per-session I/O attribution);
+  (``Engine.session()`` handles: MVCC snapshot reads under a per-index
+  latch, writes through the commit kernel, per-session I/O attribution);
 * :mod:`repro.server.protocol` — the JSON-line wire codec: framed
   request/response messages, record and algebra-descriptor round-trips,
-  structured error classification;
-* :mod:`repro.server.core` — :class:`ReproServer`, a
-  ``ThreadingTCPServer`` with a request router, per-connection
-  prepared-handle leases and graceful shutdown (CLI: ``repro serve``);
+  error classification by exception type;
+* :mod:`repro.server.core` — :class:`JsonLineServer`, the one request
+  entry point (command table, field validation, per-connection
+  prepared-handle leases, graceful shutdown) over an ``Executor``, and
+  :class:`ReproServer`, which serves one engine (CLI: ``repro serve``);
 * :mod:`repro.server.client` — :class:`ReproClient`, the blocking
   client the concurrent workload driver
   (:mod:`repro.workloads.concurrent`) fans out across threads.

@@ -29,9 +29,10 @@ from repro.server import protocol as P
 class ServerError(RuntimeError):
     """A structured error response from the server.
 
-    ``code`` is the protocol's classification (``bad_request`` /
-    ``unknown_index`` / ``stale_handle`` / ``conflict`` / ``internal``),
-    ``type`` the server-side exception class name.
+    ``code`` is the protocol's classification (one of
+    :data:`~repro.server.protocol.ERROR_CODES`: ``bad_request`` /
+    ``conflict`` / ``internal`` / ``shard_unavailable`` / ``stale_handle``
+    / ``unknown_index``), ``type`` the server-side exception class name.
     """
 
     def __init__(self, code: str, type_: str, message: str) -> None:

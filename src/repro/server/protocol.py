@@ -25,6 +25,14 @@ command    payload
 ``shutdown``  —
 ========== =============================================================
 
+Fields are typed, and checked once for every deployment shape by the one
+command table in :mod:`repro.server.core`: ``index`` and ``kind`` are
+strings, ``handle`` an integer, ``q`` and ``params`` objects, ``records``
+a list, ``dynamic`` / ``keep_uids`` real booleans, ``limit`` a
+non-negative integer (booleans are not integers here).  A field that is
+absent or ``null`` takes its default; a required one missing, or any of
+the wrong type, is a ``bad_request`` and nothing is touched.
+
 Query descriptors cross the wire through the algebra's
 :meth:`~repro.algebra.AlgebraicQuery.to_dict` /
 :func:`~repro.engine.queries.query_from_dict` round-trip, which preserves
@@ -49,14 +57,20 @@ Responses are ``{"id": ..., "ok": true, ...}`` or a **structured error**
 ``{"id": ..., "ok": false, "error": {"code": ..., "type": ..., "message":
 ...}}`` where ``code`` classifies the failure for programmatic handling:
 
-* ``bad_request`` — malformed JSON, unknown command, bad query node;
-* ``unknown_index`` — the engine's descriptive :class:`KeyError`;
+* ``bad_request`` — malformed JSON, unknown command, a missing or
+  mistyped field, a bad query node, unknown/unbound ``run`` parameters;
+* ``unknown_index`` — no index of that name (whatever the name is);
 * ``stale_handle`` — a prepared-query lease that expired (unknown id, or
   the index it was planned against was dropped/re-created);
-* ``conflict`` — duplicate-uid inserts, write-intent contention;
+* ``conflict`` — a duplicate: ``create`` of a name already taken (this
+  was ``bad_request`` for most names before the codes were keyed on the
+  exception's type), or a ``keep_uids`` write of a uid already stored;
 * ``shard_unavailable`` — a cluster router could not reach a shard that
   the request needs (the shard died mid-request or is restarting);
 * ``internal`` — anything else (the message carries the repr).
+
+The code is a function of the exception's *class* alone
+(:data:`ERROR_TABLE`), never of its message text.
 
 Cluster extensions (additive; single servers ignore them): write commands
 (``create`` / ``insert`` / ``bulk_load``) accept ``keep_uids: true``,
@@ -70,9 +84,10 @@ whole cluster.  Read responses from a router additionally carry
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple, Type
 
 from repro.engine.queries import query_from_dict
+from repro.errors import DuplicateError, ParameterError, StalePreparedError
 from repro.interval import Interval, fresh_interval_uid, trusted_interval
 
 #: 2: records travel as ``[low, high, payload, uid]`` rows (1: tagged dicts)
@@ -85,8 +100,8 @@ COMMANDS = (
 )
 
 #: every structured ``error.code`` the protocol can produce — pinned
-#: against :func:`classify_error`'s actual returns by the
-#: ``wire-exhaustiveness`` lint rule and the conformance tests
+#: against :data:`ERROR_TABLE` and :func:`classify_error`'s fallback by
+#: the ``wire-exhaustiveness`` lint rule and the conformance tests
 ERROR_CODES = (
     "bad_request",
     "conflict",
@@ -244,36 +259,6 @@ def query_from_wire(data: Any) -> Any:
 # --------------------------------------------------------------------------- #
 # structured errors
 # --------------------------------------------------------------------------- #
-def classify_error(exc: BaseException) -> str:
-    """The structured ``error.code`` for an exception (see module docstring)."""
-    from repro.engine.session import WriteIntentError
-
-    if isinstance(exc, ProtocolError):
-        return "bad_request"
-    if isinstance(exc, StaleHandleError):
-        return "stale_handle"
-    if isinstance(exc, ShardUnavailableError):
-        return "shard_unavailable"
-    code = getattr(exc, "code", None)
-    if isinstance(code, str) and code:
-        # a router relaying a shard's already-structured error keeps the
-        # shard's classification (the client's ServerError carries .code)
-        return code
-    if isinstance(exc, KeyError):
-        message = exc.args[0] if exc.args else ""
-        if isinstance(message, str) and "parameter" in message:
-            return "bad_request"  # bad prepared-query bindings, not a name
-        return "unknown_index"
-    if isinstance(exc, WriteIntentError):
-        return "conflict"
-    if isinstance(exc, ValueError):
-        return "conflict" if "uid" in str(exc) else "bad_request"
-    if isinstance(exc, RuntimeError) and "prepare" in str(exc):
-        # the prepared-query identity check: dropped / re-created index
-        return "stale_handle"
-    return "internal"
-
-
 class StaleHandleError(RuntimeError):
     """A ``run`` named a prepared-handle id this connection never leased
     (or one whose lease was invalidated)."""
@@ -288,9 +273,40 @@ class ShardUnavailableError(RuntimeError):
     """
 
 
+#: exception class -> ``error.code``; the first ``isinstance`` match wins,
+#: so a subclass sits above its base (the bare builtins are the defaults)
+ERROR_TABLE: Tuple[Tuple[Type[BaseException], str], ...] = (
+    (ProtocolError, "bad_request"),
+    (StaleHandleError, "stale_handle"),
+    (StalePreparedError, "stale_handle"),
+    (ShardUnavailableError, "shard_unavailable"),
+    (ParameterError, "bad_request"),
+    (KeyError, "unknown_index"),
+    (DuplicateError, "conflict"),
+    (ValueError, "bad_request"),
+)
+
+
+def classify_error(exc: BaseException) -> str:
+    """The structured ``error.code`` for an exception (see module docstring)."""
+    code = getattr(exc, "code", None)
+    if isinstance(code, str) and code:
+        # a router relaying a shard's already-structured error keeps the
+        # shard's classification (the client's ServerError carries .code)
+        return code
+    for exc_type, code in ERROR_TABLE:
+        if isinstance(exc, exc_type):
+            return code
+    return "internal"
+
+
+def error_message(exc: BaseException) -> str:
+    """The exception's own message when it has one, else its repr."""
+    return exc.args[0] if exc.args and isinstance(exc.args[0], str) else repr(exc)
+
+
 def error_response(request_id: Any, exc: BaseException) -> Dict[str, Any]:
     """The structured error response for a failed request."""
-    message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else repr(exc)
     type_ = getattr(exc, "type", None)
     return {
         "id": request_id,
@@ -298,7 +314,7 @@ def error_response(request_id: Any, exc: BaseException) -> Dict[str, Any]:
         "error": {
             "code": classify_error(exc),
             "type": type_ if isinstance(type_, str) else type(exc).__name__,
-            "message": message,
+            "message": error_message(exc),
         },
     }
 

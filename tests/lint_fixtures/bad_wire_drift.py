@@ -1,8 +1,8 @@
 # ruff: noqa
 """Seeded-bad fixture: wire-contract drift across the protocol artifacts.
 
-COMMANDS, the ``_cmd_*`` handler surface, the client's method surface,
-the serialization registry and the error-code declaration must agree;
+COMMANDS, the one command table, the client's method surface, the
+serialization registry and the error-code declaration must agree;
 every drift below is one planted disagreement.
 """
 
@@ -10,18 +10,12 @@ COMMANDS = ("ping", "query", "insert")
 
 ERROR_CODES = ("bad_request", "internal", "unused_code")  # seeded: wire-exhaustiveness
 
-
-class DriftServer:  # seeded: wire-exhaustiveness
-    """Misses ``_cmd_insert`` and serves an undeclared ``stats``."""
-
-    def _cmd_ping(self, conn, request_id, message):
-        return {}
-
-    def _cmd_query(self, conn, request_id, message):
-        return {}
-
-    def _cmd_stats(self, conn, request_id, message):
-        return {}
+# misses the ``insert`` row and serves an undeclared ``stats``
+COMMAND_TABLE = {  # seeded: wire-exhaustiveness
+    "ping": lambda conn: {},
+    "query": lambda conn, index, q: {},
+    "stats": lambda conn: {},
+}
 
 
 class DriftClient:  # seeded: wire-exhaustiveness
@@ -34,9 +28,13 @@ class DriftClient:  # seeded: wire-exhaustiveness
         return None
 
 
+ERROR_TABLE = ((ValueError, "bad_request"),)
+
+
 def classify_error(exc):  # seeded: wire-exhaustiveness
-    if isinstance(exc, ValueError):
-        return "bad_request"
+    for exc_type, code in ERROR_TABLE:
+        if isinstance(exc, exc_type):
+            return code
     return "surprise"
 
 

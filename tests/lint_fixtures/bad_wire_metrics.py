@@ -1,35 +1,44 @@
 # ruff: noqa
 """Seeded-bad fixture: the observability export lagging the wire contract.
 
-Declaring ``metrics`` in ``COMMANDS`` obligates *every* handler class
-and *every* protocol client; a scatter-gather frontend that forgot the
-handler, or a client that cannot call it, is exactly the drift the
-wire-exhaustiveness rule exists to catch.
+Declaring ``metrics`` in ``COMMANDS`` obligates the ``Executor`` protocol,
+*every* class that implements it and *every* protocol client; a
+scatter-gather router that forgot the method, or a client that cannot
+call it, is exactly the drift the wire-exhaustiveness rule exists to
+catch.
 """
 
 COMMANDS = ("ping", "stats", "metrics")
 
 
-class MetricsServer:
-    """Complete: one ``_cmd_*`` handler per declared command."""
+class Executor:
+    def ping(self): ...
 
-    def _cmd_ping(self, conn, request_id, message):
+    def stats(self): ...
+
+    def metrics(self): ...
+
+
+class SessionExecutor(Executor):
+    """Complete: one method per protocol member."""
+
+    def ping(self):
         return {}
 
-    def _cmd_stats(self, conn, request_id, message):
+    def stats(self):
         return {}
 
-    def _cmd_metrics(self, conn, request_id, message):
+    def metrics(self):
         return {}
 
 
-class LaggingFrontend:  # seeded: wire-exhaustiveness
-    """Routes ``stats`` shard-by-shard but never learned ``metrics``."""
+class LaggingRouter(Executor):  # seeded: wire-exhaustiveness
+    """Aggregates ``stats`` shard-by-shard but never learned ``metrics``."""
 
-    def _cmd_ping(self, conn, request_id, message):
+    def ping(self):
         return {}
 
-    def _cmd_stats(self, conn, request_id, message):
+    def stats(self):
         return {}
 
 

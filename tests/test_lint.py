@@ -344,9 +344,7 @@ class TestWireExhaustivenessRule:
     def test_handler_and_client_drift(self):
         linter = lint_snippet(
             'COMMANDS = ("ping", "query")\n'
-            "class Server:\n"
-            "    def _cmd_ping(self, conn, rid, msg):\n"
-            "        return {}\n"
+            'COMMAND_TABLE = {"ping": lambda conn: {}}\n'
             "class MyClient:\n"
             "    def ping(self):\n"
             "        return COMMANDS[0]\n"
@@ -355,7 +353,7 @@ class TestWireExhaustivenessRule:
         )
         findings = [f for f in linter.findings if f.rule == "wire-exhaustiveness"]
         assert len(findings) == 1
-        assert "query" in findings[0].message  # the missing handler
+        assert "query" in findings[0].message  # the missing row
 
     def test_registry_must_cover_local_subclasses(self):
         linter = lint_snippet(

@@ -5,8 +5,7 @@ Covers the serving subsystem's foundation layer by layer:
 * ``IOStats.count`` loses no updates under contention (the 8-thread
   backend hammer the bare ``+=`` era would fail);
 * per-thread attribution sinks see exactly their own thread's I/Os;
-* ``RWLock``: shared readers, exclusive writers, writer preference, and
-  the write-intent upgrade (including the two-upgrader conflict);
+* ``RWLock``: shared readers, exclusive writers, writer preference;
 * ``EngineSession``: concurrent readers and writers against one engine
   stay oracle-equivalent, with per-request I/O attribution intact;
 * the lockdep witness (:mod:`repro.analysis.lockdep`): every test in this
@@ -30,7 +29,7 @@ from repro.analysis.lockdep import (
     LockOrderError,
     WitnessedMutex,
 )
-from repro.engine.session import RWLock, WriteIntentError
+from repro.engine.session import RWLock
 from repro.io.counters import IOStats
 from repro.workloads import random_intervals
 
@@ -249,63 +248,6 @@ class TestRWLock:
         wt.join(timeout=5)
         rt.join(timeout=5)
         assert writer_done.is_set() and reader_entered.is_set()
-
-    def test_upgrade_is_exclusive_and_downgrades(self):
-        lock = RWLock()
-        witnessed = []
-
-        def other_reader(started: threading.Event, release: threading.Event):
-            with lock.read():
-                started.set()
-                release.wait(timeout=5)
-
-        started, release = threading.Event(), threading.Event()
-        t = threading.Thread(target=other_reader, args=(started, release))
-        t.start()
-        started.wait()
-        lock.acquire_read()
-        release.set()  # upgrade must wait for the other reader to drain
-        with lock.upgrade():
-            witnessed.append(lock._writer)
-            assert lock._readers == 0
-        # back to being a plain reader
-        assert lock._readers == 1 and not lock._writer
-        lock.release_read()
-        t.join(timeout=5)
-        assert witnessed == [True]
-
-    def test_second_upgrader_gets_write_intent_error(self):
-        lock = RWLock()
-        lock.acquire_read()
-        first_upgrading = threading.Event()
-        proceed = threading.Event()
-        errors = []
-
-        def first():
-            lock.acquire_read()
-            try:
-                # readers: main + this thread -> upgrade waits for main
-                with lock._cond:
-                    lock._upgrader = threading.get_ident()
-                first_upgrading.set()
-                proceed.wait(timeout=5)
-            finally:
-                with lock._cond:
-                    lock._upgrader = None
-                lock.release_read()
-
-        t = threading.Thread(target=first)
-        t.start()
-        first_upgrading.wait()
-        try:
-            with lock.upgrade():
-                pass  # pragma: no cover - must not be reached
-        except WriteIntentError as exc:
-            errors.append(exc)
-        proceed.set()
-        t.join(timeout=5)
-        lock.release_read()
-        assert len(errors) == 1
 
     def test_context_managers_release_on_error(self):
         lock = RWLock()
