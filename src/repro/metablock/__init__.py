@@ -8,7 +8,14 @@
   ``O(log_B n + (log_B n)^2/B)`` amortized insert I/Os.
 * :class:`~repro.metablock.three_sided.ThreeSidedMetablockTree` —
   Lemmas 4.3–4.4: the variant that answers 3-sided queries, used by the
-  class-indexing algorithm of Section 4.
+  class-indexing algorithm of Section 4.  It *is* the augmented tree — a
+  subclass that overrides only what Lemma 4.3's five modifications change
+  (the per-metablock structure, the children structure, the second TS).
+
+One tree, then: build, insert and every reorganisation exist once, in
+``static_tree`` / ``dynamic_tree``.  Answers are exact under tied
+coordinates too, which the paper's general-position argument leaves out.
+
 * :mod:`~repro.metablock.corner` — the corner structure of Lemma 3.1.
 * :mod:`~repro.metablock.geometry` — points and the query taxonomy of Fig. 1.
 """

@@ -31,7 +31,18 @@ Reproduction notes: TS rebuilds triggered by dynamic events
 take the *subtree* point sets of the left siblings (a superset of the
 paper's "points stored in the left siblings") so that the TS-shortcut in
 the query remains sound in every interleaving of inserts and
-reorganisations; deletions are not supported, as in the paper.
+reorganisations; deletions are not supported, as in the paper.  A split
+destroys the metablocks it replaces (``Metablock.in_tree`` turns false):
+the two loops that can outlive a split under them (the descent in
+``_insert_into``, the push-down in ``_level_two_reorganisation``) skip what
+was destroyed and finish their work on everything else.
+
+The 3-sided variant (:mod:`~repro.metablock.three_sided`) subclasses this
+tree; what it needs to differ in goes through ``Metablock.structure_class``
+and ``needs_corner_structure`` (what a metablock builds over its own and its
+TD points), ``_rebuild_sibling_structures`` (what the children of a
+metablock store about each other), ``_push_down_reorganisation``, and the
+node-level ``destroy`` and ``note_below``.
 """
 
 from __future__ import annotations
@@ -40,7 +51,6 @@ from typing import Any, Iterable, List, Optional
 
 from repro.io.disk import BlockId
 from repro.metablock import blocking as blk
-from repro.metablock.corner import CornerStructure
 from repro.metablock.geometry import PlanarPoint
 from repro.metablock.static_tree import Metablock, StaticMetablockTree
 
@@ -64,7 +74,23 @@ class DynamicMetablock(Metablock):
         self.td_points: List[PlanarPoint] = []
         self.td_update_points: List[PlanarPoint] = []
         self.td_update_block_id: Optional[BlockId] = None
-        self.td_corner: Optional[CornerStructure] = None
+        #: ``structure_class`` over ``td_points``
+        self.td_corner: Any = None
+
+    def destroy_td(self) -> None:
+        self.td_points = []
+        if self.td_corner is not None:
+            self.td_corner.destroy()
+            self.td_corner = None
+
+    def destroy(self, disk) -> None:
+        super().destroy(disk)
+        for attr in ("update_block_id", "td_update_block_id"):
+            block_id = getattr(self, attr)
+            if block_id is not None:
+                disk.free(block_id)
+                setattr(self, attr, None)
+        self.destroy_td()
 
     def organisation_block_count(self) -> int:
         count = super().organisation_block_count()
@@ -83,9 +109,6 @@ class AugmentedMetablockTree(StaticMetablockTree):
     node_class = DynamicMetablock
 
     def __init__(self, disk, points: Iterable[PlanarPoint] = ()) -> None:
-        #: bumped by every operation that restructures the tree shape; used to
-        #: abort batch loops that hold references to replaced metablocks
-        self._structure_version = 0
         super().__init__(disk, points)
 
     # ------------------------------------------------------------------ #
@@ -117,14 +140,15 @@ class AugmentedMetablockTree(StaticMetablockTree):
             self._add_to_update_block(mb, point)
             return
         child = self._route_child(mb, point)
-        version = self._structure_version
+        mb.note_below(point.y)
         self._insert_into(child, point)
         # Record the point in TD(mb) only *after* it has reached its
         # destination: a TD-full reorganisation triggered here rebuilds the
         # TS structures from the children's subtrees, which must already
-        # contain the point.  If the recursive insert restructured the tree,
-        # the point is already fully accounted for in the rebuilt subtree.
-        if self._structure_version == version:
+        # contain the point.  A split below leaves ``mb`` in the tree with
+        # TS structures that have not seen the point, so it is recorded all
+        # the same; a split of ``mb`` itself rebuilt everything under it.
+        if mb.in_tree:
             self._td_insert(mb, point)
 
     @staticmethod
@@ -157,6 +181,10 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # -- update blocks ------------------------------------------------------ #
     def _add_to_update_block(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
         mb.update_points.append(point)
+        self._flush_update_points(mb)
+
+    def _flush_update_points(self, mb: DynamicMetablock) -> None:
+        """Put ``mb``'s pending points on disk, reorganising it if that fills it."""
         if len(mb.update_points) >= self.B:
             self._level_one_reorganisation(mb)
         else:
@@ -177,6 +205,19 @@ class AugmentedMetablockTree(StaticMetablockTree):
     def _td_insert(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
         """Record a point that descends past ``mb`` in ``TD(mb)``."""
         mb.td_update_points.append(point)
+        self._write_td_update_block(mb)
+        if len(mb.td_update_points) >= self.B:
+            mb.td_points.extend(mb.td_update_points)
+            mb.td_update_points = []
+            self._write_td_update_block(mb)
+            if mb.td_corner is not None:
+                mb.td_corner.destroy()
+            mb.td_corner = mb.structure_class(self.disk, mb.td_points)
+        if len(mb.td_points) >= self.capacity:
+            self._ts_reorganisation(mb)
+            mb.destroy_td()
+
+    def _write_td_update_block(self, mb: DynamicMetablock) -> None:
         if mb.td_update_block_id is None:
             block = self.disk.allocate(records=list(mb.td_update_points), capacity=self.B)
             mb.td_update_block_id = block.block_id
@@ -184,29 +225,6 @@ class AugmentedMetablockTree(StaticMetablockTree):
             block = self.disk.read(mb.td_update_block_id)
             block.records = list(mb.td_update_points)
             self.disk.write(block)
-        if len(mb.td_update_points) >= self.B:
-            mb.td_points.extend(mb.td_update_points)
-            mb.td_update_points = []
-            self._write_td_update_block(mb)
-            if mb.td_corner is not None:
-                mb.td_corner.destroy()
-            mb.td_corner = CornerStructure(self.disk, mb.td_points)
-        if len(mb.td_points) >= self.capacity:
-            self._ts_reorganisation(mb)
-            self._discard_td(mb)
-
-    def _write_td_update_block(self, mb: DynamicMetablock) -> None:
-        if mb.td_update_block_id is None:
-            return
-        block = self.disk.read(mb.td_update_block_id)
-        block.records = list(mb.td_update_points)
-        self.disk.write(block)
-
-    def _discard_td(self, mb: DynamicMetablock) -> None:
-        mb.td_points = []
-        if mb.td_corner is not None:
-            mb.td_corner.destroy()
-            mb.td_corner = None
 
     # -- reorganisations ------------------------------------------------------ #
     def _level_one_reorganisation(self, mb: DynamicMetablock) -> None:
@@ -241,29 +259,30 @@ class AugmentedMetablockTree(StaticMetablockTree):
         receivers: List[DynamicMetablock] = []
         for point in push_down:
             child = self._route_child(mb, point)
+            mb.note_below(point.y)
             self._stretch_subtree_bounds(child, point)
             child.update_points.append(point)
             self._td_insert(mb, point)
             if child not in receivers:
                 receivers.append(child)
-        version = self._structure_version
         for child in receivers:
-            if len(child.update_points) >= self.B:
-                self._level_one_reorganisation(child)
-            else:
-                self._write_update_block(child)
-            if len(child.points) + len(child.update_points) >= 2 * self.capacity:
-                self._level_two_reorganisation(child)
-            if self._structure_version != version:
-                # the tree was restructured under us; every pending point is
-                # already owned by some metablock, so it is safe to stop
-                break
-        if mb.parent is not None and self._structure_version == version:
+            if not child.in_tree:
+                # destroyed by a split that an earlier receiver set off; the
+                # rebuilt subtree took its points, pending ones included
+                continue
+            # a receiver that is still in the tree must not keep points that
+            # no block holds: queries skip an update list without a block
+            self._flush_update_points(child)
+        if mb.in_tree:
+            self._push_down_reorganisation(mb)
+
+    def _push_down_reorganisation(self, mb: DynamicMetablock) -> None:
+        """Rebuild the sibling structures a push-down out of ``mb`` left stale."""
+        if mb.parent is not None:
             self._ts_reorganisation(mb.parent)
 
     def _split_leaf(self, leaf: DynamicMetablock) -> None:
         """Split a full leaf into two siblings of ``B^2`` points each."""
-        self._structure_version += 1
         parent = leaf.parent
         if parent is None:
             self._rebuild_whole_tree()
@@ -295,7 +314,6 @@ class AugmentedMetablockTree(StaticMetablockTree):
 
     def _split_internal(self, mb: DynamicMetablock) -> None:
         """Rebuild the subtree at ``mb`` into two balanced subtrees."""
-        self._structure_version += 1
         parent = mb.parent
         points = self._collect_subtree_points(mb)
         if parent is None:
@@ -320,7 +338,6 @@ class AugmentedMetablockTree(StaticMetablockTree):
             self._split_internal(parent)
 
     def _rebuild_whole_tree(self) -> None:
-        self._structure_version += 1
         points = self._collect_subtree_points(self.root) if self.root is not None else []
         if self.root is not None:
             self._destroy_subtree(self.root)
@@ -332,56 +349,28 @@ class AugmentedMetablockTree(StaticMetablockTree):
         """Rebuild TS structures of every child of ``mb`` from subtree point sets."""
         if mb.is_leaf or not mb.children:
             return
-        accumulated: List[PlanarPoint] = []
-        for child in mb.children:
-            child.destroy_ts(self.disk)
-            if accumulated:
-                top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
-                child.ts = blk.build_horizontal(self.disk, top)
-                child.ts_size = len(top)
-            accumulated.extend(self._collect_subtree_points(child))
+        self._rebuild_sibling_structures(
+            mb, [self._collect_subtree_points(child) for child in mb.children]
+        )
 
     # -- helpers -------------------------------------------------------------- #
     def _collect_subtree_points(self, mb: Metablock) -> List[PlanarPoint]:
         """Every live point in the subtree (main organisations + update blocks)."""
         out: List[PlanarPoint] = []
-        stack = [mb]
-        while stack:
-            node = stack.pop()
+        for node in self.iter_metablocks(mb):
             out.extend(node.points)
-            if isinstance(node, DynamicMetablock):
-                out.extend(node.update_points)
-            stack.extend(node.children)
+            out.extend(node.update_points)
         return out
 
-    def _destroy_subtree(self, mb: Metablock) -> None:
-        stack = [mb]
-        while stack:
-            node = stack.pop()
-            node.destroy_organisations(self.disk)
-            node.destroy_ts(self.disk)
-            if node.control_block_id is not None:
-                self.disk.free(node.control_block_id)
-                node.control_block_id = None
-            if isinstance(node, DynamicMetablock):
-                if node.update_block_id is not None:
-                    self.disk.free(node.update_block_id)
-                    node.update_block_id = None
-                if node.td_update_block_id is not None:
-                    self.disk.free(node.td_update_block_id)
-                    node.td_update_block_id = None
-                if node.td_corner is not None:
-                    node.td_corner.destroy()
-                    node.td_corner = None
-            stack.extend(node.children)
+    def _destroy_subtree(self, mb: DynamicMetablock) -> None:
+        for node in self.iter_metablocks(mb):
+            node.destroy(self.disk)
 
     # ------------------------------------------------------------------ #
     # query hooks (extend the static query with the dynamic organisations)
     # ------------------------------------------------------------------ #
     def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Read the update block of a visited metablock."""
-        if not isinstance(mb, DynamicMetablock):
-            return []
         if mb.update_block_id is None or not mb.update_points:
             return []
         # one I/O to fetch the update block; the in-memory list is the
@@ -392,8 +381,6 @@ class AugmentedMetablockTree(StaticMetablockTree):
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Query the TD corner structure of a visited nonleaf metablock."""
-        if not isinstance(mb, DynamicMetablock):
-            return []
         out: List[Any] = []
         if mb.td_corner is not None:
             out = mb.td_corner.query(q, hits)[0]
@@ -405,20 +392,8 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # ------------------------------------------------------------------ #
     # introspection / invariants
     # ------------------------------------------------------------------ #
-    def destroy(self) -> None:
-        """Free every block, including update blocks and TD structures."""
-        if self.root is not None:
-            self._destroy_subtree(self.root)
-        self.root = None
-        self.size = 0
-
     def all_points(self) -> List[PlanarPoint]:
-        out: List[PlanarPoint] = []
-        for mb in self.iter_metablocks():
-            out.extend(mb.points)
-            if isinstance(mb, DynamicMetablock):
-                out.extend(mb.update_points)
-        return out
+        return self._collect_subtree_points(self.root) if self.root is not None else []
 
     def check_invariants(self) -> None:
         if self.root is None:
@@ -426,9 +401,7 @@ class AugmentedMetablockTree(StaticMetablockTree):
             return
         seen = 0
         for mb in self.iter_metablocks():
-            seen += len(mb.points)
-            if isinstance(mb, DynamicMetablock):
-                seen += len(mb.update_points)
+            seen += len(mb.points) + len(mb.update_points)
             assert len(mb.points) <= 2 * self.capacity + self.B
             if not mb.is_leaf:
                 assert mb.children

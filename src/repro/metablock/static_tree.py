@@ -22,8 +22,9 @@ corner queries in ``O(log_B n + t/B)`` I/Os (Theorem 3.2), which is optimal
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.metablock import blocking as blk
 from repro.metablock.corner import CornerStructure
@@ -39,6 +40,11 @@ class Metablock:
     are faithful.
     """
 
+    #: what a metablock builds over its own points (when
+    #: :meth:`needs_corner_structure`) and, in the dynamic tree, over its TD
+    #: points; ``corner`` holds it whichever class it is
+    structure_class: Any = CornerStructure
+
     __slots__ = (
         "points",
         "children",
@@ -53,7 +59,8 @@ class Metablock:
         "ts",
         "ts_size",
         "control_block_id",
-        "parent",
+        "_parent",
+        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -70,7 +77,18 @@ class Metablock:
         self.ts: Optional[blk.Blocking] = None
         self.ts_size: int = 0
         self.control_block_id = None
-        self.parent: Optional["Metablock"] = None
+        self._parent: Any = None
+
+    @property
+    def parent(self) -> Optional["Metablock"]:
+        """The metablock above this one, held weakly: a tree without
+        reference cycles is freed when it is dropped, not when the cycle
+        collector next gets to it."""
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, mb: Optional["Metablock"]) -> None:
+        self._parent = None if mb is None else weakref.ref(mb)
 
     # -- organisation management ----------------------------------------- #
     def rebuild_organisations(self, disk) -> None:
@@ -83,7 +101,7 @@ class Metablock:
         self.vertical = blk.build_vertical(disk, self.points)
         self.horizontal = blk.build_horizontal(disk, self.points)
         if self.needs_corner_structure():
-            self.corner = CornerStructure(disk, self.points)
+            self.corner = self.structure_class(disk, self.points)
 
     def needs_corner_structure(self) -> bool:
         """Whether a diagonal corner can fall inside this metablock's region.
@@ -116,6 +134,27 @@ class Metablock:
             self.ts = None
             self.ts_size = 0
 
+    @property
+    def in_tree(self) -> bool:
+        """Whether the metablock is part of a tree: it has had its control
+        block written and has not been destroyed (a split destroys what it
+        replaces)."""
+        return self.control_block_id is not None
+
+    def destroy(self, disk) -> None:
+        """Free every block this metablock owns."""
+        self.destroy_organisations(disk)
+        self.destroy_ts(disk)
+        if self.control_block_id is not None:
+            disk.free(self.control_block_id)
+            self.control_block_id = None
+
+    def note_below(self, y: Any) -> None:
+        """A point of ordinate ``y`` now lives strictly below this metablock.
+
+        Nothing to record here; the 3-sided variant keeps a guard.
+        """
+
     def organisation_block_count(self) -> int:
         count = 1  # control block
         if self.vertical is not None:
@@ -130,7 +169,7 @@ class Metablock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "leaf" if self.is_leaf else f"internal({len(self.children)})"
-        return f"Metablock({kind}, n={len(self.points)})"
+        return f"{type(self).__name__}({kind}, n={len(self.points)})"
 
 
 class StaticMetablockTree:
@@ -179,6 +218,7 @@ class StaticMetablockTree:
             mb.points = by_y[: self.capacity]
             rest = sorted(by_y[self.capacity :], key=lambda p: (p.x, p.y))
             mb.is_leaf = False
+            mb.note_below(by_y[self.capacity].y)
             group_size = max(1, -(-len(rest) // self.B))  # ceil division
             for start in range(0, len(rest), group_size):
                 group = rest[start : start + group_size]
@@ -204,19 +244,39 @@ class StaticMetablockTree:
             self.disk.write(block)
 
     def _build_ts_structures(self, mb: Metablock) -> None:
-        """Build TS(M) for every metablock: the top ``B^2`` points of its left siblings."""
+        """Build the sibling structures of a freshly built subtree, level by level.
+
+        Right after ``_build`` a metablock's own points are the ``B^2``
+        highest of its subtree, so they decide every TS exactly as the whole
+        subtree would.
+        """
         if mb.is_leaf:
             return
-        accumulated: List[PlanarPoint] = []
-        for child in mb.children:
-            child.destroy_ts(self.disk)
-            if accumulated:
-                top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
-                child.ts = blk.build_horizontal(self.disk, top)
-                child.ts_size = len(top)
-            accumulated.extend(child.points)
+        self._rebuild_sibling_structures(mb, [child.points for child in mb.children])
         for child in mb.children:
             self._build_ts_structures(child)
+
+    def _rebuild_sibling_structures(self, mb: Metablock, point_sets: List[List[PlanarPoint]]) -> None:
+        """Rebuild what each child of ``mb`` stores about its siblings.
+
+        ``point_sets[i]`` is what child ``i`` contributes.  Here that is
+        TS(M): the top ``B^2`` points of M's left siblings (Fig. 10).
+        """
+        for child in mb.children:
+            child.destroy_ts(self.disk)
+        for child, (ts, size) in zip(mb.children, self._top_blockings(point_sets)):
+            child.ts, child.ts_size = ts, size
+
+    def _top_blockings(
+        self, point_sets: Iterable[List[PlanarPoint]]
+    ) -> Iterator[Tuple[Optional[blk.Blocking], int]]:
+        """Per set, the ``B^2`` highest points of the sets before it, horizontally
+        blocked, with their number (``(None, 0)`` where nothing precedes)."""
+        accumulated: List[PlanarPoint] = []
+        for points in point_sets:
+            top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
+            yield (blk.build_horizontal(self.disk, top) if top else None), len(top)
+            accumulated.extend(points)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -352,7 +412,10 @@ class StaticMetablockTree:
 
         candidates = [c for c in left_children if c.subtree_max_y is not None and c.subtree_max_y >= q]
         if candidates:
-            rightmost = max(left_children, key=lambda c: c.subtree_max_x)
+            # children are kept in x order, so the last left child is the one
+            # whose TS spans all the others — also when several share a
+            # ``subtree_max_x`` (tied coordinates)
+            rightmost = left_children[-1]
             covered = self._ts_covers(rightmost, q, [c for c in left_children if c is not rightmost])
             if covered is True:
                 chunk = self._ts_points(rightmost, q, hits)
@@ -376,15 +439,12 @@ class StaticMetablockTree:
     # ------------------------------------------------------------------ #
     def block_count(self) -> int:
         """Blocks used by the whole structure (the ``O(n/B)`` space bound)."""
-        total = 0
-        for mb in self.iter_metablocks():
-            total += mb.organisation_block_count()
-        return total
+        return sum(mb.organisation_block_count() for mb in self.iter_metablocks())
 
-    def iter_metablocks(self):
-        if self.root is None:
-            return
-        stack = [self.root]
+    def iter_metablocks(self, root: Optional[Metablock] = None) -> Iterator[Metablock]:
+        """Every metablock of the tree, or of the subtree rooted at ``root``."""
+        start = self.root if root is None else root
+        stack = [] if start is None else [start]
         while stack:
             mb = stack.pop()
             yield mb
@@ -411,12 +471,8 @@ class StaticMetablockTree:
 
     def destroy(self) -> None:
         """Free every block of the structure (global rebuilds use this)."""
-        for mb in list(self.iter_metablocks()):
-            mb.destroy_organisations(self.disk)
-            mb.destroy_ts(self.disk)
-            if mb.control_block_id is not None:
-                self.disk.free(mb.control_block_id)
-                mb.control_block_id = None
+        for mb in self.iter_metablocks():
+            mb.destroy(self.disk)
         self.root = None
         self.size = 0
 

@@ -2,127 +2,87 @@
 
 Section 4 reduces class indexing over *degenerate* (path-shaped) pieces of a
 class hierarchy to 3-sided range searching: report all points with
-``x1 <= x <= x2`` and ``y >= y0``.  Three-sided queries differ from diagonal
-corner queries in the five ways enumerated in Lemma 4.3; the metablock tree
-is adapted as follows (mirroring the paper's modifications):
+``x1 <= x <= x2`` and ``y >= y0``.  The paper obtains the structure by
+modifying the metablock tree of Section 3 in the five ways Lemma 4.3
+enumerates, and so does this module: :class:`ThreeSidedMetablockTree` *is*
+the :class:`~repro.metablock.dynamic_tree.AugmentedMetablockTree` — build,
+insert routing, update blocks, TD structures, level I/II reorganisations,
+leaf and branching-factor splits, accounting and invariants are inherited —
+with one override per item:
 
 1. & 2.  Corners need not lie on the diagonal and both corners may fall in
-   one metablock — every metablock therefore carries a small blocked
-   priority search tree (:class:`~repro.pst.ExternalPST`, Lemma 4.1) over
-   its own ``O(B^2)`` points instead of a corner structure.
-3. Both vertical sides may pass through one metablock — handled by the same
-   per-metablock 3-sided structure.
+   one metablock — ``ThreeSidedMetablock.structure_class`` is the blocked
+   priority search tree (:class:`~repro.pst.ExternalPST`, Lemma 4.1) and
+   ``needs_corner_structure`` is always true, so the inherited
+   ``rebuild_organisations`` and ``_td_insert`` build a 3-sided structure
+   over every metablock's own ``O(B^2)`` points, and over its TD points,
+   where Section 3 builds corner structures.
+3. Both vertical sides may pass through one metablock — answered by that
+   same per-metablock structure (``pst`` in ``_query_node``).
 4. The two vertical sides may fall on two children of the same metablock —
-   every nonleaf metablock carries a 3-sided structure over the points of
-   *all its children* (``O(B^3)`` points), used exactly once per query, at
-   the divergence node.
+   every nonleaf metablock carries ``children_pst``, a 3-sided structure
+   over the points of *all its children* (``O(B^3)`` points), built by the
+   ``_rebuild_sibling_structures`` override, freed by
+   ``ThreeSidedMetablock.destroy`` and used exactly once per query, at the
+   divergence node (``_handle_divergence_middles``).
 5. A query may extend to the right of the search path as well as to the
-   left — every metablock carries **two** TS structures, one spanning its
-   left siblings and one spanning its right siblings.
+   left — next to the inherited ``ts`` (the left siblings) every metablock
+   carries ``ts_right`` (the right siblings): the same override runs the
+   inherited ``_top_blockings`` over the children from right to left, and
+   ``destroy_ts`` frees both.
 
-The semi-dynamic machinery (update blocks, TD structures — here 3-sided
-rather than corner structures — level I/II reorganisations, branching-factor
-splits) follows Section 3.2 / Lemma 4.4.
+Two more overrides belong to this reproduction rather than to the lemma:
+``note_below`` keeps ``desc_max_y``, a conservative guard that lets a query
+skip subtrees with nothing above its bottom, and
+``_push_down_reorganisation`` also refreshes the structures of the
+metablock that pushed down, because ``children_pst`` is built from the
+children's own points, which a push-down changes.
 
 Bounds: ``O(n/B)`` blocks, queries in ``O(log_B n + log2 B + t/B)`` I/Os,
-inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os.
+inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os (Lemma 4.4).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Iterator, List, Optional
 
-from repro.io.disk import BlockId
 from repro.metablock import blocking as blk
-from repro.metablock.geometry import BoundingBox, PlanarPoint, ThreeSidedQuery, dedupe_points
+from repro.metablock.dynamic_tree import AugmentedMetablockTree, DynamicMetablock
+from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery, dedupe_points
 from repro.pst.external_pst import ExternalPST
 
 
-class ThreeSidedMetablock:
+class ThreeSidedMetablock(DynamicMetablock):
     """A metablock of the 3-sided variant."""
 
-    __slots__ = (
-        "points",
-        "children",
-        "is_leaf",
-        "bbox",
-        "subtree_min_x",
-        "subtree_max_x",
-        "subtree_max_y",
-        "desc_max_y",
-        "vertical",
-        "horizontal",
-        "pst",
-        "ts_left",
-        "ts_left_size",
-        "ts_right",
-        "ts_right_size",
-        "children_pst",
-        "update_points",
-        "update_block_id",
-        "td_points",
-        "td_update_points",
-        "td_update_block_id",
-        "td_pst",
-        "control_block_id",
-        "parent",
-    )
+    structure_class = ExternalPST
+
+    __slots__ = ("desc_max_y", "ts_right", "ts_right_size", "children_pst")
 
     def __init__(self) -> None:
-        self.points: List[PlanarPoint] = []
-        self.children: List["ThreeSidedMetablock"] = []
-        self.is_leaf = True
-        self.bbox: Optional[BoundingBox] = None
-        self.subtree_min_x: Any = None
-        self.subtree_max_x: Any = None
-        self.subtree_max_y: Any = None
+        super().__init__()
         #: largest y of any point residing strictly below this metablock;
         #: conservative (never underestimates), used as a recursion guard
         self.desc_max_y: Any = None
-        self.vertical: Optional[blk.Blocking] = None
-        self.horizontal: Optional[blk.Blocking] = None
-        self.pst: Optional[ExternalPST] = None
-        self.ts_left: Optional[blk.Blocking] = None
-        self.ts_left_size = 0
         self.ts_right: Optional[blk.Blocking] = None
         self.ts_right_size = 0
         self.children_pst: Optional[ExternalPST] = None
-        self.update_points: List[PlanarPoint] = []
-        self.update_block_id: Optional[BlockId] = None
-        self.td_points: List[PlanarPoint] = []
-        self.td_update_points: List[PlanarPoint] = []
-        self.td_update_block_id: Optional[BlockId] = None
-        self.td_pst: Optional[ExternalPST] = None
-        self.control_block_id: Optional[BlockId] = None
-        self.parent: Optional["ThreeSidedMetablock"] = None
 
-    # -- organisation management ----------------------------------------- #
-    def rebuild_organisations(self, disk) -> None:
-        self.destroy_organisations(disk)
-        if not self.points:
-            self.bbox = None
-            return
-        self.bbox = BoundingBox.of(self.points)
-        self.vertical = blk.build_vertical(disk, self.points)
-        self.horizontal = blk.build_horizontal(disk, self.points)
-        self.pst = ExternalPST(disk, self.points)
+    #: the inherited slots under the names of Lemma 4.3's description
+    pst = property(attrgetter("corner"))
+    td_pst = property(attrgetter("td_corner"))
+    ts_left = property(attrgetter("ts"))
 
-    def destroy_organisations(self, disk) -> None:
-        if self.vertical is not None:
-            self.vertical.free(disk)
-            self.vertical = None
-        if self.horizontal is not None:
-            self.horizontal.free(disk)
-            self.horizontal = None
-        if self.pst is not None:
-            self.pst.destroy()
-            self.pst = None
+    def needs_corner_structure(self) -> bool:
+        return True
+
+    def note_below(self, y: Any) -> None:
+        if self.desc_max_y is None or y > self.desc_max_y:
+            self.desc_max_y = y
 
     def destroy_ts(self, disk) -> None:
-        if self.ts_left is not None:
-            self.ts_left.free(disk)
-            self.ts_left = None
-            self.ts_left_size = 0
+        super().destroy_ts(disk)
         if self.ts_right is not None:
             self.ts_right.free(disk)
             self.ts_right = None
@@ -133,116 +93,35 @@ class ThreeSidedMetablock:
             self.children_pst.destroy()
             self.children_pst = None
 
+    def destroy(self, disk) -> None:
+        super().destroy(disk)
+        self.destroy_children_pst()
+
     def organisation_block_count(self) -> int:
-        count = 1  # control block
-        for blocking in (self.vertical, self.horizontal, self.ts_left, self.ts_right):
-            if blocking is not None:
-                count += len(blocking)
-        for pst in (self.pst, self.children_pst, self.td_pst):
-            if pst is not None:
-                count += pst.block_count()
-        if self.update_block_id is not None:
-            count += 1
-        if self.td_update_block_id is not None:
-            count += 1
+        count = super().organisation_block_count()
+        if self.ts_right is not None:
+            count += len(self.ts_right)
+        if self.children_pst is not None:
+            count += self.children_pst.block_count()
         return count
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "leaf" if self.is_leaf else f"internal({len(self.children)})"
-        return f"ThreeSidedMetablock({kind}, n={len(self.points)})"
 
-
-class ThreeSidedMetablockTree:
+class ThreeSidedMetablockTree(AugmentedMetablockTree):
     """Semi-dynamic external structure for 3-sided range queries."""
 
-    def __init__(self, disk, points: Iterable[PlanarPoint] = ()) -> None:
-        self.disk = disk
-        self.B = disk.block_size
-        self.capacity = self.B * self.B
-        self._structure_version = 0
-        pts = list(points)
-        self.size = len(pts)
-        self.root: Optional[ThreeSidedMetablock] = None
-        if pts:
-            self.root = self._build(pts, parent=None)
-            self._build_sibling_structures(self.root)
+    node_class = ThreeSidedMetablock
 
     # ------------------------------------------------------------------ #
-    # construction
+    # sibling structures (items 4 and 5 of Lemma 4.3)
     # ------------------------------------------------------------------ #
-    def _build(self, points: List[PlanarPoint], parent) -> ThreeSidedMetablock:
-        mb = ThreeSidedMetablock()
-        mb.parent = parent
-        mb.subtree_min_x = min(p.x for p in points)
-        mb.subtree_max_x = max(p.x for p in points)
-        mb.subtree_max_y = max(p.y for p in points)
-
-        if len(points) <= self.capacity:
-            mb.points = list(points)
-            mb.is_leaf = True
-            mb.desc_max_y = None
-        else:
-            by_y = sorted(points, key=lambda p: (p.y, p.x), reverse=True)
-            mb.points = by_y[: self.capacity]
-            rest = sorted(by_y[self.capacity :], key=lambda p: (p.x, p.y))
-            mb.is_leaf = False
-            mb.desc_max_y = max(p.y for p in rest)
-            group_size = max(1, -(-len(rest) // self.B))
-            for start in range(0, len(rest), group_size):
-                group = rest[start : start + group_size]
-                child = self._build(group, parent=mb)
-                mb.children.append(child)
-        mb.rebuild_organisations(self.disk)
-        self._write_control_block(mb)
-        return mb
-
-    def _write_control_block(self, mb: ThreeSidedMetablock) -> None:
-        header = {
-            "is_leaf": mb.is_leaf,
-            "n_points": len(mb.points),
-            "children": len(mb.children),
-        }
-        if mb.control_block_id is None:
-            block = self.disk.allocate(records=[], header=header)
-            mb.control_block_id = block.block_id
-        else:
-            block = self.disk.read(mb.control_block_id)
-            block.header.update(header)
-            self.disk.write(block)
-
-    def _build_sibling_structures(self, mb: ThreeSidedMetablock) -> None:
-        """Build both TS structures and the children 3-sided structure, recursively."""
-        if mb.is_leaf or not mb.children:
-            return
-        self._rebuild_sibling_structures(mb)
-        for child in mb.children:
-            self._build_sibling_structures(child)
-
-    def _rebuild_sibling_structures(self, mb: ThreeSidedMetablock) -> None:
-        """Rebuild TS-left/TS-right of every child of ``mb`` and ``mb``'s children PST."""
-        if mb.is_leaf or not mb.children:
-            return
-        subtree_sets = [self._collect_subtree_points(c) for c in mb.children]
-        n = len(mb.children)
-        # left-spanning TS structures
-        accumulated: List[PlanarPoint] = []
-        for i, child in enumerate(mb.children):
-            child.destroy_ts(self.disk)
-            if accumulated:
-                top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
-                child.ts_left = blk.build_horizontal(self.disk, top)
-                child.ts_left_size = len(top)
-            accumulated.extend(subtree_sets[i])
-        # right-spanning TS structures
-        accumulated = []
-        for i in range(n - 1, -1, -1):
-            child = mb.children[i]
-            if accumulated:
-                top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
-                child.ts_right = blk.build_horizontal(self.disk, top)
-                child.ts_right_size = len(top)
-            accumulated.extend(subtree_sets[i])
-        # children 3-sided structure (case 4 of Lemma 4.3)
+    def _rebuild_sibling_structures(
+        self, mb: ThreeSidedMetablock, point_sets: List[List[PlanarPoint]]
+    ) -> None:
+        """Both TS structures of every child of ``mb``, and ``mb``'s children PST."""
+        super()._rebuild_sibling_structures(mb, point_sets)
+        right_to_left = zip(reversed(mb.children), self._top_blockings(reversed(point_sets)))
+        for child, (ts, size) in right_to_left:
+            child.ts_right, child.ts_right_size = ts, size
         mb.destroy_children_pst()
         child_points: List[PlanarPoint] = []
         for child in mb.children:
@@ -251,249 +130,9 @@ class ThreeSidedMetablockTree:
         if child_points:
             mb.children_pst = ExternalPST(self.disk, child_points)
 
-    # ------------------------------------------------------------------ #
-    # insertion (Lemma 4.4)
-    # ------------------------------------------------------------------ #
-    def insert(self, point: PlanarPoint) -> None:
-        """Insert a point; amortized ``O(log_B n + (log_B n)^2/B)`` I/Os."""
-        self.size += 1
-        if self.root is None:
-            self.root = ThreeSidedMetablock()
-            self.root.is_leaf = True
-            self.root.subtree_min_x = point.x
-            self.root.subtree_max_x = point.x
-            self.root.subtree_max_y = point.y
-            self.root.rebuild_organisations(self.disk)
-            self._write_control_block(self.root)
-        self._insert_into(self.root, point)
-
-    def insert_many(self, points: Iterable[PlanarPoint]) -> None:
-        for p in points:
-            self.insert(p)
-
-    def _insert_into(self, mb: ThreeSidedMetablock, point: PlanarPoint) -> None:
-        self._stretch_subtree_bounds(mb, point)
-        if mb.is_leaf or self._belongs_here(mb, point):
-            self._add_to_update_block(mb, point)
-            return
-        child = self._route_child(mb, point)
-        if mb.desc_max_y is None or point.y > mb.desc_max_y:
-            mb.desc_max_y = point.y
-        version = self._structure_version
-        self._insert_into(child, point)
-        # TD(mb) is updated only after the point has reached its destination,
-        # so a TD-full rebuild of the sibling structures sees the point in
-        # the children's subtrees (same ordering argument as the diagonal
-        # metablock tree).
-        if self._structure_version == version:
-            self._td_insert(mb, point)
-
-    @staticmethod
-    def _stretch_subtree_bounds(mb: ThreeSidedMetablock, point: PlanarPoint) -> None:
-        if mb.subtree_min_x is None or point.x < mb.subtree_min_x:
-            mb.subtree_min_x = point.x
-        if mb.subtree_max_x is None or point.x > mb.subtree_max_x:
-            mb.subtree_max_x = point.x
-        if mb.subtree_max_y is None or point.y > mb.subtree_max_y:
-            mb.subtree_max_y = point.y
-
-    @staticmethod
-    def _belongs_here(mb: ThreeSidedMetablock, point: PlanarPoint) -> bool:
-        if not mb.points or mb.bbox is None:
-            return True
-        return point.y >= mb.bbox.min_y
-
-    @staticmethod
-    def _route_child(mb: ThreeSidedMetablock, point: PlanarPoint) -> ThreeSidedMetablock:
-        for child in mb.children:
-            if child.subtree_min_x <= point.x <= child.subtree_max_x:
-                return child
-        for child in mb.children:
-            if point.x < child.subtree_min_x:
-                return child
-        return mb.children[-1]
-
-    # -- update blocks ------------------------------------------------------ #
-    def _add_to_update_block(self, mb: ThreeSidedMetablock, point: PlanarPoint) -> None:
-        mb.update_points.append(point)
-        if len(mb.update_points) >= self.B:
-            self._level_one_reorganisation(mb)
-        else:
-            self._write_update_block(mb)
-        if len(mb.points) + len(mb.update_points) >= 2 * self.capacity:
-            self._level_two_reorganisation(mb)
-
-    def _write_update_block(self, mb: ThreeSidedMetablock) -> None:
-        if mb.update_block_id is None:
-            block = self.disk.allocate(records=list(mb.update_points), capacity=self.B)
-            mb.update_block_id = block.block_id
-        else:
-            block = self.disk.read(mb.update_block_id)
-            block.records = list(mb.update_points)
-            self.disk.write(block)
-
-    # -- TD structures ------------------------------------------------------- #
-    def _td_insert(self, mb: ThreeSidedMetablock, point: PlanarPoint) -> None:
-        mb.td_update_points.append(point)
-        if mb.td_update_block_id is None:
-            block = self.disk.allocate(records=list(mb.td_update_points), capacity=self.B)
-            mb.td_update_block_id = block.block_id
-        else:
-            block = self.disk.read(mb.td_update_block_id)
-            block.records = list(mb.td_update_points)
-            self.disk.write(block)
-        if len(mb.td_update_points) >= self.B:
-            mb.td_points.extend(mb.td_update_points)
-            mb.td_update_points = []
-            block = self.disk.read(mb.td_update_block_id)
-            block.records = []
-            self.disk.write(block)
-            if mb.td_pst is not None:
-                mb.td_pst.destroy()
-            mb.td_pst = ExternalPST(self.disk, mb.td_points)
-        if len(mb.td_points) >= self.capacity:
-            self._rebuild_sibling_structures(mb)
-            mb.td_points = []
-            if mb.td_pst is not None:
-                mb.td_pst.destroy()
-                mb.td_pst = None
-
-    # -- reorganisations ------------------------------------------------------ #
-    def _level_one_reorganisation(self, mb: ThreeSidedMetablock) -> None:
-        mb.points.extend(mb.update_points)
-        mb.update_points = []
-        self._write_update_block(mb)
-        mb.rebuild_organisations(self.disk)
-        self._write_control_block(mb)
-
-    def _level_two_reorganisation(self, mb: ThreeSidedMetablock) -> None:
-        if mb.update_points:
-            self._level_one_reorganisation(mb)
-        if len(mb.points) < 2 * self.capacity:
-            return
-        if mb.is_leaf:
-            self._split_leaf(mb)
-            return
-        by_y = sorted(mb.points, key=lambda p: (p.y, p.x), reverse=True)
-        keep = by_y[: self.capacity]
-        push_down = by_y[self.capacity :]
-        mb.points = keep
-        mb.rebuild_organisations(self.disk)
-        self._write_control_block(mb)
-
-        receivers: List[ThreeSidedMetablock] = []
-        for point in push_down:
-            child = self._route_child(mb, point)
-            if mb.desc_max_y is None or point.y > mb.desc_max_y:
-                mb.desc_max_y = point.y
-            self._stretch_subtree_bounds(child, point)
-            child.update_points.append(point)
-            self._td_insert(mb, point)
-            if child not in receivers:
-                receivers.append(child)
-        version = self._structure_version
-        for child in receivers:
-            if len(child.update_points) >= self.B:
-                self._level_one_reorganisation(child)
-            else:
-                self._write_update_block(child)
-            if len(child.points) + len(child.update_points) >= 2 * self.capacity:
-                self._level_two_reorganisation(child)
-            if self._structure_version != version:
-                break
-        if self._structure_version == version:
-            if mb.parent is not None:
-                self._rebuild_sibling_structures(mb.parent)
-            self._rebuild_sibling_structures(mb)
-
-    def _split_leaf(self, leaf: ThreeSidedMetablock) -> None:
-        self._structure_version += 1
-        parent = leaf.parent
-        if parent is None:
-            self._rebuild_whole_tree()
-            return
-        ordered = sorted(leaf.points, key=lambda p: (p.x, p.y))
-        mid = len(ordered) // 2
-        new_leaves: List[ThreeSidedMetablock] = []
-        for pts in (ordered[:mid], ordered[mid:]):
-            node = ThreeSidedMetablock()
-            node.is_leaf = True
-            node.parent = parent
-            node.points = list(pts)
-            node.subtree_min_x = min(p.x for p in pts)
-            node.subtree_max_x = max(p.x for p in pts)
-            node.subtree_max_y = max(p.y for p in pts)
-            node.rebuild_organisations(self.disk)
-            self._write_control_block(node)
-            new_leaves.append(node)
-        idx = parent.children.index(leaf)
-        self._destroy_subtree(leaf)
-        parent.children[idx : idx + 1] = new_leaves
-        self._write_control_block(parent)
-        self._rebuild_sibling_structures(parent)
-        if len(parent.children) >= 2 * self.B:
-            self._split_internal(parent)
-
-    def _split_internal(self, mb: ThreeSidedMetablock) -> None:
-        self._structure_version += 1
-        parent = mb.parent
-        points = self._collect_subtree_points(mb)
-        if parent is None:
-            self._rebuild_whole_tree()
-            return
-        ordered = sorted(points, key=lambda p: (p.x, p.y))
-        mid = len(ordered) // 2
-        idx = parent.children.index(mb)
-        self._destroy_subtree(mb)
-        new_nodes: List[ThreeSidedMetablock] = []
-        for half in (ordered[:mid], ordered[mid:]):
-            if not half:
-                continue
-            node = self._build(half, parent=parent)
-            self._build_sibling_structures(node)
-            new_nodes.append(node)
-        parent.children[idx : idx + 1] = new_nodes
-        self._write_control_block(parent)
-        self._rebuild_sibling_structures(parent)
-        if len(parent.children) >= 2 * self.B:
-            self._split_internal(parent)
-
-    def _rebuild_whole_tree(self) -> None:
-        self._structure_version += 1
-        points = self._collect_subtree_points(self.root) if self.root is not None else []
-        if self.root is not None:
-            self._destroy_subtree(self.root)
-        self.root = self._build(points, parent=None) if points else None
-        if self.root is not None:
-            self._build_sibling_structures(self.root)
-
-    # -- helpers -------------------------------------------------------------- #
-    def _collect_subtree_points(self, mb: ThreeSidedMetablock) -> List[PlanarPoint]:
-        out: List[PlanarPoint] = []
-        stack = [mb]
-        while stack:
-            node = stack.pop()
-            out.extend(node.points)
-            out.extend(node.update_points)
-            stack.extend(node.children)
-        return out
-
-    def _destroy_subtree(self, mb: ThreeSidedMetablock) -> None:
-        stack = [mb]
-        while stack:
-            node = stack.pop()
-            node.destroy_organisations(self.disk)
-            node.destroy_ts(self.disk)
-            node.destroy_children_pst()
-            if node.td_pst is not None:
-                node.td_pst.destroy()
-                node.td_pst = None
-            for bid_attr in ("control_block_id", "update_block_id", "td_update_block_id"):
-                bid = getattr(node, bid_attr)
-                if bid is not None:
-                    self.disk.free(bid)
-                    setattr(node, bid_attr, None)
-            stack.extend(node.children)
+    def _push_down_reorganisation(self, mb: ThreeSidedMetablock) -> None:
+        super()._push_down_reorganisation(mb)
+        self._ts_reorganisation(mb)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -508,6 +147,13 @@ class ThreeSidedMetablockTree:
 
     def query(self, query: ThreeSidedQuery) -> List[PlanarPoint]:
         return self.query_3sided(query.x1, query.x2, query.y0)
+
+    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[List[Any]]:
+        """A diagonal corner query is the 3-sided query ``x <= corner <= y``."""
+        if self.root is None:
+            return iter(())
+        found = self.query_3sided(self.root.subtree_min_x, corner, corner)
+        return iter([[p.payload for p in found] if payloads else found])
 
     def supports(self, q: Any) -> bool:
         """3-sided query shapes (Lemma 4.4)."""
@@ -601,8 +247,8 @@ class ThreeSidedMetablockTree:
 
     def _handle_sided_middles(self, boundary, middles, x1, x2, y0, out, side: str) -> None:
         """One-sided case: the query extends past ``boundary`` over its siblings."""
-        ts = boundary.ts_right if side == "right" else boundary.ts_left
-        ts_size = boundary.ts_right_size if side == "right" else boundary.ts_left_size
+        ts = boundary.ts_right if side == "right" else boundary.ts
+        ts_size = boundary.ts_right_size if side == "right" else boundary.ts_size
         # Only siblings on the ``side`` of the anchor are spanned by its TS
         # structure; a (tie-induced) middle child on the other side is simply
         # examined individually.
@@ -635,57 +281,3 @@ class ThreeSidedMetablockTree:
         else:
             for child in candidates:
                 self._query_node(child, x1, x2, y0, out)
-
-    # ------------------------------------------------------------------ #
-    # accounting / introspection
-    # ------------------------------------------------------------------ #
-    def iter_metablocks(self):
-        if self.root is None:
-            return
-        stack = [self.root]
-        while stack:
-            mb = stack.pop()
-            yield mb
-            stack.extend(mb.children)
-
-    def block_count(self) -> int:
-        return sum(mb.organisation_block_count() for mb in self.iter_metablocks())
-
-    def destroy(self) -> None:
-        """Free every block of the structure (global rebuilds use this)."""
-        if self.root is not None:
-            self._destroy_subtree(self.root)
-        self.root = None
-        self.size = 0
-
-    def all_points(self) -> List[PlanarPoint]:
-        out: List[PlanarPoint] = []
-        for mb in self.iter_metablocks():
-            out.extend(mb.points)
-            out.extend(mb.update_points)
-        return out
-
-    def height(self) -> int:
-        def depth(mb) -> int:
-            if mb is None:
-                return 0
-            if not mb.children:
-                return 1
-            return 1 + max(depth(c) for c in mb.children)
-
-        return depth(self.root)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def check_invariants(self) -> None:
-        if self.root is None:
-            assert self.size == 0
-            return
-        seen = 0
-        for mb in self.iter_metablocks():
-            seen += len(mb.points) + len(mb.update_points)
-            assert len(mb.points) <= 2 * self.capacity + self.B
-            if not mb.is_leaf:
-                assert mb.children
-        assert seen == self.size, f"point count mismatch: {seen} != {self.size}"

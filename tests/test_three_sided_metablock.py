@@ -165,3 +165,32 @@ class TestIOBounds:
             out_all = tree.query_3sided(0, 1000, 0)
         assert len(out_all) == n
         assert m_all.ios <= 12 * three_sided_query_bound(n, B, n)
+
+
+class TestIsTheAugmentedTree:
+    """Lemma 4.3: the 3-sided structure is the Section 3 tree, modified."""
+
+    def test_shares_the_augmented_tree_machinery(self):
+        from repro.metablock.dynamic_tree import AugmentedMetablockTree, DynamicMetablock
+        from repro.metablock.three_sided import ThreeSidedMetablock
+
+        assert issubclass(ThreeSidedMetablockTree, AugmentedMetablockTree)
+        assert issubclass(ThreeSidedMetablock, DynamicMetablock)
+        shared = {
+            "_build", "_write_control_block", "insert", "insert_many", "_insert_into",
+            "_stretch_subtree_bounds", "_belongs_here", "_route_child", "_add_to_update_block",
+            "_write_update_block", "_td_insert", "_level_one_reorganisation",
+            "_level_two_reorganisation", "_split_leaf", "_split_internal", "_rebuild_whole_tree",
+            "_collect_subtree_points", "_destroy_subtree", "iter_metablocks", "block_count",
+            "destroy", "all_points", "height", "__len__", "check_invariants",
+        }
+        assert not shared & set(vars(ThreeSidedMetablockTree))
+
+    def test_diagonal_corner_query_is_a_three_sided_query(self, tiny_disk):
+        pts = make_interval_points(300, seed=14, domain=(0.0, 100.0))
+        tree = ThreeSidedMetablockTree(tiny_disk, pts[:200])
+        tree.insert_many(pts[200:])
+        for q in (-1.0, 30.0, 55.5, 200.0):
+            got = sorted((p.x, p.y) for p in tree.diagonal_query(q))
+            assert got == sorted((p.x, p.y) for p in pts if p.x <= q <= p.y)
+        assert ThreeSidedMetablockTree(tiny_disk).diagonal_query(1.0) == []
