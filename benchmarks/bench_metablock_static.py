@@ -3,8 +3,7 @@
 Regenerates the evaluation the paper states analytically: query I/O
 ``O(log_B n + t/B)`` and space ``O(n/B)`` blocks, swept over ``n``, ``B`` and
 the output size ``t``.  The ``ios_per_bound`` column in the benchmark
-extra-info should stay roughly constant across the sweep (see
-EXPERIMENTS.md, experiment E1).
+extra-info should stay roughly constant across the sweep.
 """
 
 import random

@@ -32,7 +32,6 @@ import sys
 import time
 from typing import Any, Dict, List
 
-from repro.durability.wal import bench_fragment as wal_bench_fragment
 from repro.engine import Engine, Param, Stab
 from repro.io import SimulatedDisk
 from repro.obs import tracer as obs_tracer
@@ -108,9 +107,6 @@ def run_bench(
             "overhead_enabled_pct": overhead["enabled"],
             "tracer": obs_tracer.TRACER.stats_dict(),
         },
-        # the uniform durability block every BENCH_*.json carries (zeros:
-        # this is a read-path benchmark on a WAL-less engine)
-        "wal": wal_bench_fragment(engine),
     }
 
 

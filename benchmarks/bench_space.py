@@ -2,7 +2,7 @@
 
 For each structure the paper gives a space bound in disk blocks; this
 benchmark builds them all on the same workload sizes and reports
-blocks-used / bound so EXPERIMENTS.md can quote a single table.
+blocks-used / bound as a single table.
 """
 
 import pytest

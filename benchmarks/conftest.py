@@ -6,8 +6,7 @@ Every benchmark measures two things:
 * the number of disk-block I/Os it performs on the simulated disk, which is
   the quantity the paper's bounds talk about.  The I/O count, the relevant
   bound, and their ratio are attached to ``benchmark.extra_info`` so they
-  appear in the saved benchmark JSON and can be compared against
-  EXPERIMENTS.md.
+  appear in the saved benchmark JSON next to the timings.
 
 Workloads are deterministic (fixed seeds), so re-running the harness
 reproduces the same I/O counts exactly.

@@ -1,4 +1,4 @@
-"""Generate the measured tables quoted in EXPERIMENTS.md.
+"""Print the measured I/O-vs-bound tables, one per experiment.
 
 Run with::
 
@@ -6,8 +6,8 @@ Run with::
 
 The script executes a compact version of every experiment (E1-E12), printing
 one table per experiment with the measured I/O counts, the corresponding
-paper bound, and their ratio.  It is deterministic, so the numbers in
-EXPERIMENTS.md can be regenerated exactly.
+paper bound, and their ratio.  It is deterministic: the same checkout
+prints the same numbers.
 """
 
 from __future__ import annotations

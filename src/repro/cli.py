@@ -371,68 +371,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(max(args.interval, 0.1))
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run a benchmark suite from the installed package (no repo checkout).
-
-    ``bench workloads`` is the scenario matrix of
-    :mod:`repro.workloads.scenarios`; ``bench concurrency`` is the
-    multi-client driver of :mod:`repro.workloads.concurrent` — the same
-    harnesses the ``benchmarks/`` scripts wrap, so the CLI can reproduce
-    BENCH_workloads.json / BENCH_concurrency.json numbers anywhere the
-    package is installed.
-    """
-    if args.suite == "concurrency":
-        return _bench_concurrency(args)
-    from repro.workloads.scenarios import report, run_gate, run_matrix
-
-    payload = run_matrix(
-        n=args.n, block_size=args.block_size,
-        queries=args.queries, repeat=args.repeat,
-    )
-    print(f"bench workloads: n={args.n} B={args.block_size} "
-          f"queries={args.queries} (best of {args.repeat})")
-    report(payload, out=args.out)
-    return run_gate(payload, args.threshold) if args.check else 0
-
-
-def _bench_concurrency(args: argparse.Namespace) -> int:
-    """``repro bench concurrency``: drive a server with N client threads.
-
-    Spawns a subprocess server by default (true client/server parallelism
-    — each side owns its interpreter), or drives an already-running one
-    via ``--connect HOST:PORT``.
-    """
-    from repro.workloads import concurrent as C
-
-    thread_counts = tuple(args.threads) if args.threads else (1, 2, 4)
-    proc = None
-    if args.connect:
-        host, port_s = args.connect.rsplit(":", 1)
-        host, port = host, int(port_s)
-    else:
-        proc, host, port = C.spawn_server(block_size=args.block_size,
-                                          buffer_pages=args.buffer_pages)
-    print(f"bench concurrency: n={args.n} queries/thread={args.queries} "
-          f"threads={list(thread_counts)} server={host}:{port}")
-    try:
-        payload = C.run_matrix(
-            host, port,
-            n=args.n, queries=args.queries, thread_counts=thread_counts,
-            write_ops=args.write_ops, think_ms=args.think_ms,
-            shutdown=proc is not None or args.shutdown,
-        )
-    finally:
-        if proc is not None:
-            clean = C.wait_for_clean_exit(proc)
-            print(f"  server exit clean: {clean}")
-    if proc is not None:
-        payload["summary"]["server_exit_clean"] = clean
-    C.report(payload, out=args.out)
-    if args.check:
-        return C.run_gate(payload, require_scaling=args.require_scaling)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the concurrent JSON-line server over one engine.
 
@@ -466,20 +404,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 threshold_ms=args.slow_query_ms, path=args.slow_query_log
             )
 
-    use_wal = not args.no_wal
-    commit_latency = max(0.0, args.commit_latency_ms) / 1000.0
     if args.db:
-        sidecar = FileDisk._meta_path_for(args.db)
-        if os.path.exists(sidecar):
-            engine = Engine.open(args.db, buffer_pages=args.buffer_pages,
-                                 wal=use_wal, commit_latency=commit_latency)
-        else:
-            engine = Engine(
-                FileDisk(args.db, block_size=args.block_size),
-                buffer_pages=args.buffer_pages,
-            )
-            if use_wal:
-                engine.attach_wal(commit_latency=commit_latency)
+        engine = Engine.open_or_create(
+            args.db, block_size=args.block_size,
+            buffer_pages=args.buffer_pages, wal=not args.no_wal,
+        )
     else:
         engine = Engine(SimulatedDisk(args.block_size),
                         buffer_pages=args.buffer_pages)
@@ -549,7 +478,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         cluster = Cluster.open(
             directory, mode="process", host=args.host, port=args.port,
             buffer_pages=args.buffer_pages,
-            commit_latency_ms=args.commit_latency_ms,
         )
         print(
             f"repro cluster: reopening {directory} "
@@ -562,7 +490,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             domain=(args.domain[0], args.domain[1]), mode="process",
             host=args.host, port=args.port, block_size=args.block_size,
             buffer_pages=args.buffer_pages,
-            commit_latency_ms=args.commit_latency_ms,
         )
     cluster.start()
     host, port = cluster.address
@@ -648,18 +575,9 @@ def _open_db(args: argparse.Namespace, *, must_exist: bool = False) -> Engine:
     that only mutate existing data (``delete``) set it so a typo'd path
     fails cleanly instead of leaving an empty page file behind.
     """
-    sidecar = FileDisk._meta_path_for(args.db)
-    if os.path.exists(sidecar):
-        return Engine.open(args.db)
-    if must_exist:
-        raise FileNotFoundError(
-            f"no database at {args.db!r} (missing {sidecar} sidecar)"
-        )
-    engine = Engine(FileDisk(args.db, block_size=args.block_size))
-    # fresh databases get a write-ahead log from the first commit on, so
-    # even a crash before the first explicit checkpoint loses nothing
-    engine.attach_wal()
-    return engine
+    if must_exist and not FileDisk.exists(args.db):
+        raise FileNotFoundError(f"no database at {args.db!r} (missing sidecar)")
+    return Engine.open_or_create(args.db, block_size=args.block_size)
 
 
 def _read_rows(path: str) -> List[Any]:
@@ -810,7 +728,7 @@ def _cmd_wal(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if not os.path.exists(FileDisk._meta_path_for(args.db)):
+    if not FileDisk.exists(args.db):
         print(f"catalog: no database at {args.db!r} (missing sidecar)",
               file=sys.stderr)
         return 2
@@ -1060,52 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser(
-        "bench",
-        help="run a benchmark suite: 'workloads' (prepared vs ad-hoc "
-             "planning) or 'concurrency' (N client threads vs a live server)",
-    )
-    p.add_argument("suite", choices=["workloads", "concurrency"],
-                   help="which suite to run")
-    p.add_argument("--n", type=int, default=5_000)
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--queries", type=int, default=25)
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--out", default=None, metavar="JSON",
-                   help="also write the machine-readable payload here")
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 if the suite's gate fails (workloads: "
-                        "prepared-path regression; concurrency: oracle "
-                        "equivalence / bounds / clean shutdown)")
-    p.add_argument("--threshold", type=float, default=0.8,
-                   help="[workloads] ops/sec ratio the gate enforces "
-                        "(below 1.0 on purpose: wall-clock noise; a real "
-                        "regression lands far lower)")
-    p.add_argument("--threads", type=int, nargs="+", default=None,
-                   metavar="T",
-                   help="[concurrency] client thread counts to sweep "
-                        "(default 1 2 4)")
-    p.add_argument("--write-ops", type=int, default=12,
-                   help="[concurrency] writes per thread in the mixed and "
-                        "shared scenarios")
-    p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                   help="[concurrency] drive an already-running server "
-                        "instead of spawning one")
-    p.add_argument("--shutdown", action="store_true",
-                   help="[concurrency] send a wire shutdown when driving "
-                        "a --connect server")
-    p.add_argument("--require-scaling", type=float, default=None,
-                   metavar="X",
-                   help="[concurrency] gate additionally requires the "
-                        "read-only speedup to reach X (e.g. 2.0)")
-    p.add_argument("--think-ms", type=float, default=5.0,
-                   help="[concurrency] closed-loop client think time "
-                        "between requests (application-side processing); "
-                        "the thread sweep measures how well concurrent "
-                        "sessions fill each other's idle time")
-    p.add_argument("--buffer-pages", type=int, default=None)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "serve",
         help="serve the engine over TCP (JSON-line protocol; MVCC snapshot "
              "reads, WAL-durable writes on persistent catalogs)",
@@ -1127,13 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[--db] run without a write-ahead log: acknowledged "
                         "writes are only durable at the next checkpoint "
                         "(the pre-WAL behaviour)")
-    p.add_argument("--commit-latency-ms", type=float, default=0.0,
-                   metavar="MS",
-                   help="[--db] simulate a log device with this synchronous "
-                        "commit round-trip: every WAL barrier sleeps MS "
-                        "(no group absorption) — makes commit-pipeline "
-                        "parallelism measurable on filesystems where fsync "
-                        "is free")
     p.add_argument("--trace", action="store_true",
                    help="enable request tracing: every request builds a "
                         "span tree (kept in the tracer's ring; exported "
@@ -1181,11 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "durability); omitted = ephemeral in-memory shards")
     cs.add_argument("--block-size", type=int, default=16)
     cs.add_argument("--buffer-pages", type=int, default=None, metavar="PAGES")
-    cs.add_argument("--commit-latency-ms", type=float, default=0.0,
-                    metavar="MS",
-                    help="[--dir] forward a simulated per-commit log-device "
-                         "round-trip to every shard (see 'serve "
-                         "--commit-latency-ms')")
     cs.set_defaults(func=_cmd_cluster_serve)
     ct = cluster_sub.add_parser(
         "status",

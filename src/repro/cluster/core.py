@@ -57,7 +57,6 @@ class Cluster:
         port: int = 0,
         block_size: int = 16,
         buffer_pages: Optional[int] = None,
-        commit_latency_ms: float = 0.0,
     ) -> None:
         self.shard_map = shard_map
         self.directory = directory
@@ -66,7 +65,6 @@ class Cluster:
         self.port = port
         self.block_size = block_size
         self.buffer_pages = buffer_pages
-        self.commit_latency_ms = commit_latency_ms
         self.supervisor: Optional[ShardSupervisor] = None
         self.router: Optional[ShardRouter] = None
         self.frontend: Optional[ClusterFrontend] = None
@@ -88,7 +86,6 @@ class Cluster:
         port: int = 0,
         block_size: int = 16,
         buffer_pages: Optional[int] = None,
-        commit_latency_ms: float = 0.0,
     ) -> "Cluster":
         """A fresh cluster (topology persisted when ``directory`` given)."""
         if strategy == "range":
@@ -101,7 +98,6 @@ class Cluster:
         cluster = cls(
             shard_map, directory=directory, mode=mode, host=host, port=port,
             block_size=block_size, buffer_pages=buffer_pages,
-            commit_latency_ms=commit_latency_ms,
         )
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -117,7 +113,6 @@ class Cluster:
         host: str = "127.0.0.1",
         port: int = 0,
         buffer_pages: Optional[int] = None,
-        commit_latency_ms: float = 0.0,
     ) -> "Cluster":
         """Restore a persisted cluster from its ``cluster.json``."""
         path = os.path.join(directory, TOPOLOGY_FILE)
@@ -136,7 +131,6 @@ class Cluster:
             port=port,
             block_size=int(data.get("block_size", 16)),
             buffer_pages=buffer_pages,
-            commit_latency_ms=commit_latency_ms,
         )
 
     def _save_topology(self) -> None:
@@ -161,25 +155,29 @@ class Cluster:
         """Boot shards, wire the router, bind the frontend."""
         if self.frontend is not None:
             return self
-        supervisor = ShardSupervisor(
-            mode=self.mode,
-            directory=self.directory,
-            block_size=self.block_size,
-            buffer_pages=self.buffer_pages,
-            commit_latency_ms=self.commit_latency_ms,
-        )
-        handles = supervisor.start_shards(self.shard_map.shards)
-        links = [ShardConnection(h.shard, h.host, h.port) for h in handles]
-        router = ShardRouter(
-            self.shard_map,
-            links,
-            supervisor=supervisor,
-            persist=self._save_topology if self.directory else None,
-        )
-        router.bootstrap()
-        frontend = ClusterFrontend(router, self.host, self.port)
-        frontend.start()
-        self.supervisor, self.router, self.frontend = supervisor, router, frontend
+        try:
+            self.supervisor = ShardSupervisor(
+                mode=self.mode,
+                directory=self.directory,
+                block_size=self.block_size,
+                buffer_pages=self.buffer_pages,
+            )
+            handles = self.supervisor.start_shards(self.shard_map.shards)
+            links = [ShardConnection(h.shard, h.host, h.port) for h in handles]
+            self.router = ShardRouter(
+                self.shard_map,
+                links,
+                supervisor=self.supervisor,
+                persist=self._save_topology if self.directory else None,
+            )
+            self.router.bootstrap()
+            self.frontend = ClusterFrontend(self.router, self.host, self.port).start()
+        except BaseException:
+            # a start that fails part-way (a shard that will not boot, a
+            # bootstrap error, a frontend port in use) must not leave the
+            # shards it did boot running with nobody holding their handles
+            self.close(drain=False)
+            raise
         return self
 
     @property

@@ -109,7 +109,6 @@ class ShardSupervisor:
         block_size: int = 16,
         buffer_pages: Optional[int] = None,
         start_timeout: float = 30.0,
-        commit_latency_ms: float = 0.0,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown supervisor mode {mode!r}; know {list(MODES)}")
@@ -118,10 +117,6 @@ class ShardSupervisor:
         self.block_size = block_size
         self.buffer_pages = buffer_pages
         self.start_timeout = start_timeout
-        #: simulated per-commit log-device round-trip forwarded to every
-        #: shard's WAL (persistent shards only — without a db there is no
-        #: log to slow down)
-        self.commit_latency_ms = max(0.0, commit_latency_ms)
         self.handles: List[ShardHandle] = []
         #: guards the handle list (status reads race shard starts/drains)
         self._spawn_lock = threading.Lock()
@@ -130,7 +125,11 @@ class ShardSupervisor:
     # starting
     # ------------------------------------------------------------------ #
     def start_shards(self, count: int) -> List[ShardHandle]:
-        """Boot ``count`` shards and wait until each answers ``ping``."""
+        """Boot ``count`` shards and wait until each answers ``ping``.
+
+        When one does not come up this raises with the earlier shards still
+        running: they are on ``self.handles``, and the caller must ``kill()``.
+        """
         handles = [ShardHandle(shard=i) for i in range(count)]
         with self._spawn_lock:
             self.handles = handles
@@ -160,13 +159,15 @@ class ShardSupervisor:
             cmd += ["--db", db_path]
         if self.buffer_pages:
             cmd += ["--buffer-pages", str(self.buffer_pages)]
-        if self.commit_latency_ms and db_path:
-            cmd += ["--commit-latency-ms", str(self.commit_latency_ms)]
         proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=_python_env(),
         )
+        # on the handle before the child has said anything, so that kill()
+        # reaches it however the start ends
+        handle.db_path, handle.proc = db_path, proc
         deadline = time.monotonic() + self.start_timeout
+        output: List[str] = []
         while True:
             line = proc.stdout.readline()
             if "listening on" in line:
@@ -174,37 +175,32 @@ class ShardSupervisor:
                 host, port = address.rsplit(":", 1)
                 handle.host, handle.port = host, int(port)
                 break
-            if not line or proc.poll() is not None:
+            if not line:
+                # end of output without an address: the child is gone (or
+                # going) — reap it, and report what it printed on the way
+                _wait_clean(proc, 10.0)
                 raise P.ShardUnavailableError(
-                    f"shard {handle.shard} failed to start: {line!r} "
-                    f"(exit {proc.poll()})"
+                    f"shard {handle.shard} failed to start (exit "
+                    f"{proc.returncode}): {''.join(output).strip() or 'no output'}"
                 )
+            output.append(line)
             if time.monotonic() > deadline:
-                proc.kill()
                 raise P.ShardUnavailableError(
                     f"shard {handle.shard} did not report an address within "
                     f"{self.start_timeout}s"
                 )
-        handle.db_path, handle.proc, handle.started = db_path, proc, True
+        handle.started = True
 
     def _start_thread_shard(self, handle: ShardHandle) -> None:
         from repro.engine import Engine
-        from repro.io import FileDisk, SimulatedDisk
+        from repro.io import SimulatedDisk
         from repro.server import ReproServer
 
         db_path = self._shard_db(handle.shard)
-        latency = self.commit_latency_ms / 1000.0
         if db_path:
-            sidecar = FileDisk._meta_path_for(db_path)
-            if os.path.exists(sidecar):
-                engine = Engine.open(db_path, buffer_pages=self.buffer_pages,
-                                     commit_latency=latency)
-            else:
-                engine = Engine(
-                    FileDisk(db_path, block_size=self.block_size),
-                    buffer_pages=self.buffer_pages,
-                )
-                engine.attach_wal(commit_latency=latency)
+            engine = Engine.open_or_create(
+                db_path, block_size=self.block_size, buffer_pages=self.buffer_pages
+            )
         else:
             engine = Engine(
                 SimulatedDisk(self.block_size), buffer_pages=self.buffer_pages
@@ -307,4 +303,5 @@ def _wait_clean(proc: subprocess.Popen, timeout: float) -> bool:
         return proc.wait(timeout=timeout) == 0
     except subprocess.TimeoutExpired:
         proc.kill()
+        proc.wait()
         return False

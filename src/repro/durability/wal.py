@@ -100,45 +100,6 @@ def read_log(path: str) -> Iterator[WalRecord]:
         yield WalRecord(lsn, epoch, op, offset, length)
 
 
-def bench_fragment(engine: Any) -> Dict[str, object]:
-    """The WAL counter block every ``BENCH_*.json`` artifact embeds.
-
-    Uniform across benchmarks (zeros when the engine runs without a log),
-    so artifact diffing can track group-commit effectiveness release over
-    release: ``commits`` / ``syncs`` / ``group_absorbed`` from the log,
-    ``fsyncs`` from the backend's shared :class:`IOStats` (truncate
-    barriers included — they are platter round-trips too).
-    """
-    wal = getattr(engine, "wal", None)
-    stats = engine.io_stats()
-    return {
-        "commits": 0 if wal is None else wal.commits,
-        "syncs": 0 if wal is None else wal.syncs,
-        "group_absorbed": 0 if wal is None else wal.group_absorbed,
-        "group_absorbed_ratio": None if wal is None else wal.group_absorbed_ratio,
-        "fsyncs": getattr(stats, "fsyncs", 0),
-    }
-
-
-def bench_fragment_from_wire(
-    wal: Optional[Dict[str, Any]], engine: Dict[str, Any]
-) -> Dict[str, object]:
-    """:func:`bench_fragment` built from a server's ``stats`` response.
-
-    ``wal`` is the response's ``wal`` block (``None`` on a WAL-less
-    server), ``engine`` its ``engine`` block (which carries ``fsyncs``
-    from the backend's shared counters).
-    """
-    wal = wal or {}
-    return {
-        "commits": wal.get("commits", 0),
-        "syncs": wal.get("syncs", 0),
-        "group_absorbed": wal.get("group_absorbed", 0),
-        "group_absorbed_ratio": wal.get("group_absorbed_ratio"),
-        "fsyncs": engine.get("fsyncs", 0),
-    }
-
-
 class WriteAheadLog:
     """An append-only, checksummed redo log with group-commit fsync.
 
@@ -156,17 +117,6 @@ class WriteAheadLog:
         ``False`` disables the physical barrier (the commit protocol and
         counters behave identically) — for tests and in-memory engines
         where the log is about replay, not the platter.
-    commit_latency:
-        Seconds of *simulated* device round-trip charged per commit
-        barrier.  Non-zero models a synchronous log device without
-        command queueing — a rotational disk or a networked block store
-        — where every commit pays its own round-trip, so the group-commit
-        absorption fast path is disabled and barriers strictly serialize
-        on the sync lock.  This is the same philosophy as
-        :class:`~repro.io.disk.SimulatedDisk` counting block I/Os that
-        RAM makes free: on development filesystems ``fsync`` is nearly
-        instantaneous, and the benchmark legs that measure commit-pipeline
-        parallelism need a device whose barrier actually takes time.
     """
 
     def __init__(
@@ -175,12 +125,10 @@ class WriteAheadLog:
         *,
         stats: Optional["IOStats"] = None,
         fsync: bool = True,
-        commit_latency: float = 0.0,
     ) -> None:
         self.path = path
         self.stats = stats
         self._fsync_enabled = fsync
-        self._commit_latency = max(0.0, commit_latency)
         #: serializes appends (record order == commit order)
         self._lock = threading.Lock()
         #: serializes the durability barrier (group commit happens here)
@@ -235,28 +183,6 @@ class WriteAheadLog:
         physical barrier, ``False`` when another commit's barrier already
         covered this offset (the group-commit fast path)."""
         wait0 = time.perf_counter()
-        if self._commit_latency:
-            # simulated synchronous log device: no command queueing means
-            # no absorption fast path — every commit serializes on the
-            # barrier lock and pays its own round-trip (sleeping releases
-            # the GIL, so independent logs overlap their round-trips)
-            with self._sync_lock:
-                obs_metrics.REGISTRY.histogram("wal.sync_wait_ms").observe(
-                    (time.perf_counter() - wait0) * 1e3
-                )
-                lockdep.notify_blocking("wal.sync_to")
-                time.sleep(self._commit_latency)
-                with self._lock:
-                    target = self._appended
-                    self._file.flush()
-                if self._fsync_enabled:
-                    os.fsync(self._file.fileno())
-                if self.stats is not None:
-                    self.stats.count(fsyncs=1)
-                if target > self._synced:
-                    self._synced = target
-                self.syncs += 1
-                return True
         if self._synced >= offset:
             with self._lock:
                 self.group_absorbed += 1

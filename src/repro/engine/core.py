@@ -939,7 +939,6 @@ class Engine:
         *,
         buffer_pages: Optional[int] = None,
         wal: bool = True,
-        commit_latency: float = 0.0,
     ) -> "Engine":
         """Reopen an engine from a page file written by a prior process.
 
@@ -981,7 +980,6 @@ class Engine:
         if wal:
             replayed = engine.attach_wal(
                 path + WAL_SUFFIX, durable_epoch=durable_epoch, checkpoint=False,
-                commit_latency=commit_latency,
             )
         if root_id is None and replayed == 0:
             # nothing restored, nothing replayed: keep the fast no-op open
@@ -1001,6 +999,29 @@ class Engine:
         engine.checkpoint()
         return engine
 
+    @classmethod
+    def open_or_create(
+        cls,
+        path: str,
+        *,
+        block_size: int = 16,
+        buffer_pages: Optional[int] = None,
+        wal: bool = True,
+    ) -> "Engine":
+        """:meth:`open` the database at ``path``, or start a fresh one there.
+
+        A fresh database gets its write-ahead log from the first commit on
+        (unless ``wal=False``), so even a crash before the first explicit
+        checkpoint loses nothing; ``block_size`` only applies to a fresh
+        page file — a reopened one keeps the ``B`` it was written with.
+        """
+        if FileDisk.exists(path):
+            return cls.open(path, buffer_pages=buffer_pages, wal=wal)
+        engine = cls(FileDisk(path, block_size=block_size), buffer_pages=buffer_pages)
+        if wal:
+            engine.attach_wal()
+        return engine
+
     def attach_wal(
         self,
         path: Optional[str] = None,
@@ -1009,7 +1030,6 @@ class Engine:
         checkpoint: bool = True,
         fsync: bool = True,
         durable_epoch: Optional[int] = None,
-        commit_latency: float = 0.0,
     ) -> int:
         """Open (or create) a write-ahead log and attach it to this engine.
 
@@ -1034,8 +1054,7 @@ class Engine:
                     "backend has no path; pass an explicit WAL path"
                 )
             path = str(file_path) + WAL_SUFFIX
-        wal = WriteAheadLog(path, stats=self.io_stats(), fsync=fsync,
-                            commit_latency=commit_latency)
+        wal = WriteAheadLog(path, stats=self.io_stats(), fsync=fsync)
         replayed = 0
         try:
             if replay:

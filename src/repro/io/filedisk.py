@@ -143,6 +143,11 @@ class FileDisk:
     def _meta_path_for(path: str) -> str:
         return path + ".meta"
 
+    @classmethod
+    def exists(cls, path: str) -> bool:
+        """Whether ``path`` names a reopenable database (its sidecar exists)."""
+        return os.path.exists(cls._meta_path_for(path))
+
     @property
     def persistent(self) -> bool:
         """Whether this disk outlives the process (named path + sidecar)."""

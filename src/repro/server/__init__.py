@@ -13,8 +13,7 @@ Layers (bottom up):
   prepared-handle leases, graceful shutdown) over an ``Executor``, and
   :class:`ReproServer`, which serves one engine (CLI: ``repro serve``);
 * :mod:`repro.server.client` — :class:`ReproClient`, the blocking
-  client the concurrent workload driver
-  (:mod:`repro.workloads.concurrent`) fans out across threads.
+  client (one connection each; concurrent callers open one per thread).
 """
 
 from repro.server.client import ClientResult, PreparedHandle, ReproClient, ServerError

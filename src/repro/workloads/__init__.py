@@ -1,4 +1,4 @@
-"""Workload generators and the benchmark scenario matrix."""
+"""Workload generators: the seeded data sets the examples, tests and benchmarks draw."""
 
 from repro.workloads.generators import (
     clustered_intervals,
@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     interval_points,
     zipf_choices,
 )
-from repro.workloads.scenarios import run_matrix
 
 __all__ = [
     "balanced_hierarchy",
@@ -27,7 +26,6 @@ __all__ = [
     "random_hierarchy",
     "random_intervals",
     "random_points",
-    "run_matrix",
     "star_hierarchy",
     "zipf_choices",
 ]

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
+from repro.cluster.supervisor import _python_env
 from repro.interval import Interval
 from repro.io import SimulatedDisk
 from repro.metablock.geometry import PlanarPoint
@@ -21,6 +25,34 @@ def disk():
 def tiny_disk():
     """A very small page size (B = 4) to exercise deep trees cheaply."""
     return SimulatedDisk(block_size=4)
+
+
+@pytest.fixture
+def spawn_repro():
+    """``spawn(*args)``: run ``python -m repro *args``, return ``(proc, host,
+    port)`` at its ``listening on`` line; whatever still runs dies at teardown."""
+    procs = []
+
+    def spawn(*args):
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *args], env=_python_env(),
+                                text=True, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        procs.append(proc)
+        watchdog = threading.Timer(120.0, proc.kill)  # a silent child must not hang the suite
+        watchdog.start()
+        try:
+            for line in proc.stdout:
+                if "listening on" in line:
+                    host, port = line.split()[-1].rsplit(":", 1)
+                    return proc, host, int(port)
+        finally:
+            watchdog.cancel()
+        raise AssertionError(f"repro {' '.join(args)} exited {proc.wait()} before listening")
+
+    yield spawn
+    for proc in procs:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def make_intervals(n, seed=0, domain=(0.0, 1000.0), mean_length=60.0):

@@ -1,5 +1,10 @@
 """Tests for the CLI entry point and the collection-index building block."""
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.classes.collection import CollectionIndex
@@ -93,3 +98,24 @@ class TestCLI:
                      "--endpoint", "low", "0", "50",
                      "--endpoint", "high", "10", "60"]) == 0
         assert "Index(" in capsys.readouterr().out
+
+    def test_readme_commands_and_parser_subcommands_agree(self):
+        """Every ``python -m repro ...`` line in README parses, and every
+        subcommand the parser defines is shown in README at least once."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        documented = set()
+        for line in re.findall(r"^python -m repro (.*)$", readme.replace("\\\n", " "), re.M):
+            argv = shlex.split(line, comments=True)
+            args = build_parser().parse_args(argv)      # SystemExit(2) on a stale line
+            documented.add(" ".join(
+                getattr(args, dest) for dest in ("command", "cluster_command", "wal_command")
+                if getattr(args, dest, None)))
+        assert documented == set(_leaf_commands(build_parser()))
+
+
+def _leaf_commands(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaf_commands(child, prefix + (name,))]

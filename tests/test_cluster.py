@@ -9,6 +9,8 @@ cluster from a single server, which is the tentpole invariant.
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import threading
 import time
@@ -19,7 +21,7 @@ from repro import Engine, Interval, Param, SimulatedDisk, Stab
 from repro.cluster import Cluster, ShardMap, mix_uid
 from repro.durability.wal import WriteAheadLog
 from repro.engine.queries import And, EndpointRange, Limit, Not, Or, OrderBy, Range
-from repro.server import ReproClient, ReproServer, ServerError
+from repro.server import ReproClient, ReproServer, ServerError, ShardUnavailableError
 from repro.workloads import random_intervals
 
 
@@ -393,11 +395,10 @@ class TestClusterLifecycle:
         with pytest.raises(ValueError):
             Cluster.open(str(directory))
 
-    def test_process_mode_smoke(self, tmp_path):
-        from repro.workloads import concurrent as C
-
-        proc, host, port = C.spawn_cluster(
-            shards=2, strategy="hash", directory=str(tmp_path / "c"))
+    def test_process_mode_smoke(self, tmp_path, spawn_repro):
+        proc, host, port = spawn_repro(
+            "cluster", "serve", "--port", "0", "--shards", "2",
+            "--strategy", "hash", "--dir", str(tmp_path / "c"))
         try:
             with ReproClient(host, port) as db:
                 assert db.ping()["cluster"]["shards"] == 2
@@ -406,10 +407,68 @@ class TestClusterLifecycle:
                 res = db.query("base", Stab(20.0))
                 assert {r.uid for r in res.records} == oracle_uids(stored, Stab(20.0))
                 assert db.shutdown().get("stopping")
-            assert C.wait_for_clean_exit(proc, timeout=60.0)
+            assert proc.wait(timeout=60.0) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+    def test_sigterm_drains_every_shard_and_exits_zero(self, tmp_path, spawn_repro):
+        """``kill <pid>`` on ``repro cluster serve`` drains: exit 0, every
+        shard's WAL folded into its checkpoint and truncated, nothing lost."""
+        directory = tmp_path / "c"
+        proc, host, port = spawn_repro(
+            "cluster", "serve", "--port", "0", "--shards", "2", "--dir", str(directory))
+        with ReproClient(host, port) as db:
+            db.create("base", records=[])
+            stored = db.bulk_load("base", random_intervals(200, seed=6))
+            before = {r.uid for r in db.query("base", Stab(20.0)).records}
+        wals = [directory / f"shard-{i}" / "shard.pages.wal" for i in range(2)]
+        assert before == oracle_uids(stored, Stab(20.0)) != set()
+        assert all(wal.stat().st_size > 0 for wal in wals)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60.0) == 0
+        assert [wal.stat().st_size for wal in wals] == [0, 0]
+        with Cluster.open(str(directory), mode="thread") as reopened:
+            with ReproClient(*reopened.address) as db:
+                assert {r.uid for r in db.query("base", Stab(20.0)).records} == before
+
+    @pytest.mark.parametrize("mode", ["process", "thread"])
+    def test_failed_start_stops_the_shards_it_booted(self, tmp_path, mode):
+        """Shard 1 cannot boot (a page file with no sidecar is not a database
+        and is never truncated): shard 0, already serving, must not outlive
+        the failed ``start()``, and the error is shard 1's own."""
+        directory = tmp_path / "c"
+        (directory / "shard-1").mkdir(parents=True)
+        (directory / "shard-1" / "shard.pages").write_bytes(b"not a database")
+        threads = set(threading.enumerate())
+        cluster = Cluster.create(str(directory), shards=2, mode=mode)
+        with pytest.raises((ShardUnavailableError, ValueError),
+                           match="refusing to truncate non-empty page file") as err:
+            cluster.start()
+        orphans = _serve_children()
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+        assert [t for t in set(threading.enumerate()) - threads if t.is_alive()] == []
+        assert cluster.supervisor is None and cluster.frontend is None
+        if mode == "process":
+            assert "shard 1 failed to start (exit 1)" in str(err.value)
+
+
+def _serve_children():
+    """Pids of this process's children that are running ``repro serve``."""
+    me, found = str(os.getpid()), []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                ppid = fh.read().rsplit(")", 1)[1].split()[1]
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                argv = fh.read().split(b"\0")
+        except OSError:      # raced with an exit
+            continue
+        if ppid == me and b"repro" in argv and b"serve" in argv:
+            found.append(int(pid))
+    return found
 
 
 # --------------------------------------------------------------------------- #
@@ -466,15 +525,6 @@ class TestShardSideKeepUids:
 
 
 class TestSimulatedCommitLatency:
-    def test_simulated_device_disables_group_absorption(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "w.wal"), fsync=False,
-                            commit_latency=0.001)
-        offsets = [wal.append(i, ("insert", "base", {"i": i})) for i in range(4)]
-        assert all(wal.sync_to(off) for off in offsets)     # every barrier real
-        assert wal.syncs == 4 and wal.group_absorbed == 0
-        assert [rec.epoch for rec in wal.records()] == [0, 1, 2, 3]
-        wal.close()
-
     def test_default_wal_still_group_commits(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "w.wal"), fsync=False)
         last = [wal.append(i, ("insert", "base", {"i": i})) for i in range(4)][-1]

@@ -528,12 +528,3 @@ class TestExportPlumbing:
         ratio = engine.wal.group_absorbed_ratio
         assert ratio is not None and 0.0 <= ratio <= 1.0
         engine.close()
-
-    def test_wal_bench_fragment_is_uniform(self):
-        from repro.durability.wal import bench_fragment
-        engine = Engine(SimulatedDisk(16))
-        fragment = bench_fragment(engine)
-        assert fragment == {
-            "commits": 0, "syncs": 0, "group_absorbed": 0,
-            "group_absorbed_ratio": None, "fsyncs": 0,
-        }

@@ -10,6 +10,8 @@ stats and graceful shutdown.
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import threading
 
@@ -297,21 +299,18 @@ class TestLifecycle:
         # closing again is a no-op; the engine survived (memory backend)
         server.close()
 
-    def test_driver_smoke_in_process(self):
-        """The concurrent workload driver against an in-process server."""
-        from repro.workloads import concurrent as C
-
-        engine = Engine(SimulatedDisk(16))
-        with ReproServer(engine) as server:
-            host, port = server.address
-            payload = C.run_matrix(
-                host, port, n=250, queries=5, thread_counts=(1, 2),
-                write_ops=3, think_ms=0.5,
-            )
-        assert payload["summary"]["oracle_ok"], payload
-        assert payload["summary"]["bound_ok"], payload
-        names = {row["name"] for row in payload["scenarios"]}
-        assert {"stab/read-only", "endpoint/read-only",
-                "mixed/insert-query-delete",
-                "shared/snapshot-consistency"} <= names
-        assert C.gate_failures(payload) == []
+    def test_sigterm_drains_checkpoints_and_exits_zero(self, spawn_repro, tmp_path):
+        """``kill <pid>`` on ``repro serve --db`` is a clean shutdown: exit 0,
+        the WAL folded into a checkpoint and truncated, nothing lost."""
+        db_path = str(tmp_path / "app.pages")
+        proc, host, port = spawn_repro("serve", "--port", "0", "--db", db_path)
+        with ReproClient(host, port) as db:
+            make_base(db)
+            before = {r.uid for r in db.query("base", Stab(500.0)).records}
+        assert before and os.path.getsize(db_path + ".wal") > 0
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert os.path.getsize(db_path + ".wal") == 0
+        with Engine.open(db_path) as engine:
+            after = {r.uid for r in engine.query("base", Stab(500.0)).all()}
+        assert after == before
