@@ -9,9 +9,8 @@ A from-scratch reproduction of
 The package implements the paper's data structures (the metablock tree and
 its semi-dynamic and 3-sided variants, blocked priority search trees, the
 class-indexing schemes of Theorems 2.6 and 4.7), the substrates they rely on
-(pluggable storage backends with exact I/O accounting, external B+-trees,
-the in-core baselines of Section 1.4) and the constraint data model of
-Section 2.1, plus the seeded workload generators that the benchmarks
+(pluggable storage backends with exact I/O accounting, external B+-trees)
+and the constraint data model of Section 2.1, plus the seeded workload generators that the benchmarks
 (``benchmarks/``, outside the package) draw on to regenerate an empirical
 evaluation of every bound the paper proves.
 

@@ -72,20 +72,24 @@ def linear_space_bound(n: int, b: int) -> float:
     return max(1.0, n / b)
 
 
-def rebuild_due(dead: int, live: int, block_size: int, fraction: float = 0.5) -> bool:
+#: dead records a tombstoning structure tolerates, as a fraction of the live
+REBUILD_FRACTION = 0.5
+
+
+def rebuild_due(dead: int, live: int, block_size: int) -> bool:
     """The shared global-rebuilding trigger: rebuild once ``dead`` records
-    (tombstones) exceed ``max(B, fraction * live)``.
+    (tombstones) exceed ``max(B, REBUILD_FRACTION * live)``.
 
     This is the classic dynamization constant: a rebuild costs
-    ``O((n/B) log_B n)`` work amortized over the ``Θ(fraction · n)``
+    ``O((n/B) log_B n)`` work amortized over the ``Θ(REBUILD_FRACTION · n)``
     deletes since the last one (``O(log_B n)`` I/Os each), and space stays
-    within ``1 + fraction`` of optimal.  The ``B`` floor keeps tiny
+    within ``1 + REBUILD_FRACTION`` of optimal.  The ``B`` floor keeps tiny
     structures from rebuilding on every delete.  One definition shared by
     every tombstoning structure (interval manager, class indexer,
     :class:`~repro.engine.rebuilding.RebuildingIndex`) so the policy can
     never drift between them.
     """
-    return dead > max(block_size, fraction * max(live, 1))
+    return dead > max(block_size, REBUILD_FRACTION * max(live, 1))
 
 
 def bound_ratio(measured: Sequence[float], predicted: Sequence[float]) -> float:

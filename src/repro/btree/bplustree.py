@@ -168,20 +168,35 @@ class BPlusTree:
 
     bulk_load = _HybridBulkLoad()
 
+    def rebuild(self, pairs: Iterable[Pair]) -> None:
+        """Replace the contents by ``pairs``, packed bottom-up, in this object.
+
+        The sort — the only step that can fail (keys that do not compare) —
+        runs first and the old levels are freed last, so a failing batch
+        raises with the tree intact.
+        """
+        data = sorted(pairs, key=lambda kv: kv[0])
+        old_root = self.root_id
+        self._load_sorted(data)
+        self._free_subtree(old_root)
+
     def destroy(self) -> None:
         """Free every block of the tree (rebuilds and ``drop_index`` use this)."""
         if self.root_id is None:
             return
-        stack = [self.root_id]
+        self._free_subtree(self.root_id)
+        self.root_id = None
+        self.height = 0
+        self.size = 0
+
+    def _free_subtree(self, root_id: BlockId) -> None:
+        stack = [root_id]
         while stack:
             bid = stack.pop()
             block = self.disk.peek(bid)
             if not block.header["leaf"]:
                 stack.extend(child for _, child in block.records)
             self.disk.free(bid)
-        self.root_id = None
-        self.height = 0
-        self.size = 0
 
     # ------------------------------------------------------------------ #
     # search

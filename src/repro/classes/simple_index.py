@@ -17,6 +17,12 @@ union of the extents of the classes below that node.
 The binary tree over class positions is represented implicitly by recursive
 halving of the position range (a segment-tree skeleton), which is exactly
 the shape the proof of Theorem 2.6 uses.
+
+Only the *covered* nodes exist — those in the canonical cover of some
+class's descendant range: the hierarchy is fixed at construction, so no
+query can read any other.  Theorem 2.6 is unaffected: its bounds are upper
+bounds, a query visits the nodes it always did, and an object stays
+reachable because every ancestor's cover holds one node of its path.
 """
 
 from __future__ import annotations
@@ -44,39 +50,28 @@ class SimpleClassIndex:
             positions = [self._position[d] for d in hierarchy.descendants(cls)]
             self._class_span[cls] = (min(positions), max(positions))
 
-        # the canonical segment-tree nodes, each identified by its half-open
-        # position range (lo, hi); every node owns one collection index
-        self._nodes: List[Tuple[int, int]] = []
-        self._build_nodes(0, self._count)
-        self._collections: Dict[Tuple[int, int], CollectionIndex] = {}
-
-        grouped: Dict[Tuple[int, int], List[ClassObject]] = {node: [] for node in self._nodes}
+        # one collection index per covered canonical node, a node being its
+        # half-open position range (lo, hi)
+        spans = self._class_span.values()
+        covered = sorted({node for lo, hi in spans for node in self._canonical_cover(lo, hi + 1)})
+        self._collections: Dict[Tuple[int, int], CollectionIndex] = dict.fromkeys(covered)
+        grouped: Dict[Tuple[int, int], List[ClassObject]] = {node: [] for node in covered}
         for obj in objects:
             for node in self._path_nodes(self._position[obj.class_name]):
                 grouped[node].append(obj)
-        for node in self._nodes:
-            self._collections[node] = CollectionIndex(
-                disk, grouped[node], name=f"simple:{node[0]}-{node[1]}"
-            )
+        for node, members in grouped.items():
+            self._collections[node] = CollectionIndex(disk, members, name=f"simple:{node[0]}-{node[1]}")
 
     # ------------------------------------------------------------------ #
     # implicit binary tree over class positions
     # ------------------------------------------------------------------ #
-    def _build_nodes(self, lo: int, hi: int) -> None:
-        if lo >= hi:
-            return
-        self._nodes.append((lo, hi))
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            self._build_nodes(lo, mid)
-            self._build_nodes(mid, hi)
-
     def _path_nodes(self, position: int) -> List[Tuple[int, int]]:
-        """The root-to-leaf canonical nodes containing ``position``."""
+        """The covered canonical nodes containing ``position``, root first."""
         out: List[Tuple[int, int]] = []
         lo, hi = 0, self._count
         while lo < hi:
-            out.append((lo, hi))
+            if (lo, hi) in self._collections:
+                out.append((lo, hi))
             if hi - lo == 1:
                 break
             mid = (lo + hi) // 2
@@ -107,7 +102,7 @@ class SimpleClassIndex:
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, obj: ClassObject) -> None:
-        """Insert into the ``O(log2 c)`` collections on the class's path."""
+        """Insert into the (at most ``O(log2 c)``) collections on the class's path."""
         for node in self._path_nodes(self._position[obj.class_name]):
             self._collections[node].insert(obj)
 
@@ -145,7 +140,7 @@ class SimpleClassIndex:
         return dict(self._collections)
 
     def copies_per_object(self) -> int:
-        """Number of collections an object is stored in (``O(log2 c)``)."""
+        """Most collections any object is stored in (``O(log2 c)``)."""
         if self._count == 0:
             return 0
         return max(len(self._path_nodes(i)) for i in range(self._count))

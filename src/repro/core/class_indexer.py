@@ -55,10 +55,6 @@ class ClassIndexer:
     supports_deletes = True
     supports_bulk_load = True
 
-    #: rebuild the tombstoning schemes once tombstones exceed this fraction
-    #: of the live objects (same global-rebuilding constant as the manager)
-    REBUILD_FRACTION = 0.5
-
     def __init__(
         self,
         disk,
@@ -108,7 +104,7 @@ class ClassIndexer:
 
         Schemes whose collections are B+-trees remove the record in place
         (``O(copies · log_B n)`` I/Os); the ``combined`` scheme tombstones
-        the uid and rebuilds globally once :data:`REBUILD_FRACTION` of the
+        the uid and rebuilds globally once ``REBUILD_FRACTION`` of the
         live set is dead — rebuild I/Os are charged to the counters.
         """
         stored = self._objects.pop(obj.uid, None)
@@ -119,12 +115,7 @@ class ClassIndexer:
             native(stored)
             return True
         self._tombstones.add(stored.uid)
-        if rebuild_due(
-            len(self._tombstones),
-            len(self._objects),
-            self.disk.block_size,
-            self.REBUILD_FRACTION,
-        ):
+        if rebuild_due(len(self._tombstones), len(self._objects), self.disk.block_size):
             self._rebuild()
         return True
 

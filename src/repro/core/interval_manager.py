@@ -60,12 +60,6 @@ class ExternalIntervalManager:
     supports_deletes = True
     supports_bulk_load = True
 
-    #: rebuild the stabbing structure once tombstones exceed this fraction
-    #: of the live records (the classic global-rebuilding constant: work is
-    #: ``O((n/B) log_B n)`` per rebuild, amortized ``O(log_B n)`` I/Os per
-    #: delete, and space stays within ``1 + REBUILD_FRACTION`` of optimal)
-    REBUILD_FRACTION = 0.5
-
     def __init__(self, disk, intervals: Iterable[Interval] = (), dynamic: bool = True) -> None:
         self.disk = disk
         self.dynamic = dynamic
@@ -81,11 +75,7 @@ class ExternalIntervalManager:
         #: cached strategies over this manager re-plan after a rebuild
         self.generation = 0
 
-        points = [PlanarPoint(iv.low, iv.high, payload=iv) for iv in items]
-        if dynamic:
-            self._stabbing = AugmentedMetablockTree(disk, points)
-        else:
-            self._stabbing = StaticMetablockTree(disk, points)
+        self._stabbing = self._build_stabbing(items)
         self._endpoints = BPlusTree.bulk_load(
             disk, ((iv.low, iv) for iv in items), name="left-endpoints"
         )
@@ -127,7 +117,7 @@ class ExternalIntervalManager:
         manager closes the gap with the standard dynamization trick: the
         record is removed from the left-endpoint B+-tree natively
         (``O(log_B n)`` I/Os), tombstoned out of the stabbing structure's
-        answers, and once tombstones reach :data:`REBUILD_FRACTION` of the
+        answers, and once tombstones reach ``REBUILD_FRACTION`` of the
         live set the stabbing structure is globally rebuilt from the live
         records — all rebuild I/Os are charged to the disk counters, so
         the amortized delete cost stays ``O(log_B n)`` I/Os.
@@ -138,12 +128,7 @@ class ExternalIntervalManager:
             interval.low, match=lambda v, uid=interval.uid: v.uid == uid
         )
         self._tombstones.add(interval.uid)
-        if rebuild_due(
-            len(self._tombstones),
-            len(self._by_uid),
-            self.disk.block_size,
-            self.REBUILD_FRACTION,
-        ):
+        if rebuild_due(len(self._tombstones), len(self._by_uid), self.disk.block_size):
             self._rebuild_stabbing()
         return True
 
@@ -159,26 +144,22 @@ class ExternalIntervalManager:
         static managers too: reconstruction, not insertion, is how the
         paper's static structures absorb batch updates.
 
-        Both replacement structures are built *before* the old ones are
-        destroyed or any bookkeeping changes, so a failing batch (e.g.
-        records whose endpoints do not compare with the resident ones)
-        raises with the manager intact.
+        Both replacements are built *before* anything old is freed or any
+        bookkeeping changes, so a failing batch (e.g. records whose
+        endpoints do not compare with the resident ones) raises with the
+        manager intact; :attr:`endpoints` stays the same tree object.
         """
         new = list(intervals)
         fresh_record_keys(new, self._by_uid)
         combined = list(self._by_uid.values()) + new
         replacement = self._build_stabbing(combined)
         try:
-            endpoints = BPlusTree.bulk_load(
-                self.disk, ((iv.low, iv) for iv in combined), name="left-endpoints"
-            )
+            self._endpoints.rebuild((iv.low, iv) for iv in combined)
         except BaseException:
             replacement.destroy()
             raise
         self._stabbing.destroy()
-        self._endpoints.destroy()
         self._stabbing = replacement
-        self._endpoints = endpoints
         self._by_uid = {iv.uid: iv for iv in combined}
         self._tombstones = set()
         self.generation += 1
@@ -309,6 +290,12 @@ class ExternalIntervalManager:
     def block_count(self) -> int:
         """Total blocks used by both substructures (``O(n/B)``)."""
         return self._stabbing.block_count() + self._endpoints.block_count()
+
+    @property
+    def endpoints(self) -> BPlusTree:
+        """Proposition 2.2's left-endpoint B+-tree, for reading: one object
+        for the manager's lifetime, kept current by every write here."""
+        return self._endpoints
 
     def intervals(self) -> List[Interval]:
         return list(self._by_uid.values())

@@ -6,12 +6,13 @@ indexes over one logical set of records — the canonical interval
 collection (:meth:`Collection.for_intervals`) keeps
 
 * an :class:`~repro.core.ExternalIntervalManager` (stabbing /
-  intersection, Theorem 3.2/3.7),
-* a B+-tree over **low** endpoints, and
+  intersection, Theorem 3.2/3.7): the metablock tree and, beside it,
+  Proposition 2.2's B+-tree over **low** endpoints, which only the manager
+  writes and the ``low-endpoints`` accessor reads, and
 * a B+-tree over **high** endpoints,
 
-all on the same storage backend, kept in sync by the lifecycle-complete
-write path — :meth:`Collection.insert`, :meth:`Collection.delete`,
+three structures on the same storage backend, kept in sync by the
+lifecycle-complete write path — :meth:`Collection.insert`, :meth:`Collection.delete`,
 :meth:`Collection.update`, :meth:`Collection.bulk_load`, and the deferred,
 grouped :class:`WriteBatch` (``with coll.batch(): ...``).  Queries
 go through a :class:`~repro.engine.planner.QueryPlanner` that picks the
@@ -212,6 +213,11 @@ class Collection:
         generation — the planner's cache keeps a tie resolved until the
         next invalidation).
 
+        ``index`` may be a structure an attached index already maintains
+        (``low-endpoints`` reads the interval manager's left-endpoint tree):
+        no write hooks then, its blocks count with the owner's, and the
+        owner cannot be detached before it (see :meth:`detach`).
+
         Attaching changes the planner's candidate set, so the plan cache
         is invalidated: prepared queries re-plan on their next run.
         """
@@ -240,15 +246,30 @@ class Collection:
         if no writes happened in between (or after a fresh bulk build).
         Returns the detached index; its blocks are *not* freed.  The plan
         cache is invalidated, so cached strategies referencing it re-plan.
+
+        Raises :class:`ValueError` naming the accessors that read a structure
+        this index maintains — they would answer from a tree nobody updates.
         """
         for i, acc in enumerate(self._accessors):
             if acc.name == name:
+                readers = [a.name for a in self._accessors if self._owner(a) is acc]
+                if readers:
+                    raise ValueError(f"cannot detach {name!r}: {readers} read a structure it maintains")
                 self._planner.invalidate()
                 del self._accessors[i]
                 return acc.index
         raise KeyError(
             f"no physical index named {name!r}; have {self.physical}"
         )
+
+    def _owner(self, acc: Accessor) -> Optional[Accessor]:
+        """The attached index that holds ``acc``'s structure as a part of
+        itself, if any — it writes that structure and counts its blocks."""
+        for other in self._accessors:
+            parts = getattr(other.index, "__dict__", {}).values()
+            if other is not acc and any(part is acc.index for part in parts):
+                return other
+        return None
 
     @property
     def planner(self) -> QueryPlanner:
@@ -286,13 +307,7 @@ class Collection:
             bulk=manager.bulk_load,
         )
 
-        def endpoint_tree(side: str) -> BPlusTree:
-            tree = BPlusTree.bulk_load(
-                disk,
-                ((getattr(iv, side), iv) for iv in items),
-                name=f"{side}-endpoints",
-            )
-
+        def endpoint_range(side: str) -> Callable[[Any], Optional[Any]]:
             def translate(q: Any) -> Optional[Any]:
                 if isinstance(q, EndpointRange) and q.side == side:
                     return Range(
@@ -303,38 +318,38 @@ class Collection:
                     )
                 return None
 
-            coll.attach(
-                f"{side}-endpoints",
-                tree,
-                translate=translate,
-                run=lambda pq: tree.query(pq, values=True),
-                insert=lambda iv: tree.insert(getattr(iv, side), iv),
-                delete=lambda iv: tree.delete(
-                    getattr(iv, side), match=lambda v: v.uid == iv.uid
-                ),
-                bulk=lambda ivs: tree.bulk_load((getattr(iv, side), iv) for iv in ivs),
-                # only one scan provider is needed; the low tree volunteers
-                scan=(lambda: (iv for _, iv in tree.iter_pairs())) if side == "low" else None,
-                # priced arithmetically (leaves are at least half full, so a
-                # full scan reads <= 2n/B leaf blocks plus the root path) —
-                # walking the tree to count blocks here would itself cost
-                # O(n/B) per plan() call
-                scan_bound=(
-                    (
-                        lambda: Bound.of(
-                            "log_B n + 2n/B (full scan)",
-                            lambda t, tree=tree: log_b(max(tree.size, 2), tree.branching)
-                            + 2.0 * max(tree.size, 1) / tree.branching,
-                        )
-                    )
-                    if side == "low"
-                    else None
-                ),
-            )
-            return tree
+            return translate
 
-        endpoint_tree("low")
-        endpoint_tree("high")
+        # Proposition 2.2's own left-endpoint tree: the manager builds it and
+        # keeps it current, this accessor only reads it (no write hooks)
+        low = manager.endpoints
+        coll.attach(
+            "low-endpoints",
+            low,
+            translate=endpoint_range("low"),
+            run=lambda pq: low.query(pq, values=True),
+            # only one scan provider is needed; the low tree volunteers
+            scan=lambda: (iv for _, iv in low.iter_pairs()),
+            # priced arithmetically (leaves are at least half full, so a
+            # full scan reads <= 2n/B leaf blocks plus the root path) —
+            # walking the tree to count blocks here would itself cost
+            # O(n/B) per plan() call
+            scan_bound=lambda: Bound.of(
+                "log_B n + 2n/B (full scan)",
+                lambda t: log_b(max(low.size, 2), low.branching)
+                + 2.0 * max(low.size, 1) / low.branching,
+            ),
+        )
+        high = BPlusTree.bulk_load(disk, ((iv.high, iv) for iv in items), name="high-endpoints")
+        coll.attach(
+            "high-endpoints",
+            high,
+            translate=endpoint_range("high"),
+            run=lambda pq: high.query(pq, values=True),
+            insert=lambda iv: high.insert(iv.high, iv),
+            delete=lambda iv: high.delete(iv.high, match=lambda v: v.uid == iv.uid),
+            bulk=lambda ivs: high.bulk_load((iv.high, iv) for iv in ivs),
+        )
         return coll
 
     # ------------------------------------------------------------------ #
@@ -589,8 +604,8 @@ class Collection:
         return out
 
     def block_count(self) -> int:
-        """Blocks used by all physical indexes together."""
-        return sum(acc.index.block_count() for acc in self._accessors)
+        """Blocks used by all physical indexes together (each counted once)."""
+        return sum(acc.index.block_count() for acc in self._accessors if self._owner(acc) is None)
 
     @property
     def live_count(self) -> int:
@@ -607,7 +622,7 @@ class Collection:
         self._planner.invalidate()
         for acc in self._accessors:
             destroy = getattr(acc.index, "destroy", None)
-            if callable(destroy):
+            if callable(destroy) and self._owner(acc) is None:
                 destroy()
         self._records = {}
         self._fresh = {}

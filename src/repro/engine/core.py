@@ -463,10 +463,10 @@ class Engine:
     ) -> Collection:
         """Multi-index interval :class:`~repro.engine.collection.Collection`.
 
-        Owns an interval manager *plus* B+-trees over both endpoints, kept
-        in sync by the write path (``insert``/``delete``/``update``/
-        ``bulk_load``/``batch``); queries go through the cost-aware
-        :class:`~repro.engine.planner.QueryPlanner` (see ``explain``).
+        Owns an interval manager (its left-endpoint B+-tree serves the low
+        side) *plus* a B+-tree over high endpoints, kept in sync by the write
+        path (``insert``/``delete``/``update``/``bulk_load``/``batch``); queries go
+        through the cost-aware :class:`~repro.engine.planner.QueryPlanner` (see ``explain``).
         """
         items = list(intervals)
 

@@ -13,8 +13,8 @@ top of *any* static index:
   through the query's ``matches`` oracle, so answers are always current.
 * **deletes** tombstone the record's identity; query streams filter
   tombstoned records out for free.  Once tombstones reach
-  :data:`~RebuildingIndex.REBUILD_FRACTION` of the live set, a global
-  rebuild sweeps them away.
+  :data:`~repro.analysis.complexity.REBUILD_FRACTION` of the live set, a
+  global rebuild sweeps them away.
 * **bulk loads** go straight to one rebuild — the static constructor *is*
   the bulk build.
 
@@ -53,9 +53,6 @@ class RebuildingIndex:
 
     supports_deletes = True
     supports_bulk_load = True
-
-    #: rebuild once tombstones exceed this fraction of the live records
-    REBUILD_FRACTION = 0.5
 
     def __init__(
         self,
@@ -122,9 +119,7 @@ class RebuildingIndex:
                 return True
         self._tombstones.add(key)
         live = len(self._inner_items) - len(self._tombstones)
-        if rebuild_due(
-            len(self._tombstones), live, self.disk.block_size, self.REBUILD_FRACTION
-        ):
+        if rebuild_due(len(self._tombstones), live, self.disk.block_size):
             self._rebuild()
         return True
 

@@ -38,6 +38,9 @@ class Metablock:
     contents and is used only for (re)building organisations and for
     invariant checks; every query path reads the disk blocks, so I/O counts
     are faithful.
+
+    Only the diagonal-corner walk reads the two blockings, so the 3-sided
+    subclass, whose queries never take it, overrides :meth:`build_blockings`.
     """
 
     #: what a metablock builds over its own points (when
@@ -92,16 +95,20 @@ class Metablock:
 
     # -- organisation management ----------------------------------------- #
     def rebuild_organisations(self, disk) -> None:
-        """(Re)build the vertical/horizontal blockings and corner structure."""
+        """(Re)build the bounding box, the blockings and the corner structure."""
         self.destroy_organisations(disk)
         if not self.points:
             self.bbox = None
             return
         self.bbox = BoundingBox.of(self.points)
-        self.vertical = blk.build_vertical(disk, self.points)
-        self.horizontal = blk.build_horizontal(disk, self.points)
+        self.build_blockings(disk)
         if self.needs_corner_structure():
             self.corner = self.structure_class(disk, self.points)
+
+    def build_blockings(self, disk) -> None:
+        """The vertically and the horizontally oriented blocking (Fig. 9)."""
+        self.vertical = blk.build_vertical(disk, self.points)
+        self.horizontal = blk.build_horizontal(disk, self.points)
 
     def needs_corner_structure(self) -> bool:
         """Whether a diagonal corner can fall inside this metablock's region.

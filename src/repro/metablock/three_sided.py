@@ -16,7 +16,10 @@ with one override per item:
    ``needs_corner_structure`` is always true, so the inherited
    ``rebuild_organisations`` and ``_td_insert`` build a 3-sided structure
    over every metablock's own ``O(B^2)`` points, and over its TD points,
-   where Section 3 builds corner structures.
+   where Section 3 builds corner structures.  It stands *instead of* the
+   vertical and horizontal blockings, as the lemma has it:
+   ``build_blockings`` builds nothing, so a metablock holds its bounding
+   box and its PST and writes no organisation that no 3-sided query reads.
 3. Both vertical sides may pass through one metablock — answered by that
    same per-metablock structure (``pst`` in ``_query_node``).
 4. The two vertical sides may fall on two children of the same metablock —
@@ -76,6 +79,9 @@ class ThreeSidedMetablock(DynamicMetablock):
 
     def needs_corner_structure(self) -> bool:
         return True
+
+    def build_blockings(self, disk) -> None:
+        """Neither blocking: ``pst`` answers every case (Lemma 4.3 item 1)."""
 
     def note_below(self, y: Any) -> None:
         if self.desc_max_y is None or y > self.desc_max_y:

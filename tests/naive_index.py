@@ -2,8 +2,9 @@
 
 This is the "trivial, but inefficient, solution" of Section 2.1 — add the
 query constraint to every tuple / scan the whole generalized relation.  It
-serves as the correctness oracle for every other interval structure and as
-the pessimistic baseline in experiment E4.
+is the correctness oracle the interval-manager and engine tests compare
+against (it lived in ``repro.incore`` until PR 17; nothing in the package
+used it).
 """
 
 from __future__ import annotations

@@ -123,6 +123,25 @@ class TestBulkLoad:
         # optimal packing: n/B leaves plus a small number of internal nodes
         assert tree.block_count() <= (n // 10) * 1.3 + 5
 
+    def test_rebuild_replaces_the_contents_of_the_same_tree(self, disk):
+        tree = BPlusTree.bulk_load(disk, [(i, i) for i in range(100)])
+        fresh = BPlusTree.bulk_load(SimulatedDisk(disk.block_size), [(i, -i) for i in range(40, 300)])
+        tree.rebuild((i, -i) for i in range(299, 39, -1))
+        assert list(tree.iter_pairs()) == list(fresh.iter_pairs())
+        assert (tree.size, tree.height) == (fresh.size, fresh.height)
+        # packed like a fresh bulk build, and the old levels were freed
+        assert tree.block_count() == fresh.block_count() == disk.blocks_in_use
+        tree.rebuild([])
+        assert (len(tree), tree.block_count(), disk.blocks_in_use) == (0, 1, 1)
+
+    def test_failing_rebuild_leaves_the_tree_intact(self, disk):
+        tree = BPlusTree.bulk_load(disk, [(i, i) for i in range(100)])
+        root, blocks = tree.root_id, disk.blocks_in_use
+        with pytest.raises(TypeError):
+            tree.rebuild([(1, "x"), ("a", "y")])  # keys that do not compare
+        assert (tree.root_id, tree.size, disk.blocks_in_use) == (root, 100, blocks)
+        assert len(tree.range_search(0, 99)) == 100
+
 
 class TestDeletion:
     def test_delete_missing_returns_false(self, disk):

@@ -6,6 +6,7 @@ combined index of Theorem 4.7, over several hierarchy shapes.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -154,6 +155,32 @@ class TestSimpleIndexStructure:
         objects = [ClassObject(float(i), "D0", payload=i) for i in range(20)]
         index = SimpleClassIndex(SimulatedDisk(4), h, objects)
         assert len(index.query("D0", 5, 10)) == 6
+
+    @pytest.mark.parametrize("shape", sorted(HIERARCHIES))
+    def test_only_nodes_some_full_extent_decomposes_into_exist(self, shape):
+        hierarchy = HIERARCHIES[shape]
+        objects = random_class_objects(hierarchy, 200, seed=8)
+        objects += [ClassObject(1.0, cls) for cls in hierarchy.classes()]
+        index = SimpleClassIndex(SimulatedDisk(8), hierarchy, objects)
+        read_by_some_query = set()
+        for lo, hi in index._class_span.values():
+            read_by_some_query.update(index._canonical_cover(lo, hi + 1))
+        assert set(index.collections()) == read_by_some_query
+        assert len(read_by_some_query) < 2 * len(hierarchy) - 1 or len(hierarchy) == 1
+        # what is reported as stored is what is stored
+        copies = Counter(
+            o.uid
+            for c in index.collections().values()
+            for o in c.range_query(float("-inf"), float("inf"))
+        )
+        assert set(copies) == {o.uid for o in objects}
+        assert max(copies.values()) == index.copies_per_object()
+        assert index.copies_per_object() <= math.ceil(math.log2(len(hierarchy))) + 1
+        assert sum(copies.values()) == len(index)
+
+    def test_balanced_hierarchy_keeps_49_of_the_79_canonical_nodes(self):
+        index = SimpleClassIndex(SimulatedDisk(8), balanced_hierarchy(3, 3), [])
+        assert len(index.collections()) == 49
 
 
 class TestCombinedIndexStructure:

@@ -29,7 +29,7 @@ from repro import (
     SimulatedDisk,
     Stab,
 )
-from repro.incore.naive import NaiveIntervalIndex
+from tests.naive_index import NaiveIntervalIndex
 
 B = 8
 

@@ -1,16 +1,21 @@
-"""Unit tests for the in-core baselines (interval tree, segment tree, PST, naive)."""
+"""Unit tests for the naive interval oracle (``tests/naive_index.py``).
+
+The in-core interval tree, segment tree and priority search tree this file
+also used to cover left the repository in PR 17 (nothing used them); the
+oracle's tests keep their ids.
+"""
 
 import random
 
 import pytest
 
-from repro.incore import IntervalTree, NaiveIntervalIndex, PrioritySearchTree, SegmentTree
 from repro.interval import Interval
 
 from tests.conftest import make_intervals
+from tests.naive_index import NaiveIntervalIndex
 
 
-ALL_STRUCTURES = [NaiveIntervalIndex, IntervalTree, SegmentTree, PrioritySearchTree.from_intervals]
+ALL_STRUCTURES = [NaiveIntervalIndex]
 
 
 def build(factory, intervals):
@@ -40,11 +45,10 @@ class TestStabbingQueries:
     def test_matches_brute_force_on_random_workload(self, factory):
         intervals = make_intervals(400, seed=11)
         structure = build(factory, intervals)
-        naive = NaiveIntervalIndex(intervals)
         rnd = random.Random(5)
         for _ in range(60):
             q = rnd.uniform(-20, 1100)
-            expected = sorted((iv.low, iv.high) for iv in naive.stabbing_query(q))
+            expected = sorted((iv.low, iv.high) for iv in intervals if iv.low <= q <= iv.high)
             got = sorted((iv.low, iv.high) for iv in structure.stabbing_query(q))
             assert got == expected
 
@@ -56,7 +60,7 @@ class TestStabbingQueries:
 
 
 class TestIntersectionQueries:
-    @pytest.mark.parametrize("factory", [NaiveIntervalIndex, IntervalTree, SegmentTree])
+    @pytest.mark.parametrize("factory", ALL_STRUCTURES)
     def test_matches_brute_force(self, factory):
         intervals = make_intervals(300, seed=3)
         structure = build(factory, intervals)
@@ -68,90 +72,10 @@ class TestIntersectionQueries:
             got = sorted((iv.low, iv.high) for iv in structure.intersection_query(lo, hi))
             assert got == expected
 
-    def test_no_duplicates_in_intersection_output(self):
-        intervals = make_intervals(200, seed=9)
-        tree = IntervalTree(intervals)
-        out = tree.intersection_query(100, 400)
-        assert len(out) == len({id(iv) for iv in out})
-
 
 class TestDynamicUpdates:
-    def test_interval_tree_insert_then_query(self):
-        tree = IntervalTree()
-        intervals = make_intervals(150, seed=2)
-        for iv in intervals:
-            tree.insert(iv)
-        assert len(tree) == 150
-        q = 500.0
-        expected = sorted((iv.low, iv.high) for iv in intervals if iv.contains(q))
-        assert sorted((iv.low, iv.high) for iv in tree.stabbing_query(q)) == expected
-
-    def test_interval_tree_delete(self):
-        intervals = make_intervals(50, seed=4)
-        tree = IntervalTree(intervals)
-        victim = intervals[10]
-        assert tree.delete(victim)
-        assert not tree.delete(victim) or victim in intervals  # second delete may hit an equal twin
-        assert len(tree) == 49
-
-    def test_segment_tree_insert_with_new_endpoints_rebuilds(self):
-        st = SegmentTree(make_intervals(50, seed=6))
-        new = Interval(-500.0, -400.0)
-        st.insert(new)
-        assert new in st.stabbing_query(-450.0)
-
     def test_naive_delete(self):
         naive = NaiveIntervalIndex([Interval(1, 2), Interval(3, 4)])
         assert naive.delete(Interval(1, 2))
         assert not naive.delete(Interval(9, 10))
         assert len(naive) == 1
-
-    def test_pst_insert_then_query(self):
-        pst = PrioritySearchTree()
-        intervals = make_intervals(200, seed=8)
-        for iv in intervals:
-            pst.insert_interval(iv)
-        assert len(pst) == 200
-        q = 333.0
-        expected = sorted((iv.low, iv.high) for iv in intervals if iv.contains(q))
-        assert sorted((iv.low, iv.high) for iv in pst.stabbing_query(q)) == expected
-
-
-class TestPrioritySearchTreeQueries:
-    def test_three_sided_query_matches_brute_force(self):
-        rnd = random.Random(12)
-        points = [(rnd.uniform(0, 100), rnd.uniform(0, 100), i) for i in range(300)]
-        pst = PrioritySearchTree(points)
-        for _ in range(40):
-            x1 = rnd.uniform(0, 100)
-            x2 = x1 + rnd.uniform(0, 40)
-            y0 = rnd.uniform(0, 100)
-            expected = sorted((x, y) for x, y, _ in points if x1 <= x <= x2 and y >= y0)
-            got = sorted((x, y) for x, y, _ in pst.query_3sided(x1, x2, y0))
-            assert got == expected
-
-    def test_two_sided_query_is_diagonal_shape(self):
-        points = [(1, 10, "a"), (5, 3, "b"), (7, 8, "c")]
-        pst = PrioritySearchTree(points)
-        got = {p[2] for p in pst.query_2sided(6, 5)}
-        assert got == {"a"}
-
-    def test_expected_logarithmic_height_on_random_input(self):
-        rnd = random.Random(1)
-        pst = PrioritySearchTree()
-        for i in range(1000):
-            pst.insert(rnd.random(), rnd.random(), i)
-        assert pst.height() <= 200  # far below the worst case of 1000 for random order
-
-    def test_points_returns_everything(self):
-        pst = PrioritySearchTree([(1, 2, None), (3, 4, None)])
-        assert len(pst.points()) == 2
-
-
-class TestSegmentTreeSpace:
-    def test_stored_copies_grow_superlinearly(self):
-        """The segment tree's O(n log n) redundancy (contrast with the metablock tree)."""
-        small = SegmentTree(make_intervals(100, seed=1))
-        large = SegmentTree(make_intervals(800, seed=1))
-        assert large.stored_copies() / 800 > small.stored_copies() / 100 * 0.9
-        assert large.stored_copies() >= 800  # at least one copy each

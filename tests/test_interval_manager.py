@@ -6,11 +6,11 @@ import pytest
 
 from repro.analysis.complexity import linear_space_bound, metablock_query_bound
 from repro.core import ExternalIntervalManager
-from repro.incore import NaiveIntervalIndex
 from repro.interval import Interval
 from repro.io import SimulatedDisk
 
 from tests.conftest import make_intervals
+from tests.naive_index import NaiveIntervalIndex
 
 
 class TestCorrectness:

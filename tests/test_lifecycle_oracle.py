@@ -18,6 +18,7 @@ from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
 from repro.engine import (
     BOUND_SLACK,
     BOUND_SLACK_PAGES,
+    ClassRange,
     EndpointRange,
     Engine,
     Range,
@@ -28,6 +29,7 @@ from repro.engine import (
 from repro.interval import Interval, intervals_stabbed
 from repro.io import FileDisk, SimulatedDisk
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
+from repro.workloads import balanced_hierarchy, chain_hierarchy, star_hierarchy
 
 B = 8
 
@@ -284,6 +286,39 @@ class TestDeleteHeavyEveryKind:
             got = sorted(o.uid for o in index.iter_query(cls, 20, 70))
             assert got == want, (method, cls)
         assert index.live_count == len(model)
+
+        # the same run interleaved with inserts, over the shapes that decide
+        # which range-tree nodes and path pieces exist; every class is asked
+        two_roots = ClassHierarchy()
+        for root in ("R", "S"):
+            two_roots.add_class(root)
+            for child in "abc":
+                two_roots.add_class(root + child, root)
+            two_roots.add_class(root + "a1", root + "a")
+        shapes = {
+            "chain": chain_hierarchy(9),
+            "star": star_hierarchy(7),
+            "balanced": balanced_hierarchy(2, 3),
+            "two-root": two_roots,
+        }
+        for shape, hierarchy in shapes.items():
+            classes = hierarchy.classes()
+            model = [ClassObject(rnd.uniform(0, 100), rnd.choice(classes)) for _ in range(80)]
+            index = engine.create_class_index(shape, hierarchy, model, method=method)
+            for step, victim in enumerate(rnd.sample(model, 60)):
+                assert engine.delete(shape, victim)
+                model.remove(victim)
+                if step % 3 == 0:
+                    model.append(ClassObject(rnd.uniform(0, 100), rnd.choice(classes)))
+                    engine.insert(shape, model[-1])
+            for cls in classes:
+                lo = rnd.uniform(0, 60)
+                q = ClassRange(cls, lo, lo + 40)
+                want = sorted(o.uid for o in model
+                              if o.class_name in hierarchy.descendants(cls)
+                              and q.low <= o.key <= q.high)
+                assert sorted(o.uid for o in engine.query(shape, q)) == want, (method, shape, cls)
+            assert index.live_count == len(model)
 
     def test_key_index_btree(self):
         rnd = random.Random(6)

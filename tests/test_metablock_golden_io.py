@@ -16,6 +16,11 @@ then moved the ``inserted`` halves (a point inserted through a split is now
 recorded in the TD structure of every surviving ancestor, and a push-down
 flushes every receiver), and CHANGES.md (PR 14) lists the parent's values
 beside these.  A row may change only together with such a line.
+
+PR 17 lowered the ``built`` / ``inserted`` totals of the three 3-sided rows
+(a 3-sided metablock no longer builds the two blockings its queries never
+read; reads, every query entry and every augmented row stayed) — CHANGES.md
+(PR 17) has the parent's values.
 """
 
 import random
@@ -150,23 +155,23 @@ GOLDEN = {
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 4): {
-        "built": [258, 0, 258, 258, 0],
+        "built": [186, 0, 186, 186, 0],
         "built_queries": [10, 29, 12, 12, 7, 9, 13, 13, 17, 9, 13, 0],
-        "inserted": [585, 891, 4820, 4073, 3488],
+        "inserted": [407, 891, 3884, 3137, 2730],
         "inserted_queries": [16, 44, 18, 28, 12, 14, 19, 21, 29, 18, 90, 8],
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 8): {
-        "built": [1021, 0, 1021, 1021, 0],
+        "built": [749, 0, 749, 749, 0],
         "built_queries": [8, 13, 19, 7, 6, 12, 20, 13, 23, 0, 16, 0],
-        "inserted": [2032, 3683, 22216, 18670, 16638],
+        "inserted": [1478, 3683, 18114, 14568, 13090],
         "inserted_queries": [13, 25, 32, 13, 21, 20, 34, 19, 32, 7, 150, 10],
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 16): {
-        "built": [4078, 0, 4078, 4078, 0],
+        "built": [3022, 0, 3022, 3022, 0],
         "built_queries": [135, 85, 107, 21, 0, 92, 95, 18, 91, 225, 44, 0],
-        "inserted": [7384, 20669, 122401, 102645, 95261],
+        "inserted": [5508, 20669, 100631, 80875, 75367],
         "inserted_queries": [179, 129, 141, 30, 12, 111, 120, 32, 136, 326, 467, 18],
         "height": 3,
     },

@@ -194,3 +194,17 @@ class TestIsTheAugmentedTree:
             got = sorted((p.x, p.y) for p in tree.diagonal_query(q))
             assert got == sorted((p.x, p.y) for p in pts if p.x <= q <= p.y)
         assert ThreeSidedMetablockTree(tiny_disk).diagonal_query(1.0) == []
+
+    def test_a_metablock_holds_its_pst_and_neither_blocking(self):
+        """Lemma 4.3 item 1: no organisation that no 3-sided query reads."""
+        disk = SimulatedDisk(4)
+        pts = make_points(700, seed=15)
+        tree = ThreeSidedMetablockTree(disk, pts[:300])
+        tree.insert_many(pts[300:])  # through leaf splits and push-downs
+        metablocks = list(tree.iter_metablocks())
+        assert len(metablocks) > 10
+        for mb in metablocks:
+            assert mb.vertical is None and mb.horizontal is None
+            assert (mb.pst is not None) == bool(mb.points)
+        assert tree.block_count() == disk.blocks_in_use
+
