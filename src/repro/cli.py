@@ -35,7 +35,8 @@ import os
 import random
 import sys
 import time
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.analysis.tessellation import GridTessellation
 from repro.core import ClassIndexer
@@ -371,6 +372,30 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(max(args.interval, 0.1))
 
 
+@contextmanager
+def _terminate_as_interrupt() -> Iterator[None]:
+    """Deliver SIGTERM like Ctrl-C inside the scope: a termination signal
+    must run the same orderly path — stop accepting, drain, checkpoint,
+    truncate the WAL, close.  An acknowledged write is durable either way,
+    but a clean exit spares the next open a replay."""
+    import signal
+
+    def _terminate(signum: int, frame: object) -> None:
+        raise KeyboardInterrupt
+
+    previous = {}
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[sig] = signal.signal(sig, _terminate)
+        except (ValueError, OSError):  # non-main thread / unsupported
+            pass
+    try:
+        yield
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the concurrent JSON-line server over one engine.
 
@@ -382,8 +407,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``--demo N`` preloads a ``base`` interval collection so clients have
     something to query immediately.
     """
-    import signal
-
     from repro.server import ReproServer
 
     # a dedicated server process services every connection from its own
@@ -427,26 +450,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"durability={durability} obs={observability} "
           f"listening on {host}:{port}", flush=True)
 
-    # a termination signal must run the same orderly path as Ctrl-C:
-    # stop accepting, drain, checkpoint, truncate the WAL, close the
-    # engine — an acknowledged write is durable either way, but a clean
-    # exit spares the next open a replay
-    def _terminate(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _terminate)
-        except (ValueError, OSError):  # non-main thread / unsupported
-            pass
     try:
-        server.serve_forever()
+        with _terminate_as_interrupt():
+            server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: interrupted, shutting down", flush=True)
     finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
         server.close()
     print("repro serve: stopped", flush=True)
     return 0
@@ -464,8 +473,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     gracefully: frontend first, then a parallel wire shutdown of every
     shard, exiting 0 only when all of them checkpointed cleanly.
     """
-    import signal
-
     from repro.cluster import TOPOLOGY_FILE, Cluster
 
     # same GIL handoff tuning as ``repro serve``: the router runs one
@@ -500,23 +507,13 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    def _terminate(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _terminate)
-        except (ValueError, OSError):  # non-main thread / unsupported
-            pass
     clean = True
     try:
-        cluster.serve_forever()
+        with _terminate_as_interrupt():
+            cluster.serve_forever()
     except KeyboardInterrupt:
         print("repro cluster: interrupted, draining shards", flush=True)
     finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
         clean = cluster.close()
     print(f"repro cluster: stopped ({'clean' if clean else 'UNCLEAN'} drain)",
           flush=True)
@@ -568,18 +565,6 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # the persistent-database subcommands (bulk-load / delete / catalog)
 # --------------------------------------------------------------------------- #
-def _open_db(args: argparse.Namespace, *, must_exist: bool = False) -> Engine:
-    """Reopen the catalog at ``--db`` (or start a fresh page file there).
-
-    ``must_exist`` refuses to create a database as a side effect — commands
-    that only mutate existing data (``delete``) set it so a typo'd path
-    fails cleanly instead of leaving an empty page file behind.
-    """
-    if must_exist and not FileDisk.exists(args.db):
-        raise FileNotFoundError(f"no database at {args.db!r} (missing sidecar)")
-    return Engine.open_or_create(args.db, block_size=args.block_size)
-
-
 def _read_rows(path: str) -> List[Any]:
     """Raw record rows from a JSON array or JSON-lines file (no records built)."""
     with open(path) as fh:
@@ -613,18 +598,13 @@ def _as_intervals(rows: List[Any]) -> List[Interval]:
     return out
 
 
-def _read_records(path: str) -> List[Interval]:
-    """Interval records straight from a file (see :func:`_read_rows`)."""
-    return _as_intervals(_read_rows(path))
-
-
 def _cmd_bulk_load(args: argparse.Namespace) -> int:
     # parse the file first (a typo'd --file must not create a database as a
     # side effect), but construct the records only AFTER the catalog is
     # open: the restore advances the process uid counters past every stored
     # record, so the batch built here cannot collide with resident uids
     rows = _read_rows(args.file)
-    engine = _open_db(args)
+    engine = Engine.open_or_create(args.db, block_size=args.block_size)
     try:
         records = _as_intervals(rows)
         if args.index not in engine:
@@ -656,20 +636,16 @@ def _cmd_delete(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     q = Stab(args.stab) if args.stab is not None else Range(*args.range)
-    try:
-        engine = _open_db(args, must_exist=True)
-    except FileNotFoundError as exc:
-        print(f"delete: {exc}", file=sys.stderr)
+    if not FileDisk.exists(args.db):
+        # a typo'd path must fail cleanly, not leave an empty page file behind
+        print(f"delete: no database at {args.db!r} (missing sidecar)", file=sys.stderr)
         return 2
+    engine = Engine.open(args.db)
     try:
-        victims = engine.query(args.index, q).all()
-        if args.limit is not None:
-            victims = victims[: args.limit]
-        with engine.measure() as m:
-            removed = sum(1 for v in victims if engine.delete(args.index, v))
+        res = engine.session().delete_matching(args.index, q, limit=args.limit)
         index = engine[args.index]
-        print(f"delete: {removed} records matching {q!r} from {args.index!r}")
-        print(f"  I/Os           : {m.ios}")
+        print(f"delete: {len(res)} records matching {q!r} from {args.index!r}")
+        print(f"  I/Os           : {res.ios}")
         print(f"  records live   : {getattr(index, 'live_count', len(index))}")
     except KeyError as exc:
         print(f"delete: {exc.args[0]}", file=sys.stderr)
@@ -679,6 +655,16 @@ def _cmd_delete(args: argparse.Namespace) -> int:
     return 0
 
 
+def _wal_records(db: str) -> "Tuple[str, Optional[List[Any]]]":
+    """The log next to ``db``, decoded read-only: its path and every intact
+    record (``None`` when there is no log)."""
+    from repro.durability.wal import read_log
+    from repro.engine.core import WAL_SUFFIX
+
+    path = db + WAL_SUFFIX
+    return path, list(read_log(path)) if os.path.exists(path) else None
+
+
 def _cmd_wal(args: argparse.Namespace) -> int:
     """``repro wal inspect``: decode a database's write-ahead log.
 
@@ -686,15 +672,11 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     reported, never truncated, so the command is safe on a live server's
     log and preserves a crashed process's evidence for a later recovery.
     """
-    from repro.durability.wal import read_log
-    from repro.engine.core import WAL_SUFFIX
-
-    path = args.db + WAL_SUFFIX
-    if not os.path.exists(path):
+    path, records = _wal_records(args.db)
+    if records is None:
         print(f"wal inspect: no log at {path!r}", file=sys.stderr)
         return 2
     file_size = os.path.getsize(path)
-    records = list(read_log(path))
     intact = sum(r.length for r in records)
     print(f"wal inspect: {path} ({file_size} bytes, {len(records)} records)")
     by_kind: dict = {}
@@ -728,23 +710,52 @@ def _cmd_wal(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    """``repro catalog``: list the last checkpoint's catalog, read-only.
+
+    Nothing is opened for writing, rebuilt, replayed or synced — the sidecar's
+    extent table locates the catalog root, one page read (one I/O) yields the
+    entries, the WAL is decoded only to count what lies past the checkpoint —
+    so, like ``wal inspect``, it is safe on the database of a live server.
+    """
+    import pickle
+
+    from repro.engine.core import read_catalog
+    from repro.io import pagecodec
+    from repro.io.counters import IOStats
+    from repro.io.disk import Block
+
     if not FileDisk.exists(args.db):
-        print(f"catalog: no database at {args.db!r} (missing sidecar)",
-              file=sys.stderr)
+        print(f"catalog: no database at {args.db!r} (missing sidecar)", file=sys.stderr)
         return 2
-    engine = Engine.open(args.db)
-    try:
-        entries = engine.catalog()
-        print(f"catalog: {args.db} (B={engine.block_size}, "
-              f"{engine.block_count()} blocks)")
-        if not entries:
-            print("  (empty)")
-        for entry in entries:
-            params = ", ".join(f"{k}={v!r}" for k, v in sorted(entry["params"].items()))
-            print(f"  {entry['name']:20s} kind={entry['kind']:10s} "
-                  f"records={entry['records']}  {params}")
-    finally:
-        engine.close()
+    stats = IOStats()
+    with open(args.db + ".meta", "rb") as fh:
+        sidecar = pickle.loads(fh.read())
+
+    def read(block_id: int) -> Block:
+        offset, length = sidecar["extents"][block_id]
+        with open(args.db, "rb") as fh:
+            fh.seek(offset)
+            raw = fh.read(length)
+        stats.count(reads=1)
+        return Block.lazy(
+            block_id, *pagecodec.decode(raw, block_id, offset, length),
+            pagecodec.DecodeTally(),
+        )
+
+    entries = [entry for entry, _ in read_catalog(read, sidecar["meta"])]
+    print(f"catalog: {args.db} (B={sidecar['block_size']}, "
+          f"{len(sidecar['extents'])} blocks, {stats.reads} I/O)")
+    if not entries:
+        print("  (empty)")
+    for entry in entries:
+        params = ", ".join(f"{k}={v!r}" for k, v in sorted(entry["params"].items())
+                           if k != "hierarchy")
+        print(f"  {entry['name']:20s} kind={entry['kind']:10s} "
+              f"records={entry['count']}  {params}")
+    durable = int(sidecar["meta"].get("durable_epoch", 0))
+    tail = sum(1 for r in _wal_records(args.db)[1] or () if r.epoch > durable)
+    print(f"  wal tail       : {tail} record(s) past the checkpoint "
+          f"(epoch {durable}); the listing does not include them")
     return 0
 
 
@@ -881,6 +892,25 @@ def build_parser() -> argparse.ArgumentParser:
                  "resident pages (the paper's O(B^2) main memory is PAGES=B)",
         )
 
+    def add_interval_query(
+        p: argparse.ArgumentParser, *, stab: str, range_: str, endpoint: str,
+        after_stab: Callable[[], Any] = lambda: None,
+    ) -> None:
+        """The data and query flags ``explain`` and ``trace`` share (what
+        :func:`_compose_explain_query` reads); only the help texts differ."""
+        p.add_argument("--n", type=int, default=5_000)
+        p.add_argument("--block-size", type=int, default=16)
+        p.add_argument("--mean-length", type=float, default=25.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--stab", type=float, default=None, metavar="X", help=stab)
+        after_stab()  # flags keep their --help order
+        p.add_argument("--range", type=float, nargs=2, default=None,
+                       metavar=("LO", "HI"), help=range_)
+        p.add_argument("--endpoint", action="append", nargs=3, default=None,
+                       metavar=("SIDE", "LO", "HI"), help=endpoint)
+        p.add_argument("--order-by", choices=["low", "high"], default=None)
+        p.add_argument("--limit", type=int, default=None)
+
     p = sub.add_parser("intervals", help="interval-management demo (Theorem 3.2/3.7)")
     p.add_argument("--n", type=int, default=5_000)
     p.add_argument("--block-size", type=int, default=16)
@@ -910,20 +940,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the planner's chosen plan and predicted bound for a "
              "composed query over a multi-index interval collection",
     )
-    p.add_argument("--n", type=int, default=5_000)
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--mean-length", type=float, default=25.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stab", type=float, default=None, metavar="X",
-                   help="conjoin a stabbing query at X")
-    p.add_argument("--range", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"), help="conjoin an intersection query")
-    p.add_argument("--endpoint", action="append", nargs=3, default=None,
-                   metavar=("SIDE", "LO", "HI"),
-                   help="conjoin an endpoint range (SIDE is 'low' or 'high'); "
-                        "repeatable")
-    p.add_argument("--order-by", choices=["low", "high"], default=None)
-    p.add_argument("--limit", type=int, default=None)
+    add_interval_query(
+        p,
+        stab="conjoin a stabbing query at X",
+        range_="conjoin an intersection query",
+        endpoint="conjoin an endpoint range (SIDE is 'low' or 'high'); repeatable",
+    )
     p.add_argument("--cached", action="store_true",
                    help="re-plan the same query and report whether the "
                         "planner's signature-keyed plan cache served it")
@@ -935,25 +957,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one traced request and print its span tree, checking "
              "that the tree's I/Os compose and the bound residual holds",
     )
-    p.add_argument("--n", type=int, default=5_000)
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--mean-length", type=float, default=25.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stab", type=float, default=None, metavar="X",
-                   help="stab point (default 500.0); with --adhoc this "
-                        "conjoins like 'explain'")
-    p.add_argument("--adhoc", action="store_true",
-                   help="route the composed explain-style query through "
-                        "the full planner instead of the prepared fast "
-                        "path (shows planner.plan / planner.enumerate)")
-    p.add_argument("--range", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"), help="[--adhoc] conjoin an "
-                   "intersection query")
-    p.add_argument("--endpoint", action="append", nargs=3, default=None,
-                   metavar=("SIDE", "LO", "HI"),
-                   help="[--adhoc] conjoin an endpoint range; repeatable")
-    p.add_argument("--order-by", choices=["low", "high"], default=None)
-    p.add_argument("--limit", type=int, default=None)
+    add_interval_query(
+        p,
+        stab="stab point (default 500.0); with --adhoc this conjoins like 'explain'",
+        range_="[--adhoc] conjoin an intersection query",
+        endpoint="[--adhoc] conjoin an endpoint range; repeatable",
+        after_stab=lambda: p.add_argument(
+            "--adhoc", action="store_true",
+            help="route the composed explain-style query through the full "
+                 "planner instead of the prepared fast path (shows "
+                 "planner.plan / planner.enumerate)"),
+    )
     p.add_argument("--out", default=None, metavar="JSON",
                    help="also write the span tree as JSON (the CI trace "
                         "artifact)")

@@ -58,7 +58,7 @@ def apply_op(engine: Any, op: Tuple[Any, ...]) -> None:
     elif kind == "create":
         entry, records = op[1], op[2]
         _advance_uids(records)
-        engine._restore(entry, records)
+        engine.create(entry["name"], entry["kind"], records, **entry["params"])
     elif kind == "drop":
         engine.drop_index(op[1])
     else:

@@ -4,9 +4,12 @@ An engine owns a storage backend (any :class:`~repro.io.StorageBackend`:
 the in-memory :class:`~repro.io.SimulatedDisk`, the file-backed
 :class:`~repro.io.FileDisk`, or either wrapped in a
 :class:`~repro.io.BufferManager`) and a namespace of indexes built on it.
-All index kinds from the paper hang off ``create_*`` constructors and share
-the uniform :class:`~repro.engine.protocols.Index` surface, so application
-code never touches the concrete structures:
+An index kind is defined in exactly one place, the :data:`KINDS` table
+(``kind -> (build, read)``), and built by :meth:`Engine.create`; the typed
+``create_*`` constructors are thin calls to it, and the engine looks an
+index (and its one planner) up by name — it never asks what it is.  All
+kinds share the uniform :class:`~repro.engine.protocols.Index` surface, so
+application code never touches the concrete structures:
 
 >>> from repro import Engine, Interval, Stab
 >>> eng = Engine(block_size=16)
@@ -20,14 +23,19 @@ True
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextlib import contextmanager
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sized, Tuple,
+)
 
+from repro import interval as _interval
 from repro.analysis import lockdep
 from repro.btree import BPlusTree
+from repro.classes import hierarchy as _hierarchy
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
 from repro.constraints.index import GeneralizedOneDimensionalIndex
 from repro.constraints.relation import GeneralizedRelation
@@ -37,7 +45,6 @@ from repro.durability import EpochManager, WriteAheadLog
 from repro.durability.recovery import replay_wal
 from repro.engine.collection import Collection
 from repro.engine.planner import Plan, QueryPlanner
-from repro.engine.queries import COMPOSED
 from repro.engine.rebuilding import RebuildingIndex
 from repro.engine.result import QueryResult
 from repro.engine.session import EngineSession, RWLock
@@ -46,6 +53,7 @@ from repro.interval import Interval
 from repro.io import BufferManager, FileDisk, SimulatedDisk
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
+from repro.metablock import geometry as _geometry
 from repro.metablock.geometry import PlanarPoint
 from repro.pst import ExternalPST
 from repro.records import record_key
@@ -56,21 +64,73 @@ DEFAULT_BLOCK_SIZE = 16
 WAL_SUFFIX = ".wal"
 
 
-def _catalog_records(kind: str, index: Any) -> List[Any]:
-    """The logical records the catalog persists for one index kind."""
-    if kind == "interval":
-        return index.intervals()
-    if kind == "collection":
-        return index.records()
-    if kind == "key":
-        return list(index.iter_pairs())
-    if kind == "point":
-        return index.items()
-    if kind == "class":
-        return index.objects()
-    if kind == "constraint":
-        return list(index.relation.tuples)
-    raise ValueError(f"unknown catalog kind {kind!r}")
+def _build_constraint(disk: Any, name: str, records: Any, p: Dict[str, Any]) -> Any:
+    # create_constraint_index hands over the caller's own relation object;
+    # a restore or a WAL replay hands over its tuples
+    if not isinstance(records, GeneralizedRelation):
+        records = GeneralizedRelation(p["variables"], records, name=p["relation_name"])
+    return GeneralizedOneDimensionalIndex(
+        disk, records, p["attribute"], dynamic=p["dynamic"]
+    )
+
+
+#: The one place an index kind is defined: ``kind -> (build, read)``.
+#: ``build(disk, name, records, params)`` constructs the index over its
+#: logical records — ``params`` are the constructor's keyword arguments,
+#: exactly as the catalog entry records them; ``read(index)`` hands the
+#: records back — what a checkpoint writes and the WAL's ``create`` op
+#: logs, so ``build(..., read(index), params)`` restores every kind.
+KINDS: Dict[str, Tuple[Callable[..., Any], Callable[[Any], List[Any]]]] = {
+    "interval": (
+        lambda disk, name, records, p: ExternalIntervalManager(disk, records, **p),
+        lambda index: index.intervals(),
+    ),
+    "collection": (
+        lambda disk, name, records, p: Collection.for_intervals(
+            disk, records, name=name, **p
+        ),
+        lambda index: index.records(),
+    ),
+    "key": (
+        lambda disk, name, records, p: BPlusTree.bulk_load(disk, records, name=name),
+        lambda index: list(index.iter_pairs()),
+    ),
+    "point": (
+        lambda disk, name, records, p: RebuildingIndex(
+            disk, lambda items: ExternalPST(disk, items), records
+        ),
+        lambda index: index.items(),
+    ),
+    "class": (
+        lambda disk, name, records, p: ClassIndexer(disk, objects=records, **p),
+        lambda index: index.objects(),
+    ),
+    "constraint": (_build_constraint, lambda index: list(index.relation.tuples)),
+}
+
+
+def read_catalog(
+    read: Callable[[int], Any], meta: Mapping[str, Any]
+) -> Iterator[Tuple[Dict[str, Any], Iterator[Any]]]:
+    """The catalog :meth:`Engine.checkpoint` wrote, as ``(entry, records)``.
+
+    ``read`` is any block reader — the engine's disk in :meth:`Engine.open`,
+    a read-only page reader in ``repro catalog`` — and ``meta`` the backend's
+    ``meta`` store.  ``entry`` carries ``name``, ``kind``, ``params``, chain
+    ``head`` and record ``count``; ``records`` walks the chain lazily, so a
+    listing that never touches it reads the root block only.
+    """
+
+    def chain(head: Optional[int]) -> Iterator[Any]:
+        while head is not None:
+            block = read(head)
+            yield from block.records
+            head = block.header["next"]
+
+    root_id = meta.get("catalog_root")
+    if root_id is not None:
+        for entry in read(root_id).header["entries"]:
+            yield entry, chain(entry["head"])
 
 
 def _record_uid(record: Any) -> Optional[int]:
@@ -85,6 +145,16 @@ def _record_uid(record: Any) -> Optional[int]:
     return uid if isinstance(uid, int) else None
 
 
+def _highest_uid(records: Iterable[Any]) -> int:
+    """The highest uid among ``records`` (``-1`` when none carries one)."""
+    highest = -1
+    for record in records:
+        uid = _record_uid(record)
+        if uid is not None and uid > highest:
+            highest = uid
+    return highest
+
+
 def advance_uid_floor(horizon: int) -> None:
     """Advance the process-wide uid counters past ``horizon``.
 
@@ -93,13 +163,6 @@ def advance_uid_floor(horizon: int) -> None:
     highest uid any shard reports (``uid_horizon`` in the server's
     ``stats``), so a restarted router can never re-mint a resident uid.
     """
-    import itertools
-
-    from repro.classes import hierarchy as _hierarchy
-    from repro.metablock import geometry as _geometry
-
-    from repro import interval as _interval
-
     if horizon < 0:
         return
     for module, attr in (
@@ -120,12 +183,7 @@ def _advance_uid_counters(records: Iterable[Any]) -> None:
     skip past them or a freshly constructed record could collide with a
     restored one (breaking duplicate detection and union deduplication).
     """
-    highest = -1
-    for record in records:
-        uid = _record_uid(record)
-        if uid is not None:
-            highest = max(highest, uid)
-    advance_uid_floor(highest)
+    advance_uid_floor(_highest_uid(records))
 
 
 class Engine:
@@ -172,13 +230,17 @@ class Engine:
         #: the attached :class:`~repro.durability.WriteAheadLog`, or
         #: ``None`` (in-memory engines run without one by default)
         self.wal: Optional[WriteAheadLog] = None
-        #: per-index catalog spec (kind + construction parameters); what
-        #: :meth:`checkpoint` serializes through the storage backend
+        #: per-index catalog entry (``name``, ``kind``, construction
+        #: ``params``): what :meth:`create` takes, the WAL's ``create`` op
+        #: logs and :meth:`checkpoint` serializes through the backend
         self._catalog: Dict[str, Dict[str, Any]] = {}
-        #: one long-lived (plan-caching) planner per plain index, built
-        #: lazily — constructing a planner per query would re-enumerate
-        #: candidates every call and throw the plan cache away with it
+        #: the one long-lived (plan-caching) planner of every index, from
+        #: :meth:`create` to :meth:`drop_index` — constructing a planner per
+        #: query would re-enumerate candidates every call and throw the plan
+        #: cache away with it
         self._planners: Dict[str, QueryPlanner] = {}
+        #: the highest uid that ever entered an index (:meth:`uid_horizon`)
+        self._uid_horizon = -1
 
     # ------------------------------------------------------------------ #
     # the commit kernel (every mutation is one committed write turn)
@@ -201,6 +263,7 @@ class Engine:
         name: str,
         fn: Callable[[], Any],
         op: Any = None,
+        entering: Iterable[Any] = (),
     ) -> Any:
         """One committed write turn: apply → log → fsync → publish → GC.
 
@@ -217,10 +280,12 @@ class Engine:
         ``op`` is the WAL operation tuple (or a zero-argument callable
         producing it, evaluated after a successful apply; ``None`` skips
         logging).  A failed apply publishes an empty epoch so the epoch
-        chain never stalls, and logs nothing.
+        chain never stalls, and logs nothing.  ``entering`` are the records
+        the turn adds to an index; :meth:`uid_horizon` is raised over them.
         """
         lsn = None
         epoch: Optional[int] = None
+        highest = _highest_uid(entering)  # O(batch): before the mutex, not under it
         wait0 = time.perf_counter()
         try:
             with self._write_mutex:
@@ -228,6 +293,7 @@ class Engine:
                     (time.perf_counter() - wait0) * 1e3
                 )
                 epoch = self._epochs.begin()
+                self._uid_horizon = max(self._uid_horizon, highest)
                 latch = self._latch(name)
                 latch.acquire_write()
                 self._epochs.set_write_epoch(epoch)
@@ -257,6 +323,12 @@ class Engine:
         # see — with no readers pinned this purges the commit's own
         # tombstones before returning, so single-caller deletes stay
         # physically immediate
+        self._purge_versions(name)
+        return out
+
+    def _purge_versions(self, name: str) -> None:
+        """Reclaim one index's versions below the GC horizon, under its
+        exclusive latch inside the (reentrant) write mutex."""
         index = self._indexes.get(name)
         if isinstance(index, Collection) and index.has_mvcc_state:
             with self._write_mutex:
@@ -266,7 +338,6 @@ class Engine:
                     index.purge_versions(self._epochs.safe_epoch())
                 finally:
                     latch.release_write()
-        return out
 
     @contextmanager
     def read_turn(self, name: str) -> Iterator[int]:
@@ -326,47 +397,54 @@ class Engine:
     # ------------------------------------------------------------------ #
     # index creation
     # ------------------------------------------------------------------ #
-    def _claim_name(self, name: str) -> None:
-        """Reject duplicates *before* any blocks are allocated for the index."""
-        if name in self._indexes:
-            raise DuplicateError(f"an index named {name!r} already exists")
+    def create(
+        self, name: str, kind: str, records: Iterable[Any] = (), **params: Any
+    ) -> Any:
+        """Build an index of ``kind`` (a key of :data:`KINDS`) under ``name``.
 
-    def _register(self, name: str, index: Any, kind: str, **params: Any) -> Any:
-        self._indexes[name] = index
-        self._catalog[name] = {"kind": kind, "params": params}
-        if isinstance(index, Collection):
-            index.epochs = self._epochs
-        return index
-
-    def _create_op(self, name: str) -> Tuple[Any, ...]:
-        """The WAL record for a just-registered index: entry + records.
-
-        Mirrors the catalog checkpoint format, so recovery replays a
-        create through the same ``_restore`` machinery — which is what
-        makes WAL-only recovery (a crash before the first checkpoint)
-        work for every index kind.
+        The one constructor behind every ``create_*`` method, the catalog
+        restore of :meth:`open` and the replay of a WAL ``create`` op;
+        ``params`` are the kind's construction parameters as the catalog
+        entry records them.  A duplicate name is rejected *before* any
+        block is allocated.  One committed write turn, whose WAL record
+        mirrors the checkpoint format (entry + logical records) — which
+        makes WAL-only recovery (a crash before the first checkpoint) work.
         """
-        spec = self._catalog[name]
-        records = _catalog_records(spec["kind"], self._indexes[name])
-        entry = {"name": name, "kind": spec["kind"], "params": dict(spec["params"])}
-        return ("create", entry, records)
+        if kind not in KINDS:
+            raise ValueError(f"unknown index kind {kind!r}; know {sorted(KINDS)}")
+        build, read = KINDS[kind]
+        entry = {"name": name, "kind": kind, "params": params}
+        if not isinstance(records, Sized):
+            # read twice (the build, the uid horizon): drain a one-shot
+            # iterable once, before any lock is taken
+            records = list(records)
+
+        def do() -> Any:
+            if name in self._indexes:
+                raise DuplicateError(f"an index named {name!r} already exists")
+            index = build(self.disk, name, records, params)
+            self._indexes[name] = index
+            self._catalog[name] = entry
+            if isinstance(index, Collection):
+                # a collection versions its records against the engine's
+                # epoch clock and brings its own multi-accessor planner
+                index.epochs = self._epochs
+                self._planners[name] = index.planner
+            else:
+                self._planners[name] = QueryPlanner.for_index(
+                    name, index, disk=self.disk
+                )
+            return index
+
+        return self._commit(
+            name, do, lambda: ("create", entry, read(self._indexes[name])), records
+        )
 
     def create_interval_index(
         self, name: str, intervals: Iterable[Interval] = (), *, dynamic: bool = True
     ) -> ExternalIntervalManager:
         """Stabbing/intersection index (Proposition 2.2 + Section 3)."""
-        items = list(intervals)
-
-        def do() -> ExternalIntervalManager:
-            self._claim_name(name)
-            return self._register(
-                name,
-                ExternalIntervalManager(self.disk, items, dynamic=dynamic),
-                "interval",
-                dynamic=dynamic,
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(name, "interval", intervals, dynamic=dynamic)
 
     def create_class_index(
         self,
@@ -377,19 +455,7 @@ class Engine:
         method: str = "simple",
     ) -> ClassIndexer:
         """Full-extent class index (Theorems 2.6 / 4.7 or a baseline)."""
-        items = list(objects)
-
-        def do() -> ClassIndexer:
-            self._claim_name(name)
-            return self._register(
-                name,
-                ClassIndexer(self.disk, hierarchy, items, method=method),
-                "class",
-                method=method,
-                hierarchy=hierarchy,
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(name, "class", objects, method=method, hierarchy=hierarchy)
 
     def create_constraint_index(
         self,
@@ -400,22 +466,10 @@ class Engine:
         dynamic: bool = True,
     ) -> GeneralizedOneDimensionalIndex:
         """Generalized 1-D index over a constraint relation (Section 2.1)."""
-
-        def do() -> GeneralizedOneDimensionalIndex:
-            self._claim_name(name)
-            return self._register(
-                name,
-                GeneralizedOneDimensionalIndex(
-                    self.disk, relation, attribute, dynamic=dynamic
-                ),
-                "constraint",
-                attribute=attribute,
-                dynamic=dynamic,
-                variables=list(relation.variables),
-                relation_name=relation.name,
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(
+            name, "constraint", relation, attribute=attribute, dynamic=dynamic,
+            variables=list(relation.variables), relation_name=relation.name,
+        )
 
     def create_point_index(
         self, name: str, points: Iterable[PlanarPoint] = ()
@@ -429,30 +483,11 @@ class Engine:
         threshold-triggered global rebuilds — exactly the wholesale
         reconstruction Lemma 4.4 prescribes, with the I/Os charged.
         """
-        pts = list(points)
-        disk = self.disk
-
-        def do() -> RebuildingIndex:
-            self._claim_name(name)
-            return self._register(
-                name,
-                RebuildingIndex(disk, lambda items: ExternalPST(disk, items), pts),
-                "point",
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(name, "point", points)
 
     def create_key_index(self, name: str, pairs: Iterable[Tuple[Any, Any]] = ()) -> BPlusTree:
         """Plain external B+-tree over ``(key, value)`` pairs (Section 1.4)."""
-        items = list(pairs)
-
-        def do() -> BPlusTree:
-            self._claim_name(name)
-            return self._register(
-                name, BPlusTree.bulk_load(self.disk, items, name=name), "key"
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(name, "key", pairs)
 
     def create_collection(
         self,
@@ -468,21 +503,10 @@ class Engine:
         path (``insert``/``delete``/``update``/``bulk_load``/``batch``); queries go
         through the cost-aware :class:`~repro.engine.planner.QueryPlanner` (see ``explain``).
         """
-        items = list(intervals)
-
-        def do() -> Collection:
-            self._claim_name(name)
-            return self._register(
-                name,
-                Collection.for_intervals(self.disk, items, name=name, dynamic=dynamic),
-                "collection",
-                dynamic=dynamic,
-            )
-
-        return self._commit(name, do, op=lambda: self._create_op(name))
+        return self.create(name, "collection", intervals, dynamic=dynamic)
 
     def drop_index(self, name: str) -> None:
-        """Forget an index (and free its blocks when it knows how to).
+        """Forget an index and free its blocks (every kind can ``destroy``).
 
         The name becomes immediately reusable by the ``create_*``
         constructors (and disappears from the persisted catalog at the
@@ -493,16 +517,12 @@ class Engine:
         def do() -> None:
             index = self.index(name)
             del self._indexes[name]
-            self._catalog.pop(name, None)
-            planner = self._planners.pop(name, None)
-            if planner is not None:
-                # prepared queries still holding this planner must re-plan
-                # (and fail loudly against the destroyed index) rather than
-                # serve a cached strategy over freed blocks
-                planner.invalidate()
-            destroy = getattr(index, "destroy", None)
-            if callable(destroy):
-                destroy()
+            del self._catalog[name]
+            # prepared queries still holding this planner must re-plan
+            # (and fail loudly against the destroyed index) rather than
+            # serve a cached strategy over freed blocks
+            self._planners.pop(name).invalidate()
+            index.destroy()
 
         self._commit(name, do, op=("drop", name))
 
@@ -551,6 +571,7 @@ class Engine:
             name,
             lambda: self.index(name).insert(*item),
             op=("insert", name, item),
+            entering=item[-1:],
         )
 
     def delete(self, name: str, *item: Any) -> bool:
@@ -612,53 +633,28 @@ class Engine:
                     index.insert(*spread(old))
                 raise
 
-        self._commit(name, do, op=("update", name, old, new))
+        self._commit(name, do, op=("update", name, old, new), entering=[new])
 
     def bulk_load(self, name: str, items: Iterable[Any]) -> int:
         """Load a batch into the named index in one reorganisation.
 
         Routed to the index's native ``bulk_load`` (bottom-up B+-tree
-        builds, global rebuilds) when it advertises the capability, with a
-        per-record insert fallback otherwise; returns the number of
-        records added.
+        builds, global rebuilds) — every kind of :data:`KINDS` has one, so
+        there is no per-record fallback; returns the number of records
+        added.
         """
         batch = list(items)
 
         def do() -> int:
             index = self.index(name)
-            bulk = getattr(index, "bulk_load", None)
             try:
-                if callable(bulk):
-                    return int(bulk(batch))
-                count = 0
-                for item in batch:
-                    index.insert(item)
-                    count += 1
-                return count
+                return int(index.bulk_load(batch))
             finally:
                 # a bulk reorganisation changes costs wholesale: cached plan
-                # strategies over this index must be re-costed (Collections
-                # invalidate their own planner inside bulk_load)
-                planner = self._planners.get(name)
-                if planner is not None:
-                    planner.invalidate()
+                # strategies over this index must be re-costed
+                self._planners[name].invalidate()
 
-        return self._commit(name, do, op=lambda: ("bulk", name, batch))
-
-    def _planner_for(self, name: str, index: Any) -> QueryPlanner:
-        """The long-lived planner for an index (Collections own their own).
-
-        One planner — and therefore one plan cache — per index name,
-        created lazily and replaced if the name was dropped and re-created
-        over a different index object.
-        """
-        if isinstance(index, Collection):
-            return index.planner
-        planner = self._planners.get(name)
-        if planner is None or planner.accessors[0].index is not index:
-            planner = QueryPlanner.for_index(name, index, disk=self.disk)
-            self._planners[name] = planner
-        return planner
+        return self._commit(name, do, op=lambda: ("bulk", name, batch), entering=batch)
 
     def planner(self, name: str) -> QueryPlanner:
         """The named index's long-lived (plan-caching) query planner.
@@ -668,32 +664,26 @@ class Engine:
         and :meth:`prepare` use.  Raises the usual :class:`KeyError` for
         unknown names.
         """
-        return self._planner_for(name, self.index(name))
+        self.index(name)  # the descriptive error for an unknown name
+        return self._planners[name]
 
     def query(self, name: str, q: Any) -> QueryResult:
         """Answer one query descriptor lazily (no I/O until iteration).
 
-        Plain descriptors go straight to the named index.  Composed algebra
-        nodes (``And``/``Or``/``Not``/``Limit``/``OrderBy``) are routed
-        through the :class:`~repro.engine.planner.QueryPlanner`:
-        :class:`~repro.engine.collection.Collection` indexes plan across
-        all their physical structures, every other index gets a
-        single-index planner (pushdown of the cheapest supported part,
-        residual ``matches`` post-filter for the rest).  Planners are
-        long-lived — one per index — so repeated queries of the same shape
-        hit the signature-keyed plan cache instead of re-enumerating
-        candidates (see :meth:`prepare` for the fastest path).
+        Every index and every query shape takes one route, through the
+        index's :class:`~repro.engine.planner.QueryPlanner`: a descriptor
+        the index supports whole is a pure pushdown streamed straight off
+        the structure; composed algebra nodes
+        (``And``/``Or``/``Not``/``Limit``/``OrderBy``) are planned —
+        :class:`~repro.engine.collection.Collection` indexes across all
+        their physical structures, every other index over its single
+        accessor (pushdown of the cheapest supported part, residual
+        ``matches`` post-filter for the rest); a shape nothing serves
+        raises the planner's :class:`TypeError`.  Planners are long-lived,
+        so repeated queries of the same shape hit the signature-keyed plan
+        cache instead of re-enumerating candidates (see :meth:`prepare`).
         """
-        index = self.index(name)
-        if isinstance(index, Collection):
-            return index.query(q)
-        if isinstance(q, COMPOSED):
-            return self._planner_for(name, index).query(q)
-        result = index.query(q)
-        if isinstance(result, QueryResult) and index.supports(q):
-            # same trivial pushdown plan explain() reports for this query
-            result.plan = Plan("index", name, q, None, index.cost(q))
-        return result
+        return self.planner(name).query(q)
 
     def explain(self, name: str, q: Any) -> Plan:
         """The :class:`~repro.engine.planner.Plan` that :meth:`query` would
@@ -701,10 +691,7 @@ class Engine:
 
         Executed results carry the identical plan as ``result.plan``.
         """
-        index = self.index(name)
-        if isinstance(index, Collection):
-            return index.plan(q)
-        return self._planner_for(name, index).plan(q)
+        return self.planner(name).plan(q)
 
     def prepare(self, name: str, q: Any) -> "PreparedQuery":
         """Plan ``q`` against the named index once; re-run it cheaply.
@@ -723,9 +710,8 @@ class Engine:
         """
         from repro.engine.prepared import PreparedQuery
 
-        index = self.index(name)
         return PreparedQuery(
-            name, q, self._planner_for(name, index), engine=self, index=index
+            name, q, self.planner(name), engine=self, index=self.index(name)
         )
 
     def session(self) -> EngineSession:
@@ -765,25 +751,15 @@ class Engine:
         """Aggregated plan-cache counters across every live planner.
 
         Collections answer with their own planner's cache, plain indexes
-        with the engine-held one; indexes never queried through a planner
-        simply do not appear.  ``hit_ratio`` is ``None`` until the first
-        plan lookup, so exporters can tell "no traffic" from "0% hits".
+        with the engine-held one; ``per_index`` lists every index from its
+        creation on, queried or not.  ``hit_ratio`` is ``None`` until the
+        first plan lookup, so exporters can tell "no traffic" from "0% hits".
         """
-        entries = hits = misses = 0
-        per_index: Dict[str, Dict[str, int]] = {}
-        for name in sorted(self._indexes):
-            index = self._indexes[name]
-            if isinstance(index, Collection):
-                planner = index.planner
-            else:
-                planner = self._planners.get(name)
-            if planner is None:
-                continue
-            info = planner.cache_info()
-            per_index[name] = info
-            entries += info["entries"]
-            hits += info["hits"]
-            misses += info["misses"]
+        per_index = {n: p.cache_info() for n, p in sorted(self._planners.items())}
+        entries, hits, misses = (
+            sum(info[key] for info in per_index.values())
+            for key in ("entries", "hits", "misses")
+        )
         lookups = hits + misses
         return {
             "entries": entries,
@@ -817,39 +793,27 @@ class Engine:
         current live record count.
         """
         out = []
-        for name in sorted(self._catalog):
-            spec = self._catalog[name]
+        for name, entry in sorted(self._catalog.items()):
             index = self._indexes[name]
             count = getattr(index, "live_count", None)
             if count is None:
                 count = len(index) if hasattr(index, "__len__") else None
-            out.append(
-                {
-                    "name": name,
-                    "kind": spec["kind"],
-                    "params": {
-                        k: v for k, v in spec["params"].items() if k != "hierarchy"
-                    },
-                    "records": count,
-                }
-            )
+            params = {k: v for k, v in entry["params"].items() if k != "hierarchy"}
+            out.append({**entry, "params": params, "records": count})
         return out
 
     def uid_horizon(self) -> int:
-        """The highest record uid resident in any index (``-1`` when empty).
+        """A floor at or above every resident record uid (``-1`` when none).
 
         Served to clients through the ``stats`` command so a cluster
         router can seed its uid-minting counter past every shard's
-        resident records on open (see :func:`advance_uid_floor`).
+        resident records on open (see :func:`advance_uid_floor`).  It is a
+        running maximum raised where records enter (the write turns of
+        :meth:`create`, :meth:`insert`, :meth:`update`, :meth:`bulk_load`):
+        no per-record work here, and it may stay high after deletes — its
+        one consumer needs a floor above every resident uid, not the maximum.
         """
-        highest = -1
-        for name in self._catalog:
-            spec = self._catalog[name]
-            for record in _catalog_records(spec["kind"], self._indexes[name]):
-                uid = _record_uid(record)
-                if uid is not None:
-                    highest = max(highest, uid)
-        return highest
+        return self._uid_horizon
 
     def checkpoint(self) -> int:
         """Serialize the catalog through the storage backend; returns the root id.
@@ -879,22 +843,16 @@ class Engine:
             # wait for in-flight commits to publish: the checkpoint must
             # cover a prefix of the epoch order, not race its tail
             self._epochs.quiesce()
-            for name, index in sorted(self._indexes.items()):
-                if isinstance(index, Collection) and index.has_mvcc_state:
-                    latch = self._latch(name)
-                    latch.acquire_write()
-                    try:
-                        index.purge_versions(self._epochs.safe_epoch())
-                    finally:
-                        latch.release_write()
+            for name in sorted(self._indexes):
+                self._purge_versions(name)
             for bid in meta.get("catalog_blocks", ()):
                 self.disk.free(bid)
             blocks: List[int] = []
             entries: List[Dict[str, Any]] = []
             B = self.block_size
-            for name in sorted(self._catalog):
-                spec = self._catalog[name]
-                records = _catalog_records(spec["kind"], self._indexes[name])
+            for name, entry in sorted(self._catalog.items()):
+                read = KINDS[entry["kind"]][1]
+                records = read(self._indexes[name])
                 head = None
                 for start in reversed(range(0, len(records), B)):
                     chunk = records[start : start + B]
@@ -903,15 +861,7 @@ class Engine:
                     )
                     head = block.block_id
                     blocks.append(block.block_id)
-                entries.append(
-                    {
-                        "name": name,
-                        "kind": spec["kind"],
-                        "params": dict(spec["params"]),
-                        "head": head,
-                        "count": len(records),
-                    }
-                )
+                entries.append({**entry, "head": head, "count": len(records)})
             root = self.disk.allocate(
                 records=[], header={"entries": entries, "format": 1}
             )
@@ -959,20 +909,15 @@ class Engine:
         """
         backend = FileDisk.open(path)
         engine = cls(backend, buffer_pages=buffer_pages)
-        root_id = backend.meta.get("catalog_root")
         durable_epoch = int(backend.meta.get("durable_epoch", 0))
-        if root_id is not None:
-            stale = set(backend.block_ids())
-            root = engine.disk.read(root_id)
-            for entry in root.header["entries"]:
-                records: List[Any] = []
-                head = entry["head"]
-                while head is not None:
-                    block = engine.disk.read(head)
-                    records.extend(block.records)
-                    head = block.header["next"]
-                _advance_uid_counters(records)
-                engine._restore(entry, records)
+        # with a catalog to restore, everything that predates the restore —
+        # the consumed catalog chain and the previous incarnation's
+        # structure blocks — is dead afterwards
+        stale = backend.block_ids() if "catalog_root" in backend.meta else []
+        for entry, chain in read_catalog(engine.disk.read, backend.meta):
+            records = list(chain)
+            _advance_uid_counters(records)
+            engine.create(entry["name"], entry["kind"], records, **entry["params"])
         # the restore itself ran commits and advanced the clock; realign to
         # the epoch the checkpoint covers so WAL-tail filtering is exact
         engine._epochs.advance_to(durable_epoch)
@@ -981,12 +926,10 @@ class Engine:
             replayed = engine.attach_wal(
                 path + WAL_SUFFIX, durable_epoch=durable_epoch, checkpoint=False,
             )
-        if root_id is None and replayed == 0:
+        if not stale and replayed == 0:
             # nothing restored, nothing replayed: keep the fast no-op open
             return engine
-        if root_id is not None:
-            # everything that predates the restore — the consumed catalog
-            # chain and the previous incarnation's structure blocks — is dead
+        if stale:
             for bid in stale:
                 engine.disk.free(bid)
             backend.meta.pop("catalog_root", None)
@@ -1069,31 +1012,6 @@ class Engine:
         if checkpoint and getattr(self.backend, "persistent", False):
             self.checkpoint()
         return replayed
-
-    def _restore(self, entry: Dict[str, Any], records: List[Any]) -> None:
-        """Rebuild one catalog entry through the matching ``create_*``."""
-        kind, name, params = entry["kind"], entry["name"], entry["params"]
-        if kind == "interval":
-            self.create_interval_index(name, records, dynamic=params["dynamic"])
-        elif kind == "collection":
-            self.create_collection(name, records, dynamic=params["dynamic"])
-        elif kind == "key":
-            self.create_key_index(name, records)
-        elif kind == "point":
-            self.create_point_index(name, records)
-        elif kind == "class":
-            self.create_class_index(
-                name, params["hierarchy"], records, method=params["method"]
-            )
-        elif kind == "constraint":
-            relation = GeneralizedRelation(
-                params["variables"], records, name=params["relation_name"]
-            )
-            self.create_constraint_index(
-                name, relation, params["attribute"], dynamic=params["dynamic"]
-            )
-        else:
-            raise ValueError(f"unknown catalog kind {kind!r}")
 
     def close(self) -> None:
         """Checkpoint persistent backends, flush buffers and close them.

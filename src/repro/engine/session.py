@@ -184,7 +184,7 @@ class EngineSession:
     Reads (:meth:`query`, :meth:`run`, :meth:`explain`) are snapshot
     turns: pin the current MVCC epoch, share the one index's latch, drain,
     filter to the pinned epoch.  The write surface (:meth:`insert`,
-    :meth:`delete`, :meth:`bulk_load`, :meth:`create_collection`,
+    :meth:`delete`, :meth:`bulk_load`, :meth:`create`,
     :meth:`drop_index`) delegates to the engine's commit kernel — each
     call is one committed, WAL-durable write turn, acknowledged only after
     its log record is fsynced and its epoch published.
@@ -349,17 +349,14 @@ class EngineSession:
             lambda: [self.engine.bulk_load(name, items)], op="bulk_load"
         )
 
+    def create(self, name: str, kind: str, records: Any = (), **params: Any) -> SessionResult:
+        def do() -> None:
+            self.engine.create(name, kind, list(records), **params)
+
+        return self._write(do, op="create")
+
     def create_collection(self, name: str, records: Any = (), **kw: Any) -> SessionResult:
-        def do() -> None:
-            self.engine.create_collection(name, list(records), **kw)
-
-        return self._write(do, op="create")
-
-    def create_interval_index(self, name: str, records: Any = (), **kw: Any) -> SessionResult:
-        def do() -> None:
-            self.engine.create_interval_index(name, list(records), **kw)
-
-        return self._write(do, op="create")
+        return self.create(name, "collection", records, **kw)
 
     def drop_index(self, name: str) -> SessionResult:
         return self._write(lambda: self.engine.drop_index(name), op="drop")

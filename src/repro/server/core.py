@@ -105,7 +105,7 @@ class _Connection:
 # --------------------------------------------------------------------------- #
 _REQUIRED: Any = object()
 
-#: index kinds ``create`` can build
+#: the :data:`~repro.engine.core.KINDS` that have a wire record form
 INDEX_KINDS = ("collection", "interval")
 
 
@@ -467,11 +467,7 @@ class SessionExecutor(Executor):
     def create(
         self, index: str, kind: str, records: List[Any], dynamic: bool
     ) -> Payload:
-        build = (
-            self.session.create_collection if kind == "collection"
-            else self.session.create_interval_index
-        )
-        res = build(index, records, dynamic=dynamic)
+        res = self.session.create(index, kind, records, dynamic=dynamic)
         return {"index": index, "kind": kind, "loaded": len(records), "ios": res.ios}
 
     def drop(self, index: str) -> Payload:

@@ -30,6 +30,7 @@ from repro.classes.hierarchy import ClassObject
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
 from repro.engine import EndpointRange, Engine, Stab
+from repro.engine.core import KINDS
 from repro.interval import Interval
 from repro.metablock.geometry import PlanarPoint
 from repro.workloads import balanced_hierarchy, chain_hierarchy, random_class_objects
@@ -171,6 +172,7 @@ def _six_kinds(engine, rnd):
         "key": _pairs(rnd, 300, 0),
         "constraint": _constraint_tuples(x, 0, 120),
     }
+    assert set(built) == set(KINDS)  # a new kind must join the block audit
     engine.create_interval_index("interval", built["interval"])
     engine.create_collection("collection", built["collection"])
     engine.create_class_index("class", hierarchy, built["class"], method="combined")
@@ -202,7 +204,7 @@ def _six_kinds(engine, rnd):
 def test_every_block_in_use_is_counted_by_exactly_one_index(B):
     engine = Engine(block_size=B)
     runs = _six_kinds(engine, random.Random(B))
-    assert len(engine.names()) == 6
+    assert engine.names() == sorted(KINDS)
     assert engine.block_count() == engine.backend.blocks_in_use
 
     for name, (inserts, deletes, bulk) in runs.items():
