@@ -21,7 +21,9 @@ possibly in a helper).  This module supplies the missing half:
 
 Call resolution is deliberately conservative, the same philosophy that
 keeps the lock linter free of false positives: ``self.m()`` resolves
-inside the enclosing class, a bare ``m()`` inside the enclosing module,
+inside the enclosing class, a bare ``m()`` inside the enclosing module
+(else to the program's one *function* of that name, never a method — a
+bare name is a builtin or an import),
 and ``obj.m()`` only when ``m`` is defined exactly once in the whole
 program *and* is not a ubiquitous container/stdlib method name
 (``append``, ``read``, ``get``, ...).  Unresolvable calls simply
@@ -393,7 +395,7 @@ class _EffectCollector(ast.NodeVisitor):
             if final == "count" and "stats" in recv.lower():
                 fn.charges.append(site)
             elif final == "measure":
-                # ``with disk.measure():`` brackets the scope in snapshots —
+                # ``with disk.measure():`` registers a sink for the scope —
                 # accounting coverage by construction
                 fn.charges.append(site)
             if chain == "os.fsync":
@@ -458,6 +460,10 @@ class Program:
         if method in _COMMON_METHODS:
             return None
         matches = self._by_name.get(method, [])
+        if len(parts) == 1:
+            # a bare name is a builtin or an import, never a method: the
+            # builtin ``all(...)`` must not link to a class's ``all``
+            matches = [m for m in matches if self.functions[m].cls is None]
         if len(matches) == 1:
             return matches[0]
         return None

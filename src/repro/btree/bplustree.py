@@ -440,8 +440,8 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)
     # ------------------------------------------------------------------ #
-    def query(self, q: Any, *, values: bool = False) -> "Any":
-        """Answer an engine query descriptor with a lazy ``QueryResult``.
+    def stream(self, q: Any, *, values: bool = False) -> Iterator[Any]:
+        """The plain lazy hit iterator for a supported descriptor.
 
         * :class:`~repro.engine.queries.Range` -> ``(key, value)`` pairs in
           key order, honouring per-bound inclusivity — or, with ``values``,
@@ -449,29 +449,21 @@ class BPlusTree:
         * :class:`~repro.engine.queries.Stab` -> values stored under the
           exact key.
         """
-        from repro.analysis.complexity import btree_query_bound
-        from repro.engine.queries import Range, Stab
+        from repro.engine.queries import Stab
+
+        if isinstance(q, Stab):
+            return chain.from_iterable(self.iter_range_blocks(q.x, q.x, values=True))
+        return chain.from_iterable(self.iter_range_blocks(
+            q.low, q.high, min_inclusive=q.min_inclusive,
+            max_inclusive=q.max_inclusive, values=values,
+        ))
+
+    def query(self, q: Any, *, values: bool = False) -> "Any":
+        """Answer an engine query descriptor with a lazy ``QueryResult``
+        over :meth:`stream` (``TypeError`` for an unsupported shape)."""
         from repro.engine.result import QueryResult
 
-        n, b = max(self.size, 2), self.branching
-        if isinstance(q, Range):
-            return QueryResult(
-                lambda: chain.from_iterable(self.iter_range_blocks(
-                    q.low, q.high, min_inclusive=q.min_inclusive,
-                    max_inclusive=q.max_inclusive, values=values,
-                )),
-                disk=self.disk,
-                bound=lambda t: btree_query_bound(n, b, t),
-                label=f"{self.name}:range",
-            )
-        if isinstance(q, Stab):
-            return QueryResult(
-                lambda: chain.from_iterable(self.iter_range_blocks(q.x, q.x, values=True)),
-                disk=self.disk,
-                bound=lambda t: btree_query_bound(n, b, t),
-                label=f"{self.name}:key",
-            )
-        raise TypeError(f"BPlusTree cannot answer {type(q).__name__} queries")
+        return QueryResult.of(self, q, values=values)
 
     def supports(self, q: Any) -> bool:
         """Exact-key (:class:`Stab`) and key-range (:class:`Range`) shapes."""

@@ -145,7 +145,7 @@ class Cluster:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            print(file=fh)
         os.replace(tmp, path)  # atomic: readers never see a torn catalog
 
     # ------------------------------------------------------------------ #

@@ -155,35 +155,26 @@ class GeneralizedOneDimensionalIndex:
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)
     # ------------------------------------------------------------------ #
-    def query(self, q: Any) -> "Any":
-        """Answer an engine query descriptor with a lazy ``QueryResult``.
+    def stream(self, q: Any) -> Iterator[GeneralizedTuple]:
+        """The plain lazy hit iterator for a supported descriptor.
 
         * :class:`~repro.engine.queries.Range` -> the restricted (conjoined
           and satisfiability-pruned) generalized tuples;
         * :class:`~repro.engine.queries.Stab` -> tuples whose generalized
           key contains ``q.x``.
         """
-        from repro.engine.queries import Range, Stab
+        from repro.engine.queries import Stab
+
+        if isinstance(q, Stab):
+            return (iv.payload for iv in self.manager.iter_stabbing(q.x))
+        return self.iter_restricted(q.low, q.high)
+
+    def query(self, q: Any) -> "Any":
+        """Answer an engine query descriptor with a lazy ``QueryResult``
+        over :meth:`stream` (``TypeError`` for an unsupported shape)."""
         from repro.engine.result import QueryResult
 
-        n, b = max(len(self), 2), self.disk.block_size
-        if isinstance(q, Range):
-            return QueryResult(
-                lambda: self.iter_restricted(q.low, q.high),
-                disk=self.disk,
-                bound=lambda t: metablock_query_bound(n, b, t),
-                label=f"{self.attribute}:range[{q.low},{q.high}]",
-            )
-        if isinstance(q, Stab):
-            return QueryResult(
-                lambda: (iv.payload for iv in self.manager.iter_stabbing(q.x)),
-                disk=self.disk,
-                bound=lambda t: metablock_query_bound(n, b, t),
-                label=f"{self.attribute}:stab@{q.x}",
-            )
-        raise TypeError(
-            f"GeneralizedOneDimensionalIndex cannot answer {type(q).__name__} queries"
-        )
+        return QueryResult.of(self, q)
 
     def supports(self, q: Any) -> bool:
         """Point (:class:`Stab`) and range (:class:`Range`) restrictions."""

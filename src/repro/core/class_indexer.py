@@ -167,27 +167,19 @@ class ClassIndexer:
           :class:`~repro.engine.protocols.Index` API, returning a lazy
           :class:`~repro.engine.result.QueryResult`.
         """
-        from repro.engine.queries import ClassRange
         from repro.engine.result import QueryResult
 
-        if isinstance(query_or_class, ClassRange):
-            q = query_or_class
-            return QueryResult(
-                lambda: self.iter_query(q.class_name, q.low, q.high),
-                disk=self.disk,
-                bound=self._bound_fn(),
-                label=f"classes:{self.method}:{q.class_name}",
-            )
         if not isinstance(query_or_class, str):
-            # any other descriptor object (Stab, Range, ...) would otherwise
-            # fall into the legacy path and die on a confusing KeyError
-            raise TypeError(
-                f"ClassIndexer cannot answer {type(query_or_class).__name__} "
-                "queries; use ClassRange(class_name, low, high)"
-            )
+            # a served ClassRange, else TypeError: any other descriptor (Stab,
+            # ...) would fall into the legacy path and die on a confusing KeyError
+            return QueryResult.of(self, query_or_class)
         # route through iter_query so the eager path sees the same
         # tombstone filtering as the lazy one
         return list(self.iter_query(query_or_class, low, high))
+
+    def stream(self, q: Any) -> Iterator[ClassObject]:
+        """The plain lazy hit iterator for a supported ``ClassRange``."""
+        return self.iter_query(q.class_name, q.low, q.high)
 
     def iter_query(self, class_name: str, low: Any, high: Any) -> Iterator[ClassObject]:
         """Stream the answer to a full-extent attribute range query.

@@ -240,32 +240,25 @@ class ExternalIntervalManager:
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)
     # ------------------------------------------------------------------ #
-    def query(self, q: Any) -> "Any":
-        """Answer an engine query descriptor with a lazy ``QueryResult``.
+    def stream(self, q: Any) -> Iterator[Interval]:
+        """The plain lazy hit iterator for a supported descriptor.
 
         * :class:`~repro.engine.queries.Stab` -> stabbing query at ``q.x``;
         * :class:`~repro.engine.queries.Range` -> intersection query with
           ``[q.low, q.high]``.
         """
-        from repro.engine.queries import Range, Stab
+        from repro.engine.queries import Stab
+
+        if isinstance(q, Stab):
+            return self.iter_stabbing(q.x)
+        return self.iter_intersection(q.low, q.high)
+
+    def query(self, q: Any) -> "Any":
+        """Answer an engine query descriptor with a lazy ``QueryResult``
+        over :meth:`stream` (``TypeError`` for an unsupported shape)."""
         from repro.engine.result import QueryResult
 
-        n, b = max(len(self), 2), self.disk.block_size
-        if isinstance(q, Stab):
-            return QueryResult(
-                lambda: self.iter_stabbing(q.x),
-                disk=self.disk,
-                bound=lambda t: metablock_query_bound(n, b, t),
-                label=f"intervals:stab@{q.x}",
-            )
-        if isinstance(q, Range):
-            return QueryResult(
-                lambda: self.iter_intersection(q.low, q.high),
-                disk=self.disk,
-                bound=lambda t: metablock_query_bound(n, b, t),
-                label=f"intervals:overlap[{q.low},{q.high}]",
-            )
-        raise TypeError(f"ExternalIntervalManager cannot answer {type(q).__name__} queries")
+        return QueryResult.of(self, q)
 
     def supports(self, q: Any) -> bool:
         """Stabbing (:class:`Stab`) and intersection (:class:`Range`) shapes."""

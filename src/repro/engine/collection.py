@@ -299,7 +299,7 @@ class Collection:
             "interval-manager",
             manager,
             translate=lambda q: q if isinstance(q, (Stab, Range)) else None,
-            run=lambda pq: manager.query(pq),
+            run=manager.stream,
             # attached first: on static collections manager.insert raises
             # before any other physical index has been touched
             insert=manager.insert,
@@ -327,7 +327,7 @@ class Collection:
             "low-endpoints",
             low,
             translate=endpoint_range("low"),
-            run=lambda pq: low.query(pq, values=True),
+            run=lambda pq: low.stream(pq, values=True),
             # only one scan provider is needed; the low tree volunteers
             scan=lambda: (iv for _, iv in low.iter_pairs()),
             # priced arithmetically (leaves are at least half full, so a
@@ -345,7 +345,7 @@ class Collection:
             "high-endpoints",
             high,
             translate=endpoint_range("high"),
-            run=lambda pq: high.query(pq, values=True),
+            run=lambda pq: high.stream(pq, values=True),
             insert=lambda iv: high.insert(iv.high, iv),
             delete=lambda iv: high.delete(iv.high, match=lambda v: v.uid == iv.uid),
             bulk=lambda ivs: high.bulk_load((iv.high, iv) for iv in ivs),
@@ -567,6 +567,11 @@ class Collection:
         to what :meth:`plan` / ``Engine.explain`` report for the same query.
         """
         return self._planner.query(q)
+
+    def stream(self, q: Any) -> Iterator[Any]:
+        """The lazy hit iterator of :meth:`query` (a collection's stream is
+        its planner's: there is no single structure to dispatch to)."""
+        return iter(self.query(q))
 
     def plan(self, q: Any) -> Plan:
         """The plan :meth:`query` would execute (pure; no I/O)."""

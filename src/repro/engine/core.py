@@ -896,8 +896,11 @@ class Engine:
         index through its bulk constructor — a global rebuild, *not* a
         replay of per-record inserts — so queries answer with the same
         results and within the same I/O bounds as the original engine.
-        The dead blocks of the previous incarnation are freed and the page
-        file compacted, keeping the space bound at ``O(n/B)``.
+        The dead blocks of the previous incarnation are freed, the restored
+        state is checkpointed, and only then is the page file compacted
+        (keeping the space bound at ``O(n/B)``) — the process can be killed
+        at any point of a restart and the next ``open`` still finds a
+        (pages, sidecar) pair that agree.
 
         With ``wal=True`` (the default) recovery then replays the
         write-ahead log at ``path + ".wal"``: every commit acknowledged
@@ -934,12 +937,14 @@ class Engine:
                 engine.disk.free(bid)
             backend.meta.pop("catalog_root", None)
             backend.meta["catalog_blocks"] = []
-            backend.compact()
-        # checkpoint immediately: compact() rewrote the page file and the
-        # restore consumed the old catalog chain, so a process that exits
-        # between here and close() must find a sidecar + catalog that
-        # describe the file as it now is, not as it was before the restore
+        # checkpoint first: a process that exits between here and close()
+        # must find a sidecar + catalog that describe the new incarnation.
+        # Until that sidecar is replaced the old one still names only pages
+        # this open never overwrote (the file is append-only); compaction
+        # afterwards is pure space reclaim
         engine.checkpoint()
+        if stale:
+            backend.compact()
         return engine
 
     @classmethod
@@ -969,7 +974,6 @@ class Engine:
         self,
         path: Optional[str] = None,
         *,
-        replay: bool = True,
         checkpoint: bool = True,
         fsync: bool = True,
         durable_epoch: Optional[int] = None,
@@ -979,9 +983,9 @@ class Engine:
         From the attach onwards every committed mutation appends a
         checksummed record and is acknowledged only after the record is
         fsync-durable (see :meth:`_commit`).  If the log already holds a
-        tail — the engine's last incarnation crashed — and ``replay`` is
-        true, the tail past ``durable_epoch`` (defaulting to the current
-        epoch) is re-applied *before* attaching.  On a persistent backend
+        tail — the engine's last incarnation crashed — the tail past
+        ``durable_epoch`` (defaulting to the current epoch) is always
+        re-applied *before* attaching.  On a persistent backend
         ``checkpoint=True`` then writes a checkpoint and truncates the log
         — both to fold in any replayed state and to establish the log's
         baseline (sidecar + ``durable_epoch``) for a fresh database, so a
@@ -998,13 +1002,9 @@ class Engine:
                 )
             path = str(file_path) + WAL_SUFFIX
         wal = WriteAheadLog(path, stats=self.io_stats(), fsync=fsync)
-        replayed = 0
         try:
-            if replay:
-                baseline = (
-                    self._epochs.current if durable_epoch is None else durable_epoch
-                )
-                replayed = replay_wal(self, wal, baseline)
+            baseline = self._epochs.current if durable_epoch is None else durable_epoch
+            replayed = replay_wal(self, wal, baseline)
         except Exception:
             wal.close()
             raise

@@ -135,7 +135,7 @@ class Accessor:
             name=name,
             index=index,
             translate=lambda q: q if index.supports(q) else None,
-            run=lambda pq: index.query(pq),
+            run=index.stream,
             rewrite=getattr(index, "bind", None),
         )
 
@@ -527,17 +527,15 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def execute(self, plan: Plan, *, accounting: str = "per_record") -> QueryResult:
-        """Run a plan as one lazy, I/O-accounted :class:`QueryResult`.
+    def execute(self, plan: Plan) -> QueryResult:
+        """Run a plan as one lazy, I/O-accounted :class:`QueryResult` — the
+        only result of the query: accessors ``run`` plain streams.
 
         The result's ``bound`` evaluates the plan's predicted cost at the
         access path's raw output size — per subplan for unions, so each
         branch's formula sees only the records that branch produced (see
         the module docstring); the plan itself is attached as
-        ``result.plan``.  ``accounting="bulk"`` brackets the I/O counters
-        once around the whole drain instead of once per record — the
-        prepared-query fast path (see :class:`~repro.engine.result.
-        QueryResult` for the interleaving caveat).
+        ``result.plan``.
         """
         if plan.kind == "index" and plan.residual is None and not plan.modifiers:
             # fast path: pure pushdown — no residual, no modifiers, no
@@ -547,17 +545,11 @@ class QueryPlanner:
             # saved on the hottest shape)
             acc = self._accessor(plan.index)
             access = plan.access
-
-            def direct() -> Iterator[Any]:
-                out = acc.run(access)
-                return out.raw() if isinstance(out, QueryResult) else iter(out)
-
             result = QueryResult(
-                direct,
+                lambda: acc.run(access),
                 disk=self.disk,
                 bound=plan.bound,
                 label=f"plan:index:{plan.index}",
-                accounting=accounting,
             )
             result.plan = plan
             return result
@@ -597,7 +589,6 @@ class QueryPlanner:
             disk=self.disk,
             bound=lambda t: bound_at(plan, t),
             label=f"plan:{plan.kind}:{plan.index or 'union'}",
-            accounting=accounting,
         )
         result.plan = plan
         return result
@@ -638,15 +629,10 @@ class QueryPlanner:
                         yield rec
             return
         acc = self._accessor(plan.index)
-        cell = counts.get(id(plan))
-        if cell is None:  # plan executed directly, not via execute()
-            cell = counts[id(plan)] = [0]
+        cell = counts[id(plan)]  # execute() made one per non-union node
+        # the executing QueryResult owns accounting and replay: accessors
+        # hand over plain streams, never a result of their own
         stream = acc.scan() if plan.kind == "scan" else acc.run(plan.access)
-        if isinstance(stream, QueryResult):
-            # the executing QueryResult owns accounting and replay; paying
-            # for the inner result's per-record bookkeeping as well would
-            # double the hot-loop overhead without measuring anything new
-            stream = stream.raw()
         residual = plan.residual
         # hoist the per-record lookups out of the hot loop: one bound-method
         # fetch instead of two attribute chases per streamed record

@@ -8,7 +8,8 @@ strategy* directly: no candidate enumeration, no costing of alternatives,
 no signature lookup — the per-call work is one parameter substitution, one
 ``translate`` + ``cost`` call against the live structures (so predicted
 bounds always reflect current sizes, even as plain inserts grow the index),
-and the execution itself under bulk I/O accounting.
+and the execution itself — the same one result, counted the same way, as
+an ad-hoc ``Engine.query``.
 
 Correctness is guarded twice:
 
@@ -170,13 +171,11 @@ class PreparedQuery:
     def run(self, **params: Any) -> QueryResult:
         """Execute with these bindings; returns the usual lazy result.
 
-        Prepared execution uses bulk I/O accounting: the backend counters
-        are bracketed once around the drain instead of once per record,
-        which is the dominant Python cost on large outputs.  Totals are
-        identical when the result is consumed on its own (the prepared
-        pattern); drain interleaved results with ``Engine.query`` instead.
+        What a prepared query saves over ``Engine.query`` is planning —
+        candidate enumeration and the signature lookup — not accounting:
+        both return the planner's one result, safe to interleave.
         """
-        return self.planner.execute(self.plan(**params), accounting="bulk")
+        return self.planner.execute(self.plan(**params))
 
     def explain(self, **params: Any) -> Plan:
         """Alias of :meth:`plan`, mirroring ``Engine.explain``."""

@@ -9,15 +9,19 @@ which predicted cost.  The protocol is structural
 :class:`~repro.core.ExternalIntervalManager`,
 :class:`~repro.core.ClassIndexer`,
 :class:`~repro.constraints.GeneralizedOneDimensionalIndex`,
-:class:`~repro.pst.ExternalPST`, :class:`~repro.btree.BPlusTree`, the
-metablock trees, and the multi-index
+:class:`~repro.pst.ExternalPST`, :class:`~repro.btree.BPlusTree`, and
+the multi-index
 :class:`~repro.engine.collection.Collection` — need no common base class;
-they simply all implement these six methods.
+they simply all implement these seven methods (the metablock trees
+beneath them advertise ``supports``/``cost`` only).
 
-``supports``/``cost`` are what the
+``supports``/``cost``/``stream`` are what the
 :class:`~repro.engine.planner.QueryPlanner` consumes: per candidate
 (index, sub-query) pair it asks the index whether it can serve the shape
-and what the paper predicts it will pay, then executes the cheapest plan.
+and what the paper predicts it will pay, then runs the cheapest plan's
+plain ``stream`` inside the one result it builds.  ``query`` is the same
+three put together for a direct caller (``QueryResult.of``); the planner
+never calls it.
 
 :class:`MutableIndex` layers the capability-tiered *write* surface on top:
 ``delete``/``bulk_load`` plus the ``supports_deletes``/``supports_bulk_load``
@@ -29,7 +33,7 @@ adapter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 from repro.io.counters import IOStats
 
@@ -80,14 +84,16 @@ class Index(Protocol):
     ``query`` takes a descriptor from :mod:`repro.engine.queries` (or one of
     the geometric query dataclasses) and returns a lazy
     :class:`~repro.engine.result.QueryResult`; no I/O happens until the
-    result is iterated.  ``insert`` may raise :class:`NotImplementedError`
+    result is iterated.  ``stream`` is the plain lazy iterator beneath it —
+    its dispatch on the descriptor's type is the structure's one list of
+    served shapes — and what the planner runs.  ``insert`` may raise :class:`NotImplementedError`
     on structures the paper analyses as static (callers can probe with
     ``getattr(index, 'dynamic', True)``).
 
     ``supports``/``cost`` form the capability surface the
     :class:`~repro.engine.planner.QueryPlanner` plans against: ``supports``
     must be total (``False`` for unknown descriptors, never an exception)
-    and ``cost`` may assume ``supports(q)`` is true.
+    and ``cost`` and ``stream`` may assume ``supports(q)`` is true.
     """
 
     def insert(self, item: Any) -> None:
@@ -96,6 +102,10 @@ class Index(Protocol):
 
     def query(self, q: Any) -> Any:
         """Answer a query descriptor with a lazy ``QueryResult``."""
+        ...
+
+    def stream(self, q: Any) -> Iterator[Any]:
+        """The plain lazy hit iterator for a supported descriptor."""
         ...
 
     def supports(self, q: Any) -> bool:

@@ -207,10 +207,10 @@ class RebuildingIndex:
     # ------------------------------------------------------------------ #
     # the read surface (delegated, with tombstone/side-log overlay)
     # ------------------------------------------------------------------ #
-    def _overlay(self, q: Any) -> Iterator[Any]:
+    def stream(self, q: Any) -> Iterator[Any]:
         """Stream the inner answer minus tombstones, plus matching pending."""
         tombstones = self._tombstones
-        for item in self.inner.query(q):
+        for item in self.inner.stream(q):
             if record_key(item) not in tombstones:
                 yield item
         if self._pending and self._log_block_id is not None:
@@ -222,13 +222,7 @@ class RebuildingIndex:
 
     def query(self, q: Any) -> QueryResult:
         """Answer ``q`` lazily with the overlay applied (current answers)."""
-        inner_bound = self.cost(q)
-        return QueryResult(
-            lambda: self._overlay(q),
-            disk=self.disk,
-            bound=inner_bound,
-            label=f"rebuilding:{type(self.inner).__name__}",
-        )
+        return QueryResult.of(self, q)
 
     def supports(self, q: Any) -> bool:
         return self.inner.supports(q)

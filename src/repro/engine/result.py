@@ -9,8 +9,11 @@ through an index's uniform ``query()`` method) returns a
 * **streams** hits as the underlying structure produces them, block by
   block, instead of materialising a Python list up front;
 * carries its own **per-query I/O accounting** (``result.ios``,
-  ``result.stats``) measured around the streaming iterator, so interleaved
-  queries on a shared backend attribute I/Os correctly; and
+  ``result.stats``), counted one way: its own counters are a *thread-local
+  attribution sink* on the backend's, registered only while the source
+  stream runs, so mid-drain ``ios`` is exactly the pages read so far on
+  this result's behalf — results interleaved on one thread, and queries
+  other threads drain on the same backend, never count into each other; and
 * knows the **paper's predicted bound** for the query (``result.bound``),
   computed from the structure's size, the page size ``B`` and the number of
   hits reported so far.
@@ -20,7 +23,8 @@ touching the disk again** — that is the documented double-iteration
 contract, and it holds for every decorated consumption path (``__iter__``,
 ``all``, ``first``, ``pages``, ``limit``).  The one exception is
 :meth:`QueryResult.raw`, which deliberately hands out the *undecorated*
-source stream (no accounting, no cache): once a pristine result has been
+source stream (no sink, no cache — a caller that measures does so itself,
+e.g. under ``disk.measure()``): once a pristine result has been
 consumed that way there is nothing to replay, and any further consumption
 raises :class:`ResultConsumedError` instead of silently re-running the
 query against the disk (double I/O, possibly different answers after a
@@ -29,9 +33,14 @@ write) or yielding nothing.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from repro.io.counters import IOStats
+
+#: what ``next`` returns for an exhausted source (no try/except per record)
+_DONE = object()
 
 
 class ResultConsumedError(RuntimeError):
@@ -50,6 +59,12 @@ class ResultConsumedError(RuntimeError):
 class QueryResult:
     """A lazy stream of query hits with per-query I/O accounting.
 
+    One accounting mode: ``stats`` is registered on ``disk.stats`` for the
+    current thread (:meth:`~repro.io.counters.IOStats.attributed`) around
+    each resumption of the source — once around a pristine ``all()`` — and
+    never while an iteration is suspended, abandoned or finished.
+    :meth:`raw` remains the undecorated stream.
+
     Parameters
     ----------
     source:
@@ -63,17 +78,6 @@ class QueryResult:
         bound for this query shape (e.g. ``O(log_B n + t/B)``).
     label:
         Cosmetic tag used in ``repr`` and engine diagnostics.
-    accounting:
-        ``"per_record"`` (default) brackets the backend counters around
-        every ``next()`` call, so several interleaved results on one
-        backend each attribute exactly their own I/Os.  ``"bulk"``
-        brackets the whole drain once — the fast path prepared queries
-        use: per-record bracketing costs more Python time than the block
-        reads it measures, and a prepared statement's result is almost
-        always consumed on its own.  Under ``"bulk"``, ``ios``/``stats``
-        are settled when the stream is exhausted (or closed), and
-        interleaving another query on the same backend *while draining*
-        would attribute its I/Os here — don't do that with bulk results.
     """
 
     def __init__(
@@ -82,16 +86,11 @@ class QueryResult:
         disk: Any = None,
         bound: Optional[Callable[[int], float]] = None,
         label: str = "query",
-        accounting: str = "per_record",
     ) -> None:
-        if accounting not in ("per_record", "bulk"):
-            raise ValueError(f"unknown accounting mode {accounting!r}")
         self._source = source
         self._disk = disk
         self._bound_fn = bound
-        self._accounting = accounting
         self.label = label
-        self._iterator: Optional[Iterator[Any]] = None
         self._pump_iter: Optional[Iterator[Any]] = None
         self._cache: List[Any] = []
         self._exhausted = False
@@ -100,21 +99,50 @@ class QueryResult:
         #: nothing is cached, so no other consumption path may follow
         self._raw_consumed = False
         self._error: Optional[BaseException] = None
-        #: open bulk-accounting bracket: the counter snapshot taken when a
-        #: bulk drain started and not yet folded into ``_stats``
-        self._bulk_before = None
-        self._stats = IOStats()
+        #: per-query I/O counters: what this result's source has read so far
+        self.stats = IOStats()
+        #: the re-enterable scope that registers ``stats`` on this thread
+        self._scope: Any = nullcontext() if disk is None else disk.stats.attributed(self.stats)
         #: the executed :class:`~repro.engine.planner.Plan` when this result
         #: came out of the query planner; ``None`` for direct index queries
         self.plan: Optional[Any] = None
+
+    @classmethod
+    def of(cls, index: Any, q: Any, **stream_args: Any) -> "QueryResult":
+        """The one builder of a structure's result: what ``index.query(q)`` is.
+
+        ``index.supports(q)`` is checked here, so an unsupported shape
+        raises :class:`TypeError` at the call, before any read;
+        ``index.stream(q, **stream_args)`` is the source, ``index.cost(q)``
+        the bound (a :class:`~repro.engine.protocols.Bound` is callable) and
+        ``<Class>:<Shape>`` the label.
+        """
+        kind, shape = type(index).__name__, type(q).__name__
+        if not index.supports(q):
+            raise TypeError(f"{kind} cannot answer {shape} queries")
+        return cls(
+            lambda: index.stream(q, **stream_args), index.disk, index.cost(q), f"{kind}:{shape}"
+        )
 
     # ------------------------------------------------------------------ #
     # iteration
     # ------------------------------------------------------------------ #
     def _pump(self) -> Iterator[Any]:
-        """Drain the underlying iterator, attributing I/Os step by step."""
+        """Drain the source, the sink registered around each resumption only
+        (a suspended or abandoned pump leaves nothing registered)."""
+        self._started = True
+        scope, cache = self._scope, self._cache
         try:
-            yield from self._pump_inner()
+            with scope:
+                iterator = iter(self._source())
+            while True:
+                with scope:
+                    item = next(iterator, _DONE)
+                if item is _DONE:
+                    self._exhausted = True
+                    return
+                cache.append(item)
+                yield item
         except GeneratorExit:
             raise
         except BaseException as exc:
@@ -123,82 +151,6 @@ class QueryResult:
             # truncated cache as if the query had completed
             self._error = exc
             raise
-
-    def _pump_inner(self) -> Iterator[Any]:
-        if self._disk is not None and self._accounting == "bulk":
-            yield from self._pump_bulk()
-            return
-        if self._iterator is None:
-            self._started = True
-            if self._disk is not None:
-                before = self._counters()
-                self._iterator = iter(self._source())
-                self._account(before)
-            else:
-                self._iterator = iter(self._source())
-        while True:
-            if self._disk is not None:
-                before = self._counters()
-                try:
-                    item = next(self._iterator)
-                except StopIteration:
-                    self._account(before)
-                    self._exhausted = True
-                    return
-                self._account(before)
-            else:
-                try:
-                    item = next(self._iterator)
-                except StopIteration:
-                    self._exhausted = True
-                    return
-            self._cache.append(item)
-            yield item
-
-    def _pump_bulk(self) -> Iterator[Any]:
-        """One counter bracket around the whole drain (the prepared fast path).
-
-        The bracket is held open in ``_bulk_before`` while the drain is
-        suspended; reading ``stats``/``ios`` settles it (folding the delta
-        so far into the totals and re-opening from the current counters),
-        so a partially drained result still reports the I/Os performed on
-        its behalf — assuming no other query ran on the same backend in
-        between, which is the documented bulk-mode contract.
-        """
-        self._started = True
-        self._bulk_before = self._counters()
-        cache = self._cache
-        try:
-            self._iterator = iter(self._source())
-            for item in self._iterator:
-                cache.append(item)
-                yield item
-            self._exhausted = True
-        finally:
-            self._settle_bulk(reopen=False)
-
-    def _settle_bulk(self, reopen: bool) -> None:
-        """Fold the open bulk bracket into the totals (and re-open it)."""
-        if self._bulk_before is None:
-            return
-        self._account(self._bulk_before)
-        self._bulk_before = self._counters() if reopen else None
-
-    def _counters(self):
-        """The backend counters as a plain tuple (cheap per-record bracketing)."""
-        s = self._disk.stats
-        return (s.reads, s.writes, s.cache_hits, s.allocations, s.frees)
-
-    def _account(self, before) -> None:
-        reads, writes, hits, allocs, frees = before
-        s = self._disk.stats
-        self._stats.count(
-            reads=s.reads - reads,
-            writes=s.writes - writes,
-            cache_hits=s.cache_hits - hits,
-            allocations=s.allocations - allocs,
-            frees=s.frees - frees,
-        )
 
     def _check_not_raw_consumed(self) -> None:
         if self._raw_consumed:
@@ -213,7 +165,6 @@ class QueryResult:
         # (even interleaved) consumers without re-running the query
         self._check_not_raw_consumed()
         i = 0
-        pump = None
         while True:
             if i < len(self._cache):
                 yield self._cache[i]
@@ -223,27 +174,21 @@ class QueryResult:
                 return
             if self._error is not None:
                 raise self._error
-            if pump is None:
-                pump = self._pump_singleton()
+            if self._pump_iter is None:
+                # one shared pump per result so concurrent iterations do not race
+                self._pump_iter = self._pump()
             try:
-                next(pump)
+                next(self._pump_iter)
             except StopIteration:
                 return
-
-    def _pump_singleton(self) -> Iterator[Any]:
-        """One shared pump per result so concurrent iterations do not race."""
-        if self._pump_iter is None:
-            self._pump_iter = self._pump()
-        return self._pump_iter
 
     def raw(self) -> Iterator[Any]:
         """The undecorated hit stream: no accounting, no caching, one shot.
 
-        What the query planner consumes when it nests this result inside
-        its own :class:`QueryResult` — the outer result owns the
-        per-record I/O attribution and the replay cache, so paying for
-        both layers would double the per-record Python overhead without
-        measuring anything new.  If iteration already started, the cached
+        For a consumer that measures and keeps the hits itself (the
+        benchmark ladder times a physical index's answer this way): it
+        pays for neither the sink nor the replay cache.  Nothing in the
+        engine calls it.  If iteration already started, the cached
         prefix is replayed first (via :meth:`__iter__`); otherwise the
         source is consumed directly and this result is marked consumed:
         any later consumption attempt raises :class:`ResultConsumedError`
@@ -266,24 +211,16 @@ class QueryResult:
         again replays the same records without touching the disk.
         """
         self._check_not_raw_consumed()
-        if (
-            self._accounting == "bulk"
-            and not self._started
-            and self._error is None
-        ):
-            # bulk-accounted results drain through ``list()`` directly —
-            # no per-record generator hand-off — with one counter bracket
-            # around the whole consumption (the prepared fast path)
+        if not self._started and self._error is None:
+            # a pristine result drains through ``list()`` directly — no
+            # per-record generator hand-off — inside one attribution scope
             self._started = True
-            before = self._counters() if self._disk is not None else None
             try:
-                self._cache = list(self._source())
+                with self._scope:
+                    self._cache = list(self._source())
             except BaseException as exc:
                 self._error = exc  # re-iterations must re-raise, not re-run
                 raise
-            finally:
-                if before is not None:
-                    self._account(before)
             self._exhausted = True
             return list(self._cache)
         for _ in self:
@@ -294,9 +231,7 @@ class QueryResult:
 
     def first(self, default: Any = None) -> Any:
         """The first hit, or ``default`` when the result is empty."""
-        for item in self:
-            return item
-        return default
+        return next(iter(self), default)
 
     # ------------------------------------------------------------------ #
     # cursors
@@ -310,13 +245,8 @@ class QueryResult:
         """
         if n < 0:
             raise ValueError(f"limit must be non-negative, not {n}")
-        from itertools import islice
-
         return QueryResult(
-            lambda: islice(iter(self), n),
-            disk=self._disk,
-            bound=self._bound_fn,
-            label=f"{self.label}|limit({n})",
+            lambda: islice(iter(self), n), self._disk, self._bound_fn, f"{self.label}|limit({n})"
         )
 
     def pages(self, size: int):
@@ -328,13 +258,8 @@ class QueryResult:
         """
         if size <= 0:
             raise ValueError(f"page size must be positive, not {size}")
-        page: List[Any] = []
-        for item in self:
-            page.append(item)
-            if len(page) == size:
-                yield page
-                page = []
-        if page:
+        hits = iter(self)
+        while page := list(islice(hits, size)):
             yield page
 
     def __len__(self) -> int:
@@ -343,18 +268,14 @@ class QueryResult:
 
     def __bool__(self) -> bool:
         """Whether the query reported at least one hit (may read one block)."""
-        sentinel = object()
-        return self.first(sentinel) is not sentinel
+        return self.first(_DONE) is not _DONE
 
     def __getitem__(self, index):
         """List-style access (materialises as far as needed; back-compat)."""
-        if isinstance(index, slice):
+        if isinstance(index, slice) or index < 0:
             return self.all()[index]
-        if index < 0:
-            return self.all()[index]
-        for i, item in enumerate(self):
-            if i == index:
-                return item
+        for item in islice(self, index, None):
+            return item
         raise IndexError(index)
 
     def __eq__(self, other: Any) -> bool:
@@ -385,12 +306,6 @@ class QueryResult:
     def count(self) -> int:
         """Hits reported so far (does not force materialisation)."""
         return len(self._cache)
-
-    @property
-    def stats(self) -> IOStats:
-        """Per-query I/O counters (settles any open bulk bracket first)."""
-        self._settle_bulk(reopen=True)
-        return self._stats
 
     @property
     def ios(self) -> int:

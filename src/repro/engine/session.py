@@ -22,7 +22,8 @@ subsystem multiplexes it with two small pieces:
   commit kernel (:meth:`~repro.engine.core.Engine._commit`): logged,
   group-fsynced, published in epoch order.  Per-request I/O is attributed
   through the backend's thread-local sink mechanism
-  (:meth:`repro.io.counters.IOStats.attributed`) — concurrent sessions on
+  (:meth:`repro.io.counters.IOStats.attributed`; a read's one sink is its
+  result's own counters, a write opens one for the turn) — concurrent sessions on
   one disk each measure exactly their own block accesses, which keeps the
   paper's per-query bounds checkable per request — and folded into the
   session's cumulative :attr:`~EngineSession.stats`.
@@ -193,7 +194,8 @@ class EngineSession:
     between what it read and what it deletes.
 
     Each request's I/Os land in a fresh sink (returned on the
-    :class:`SessionResult`) and accumulate in :attr:`stats`; the paper's
+    :class:`SessionResult` — for a read, the result's own counters) and
+    accumulate in :attr:`stats`; the paper's
     bounds therefore stay checkable per request even while other sessions
     drain queries on the same backend.  A session object itself is *not*
     shared between threads — one session per client connection.
@@ -267,38 +269,39 @@ class EngineSession:
         oracle of that epoch's record set even while writers commit
         concurrently on this or any other index.
         """
-        with self._root_span(op="query", index=name) as root:
-            with self.engine.read_turn(name) as epoch:
-                with self._attributed() as sink:
-                    result = self.engine.query(name, q)
-                    records = self._execute(name, result, epoch)
-                    bound = result.bound
-                    plan = result.plan
-        return self._finish_request(
-            root, SessionResult(records, sink, bound=bound, plan=plan)
-        )
+        return self._read("query", name, lambda: self.engine.query(name, q))
 
-    def _execute(self, name: str, result: Any, epoch: int) -> List[Any]:
-        """Drain ``result`` to its epoch-visible records under ``plan.execute``.
+    def _read(self, op: str, name: str, issue: Callable[[], Any]) -> SessionResult:
+        """Drain ``issue()`` to its epoch-visible records under ``plan.execute``.
 
+        The result's own counters are the request's (no second sink is
+        opened — each one is another locked add per page); they are handed
+        to the :class:`SessionResult` and folded into :attr:`stats`.
         When tracing is on and the backend decodes pages (``FileDisk``),
         the span also says how many pages this request decoded and how
         many record objects it built from them — the codec's share of the
         request, without a profiler.
         """
-        with obs_tracer.span(
-            "plan.execute", stats=self.engine.io_stats(), index=name
-        ) as sp:
-            tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
-            if tally is not None:
-                pages, built = tally.pages, tally.records
-            records = self.engine.visible_records(name, result.all(), epoch)
-            if tally is not None:
-                sp.annotate(
-                    pages_decoded=tally.pages - pages,
-                    records_materialised=tally.records - built,
-                )
-        return records
+        with self._root_span(op=op, index=name) as root:
+            with self.engine.read_turn(name) as epoch:
+                result = issue()
+                with obs_tracer.span(
+                    "plan.execute", stats=self.engine.io_stats(), index=name
+                ) as sp:
+                    tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
+                    if tally is not None:
+                        pages, built = tally.pages, tally.records
+                    records = self.engine.visible_records(name, result.all(), epoch)
+                    if tally is not None:
+                        sp.annotate(
+                            pages_decoded=tally.pages - pages,
+                            records_materialised=tally.records - built,
+                        )
+        self.stats.merge(result.stats)
+        self.requests += 1
+        return self._finish_request(
+            root, SessionResult(records, result.stats, bound=result.bound, plan=result.plan)
+        )
 
     def run(self, prepared: Any, **params: Any) -> SessionResult:
         """Execute a :class:`~repro.engine.prepared.PreparedQuery` handle.
@@ -308,20 +311,9 @@ class EngineSession:
         the planner they delegate to is internally locked, so re-planning
         after an invalidation is safe under the shared latch.
         """
-        with self._root_span(op="run", index=prepared.name) as root:
-            with self.engine.read_turn(prepared.name) as epoch:
-                with self._attributed() as sink:
-                    result = prepared.run(**params)
-                    records = self._execute(prepared.name, result, epoch)
-                    bound = result.bound
-                    plan = result.plan
-        return self._finish_request(
-            root,
-            SessionResult(
-                records, sink, bound=bound, plan=plan,
-                from_cache=prepared.last_from_cache,
-            ),
-        )
+        out = self._read("run", prepared.name, lambda: prepared.run(**params))
+        out.from_cache = prepared.last_from_cache
+        return out
 
     def prepare(self, name: str, q: Any) -> Any:
         """Plan once under a shared read turn; returns the prepared handle."""

@@ -21,15 +21,15 @@ EngineSession` draining queries in parallel.  Two guarantees follow:
   ``with`` block exits.  Because registration is thread-local, concurrent
   requests on one backend each see exactly their own I/Os — which is what
   keeps the paper's per-query bounds checkable per request while other
-  sessions hammer the same disk.
+  sessions hammer the same disk.  :meth:`measure` and every
+  :class:`~repro.engine.result.QueryResult` count through it, so a scoped
+  measurement and ``result.ios`` are per thread too.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -133,29 +133,23 @@ class IOStats:
     # ------------------------------------------------------------------ #
     # per-thread attribution
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def attributed(self, sink: "IOStats") -> Iterator["IOStats"]:
+    def attributed(self, sink: "IOStats") -> "_Attribution":
         """Mirror this thread's counts into ``sink`` for the scope's duration.
 
         Registration is **thread-local**: other threads' I/Os on the same
         backend are never attributed to ``sink``, so concurrent sessions can
         each measure their own requests on one shared disk.  Scopes nest —
         an inner sink and an outer sink both receive the inner scope's
-        counts.
+        counts.  The returned scope may be entered any number of times (a
+        lazy result re-enters its one scope around every resumption).
         """
-        sinks = getattr(self._local, "sinks", None)
-        if sinks is None:
-            sinks = self._local.sinks = []
-        sinks.append(sink)
-        try:
-            yield sink
-        finally:
-            # unregister by identity: list.remove compares by ==, and two
-            # sinks with equal counter values would unregister the wrong one
-            for i in range(len(sinks) - 1, -1, -1):
-                if sinks[i] is sink:
-                    del sinks[i]
-                    break
+        return _Attribution(self._local, sink)
+
+    def measure(self) -> "_Attribution":
+        """``with stats.measure() as m``: this thread's I/Os inside the scope,
+        in a fresh :class:`Measurement` sink (``m.ios``/``m.reads``/``m.writes``)
+        — what every backend's ``measure()`` returns."""
+        return self.attributed(Measurement())
 
     # ------------------------------------------------------------------ #
     # reading
@@ -226,22 +220,36 @@ class IOStats:
         )
 
 
-@dataclass
-class Measurement:
-    """A scoped I/O measurement produced by :meth:`SimulatedDisk.measure`."""
+class _Attribution:
+    """One sink's registration on the entering thread (see ``attributed``)."""
 
-    before: IOStats = field(default_factory=IOStats)
-    after: IOStats = field(default_factory=IOStats)
+    __slots__ = ("_local", "_sink")
+
+    def __init__(self, local: threading.local, sink: IOStats) -> None:
+        self._local = local
+        self._sink = sink
+
+    def __enter__(self) -> IOStats:
+        sinks = getattr(self._local, "sinks", None)
+        if sinks is None:
+            sinks = self._local.sinks = []
+        sinks.append(self._sink)
+        return self._sink
+
+    def __exit__(self, *exc: object) -> None:
+        # unregister by identity: list.remove compares by ==, and two
+        # sinks with equal counter values would unregister the wrong one
+        sinks, sink = getattr(self._local, "sinks", ()), self._sink
+        for i in range(len(sinks) - 1, -1, -1):
+            if sinks[i] is sink:
+                del sinks[i]
+                break
+
+
+class Measurement(IOStats):
+    """A scoped I/O measurement: the sink :meth:`IOStats.measure` fills."""
 
     @property
     def ios(self) -> int:
         """I/Os performed inside the measured scope."""
-        return self.after.diff(self.before).total
-
-    @property
-    def reads(self) -> int:
-        return self.after.reads - self.before.reads
-
-    @property
-    def writes(self) -> int:
-        return self.after.writes - self.before.writes
+        return self.total

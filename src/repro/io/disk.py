@@ -14,8 +14,7 @@ data items" and control information of constant size per block is ignored.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, ContextManager, Dict, List, Optional, Sequence
 
 from repro.io.counters import IOStats, Measurement
 
@@ -238,9 +237,8 @@ class SimulatedDisk:
     def block_ids(self) -> List[BlockId]:
         return list(self._blocks.keys())
 
-    @contextmanager
-    def measure(self) -> Iterator[Measurement]:
-        """Measure I/Os performed within a ``with`` block.
+    def measure(self) -> ContextManager[Measurement]:
+        """Measure this thread's I/Os within a ``with`` block.
 
         Example
         -------
@@ -251,11 +249,7 @@ class SimulatedDisk:
         >>> m.ios
         1
         """
-        measurement = Measurement(before=self.stats.snapshot())
-        try:
-            yield measurement
-        finally:
-            measurement.after = self.stats.snapshot()
+        return self.stats.measure()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

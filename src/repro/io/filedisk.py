@@ -27,14 +27,17 @@ import os
 import pickle
 import tempfile
 import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import lockdep
 from repro.io import pagecodec
 from repro.io.counters import IOStats, Measurement
 from repro.io.disk import Block, BlockId
 from repro.io.pagecodec import PAGE_FORMAT, PageFormatError
+
+
+#: what :meth:`FileDisk.compact` appends to the names of the copies it swaps in
+COMPACT_SUFFIX = ".compact"
 
 
 class FileDisk:
@@ -64,6 +67,9 @@ class FileDisk:
     * Overwriting a page appends a new version; :meth:`compact` reclaims
       the superseded extents.  ``blocks_in_use`` counts live blocks, which
       is the quantity the paper's space bounds are about.
+    * No byte a durable sidecar names is ever rewritten, and the sidecar's
+      ``os.replace`` is the only commit point of :meth:`sync` and
+      :meth:`compact` alike: a kill at any instant leaves a reopenable pair.
     """
 
     def __init__(
@@ -109,9 +115,21 @@ class FileDisk:
         :class:`FileNotFoundError` when either file is missing and
         :class:`~repro.io.pagecodec.PageFormatError` when the file was
         written under another page format (a sidecar without the field
-        dates from the pickled pages before format 1).
+        dates from the pickled pages before format 1).  A :meth:`compact`
+        the previous process was killed in is finished or discarded first.
         """
-        with open(cls._meta_path_for(path), "rb") as fh:
+        sidecar = cls._meta_path_for(path)
+        pages_copy, sidecar_copy = path + COMPACT_SUFFIX, sidecar + COMPACT_SUFFIX
+        if os.path.exists(pages_copy):
+            # the swap never began: drop both copies, the sidecar's first, so
+            # a kill between the two unlinks still reads as "discard"
+            for leftover in (sidecar_copy, pages_copy):
+                if os.path.exists(leftover):
+                    os.unlink(leftover)
+        elif os.path.exists(sidecar_copy):
+            # the pages were renamed into place, their sidecar was not: promote
+            os.replace(sidecar_copy, sidecar)
+        with open(sidecar, "rb") as fh:
             # the sidecar is constant-size control information, exactly like
             # the block headers — not an I/O in the model (see :meth:`sync`)
             # lint: allow(uncounted-io)
@@ -174,15 +192,7 @@ class FileDisk:
         if self._owns_file or self._closed:
             return
         with self._io_lock:
-            state = {
-                "page_format": PAGE_FORMAT,
-                "block_size": self.block_size,
-                "extents": dict(self._extents),
-                "capacities": dict(self._capacities),
-                "next_id": self._next_id,
-                "end": self._end,
-                "meta": self.meta,
-            }
+            payload = self._sidecar(self._extents, self._end)
             self._file.flush()
             fileno = self._file.fileno()
         # the fsync runs *outside* _io_lock: the snapshot above is already
@@ -193,13 +203,32 @@ class FileDisk:
         lockdep.notify_blocking("filedisk.sync")
         os.fsync(fileno)
         sidecar = self._meta_path_for(self.path)
-        tmp = sidecar + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        self._write_durable(sidecar + ".tmp", [payload])
+        os.replace(sidecar + ".tmp", sidecar)
+        self.stats.count(fsyncs=2)
+
+    def _sidecar(self, extents: Dict[BlockId, Tuple[int, int]], end: int) -> bytes:
+        """The sidecar's bytes for a page layout (``extents``, ``end``)."""
+        state = {
+            "page_format": PAGE_FORMAT,
+            "block_size": self.block_size,
+            "extents": extents,
+            "capacities": self._capacities,
+            "next_id": self._next_id,
+            "end": end,
+            "meta": self.meta,
+        }
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def _write_durable(path: str, chunks: Iterable[bytes]) -> None:
+        """Write ``chunks`` to a fresh file at ``path`` and fsync it; the
+        caller renames it into place (``os.replace`` is the commit point)."""
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, sidecar)
-        self.stats.count(fsyncs=2)
 
     # ------------------------------------------------------------------ #
     # serialization
@@ -301,13 +330,8 @@ class FileDisk:
     def block_ids(self) -> List[BlockId]:
         return list(self._extents.keys())
 
-    @contextmanager
-    def measure(self) -> Iterator[Measurement]:
-        measurement = Measurement(before=self.stats.snapshot())
-        try:
-            yield measurement
-        finally:
-            measurement.after = self.stats.snapshot()
+    def measure(self) -> ContextManager[Measurement]:
+        return self.stats.measure()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -318,28 +342,43 @@ class FileDisk:
         return self._end
 
     def compact(self) -> int:
-        """Rewrite the page file keeping only live block versions.
+        """Swap in a copy of the page file that keeps only live block versions.
 
         Returns the number of bytes reclaimed.  Not an I/O in the model (it
         is maintenance, not query/update work).  Pages move as verified
-        bytes — each is checksummed before anything is truncated, so a
+        bytes — each is checksummed before anything is written, so a
         damaged page raises :class:`~repro.io.pagecodec.PageCorruptError`
         with the file untouched — and no record is decoded.
+
+        Nothing is rewritten in place: the live pages go to ``<path>.compact``
+        and (on a persistent disk) the sidecar for that layout to
+        ``<path>.meta.compact``, both fsynced, and are then renamed over
+        ``<path>`` and ``<path>.meta`` in that order.  :meth:`open` discards
+        the copies of a process killed before the first rename and promotes
+        the sidecar copy of one killed between the two.
         """
         self._check_open()
+        pages, sidecar = self.path + COMPACT_SUFFIX, self._meta_path_for(self.path)
         with self._io_lock:
-            before = self._end
-            live = []
+            extents: Dict[BlockId, Tuple[int, int]] = {}
+            live, end = [], 0
             for bid in self._extents:
                 offset, length, raw = self._extent(bid)
                 pagecodec.verify(raw, bid, offset, length)
-                live.append((bid, self._capacities[bid], raw))
-            self._file.seek(0)
-            self._file.truncate()
-            self._end = 0
-            for bid, capacity, raw in live:
-                self._append(bid, capacity, raw)
-            return before - self._end
+                extents[bid] = (end, length)
+                live.append(raw)
+                end += length
+            self._write_durable(pages, live)
+            if self.persistent:
+                self._write_durable(sidecar + COMPACT_SUFFIX, [self._sidecar(extents, end)])
+            os.replace(pages, self.path)
+            if self.persistent:
+                os.replace(sidecar + COMPACT_SUFFIX, sidecar)
+            self._file.close()
+            self._file = open(self.path, "r+b")
+            reclaimed = self._end - end
+            self._extents, self._end = extents, end
+            return reclaimed
 
     def close(self) -> None:
         """Sync the sidecar, then close the page file (temporaries are deleted)."""

@@ -90,7 +90,7 @@ class Span:
 
     __slots__ = (
         "name", "attrs", "parent", "children", "wall_ms", "io",
-        "_t0", "_stack", "_stats", "_sink_cm", "_tid", "_closed",
+        "_t0", "_stack", "_stats", "_sink_cm", "_closed",
     )
 
     def __init__(
@@ -111,7 +111,6 @@ class Span:
         self._stack: Optional[List["Span"]] = None
         self._stats = stats
         self._sink_cm: Any = None
-        self._tid = threading.get_ident()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -127,11 +126,11 @@ class Span:
             return
         self._closed = True
         self.wall_ms = (time.perf_counter() - self._t0) * 1e3
-        # sink registration is thread-local: only unregister from the
-        # thread that registered (a GC'd abandoned generator may close a
-        # span from another thread; its sink entry dies with the request
+        # sink registration is thread-local: a GC'd abandoned generator may
+        # close a span from another thread, which finds nothing of this
+        # span's registered there (its sink entry dies with the request
         # thread's scope anyway)
-        if self._sink_cm is not None and threading.get_ident() == self._tid:
+        if self._sink_cm is not None:
             self._sink_cm.__exit__(None, None, None)
         self._sink_cm = None
         stack = self._stack

@@ -115,23 +115,19 @@ class ExternalPST:
         """Stream the 3-sided answer, reading one node block at a time."""
         return self._iter_query(self.root_id, x1, x2, y0)
 
+    def stream(self, q: Any) -> Iterator[PlanarPoint]:
+        """The plain lazy hit iterator for a supported descriptor."""
+        return self.iter_3sided(q.x1, q.x2, q.y0)
+
     def query(self, q: Any) -> "Any":
-        """Answer a query descriptor with a lazy ``QueryResult``.
+        """Answer a query descriptor with a lazy ``QueryResult`` over :meth:`stream`.
 
         Accepts :class:`~repro.metablock.geometry.ThreeSidedQuery` (and,
         via the engine, anything with ``x1``/``x2``/``y0`` fields).
         """
         from repro.engine.result import QueryResult
 
-        if not isinstance(q, ThreeSidedQuery):
-            raise TypeError(f"ExternalPST cannot answer {type(q).__name__} queries")
-        n, b = max(self.size, 2), self.B
-        return QueryResult(
-            lambda: self.iter_3sided(q.x1, q.x2, q.y0),
-            disk=self.disk,
-            bound=lambda t: external_pst_query_bound(n, b, t),
-            label=f"pst:3sided[{q.x1},{q.x2}]x[{q.y0},inf)",
-        )
+        return QueryResult.of(self, q)
 
     def supports(self, q: Any) -> bool:
         """3-sided query shapes (Lemma 4.1)."""

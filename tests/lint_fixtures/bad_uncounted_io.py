@@ -36,3 +36,28 @@ class GoodBarrier:
     def sync(self):
         os.fsync(self._file.fileno())
         self.stats.count(fsyncs=1)
+
+
+class Drained:
+    """The program's one method named ``all`` — and it charges."""
+
+    def all(self):
+        self.stats.count(reads=1)
+        return []
+
+
+def builtin_all_is_no_method(fh, flags):
+    # a bare name is a builtin or an import, never a method: this all(...)
+    # mints no edge to Drained.all, so no charge is reached
+    if all(flags):
+        fh.seek(0)  # seeded: uncounted-io
+
+
+def charge_one(stats):
+    stats.count(reads=1)
+
+
+def bare_function_call_resolves(fh, stats):
+    """The good twin: a bare call of a module function is an edge."""
+    charge_one(stats)
+    fh.seek(0)

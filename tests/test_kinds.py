@@ -195,6 +195,44 @@ def test_query_explain_and_the_index_itself_agree(kind, backend):
         assert engine.planner("ix") is planner
 
 
+#: kind -> a descriptor the kind does not serve (a collection's scan fallback
+#: serves anything with a ``matches`` oracle, so it gets a bare object)
+UNSERVED = {
+    "interval": ClassRange(ROOT, 0.0, 1.0),
+    "collection": object(),
+    "key": ThreeSidedQuery(0.0, 1.0, 2.0),
+    "point": Stab(1.0),
+    "class": Stab(1.0),
+    "constraint": ThreeSidedQuery(0.0, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("backend", [SimulatedDisk, FileDisk])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_route_returns_the_same_records_ios_and_bound(kind, backend):
+    """``index.query``, ``engine.query``, a prepared run and a session read
+    build one result over ``index.stream``, counted one way."""
+    assert set(UNSERVED) == set(KINDS)
+    records, params, q, _ = _case(kind)
+    with Engine(backend(block_size=8)) as engine:
+        index = engine.create("ix", kind, records, **params)
+        routes = [
+            index.query(q),
+            engine.query("ix", q),
+            engine.prepare("ix", q).run(),
+            engine.session().query("ix", q),
+        ]
+        answers = [(_keys(list(r)), r.stats.total, r.bound) for r in routes]
+        assert answers[0][0] != [] and answers[0][1] > 0 and answers[0][2] is not None
+        assert answers.count(answers[0]) == len(routes), answers
+        assert _keys(index.stream(q)) == answers[0][0]
+        before = engine.io_stats().total
+        for route in (index.query, lambda bad: engine.query("ix", bad)):
+            with pytest.raises(TypeError):
+                route(UNSERVED[kind])  # at the call, not at the drain
+        assert engine.io_stats().total == before
+
+
 def test_plan_cache_info_lists_every_index_and_a_recreated_name_is_stale():
     engine = Engine(block_size=8)
     for kind in sorted(KINDS):

@@ -65,6 +65,28 @@ class TestSourceTreeIsClean:
             "mutex" in a and "latch" in b.lower() for a, b in edges
         ), edges
 
+    def test_truncating_the_page_file_in_place_is_flagged(self, tmp_path):
+        # the rewrite-in-place compaction this tree no longer has: put its
+        # seek(0) + truncate() back into a scratch copy and lint that tree
+        import shutil
+
+        tree = tmp_path / "repro"
+        shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        filedisk = tree / "io" / "filedisk.py"
+        source = filedisk.read_text()
+        marker = "            self._write_durable(pages, live)\n"
+        assert source.count(marker) == 1
+        filedisk.write_text(source.replace(
+            marker, "            self._file.seek(0)\n            self._file.truncate()\n" + marker
+        ))
+        linter = lint_paths([tree])
+        assert [(Path(f.path).name, f.rule) for f in linter.findings] == [
+            ("filedisk.py", "uncounted-io")
+        ] * 2, render_report(linter)
+        assert [f.message.split("()")[0].split()[-1] for f in linter.findings] == [
+            "self._file.seek", "self._file.truncate"
+        ]
+
     def test_known_suppressions_are_counted_not_silent(self):
         # checkpoint's sync-under-mutex, the WAL truncate barrier, and the
         # WAL/FileDisk recovery reads (charged wholesale, not per verb) are
@@ -246,6 +268,25 @@ class TestEffectSummaries:
             "    charge(stats)\n"
         )
         assert linter.program.reaches("<snippet>::entry", "charge")
+
+    def test_a_bare_builtin_call_resolves_to_no_method(self):
+        # all(...) next to the program's one method named ``all``: a bare
+        # name is a builtin or an import, never a method — no call edge
+        linter = lint_snippet(
+            "class Result:\n"
+            "    def all(self):\n"
+            "        self.stats.count(reads=1)\n"
+            "def check(fh, flags):\n"
+            "    if all(flags):\n"
+            "        fh.seek(0)\n"
+            "def drain(fh, result):\n"
+            "    result.all()\n"
+            "    fh.seek(0)\n"
+        )
+        program = linter.program
+        assert program.callees("<snippet>::check") == set()
+        assert program.callees("<snippet>::drain") == {"<snippet>::Result.all"}
+        assert [(f.rule, f.line) for f in linter.findings] == [("uncounted-io", 6)]
 
     def test_unresolved_calls_do_not_invent_effects(self):
         linter = lint_snippet(

@@ -236,3 +236,97 @@ class TestConsumptionContract:
         with pytest.raises(ResultConsumedError):
             result.all()
         assert engine.io_stats().total == before  # no I/O on the failure path
+
+
+class TestTheOneAccountingMode:
+    """Thread-local attribution into the result's own counters: lazy, exact
+    while suspended or interleaved, and nothing left registered afterwards."""
+
+    @staticmethod
+    def _sinks(engine):
+        """The attribution sinks registered on this thread right now."""
+        return getattr(engine.io_stats()._local, "sinks", [])
+
+    @staticmethod
+    def _alone(q):
+        """``ios`` of ``q`` drained on its own on a fresh, identical engine."""
+        result = _engine().query("ivs", q)
+        return result.all(), result.ios
+
+    def test_pristine_all_counts_the_whole_drain_in_one_scope(self):
+        engine = _engine()
+        result = engine.query("ivs", Stab(500.0))
+        assert result.ios == 0 and not result.started  # building is free
+        with engine.measure() as m:
+            hits = result.all()
+        assert hits and result.ios == m.ios > 0
+        assert result.stats.writes == 0 and result.stats.reads == m.reads
+        assert self._sinks(engine) == []
+
+    def test_partial_drain_then_stats_reports_exactly_what_was_read(self):
+        engine = _engine()
+        result = engine.query("ivs", Range(100.0, 900.0))
+        it = iter(result)
+        with engine.measure() as m:
+            for _ in range(3):
+                next(it)
+        assert 0 < result.ios == m.ios
+        assert self._sinks(engine) == []  # suspended: nothing registered
+        with engine.measure() as rest:
+            result.all()
+        assert result.ios == m.ios + rest.ios
+
+    def test_two_results_interleaved_record_by_record_stay_exact(self):
+        qa, qb = Stab(500.0), Range(100.0, 900.0)
+        (hits_a, alone_a), (hits_b, alone_b) = self._alone(qa), self._alone(qb)
+        engine = _engine()
+        a, b = engine.query("ivs", qa), engine.query("ivs", qb)
+        ia, ib = iter(a), iter(b)
+        done = object()
+        while True:
+            ra, rb = next(ia, done), next(ib, done)
+            if ra is done and rb is done:
+                break
+        assert (a.all(), b.all()) == (hits_a, hits_b)
+        assert (a.ios, b.ios) == (alone_a, alone_b)
+
+    def test_limit_child_and_parent_both_count_the_prefix_they_read(self):
+        engine = _engine()
+        parent = engine.query("ivs", Range(100.0, 900.0))
+        with engine.measure() as m:
+            head = parent.limit(5).all()
+        assert len(head) == 5 and parent.count == 5
+        child = parent.limit(5)
+        assert child.all() == head and child.ios == 0  # replayed from the cache
+        assert parent.ios == m.ios > 0
+
+    def test_abandoned_iterator_leaves_no_sink_registered(self):
+        engine = _engine()
+        result = engine.query("ivs", Range(100.0, 900.0))
+        it = iter(result)
+        next(it)
+        read = result.ios
+        del it  # abandoned mid-stream, never closed explicitly
+        assert self._sinks(engine) == []
+        engine.query("ivs", Stab(500.0)).all()  # someone else's pages
+        assert result.ios == read
+
+    def test_source_raising_mid_stream_counts_what_was_read_and_re_raises(self):
+        engine = _engine()
+        manager = engine["ivs"]
+
+        def failing():
+            for i, iv in enumerate(manager.stream(Range(100.0, 900.0))):
+                if i == 20:
+                    raise RuntimeError("mid-stream")
+                yield iv
+
+        for drain in (lambda r: r.all(), list):
+            result = QueryResult(failing, disk=engine.disk)
+            with engine.measure() as m:
+                with pytest.raises(RuntimeError, match="mid-stream"):
+                    drain(result)
+            assert result.ios == m.ios > 0
+            with pytest.raises(RuntimeError, match="mid-stream"):
+                list(result)  # re-iteration re-raises, it does not re-run
+            assert result.ios == m.ios and self._sinks(engine) == []

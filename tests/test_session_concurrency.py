@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro import Engine, Interval, SimulatedDisk, Stab
+from repro import Engine, Interval, Param, SimulatedDisk, Stab
 from repro.analysis import lockdep
 from repro.analysis.lockdep import (
     BlockingUnderLockError,
@@ -363,8 +363,6 @@ class TestEngineSession:
         assert session.query("base", Stab(400.0)).records == []
 
     def test_prepared_run_through_session(self):
-        from repro import Param
-
         engine, base = self.make_engine()
         session = engine.session()
         prepared = session.prepare("base", Stab(Param("x")))
@@ -373,6 +371,84 @@ class TestEngineSession:
             iv.uid for iv in base if Stab(250.0).matches(iv)
         }
         assert res.from_cache is not None
+
+
+class TestCountsArePerThread:
+    """``result.ios`` and ``measure()`` count the calling thread's pages only."""
+
+    def test_two_threads_on_one_backend_each_read_their_own_ios(self):
+        """Two threads, one backend, an index each: every ad-hoc result,
+        prepared result and ``measure()`` scope reports the single-threaded
+        count, however the interpreter interleaves them."""
+        import sys
+
+        engine = Engine(SimulatedDisk(16))
+        xs = [5.0 * i for i in range(1, 201)]
+        expected, prepared = {}, {}
+        for name, seed in (("a", 3), ("b", 4)):
+            engine.create_collection(name, random_intervals(1500, seed=seed, mean_length=12.0))
+            expected[name] = []
+            for x in xs:
+                alone = engine.query(name, Stab(x))
+                alone.all()
+                expected[name].append(alone.ios)
+            prepared[name] = engine.prepare(name, Stab(Param("x")))
+        wrong, barrier = [], threading.Barrier(2, timeout=10)
+
+        def worker(name):
+            try:
+                barrier.wait()
+                for x, ios in zip(xs, expected[name]):
+                    adhoc = engine.query(name, Stab(x))
+                    adhoc.all()
+                    ran = prepared[name].run(x=x)
+                    ran.all()
+                    with engine.disk.measure() as m:
+                        engine.query(name, Stab(x)).all()
+                    got = (adhoc.ios, ran.ios, m.ios)
+                    if got != (ios, ios, ios):
+                        wrong.append((name, x, ios, got))
+            except Exception as exc:  # noqa: BLE001
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ts = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
+            for t in ts:
+                t.start()
+            for t in ts:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in ts)
+        assert wrong == [] and min(map(min, expected.values())) > 0
+
+    def test_a_session_read_registers_one_sink_per_page(self):
+        """The result's own counters are the request's: no second sink."""
+        engine = Engine(SimulatedDisk(16))
+        engine.create_collection("base", random_intervals(4000, seed=3, mean_length=300.0))
+        session = engine.session()
+        prepared = session.prepare("base", Stab(Param("x")))
+        mirrored = []
+        real_count = IOStats.count
+
+        def counting(self, **deltas):
+            if self is not engine.io_stats():
+                mirrored.append(deltas)  # a sink receiving a mirrored count
+            real_count(self, **deltas)
+
+        for read in (lambda: session.query("base", Stab(500.0)),
+                     lambda: session.run(prepared, x=500.0)):
+            del mirrored[:]
+            IOStats.count = counting
+            try:
+                res = read()
+            finally:
+                IOStats.count = real_count
+            assert res.ios >= 20
+            # one mirror per page read, then the one merge into session.stats
+            assert len(mirrored) == res.ios + 1, mirrored
 
 
 class TestLockdepWitness:
