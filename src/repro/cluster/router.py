@@ -63,7 +63,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.engine.queries import Limit, OrderBy, bind_params, unbound_params
@@ -138,22 +137,65 @@ class ShardConnection:
             client.close()
 
 
-#: positions of the fields in a wire row ``[low, high, payload, uid]``
-_ROW_FIELDS = {"low": 0, "high": 1, "payload": 2, "uid": 3}
+#: positions of the fields in a frame's columns ``(lows, highs, uids, payloads)``
+_COLUMN_FIELDS = {"low": 0, "high": 1, "uid": 2, "payload": 3}
 
 
-def _wire_sort_key(order: OrderBy) -> Callable[[List[Any]], Any]:
-    """A sort key over *wire* records (rows) for a top-level OrderBy."""
+def _column_sort_key(order: OrderBy, columns: List[List[Any]]) -> Callable[[int], Any]:
+    """A sort key over *row numbers* of merged columns for a top-level OrderBy."""
     key = order.key
     if key is None:
-        return lambda row: (row[0], row[1], row[3])
-    position = None if callable(key) else _ROW_FIELDS.get(key)
+        lows, highs, uids, _payloads = columns
+        return lambda i: (lows[i], highs[i], uids[i])
+    position = None if callable(key) else _COLUMN_FIELDS.get(key)
     if position is None:
         raise P.ProtocolError(
             "a routed OrderBy needs a field-name key ('low'/'high'), "
             f"not {key!r}"
         )
-    return itemgetter(position)
+    return columns[position].__getitem__
+
+
+def _shard_frame(resp: Dict[str, Any]) -> P.RecordFrame:
+    """The records of one shard's reply as a frame (a shard that answers
+    rows — one that does not know ``frames`` — has them validated here)."""
+    records = resp.get("records", [])
+    if isinstance(records, P.RecordFrame):
+        return records
+    return P.RecordFrame.of(P.records_from_wire(records))
+
+
+def _merge_frames(
+    frames: List[P.RecordFrame],
+    *,
+    dedupe: bool,
+    order: Optional[OrderBy] = None,
+    cap: Optional[int] = None,
+) -> P.RecordFrame:
+    """The shards' frames as one: concatenated in shard order, the first of
+    each uid kept (``dedupe``), sorted (``order``), cut (``cap``) — by
+    column; no record is built.  One frame with nothing to do to it is
+    returned as it is, so its bytes go out as they came in.
+    """
+    if len(frames) == 1 and order is None and cap is None:
+        return frames[0]
+    columns: List[List[Any]] = [[], [], [], []]
+    for frame in frames:
+        for column, part in zip(columns, frame.columns()):
+            column.extend(part)
+    uids = columns[_COLUMN_FIELDS["uid"]]
+    rows = list(range(len(uids)))
+    # one shard's answer is already distinct
+    if dedupe and len(frames) > 1 and len(set(uids)) < len(uids):
+        first: Dict[Any, int] = {}
+        for i in rows:
+            first.setdefault(uids[i], i)
+        rows = list(first.values())
+    if order is not None:
+        rows.sort(key=_column_sort_key(order, columns), reverse=bool(order.reverse))
+    if cap is not None:
+        rows = rows[:max(cap, 0)]
+    return P.RecordFrame.from_columns(*([column[i] for i in rows] for column in columns))
 
 
 class ShardRouter(Executor):
@@ -222,7 +264,8 @@ class ShardRouter(Executor):
     # ------------------------------------------------------------------ #
     def _call_shard(self, shard: int, cmd: str, **payload: Any) -> Dict[str, Any]:
         try:
-            return self._links[shard].call(cmd, **payload)
+            # every shard reply that carries records carries them as a frame
+            return self._links[shard].call(cmd, frames=True, **payload)
         except (ConnectionError, OSError) as exc:
             if self._supervisor is not None:
                 # a dead shard gets the supervisor's diagnosis (exit code,
@@ -346,18 +389,6 @@ class ShardRouter(Executor):
     def _merge_read(
         self, q: Any, pairs: List[Tuple[int, Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        records: List[List[Any]] = []
-        if len(pairs) == 1:
-            # one shard answered: its rows are the union, already distinct
-            records = pairs[0][1].get("records", [])
-        else:
-            seen: Set[Any] = set()
-            for _shard, resp in pairs:
-                for row in resp.get("records", []):
-                    uid = row[3]
-                    if uid not in seen:
-                        seen.add(uid)
-                        records.append(row)
         # peel the top-level modifier chain: every Limit caps the union,
         # the outermost OrderBy decides the final order
         cap: Optional[int] = None
@@ -369,10 +400,10 @@ class ShardRouter(Executor):
             elif order is None:
                 order = node
             node = node.part
-        if order is not None:
-            records.sort(key=_wire_sort_key(order), reverse=bool(order.reverse))
-        if cap is not None:
-            records = records[:max(cap, 0)]
+        records = _merge_frames(
+            [_shard_frame(resp) for _shard, resp in pairs],
+            dedupe=True, order=order, cap=cap,
+        )
         stats: Dict[str, Any] = {}
         for _shard, resp in pairs:
             for key, value in resp.get("stats", {}).items():
@@ -482,7 +513,9 @@ class ShardRouter(Executor):
         self._count("writes", [shard for shard, _resp in pairs])
         return {
             "removed": sum(r.get("removed", 0) for _s, r in pairs),
-            "records": [rec for _s, r in pairs for rec in r.get("records", [])],
+            "records": _merge_frames(
+                [_shard_frame(r) for _s, r in pairs], dedupe=False
+            ),
             "ios": sum(r.get("ios", 0) for _s, r in pairs),
             "shards_contacted": len(pairs),
         }
@@ -504,7 +537,7 @@ class ShardRouter(Executor):
         return {
             "loaded": len(records),
             # echo in submission order with the router's authoritative uids
-            "records": P.records_to_wire(records),
+            "records": records,
             "ios": sum(r.get("ios", 0) for _s, r in pairs),
             "shards_contacted": len(pairs),
         }

@@ -6,7 +6,8 @@ Layers (bottom up):
   (``Engine.session()`` handles: MVCC snapshot reads under a per-index
   latch, writes through the commit kernel, per-session I/O attribution);
 * :mod:`repro.server.protocol` — the JSON-line wire codec: framed
-  request/response messages, record and algebra-descriptor round-trips,
+  request/response messages, record (rows in, rows or packed record
+  frames out) and algebra-descriptor round-trips, the one reply codec,
   error classification by exception type;
 * :mod:`repro.server.core` — :class:`JsonLineServer`, the one request
   entry point (command table, field validation, per-connection
@@ -21,12 +22,15 @@ from repro.server.core import JsonLineServer, ReproServer
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    RecordFrame,
     ShardUnavailableError,
     StaleHandleError,
     decode_message,
     encode_message,
+    encode_reply,
     query_from_wire,
     query_to_wire,
+    read_reply,
     record_from_dict,
     record_to_dict,
     record_to_row,
@@ -38,6 +42,7 @@ __all__ = [
     "JsonLineServer",
     "PreparedHandle",
     "ProtocolError",
+    "RecordFrame",
     "ReproClient",
     "ReproServer",
     "ServerError",
@@ -45,8 +50,10 @@ __all__ = [
     "StaleHandleError",
     "decode_message",
     "encode_message",
+    "encode_reply",
     "query_from_wire",
     "query_to_wire",
+    "read_reply",
     "record_from_dict",
     "record_to_dict",
     "record_to_row",

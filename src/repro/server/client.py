@@ -2,11 +2,26 @@
 
 One socket, one request in flight at a time (the protocol is strictly
 request/response per connection; open several clients for parallelism —
-that is exactly what the concurrent workload driver does).  Records cross
-the wire as ``[low, high, payload, uid]`` rows and come back as real
-:class:`~repro.interval.Interval` objects whose uids are the server's
-authoritative record names — pass them straight back to
-:meth:`~ReproClient.delete`.
+that is exactly what the concurrent workload driver does).  Records go
+out as ``[low, high, payload, uid]`` rows; the calls that get records back
+(``query`` / ``run`` / ``bulk_load`` / ``delete(q=)``) ask for them as a
+**record frame** (``"frames": true``, see :mod:`repro.server.protocol`)
+and accept rows from a server that does not know the field.  Either way
+``query`` / ``run`` / ``bulk_load`` hand them back as real
+:class:`~repro.interval.Interval` objects — built and validated
+(endpoints finite and in order, uid an ``int``) before the call returns —
+whose uids are the server's authoritative record names: pass them
+straight back to :meth:`~ReproClient.delete` (whose own reply, for
+``q=``, lists what it removed as rows).  A raw
+:meth:`~ReproClient.call` gets rows unless it passes ``frames=True``
+itself, in which case ``response["records"]`` is the verified
+:class:`~repro.server.protocol.RecordFrame`.
+
+After any transport failure inside :meth:`~ReproClient.call` — a timeout,
+a short read, an undecodable reply, a reply to another request — the
+client closes its socket: it no longer knows where the next reply starts,
+so every later call raises :class:`ConnectionError` at once.  A structured
+error (:class:`ServerError`) leaves the connection usable.
 
 >>> with ReproClient("127.0.0.1", 7411) as db:          # doctest: +SKIP
 ...     db.create("ivs", records=[Interval(1, 5)])
@@ -79,6 +94,15 @@ class PreparedHandle:
         return self.client.run(self, **params)
 
 
+def _reply_records(response: Dict[str, Any]) -> List[Any]:
+    """The reply's records, built and validated: out of its record frame,
+    or row by row when the server answered rows."""
+    records = response.get("records", [])
+    if isinstance(records, P.RecordFrame):
+        return records.records()
+    return [P.record_from_dict(d) for d in records]
+
+
 class ReproClient:
     """A blocking client for one server connection.
 
@@ -124,19 +148,24 @@ class ReproClient:
         """Send one command, wait for its response, unwrap errors."""
         if cmd not in P.COMMANDS:
             raise ValueError(f"unknown command {cmd!r}; know {sorted(P.COMMANDS)}")
+        if self._rfile.closed:
+            raise ConnectionError("this connection was closed")
         self._next_id += 1
         request_id = self._next_id
-        self._wfile.write(P.encode_message({"id": request_id, "cmd": cmd, **payload}))
-        self._wfile.flush()
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        response = P.decode_message(line)
-        if response.get("id") != request_id:
-            raise ConnectionError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
+        try:
+            self._wfile.write(P.encode_message({"id": request_id, "cmd": cmd, **payload}))
+            self._wfile.flush()
+            response = P.read_reply(self._rfile)
+            if response.get("id") != request_id:
+                raise ConnectionError(
+                    f"response id {response.get('id')!r} does not match "
+                    f"request id {request_id!r}"
+                )
+        except (OSError, P.ProtocolError):
+            # timeout, short read, undecodable reply: this side no longer knows
+            # where the next reply starts, so nothing may be read from here on
+            self.close()
+            raise
         if not response.get("ok"):
             error = response.get("error", {})
             raise ServerError(
@@ -165,7 +194,7 @@ class ReproClient:
     @staticmethod
     def _result(response: Dict[str, Any]) -> ClientResult:
         return ClientResult(
-            records=[P.record_from_dict(d) for d in response.get("records", [])],
+            records=_reply_records(response),
             ios=response.get("ios", 0),
             bound=response.get("bound"),
             stats=response.get("stats", {}),
@@ -193,7 +222,9 @@ class ReproClient:
         )
 
     def query(self, index: str, q: Any) -> ClientResult:
-        return self._result(self.call("query", index=index, q=P.query_to_wire(q)))
+        return self._result(
+            self.call("query", index=index, q=P.query_to_wire(q), frames=True)
+        )
 
     def prepare(self, index: str, q: Any) -> PreparedHandle:
         response = self.call("prepare", index=index, q=P.query_to_wire(q))
@@ -203,7 +234,9 @@ class ReproClient:
 
     def run(self, handle: Any, **params: Any) -> ClientResult:
         handle_id = handle.handle if isinstance(handle, PreparedHandle) else handle
-        return self._result(self.call("run", handle=handle_id, params=params))
+        return self._result(
+            self.call("run", handle=handle_id, params=params, frames=True)
+        )
 
     def insert(self, index: str, record: Any) -> Any:
         """Insert; returns the *stored* record (authoritative server uid)."""
@@ -221,14 +254,19 @@ class ReproClient:
         payload: Dict[str, Any] = {"index": index, "q": P.query_to_wire(q)}
         if limit is not None:
             payload["limit"] = limit
-        return self.call("delete", **payload)
+        response = self.call("delete", frames=True, **payload)
+        records = response.get("records")
+        if isinstance(records, P.RecordFrame):
+            response["records"] = records.rows()  # the reply as documented
+        return response
 
     def bulk_load(self, index: str, records: List[Any]) -> List[Any]:
         """Bulk-load; returns the stored records (authoritative uids)."""
         response = self.call(
-            "bulk_load", index=index, records=P.records_to_wire(list(records))
+            "bulk_load", index=index, records=P.records_to_wire(list(records)),
+            frames=True,
         )
-        return [P.record_from_dict(d) for d in response["records"]]
+        return _reply_records(response)
 
     def explain(self, index: str, q: Any) -> Dict[str, Any]:
         return self.call("explain", index=index, q=P.query_to_wire(q))["plan"]

@@ -118,6 +118,21 @@ class _Field(NamedTuple):
     default: Any = _REQUIRED
     decode: Optional[Callable[[Any], Any]] = None
 
+    def read(self, cmd: str, message: Dict[str, Any]) -> Any:
+        """This field of ``message``, type-checked and decoded (or its default)."""
+        value = message.get(self.name)
+        if value is None:
+            if self.default is _REQUIRED:
+                raise P.ProtocolError(f"command {cmd!r} requires {self.name!r}")
+            return self.default
+        if type(value) not in self.types:  # exact: a bool is no int
+            raise P.ProtocolError(
+                f"{self.name!r} must be "
+                f"{' or '.join(t.__name__ for t in self.types)}, "
+                f"not {type(value).__name__}"
+            )
+        return value if self.decode is None else self.decode(value)
+
 
 class _Row(NamedTuple):
     """One command: its fields, and the call they are the keywords of."""
@@ -126,23 +141,7 @@ class _Row(NamedTuple):
     call: Callable[..., Payload]
 
     def parse(self, cmd: str, message: Dict[str, Any]) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for field in self.fields:
-            value = message.get(field.name)
-            if value is None:
-                if field.default is _REQUIRED:
-                    raise P.ProtocolError(f"command {cmd!r} requires {field.name!r}")
-                value = field.default
-            elif type(value) not in field.types:  # exact: a bool is no int
-                raise P.ProtocolError(
-                    f"{field.name!r} must be "
-                    f"{' or '.join(t.__name__ for t in field.types)}, "
-                    f"not {type(value).__name__}"
-                )
-            elif field.decode is not None:
-                value = field.decode(value)
-            out[field.name] = value
-        return out
+        return {field.name: field.read(cmd, message) for field in self.fields}
 
 
 def _index_kind(kind: str) -> str:
@@ -212,6 +211,9 @@ def _delete(
 _INDEX = _Field("index", (str,))
 _Q = _Field("q", (dict,), decode=P.query_from_wire)
 _KEEP_UIDS = _Field("keep_uids", (bool,), False)
+#: any command may carry it: the reply's records then leave as a record
+#: frame (``protocol.encode_reply``); it changes nothing a command does
+_FRAMES = _Field("frames", (bool,), False)
 
 #: command -> row.  Defaults are shared objects: nothing mutates a field.
 COMMAND_TABLE: Dict[str, _Row] = {
@@ -268,8 +270,11 @@ class JsonLineServer:
     Subclasses say *which* executor serves a connection
     (:meth:`_connection`) and what to tear down afterwards
     (:meth:`_on_close`); this base owns the line framing, the command
-    table dispatch, the per-connection fault barrier (any exception
-    becomes a structured error response, never a dropped connection), the
+    table dispatch, the per-connection fault barrier (any exception,
+    encoding the reply included, becomes a structured error response,
+    never a dropped connection), the one reply encoder
+    (:func:`~repro.server.protocol.encode_reply`: rows, or a record frame
+    when the request asked), the
     always-on per-command metrics, and the graceful shutdown dance (the
     loop acks a ``shutdown`` request, then unwinds ``serve_forever`` from
     a side thread).
@@ -413,10 +418,14 @@ class JsonLineServer:
                     try:
                         message = P.decode_message(line)
                         request_id, cmd = message.get("id"), message.get("cmd")
+                        frames = _FRAMES.read(cmd, message)
                         response = self._dispatch(conn, message)
+                        # inside the barrier: a payload no codec can carry is
+                        # this request's error, not the connection's end
+                        reply = P.encode_reply(response, frames)
                     except Exception as exc:  # noqa: BLE001 - fault barrier
                         response = P.error_response(request_id, exc)
-                    reply = P.encode_message(response)
+                        reply = P.encode_reply(response)
                     if cmd in P.COMMANDS:  # never a metric per garbage command name
                         # counted before the reply leaves, so whoever reads the
                         # reply also reads counters that include it
@@ -424,7 +433,7 @@ class JsonLineServer:
                         counter = obs_metrics.REGISTRY.counter
                         counter(f"{prefix}.bytes_in.{cmd}").inc(len(line))
                         counter(f"{prefix}.bytes_out.{cmd}").inc(len(reply))
-                    handler.wfile.write(reply)
+                    handler.wfile.write(reply)  # unbuffered: one sendall
                     handler.wfile.flush()
                     if cmd == "shutdown" and response["ok"]:
                         # unwind serve_forever from outside its own loop thread
@@ -438,7 +447,7 @@ def _result_payload(res: Any) -> Payload:
     out: Payload = {
         "ios": res.ios,
         "stats": res.stats.as_dict(),
-        "records": P.records_to_wire(res.records),
+        "records": res.records,
         "count": len(res.records),
     }
     if res.bound is not None:
@@ -514,7 +523,7 @@ class SessionExecutor(Executor):
         res = self.session.delete_matching(index, q, limit=limit)
         return {
             "removed": len(res.records),
-            "records": P.records_to_wire(res.records),
+            "records": res.records,
             "ios": res.ios,
         }
 
@@ -522,7 +531,7 @@ class SessionExecutor(Executor):
         res = self.session.bulk_load(index, records)
         return {
             "loaded": len(records),
-            "records": P.records_to_wire(records),
+            "records": records,
             "ios": res.ios,
         }
 

@@ -28,7 +28,7 @@ command    payload
 Fields are typed, and checked once for every deployment shape by the one
 command table in :mod:`repro.server.core`: ``index`` and ``kind`` are
 strings, ``handle`` an integer, ``q`` and ``params`` objects, ``records``
-a list, ``dynamic`` / ``keep_uids`` real booleans, ``limit`` a
+a list, ``dynamic`` / ``keep_uids`` / ``frames`` real booleans, ``limit`` a
 non-negative integer (booleans are not integers here).  A field that is
 absent or ``null`` takes its default; a required one missing, or any of
 the wrong type, is a ``bad_request`` and nothing is touched.
@@ -42,8 +42,9 @@ placeholders included.
 Records (``PROTOCOL_VERSION = 2``) travel as **rows**: the JSON array
 ``[low, high, payload, uid]`` (:func:`record_to_row`).  Every record a
 server or router *emits* — ``records`` of a read, a ``delete`` by query or
-a ``bulk_load`` echo, ``record`` of an ``insert`` — is a row, and rows are
-what :class:`~repro.server.client.ReproClient` sends.  On *input* (the
+a ``bulk_load`` echo, ``record`` of an ``insert`` — is a row unless the
+request asked for a record frame (below), and rows are what
+:class:`~repro.server.client.ReproClient` sends.  On *input* (the
 ``record`` / ``records`` fields of ``create``, ``insert``, ``delete``,
 ``bulk_load``) a server also still accepts the version-1 tagged dict
 ``{"record": "interval", "low": ..., "high": ..., "payload": ...,
@@ -52,6 +53,45 @@ working; nothing emits it.  Either form is validated by
 :func:`record_from_dict` before it becomes a record — endpoints must be
 finite numbers in order, a uid (where present) an ``int`` — and a
 violation is a ``bad_request``.  Payloads must be JSON-serializable.
+
+**Rows in, rows or frames out.**  Any request may carry ``"frames":
+true`` (a real boolean, like ``keep_uids``).  A reply that carries
+``records`` — ``query``, ``run``, ``delete`` by query, ``bulk_load`` — is
+then the usual JSON line with ``"frame": <byte length>`` in place of
+``"records": [...]``, followed by exactly that many bytes, the **record
+frame** (:class:`RecordFrame`); line and frame leave in one ``sendall``::
+
+    head     magic "RPRF" | crc32 u32 | record count u32
+    columns  lows | highs | uids | payloads
+
+The crc32 covers every byte after it and is checked before any column is
+read.  A column is one tag byte and a body, in the page codec's packed
+forms, chosen by the values alone so equal records give equal bytes:
+
+=====  ==============================================================
+tag    values
+=====  ==============================================================
+``d``  all ``float`` — struct-packed, eight bytes each
+``q``  all ``int`` within int64 — struct-packed, eight bytes each
+``N``  all ``None`` (or no records) — no body
+``J``  anything else (mixed int/float endpoints, ints beyond int64,
+       strings, bools, nested payloads) — ``u32`` length, then a JSON
+       array with sorted keys
+=====  ==============================================================
+
+There is no tag for an opaque object stream: a frame is data, never code,
+and its reader raises :class:`ProtocolError` on any other tag, on a count
+that disagrees with a column, on trailing bytes, and — column-wise, before
+a single record is built — on whatever :func:`record_from_dict` refuses in
+a row (an endpoint that is not a finite ``int``/``float``, ``low > high``,
+a uid that is not an ``int``).  What a frame decodes to equals what the
+rows would have, type for type and uid for uid.  Rows remain the *input*
+form of every write command and the reply form of every request that does
+not ask, so ``netcat`` still works; a peer that does not know the field
+ignores it and answers rows, and :func:`read_reply` takes either — which
+is why ``PROTOCOL_VERSION`` stays 2: nothing a version-2 peer sends or
+expects has changed.  :func:`encode_reply` and :func:`read_reply` are the
+only reply codec: the server, the router and the client all call them.
 
 Responses are ``{"id": ..., "ok": true, ...}`` or a **structured error**
 ``{"id": ..., "ok": false, "error": {"code": ..., "type": ..., "message":
@@ -78,13 +118,17 @@ which makes the server honour the uids already on the wire instead of
 minting fresh ones — what a router upstream uses after minting
 authoritative uids itself, so a record keeps one identity across the
 whole cluster.  Read responses from a router additionally carry
-``shards_contacted``.
+``shards_contacted``.  A router asks its shards for frames and forwards a
+single shard's frame as the bytes it received.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple, Type
+import struct
+import zlib
+from operator import le
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.engine.queries import query_from_dict
 from repro.errors import DuplicateError, ParameterError, StalePreparedError
@@ -128,7 +172,7 @@ _encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).enc
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
-    """One protocol message as a JSON line (the only frame format)."""
+    """One protocol message as a JSON line."""
     return (_encode_json(message) + "\n").encode("utf-8")
 
 
@@ -240,6 +284,207 @@ def records_from_wire(data: List[Any], *, fresh_uid: bool = False) -> List[Any]:
     if not isinstance(data, list):
         raise ProtocolError(f"'records' must be a list, not {type(data).__name__}")
     return [record_from_dict(d, fresh_uid=fresh_uid) for d in data]
+
+
+# --------------------------------------------------------------------------- #
+# record frames: the records of one reply as packed columns
+# --------------------------------------------------------------------------- #
+FRAME_MAGIC = b"RPRF"
+#: magic | crc32 of every byte after this field | record count
+_FRAME_HEAD = struct.Struct("<4sII")
+_CRC_FROM = 8
+_U32 = struct.Struct("<I")
+_TAG_D, _TAG_Q, _TAG_N, _TAG_J = b"dqNJ"
+#: ``J`` columns: sorted keys, so equal payloads give equal bytes
+_encode_column_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
+_FLOATS, _INTS, _NONES = frozenset((float,)), frozenset((int,)), frozenset((type(None),))
+_ENDPOINT_TYPES = _FLOATS | _INTS
+
+Columns = Tuple[Sequence[Any], Sequence[Any], Sequence[Any], Sequence[Any]]
+
+
+def _pack_column(values: Sequence[Any]) -> bytes:
+    kinds = set(map(type, values))
+    if kinds == _FLOATS:
+        return b"d" + struct.pack(f"<{len(values)}d", *values)
+    if kinds == _INTS:
+        try:
+            return b"q" + struct.pack(f"<{len(values)}q", *values)
+        except struct.error:  # beyond int64: the JSON array keeps it exact
+            pass
+    elif kinds <= _NONES:
+        return b"N"
+    data = _encode_column_json(list(values)).encode("utf-8")
+    return b"".join((b"J", _U32.pack(len(data)), data))
+
+
+def _unpack_column(data: bytes, at: int, n: int) -> Tuple[Sequence[Any], Any, int]:
+    """One column at ``data[at:]``: ``(values, their types, where it ends)``."""
+    tag = data[at]
+    at += 1
+    if tag == _TAG_D:
+        return struct.unpack_from(f"<{n}d", data, at), _FLOATS, at + 8 * n
+    if tag == _TAG_Q:
+        return struct.unpack_from(f"<{n}q", data, at), _INTS, at + 8 * n
+    if tag == _TAG_N:
+        return (None,) * n, _NONES, at
+    if tag == _TAG_J:
+        (length,) = _U32.unpack_from(data, at)
+        end = at + 4 + length
+        values = json.loads(data[at + 4:end]) if end <= len(data) else None
+        if type(values) is not list or len(values) != n:
+            raise ProtocolError(f"a 'J' column must be a JSON array of {n} values")
+        return values, set(map(type, values)), end
+    # no tag names an opaque object stream: a frame is data, never code
+    raise ProtocolError(f"unknown frame column tag {bytes((tag,))!r}")
+
+
+class RecordFrame:
+    """The records of one reply as a checksummed block of four columns.
+
+    Built from records (:meth:`of`), from columns (:meth:`from_columns`) or
+    from received bytes (:meth:`parse`, which checks magic, crc and count
+    and touches no column); ``data`` is the wire form either way, so a
+    frame received can be sent on without re-encoding.  The columns are
+    decoded — and every record in them validated — on first use.
+    """
+
+    __slots__ = ("data", "count", "_columns")
+
+    def __init__(self, data: bytes, count: int, columns: Optional[Columns] = None) -> None:
+        self.data = data
+        self.count = count
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __repr__(self) -> str:
+        return f"RecordFrame({self.count} records, {len(self.data)} bytes)"
+
+    @classmethod
+    def from_columns(cls, lows: Sequence[Any], highs: Sequence[Any],
+                     uids: Sequence[Any], payloads: Sequence[Any]) -> "RecordFrame":
+        count = len(uids)
+        body = b"".join((
+            _U32.pack(count), _pack_column(lows), _pack_column(highs),
+            _pack_column(uids), _pack_column(payloads),
+        ))
+        data = b"".join((FRAME_MAGIC, _U32.pack(zlib.crc32(body)), body))
+        return cls(data, count, (lows, highs, uids, payloads))
+
+    @classmethod
+    def of(cls, records: Sequence[Any]) -> "RecordFrame":
+        if not set(map(type, records)) <= {Interval}:
+            raise _no_wire_form(next(r for r in records if type(r) is not Interval))
+        return cls.from_columns(
+            [r.low for r in records], [r.high for r in records],
+            [r.uid for r in records], [r.payload for r in records],
+        )
+
+    @classmethod
+    def parse(cls, data: bytes) -> "RecordFrame":
+        if len(data) < _FRAME_HEAD.size:
+            raise ProtocolError(f"a record frame has a 12-byte head, not {len(data)} bytes")
+        magic, crc, count = _FRAME_HEAD.unpack_from(data)
+        if magic != FRAME_MAGIC:
+            raise ProtocolError(f"bad record frame magic {magic!r}, expected {FRAME_MAGIC!r}")
+        if zlib.crc32(memoryview(data)[_CRC_FROM:]) != crc:
+            raise ProtocolError("record frame crc32 mismatch")
+        if count > len(data):  # every record costs its uid at least a byte
+            raise ProtocolError(f"a {len(data)}-byte record frame cannot hold {count} records")
+        return cls(data, count)
+
+    def columns(self) -> Columns:
+        """``(lows, highs, uids, payloads)``, validated like a row is:
+        endpoints finite ``int``/``float`` with ``low <= high``, uids ``int``."""
+        if self._columns is None:
+            data, n, at = self.data, self.count, _FRAME_HEAD.size
+            parts: List[Sequence[Any]] = []
+            kinds: List[Any] = []
+            try:
+                for _ in range(4):
+                    column, kind, at = _unpack_column(data, at, n)
+                    parts.append(column)
+                    kinds.append(kind)
+            except (struct.error, IndexError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ProtocolError(f"undecodable record frame: {exc!r}") from exc
+            if at != len(data):
+                raise ProtocolError(f"{len(data) - at} trailing bytes in a record frame")
+            lows, highs, uids, payloads = parts
+            if n and not (
+                kinds[0] | kinds[1] <= _ENDPOINT_TYPES
+                # NaN fails ``<=``, so past this line min and max are sound
+                and all(map(le, lows, highs))
+                and -_INF < min(lows)
+                and max(highs) < _INF
+            ):
+                raise ProtocolError(
+                    "malformed record frame: endpoints must be finite numbers "
+                    "with low <= high"
+                )
+            if n and not kinds[2] <= _INTS:
+                raise ProtocolError("malformed record frame: uids must be integers")
+            self._columns = (lows, highs, uids, payloads)
+        return self._columns
+
+    def records(self) -> List[Interval]:
+        lows, highs, uids, payloads = self.columns()
+        return list(map(trusted_interval, lows, highs, payloads, uids))
+
+    def rows(self) -> List[List[Any]]:
+        lows, highs, uids, payloads = self.columns()
+        return list(map(list, zip(lows, highs, payloads, uids)))
+
+
+def encode_reply(response: Dict[str, Any], frames: bool = False) -> bytes:
+    """One response as wire bytes — the only reply encoder.
+
+    ``response["records"]``, when present, is a list of records or a
+    :class:`RecordFrame`; it leaves as rows on the JSON line, or — when the
+    request said ``"frames": true`` — as ``"frame": <byte length>`` on the
+    line and that many frame bytes behind it.
+    """
+    records = response.get("records")
+    if records is None:
+        return encode_message(response)
+    envelope = dict(response)
+    if not frames:
+        envelope["records"] = (
+            records.rows() if isinstance(records, RecordFrame) else records_to_wire(records)
+        )
+        return encode_message(envelope)
+    frame = records if isinstance(records, RecordFrame) else RecordFrame.of(records)
+    del envelope["records"]
+    envelope["frame"] = len(frame.data)
+    return encode_message(envelope) + frame.data
+
+
+def read_reply(rfile: BinaryIO) -> Dict[str, Any]:
+    """Read one response off a stream: its JSON line and, when the line
+    announces one, its record frame (verified, under ``"records"``).
+
+    Raises :class:`ConnectionError` at end of stream or on a short frame and
+    :class:`ProtocolError` on an undecodable line or frame; either way the
+    caller has lost its place in the stream and must not read on.
+    """
+    line = rfile.readline()
+    if not line:
+        raise ConnectionError("server closed the connection")
+    response = decode_message(line)
+    if "frame" in response:
+        length = response["frame"]
+        if type(length) is not int or length < 0:
+            raise ProtocolError(f"'frame' must be a byte count, not {length!r}")
+        data = rfile.read(length)
+        if len(data) != length:
+            raise ConnectionError(
+                f"connection closed {len(data)} bytes into a {length}-byte record frame"
+            )
+        response["records"] = RecordFrame.parse(data)
+    return response
 
 
 # --------------------------------------------------------------------------- #
