@@ -84,10 +84,10 @@ def rebuild_due(dead: int, live: int, block_size: int) -> bool:
     ``O((n/B) log_B n)`` work amortized over the ``Θ(REBUILD_FRACTION · n)``
     deletes since the last one (``O(log_B n)`` I/Os each), and space stays
     within ``1 + REBUILD_FRACTION`` of optimal.  The ``B`` floor keeps tiny
-    structures from rebuilding on every delete.  One definition shared by
-    every tombstoning structure (interval manager, class indexer,
-    :class:`~repro.engine.rebuilding.RebuildingIndex`) so the policy can
-    never drift between them.
+    structures from rebuilding on every delete.  Its one caller is
+    :class:`~repro.rebuilding.RebuildingIndex`, the global-rebuilding core
+    every tombstoning index (interval manager, class indexer, point index)
+    wraps, so there is one policy to gate.
     """
     return dead > max(block_size, REBUILD_FRACTION * max(live, 1))
 

@@ -22,7 +22,6 @@ from typing import Any, Iterable, Iterator, List
 from repro.analysis.complexity import (
     btree_query_bound,
     combined_class_query_bound,
-    rebuild_due,
     simple_class_query_bound,
 )
 from repro.classes.baselines import (
@@ -33,8 +32,7 @@ from repro.classes.baselines import (
 from repro.classes.combined_index import CombinedClassIndex
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
 from repro.classes.simple_index import SimpleClassIndex
-from repro.errors import DuplicateError
-from repro.records import fresh_record_keys
+from repro.rebuilding import RebuildingIndex
 
 _METHODS = {
     "simple": SimpleClassIndex,
@@ -49,9 +47,10 @@ class ClassIndexer:
     """Facade over the class-indexing schemes of Sections 2.2 and 4."""
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
-    #: tier — schemes built from B+-tree collections delete natively; the
-    #: ``combined`` scheme (whose path pieces are semi-dynamic 3-sided
-    #: structures) deletes through uid tombstones + global rebuilds
+    #: tier — the scheme sits in the global-rebuilding core: schemes built
+    #: from B+-tree collections delete natively, the ``combined`` scheme
+    #: (whose path pieces are semi-dynamic 3-sided structures) through the
+    #: core's tombstones + global rebuilds
     supports_deletes = True
     supports_bulk_load = True
 
@@ -67,15 +66,19 @@ class ClassIndexer:
         self.disk = disk
         self.method = method
         self.hierarchy = hierarchy
-        objs = list(objects)
-        fresh_record_keys(objs, context="the initial objects")
-        self._objects = {o.uid: o for o in objs}
-        self._tombstones: set = set()
-        #: bumped on every global reorganisation (threshold rebuilds, bulk
-        #: loads) — the query planner folds it into its plan-cache key, so
-        #: cached strategies over this indexer re-plan after a rebuild
-        self.generation = 0
-        self._index = _METHODS[method](disk, hierarchy, objs)
+        scheme = _METHODS[method]
+        self._core = RebuildingIndex(
+            disk,
+            lambda objs: scheme(disk, hierarchy, objs),
+            objects,
+            insert=scheme.insert,
+            delete=getattr(scheme, "delete", None),
+        )
+
+    @property
+    def generation(self) -> int:
+        """The core's rebuild counter — the planner's plan-cache key."""
+        return self._core.generation
 
     @staticmethod
     def methods() -> List[str]:
@@ -84,40 +87,17 @@ class ClassIndexer:
 
     def insert(self, obj: ClassObject) -> None:
         """Insert an object into its class."""
-        if obj.uid in self._objects:
-            raise DuplicateError(
-                f"record uid {obj.uid} is already indexed ({obj!r}); "
-                "records carry a process-unique uid, so inserting the same "
-                "object twice would silently double-index it"
-            )
-        if obj.uid in self._tombstones:
-            # re-inserting a record deleted earlier, while its stale copy
-            # still sits in the physical index: sweep it out first, or the
-            # tombstone would hide the fresh copy (and dropping just the
-            # tombstone would surface the stale duplicate)
-            self._rebuild()
-        self._index.insert(obj)
-        self._objects[obj.uid] = obj
+        self._core.insert(obj)
 
     def delete(self, obj: ClassObject) -> bool:
         """Delete one object (matched by uid); ``True`` when it was present.
 
         Schemes whose collections are B+-trees remove the record in place
         (``O(copies · log_B n)`` I/Os); the ``combined`` scheme tombstones
-        the uid and rebuilds globally once ``REBUILD_FRACTION`` of the
-        live set is dead — rebuild I/Os are charged to the counters.
+        the stored version and rebuilds globally once ``REBUILD_FRACTION``
+        of the live set is dead — rebuild I/Os are charged to the counters.
         """
-        stored = self._objects.pop(obj.uid, None)
-        if stored is None:
-            return False
-        native = getattr(self._index, "delete", None)
-        if callable(native):
-            native(stored)
-            return True
-        self._tombstones.add(stored.uid)
-        if rebuild_due(len(self._tombstones), len(self._objects), self.disk.block_size):
-            self._rebuild()
-        return True
+        return self._core.delete(obj)
 
     def bulk_load(self, objects: Iterable[ClassObject]) -> int:
         """Absorb a batch of objects in one global reorganisation.
@@ -129,32 +109,11 @@ class ClassIndexer:
         so a failing batch (e.g. an unknown class name) raises with the
         indexer intact.
         """
-        new = list(objects)
-        fresh_record_keys(new, self._objects)
-        merged = list(self._objects.values()) + new
-        replacement = _METHODS[self.method](self.disk, self.hierarchy, merged)
-        self._index.destroy()
-        self._index = replacement
-        self._tombstones = set()
-        self.generation += 1
-        for o in new:
-            self._objects[o.uid] = o
-        return len(new)
-
-    def _rebuild(self) -> None:
-        """Globally rebuild the active scheme from the live objects."""
-        self._index.destroy()
-        self._index = _METHODS[self.method](
-            self.disk, self.hierarchy, list(self._objects.values())
-        )
-        self._tombstones = set()
-        self.generation += 1
+        return self._core.bulk_load(objects)
 
     def destroy(self) -> None:
         """Free every block of the underlying scheme (``Engine.drop_index``)."""
-        self._index.destroy()
-        self._objects = {}
-        self._tombstones = set()
+        self._core.destroy()
 
     def query(self, query_or_class: Any, low: Any = None, high: Any = None) -> Any:
         """Attribute range query over the full extent of a class.
@@ -184,17 +143,11 @@ class ClassIndexer:
     def iter_query(self, class_name: str, low: Any, high: Any) -> Iterator[ClassObject]:
         """Stream the answer to a full-extent attribute range query.
 
-        Tombstoned records (deleted but not yet swept by a global rebuild)
+        Tombstoned versions (deleted but not yet swept by a global rebuild)
         are filtered out of the stream; the filter is free of I/O.
         """
-        if not self._tombstones:
-            return self._index.iter_query(class_name, low, high)
-        tombstones = self._tombstones
-        return (
-            obj
-            for obj in self._index.iter_query(class_name, low, high)
-            if obj.uid not in tombstones
-        )
+        core = self._core
+        return core.live(core.inner.iter_query(class_name, low, high))
 
     def _bound_fn(self):
         """The paper's predicted query bound for the active scheme."""
@@ -254,24 +207,25 @@ class ClassIndexer:
 
     def block_count(self) -> int:
         """Disk blocks used by the underlying structures."""
-        return self._index.block_count()
+        return self._core.block_count()
 
     @property
     def backend(self):
         """The underlying index object (for scheme-specific introspection)."""
-        return self._index
+        return self._core.inner
 
     @property
     def live_count(self) -> int:
         """Number of live (non-deleted) records — what the cost bounds use."""
-        return len(self._objects)
+        return self._core.live_count
 
     def objects(self) -> List[ClassObject]:
         """The live objects (the engine catalog serializes these)."""
-        return list(self._objects.values())
+        return self._core.items()
 
     def __len__(self) -> int:
-        return len(self._index)
+        """The physical structures' size (dead versions and copies included)."""
+        return len(self._core.inner)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClassIndexer(method={self.method!r}, classes={len(self.hierarchy)}, n={len(self)})"

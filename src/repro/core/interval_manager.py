@@ -25,16 +25,20 @@ bounds.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator, List
 
-from repro.analysis.complexity import metablock_query_bound, rebuild_due
-from repro.errors import DuplicateError
-from repro.records import fresh_record_keys
+from repro.analysis.complexity import metablock_query_bound
 from repro.btree import BPlusTree
 from repro.interval import Interval
 from repro.metablock.geometry import PlanarPoint
 from repro.metablock.dynamic_tree import AugmentedMetablockTree
 from repro.metablock.static_tree import StaticMetablockTree
+from repro.rebuilding import RebuildingIndex
+
+
+def _point(iv: Interval) -> PlanarPoint:
+    """Proposition 2.2's reduction: the interval as the planar point (low, high)."""
+    return PlanarPoint(iv.low, iv.high, payload=iv)
 
 
 class ExternalIntervalManager:
@@ -54,9 +58,9 @@ class ExternalIntervalManager:
     """
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
-    #: tier — deletion is native (tombstoned stabbing structure + direct
-    #: B+-tree removal, with a threshold-triggered global rebuild), and
-    #: bulk loading is the static bulk construction over live + new records
+    #: tier — the stabbing structure deletes through the global-rebuilding
+    #: core's tombstones, the left-endpoint B+-tree natively, and bulk
+    #: loading is the static bulk construction over live + new records
     supports_deletes = True
     supports_bulk_load = True
 
@@ -64,21 +68,29 @@ class ExternalIntervalManager:
         self.disk = disk
         self.dynamic = dynamic
         items = list(intervals)
-        fresh_record_keys(items, context="the initial intervals")
-        #: live records keyed by uid (insertion-ordered); dict-keyed so a
-        #: delete is O(1) bookkeeping next to its O(log_B n) I/Os
-        self._by_uid: Dict[Any, Interval] = {iv.uid: iv for iv in items}
-        #: uids deleted from the stabbing structure but not yet rebuilt away
-        self._tombstones: set = set()
-        #: bumped on every global reorganisation (threshold rebuilds, bulk
-        #: loads) — the query planner folds it into its plan-cache key, so
-        #: cached strategies over this manager re-plan after a rebuild
-        self.generation = 0
-
-        self._stabbing = self._build_stabbing(items)
+        tree = AugmentedMetablockTree if dynamic else StaticMetablockTree
+        #: the stabbing structure under global rebuilding: it holds the live
+        #: records, the tombstones and the rebuild ``generation``; the tree
+        #: inserts natively (Theorem 3.7) and deletes by tombstone
+        self._core = RebuildingIndex(
+            disk,
+            lambda ivs: tree(disk, [_point(iv) for iv in ivs]),
+            items,
+            insert=lambda stabbing, iv: stabbing.insert(_point(iv)),
+        )
         self._endpoints = BPlusTree.bulk_load(
             disk, ((iv.low, iv) for iv in items), name="left-endpoints"
         )
+
+    @property
+    def generation(self) -> int:
+        """The core's rebuild counter — the planner's plan-cache key."""
+        return self._core.generation
+
+    @property
+    def _stabbing(self) -> Any:
+        """The current stabbing metablock tree (replaced by every rebuild)."""
+        return self._core.inner
 
     # ------------------------------------------------------------------ #
     # updates
@@ -90,25 +102,8 @@ class ExternalIntervalManager:
                 "this manager was built static (Theorem 3.2); build it with "
                 "dynamic=True for insertions (Theorem 3.7)"
             )
-        if interval.uid in self._by_uid:
-            raise DuplicateError(
-                f"record uid {interval.uid} is already indexed ({interval!s}); "
-                "records carry a process-unique uid, so inserting the same "
-                "object twice would silently double-index it"
-            )
-        if interval.uid in self._tombstones:
-            # re-inserting a record deleted earlier, while its stale point
-            # still sits in the stabbing structure: sweep it out first —
-            # the tombstone would hide the fresh copy, and dropping just
-            # the tombstone would surface the stale duplicate (the tree
-            # dedups by point identity, not payload identity)
-            self._rebuild_stabbing()
-        self._stabbing.insert(PlanarPoint(interval.low, interval.high, payload=interval))
+        self._core.insert(interval)
         self._endpoints.insert(interval.low, interval)
-        # bookkeeping last: a physical insert that raises (e.g. an
-        # incomparable endpoint) must not leave a phantom live record that
-        # would poison every later rebuild
-        self._by_uid[interval.uid] = interval
 
     def delete(self, interval: Interval) -> bool:
         """Delete one interval (matched by uid); ``True`` when it was present.
@@ -116,20 +111,17 @@ class ExternalIntervalManager:
         The paper leaves metablock-tree deletions open (Section 5); the
         manager closes the gap with the standard dynamization trick: the
         record is removed from the left-endpoint B+-tree natively
-        (``O(log_B n)`` I/Os), tombstoned out of the stabbing structure's
-        answers, and once tombstones reach ``REBUILD_FRACTION`` of the
-        live set the stabbing structure is globally rebuilt from the live
-        records — all rebuild I/Os are charged to the disk counters, so
-        the amortized delete cost stays ``O(log_B n)`` I/Os.
+        (``O(log_B n)`` I/Os) and tombstoned out of the stabbing
+        structure's answers, which the core globally rebuilds from the live
+        records once tombstones reach ``REBUILD_FRACTION`` of the live set —
+        all rebuild I/Os are charged to the disk counters, so the amortized
+        delete cost stays ``O(log_B n)`` I/Os.
         """
-        if self._by_uid.pop(interval.uid, None) is None:
+        if not self._core.delete(interval):
             return False
         self._endpoints.delete(
             interval.low, match=lambda v, uid=interval.uid: v.uid == uid
         )
-        self._tombstones.add(interval.uid)
-        if rebuild_due(len(self._tombstones), len(self._by_uid), self.disk.block_size):
-            self._rebuild_stabbing()
         return True
 
     def bulk_load(self, intervals: Iterable[Interval]) -> int:
@@ -149,47 +141,15 @@ class ExternalIntervalManager:
         endpoints do not compare with the resident ones) raises with the
         manager intact; :attr:`endpoints` stays the same tree object.
         """
-        new = list(intervals)
-        fresh_record_keys(new, self._by_uid)
-        combined = list(self._by_uid.values()) + new
-        replacement = self._build_stabbing(combined)
-        try:
-            self._endpoints.rebuild((iv.low, iv) for iv in combined)
-        except BaseException:
-            replacement.destroy()
-            raise
-        self._stabbing.destroy()
-        self._stabbing = replacement
-        self._by_uid = {iv.uid: iv for iv in combined}
-        self._tombstones = set()
-        self.generation += 1
-        return len(new)
-
-    def _build_stabbing(self, intervals: List[Interval]):
-        """A fresh stabbing structure over ``intervals`` (mode-matched)."""
-        points = [PlanarPoint(iv.low, iv.high, payload=iv) for iv in intervals]
-        if self.dynamic:
-            return AugmentedMetablockTree(self.disk, points)
-        return StaticMetablockTree(self.disk, points)
-
-    def _rebuild_stabbing(self) -> None:
-        """Globally rebuild the stabbing structure from the live intervals.
-
-        Only reached from :meth:`delete` (resident records, so the build
-        cannot fail on them); the old structure is destroyed first to keep
-        peak space at ``O(n/B)``.
-        """
-        self._stabbing.destroy()
-        self._stabbing = self._build_stabbing(list(self._by_uid.values()))
-        self._tombstones = set()
-        self.generation += 1
+        return self._core.bulk_load(
+            intervals,
+            alongside=lambda live: self._endpoints.rebuild((iv.low, iv) for iv in live),
+        )
 
     def destroy(self) -> None:
         """Free every block of both substructures (``Engine.drop_index``)."""
-        self._stabbing.destroy()
+        self._core.destroy()
         self._endpoints.destroy()
-        self._by_uid = {}
-        self._tombstones = set()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -210,14 +170,12 @@ class ExternalIntervalManager:
         """The intervals containing ``x``, one list per organisation read.
 
         Lazy like the metablock tree's block stream it wraps.  Tombstoned
-        records (deleted but not yet swept by a global rebuild) are
-        filtered out of each list; the filter is free of I/O.
+        versions (deleted but not yet swept by a global rebuild) are
+        filtered out of each list; the filter is free of I/O, and absent
+        while nothing is tombstoned.
         """
-        blocks = self._stabbing.iter_diagonal_blocks(x, payloads=True)
-        if not self._tombstones:
-            return blocks
-        tombstones = self._tombstones
-        return ([iv for iv in block if iv.uid not in tombstones] for block in blocks)
+        core = self._core
+        return core.live_blocks(core.inner.iter_diagonal_blocks(x, payloads=True))
 
     def iter_intersection(self, low: Any, high: Any) -> Iterator[Interval]:
         """Stream the intervals intersecting ``[low, high]`` (blocks, flattened)."""
@@ -282,7 +240,7 @@ class ExternalIntervalManager:
     # ------------------------------------------------------------------ #
     def block_count(self) -> int:
         """Total blocks used by both substructures (``O(n/B)``)."""
-        return self._stabbing.block_count() + self._endpoints.block_count()
+        return self._core.block_count() + self._endpoints.block_count()
 
     @property
     def endpoints(self) -> BPlusTree:
@@ -291,15 +249,15 @@ class ExternalIntervalManager:
         return self._endpoints
 
     def intervals(self) -> List[Interval]:
-        return list(self._by_uid.values())
+        return self._core.items()
 
     @property
     def live_count(self) -> int:
         """Number of live (non-deleted) records — what the cost bounds use."""
-        return len(self._by_uid)
+        return self._core.live_count
 
     def __len__(self) -> int:
-        return len(self._by_uid)
+        return self._core.live_count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "dynamic" if self.dynamic else "static"

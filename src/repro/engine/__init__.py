@@ -14,8 +14,9 @@ coherent database surface:
   ``block_count`` / ``io_stats``), with :class:`~repro.engine.protocols.
   Bound` as the predicted-cost currency, and its write tier
   :class:`~repro.engine.protocols.MutableIndex` (``delete`` /
-  ``bulk_load`` / capability flags), served to static structures by the
-  :class:`~repro.engine.rebuilding.RebuildingIndex` adapter;
+  ``bulk_load`` / capability flags), served to the structures the paper
+  leaves static by the global-rebuilding core
+  :class:`~repro.rebuilding.RebuildingIndex`;
 * the **query algebra** of :mod:`repro.engine.queries` — leaves
   (:class:`Stab`, :class:`Range`, :class:`EndpointRange`,
   :class:`ClassRange`, the geometric shapes) composed with ``&``/``|``/
@@ -77,7 +78,7 @@ from repro.engine.planner import (
     QueryPlanner,
 )
 from repro.engine.prepared import PreparedQuery
-from repro.engine.rebuilding import RebuildingIndex
+from repro.rebuilding import RebuildingIndex
 from repro.engine.collection import Collection, WriteBatch
 from repro.engine.core import DEFAULT_BLOCK_SIZE, Engine
 

@@ -45,7 +45,7 @@ from repro.durability import EpochManager, WriteAheadLog
 from repro.durability.recovery import replay_wal
 from repro.engine.collection import Collection
 from repro.engine.planner import Plan, QueryPlanner
-from repro.engine.rebuilding import RebuildingIndex
+from repro.rebuilding import RebuildingIndex
 from repro.engine.result import QueryResult
 from repro.engine.session import EngineSession, RWLock
 from repro.errors import DuplicateError, UnknownIndexError
@@ -477,7 +477,7 @@ class Engine:
         """Blocked priority search tree for 3-sided queries (Lemma 4.1).
 
         The PST itself is static; it is served through the
-        :class:`~repro.engine.rebuilding.RebuildingIndex` adapter, which
+        :class:`~repro.rebuilding.RebuildingIndex` adapter, which
         adds the full :class:`~repro.engine.protocols.MutableIndex` write
         surface (side-log inserts, tombstone deletes, bulk loads) via
         threshold-triggered global rebuilds — exactly the wholesale

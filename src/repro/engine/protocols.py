@@ -25,9 +25,9 @@ never calls it.
 
 :class:`MutableIndex` layers the capability-tiered *write* surface on top:
 ``delete``/``bulk_load`` plus the ``supports_deletes``/``supports_bulk_load``
-flags — implemented natively by the dynamic structures and supplied to the
-static ones by the :class:`~repro.engine.rebuilding.RebuildingIndex`
-adapter.
+flags — implemented natively by B+-trees and supplied to every other
+structure by the global-rebuilding core,
+:class:`~repro.rebuilding.RebuildingIndex`.
 """
 
 from __future__ import annotations
@@ -144,11 +144,14 @@ class MutableIndex(Index, Protocol):
       write path, the CLI, the catalog restore) can probe capabilities
       without ``try``/``except`` around every call.
 
-    Structures the paper analyses as static (:class:`~repro.pst.ExternalPST`,
-    the static metablock tree) do not implement this protocol natively;
-    the :class:`~repro.engine.rebuilding.RebuildingIndex` adapter gives
-    them the same surface through tombstones and threshold-triggered
-    global rebuilds, with every rebuild I/O charged to the counters.
+    Structures the paper analyses as static or semi-dynamic
+    (:class:`~repro.pst.ExternalPST`, the static and augmented metablock
+    trees, the ``combined`` class scheme) do not implement it natively:
+    the interval manager, the class indexer and the ``point`` kind wrap
+    them in :class:`~repro.rebuilding.RebuildingIndex`, which uses the
+    structure's own ``insert`` / ``delete`` where it has one and supplies
+    the rest — a side log, tombstones, threshold-triggered global rebuilds
+    — with every rebuild I/O charged to the counters.
     """
 
     supports_deletes: bool

@@ -16,7 +16,8 @@ or terminates a branch), giving ``O(log2 n + t/B)`` I/Os.
 
 The structure is static; the metablock-tree variants that need insertions
 rebuild their (small, ``O(B^2)``/``O(B^3)``-point) external PSTs wholesale,
-exactly as prescribed by Lemma 4.4.
+exactly as prescribed by Lemma 4.4, and the engine's ``point`` kind writes
+to one through :class:`~repro.rebuilding.RebuildingIndex`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class ExternalPST:
         self.size = len(pts)
         self._block_ids: List[BlockId] = []
         self.root_id: Optional[BlockId] = None
-        #: plan-cache key: the wholesale rebuild in :meth:`insert` replaces
-        #: every block, so cached strategies must re-validate after it
-        self.generation = 0
         if pts:
             ordered = sorted(pts, key=lambda p: (p.x, p.y))
             self.root_id = self._build(ordered)
@@ -77,32 +75,6 @@ class ExternalPST:
         )
         self._block_ids.append(block.block_id)
         return block.block_id
-
-    # ------------------------------------------------------------------ #
-    # updates (wholesale rebuild, as prescribed by Lemma 4.4)
-    # ------------------------------------------------------------------ #
-    def insert(self, point: PlanarPoint) -> None:
-        """Insert one point by rebuilding the structure (``O(n/B)`` I/Os).
-
-        The paper never inserts into a blocked PST in place: the metablock
-        variants keep their external PSTs small (``O(B^2)``/``O(B^3)``
-        points) and rebuild them wholesale (Lemma 4.4).  This method is that
-        rebuild, exposed so the PST satisfies the uniform ``Index`` surface.
-        """
-        pts = self._collect_points()
-        pts.append(point)
-        self.destroy()
-        self.generation += 1
-        ordered = sorted(pts, key=lambda p: (p.x, p.y))
-        self.size = len(ordered)
-        self.root_id = self._build(ordered)
-
-    def _collect_points(self) -> List[PlanarPoint]:
-        """Read every block back from disk (the rebuild's ``O(n/B)`` scan)."""
-        out: List[PlanarPoint] = []
-        for bid in self._block_ids:
-            out.extend(self.disk.read(bid).records)
-        return out
 
     # ------------------------------------------------------------------ #
     # queries

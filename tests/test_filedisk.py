@@ -8,7 +8,8 @@ import pytest
 from repro.io import FileDisk, SimulatedDisk, StorageBackend
 from repro.btree import BPlusTree
 from repro.pst import ExternalPST
-from repro.metablock.geometry import PlanarPoint
+from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
+from repro.rebuilding import RebuildingIndex
 
 
 @pytest.fixture
@@ -122,8 +123,9 @@ class TestStructuresOnFileDisk:
         pst = ExternalPST(fdisk, pts)
         got = sorted(p.payload for p in pst.query_3sided(10, 20, 0))
         assert got == list(range(10, 21))
-        pst.insert(PlanarPoint(15, 1000, payload="new"))
-        got = sorted(str(p.payload) for p in pst.query_3sided(10, 20, 90))
+        index = RebuildingIndex(fdisk, lambda items: ExternalPST(fdisk, items), pts)
+        index.insert(PlanarPoint(15, 1000, payload="new"))
+        got = sorted(str(p.payload) for p in index.query(ThreeSidedQuery(10, 20, 90)))
         assert got == [str(v) for v in range(10, 11)] + ["new"]
 
     def test_identical_io_counts_across_backends(self, tmp_path):

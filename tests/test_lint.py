@@ -87,6 +87,26 @@ class TestSourceTreeIsClean:
             "self._file.seek", "self._file.truncate"
         ]
 
+    def test_dropping_the_rebuilding_cores_generation_bump_is_flagged(self, tmp_path):
+        # every global rebuild of the tree swaps in the core: without its
+        # bump, the swap there (and the destroy-first rebuild above it) must
+        # be flagged, and nothing in the indexes wrapping the core
+        import shutil
+
+        tree = tmp_path / "repro"
+        shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        core = tree / "rebuilding.py"
+        source = core.read_text()
+        marker = "        self.generation += 1\n"
+        assert source.count(marker) == 1
+        core.write_text(source.replace(marker, ""))
+        linter = lint_paths([tree])
+        assert sorted((Path(f.path).name, f.rule, f.message.split("'")[1])
+                      for f in linter.findings) == [
+            ("rebuilding.py", "stale-plan-cache", "_install"),
+            ("rebuilding.py", "stale-plan-cache", "rebuild"),
+        ], render_report(linter)
+
     def test_known_suppressions_are_counted_not_silent(self):
         # checkpoint's sync-under-mutex, the WAL truncate barrier, and the
         # WAL/FileDisk recovery reads (charged wholesale, not per verb) are

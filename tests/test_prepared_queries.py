@@ -364,7 +364,7 @@ def test_constraint_index_surfaces_manager_generation(disk):
     engine = Engine(disk)
     index = engine.create_constraint_index("r", relation, "x")
     generation = index.generation
-    index.manager._rebuild_stabbing()
+    index.manager._core.rebuild()
     assert index.generation == generation + 1  # delegated, not hidden
 
 

@@ -13,7 +13,10 @@ Recorded at PR 17, which removed three such structures (the collection's
 second low-endpoint tree, the 3-sided metablock's two blockings, the
 uncovered nodes of the Theorem 2.6 range tree); CHANGES.md (PR 17) has the
 parent's values beside these.  A row may change only together with such a
-line.
+line.  The ``point`` rows (a blocked PST under global rebuilding: side-log
+inserts, tombstoned deletes) were recorded before the global-rebuilding
+core was shared by the interval manager and the class indexer, and pin
+that it moved nothing for its first user.
 
 The second half holds the same designs structurally: every block in use is
 owned by exactly one index (``block_count() == blocks_in_use`` for all six
@@ -41,6 +44,10 @@ HIERARCHIES = {"balanced": balanced_hierarchy(3, 3), "chain": chain_hierarchy(16
 def _intervals(rnd, n):
     lows = [rnd.uniform(0, 1000) for _ in range(n)]
     return [Interval(lo, lo + rnd.uniform(0, 60)) for lo in lows]
+
+
+def _points(rnd, n):
+    return [PlanarPoint(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(n)]
 
 
 def _ios(engine, fn):
@@ -93,6 +100,29 @@ def class_row(method, shape):
     return row
 
 
+def point_row(B):
+    """``create_point_index`` (a blocked PST under global rebuilding) at ``B``."""
+    rnd = random.Random(9100 + B)
+    engine = Engine(block_size=B)
+    points = _points(rnd, 6 * B * B + 50)
+    row = {"build_ios": _ios(engine, lambda: engine.create_point_index("p", points))}
+    row["built_blocks"] = engine.block_count()
+    index = engine["p"]
+    # three side-log fills (three rebuilds) and half a log still pending,
+    # which the delete run's threshold must not count as resident
+    fresh = _points(rnd, 3 * B + B // 2)
+    row["insert_ios"] = _ios(engine, lambda: [engine.insert("p", p) for p in fresh])
+    row["insert_rebuilds"] = index.generation
+    victims = points[: len(points) // 2]  # crosses the tombstone threshold once
+    row["delete_ios"] = _ios(engine, lambda: [engine.delete("p", p) for p in victims])
+    row["delete_rebuilds"] = index.generation - row["insert_rebuilds"]
+    batch = _points(rnd, B * B)
+    row["bulk_ios"] = _ios(engine, lambda: engine.bulk_load("p", batch))
+    row["final_blocks"] = engine.block_count()
+    assert engine.block_count() == engine.backend.blocks_in_use
+    return row
+
+
 #: kind -> I/Os of the build and of each fixed run, blocks after the build and at the end
 GOLDEN = {
     ("collection", 4): {
@@ -123,6 +153,18 @@ GOLDEN = {
         "build_ios": 1412, "built_blocks": 1412, "insert_ios": 1699,
         "delete_ios": 1150, "final_blocks": 1150,
     },
+    ("point", 4): {
+        "build_ios": 50, "built_blocks": 50, "insert_ios": 183, "insert_rebuilds": 3,
+        "delete_ios": 32, "delete_rebuilds": 1, "bulk_ios": 33, "final_blocks": 33,
+    },
+    ("point", 8): {
+        "build_ios": 66, "built_blocks": 66, "insert_ios": 249, "insert_rebuilds": 3,
+        "delete_ios": 59, "delete_rebuilds": 1, "bulk_ios": 61, "final_blocks": 61,
+    },
+    ("point", 16): {
+        "build_ios": 127, "built_blocks": 127, "insert_ios": 489, "insert_rebuilds": 3,
+        "delete_ios": 109, "delete_rebuilds": 1, "bulk_ios": 108, "final_blocks": 108,
+    },
 }
 
 
@@ -137,6 +179,11 @@ def test_class_index_space_and_write_ios_match_the_recorded_table(method, shape)
     assert class_row(method, shape) == GOLDEN[method, shape]
 
 
+@pytest.mark.parametrize("B", [4, 8, 16])
+def test_point_space_and_write_ios_match_the_recorded_table(B):
+    assert point_row(B) == GOLDEN["point", B]
+
+
 # --------------------------------------------------------------------------- #
 # every block is owned, and counted once
 # --------------------------------------------------------------------------- #
@@ -145,10 +192,6 @@ def _constraint_tuples(x, start, stop):
         GeneralizedTuple([Constraint(x, ">=", i), Constraint(x, "<=", i + 10)], name=f"t{i}")
         for i in range(start, stop)
     ]
-
-
-def _points(rnd, n):
-    return [PlanarPoint(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(n)]
 
 
 def _pairs(rnd, n, first):
