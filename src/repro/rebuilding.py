@@ -18,8 +18,8 @@ optional hooks; what it lacks, the core supplies:
   through the query's ``matches`` oracle.
 * **deletes** tombstone the stored *version*, not the uid, so re-inserting
   a uid (the same object, or a same-uid update) costs an insert, not a
-  rebuild — a version equal to a dead one is simply un-tombstoned.  Reads
-  drop dead versions with no I/O; once
+  rebuild — the very version that died is simply un-tombstoned.  Reads
+  drop dead versions with no I/O (see :func:`_copy_of`); once
   :func:`~repro.analysis.complexity.rebuild_due` fires, a global rebuild
   sweeps them away.
 * **bulk loads** are one rebuild — the static constructor *is* the bulk
@@ -42,11 +42,26 @@ from repro.records import fresh_record_keys, record_key
 #: a native write of the wrapped structure: ``hook(structure, record)``
 Hook = Callable[[Any, Any], Any]
 
+_PLAIN_TYPES = frozenset((type(None), bool, int, str, bytes))
 
-def _same_version(a: Any, b: Any) -> bool:
-    """Field-for-field equality, the payload and uid included (the record
-    dataclasses leave both out of ``==``)."""
-    return type(a) is type(b) and bool(getattr(a, "__dict__", a) == getattr(b, "__dict__", b))
+
+def _plain(value: Any) -> bool:
+    """Whether every backend's copy of ``value`` equals it: ``None``, a
+    bool, int, str or bytes, a non-NaN float, or a tuple of these."""
+    if type(value) is tuple:
+        return all(map(_plain, value))
+    return bool(value == value) if type(value) is float else type(value) in _PLAIN_TYPES
+
+
+def _copy_of(version: Any, item: Any) -> bool:
+    """Whether stored ``item`` of ``version``'s uid may be a copy of it: the
+    same type, ``==`` (the indexed fields, not the payload) and, when
+    ``version``'s payload is :func:`_plain`, an equal plain payload (no
+    decoded copy equals NaN or an object without ``__eq__``)."""
+    if type(version) is not type(item) or version != item:
+        return False
+    old, new = version.payload, item.payload
+    return not _plain(old) or (_plain(new) and bool(old == new))
 
 
 class RebuildingIndex:
@@ -104,7 +119,7 @@ class RebuildingIndex:
     # the MutableIndex surface
     # ------------------------------------------------------------------ #
     def insert(self, item: Any) -> None:
-        """Insert one record: revive an equal dead version, else write it
+        """Insert one record: revive the dead version it is, else write it
         natively, else append it to the side log (rebuilding when full)."""
         key = record_key(item)
         if key in self._live:
@@ -216,18 +231,21 @@ class RebuildingIndex:
         self.generation += 1
 
     def _revive(self, key: Any, item: Any) -> bool:
-        """Un-tombstone a dead stored version equal to ``item``, if any."""
-        stale = self._tombstones.get(key)
-        if stale is None:
+        """Un-tombstone the dead version ``item`` would read as a copy of.
+        When ``item`` reads as a copy of any dead version whose payload is
+        not provably its own, sweep the dead copies instead (one rebuild)."""
+        stale = self._tombstones.get(key, [])
+        copies = [i for i, v in enumerate(stale) if _copy_of(v, item)]
+        if any(stale[i].payload is not item.payload and not _plain(stale[i].payload) for i in copies):
+            self.rebuild()
             return False
-        for i, version in enumerate(stale):
-            if _same_version(version, item):
-                del stale[i]
-                if not stale:
-                    del self._tombstones[key]
-                self._dead -= 1
-                return True
-        return False
+        if not copies:
+            return False
+        del stale[copies[0]]
+        if not stale:
+            del self._tombstones[key]
+        self._dead -= 1
+        return True
 
     def _write_log(self) -> None:
         """Persist the pending records to the one-block side log (one I/O)."""
@@ -275,7 +293,7 @@ class RebuildingIndex:
             key = record_key(item)
             if key not in dead:
                 return True
-            return key in live and not any(_same_version(v, item) for v in dead[key])
+            return key in live and not any(_copy_of(v, item) for v in dead[key])
 
         return keep
 

@@ -136,6 +136,65 @@ def test_reinserting_a_deleted_uid_answers_right_without_a_rebuild(kind, backend
     engine.close()
 
 
+class Opaque:
+    """A payload with identity equality: no decoded copy of it equals it."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f"Opaque({self.tag})"
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("payload", [Opaque, lambda tag: float("nan")], ids=["opaque", "nan"])
+@pytest.mark.parametrize("kind", ["collection", "class"])
+def test_payloads_a_copy_never_equals_keep_dead_versions_out(kind, payload, backend):
+    """A payload whose ``==`` a stored copy does not keep (an object without
+    ``__eq__``, NaN) cannot tell a dead copy from a live one: an update of
+    the indexed fields needs no payload to do so, an update of the payload
+    alone sweeps the dead copies (one rebuild) unless a plain payload tells
+    the versions apart, and re-inserting the very object deleted revives it."""
+    records, params, queries, _, _ = _reinsert_case(kind, 13)
+    records = [dataclasses.replace(r, payload=payload(i)) for i, r in enumerate(records)]
+    engine = Engine(SimulatedDisk(B) if backend == "memory" else FileDisk(block_size=B))
+    engine.create("ix", kind, records, **params)
+    core = _core(kind, engine["ix"])
+    model = {r.uid: r for r in records}
+    field = "high" if kind == "collection" else "key"
+
+    def write(op, *args, rebuilds=0):
+        generation = core.generation
+        getattr(engine, op)("ix", *args)
+        assert core.generation - generation == rebuilds, op
+        here = [Stab(r.low) if kind == "collection" else ClassRange(r.class_name, r.key, r.key + 1.0)
+                for r in args]
+        _check(engine, kind, queries + here, model)
+
+    def update(old, new, rebuilds=0):
+        model[old.uid] = new
+        write("update", old, new, rebuilds=rebuilds)
+
+    for i, old in enumerate(records[:4]):
+        moved = dataclasses.replace(old, **{field: getattr(old, field) + 1.0})
+        update(old, moved)  # the stale copy still matches the query
+        repaid = dataclasses.replace(moved, payload=payload(1000 + i))
+        update(moved, repaid, rebuilds=1)  # the payload alone changed
+        del model[old.uid]
+        write("delete", repaid)
+        model[old.uid] = repaid
+        write("insert", repaid)  # the very object deleted: revived
+        plain = dataclasses.replace(repaid, payload=i)
+        update(repaid, plain, rebuilds=1)
+        unplain = dataclasses.replace(plain, payload=payload(2000 + i))
+        update(plain, unplain)  # the dead plain payload tells them apart
+        replain = dataclasses.replace(unplain, payload=i)
+        update(unplain, replain, rebuilds=1)  # reads as a copy of both dead versions
+        del model[old.uid]
+        write("delete", replain)
+    engine.close()
+
+
 @pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("kind", ["collection", "class"])
 def test_a_run_of_same_uid_writes_costs_at_most_twice_the_fresh_uid_run(kind, backend, tmp_path):
