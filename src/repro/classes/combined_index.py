@@ -104,8 +104,7 @@ class CombinedClassIndex:
         if isinstance(structure, CollectionIndex):
             yield from structure.iter_range(low, high)
         else:
-            for p in structure.query_3sided(low, high, position):
-                yield p.payload
+            yield from [p.payload for p in structure.query_3sided(low, high, position)]
 
     # ------------------------------------------------------------------ #
     # introspection / accounting

@@ -63,6 +63,10 @@ def intersecting_pairs(
     only probes the tuples whose x-projection intersects its own — the
     indexed evaluation the paper advocates.  Without it, all pairs are
     checked (the naive evaluation used as a baseline).
+
+    A rectangle is identified by its name (the ``z = name`` conjunct), not
+    by object identity: a page store hands the index's candidates back as
+    decoded copies.
     """
     pairs: List[Tuple[Any, Any]] = []
     seen = set()
@@ -73,9 +77,9 @@ def intersecting_pairs(
         else:
             candidates = relation.tuples
         for other in candidates:
-            if other is gt:
+            if other.name == gt.name:
                 continue
-            key = tuple(sorted((id(gt), id(other))))
+            key = frozenset((gt.name, other.name))
             if key in seen:
                 continue
             seen.add(key)

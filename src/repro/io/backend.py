@@ -18,7 +18,9 @@ expected, including :class:`~repro.engine.Engine` via ``Engine(backend=...)``.
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, List, Optional, Protocol, runtime_checkable
+from typing import (
+    Any, ContextManager, Dict, List, Optional, Protocol, Sequence, runtime_checkable,
+)
 
 from repro.io.counters import IOStats, Measurement
 from repro.io.disk import Block, BlockId
@@ -62,12 +64,19 @@ class StorageBackend(Protocol):
         """Fetch a block (one read I/O, unless absorbed by a cache)."""
         ...
 
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+        """Fetch blocks in order, counted exactly as that many :meth:`read`
+        calls but in one charge (none for an empty run) — for a scan that
+        knows its blocks before it reads any."""
+        ...
+
     def write(self, block: Block) -> None:
         """Persist a block (one write I/O, possibly deferred by a cache)."""
         ...
 
     def peek(self, block_id: BlockId) -> Block:
-        """Inspect a block without accounting (tests/invariant checks only)."""
+        """Inspect a block without accounting (tests, invariant checks, and
+        a buffer pool that charges a run's misses itself)."""
         ...
 
     @property

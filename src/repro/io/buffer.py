@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.io.disk import Block, BlockId, SimulatedDisk
 
@@ -95,6 +95,30 @@ class BufferManager:
             block = self.disk.read(block_id)
             self._insert(block, dirty=False)
             return block
+
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+        """:meth:`read` each of ``block_ids`` in order, charged in one count.
+
+        Hits and misses fall exactly as ``k`` single reads would have them
+        (an earlier miss may evict a later block of the run), so each miss
+        is fetched uncounted and the run's misses and hits are charged
+        together at the end.
+        """
+        run: List[Block] = []
+        misses = 0
+        with self._lock:
+            for block_id in block_ids:
+                block = self._cache.get(block_id)
+                if block is None:
+                    block = self.disk.peek(block_id)
+                    self._insert(block, dirty=False)
+                    misses += 1
+                else:
+                    self._cache.move_to_end(block_id)
+                run.append(block)
+            if run:
+                self.disk.stats.count(reads=misses, cache_hits=len(run) - misses)
+        return run
 
     def write(self, block: Block) -> None:
         """Write a block.  Deferred to eviction or :meth:`flush` (write-back)."""

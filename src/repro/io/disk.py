@@ -150,7 +150,8 @@ class SimulatedDisk:
 
     Notes
     -----
-    * ``read``/``write`` each count as one I/O.
+    * ``read``/``write`` each count as one I/O; ``read_run`` counts one
+      per block.
     * Structures that want to model a buffer pool should wrap the disk in a
       :class:`~repro.io.buffer.BufferManager`; the raw disk itself performs
       no caching, which gives worst-case (cold-cache) I/O counts.
@@ -206,6 +207,16 @@ class SimulatedDisk:
         self.stats.count(reads=1)
         return block
 
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+        """Read ``block_ids`` in order: one I/O each, charged in one count."""
+        try:
+            run = [self._blocks[bid] for bid in block_ids]
+        except KeyError as exc:
+            raise KeyError(f"no such block: {exc.args[0]}") from exc
+        if run:
+            self.stats.count(reads=len(run))
+        return run
+
     def write(self, block: Block) -> None:
         """Write a block back to disk (one I/O)."""
         if block.block_id not in self._blocks:
@@ -221,8 +232,9 @@ class SimulatedDisk:
     def peek(self, block_id: BlockId) -> Block:
         """Inspect a block *without* counting an I/O.
 
-        Intended for tests and for structure-invariant checks; algorithms
-        must use :meth:`read`.
+        Intended for tests, for structure-invariant checks and for a buffer
+        pool that charges a run's misses itself; algorithms must use
+        :meth:`read` or :meth:`read_run`.
         """
         return self._blocks[block_id]
 

@@ -27,7 +27,7 @@ import os
 import pickle
 import tempfile
 import threading
-from typing import Any, ContextManager, Dict, Iterable, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import lockdep
 from repro.io import pagecodec
@@ -298,6 +298,14 @@ class FileDisk:
         block = self._decode(block_id, *self._extent(block_id))
         self.stats.count(reads=1)
         return block
+
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+        """:meth:`read` each of ``block_ids`` in order, charged in one count."""
+        self._check_open()
+        run = [self._decode(bid, *self._extent(bid)) for bid in block_ids]
+        if run:
+            self.stats.count(reads=len(run))
+        return run
 
     def write(self, block: Block) -> None:
         """Persist a block (one I/O; appends a new page version)."""

@@ -16,7 +16,7 @@ query is crossed, wasting at most one block").
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.io.disk import Block, BlockId
 from repro.metablock.geometry import PlanarPoint
@@ -58,12 +58,8 @@ def build_vertical(disk, points: Sequence[PlanarPoint]) -> Blocking:
 
 def build_horizontal(disk, points: Sequence[PlanarPoint]) -> Blocking:
     """Pack ``points`` into blocks of ``B`` by descending y (Fig. 9b)."""
-    ordered = sorted(points, key=lambda p: (-_as_sortable(p.y), p.x))
+    ordered = sorted(points, key=lambda p: (-p.y, p.x))
     return _pack(disk, ordered, key=lambda p: p.y)
-
-
-def _as_sortable(value: Any) -> Any:
-    return value
 
 
 def _pack(disk, ordered: List[PlanarPoint], key) -> Blocking:
@@ -81,35 +77,34 @@ def _pack(disk, ordered: List[PlanarPoint], key) -> Blocking:
 class Hits:
     """What one query has reported so far, and in which form it wants hits.
 
-    A point may sit in several organisations a query reads (a metablock's
-    blockings, its update block, an ancestor's TD structure); ``seen``
-    holds the uids already handed up, so each scan drops repeats a block at
-    a time.  With ``payloads`` the scans hand up what the points carry
-    instead of the points — a stabbing query wants the intervals, and on a
-    page store the points then never get built.
+    With ``track``, ``seen`` holds the uids already handed up and each scan
+    drops repeats; without, it is ``None`` and nothing is remembered.  A
+    query tracks only when it may read one point from two sources.  In the
+    diagonal-corner walk only a TD structure can repeat a point: it copies
+    points that also live in the metablocks below it.  No other pair of
+    sources the walk reads can — a metablock is read through exactly one
+    of its blockings or its corner structure (whose two stages are disjoint
+    in x), a point lives in exactly one metablock's points or update block,
+    and TS(M) is read *instead of* the left siblings whose points it holds.
+    With ``payloads`` the scans hand up what the points carry instead of
+    the points — a stabbing query wants the intervals, and on a page store
+    the points then never get built.
     """
 
     __slots__ = ("seen", "payloads")
 
-    def __init__(self, payloads: bool = False) -> None:
-        self.seen: set = set()
+    def __init__(self, payloads: bool = False, track: bool = True) -> None:
+        self.seen: Optional[set] = set() if track else None
         self.payloads = payloads
 
-    def fresh(self, points: Iterable[PlanarPoint]) -> List[Any]:
-        """The not-yet-reported of ``points`` (now reported), in hit form."""
+    def fresh(self, points: Sequence[PlanarPoint]) -> List[Any]:
+        """The not-yet-reported of ``points`` (now reported), in hit form,
+        in a new list."""
         seen = self.seen
-        out: List[Any] = []
-        if self.payloads:
-            for p in points:
-                if p.uid not in seen:
-                    seen.add(p.uid)
-                    out.append(p.payload)
-        else:
-            for p in points:
-                if p.uid not in seen:
-                    seen.add(p.uid)
-                    out.append(p)
-        return out
+        if seen is not None:
+            # ``set.add`` returns None: a uid passes once, the first time
+            points = [p for p in points if not (p.uid in seen or seen.add(p.uid))]
+        return [p.payload for p in points] if self.payloads else list(points)
 
 
 def select(
@@ -121,14 +116,16 @@ def select(
 ) -> List[Any]:
     """The points of ``block`` with ``x_gt < x <= x_max`` and ``y >= y_min``.
 
-    A side left ``None`` is unconstrained (``x_gt`` needs the other two).
+    A side left ``None`` is unconstrained (``x_gt`` needs the other two);
+    with none the block matches whole and goes up with no per-row test.
     On a block that still holds its page's columns the test runs over the
     packed coordinate columns and only the rows that pass — and, with
     ``hits``, were not reported before — are materialised.
     """
     columns = block.columns
-    xs, ys = getattr(columns, "xs", None), getattr(columns, "ys", None)
-    if type(xs) is not tuple or type(ys) is not tuple:
+    if columns is not None:
+        xs, ys = getattr(columns, "xs", None), getattr(columns, "ys", None)
+    if columns is None or type(xs) is not tuple or type(ys) is not tuple:
         # an in-memory block, or coordinates no packed column could hold
         records = block.records
         if x_gt is not None:
@@ -155,9 +152,9 @@ def select(
     if hits is None:
         return block.take(columns, rows)
     seen, uids = hits.seen, columns.uids
-    new = [i for i in rows if uids[i] not in seen]
-    seen.update([uids[i] for i in new])
-    return block.take(columns, new, payloads=hits.payloads)
+    if seen is not None:
+        rows = [i for i in rows if not (uids[i] in seen or seen.add(uids[i]))]
+    return block.take(columns, rows, payloads=hits.payloads)
 
 
 def scan_vertical_upto(
@@ -170,30 +167,31 @@ def scan_vertical_upto(
     matching point (the one that crosses ``x_max``), which is the "at most
     one block that is not completely full" accounting of Theorem 3.2.  A
     block whose last x is inside the query matches whole on that side, so
-    only the crossing block is tested value by value.
+    only the crossing block is tested value by value.  ``bounds`` names the
+    blocks to read before any is read, so they are read as one run.
     """
+    bounds = blocking.bounds
+    k = 0
+    while k < len(bounds) and bounds[k][0] <= x_max:
+        k += 1
     out: List[Any] = []
-    reads = 0
-    for bid, (first_x, last_x) in zip(blocking.block_ids, blocking.bounds):
-        if first_x > x_max:
-            break
-        block = disk.read(bid)
-        reads += 1
+    for block, (_, last_x) in zip(disk.read_run(blocking.block_ids[:k]), bounds):
         out.extend(select(block, hits, None if last_x <= x_max else x_max, y_min))
-    return out, reads
+    return out, k
 
 
 def scan_horizontal_downto(
-    disk, blocking: Blocking, y_min: Any, x_max: Any = None, hits: Optional[Hits] = None
+    disk, blocking: Blocking, y_min: Any, hits: Optional[Hits] = None
 ) -> Tuple[List[Any], int]:
-    """Read horizontal blocks top-to-bottom while they may contain ``y >= y_min``
-    (reporting, when ``x_max`` is given, only the points with ``x <= x_max``)."""
+    """Read horizontal blocks top-to-bottom while they may contain ``y >= y_min``,
+    as one run.  There is no x test: the diagonal-corner walk scans only
+    blockings whose every x is inside its query (a Type III / IV metablock,
+    an explicit corner answer, a TS structure)."""
+    bounds = blocking.bounds
+    k = 0
+    while k < len(bounds) and bounds[k][0] >= y_min:
+        k += 1
     out: List[Any] = []
-    reads = 0
-    for bid, (first_y, last_y) in zip(blocking.block_ids, blocking.bounds):
-        if first_y < y_min:
-            break
-        block = disk.read(bid)
-        reads += 1
-        out.extend(select(block, hits, x_max, None if last_y >= y_min else y_min))
-    return out, reads
+    for block, (_, last_y) in zip(disk.read_run(blocking.block_ids[:k]), bounds):
+        out.extend(select(block, hits, None, None if last_y >= y_min else y_min))
+    return out, k

@@ -131,17 +131,19 @@ class CornerStructure:
             ios += reads
 
         # Stage 2: vertical blocks strictly to the right of the explicit
-        # corner, up to the block containing the query corner.
+        # corner, up to the block containing the query corner — one run,
+        # and disjoint in x from stage 1's points (all at x <= lower).
         lower = explicit_corner
-        for bid, (first_x, last_x) in zip(self._vertical.block_ids, self._vertical.bounds):
-            if lower is not None and last_x <= lower:
-                continue
-            if first_x > corner:
-                break
-            block = self.disk.read(bid)
-            ios += 1
+        bounds = self._vertical.bounds
+        start = 0
+        while lower is not None and start < len(bounds) and bounds[start][1] <= lower:
+            start += 1
+        end = start
+        while end < len(bounds) and bounds[end][0] <= corner:
+            end += 1
+        for block in self.disk.read_run(self._vertical.block_ids[start:end]):
             out.extend(blk.select(block, hits, corner, corner, lower))
-        return out, ios
+        return out, ios + end - start
 
     # ------------------------------------------------------------------ #
     # accounting / lifecycle

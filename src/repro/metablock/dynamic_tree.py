@@ -77,8 +77,18 @@ class DynamicMetablock(Metablock):
         #: ``structure_class`` over ``td_points``
         self.td_corner: Any = None
 
+    def resident(self) -> List[PlanarPoint]:
+        return self.points + self.update_points
+
+    @property
+    def holds_td(self) -> bool:
+        """Whether the TD structure holds points (its corner structure's or
+        its update block's)."""
+        return bool(self.td_points or self.td_update_points)
+
     def destroy_td(self) -> None:
         self.td_points = []
+        self.td_update_points = []
         if self.td_corner is not None:
             self.td_corner.destroy()
             self.td_corner = None
@@ -109,6 +119,8 @@ class AugmentedMetablockTree(StaticMetablockTree):
     node_class = DynamicMetablock
 
     def __init__(self, disk, points: Iterable[PlanarPoint] = ()) -> None:
+        #: kept by ``_td_insert`` and ``_destroy_subtree``
+        self.td_holders = 0
         super().__init__(disk, points)
 
     # ------------------------------------------------------------------ #
@@ -204,6 +216,8 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # -- TD corner structures ----------------------------------------------- #
     def _td_insert(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
         """Record a point that descends past ``mb`` in ``TD(mb)``."""
+        if not mb.holds_td:
+            self.td_holders += 1
         mb.td_update_points.append(point)
         self._write_td_update_block(mb)
         if len(mb.td_update_points) >= self.B:
@@ -216,6 +230,7 @@ class AugmentedMetablockTree(StaticMetablockTree):
         if len(mb.td_points) >= self.capacity:
             self._ts_reorganisation(mb)
             mb.destroy_td()
+            self.td_holders -= 1
 
     def _write_td_update_block(self, mb: DynamicMetablock) -> None:
         if mb.td_update_block_id is None:
@@ -353,17 +368,10 @@ class AugmentedMetablockTree(StaticMetablockTree):
             mb, [self._collect_subtree_points(child) for child in mb.children]
         )
 
-    # -- helpers -------------------------------------------------------------- #
-    def _collect_subtree_points(self, mb: Metablock) -> List[PlanarPoint]:
-        """Every live point in the subtree (main organisations + update blocks)."""
-        out: List[PlanarPoint] = []
-        for node in self.iter_metablocks(mb):
-            out.extend(node.points)
-            out.extend(node.update_points)
-        return out
-
     def _destroy_subtree(self, mb: DynamicMetablock) -> None:
         for node in self.iter_metablocks(mb):
+            if node.holds_td:
+                self.td_holders -= 1
             node.destroy(self.disk)
 
     # ------------------------------------------------------------------ #
@@ -380,7 +388,8 @@ class AugmentedMetablockTree(StaticMetablockTree):
         return hits.fresh([p for p in mb.update_points if p.x <= q and p.y >= q])
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Query the TD corner structure of a visited nonleaf metablock."""
+        """Query the TD corner structure of a visited nonleaf metablock: the
+        one source whose points the walk may already have reported."""
         out: List[Any] = []
         if mb.td_corner is not None:
             out = mb.td_corner.query(q, hits)[0]
@@ -392,18 +401,11 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # ------------------------------------------------------------------ #
     # introspection / invariants
     # ------------------------------------------------------------------ #
-    def all_points(self) -> List[PlanarPoint]:
-        return self._collect_subtree_points(self.root) if self.root is not None else []
-
     def check_invariants(self) -> None:
-        if self.root is None:
-            assert self.size == 0
-            return
-        seen = 0
         for mb in self.iter_metablocks():
-            seen += len(mb.points) + len(mb.update_points)
             assert len(mb.points) <= 2 * self.capacity + self.B
             if not mb.is_leaf:
                 assert mb.children
                 assert len(mb.children) <= 2 * self.B + 1
-        assert seen == self.size, f"point count mismatch: {seen} != {self.size}"
+        assert self.td_holders == sum(mb.holds_td for mb in self.iter_metablocks())
+        self._check_disjoint()

@@ -37,9 +37,9 @@ class PlanarPoint:
     except where a theorem explicitly assumes it (noted per class).
 
     Every point carries a ``uid``: a process-unique record identity that is
-    preserved by (de)serialization.  Structures that store the same record
-    in several blocks (update blocks, corner structures, TS blockings) use
-    it to deduplicate query output — object identity is not sufficient on
+    preserved by (de)serialization.  Where a query may read one record from
+    two organisations (a TD structure and the metablock the point lives
+    in) it deduplicates by uid — object identity is not sufficient on
     storage backends that round-trip pages through a file.
     """
 
@@ -171,13 +171,6 @@ def dedupe_points(points: Iterable[PlanarPoint]) -> List[PlanarPoint]:
     to share coordinates are both kept.
     The uid survives serialization, so deduplication also works on backends
     (``FileDisk``) where two reads of the same page yield distinct objects.
+    A dict keeps its keys in first-seen order.
     """
-    seen = set()
-    out: List[PlanarPoint] = []
-    for p in points:
-        key = p.uid
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(p)
-    return out
+    return list({p.uid: p for p in points}.values())

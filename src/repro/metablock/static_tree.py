@@ -156,6 +156,11 @@ class Metablock:
             disk.free(self.control_block_id)
             self.control_block_id = None
 
+    def resident(self) -> List[PlanarPoint]:
+        """The points that live in this metablock (the dynamic tree adds
+        its update block's)."""
+        return self.points
+
     def note_below(self, y: Any) -> None:
         """A point of ordinate ``y`` now lives strictly below this metablock.
 
@@ -195,6 +200,9 @@ class StaticMetablockTree:
 
     #: node class instantiated by ``_build`` (the dynamic tree overrides it)
     node_class = Metablock
+    #: metablocks whose TD structure holds points (see
+    #: :meth:`iter_diagonal_blocks`); the static tree has no TD structures
+    td_holders = 0
 
     def __init__(self, disk, points: Iterable[PlanarPoint]) -> None:
         self.disk = disk
@@ -309,14 +317,24 @@ class StaticMetablockTree:
         The generator performs no I/O until the first ``next()`` and then
         reads blocks only as far as the consumer iterates.  Each list holds
         what one scan (a blocking, a corner structure, an update block)
-        added to the answer, already deduplicated by record uid against
-        everything handed up before; with ``payloads`` it holds the points'
+        added to the answer; with ``payloads`` it holds the points'
         payloads instead of the points (see :class:`~repro.metablock.
         blocking.Hits`).
+
+        Every point is reported once.  Of a visited metablock the walk reads
+        one organisation: the vertical blocking, the horizontal one or the
+        corner structure, whose two stages are disjoint in x.  A point lives
+        in one metablock's ``points`` or update block, and TS(M) holds only
+        points of M's left siblings' subtrees and is read *instead of* them
+        (:meth:`check_invariants` asserts both).  So only a TD structure of
+        the augmented tree, which copies points that the metablocks below
+        it hold, can repeat a point, and the answer is deduplicated by
+        record uid only while some TD holds points (:attr:`td_holders`).
         """
         if self.root is None:
             return iter(())
-        return self._iter_query_node(self.root, corner, blk.Hits(payloads))
+        hits = blk.Hits(payloads, track=self.td_holders > 0)
+        return self._iter_query_node(self.root, corner, hits)
 
     def query(self, query: DiagonalCornerQuery) -> List[PlanarPoint]:
         """Answer a :class:`DiagonalCornerQuery` object."""
@@ -350,18 +368,23 @@ class StaticMetablockTree:
             return blk.scan_horizontal_downto(self.disk, mb.horizontal, q, hits=hits)[0]
         # Type I: crossed by the vertical side only — or the corner inside
         # the box without a corner structure (defensive; with the build rule
-        # that case is unreachable)
-        return blk.scan_vertical_upto(self.disk, mb.vertical, q, y_min=q, hits=hits)[0]
+        # that case is unreachable).  The box says when no y needs a test.
+        y_min = None if bbox.min_y >= q else q
+        return blk.scan_vertical_upto(self.disk, mb.vertical, q, y_min=y_min, hits=hits)[0]
 
     def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Hook for the dynamic tree (update blocks); static tree: nothing."""
         return []
 
     def _ts_points(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Read TS(mb) top-down until the query bottom is crossed."""
+        """Read TS(mb) top-down until the query bottom is crossed.
+
+        No x test: TS(mb) holds points of left siblings whose whole subtree
+        lies at ``x <= q`` (``subtree_max_x`` never underestimates).
+        """
         if mb.ts is None:
             return []
-        return blk.scan_horizontal_downto(self.disk, mb.ts, q, x_max=q, hits=hits)[0]
+        return blk.scan_horizontal_downto(self.disk, mb.ts, q, hits=hits)[0]
 
     def _ts_covers(self, mb: Metablock, q: Any, left_siblings: List[Metablock]) -> Optional[bool]:
         """Decide how to handle the left siblings of ``mb`` for query bottom ``q``.
@@ -457,11 +480,12 @@ class StaticMetablockTree:
             yield mb
             stack.extend(mb.children)
 
+    def _collect_subtree_points(self, mb: Optional[Metablock]) -> List[PlanarPoint]:
+        """Every point stored in the subtree rooted at ``mb`` (or the tree)."""
+        return [p for node in self.iter_metablocks(mb) for p in node.resident()]
+
     def all_points(self) -> List[PlanarPoint]:
-        out: List[PlanarPoint] = []
-        for mb in self.iter_metablocks():
-            out.extend(mb.points)
-        return out
+        return self._collect_subtree_points(self.root)
 
     def height(self) -> int:
         def depth(mb: Optional[Metablock]) -> int:
@@ -476,21 +500,20 @@ class StaticMetablockTree:
     def __len__(self) -> int:
         return self.size
 
+    def _destroy_subtree(self, mb: Metablock) -> None:
+        for node in self.iter_metablocks(mb):
+            node.destroy(self.disk)
+
     def destroy(self) -> None:
         """Free every block of the structure (global rebuilds use this)."""
-        for mb in self.iter_metablocks():
-            mb.destroy(self.disk)
+        if self.root is not None:
+            self._destroy_subtree(self.root)
         self.root = None
         self.size = 0
 
     def check_invariants(self) -> None:
         """Structural invariants used by the test suite (no I/O accounting)."""
-        if self.root is None:
-            assert self.size == 0
-            return
-        total = 0
         for mb in self.iter_metablocks():
-            total += len(mb.points)
             if not mb.is_leaf:
                 assert mb.children, "internal metablock must have children"
                 min_y_here = min(p.y for p in mb.points) if mb.points else None
@@ -499,4 +522,19 @@ class StaticMetablockTree:
                         assert max(p.y for p in child.points) <= min_y_here, (
                             "children must hold smaller y values than their parent"
                         )
-        assert total == self.size, f"point count mismatch: {total} != {self.size}"
+        self._check_disjoint()
+
+    def _check_disjoint(self) -> None:
+        """What lets a query skip deduplication (:meth:`iter_diagonal_blocks`):
+        every point lives in exactly one metablock's ``points`` or update
+        block, and TS(M) holds only points of M's left siblings' subtrees."""
+        uids = [p.uid for p in self.all_points()]
+        assert len(uids) == self.size, f"point count mismatch: {len(uids)} != {self.size}"
+        assert len(set(uids)) == len(uids), "a point lives in two metablocks"
+        for mb in self.iter_metablocks():
+            left: set = set()
+            for child in mb.children:
+                if child.ts is not None:
+                    ts = {p.uid for bid in child.ts.block_ids for p in self.disk.peek(bid).records}
+                    assert ts <= left, "TS holds a point of no left sibling's subtree"
+                left.update(p.uid for p in self._collect_subtree_points(child))

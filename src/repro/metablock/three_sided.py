@@ -131,8 +131,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         mb.destroy_children_pst()
         child_points: List[PlanarPoint] = []
         for child in mb.children:
-            child_points.extend(child.points)
-            child_points.extend(child.update_points)
+            child_points.extend(child.resident())
         if child_points:
             mb.children_pst = ExternalPST(self.disk, child_points)
 

@@ -22,6 +22,7 @@ to one through :class:`~repro.rebuilding.RebuildingIndex`.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.analysis.complexity import external_pst_query_bound
@@ -85,7 +86,7 @@ class ExternalPST:
 
     def iter_3sided(self, x1: Any, x2: Any, y0: Any) -> Iterator[PlanarPoint]:
         """Stream the 3-sided answer, reading one node block at a time."""
-        return self._iter_query(self.root_id, x1, x2, y0)
+        return chain.from_iterable(self._iter_blocks(x1, x2, y0))
 
     def stream(self, q: Any) -> Iterator[PlanarPoint]:
         """The plain lazy hit iterator for a supported descriptor."""
@@ -114,32 +115,33 @@ class ExternalPST:
 
     def query_2sided(self, x_max: Any, y_min: Any) -> List[PlanarPoint]:
         """All points with ``x <= x_max`` and ``y >= y_min``."""
-        return list(self._iter_query(self.root_id, None, x_max, y_min))
+        return list(chain.from_iterable(self._iter_blocks(None, x_max, y_min)))
 
-    def _iter_query(
-        self,
-        block_id: Optional[BlockId],
-        x1: Optional[Any],
-        x2: Any,
-        y0: Any,
-    ) -> Iterator[PlanarPoint]:
-        if block_id is None:
-            return
-        block = self.disk.read(block_id)
-        for p in block.records:
-            if p.y < y0:
+    def _iter_blocks(self, x1: Optional[Any], x2: Any, y0: Any) -> Iterator[List[PlanarPoint]]:
+        """The answer one node block at a time, depth first, left before
+        right; a block is read only when the consumer asks for the next."""
+        stack = [self.root_id]
+        while stack:
+            block_id = stack.pop()
+            if block_id is None:
                 continue
-            if (x1 is None or p.x >= x1) and p.x <= x2:
-                yield p
-        # every point below this node has y <= the smallest y stored here;
-        # stop when even the stored points dip below the query bottom
-        if block.header["min_y"] < y0:
-            return
-        split_x = block.header["split_x"]
-        if x1 is None or x1 < split_x:
-            yield from self._iter_query(block.header["left"], x1, x2, y0)
-        if x2 >= split_x:
-            yield from self._iter_query(block.header["right"], x1, x2, y0)
+            block = self.disk.read(block_id)
+            found = [
+                p for p in block.records
+                if p.y >= y0 and (x1 is None or p.x >= x1) and p.x <= x2
+            ]
+            if found:
+                yield found
+            header = block.header
+            # every point below this node has y <= the smallest y stored
+            # here; stop when even the stored points dip below the bottom
+            if header["min_y"] < y0:
+                continue
+            split_x = header["split_x"]
+            if x2 >= split_x:
+                stack.append(header["right"])
+            if x1 is None or x1 < split_x:
+                stack.append(header["left"])
 
     # ------------------------------------------------------------------ #
     # accounting / lifecycle

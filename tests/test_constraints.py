@@ -20,7 +20,7 @@ from repro.constraints.rectangles import (
 )
 from repro.constraints.relation import GeneralizedDatabase
 from repro.constraints.terms import UNBOUNDED_HIGH, UNBOUNDED_LOW
-from repro.io import SimulatedDisk
+from repro.io import FileDisk, SimulatedDisk
 
 X, Y = var("x"), var("y")
 
@@ -237,6 +237,21 @@ class TestRectangleExample:
         expected = self._brute(rects)
         assert set(map(frozenset, intersecting_pairs(rel))) == expected
         assert set(map(frozenset, intersecting_pairs(rel, index))) == expected
+
+    def test_indexed_join_on_file_pages_matches_naive(self, tmp_path):
+        """On FileDisk every candidate is a decoded copy: neither the
+        self-pair skip nor the pair dedup may rely on object identity."""
+        rnd = random.Random(5)
+        rects = []
+        for i in range(60):
+            a, b = rnd.uniform(0, 100), rnd.uniform(0, 100)
+            rects.append((f"r{i}", a, b, a + rnd.uniform(1, 25), b + rnd.uniform(1, 25)))
+        rel = rectangle_relation(rects)
+        with FileDisk(str(tmp_path / "rects.pages"), block_size=8) as disk:
+            indexed = intersecting_pairs(rel, GeneralizedOneDimensionalIndex(disk, rel, "x"))
+        naive = intersecting_pairs(rel)
+        assert len(indexed) == len(naive) == len(set(map(frozenset, naive)))
+        assert set(map(frozenset, indexed)) == set(map(frozenset, naive)) == self._brute(rects)
 
     def test_touching_rectangles_intersect(self):
         rel = rectangle_relation([("a", 0, 0, 10, 10), ("b", 10, 10, 20, 20)])

@@ -1,8 +1,14 @@
 """Unit tests for the simulated disk (the I/O cost model substrate)."""
 
+import threading
+from pathlib import Path
+
 import pytest
 
-from repro.io import Block, IOStats, SimulatedDisk
+import repro.io
+from repro.analysis.lint import lint_paths, render_report
+from repro.io import Block, BufferManager, FileDisk, IOStats, SimulatedDisk
+from repro.io.counters import Measurement
 
 
 class TestAllocation:
@@ -140,3 +146,100 @@ class TestValidation:
         block = disk.allocate(list(range(disk.block_size)))
         assert block.is_full
         assert len(block) == disk.block_size
+
+
+class TestReadRun:
+    """``read_run`` is ``k`` reads in one charge, on every backend."""
+
+    BACKENDS = ["memory", "file", "buffer"]
+
+    @staticmethod
+    def _backend(kind):
+        """A backend holding five blocks; the pool (three pages) holds two
+        of them, one dirty, so a run meets hits, misses and a write-back."""
+        disk = {
+            "memory": lambda: SimulatedDisk(4),
+            "file": lambda: FileDisk(block_size=4),
+            "buffer": lambda: BufferManager(SimulatedDisk(4), capacity_pages=3),
+        }[kind]()
+        ids = [disk.allocate(records=[i, i + 1]).block_id for i in range(5)]
+        if kind == "buffer":
+            disk.drop()
+            disk.read(ids[1])
+            dirty = disk.read(ids[3])
+            dirty.records = [9]
+            disk.write(dirty)
+        return disk, ids
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("run", [[], [0], [0, 1, 2], [3, 1, 3, 0, 4, 2], [4, 4, 4]], ids=str)
+    def test_a_run_counts_as_its_single_reads(self, kind, run):
+        (single, ids), (batched, _) = self._backend(kind), self._backend(kind)
+        try:
+            before = single.stats.snapshot(), batched.stats.snapshot()
+            one = [single.read(ids[i]).records for i in run]
+            with batched.measure() as mine:
+                many = [block.records for block in batched.read_run([ids[i] for i in run])]
+            assert many == one
+            moved = [d.stats.diff(b) for d, b in zip((single, batched), before)]
+            assert [(m.reads, m.cache_hits, m.writes) for m in moved] == [
+                (moved[0].reads, moved[0].cache_hits, moved[0].writes)
+            ] * 2
+            assert (mine.reads, mine.cache_hits) == (moved[1].reads, moved[1].cache_hits)
+        finally:
+            for disk in (single, batched):
+                if kind == "file":
+                    disk.close()
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_a_run_is_one_charge_and_empty_is_none(self, kind, monkeypatch):
+        disk, ids = self._backend(kind)
+        charges = []
+        count = type(disk.stats).count
+        monkeypatch.setattr(
+            type(disk.stats), "count",
+            lambda stats, **kw: (charges.append(kw), count(stats, **kw))[1],
+        )
+        try:
+            disk.read_run([])
+            assert charges == []
+            disk.read_run(ids)
+            # in the pool block 1 hits; block 3 was resident too, but block
+            # 2's miss evicts it (a write-back, charged on its own) first
+            reads = [c for c in charges if set(c) & {"reads", "cache_hits"}]
+            assert len(reads) == 1
+            hits, misses = reads[0].get("cache_hits", 0), reads[0].get("reads", 0)
+            assert (hits, misses) == ((1, 4) if kind == "buffer" else (0, 5))
+        finally:
+            monkeypatch.undo()
+            if kind == "file":
+                disk.close()
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_a_run_is_attributed_to_the_calling_thread_only(self, kind):
+        disk, ids = self._backend(kind)
+        other = Measurement()
+        registered, finished = threading.Event(), threading.Event()
+
+        def elsewhere():
+            with disk.stats.attributed(other):
+                registered.set()
+                finished.wait(10)
+
+        thread = threading.Thread(target=elsewhere)
+        thread.start()
+        try:
+            registered.wait(10)
+            with disk.measure() as mine:
+                disk.read_run(ids)
+        finally:
+            finished.set()
+            thread.join()
+            if kind == "file":
+                disk.close()
+        assert mine.reads + mine.cache_hits == len(ids)
+        assert (other.reads, other.cache_hits) == (0, 0)
+
+    def test_the_backends_lint_clean(self):
+        linter = lint_paths([Path(repro.io.__file__).parent])
+        assert linter.findings == [], render_report(linter)

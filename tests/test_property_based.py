@@ -8,6 +8,7 @@ proofs rely on.  Sizes are kept moderate so the whole module stays fast.
 import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from repro.classes.decomposition import label_edges, rake_and_contract
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
 from repro.core import ExternalIntervalManager
 from repro.interval import Interval
-from repro.io import SimulatedDisk
+from repro.io import FileDisk, SimulatedDisk
 from repro.metablock import AugmentedMetablockTree, StaticMetablockTree, ThreeSidedMetablockTree
 from repro.metablock.corner import CornerStructure
 from repro.metablock.geometry import PlanarPoint
@@ -92,11 +93,12 @@ TREE_SETTINGS = dict(SETTINGS, max_examples=150, derandomize=True)
 
 
 @st.composite
-def planar_case(draw, diagonal):
+def planar_case(draw, diagonal, floats=True):
     """Points (``y >= x`` when ``diagonal``), a block size, how many of the
     points are bulk-built before the rest is inserted, and query corners
-    (triples of them for the 3-sided tree)."""
-    grid = draw(st.sampled_from([None, 5, 20, 1000]))
+    (triples of them for the 3-sided tree).  Without ``floats`` every
+    coordinate is drawn from an integer grid."""
+    grid = draw(st.sampled_from([None, 5, 20, 1000] if floats else [5, 20, 1000]))
     coord = small_float if grid is None else st.integers(0, grid)
     # the size is drawn first: a bare ``lists`` averages five elements
     n = draw(st.integers(0, 300))
@@ -138,18 +140,17 @@ def test_dynamic_metablock_tree_matches_oracle_after_inserts(case):
         assert _uids(tree.diagonal_query(q)) == _uids(p for p in pts if p.x <= q and p.y >= q)
 
 
-@settings(**SETTINGS)
-@given(
-    pts=st.lists(st.tuples(small_float, small_float), max_size=150),
-    window=st.tuples(small_float, small_float, small_float),
-)
-def test_external_pst_matches_oracle(pts, window):
-    points = [PlanarPoint(x, y, payload=i) for i, (x, y) in enumerate(pts)]
-    pst = ExternalPST(SimulatedDisk(4), points)
-    a, b, y0 = window
-    x1, x2 = min(a, b), max(a, b)
-    got = sorted((p.x, p.y) for p in pst.query_3sided(x1, x2, y0))
-    assert got == sorted((p.x, p.y) for p in points if x1 <= p.x <= x2 and p.y >= y0)
+@settings(**TREE_SETTINGS)
+@given(case=planar_case(diagonal=False, floats=False))
+def test_external_pst_matches_oracle(case):
+    points, block_size, _, windows = case
+    pst = ExternalPST(SimulatedDisk(block_size), points)
+    for a, b, y0 in windows:
+        x1, x2 = min(a, b), max(a, b)
+        assert _uids(pst.query_3sided(x1, x2, y0)) == _uids(
+            p for p in points if x1 <= p.x <= x2 and p.y >= y0
+        )
+        assert _uids(pst.query_2sided(x2, y0)) == _uids(p for p in points if p.x <= x2 and p.y >= y0)
 
 
 @settings(**TREE_SETTINGS)
@@ -217,6 +218,19 @@ def test_insert_through_a_split_is_recorded_above_it():
     _assert_diagonal_exact(tree, points, 168)  # used to omit (35, 185)
 
 
+def test_a_point_copied_into_td_is_reported_once():
+    """TD(root) copies (1, 2), which also lives below the root, so the walk
+    must deduplicate while a TD holds points — and a walk that does not
+    reports it twice."""
+    tree, points = _grown([(8, 20), (4, 8), (1, 1), (5, 23), (1, 13)], [(1, 2)])
+    assert tree.td_holders == 1
+    _assert_diagonal_exact(tree, points, 1)
+    tree.td_holders = 0  # force Hits to stop tracking
+    assert _uids(tree.diagonal_query(1)) == sorted([points[-1].uid] + _uids(
+        p for p in points if p.x <= 1 and p.y >= 1
+    ))
+
+
 def test_engine_stab_is_exact_on_integer_endpoints():
     """The same defects through the public API: tied endpoints, small pages."""
     rnd = random.Random(14)
@@ -239,20 +253,36 @@ def test_engine_stab_is_exact_on_integer_endpoints():
 # --------------------------------------------------------------------------- #
 # interval manager
 # --------------------------------------------------------------------------- #
-@settings(**SETTINGS)
-@given(
-    raw=st.lists(st.tuples(small_float, small_float), max_size=120),
-    stab=st.floats(min_value=-100, max_value=2100, allow_nan=False),
-    window=st.tuples(small_float, small_float),
-)
-def test_interval_manager_matches_oracle(raw, stab, window):
-    intervals = [Interval(lo, lo + abs(length), payload=i) for i, (lo, length) in enumerate(raw)]
-    manager = ExternalIntervalManager(SimulatedDisk(4), intervals, dynamic=False)
-    got = sorted((iv.low, iv.high) for iv in manager.stabbing_query(stab))
-    assert got == sorted((iv.low, iv.high) for iv in intervals if iv.contains(stab))
-    lo, hi = min(window), max(window)
-    got = sorted((iv.low, iv.high) for iv in manager.intersection_query(lo, hi))
-    assert got == sorted((iv.low, iv.high) for iv in intervals if iv.intersects_range(lo, hi))
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@settings(**dict(TREE_SETTINGS, max_examples=60))
+@given(case=planar_case(diagonal=True, floats=False), data=st.data())
+def test_interval_manager_matches_oracle(backend, case, data):
+    """Bulk-built prefix, inserts (which fill TD structures), deletes; the
+    file leg runs the scans over packed page columns."""
+    points, block_size, bulk, stabs = case
+    intervals = [Interval(p.x, p.y, payload=i) for i, p in enumerate(points)]
+    doomed = data.draw(st.lists(st.sampled_from(intervals), max_size=len(intervals) // 3)
+                       if intervals else st.just([]))
+    disk = SimulatedDisk(block_size) if backend == "memory" else FileDisk(block_size=block_size)
+    try:
+        manager = ExternalIntervalManager(disk, intervals[:bulk])
+        for iv in intervals[bulk:]:
+            manager.insert(iv)
+        live = {iv.uid: iv for iv in intervals}
+        for iv in doomed:
+            assert manager.delete(iv) == (live.pop(iv.uid, None) is not None)
+        manager._stabbing.check_invariants()
+        for x, other in zip(stabs, reversed(stabs)):
+            assert _uids(manager.stabbing_query(x)) == _uids(
+                iv for iv in live.values() if iv.contains(x)
+            )
+            lo, hi = min(x, other), max(x, other)
+            assert _uids(manager.intersection_query(lo, hi)) == _uids(
+                iv for iv in live.values() if iv.intersects_range(lo, hi)
+            )
+    finally:
+        if backend == "file":
+            disk.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -424,31 +424,32 @@ class TestCountsArePerThread:
         assert not any(t.is_alive() for t in ts)
         assert wrong == [] and min(map(min, expected.values())) > 0
 
-    def test_a_session_read_registers_one_sink_per_page(self):
+    def test_a_session_read_registers_one_sink_per_charge(self):
         """The result's own counters are the request's: no second sink."""
         engine = Engine(SimulatedDisk(16))
         engine.create_collection("base", random_intervals(4000, seed=3, mean_length=300.0))
         session = engine.session()
         prepared = session.prepare("base", Stab(Param("x")))
-        mirrored = []
+        charged, mirrored = [], []
         real_count = IOStats.count
 
         def counting(self, **deltas):
-            if self is not engine.io_stats():
-                mirrored.append(deltas)  # a sink receiving a mirrored count
+            # the backend's own charge, or a sink receiving its mirror
+            (charged if self is engine.io_stats() else mirrored).append(deltas)
             real_count(self, **deltas)
 
         for read in (lambda: session.query("base", Stab(500.0)),
                      lambda: session.run(prepared, x=500.0)):
-            del mirrored[:]
+            del charged[:], mirrored[:]
             IOStats.count = counting
             try:
                 res = read()
             finally:
                 IOStats.count = real_count
-            assert res.ios >= 20
-            # one mirror per page read, then the one merge into session.stats
-            assert len(mirrored) == res.ios + 1, mirrored
+            assert res.ios >= 20 and sum(c.get("reads", 0) for c in charged) == res.ios
+            # one mirror per charge (a scan's run is one), then the one
+            # merge into session.stats
+            assert len(mirrored) == len(charged) + 1, mirrored
 
 
 class TestLockdepWitness:
