@@ -23,10 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.values import check_value, domain_record
+
 #: monotone source of record uids; every constructed object gets a fresh one
 _OBJECT_UIDS = itertools.count()
 
 
+@domain_record
 @dataclass(frozen=True)
 class ClassObject:
     """An object stored in the database.
@@ -50,6 +53,11 @@ class ClassObject:
     uid: int = field(
         default_factory=lambda: next(_OBJECT_UIDS), compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        check_value(self.key, "a key", finite=False)
+        check_value(self.class_name, "a class name")
+        check_value(self.payload)
 
 
 class ClassHierarchy:
@@ -87,6 +95,12 @@ class ClassHierarchy:
         for name, parent in edges:
             hierarchy.add_class(name, parent)
         return hierarchy
+
+    def edges(self) -> List[List[Optional[str]]]:
+        """The ``[class, parent]`` pairs in the order the classes were added:
+        that order fixes the labels, so :meth:`from_edges` rebuilds a
+        hierarchy labelled exactly like this one."""
+        return [[name, parent] for name, parent in self._parent.items()]
 
     # ------------------------------------------------------------------ #
     # structure queries

@@ -717,8 +717,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     entries, the WAL is decoded only to count what lies past the checkpoint —
     so, like ``wal inspect``, it is safe on the database of a live server.
     """
-    import pickle
-
     from repro.engine.core import read_catalog
     from repro.io import pagecodec
     from repro.io.counters import IOStats
@@ -728,8 +726,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"catalog: no database at {args.db!r} (missing sidecar)", file=sys.stderr)
         return 2
     stats = IOStats()
-    with open(args.db + ".meta", "rb") as fh:
-        sidecar = pickle.loads(fh.read())
+    try:
+        sidecar = FileDisk.read_sidecar(args.db)
+    except pagecodec.PageFormatError as exc:
+        print(f"catalog: {exc}", file=sys.stderr)
+        return 2
 
     def read(block_id: int) -> Block:
         offset, length = sidecar["extents"][block_id]
@@ -748,8 +749,10 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     if not entries:
         print("  (empty)")
     for entry in entries:
-        params = ", ".join(f"{k}={v!r}" for k, v in sorted(entry["params"].items())
-                           if k != "hierarchy")
+        params = ", ".join(
+            f"{k}={len(v)} classes" if k == "hierarchy" else f"{k}={v!r}"
+            for k, v in sorted(entry["params"].items())
+        )
         print(f"  {entry['name']:20s} kind={entry['kind']:10s} "
               f"records={entry['count']}  {params}")
     durable = int(sidecar["meta"].get("durable_epoch", 0))

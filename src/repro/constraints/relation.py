@@ -44,11 +44,12 @@ class GeneralizedRelation:
         self.tuples.append(gt)
 
     def discard(self, gt: GeneralizedTuple) -> bool:
-        try:
-            self.tuples.remove(gt)
-            return True
-        except ValueError:
-            return False
+        """Remove ``gt`` itself (by identity: an equal tuple is another one)."""
+        for i, held in enumerate(self.tuples):
+            if held is gt:
+                del self.tuples[i]
+                return True
+        return False
 
     # ------------------------------------------------------------------ #
     # queries

@@ -20,17 +20,23 @@ from dataclasses import dataclass
 from numbers import Number
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from repro.values import check_value, domain_record
+
 UNBOUNDED_LOW = -math.inf
 UNBOUNDED_HIGH = math.inf
 
 _OPS = ("<", "<=", "=", ">=", ">")
 
 
+@domain_record
 @dataclass(frozen=True)
 class Variable:
     """A named variable ranging over the rationals."""
 
     name: str
+
+    def __post_init__(self) -> None:
+        check_value(self.name, "a variable name")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -44,6 +50,7 @@ def var(name: str) -> Variable:
 Term = Union[Variable, Number]
 
 
+@domain_record
 @dataclass(frozen=True)
 class Constraint:
     """An atomic order constraint ``lhs op rhs``.
@@ -62,6 +69,7 @@ class Constraint:
             raise TypeError("the left-hand side of a constraint must be a variable")
         if not isinstance(self.rhs, (Variable, Number)):
             raise TypeError("the right-hand side must be a variable or a number")
+        check_value(self.rhs, "a constant", finite=False)
 
     # -- helpers ---------------------------------------------------------- #
     def variables(self) -> FrozenSet[str]:
@@ -100,13 +108,30 @@ class Constraint:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
+@domain_record
 class GeneralizedTuple:
-    """A conjunction of order constraints (a generalized k-tuple)."""
+    """A conjunction of order constraints (a generalized k-tuple).
+
+    Two tuples are equal when their constraints and names are: a copy
+    decoded from a page equals the tuple that was written.
+    """
+
+    #: the order-graph closure, computed on first use (not part of the value)
+    _closure: Optional[Dict[Tuple[str, str], bool]] = None
 
     def __init__(self, constraints: Iterable[Constraint], name: Any = None) -> None:
         self.constraints: Tuple[Constraint, ...] = tuple(constraints)
         self.name = name
-        self._closure: Optional[Dict[Tuple[str, str], bool]] = None
+        check_value(self.constraints, "a constraint list")
+        check_value(name, "a tuple name")
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not GeneralizedTuple:
+            return NotImplemented
+        return self.constraints == other.constraints and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.constraints)
 
     # ------------------------------------------------------------------ #
     # construction helpers

@@ -77,7 +77,8 @@ def _build_constraint(disk: Any, name: str, records: Any, p: Dict[str, Any]) -> 
 #: The one place an index kind is defined: ``kind -> (build, read)``.
 #: ``build(disk, name, records, params)`` constructs the index over its
 #: logical records — ``params`` are the constructor's keyword arguments,
-#: exactly as the catalog entry records them; ``read(index)`` hands the
+#: exactly as the catalog entry records them (JSON values: a class
+#: hierarchy is its ordered ``[class, parent]`` pairs); ``read(index)`` hands the
 #: records back — what a checkpoint writes and the WAL's ``create`` op
 #: logs, so ``build(..., read(index), params)`` restores every kind.
 KINDS: Dict[str, Tuple[Callable[..., Any], Callable[[Any], List[Any]]]] = {
@@ -102,7 +103,9 @@ KINDS: Dict[str, Tuple[Callable[..., Any], Callable[[Any], List[Any]]]] = {
         lambda index: index.items(),
     ),
     "class": (
-        lambda disk, name, records, p: ClassIndexer(disk, objects=records, **p),
+        lambda disk, name, records, p: ClassIndexer(
+            disk, objects=records, **{**p, "hierarchy": ClassHierarchy.from_edges(p["hierarchy"])}
+        ),
         lambda index: index.objects(),
     ),
     "constraint": (_build_constraint, lambda index: list(index.relation.tuples)),
@@ -413,6 +416,10 @@ class Engine:
         if kind not in KINDS:
             raise ValueError(f"unknown index kind {kind!r}; know {sorted(KINDS)}")
         build, read = KINDS[kind]
+        if isinstance(params.get("hierarchy"), ClassHierarchy):
+            # the catalog root is a JSON page header: the pairs, in the
+            # order that fixes the labels, stand for the hierarchy
+            params = {**params, "hierarchy": params["hierarchy"].edges()}
         entry = {"name": name, "kind": kind, "params": params}
         if not isinstance(records, Sized):
             # read twice (the build, the uid horizon): drain a one-shot

@@ -21,5 +21,10 @@ class DuplicateError(ValueError):
     """The index name, or the record uid, is already taken."""
 
 
+class DomainError(ValueError):
+    """A value outside the closed value domain (:mod:`repro.values`): NaN, a
+    set, an arbitrary object — refused where the record holding it is built."""
+
+
 class StalePreparedError(RuntimeError):
     """The index a query was prepared against was dropped and re-created."""

@@ -13,10 +13,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.values import check_value, domain_record
+
 #: monotone source of record uids; every constructed interval gets a fresh one
 _INTERVAL_UIDS = itertools.count()
 
 
+@domain_record
 @dataclass(frozen=True, order=True)
 class Interval:
     """A closed interval ``[low, high]`` with an optional payload.
@@ -26,7 +29,7 @@ class Interval:
     comparisons.
 
     Every interval carries a ``uid``: a process-unique record identity that
-    survives (de)serialization (it pickles as a normal field).  The query
+    survives (de)serialization (the page codec stores it as a field).  The query
     planner's union plans deduplicate by it, so the *same* stored record
     reached through two physical indexes is reported once while two
     value-identical records stay two records.
@@ -40,7 +43,11 @@ class Interval:
     )
 
     def __post_init__(self) -> None:
-        if self.high < self.low:
+        # a NaN endpoint fails here, before the order test could miss it
+        check_value(self.low, "an endpoint", finite=False)
+        check_value(self.high, "an endpoint", finite=False)
+        check_value(self.payload)
+        if not self.low <= self.high:
             raise ValueError(f"interval endpoints out of order: [{self.low}, {self.high}]")
 
     # ------------------------------------------------------------------ #

@@ -195,7 +195,7 @@ class IOStats:
         }
 
     # locks and thread-local registries are process state, not counter
-    # state: copies and pickles carry the numbers only
+    # state: copies and serialized states carry the numbers only
     def __getstate__(self) -> dict:
         return {
             "reads": self.reads,
@@ -208,7 +208,7 @@ class IOStats:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.__dict__.setdefault("fsyncs", 0)  # pickles from older layouts
+        self.__dict__.setdefault("fsyncs", 0)  # states from older layouts
         self.__dict__["_lock"] = threading.Lock()
         self.__dict__["_local"] = threading.local()
 

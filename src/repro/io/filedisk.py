@@ -23,8 +23,8 @@ is touched or a scan takes the rows that matched.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import tempfile
 import threading
 from typing import Any, ContextManager, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -114,9 +114,9 @@ class FileDisk:
         dictionary — and reopens the page file in place.  Raises
         :class:`FileNotFoundError` when either file is missing and
         :class:`~repro.io.pagecodec.PageFormatError` when the file was
-        written under another page format (a sidecar without the field
-        dates from the pickled pages before format 1).  A :meth:`compact`
-        the previous process was killed in is finished or discarded first.
+        written under another page format (see :meth:`read_sidecar`).  A
+        :meth:`compact` the previous process was killed in is finished or
+        discarded first.
         """
         sidecar = cls._meta_path_for(path)
         pages_copy, sidecar_copy = path + COMPACT_SUFFIX, sidecar + COMPACT_SUFFIX
@@ -129,24 +129,13 @@ class FileDisk:
         elif os.path.exists(sidecar_copy):
             # the pages were renamed into place, their sidecar was not: promote
             os.replace(sidecar_copy, sidecar)
-        with open(sidecar, "rb") as fh:
-            # the sidecar is constant-size control information, exactly like
-            # the block headers — not an I/O in the model (see :meth:`sync`)
-            # lint: allow(uncounted-io)
-            state = pickle.loads(fh.read())
-        written = state.get("page_format", 0)
-        if written != PAGE_FORMAT:
-            raise PageFormatError(
-                f"page file {path!r} was written in page format {written}; this "
-                f"build reads and writes page format {PAGE_FORMAT} only — "
-                "rebuild the database from its source records"
-            )
+        state = cls.read_sidecar(path)
         disk = cls.__new__(cls)
         disk.block_size = state["block_size"]
         disk.stats = IOStats()
         disk.decoded = pagecodec.DecodeTally()
-        disk._extents = dict(state["extents"])
-        disk._capacities = dict(state["capacities"])
+        disk._extents = state["extents"]
+        disk._capacities = state["capacities"]
         disk._next_id = state["next_id"]
         disk._owns_file = False
         disk.path = path
@@ -156,6 +145,39 @@ class FileDisk:
         disk._closed = False
         disk._io_lock = threading.RLock()
         return disk
+
+    @classmethod
+    def read_sidecar(cls, path: str) -> Dict[str, Any]:
+        """The sidecar of the page file at ``path``, as :meth:`sync` wrote it.
+
+        ``extents`` maps block id to ``(offset, length)`` and ``capacities``
+        block id to capacity; ``block_size``, ``next_id``, ``end`` and
+        ``meta`` are as stored.  The one sidecar loader: :meth:`open` and the
+        read-only ``repro catalog`` both call it.  Raises
+        :class:`~repro.io.pagecodec.PageFormatError` for a file written
+        under another page format — a sidecar that is not JSON is format 1
+        or earlier, one without the field predates format 1.
+        """
+        with open(cls._meta_path_for(path), "rb") as fh:
+            # the sidecar is constant-size control information, exactly like
+            # the block headers — not an I/O in the model (see :meth:`sync`)
+            # lint: allow(uncounted-io)
+            raw = fh.read()
+        try:
+            state = json.loads(raw)
+        except ValueError:
+            state = None
+        written = state.get("page_format", 0) if isinstance(state, dict) else "1 or earlier"
+        if written != PAGE_FORMAT:
+            raise PageFormatError(
+                f"page file {path!r} was written in page format {written}; this "
+                f"build reads and writes page format {PAGE_FORMAT} only — "
+                "rebuild the database from its source records"
+            )
+        blocks = state.pop("blocks")
+        state["extents"] = {bid: (offset, length) for bid, offset, length, _ in blocks}
+        state["capacities"] = {bid: capacity for bid, _, _, capacity in blocks}
+        return state
 
     @staticmethod
     def _meta_path_for(path: str) -> str:
@@ -208,17 +230,23 @@ class FileDisk:
         self.stats.count(fsyncs=2)
 
     def _sidecar(self, extents: Dict[BlockId, Tuple[int, int]], end: int) -> bytes:
-        """The sidecar's bytes for a page layout (``extents``, ``end``)."""
+        """The sidecar's bytes for a page layout (``extents``, ``end``):
+        canonical JSON, one ``[id, offset, length, capacity]`` per block."""
+        capacities = self._capacities
         state = {
             "page_format": PAGE_FORMAT,
             "block_size": self.block_size,
-            "extents": extents,
-            "capacities": self._capacities,
+            "blocks": [
+                [bid, offset, length, capacities[bid]]
+                for bid, (offset, length) in sorted(extents.items())
+            ],
             "next_id": self._next_id,
             "end": end,
             "meta": self.meta,
         }
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        # the rest are ints this disk counted; ``meta`` is its callers'
+        pagecodec.check_json(self.meta, "the sidecar's meta")
+        return pagecodec.canonical_json(state).encode("utf-8")
 
     @staticmethod
     def _write_durable(path: str, chunks: Iterable[bytes]) -> None:

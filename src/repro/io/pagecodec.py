@@ -10,11 +10,16 @@ by a body::
 The crc32 covers every byte after it — the rest of the frame and the whole
 body — and is checked on every read: a damaged page raises
 :class:`PageCorruptError` (block id, file offset, what failed) and never
-yields records.
+yields records.  This is page format 2; a file of another format is
+refused (:class:`PageFormatError`), never converted.
 
 **Header section** — the block's constant-size control dictionary: tag
-``0`` (empty), ``1`` (a flat ``str -> None/bool/int/float/str`` mapping as
-canonical JSON, keys sorted) or ``2`` (anything else, pickled).
+``0`` (empty) or ``1``, canonical JSON (keys sorted, nesting allowed),
+decoded by the C scanner.  A header holds JSON values only — ``None``,
+bool, int, finite float, str, and lists and str-keyed dicts of these —
+and anything else (a tuple JSON would turn into a list, a ``Fraction``, an
+infinity) is refused with :class:`~repro.errors.DomainError` when the page
+is written.
 
 **Record column** — the records, stored by column.  A column is one tag
 byte and a payload; the tag of the outermost column is the frame's *kind*:
@@ -32,59 +37,82 @@ tag    records
        interval manager's metablock trees store) — low, high, point uid,
        interval uid, interval payload; the shared endpoints stored once
 ``T``  2-tuples (B+-tree entries) — first, second
-``O``  the escape hatch: anything else (mixed or string endpoints,
-       class objects, nested payloads), pickled as one list
+``V``  tagged values: anything else (mixed or string endpoints, class
+       objects, constraint tuples, nested payloads), one value after
+       another, each a tag byte and its body (below)
 =====  ==============================================================
 
 Columns nest (a ``T`` page of ``(float, Interval)`` leaf entries is a
 ``d`` column and an ``I`` column), and each column independently falls
-back to ``O`` when its values fit no typed form, so one dict-valued
-payload column does not cost a page its packed endpoints.  The encoding is
-lossless and canonical — ``decode(encode(b)) == b`` value for value, type
-for type and uid for uid, and equal blocks give equal bytes (inside an
-opaque section, as far as ``pickle`` is deterministic: the same object
-graph gives the same bytes) — which the round-trip property tests in
-``tests/test_pagecodec.py`` check over every shape the engine writes.
+back to ``V`` when its values fit no typed form, so one dict-valued
+payload column does not cost a page its packed endpoints.
 
-Decoding is lazy: :func:`decode` checks the frame and unpacks the packed
-columns (a few ``struct.unpack`` calls), but builds no record object.  The
-column readers materialise single rows (``take``) or the whole list
-(``tolist``) on demand, constructing records without re-running their
-``__post_init__`` validation (:func:`~repro.interval.trusted_interval`) —
-a page that passes its checksum holds exactly what a validated record
-wrote.
+A ``V`` value is one of the closed value domain (:mod:`repro.values`):
+``n`` ``None``, ``t`` / ``f`` a bool, ``i`` an int (u32 length, then
+minimal little-endian two's complement: exact at any size), ``d`` a float
+(8 bytes), ``s`` a str (u32 length, UTF-8), ``b`` bytes (u32 length, raw),
+``r`` a ``Fraction`` (numerator and denominator as ``i``), ``(`` / ``[`` a
+tuple / list (u32 count, then the items), ``{`` a dict (u32 count, then
+key and value per item, keys sorted) and one tag per record type, whose
+fields follow in the order of :data:`_RECORDS` — the one field table the
+encoder and the decoder share.  Any other type is refused with
+:class:`~repro.errors.DomainError`; records refuse it sooner, when built.
+
+The encoding is canonical by construction: each domain value has exactly
+one encoding — ``tuple`` ≠ ``list``, ``int`` ≠ ``float`` ≠ ``bool``,
+``str`` ≠ ``bytes``, ``0.0`` ≠ ``-0.0``, a dict's key order is not part of
+its value — and decoding inverts it, so ``decode(encode(b)) == b`` value
+for value, type for type and uid for uid, and identical blocks give
+identical bytes.  The round-trip property tests in
+``tests/test_pagecodec.py`` check this over the whole domain.
+
+Decoding is lazy: :func:`decode` checks the frame and unpacks the columns
+(a few ``struct.unpack`` calls; ``V`` values are built there too), but
+builds no record object of the typed columns.  The column readers
+materialise single rows (``take``) or the whole list (``tolist``) on
+demand, constructing records without re-running their ``__post_init__``
+validation (:func:`~repro.interval.trusted_interval`) — a page that passes
+its checksum holds exactly what a validated record wrote.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 import threading
 import zlib
+from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.classes.hierarchy import ClassObject
+from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
+from repro.errors import DomainError
 from repro.interval import Interval, trusted_interval as _interval
 from repro.metablock.geometry import PlanarPoint
 
 MAGIC = b"RPPG"
 #: bumped on any change to the bytes below; the FileDisk sidecar records it
 #: and a file written under another value is refused, never mis-decoded
-PAGE_FORMAT = 1
+PAGE_FORMAT = 2
 
 _FRAME = struct.Struct("<4sIBBxxIII")
 #: the part of the frame after the checksum, which the checksum covers
 _FRAME_TAIL = struct.Struct("<BBxxIII")
 _CHECKED_FROM = _FRAME.size - _FRAME_TAIL.size
 _U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
 
-_HEADER_EMPTY, _HEADER_JSON, _HEADER_PICKLE = 0, 1, 2
-_FLAT_TYPES = frozenset((type(None), bool, int, float, str))
-_header_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_HEADER_EMPTY, _HEADER_JSON = 0, 1
+#: the one canonical JSON encoder — page headers, the FileDisk sidecar and
+#: the wire's ``J`` frame columns: sorted keys, no whitespace, no NaN
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+).encode
 #: the C scanner itself: ``json.loads`` spends three times the parse on
 #: encoding detection and whitespace checks, and every B+-tree page read
 #: decodes one of these tiny headers
 _scan_json = json.JSONDecoder().scan_once
+_JSON_ATOMS = frozenset((type(None), bool, int, str))
 
 
 class PageCorruptError(RuntimeError):
@@ -130,14 +158,29 @@ def encode(capacity: int, records: List[Any], header: Dict[str, Any]) -> bytes:
 def _encode_header(header: Dict[str, Any]) -> bytes:
     if not header:
         return bytes((_HEADER_EMPTY,))
-    named = set(map(type, header)) == {str}
-    if named and set(map(type, header.values())) <= _FLAT_TYPES:
-        tag, data = _HEADER_JSON, _header_json(header).encode("utf-8")
+    check_json(header, "a page header")
+    data = canonical_json(header).encode("utf-8")
+    return b"".join((bytes((_HEADER_JSON,)), _U32.pack(len(data)), data))
+
+
+def check_json(value: Any, what: str) -> None:
+    """Raise :class:`~repro.errors.DomainError` unless JSON gives ``value``
+    back exactly (what :data:`canonical_json` may then encode)."""
+    kind = type(value)
+    if kind in _JSON_ATOMS or (kind is float and value - value == 0.0):
+        return
+    if kind is list:
+        for item in value:
+            check_json(item, what)
+    elif kind is dict and all(type(key) is str for key in value):
+        for item in value.values():
+            check_json(item, what)
     else:
-        if named:  # key order is not part of a dict's value: store it sorted
-            header = dict(sorted(header.items()))
-        tag, data = _HEADER_PICKLE, pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    return b"".join((bytes((tag,)), _U32.pack(len(data)), data))
+        raise DomainError(
+            f"{what} holds {value!r}, which JSON cannot store exactly: it holds "
+            "None, bool, int, finite float, str, and lists and str-keyed dicts "
+            "of these"
+        )
 
 
 def _encode_column(values: Sequence[Any]) -> bytes:
@@ -148,14 +191,25 @@ def _encode_column(values: Sequence[Any]) -> bytes:
             encoded = encoder(values)
             if encoded is not None:
                 return encoded
-    data = pickle.dumps(list(values), protocol=pickle.HIGHEST_PROTOCOL)
-    return b"".join((b"O", _U32.pack(len(data)), data))
+    out = [b"V"]
+    for value in values:
+        _put(value, out)
+    return b"".join(out)
+
+
+def encode_packed(values: Sequence[Any]) -> Optional[bytes]:
+    """``values`` as a ``d`` / ``q`` / ``N`` column — all floats, all ints
+    within int64, all ``None`` or none at all — else ``None`` (what the
+    wire's record frames pack their columns with)."""
+    kinds = set(map(type, values)) or {type(None)}
+    packer = _PACKERS.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if packer is None else packer(values)
 
 
 def _encode_ints(values: Sequence[int]) -> Optional[bytes]:
     try:
         return b"q" + struct.pack(f"<{len(values)}q", *values)
-    except struct.error:  # beyond int64: the escape hatch keeps it exact
+    except struct.error:  # beyond int64: a ``V`` column keeps it exact
         return None
 
 
@@ -199,14 +253,133 @@ def _encode_pairs(values: Sequence[Tuple[Any, ...]]) -> Optional[bytes]:
     return b"".join((b"T", _encode_column(firsts), _encode_column(seconds)))
 
 
-_ENCODERS: Dict[type, Callable[[Sequence[Any]], Optional[bytes]]] = {
+_PACKERS: Dict[type, Callable[[Sequence[Any]], Optional[bytes]]] = {
     type(None): lambda values: b"N",
     int: _encode_ints,
     float: _encode_floats,
+}
+_ENCODERS: Dict[type, Callable[[Sequence[Any]], Optional[bytes]]] = {
+    **_PACKERS,
     Interval: _encode_intervals,
     PlanarPoint: _encode_points,
     tuple: _encode_pairs,
 }
+
+
+# --------------------------------------------------------------------------- #
+# tagged values (the ``V`` column)
+# --------------------------------------------------------------------------- #
+def _trusted(cls: type, fields: Tuple[str, ...]) -> Callable[..., Any]:
+    """A builder of ``cls`` from its field values that skips ``__init__``
+    (the values were validated when the record was first built)."""
+
+    def build(*values: Any, _new: Callable[[type], Any] = object.__new__) -> Any:
+        record = _new(cls)
+        record.__dict__.update(zip(fields, values))
+        return record
+
+    return build
+
+
+#: the one field table of the engine's record types (:mod:`repro.values`):
+#: type -> (``V`` tag, the fields in encoding order)
+_RECORDS: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {
+    Interval: (b"I", ("low", "high", "payload", "uid")),
+    PlanarPoint: (b"P", ("x", "y", "payload", "uid")),
+    ClassObject: (b"C", ("key", "class_name", "payload", "uid")),
+    GeneralizedTuple: (b"G", ("constraints", "name")),
+    Constraint: (b"K", ("lhs", "op", "rhs")),
+    Variable: (b"X", ("name",)),
+}
+#: record ``V`` tag -> (field count, trusted builder)
+_BUILDERS = {
+    tag.decode(): (len(fields), _trusted(cls, fields)) for cls, (tag, fields) in _RECORDS.items()
+}
+
+
+def _put(value: Any, out: List[bytes]) -> None:
+    """Append the ``V`` encoding of ``value`` to ``out``."""
+    kind = type(value)
+    if value is None:
+        out.append(b"n")
+    elif kind is bool:
+        out.append(b"t" if value else b"f")
+    elif kind is int:
+        body = value.to_bytes(
+            ((value if value >= 0 else ~value).bit_length() + 8) // 8, "little", signed=True
+        )
+        out += (b"i", _U32.pack(len(body)), body)
+    elif kind is float:
+        out += (b"d", _F64.pack(value))
+    elif kind is str or kind is bytes:
+        body = value.encode("utf-8", "surrogatepass") if kind is str else value
+        out += (b"s" if kind is str else b"b", _U32.pack(len(body)), body)
+    elif kind is Fraction:
+        out.append(b"r")
+        _put(value.numerator, out)
+        _put(value.denominator, out)
+    elif kind is tuple or kind is list:
+        out += (b"(" if kind is tuple else b"[", _U32.pack(len(value)))
+        for item in value:
+            _put(item, out)
+    elif kind is dict and all(type(key) is str for key in value):
+        out += (b"{", _U32.pack(len(value)))
+        for key in sorted(value):  # key order is not part of a dict's value
+            _put(key, out)
+            _put(value[key], out)
+    elif kind in _RECORDS:
+        tag, fields = _RECORDS[kind]
+        out.append(tag)
+        state = value.__dict__
+        for name in fields:
+            _put(state[name], out)
+    else:
+        raise DomainError(
+            f"{value!r} is outside the value domain and has no page encoding"
+        )
+
+
+def _get(raw: bytes, at: int) -> Tuple[Any, int]:
+    """The ``V`` value at ``raw[at:]`` and where it ends."""
+    tag = chr(raw[at])
+    at += 1
+    if tag == "n":
+        return None, at
+    if tag in "tf":
+        return tag == "t", at
+    if tag == "d":
+        return _F64.unpack_from(raw, at)[0], at + 8
+    if tag in "isb":
+        (length,) = _U32.unpack_from(raw, at)
+        body = raw[at + 4:at + 4 + length]
+        if len(body) != length:
+            raise ValueError(f"a {length}-byte value runs past the page")
+        at += 4 + length
+        if tag == "i":
+            return int.from_bytes(body, "little", signed=True), at
+        return (body.decode("utf-8", "surrogatepass") if tag == "s" else body), at
+    if tag == "r":
+        numerator, at = _get(raw, at)
+        denominator, at = _get(raw, at)
+        return Fraction(numerator, denominator), at
+    if tag in "([{":
+        (count,) = _U32.unpack_from(raw, at)
+        items, at = _get_many(raw, at + 4, 2 * count if tag == "{" else count)
+        if tag == "{":
+            return dict(zip(items[::2], items[1::2])), at
+        return (tuple(items) if tag == "(" else items), at
+    width, build = _BUILDERS[tag]
+    fields, at = _get_many(raw, at, width)
+    return build(*fields), at
+
+
+def _get_many(raw: bytes, at: int, n: int) -> Tuple[List[Any], int]:
+    """The ``n`` ``V`` values from ``raw[at:]`` and where they end."""
+    values = []
+    for _ in range(n):
+        value, at = _get(raw, at)
+        values.append(value)
+    return values, at
 
 
 # --------------------------------------------------------------------------- #
@@ -227,8 +400,8 @@ def _point(x: Any, y: Any, payload: Any, uid: Any,
 def _values(column: Any) -> Sequence[Any]:
     """A nested column as an indexable sequence of its row values.
 
-    Packed columns decode straight to tuples; the other readers
-    materialise (and, for :class:`OpaqueColumn`, unpickle) on demand.
+    Packed and ``V`` columns decode straight to tuples; the record readers
+    materialise on demand.
     """
     return column if type(column) is tuple else column.tolist()
 
@@ -240,7 +413,7 @@ def _take(column: Any, rows: Sequence[int]) -> List[Any]:
 
 
 class PackedColumn:
-    """``q``/``d``/``N``/``-`` as the outermost column: the unpacked tuple."""
+    """``q``/``d``/``N``/``V``/``-`` as the outermost column: the unpacked tuple."""
 
     __slots__ = ("values",)
 
@@ -252,27 +425,6 @@ class PackedColumn:
 
     def take(self, rows: Sequence[int]) -> List[Any]:
         values = self.values
-        return [values[i] for i in rows]
-
-
-class OpaqueColumn:
-    """An escape-hatch column: unpickled on first use."""
-
-    __slots__ = ("_data", "_values")
-
-    def __init__(self, data: bytes) -> None:
-        self._data: Optional[bytes] = data
-        self._values: List[Any] = []
-
-    def tolist(self) -> List[Any]:
-        data = self._data  # read once: readers of a cached block may race here
-        if data is not None:
-            self._values = pickle.loads(data)
-            self._data = None
-        return self._values
-
-    def take(self, rows: Sequence[int]) -> List[Any]:
-        values = self.tolist()
         return [values[i] for i in rows]
 
 
@@ -397,8 +549,8 @@ def decode(
     )
     try:
         header, at = _decode_header(raw, _FRAME.size)
-        column, at = _decode_column(raw, at, count)
-    except (struct.error, IndexError, ValueError, KeyError) as exc:
+        column, at = decode_column(raw, at, count)
+    except (struct.error, IndexError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         # unreachable for bytes this module wrote (the checksum held), but
         # a foreign writer's page must fail typed, not as a stray IndexError
         raise PageCorruptError(block_id, offset, f"undecodable body: {exc!r}") from exc
@@ -418,15 +570,15 @@ def _decode_header(raw: bytes, at: int) -> Tuple[Dict[str, Any], int]:
     data = raw[start:start + length]
     if tag == _HEADER_JSON:
         return _scan_json(data.decode("utf-8"), 0)[0], start + length
-    if tag == _HEADER_PICKLE:
-        return pickle.loads(data), start + length
     raise ValueError(f"unknown header tag {tag}")
 
 
-_D, _Q, _N, _EMPTY, _O, _S = (ord(c) for c in "dqN-OS")
+_D, _Q, _N, _EMPTY, _V, _S = (ord(c) for c in "dqN-VS")
 
 
-def _decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
+def decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
+    """The ``n``-row column at ``raw[at:]`` and where it ends: a tuple of
+    values for ``d`` / ``q`` / ``N`` / ``V`` / ``-``, else a column reader."""
     tag = raw[at]
     at += 1
     if tag == _D:
@@ -437,16 +589,15 @@ def _decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
         return (None,) * n, at
     if tag == _EMPTY:
         return (), at
-    if tag == _O:
-        (length,) = _U32.unpack_from(raw, at)
-        start = at + 4
-        return OpaqueColumn(raw[start:start + length]), start + length
+    if tag == _V:
+        values, at = _get_many(raw, at, n)
+        return tuple(values), at
     if tag == _S:
-        xs, at = _decode_column(raw, at, n)
-        ys, at = _decode_column(raw, at, n)
-        uids, at = _decode_column(raw, at, n)
-        interval_uids, at = _decode_column(raw, at, n)
-        payloads, at = _decode_column(raw, at, n)
+        xs, at = decode_column(raw, at, n)
+        ys, at = decode_column(raw, at, n)
+        uids, at = decode_column(raw, at, n)
+        interval_uids, at = decode_column(raw, at, n)
+        payloads, at = decode_column(raw, at, n)
         return PointColumn(xs, ys, uids, IntervalColumn(xs, ys, interval_uids, payloads)), at
     reader = _READERS.get(tag)
     if reader is None:
@@ -454,7 +605,7 @@ def _decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
     cls, width = reader
     parts = []
     for _ in range(width):
-        part, at = _decode_column(raw, at, n)
+        part, at = decode_column(raw, at, n)
         parts.append(part)
     return cls(*parts), at
 

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, List
 
 from repro.algebra import AlgebraicQuery
+from repro.values import check_value, domain_record
 
 #: monotone source of record uids; every constructed point gets a fresh one
 _POINT_UIDS = itertools.count()
 
 
+@domain_record
 @dataclass(frozen=True, order=True)
 class PlanarPoint:
     """A point ``(x, y)`` with an optional payload (not part of identity order).
@@ -49,6 +51,11 @@ class PlanarPoint:
     uid: int = field(
         default_factory=lambda: next(_POINT_UIDS), compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        check_value(self.x, "a coordinate", finite=False)
+        check_value(self.y, "a coordinate", finite=False)
+        check_value(self.payload)
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y)

@@ -42,26 +42,13 @@ from repro.records import fresh_record_keys, record_key
 #: a native write of the wrapped structure: ``hook(structure, record)``
 Hook = Callable[[Any, Any], Any]
 
-_PLAIN_TYPES = frozenset((type(None), bool, int, str, bytes))
-
-
-def _plain(value: Any) -> bool:
-    """Whether every backend's copy of ``value`` equals it: ``None``, a
-    bool, int, str or bytes, a non-NaN float, or a tuple of these."""
-    if type(value) is tuple:
-        return all(map(_plain, value))
-    return bool(value == value) if type(value) is float else type(value) in _PLAIN_TYPES
-
 
 def _copy_of(version: Any, item: Any) -> bool:
-    """Whether stored ``item`` of ``version``'s uid may be a copy of it: the
-    same type, ``==`` (the indexed fields, not the payload) and, when
-    ``version``'s payload is :func:`_plain`, an equal plain payload (no
-    decoded copy equals NaN or an object without ``__eq__``)."""
-    if type(version) is not type(item) or version != item:
-        return False
-    old, new = version.payload, item.payload
-    return not _plain(old) or (_plain(new) and bool(old == new))
+    """Whether stored ``item`` of ``version``'s uid is a copy of it: the same
+    type, ``==`` (the indexed fields) and an equal payload.  Records and
+    payloads are values of the closed domain (:mod:`repro.values`), which
+    a decoded page returns exactly, so equality decides on every backend."""
+    return type(version) is type(item) and version == item and version.payload == item.payload
 
 
 class RebuildingIndex:
@@ -231,14 +218,10 @@ class RebuildingIndex:
         self.generation += 1
 
     def _revive(self, key: Any, item: Any) -> bool:
-        """Un-tombstone the dead version ``item`` would read as a copy of.
-        When ``item`` reads as a copy of any dead version whose payload is
-        not provably its own, sweep the dead copies instead (one rebuild)."""
+        """Un-tombstone a dead version of ``item``'s uid equal to it: its
+        stored copy reads exactly as ``item`` would."""
         stale = self._tombstones.get(key, [])
         copies = [i for i, v in enumerate(stale) if _copy_of(v, item)]
-        if any(stale[i].payload is not item.payload and not _plain(stale[i].payload) for i in copies):
-            self.rebuild()
-            return False
         if not copies:
             return False
         del stale[copies[0]]

@@ -51,8 +51,9 @@ request asked for a record frame (below), and rows are what
 "uid": ...}`` (:func:`record_to_dict`), so a version-1 writer keeps
 working; nothing emits it.  Either form is validated by
 :func:`record_from_dict` before it becomes a record — endpoints must be
-finite numbers in order, a uid (where present) an ``int`` — and a
-violation is a ``bad_request``.  Payloads must be JSON-serializable.
+finite numbers in order, a uid (where present) an ``int``, the payload a
+value of the closed domain (:mod:`repro.values`: no NaN, finite floats) —
+and a violation is a ``bad_request`` with nothing stored.
 
 **Rows in, rows or frames out.**  Any request may carry ``"frames":
 true`` (a real boolean, like ``keep_uids``).  A reply that carries
@@ -65,8 +66,10 @@ frame** (:class:`RecordFrame`); line and frame leave in one ``sendall``::
     columns  lows | highs | uids | payloads
 
 The crc32 covers every byte after it and is checked before any column is
-read.  A column is one tag byte and a body, in the page codec's packed
-forms, chosen by the values alone so equal records give equal bytes:
+read.  A column is one tag byte and a body, chosen by the values alone so
+equal records give equal bytes; ``d`` / ``q`` / ``N`` are the page
+codec's packed forms and ``J`` its canonical JSON encoder, imported from
+:mod:`repro.io.pagecodec`, not copied:
 
 =====  ==============================================================
 tag    values
@@ -79,13 +82,15 @@ tag    values
        array with sorted keys
 =====  ==============================================================
 
-There is no tag for an opaque object stream: a frame is data, never code,
-and its reader raises :class:`ProtocolError` on any other tag, on a count
-that disagrees with a column, on trailing bytes, and — column-wise, before
-a single record is built — on whatever :func:`record_from_dict` refuses in
-a row (an endpoint that is not a finite ``int``/``float``, ``low > high``,
-a uid that is not an ``int``).  What a frame decodes to equals what the
-rows would have, type for type and uid for uid.  Rows remain the *input*
+A frame is data, never code, and its reader raises :class:`ProtocolError`
+on any other tag, on a count that disagrees with a column, on trailing
+bytes, and — column-wise, before a single record is built — on whatever
+:func:`record_from_dict` refuses in a row (an endpoint that is not a
+finite ``int``/``float``, ``low > high``, a uid that is not an ``int``, a
+payload outside the domain).  What a frame decodes to equals what the rows
+would have, type for type and uid for uid — which is why ``J`` is JSON and
+not the pages' tagged ``V`` column: a row is JSON, so a tuple payload
+reaches a row reader as a list, and a frame must hand it the same list.  Rows remain the *input*
 form of every write command and the reply form of every request that does
 not ask, so ``netcat`` still works; a peer that does not know the field
 ignores it and answers rows, and :func:`read_reply` takes either — which
@@ -131,8 +136,10 @@ from operator import le
 from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.engine.queries import query_from_dict
-from repro.errors import DuplicateError, ParameterError, StalePreparedError
+from repro.errors import DomainError, DuplicateError, ParameterError, StalePreparedError
 from repro.interval import Interval, fresh_interval_uid, trusted_interval
+from repro.io import pagecodec
+from repro.values import check_value
 
 #: 2: records travel as ``[low, high, payload, uid]`` rows (1: tagged dicts)
 PROTOCOL_VERSION = 2
@@ -232,10 +239,11 @@ def record_from_dict(data: Any, *, fresh_uid: bool = False) -> Any:
     in ``delete`` requests.  A record without a uid gets a fresh one too.
 
     Raises :class:`ProtocolError` (``bad_request``) unless both endpoints
-    are finite ``int``/``float`` values with ``low <= high`` and the uid,
-    when present, is an ``int``: a NaN endpoint would otherwise be stored
-    as a key no comparison can find again, and an unhashable uid only
-    fails deep inside the engine.
+    are finite ``int``/``float`` values with ``low <= high``, the uid,
+    when present, is an ``int`` and the payload is a domain value: a NaN
+    endpoint would otherwise be stored as a key no comparison can find
+    again, an unhashable uid only fails deep inside the engine, and a NaN
+    payload is equal to no copy of itself.
     """
     if type(data) is list:
         if len(data) != 4:
@@ -268,9 +276,19 @@ def record_from_dict(data: Any, *, fresh_uid: bool = False) -> Any:
         raise ProtocolError(
             f"malformed interval record {data!r}: uid must be an integer"
         )
+    _check_payloads((payload,))
     if fresh_uid or uid is None:
         uid = fresh_interval_uid()
     return trusted_interval(low, high, payload, uid)
+
+
+def _check_payloads(payloads: Sequence[Any]) -> None:
+    """Refuse (``bad_request``) a payload outside the value domain."""
+    try:
+        for payload in payloads:
+            check_value(payload)
+    except DomainError as exc:
+        raise ProtocolError(f"malformed interval record: {exc}") from exc
 
 
 def records_to_wire(records: List[Any]) -> List[List[Any]]:
@@ -294,42 +312,32 @@ FRAME_MAGIC = b"RPRF"
 _FRAME_HEAD = struct.Struct("<4sII")
 _CRC_FROM = 8
 _U32 = struct.Struct("<I")
-_TAG_D, _TAG_Q, _TAG_N, _TAG_J = b"dqNJ"
-#: ``J`` columns: sorted keys, so equal payloads give equal bytes
-_encode_column_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).encode
 _FLOATS, _INTS, _NONES = frozenset((float,)), frozenset((int,)), frozenset((type(None),))
 _ENDPOINT_TYPES = _FLOATS | _INTS
+#: the page codec's packed tags, and the value types each decodes to
+_PACKED = {ord("d"): _FLOATS, ord("q"): _INTS, ord("N"): _NONES}
+_TAG_J = ord("J")
 
 Columns = Tuple[Sequence[Any], Sequence[Any], Sequence[Any], Sequence[Any]]
 
 
 def _pack_column(values: Sequence[Any]) -> bytes:
-    kinds = set(map(type, values))
-    if kinds == _FLOATS:
-        return b"d" + struct.pack(f"<{len(values)}d", *values)
-    if kinds == _INTS:
-        try:
-            return b"q" + struct.pack(f"<{len(values)}q", *values)
-        except struct.error:  # beyond int64: the JSON array keeps it exact
-            pass
-    elif kinds <= _NONES:
-        return b"N"
-    data = _encode_column_json(list(values)).encode("utf-8")
+    packed = pagecodec.encode_packed(values)
+    if packed is not None:
+        return packed
+    # sorted keys: equal payloads give equal bytes
+    data = pagecodec.canonical_json(list(values)).encode("utf-8")
     return b"".join((b"J", _U32.pack(len(data)), data))
 
 
 def _unpack_column(data: bytes, at: int, n: int) -> Tuple[Sequence[Any], Any, int]:
     """One column at ``data[at:]``: ``(values, their types, where it ends)``."""
     tag = data[at]
+    kinds = _PACKED.get(tag)
+    if kinds is not None:
+        values, at = pagecodec.decode_column(data, at, n)
+        return values, kinds, at
     at += 1
-    if tag == _TAG_D:
-        return struct.unpack_from(f"<{n}d", data, at), _FLOATS, at + 8 * n
-    if tag == _TAG_Q:
-        return struct.unpack_from(f"<{n}q", data, at), _INTS, at + 8 * n
-    if tag == _TAG_N:
-        return (None,) * n, _NONES, at
     if tag == _TAG_J:
         (length,) = _U32.unpack_from(data, at)
         end = at + 4 + length
@@ -427,6 +435,8 @@ class RecordFrame:
                 )
             if n and not kinds[2] <= _INTS:
                 raise ProtocolError("malformed record frame: uids must be integers")
+            if not kinds[3] <= _NONES:
+                _check_payloads(payloads)
             self._columns = (lows, highs, uids, payloads)
         return self._columns
 

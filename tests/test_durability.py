@@ -13,12 +13,14 @@ in-process, where each piece can be observed directly.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import random
 import threading
 
 import pytest
 
-from repro import Engine, Interval, Range, Stab
+from repro import Engine, Interval, Range, SimulatedDisk, Stab
 from repro.analysis import lockdep
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
 from repro.constraints.relation import GeneralizedRelation
@@ -541,6 +543,28 @@ class TestSnapshotReads:
         # next commit's GC pass reclaims it (no pins left)
         eng.insert("c", Interval(1.0, 2.0))
         assert not col.has_mvcc_state
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 13: a collection tags versions by uid, so a same-uid "
+        "write evicts the version a pinned reader still needs"))
+    @pytest.mark.parametrize("write", ["reinsert", "update"])
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_a_pinned_reader_keeps_a_rewritten_uid(self, backend, write):
+        rnd = random.Random(13)
+        ivs = [Interval(lo, lo + rnd.uniform(0, 60)) for lo in (rnd.uniform(0, 1000) for _ in range(199))]
+        target = Interval(50.0, 55.0)
+        eng = Engine(SimulatedDisk(8) if backend == "memory" else FileDisk(block_size=8))
+        eng.create_collection("c", ivs + [target])
+        with eng.epochs.pinned() as epoch:
+            if write == "reinsert":
+                eng.delete("c", target)
+                eng.insert("c", target)
+            else:
+                eng.update("c", target, dataclasses.replace(target, payload="new"))
+            raw = eng.query("c", Stab(52.0)).all()
+            seen = {r.uid for r in eng.visible_records("c", raw, epoch)}
+        eng.close()
+        assert target.uid in seen
 
     def test_delete_matching_remains_atomic(self):
         eng = Engine(block_size=8)

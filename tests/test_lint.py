@@ -109,12 +109,14 @@ class TestSourceTreeIsClean:
 
     def test_known_suppressions_are_counted_not_silent(self):
         # checkpoint's sync-under-mutex, the WAL truncate barrier, and the
-        # WAL/FileDisk recovery reads (charged wholesale, not per verb) are
-        # deliberate; they must show up as audited suppressions
+        # WAL recovery reads (charged wholesale, not per verb) are
+        # deliberate; they must show up as audited suppressions (the
+        # FileDisk sidecar loader's is not among them over the whole tree:
+        # ``repro catalog``, one of its callers, charges)
         linter = lint_paths([SRC])
         rules = {f.rule for f in linter.suppressed}
         assert rules == {"blocking-under-mutex", "uncounted-io"}
-        assert len(linter.suppressed) == 10
+        assert len(linter.suppressed) == 9
 
 
 class TestSuppressionSyntax:
@@ -477,7 +479,7 @@ class TestLintCli:
         ) == 0
         report = json.loads(report_file.read_text())
         assert report["findings"] == []
-        assert len(report["suppressed"]) == 10
+        assert len(report["suppressed"]) == 9
         assert report["lock_graph"]
         assert set(report["rules"]) == set(rule_catalog())
         assert report["effects"]["functions"] > 500

@@ -1,7 +1,10 @@
 """The page format (``repro.io.pagecodec``): round trip, canonical bytes,
-corruption, format refusal, lazy materialisation, cross-backend equivalence.
+the closed value domain, corruption, format refusal, lazy materialisation,
+cross-backend equivalence.
 """
 
+import copy
+import json
 import os
 import pickle
 import random
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro import ClassRange, EndpointRange, Engine, FileDisk, Range, SimulatedDisk, Stab
 from repro.classes.hierarchy import ClassObject
+from repro.cli import main
+from repro.errors import DomainError
 from repro.interval import Interval
 from repro.io import pagecodec
 from repro.io.disk import Block
@@ -29,6 +34,7 @@ from repro.workloads.generators import (
     random_class_objects,
     random_intervals,
 )
+from tests.domain import records as domain_records, same, values
 
 SETTINGS = dict(
     max_examples=60,
@@ -37,16 +43,13 @@ SETTINGS = dict(
 )
 
 # --------------------------------------------------------------------------- #
-# every shape a page holds today
+# every shape a page holds, over the whole value domain
 # --------------------------------------------------------------------------- #
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 big_ints = st.integers(min_value=2**63, max_value=2**80)
 uids = st.integers(min_value=0, max_value=2**40)
-payloads = st.one_of(
-    st.none(), ints, floats, st.text(max_size=8),
-    st.dictionaries(st.text(max_size=3), ints, max_size=2),
-)
+payloads = values()
 
 
 def _ordered(endpoints):
@@ -110,7 +113,14 @@ record_lists = st.one_of(
     st.lists(big_ints, max_size=4),
     st.lists(st.booleans(), max_size=4),
     st.lists(st.tuples(ints, ints, ints), max_size=4),
+    st.lists(values(), max_size=8),                                               # anything: ``V``
+    st.lists(domain_records(payloads), max_size=6),
     st.just([]),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), ints, floats, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
 )
 headers = st.one_of(
     st.just({}),
@@ -118,22 +128,8 @@ headers = st.one_of(
     st.fixed_dictionaries({"is_leaf": st.booleans(), "n_points": ints, "children": ints}),
     st.dictionaries(st.text(max_size=4), st.one_of(floats, st.text(max_size=4)), max_size=3),
     st.just({"entries": [{"name": "c", "params": {"dynamic": True}}], "format": 1}),
+    st.dictionaries(st.text(max_size=4), json_values, max_size=3),               # nested JSON
 )
-
-
-def _identity(record):
-    """Everything equality ignores: uids and payloads, types included."""
-    if isinstance(record, tuple):
-        return tuple(_identity(part) for part in record)
-    out = [type(record)]
-    for field in ("x", "y", "low", "high", "key"):
-        if hasattr(record, field):
-            out.append((type(getattr(record, field)), getattr(record, field)))
-    if hasattr(record, "uid"):
-        out += [record.uid, _identity(record.payload)]
-    else:
-        out.append(record)
-    return out
 
 
 @settings(**SETTINGS)
@@ -143,25 +139,47 @@ def test_decode_inverts_encode(records, header, extra):
     raw = pagecodec.encode(capacity, records, header)
     got_capacity, count, got_header, column = pagecodec.decode(raw)
     decoded = column.tolist()
-    assert (got_capacity, count, got_header) == (capacity, len(records), header)
+    assert (got_capacity, count) == (capacity, len(records))
     assert type(decoded) is list and decoded == records            # values, order
-    assert [_identity(r) for r in decoded] == [_identity(r) for r in records]
-    assert {k: type(v) for k, v in got_header.items()} == {k: type(v) for k, v in header.items()}
+    assert same(decoded, records) and same(got_header, header)     # type for type, uid for uid
     # rows taken one at a time are the same records
-    assert column.take(range(len(records))) == records
+    assert same(column.take(range(len(records))), records)
 
 
 @settings(**SETTINGS)
 @given(records=record_lists, header=headers)
 def test_encoding_is_canonical(records, header):
-    """Equal blocks give equal bytes: a rebuilt copy, a header built in
+    """Identical blocks give identical bytes: a deep copy, a header built in
     another key order, and the decoded block all encode identically."""
     raw = pagecodec.encode(len(records), records, header)
-    copy = pickle.loads(pickle.dumps(records))
     shuffled = dict(sorted(header.items(), reverse=True))
-    assert pagecodec.encode(len(records), copy, shuffled) == raw
+    assert pagecodec.encode(len(records), copy.deepcopy(records), shuffled) == raw
     _capacity, _count, got_header, column = pagecodec.decode(raw)
     assert pagecodec.encode(len(records), column.tolist(), got_header) == raw
+
+
+def test_types_and_zeros_stay_apart():
+    """What ``==`` conflates the bytes keep apart: ``tuple``/``list``,
+    ``int``/``float``/``bool``, ``str``/``bytes``, ``0.0``/``-0.0``."""
+    alike = [[(1, 2), [1, 2]], [1, 1.0, True], ["a", b"a"], [0.0, -0.0], [{"k": 0.0}, {"k": -0.0}]]
+    for group in alike:
+        for mixed in ([], ["pad"]):    # a typed column, and one ``V`` column
+            pages = [pagecodec.encode(4, [value] + mixed, {}) for value in group]
+            assert len(set(pages)) == len(group), group
+            for value, raw in zip(group, pages):
+                assert same(pagecodec.decode(raw)[3].tolist(), [value] + mixed)
+
+
+def test_what_is_outside_the_domain_is_refused_not_stored():
+    class Opaque:
+        pass
+
+    for bad in ({1, 2}, Opaque(), {1: "int key"}, [0.5j]):
+        with pytest.raises(DomainError):
+            pagecodec.encode(4, [("key", bad)], {})      # no encoding exists for it
+    for bad in ((1, 2), float("inf"), 0.5j, {1: 2}, ClassObject(1.0, "A")):
+        with pytest.raises(DomainError, match="JSON"):
+            pagecodec.encode(4, [], {"h": bad})          # headers hold JSON values only
 
 
 def test_typed_kinds_and_omitted_payload_column():
@@ -174,7 +192,7 @@ def test_typed_kinds_and_omitted_payload_column():
     assert kind([(iv.low, iv) for iv in ivs]) == "T"
     assert kind(ivs) == "I" and kind([1.0, 2.0]) == "d" and kind([1, 2]) == "q"
     assert kind([]) == "-" and kind([None]) == "N"
-    assert kind([ClassObject(1.0, "A")]) == "O" and kind([1, 2.0]) == "O"
+    assert kind([ClassObject(1.0, "A")]) == "V" and kind([1, 2.0]) == "V" and kind([2**64]) == "V"
     bare = pagecodec.encode(16, ivs, {})
     tagged = pagecodec.encode(16, [Interval(1.0, 2.0, 7), Interval(3.0, 4.5, 8)], {})
     assert len(tagged) - len(bare) == 8 * len(ivs)      # all-None payloads cost no bytes
@@ -256,23 +274,61 @@ def test_other_page_formats_are_refused_not_misdecoded(tmp_path):
     engine = Engine(FileDisk(path, block_size=8))
     engine.create_collection("c", [Interval(1.0, 2.0)])
     engine.close()
-    sidecar = path + ".meta"
-    state = pickle.loads(Path(sidecar).read_bytes())
-    assert state["page_format"] == PAGE_FORMAT
-    for written, label in ((None, "0"), (PAGE_FORMAT + 1, str(PAGE_FORMAT + 1))):
-        other = dict(state)
-        if written is None:
-            del other["page_format"]            # a pre-format-1 (pickled pages) sidecar
-        else:
-            other["page_format"] = written
-        Path(sidecar).write_bytes(pickle.dumps(other))
+    sidecar = Path(path + ".meta")
+    written = sidecar.read_bytes()
+    state = json.loads(written)
+    assert state["page_format"] == PAGE_FORMAT == 2
+    assert pagecodec.canonical_json(state).encode() == written   # canonical JSON, nothing else
+    # format 1 pickled its sidecar (and its pages' escape hatch); format 0 had no field
+    others = {
+        "0": json.dumps({k: v for k, v in state.items() if k != "page_format"}).encode(),
+        "1 or earlier": pickle.dumps({**state, "page_format": 1}),
+        str(PAGE_FORMAT + 1): json.dumps({**state, "page_format": PAGE_FORMAT + 1}).encode(),
+    }
+    for label, other in others.items():
+        sidecar.write_bytes(other)
         for opener in (FileDisk.open, Engine.open):
-            with pytest.raises(PageFormatError, match=f"format {label}.*format {PAGE_FORMAT}"):
+            with pytest.raises(PageFormatError, match=f"format {label};.*format {PAGE_FORMAT}"):
                 opener(path)
-    Path(sidecar).write_bytes(pickle.dumps(state))
+        assert main(["catalog", "--db", path]) == 2
+    sidecar.write_bytes(written)
     reopened = Engine.open(path)
     assert len(reopened.query("c", Stab(1.5)).all()) == 1
     reopened.close()
+
+
+def _answer(engine, name, q):
+    return sorted((getattr(r, "uid", None), str(r)) for r in engine.query(name, q).all())
+
+
+def test_class_and_constraint_catalogs_are_json_and_reopen(tmp_path, capsys):
+    """The two kinds whose pages and catalog entries held objects: the root
+    entry stores the hierarchy as its ordered pairs, ``repro catalog`` lists
+    it, and a reopened engine labels the classes as the original did."""
+    from repro.constraints.relation import GeneralizedRelation
+    from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
+
+    path = str(tmp_path / "db.pages")
+    hierarchy = balanced_hierarchy(2, 3)
+    x = Variable("x")
+    tuples = [GeneralizedTuple([Constraint(x, ">=", i), Constraint(x, "<", i + 5)], name=f"t{i}")
+              for i in range(40)]
+    with Engine.open_or_create(path, block_size=8) as engine:
+        engine.create_class_index("k", hierarchy, random_class_objects(hierarchy, 80, seed=2),
+                                  method="combined")
+        engine.create_constraint_index("r", GeneralizedRelation(["x"], tuples, name="r"), "x")
+        queries = [("k", ClassRange(c, 100.0, 700.0)) for c in hierarchy.classes()]
+        queries += [("r", Stab(12.5)), ("r", Range(3.0, 9.0))]
+        want = [_answer(engine, n, q) for n, q in queries]
+    header = json.loads(Path(path + ".meta").read_text())
+    assert header["meta"]["catalog_root"] in [b for b, *_ in header["blocks"]]
+    with Engine.open(path) as reopened:
+        assert [_answer(reopened, n, q) for n, q in queries] == want
+        labels = reopened["k"].hierarchy.labels()
+        assert labels == hierarchy.labels()
+    assert main(["catalog", "--db", path]) == 0
+    out = capsys.readouterr().out
+    assert f"hierarchy={len(hierarchy)} classes" in out and "relation_name='r'" in out
 
 
 # --------------------------------------------------------------------------- #

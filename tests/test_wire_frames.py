@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from repro import Engine, Interval, Limit, OrderBy, Param, Range, SimulatedDisk, Stab
 from repro.cluster import Cluster
+from repro.errors import DomainError
 from repro.obs import metrics as obs_metrics
 from repro.server import PROTOCOL_VERSION, ProtocolError, ReproClient, ReproServer, ServerError
 from repro.server import core as server_core
 from repro.server import protocol as P
+from tests.domain import JSON, same, values
 from tests.test_wire_records import numbers, payloads
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -55,6 +57,19 @@ def test_frame_round_trip(records):
     assert P.RecordFrame.of([Interval(r.low, r.high, r.payload, r.uid) for r in records]).data \
         == frame.data                                                   # equal records, equal bytes
     assert back.rows() == P.records_to_wire(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.lists(st.tuples(numbers, numbers).map(sorted), max_size=8),
+       data=st.data())
+def test_frames_decode_to_what_rows_do_over_the_domain(ends, data):
+    """Payloads from the part of the value domain a JSON row carries (tuples
+    included: a row hands them over as lists, and so must a frame)."""
+    records = [Interval(lo, hi, data.draw(values(JSON, with_records=False)), uid)
+               for uid, (lo, hi) in enumerate(ends)]
+    rows = P.decode_message(P.encode_reply(P.ok_response(1, records=records)))["records"]
+    frame = P.read_reply(io.BytesIO(P.encode_reply(P.ok_response(1, records=records), True)))
+    assert same(frame["records"].rows(), rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000])
@@ -102,6 +117,9 @@ BAD_FRAMES = {
     "json column of another length": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j([1])),
     "trailing bytes": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"N", b"\0"),
     "opaque tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"O" + struct.pack("<I", 0)),
+    "a page's value tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"Vnn"),
+    "nan payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(b"[1,NaN]")),
+    "infinite payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(b'[1,{"k":[Infinity]}]')),
     "unknown tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"I"),
     "json column not a list": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j({"0": 1, "1": 2})),
     "json column not json": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(b"[1,")),
@@ -165,7 +183,9 @@ def test_decoder_rejects_every_truncation_and_every_flipped_bit(build):
 
 
 def test_no_object_stream_in_the_serving_code():
-    found = subprocess.run(["grep", "-rn", "--include=*.py", "pickle", str(SRC / "server"), str(SRC / "cluster")],
+    """Nothing that serves, stores or rebuilds pages unpickles (the WAL still does)."""
+    paths = [SRC / "server", SRC / "cluster", SRC / "io", SRC / "cli.py", SRC / "rebuilding.py"]
+    found = subprocess.run(["grep", "-rn", "--include=*.py", "pickle", *map(str, paths)],
                            capture_output=True, text=True)
     assert (found.returncode, found.stdout) == (1, "")
 
@@ -409,14 +429,18 @@ class TestOnTheWire:
 
         with ReproClient(*address) as db:
             db.create("c", records=[Interval(7.0, 8.0)])
-            # the payload reaches the engine in process: no wire request could store it
-            servers[0].engine.session().insert("c", Interval(1.0, 5.0, payload={1, 2}))
+            session = servers[0].engine.session()
+            # a set is no value: refused where the record is built, in process too
+            with pytest.raises(DomainError):
+                session.insert("c", Interval(1.0, 5.0, payload={1, 2}))
+            # bytes are a value no JSON row carries: stored in process, unencodable in a reply
+            session.insert("c", Interval(1.0, 5.0, payload=b"\x00"))
             before = bytes_out()
             for _ in range(2):
                 with pytest.raises(ServerError) as err:
                     db.call("query", index="c", q=P.query_to_wire(Stab(2.5)), frames=frames)
                 assert (err.value.code, err.value.type) == ("internal", "TypeError")
-                assert "set" in str(err.value)
+                assert "bytes" in str(err.value)
             assert bytes_out() - before > 2 * len('{"id":1,"ok":false}')      # the error replies count
             assert db.ping()["pong"]                                           # same connection
             assert db.query("c", Stab(7.5)).count == 1

@@ -73,6 +73,8 @@ MALFORMED = {
     "not a record": 17,
     "unknown kind": {"record": "point", "low": 1, "high": 2},
     "missing field": {"low": 1},
+    "nan payload": [1.0, 2.0, math.nan, 5],
+    "infinite payload": [1.0, 2.0, {"k": [math.inf]}, 5],
 }
 
 
@@ -105,7 +107,8 @@ def _send(db, cmd, **payload):
 
 
 class TestMalformedRecordsAreBadRequests:
-    BAD = [MALFORMED[k] for k in ("unhashable uid", "nan low", "infinite", "string endpoint")]
+    BAD = [MALFORMED[k] for k in ("unhashable uid", "nan low", "infinite", "string endpoint",
+                                  "nan payload")]
 
     def _assert_untouched(self, db, base):
         got = db.query("base", Range(-1e9, 1e9)).records
