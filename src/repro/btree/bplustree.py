@@ -10,9 +10,6 @@ Design
   child_block_id)``.
 * Duplicate keys are allowed (several objects may share an attribute
   value); a range search reports every matching pair.
-* Keys and values are values of the closed domain (:mod:`repro.values`);
-  a pair outside it — a NaN key no comparison finds again, a set — is
-  refused with :class:`~repro.errors.DomainError` before anything moves.
 * All block accesses go through the owning :class:`SimulatedDisk` (or
   :class:`BufferManager`), so every operation has an exact I/O cost.
 
@@ -27,23 +24,8 @@ from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.io.disk import Block, BlockId
-from repro.values import check_value
 
 Pair = Tuple[Any, Any]
-
-
-def _sorted_pairs(pairs: Iterable[Pair]) -> List[Pair]:
-    """``pairs``, each checked into the value domain, sorted by key."""
-    data = list(pairs)
-    for key, value in data:
-        _check_pair(key, value)
-    data.sort(key=lambda kv: kv[0])
-    return data
-
-
-def _check_pair(key: Any, value: Any) -> None:
-    check_value(key, "a key", finite=False)
-    check_value(value, "a value")
 
 
 def _packed_entries(block: Block) -> Tuple[Any, Optional[Tuple[Any, ...]]]:
@@ -113,7 +95,7 @@ class BPlusTree:
         ``O(n/B)`` I/Os after sorting.
         """
         tree = cls(disk, name=name)
-        data = _sorted_pairs(pairs)
+        data = sorted(pairs, key=lambda kv: kv[0])
         if not data:
             return tree
         # free the empty root created by __init__
@@ -176,7 +158,7 @@ class BPlusTree:
         """
         from heapq import merge
 
-        new = _sorted_pairs(pairs)
+        new = sorted(pairs, key=lambda kv: kv[0])
         if not new:
             return 0
         data = list(merge(self.iter_pairs(), new, key=lambda kv: kv[0]))
@@ -189,12 +171,11 @@ class BPlusTree:
     def rebuild(self, pairs: Iterable[Pair]) -> None:
         """Replace the contents by ``pairs``, packed bottom-up, in this object.
 
-        The checks and the sort — the only steps that can fail (a pair
-        outside the value domain, keys that do not compare) — run first and
-        the old levels are freed last, so a failing batch raises with the
-        tree intact.
+        The sort — the only step that can fail (keys that do not compare) —
+        runs first and the old levels are freed last, so a failing batch
+        raises with the tree intact.
         """
-        data = _sorted_pairs(pairs)
+        data = sorted(pairs, key=lambda kv: kv[0])
         old_root = self.root_id
         self._load_sorted(data)
         self._free_subtree(old_root)
@@ -393,7 +374,6 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     def insert(self, key: Any, value: Any) -> None:
         """Insert a pair (``O(log_B n)`` I/Os amortised over splits)."""
-        _check_pair(key, value)
         leaf, path = self._find_leaf(key)
         self._insert_into_leaf(leaf, key, value)
         self.size += 1

@@ -29,7 +29,7 @@ from repro.values import check_value, domain_record
 _OBJECT_UIDS = itertools.count()
 
 
-@domain_record
+@domain_record(b"C", ("key", "class_name", "payload", "uid"))
 @dataclass(frozen=True)
 class ClassObject:
     """An object stored in the database.

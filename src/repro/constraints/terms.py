@@ -28,7 +28,7 @@ UNBOUNDED_HIGH = math.inf
 _OPS = ("<", "<=", "=", ">=", ">")
 
 
-@domain_record
+@domain_record(b"X", ("name",))
 @dataclass(frozen=True)
 class Variable:
     """A named variable ranging over the rationals."""
@@ -50,7 +50,7 @@ def var(name: str) -> Variable:
 Term = Union[Variable, Number]
 
 
-@domain_record
+@domain_record(b"K", ("lhs", "op", "rhs"))
 @dataclass(frozen=True)
 class Constraint:
     """An atomic order constraint ``lhs op rhs``.
@@ -108,7 +108,7 @@ class Constraint:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@domain_record
+@domain_record(b"G", ("constraints", "name"))
 class GeneralizedTuple:
     """A conjunction of order constraints (a generalized k-tuple).
 

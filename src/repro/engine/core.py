@@ -57,6 +57,7 @@ from repro.metablock import geometry as _geometry
 from repro.metablock.geometry import PlanarPoint
 from repro.pst import ExternalPST
 from repro.records import record_key
+from repro.values import check_value
 
 DEFAULT_BLOCK_SIZE = 16
 
@@ -72,6 +73,17 @@ def _build_constraint(disk: Any, name: str, records: Any, p: Dict[str, Any]) -> 
     return GeneralizedOneDimensionalIndex(
         disk, records, p["attribute"], dynamic=p["dynamic"]
     )
+
+
+def _domain_pairs(pairs: Iterable[Any]) -> List[Any]:
+    """The ``key`` kind's ``(key, value)`` pairs, each checked into the value
+    domain — the one kind whose input is not records that checked
+    themselves when they were built."""
+    pairs = list(pairs)
+    for key, value in pairs:
+        check_value(key, "a key", finite=False)
+        check_value(value, "a value")
+    return pairs
 
 
 #: The one place an index kind is defined: ``kind -> (build, read)``.
@@ -93,7 +105,7 @@ KINDS: Dict[str, Tuple[Callable[..., Any], Callable[[Any], List[Any]]]] = {
         lambda index: index.records(),
     ),
     "key": (
-        lambda disk, name, records, p: BPlusTree.bulk_load(disk, records, name=name),
+        lambda disk, name, records, p: BPlusTree.bulk_load(disk, _domain_pairs(records), name=name),
         lambda index: list(index.iter_pairs()),
     ),
     "point": (
@@ -420,6 +432,9 @@ class Engine:
             # the catalog root is a JSON page header: the pairs, in the
             # order that fixes the labels, stand for the hierarchy
             params = {**params, "hierarchy": params["hierarchy"].edges()}
+        # the WAL's create op and the catalog root hold them: refuse what the
+        # root could not store before either sees it
+        check_value(params, "index parameters", finite=False)
         entry = {"name": name, "kind": kind, "params": params}
         if not isinstance(records, Sized):
             # read twice (the build, the uid horizon): drain a one-shot
@@ -574,12 +589,13 @@ class Engine:
         log is attached), and published as one MVCC epoch before the call
         returns — the returning call *is* the acknowledgement.
         """
-        self._commit(
-            name,
-            lambda: self.index(name).insert(*item),
-            op=("insert", name, item),
-            entering=item[-1:],
-        )
+        def do() -> None:
+            index = self.index(name)
+            if isinstance(index, BPlusTree):
+                _domain_pairs([item])
+            index.insert(*item)
+
+        self._commit(name, do, op=("insert", name, item), entering=item[-1:])
 
     def delete(self, name: str, *item: Any) -> bool:
         """Delete a record from the named index; ``True`` when present.
@@ -626,6 +642,8 @@ class Engine:
                     return tuple(item)
                 return (item,)
 
+            if isinstance(index, BPlusTree):
+                _domain_pairs([new])
             if not index.delete(*spread(old)):
                 raise KeyError(f"cannot update {name!r}: record not present")
             try:
@@ -654,6 +672,8 @@ class Engine:
 
         def do() -> int:
             index = self.index(name)
+            if isinstance(index, BPlusTree):
+                _domain_pairs(batch)
             try:
                 return int(index.bulk_load(batch))
             finally:

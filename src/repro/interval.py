@@ -19,7 +19,7 @@ from repro.values import check_value, domain_record
 _INTERVAL_UIDS = itertools.count()
 
 
-@domain_record
+@domain_record(b"I", ("low", "high", "payload", "uid"))
 @dataclass(frozen=True, order=True)
 class Interval:
     """A closed interval ``[low, high]`` with an optional payload.

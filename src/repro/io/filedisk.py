@@ -30,6 +30,7 @@ import threading
 from typing import Any, ContextManager, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import lockdep
+from repro.errors import DomainError
 from repro.io import pagecodec
 from repro.io.counters import IOStats, Measurement
 from repro.io.disk import Block, BlockId
@@ -245,7 +246,12 @@ class FileDisk:
             "meta": self.meta,
         }
         # the rest are ints this disk counted; ``meta`` is its callers'
-        pagecodec.check_json(self.meta, "the sidecar's meta")
+        if not pagecodec.json_exact(self.meta):
+            raise DomainError(
+                f"the sidecar's meta {self.meta!r} is not JSON that reads back "
+                "exactly: None, bool, int, finite float, str, and lists and "
+                "str-keyed dicts of these"
+            )
         return pagecodec.canonical_json(state).encode("utf-8")
 
     @staticmethod

@@ -13,13 +13,14 @@ body — and is checked on every read: a damaged page raises
 yields records.  This is page format 2; a file of another format is
 refused (:class:`PageFormatError`), never converted.
 
-**Header section** — the block's constant-size control dictionary: tag
-``0`` (empty) or ``1``, canonical JSON (keys sorted, nesting allowed),
-decoded by the C scanner.  A header holds JSON values only — ``None``,
-bool, int, finite float, str, and lists and str-keyed dicts of these —
-and anything else (a tuple JSON would turn into a list, a ``Fraction``, an
-infinity) is refused with :class:`~repro.errors.DomainError` when the page
-is written.
+**Header section** — the block's constant-size control dictionary, a
+str-keyed dict of domain values: tag ``0`` (empty); ``1``, canonical JSON
+(keys sorted, nesting allowed, decoded by the C scanner) when JSON gives
+the dict back exactly — ``None``, bool, int, finite float, str, and lists
+and str-keyed dicts of these, what nearly every header holds; else ``2``,
+the dict as one ``V`` value (below) — a tuple, a ``Fraction`` or an
+infinity, as a split key of the priority search tree or a class name in
+the catalog root may be.
 
 **Record column** — the records, stored by column.  A column is one tag
 byte and a payload; the tag of the outermost column is the frame's *kind*:
@@ -54,17 +55,19 @@ minimal little-endian two's complement: exact at any size), ``d`` a float
 ``r`` a ``Fraction`` (numerator and denominator as ``i``), ``(`` / ``[`` a
 tuple / list (u32 count, then the items), ``{`` a dict (u32 count, then
 key and value per item, keys sorted) and one tag per record type, whose
-fields follow in the order of :data:`_RECORDS` — the one field table the
-encoder and the decoder share.  Any other type is refused with
+fields follow in the order of :data:`repro.values.RECORDS` — the one
+field table, which the records register in and the encoder and the
+decoder share.  Any other type is refused with
 :class:`~repro.errors.DomainError`; records refuse it sooner, when built.
 
 The encoding is canonical by construction: each domain value has exactly
 one encoding — ``tuple`` ≠ ``list``, ``int`` ≠ ``float`` ≠ ``bool``,
 ``str`` ≠ ``bytes``, ``0.0`` ≠ ``-0.0``, a dict's key order is not part of
-its value — and decoding inverts it, so ``decode(encode(b)) == b`` value
-for value, type for type and uid for uid, and identical blocks give
-identical bytes.  The round-trip property tests in
-``tests/test_pagecodec.py`` check this over the whole domain.
+its value; two values share one exactly when they are
+:func:`~repro.values.identical` — and decoding inverts it, so
+``decode(encode(b)) == b`` value for value, type for type and uid for
+uid, and identical blocks give identical bytes.  The round-trip property
+tests in ``tests/test_pagecodec.py`` check this over the whole domain.
 
 Decoding is lazy: :func:`decode` checks the frame and unpacks the columns
 (a few ``struct.unpack`` calls; ``V`` values are built there too), but
@@ -84,11 +87,12 @@ import zlib
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.classes.hierarchy import ClassObject
-from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
+import repro.classes.hierarchy  # noqa: F401 - registers ClassObject in RECORDS
+import repro.constraints.terms  # noqa: F401 - registers the constraint records
 from repro.errors import DomainError
 from repro.interval import Interval, trusted_interval as _interval
 from repro.metablock.geometry import PlanarPoint
+from repro.values import RECORDS
 
 MAGIC = b"RPPG"
 #: bumped on any change to the bytes below; the FileDisk sidecar records it
@@ -102,7 +106,7 @@ _CHECKED_FROM = _FRAME.size - _FRAME_TAIL.size
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
-_HEADER_EMPTY, _HEADER_JSON = 0, 1
+_HEADER_EMPTY, _HEADER_JSON, _HEADER_VALUE = 0, 1, 2
 #: the one canonical JSON encoder — page headers, the FileDisk sidecar and
 #: the wire's ``J`` frame columns: sorted keys, no whitespace, no NaN
 canonical_json = json.JSONEncoder(
@@ -158,29 +162,27 @@ def encode(capacity: int, records: List[Any], header: Dict[str, Any]) -> bytes:
 def _encode_header(header: Dict[str, Any]) -> bytes:
     if not header:
         return bytes((_HEADER_EMPTY,))
-    check_json(header, "a page header")
-    data = canonical_json(header).encode("utf-8")
-    return b"".join((bytes((_HEADER_JSON,)), _U32.pack(len(data)), data))
+    if json_exact(header):
+        data = canonical_json(header).encode("utf-8")
+        return b"".join((bytes((_HEADER_JSON,)), _U32.pack(len(data)), data))
+    out = [bytes((_HEADER_VALUE,))]
+    _put(header, out)
+    return b"".join(out)
 
 
-def check_json(value: Any, what: str) -> None:
-    """Raise :class:`~repro.errors.DomainError` unless JSON gives ``value``
-    back exactly (what :data:`canonical_json` may then encode)."""
+def json_exact(value: Any) -> bool:
+    """Whether JSON gives ``value`` back exactly: ``None``, bool, int,
+    finite float, str, and lists and str-keyed dicts of these."""
     kind = type(value)
-    if kind in _JSON_ATOMS or (kind is float and value - value == 0.0):
-        return
+    if kind in _JSON_ATOMS:
+        return True
+    if kind is float:
+        return value - value == 0.0
     if kind is list:
-        for item in value:
-            check_json(item, what)
-    elif kind is dict and all(type(key) is str for key in value):
-        for item in value.values():
-            check_json(item, what)
-    else:
-        raise DomainError(
-            f"{what} holds {value!r}, which JSON cannot store exactly: it holds "
-            "None, bool, int, finite float, str, and lists and str-keyed dicts "
-            "of these"
-        )
+        return all(map(json_exact, value))
+    if kind is dict:
+        return all(type(key) is str for key in value) and all(map(json_exact, value.values()))
+    return False
 
 
 def _encode_column(values: Sequence[Any]) -> bytes:
@@ -281,19 +283,9 @@ def _trusted(cls: type, fields: Tuple[str, ...]) -> Callable[..., Any]:
     return build
 
 
-#: the one field table of the engine's record types (:mod:`repro.values`):
-#: type -> (``V`` tag, the fields in encoding order)
-_RECORDS: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {
-    Interval: (b"I", ("low", "high", "payload", "uid")),
-    PlanarPoint: (b"P", ("x", "y", "payload", "uid")),
-    ClassObject: (b"C", ("key", "class_name", "payload", "uid")),
-    GeneralizedTuple: (b"G", ("constraints", "name")),
-    Constraint: (b"K", ("lhs", "op", "rhs")),
-    Variable: (b"X", ("name",)),
-}
 #: record ``V`` tag -> (field count, trusted builder)
 _BUILDERS = {
-    tag.decode(): (len(fields), _trusted(cls, fields)) for cls, (tag, fields) in _RECORDS.items()
+    tag.decode(): (len(fields), _trusted(cls, fields)) for cls, (tag, fields) in RECORDS.items()
 }
 
 
@@ -327,8 +319,8 @@ def _put(value: Any, out: List[bytes]) -> None:
         for key in sorted(value):  # key order is not part of a dict's value
             _put(key, out)
             _put(value[key], out)
-    elif kind in _RECORDS:
-        tag, fields = _RECORDS[kind]
+    elif kind in RECORDS:
+        tag, fields = RECORDS[kind]
         out.append(tag)
         state = value.__dict__
         for name in fields:
@@ -570,6 +562,8 @@ def _decode_header(raw: bytes, at: int) -> Tuple[Dict[str, Any], int]:
     data = raw[start:start + length]
     if tag == _HEADER_JSON:
         return _scan_json(data.decode("utf-8"), 0)[0], start + length
+    if tag == _HEADER_VALUE:
+        return _get(raw, at + 1)
     raise ValueError(f"unknown header tag {tag}")
 
 

@@ -29,7 +29,7 @@ from repro.values import check_value, domain_record
 _POINT_UIDS = itertools.count()
 
 
-@domain_record
+@domain_record(b"P", ("x", "y", "payload", "uid"))
 @dataclass(frozen=True, order=True)
 class PlanarPoint:
     """A point ``(x, y)`` with an optional payload (not part of identity order).

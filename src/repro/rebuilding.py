@@ -19,9 +19,13 @@ optional hooks; what it lacks, the core supplies:
 * **deletes** tombstone the stored *version*, not the uid, so re-inserting
   a uid (the same object, or a same-uid update) costs an insert, not a
   rebuild — the very version that died is simply un-tombstoned.  Reads
-  drop dead versions with no I/O (see :func:`_copy_of`); once
+  drop dead versions with no I/O; once
   :func:`~repro.analysis.complexity.rebuild_due` fires, a global rebuild
-  sweeps them away.
+  sweeps them away.  A stored record is a dead version's copy when the
+  two are :func:`~repro.values.identical` — type for type, payload and
+  uid included, which is what a decoded page gives back of a domain value,
+  so the match is exact on every backend (``==`` would call a ``1.0``
+  payload a copy of a ``1``).
 * **bulk loads** are one rebuild — the static constructor *is* the bulk
   build.
 
@@ -38,17 +42,10 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from repro.analysis.complexity import rebuild_due
 from repro.errors import DuplicateError
 from repro.records import fresh_record_keys, record_key
+from repro.values import identical
 
 #: a native write of the wrapped structure: ``hook(structure, record)``
 Hook = Callable[[Any, Any], Any]
-
-
-def _copy_of(version: Any, item: Any) -> bool:
-    """Whether stored ``item`` of ``version``'s uid is a copy of it: the same
-    type, ``==`` (the indexed fields) and an equal payload.  Records and
-    payloads are values of the closed domain (:mod:`repro.values`), which
-    a decoded page returns exactly, so equality decides on every backend."""
-    return type(version) is type(item) and version == item and version.payload == item.payload
 
 
 class RebuildingIndex:
@@ -218,10 +215,10 @@ class RebuildingIndex:
         self.generation += 1
 
     def _revive(self, key: Any, item: Any) -> bool:
-        """Un-tombstone a dead version of ``item``'s uid equal to it: its
+        """Un-tombstone a dead version of ``item``'s uid identical to it: its
         stored copy reads exactly as ``item`` would."""
         stale = self._tombstones.get(key, [])
-        copies = [i for i, v in enumerate(stale) if _copy_of(v, item)]
+        copies = [i for i, v in enumerate(stale) if identical(v, item)]
         if not copies:
             return False
         del stale[copies[0]]
@@ -276,7 +273,7 @@ class RebuildingIndex:
             key = record_key(item)
             if key not in dead:
                 return True
-            return key in live and not any(_copy_of(v, item) for v in dead[key])
+            return key in live and not any(identical(v, item) for v in dead[key])
 
         return keep
 

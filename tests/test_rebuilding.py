@@ -216,6 +216,31 @@ def test_payload_only_updates_never_rebuild(kind, payload, backend):
 
 @pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("kind", ["collection", "class"])
+def test_a_payload_update_that_changes_only_a_type_is_seen(kind, backend):
+    """``==`` calls ``1``, ``1.0`` and ``True`` one value, and ``0.0`` and
+    ``-0.0``; the pages keep them apart, and so does the match of a dead
+    copy: such an update inserts the new version instead of reviving the
+    old one, and changing back revives the very version that died."""
+    records, params, queries, _, _ = _reinsert_case(kind, 13)
+    engine = Engine(SimulatedDisk(B) if backend == "memory" else FileDisk(block_size=B))
+    engine.create("ix", kind, records, **params)
+    core = _core(kind, engine["ix"])
+    model = {r.uid: r for r in records}
+    runs = [[1, 1.0, True, 1], [0.0, -0.0, 0.0], [{"v": 1}, {"v": 1.0}, {"v": [-0.0]}, {"v": [0.0]}]]
+    for old, payloads in zip(records, runs):
+        for payload in payloads:
+            new = dataclasses.replace(old, payload=payload)
+            engine.update("ix", old, new)
+            model[old.uid] = new
+            here = Stab(new.low) if kind == "collection" else ClassRange(new.class_name, new.key, new.key)
+            _check(engine, kind, queries + [here], model)
+            old = new
+    assert core.generation == 0
+    engine.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("kind", ["collection", "class"])
 def test_a_run_of_same_uid_writes_costs_at_most_twice_the_fresh_uid_run(kind, backend, tmp_path):
     """``2B`` writes: ``B/2`` delete + re-insert pairs and ``B`` same-uid updates."""
     def run(same_uid):
