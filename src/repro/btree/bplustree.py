@@ -303,14 +303,15 @@ class BPlusTree:
         min_inclusive: bool = True,
         max_inclusive: bool = True,
         values: bool = False,
-    ) -> Iterator[List[Any]]:
-        """The range scan a leaf at a time: one list of matches per leaf read.
+    ) -> Iterator[Any]:
+        """The range scan a leaf at a time: one batch of matches per leaf read.
 
         As lazy as :meth:`iter_range` (which is this, flattened).  With
-        ``values`` the lists hold the stored values instead of ``(key,
+        ``values`` the batches hold the stored values instead of ``(key,
         value)`` pairs.  On a leaf still in its page's columns the range is
-        found by bisecting the packed key column and only the entries
-        inside it are built.
+        found by bisecting the packed key column, and the batch is the
+        page's rows inside it (a :class:`~repro.io.disk.Batch`), built
+        only when asked; an in-memory leaf's batch is a list.
         """
         if lo > hi or (lo == hi and not (min_inclusive and max_inclusive)):
             return
@@ -321,7 +322,10 @@ class BPlusTree:
                 start = bisect_left(keys, lo) if min_inclusive else bisect_right(keys, lo)
                 stop = bisect_right(keys, hi) if max_inclusive else bisect_left(keys, hi)
                 done = stop < len(keys)
-                chunk = leaf.take(columns, range(start, stop), payloads=values) if start < stop else []
+                whole = start == 0 and stop == len(keys)
+                chunk = leaf.take(
+                    columns, None if whole else range(start, stop), payloads=values
+                ) if start < stop else []
             else:
                 chunk = []
                 done = False
@@ -449,14 +453,18 @@ class BPlusTree:
         * :class:`~repro.engine.queries.Stab` -> values stored under the
           exact key.
         """
+        return chain.from_iterable(self.stream_blocks(q, values=values))
+
+    def stream_blocks(self, q: Any, *, values: bool = False) -> Iterator[Any]:
+        """:meth:`stream` a batch per leaf read (see :meth:`iter_range_blocks`)."""
         from repro.engine.queries import Stab
 
         if isinstance(q, Stab):
-            return chain.from_iterable(self.iter_range_blocks(q.x, q.x, values=True))
-        return chain.from_iterable(self.iter_range_blocks(
+            return self.iter_range_blocks(q.x, q.x, values=True)
+        return self.iter_range_blocks(
             q.low, q.high, min_inclusive=q.min_inclusive,
             max_inclusive=q.max_inclusive, values=values,
-        ))
+        )
 
     def query(self, q: Any, *, values: bool = False) -> "Any":
         """Answer an engine query descriptor with a lazy ``QueryResult``

@@ -166,12 +166,13 @@ class ExternalIntervalManager:
         """Stream the intervals containing ``x`` (the blocks, flattened)."""
         return chain.from_iterable(self.iter_stabbing_blocks(x))
 
-    def iter_stabbing_blocks(self, x: Any) -> Iterator[List[Interval]]:
-        """The intervals containing ``x``, one list per organisation read.
+    def iter_stabbing_blocks(self, x: Any) -> Iterator[Any]:
+        """The intervals containing ``x``, one batch per block read (a list,
+        or a :class:`~repro.io.disk.Batch` of a page's rows).
 
         Lazy like the metablock tree's block stream it wraps.  Tombstoned
         versions (deleted but not yet swept by a global rebuild) are
-        filtered out of each list; the filter is free of I/O, and absent
+        filtered out of each batch; the filter is free of I/O, and absent
         while nothing is tombstoned.
         """
         core = self._core
@@ -181,8 +182,8 @@ class ExternalIntervalManager:
         """Stream the intervals intersecting ``[low, high]`` (blocks, flattened)."""
         return chain.from_iterable(self.iter_intersection_blocks(low, high))
 
-    def iter_intersection_blocks(self, low: Any, high: Any) -> Iterator[List[Interval]]:
-        """The intervals intersecting ``[low, high]``, a block at a time."""
+    def iter_intersection_blocks(self, low: Any, high: Any) -> Iterator[Any]:
+        """The intervals intersecting ``[low, high]``, a batch per block read."""
         if high < low:
             return
         # types 3 and 4: intervals that contain the left end of the query
@@ -205,11 +206,16 @@ class ExternalIntervalManager:
         * :class:`~repro.engine.queries.Range` -> intersection query with
           ``[q.low, q.high]``.
         """
+        return chain.from_iterable(self.stream_blocks(q))
+
+    def stream_blocks(self, q: Any) -> Iterator[Any]:
+        """:meth:`stream` a batch per block read — what a served read
+        carries to its reply unbuilt."""
         from repro.engine.queries import Stab
 
         if isinstance(q, Stab):
-            return self.iter_stabbing(q.x)
-        return self.iter_intersection(q.low, q.high)
+            return self.iter_stabbing_blocks(q.x)
+        return self.iter_intersection_blocks(q.low, q.high)
 
     def query(self, q: Any) -> "Any":
         """Answer an engine query descriptor with a lazy ``QueryResult``

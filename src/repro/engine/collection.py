@@ -200,6 +200,7 @@ class Collection:
         bulk: Optional[Callable[[List[Any]], Any]] = None,
         scan: Optional[Callable[[], Iterable[Any]]] = None,
         scan_bound: Optional[Callable[[], Bound]] = None,
+        blocks: Optional[Callable[[Any], Iterable[Any]]] = None,
     ) -> Any:
         """Attach one physical index.
 
@@ -208,7 +209,8 @@ class Collection:
         ``insert``/``delete``/``bulk`` (when given) keep the index in sync
         with the collection's write path — ``bulk`` absorbs a whole batch
         in one reorganisation, falling back to per-record ``insert`` when
-        unset; ``scan``/``scan_bound`` advertise the full-scan fallback.
+        unset; ``scan``/``scan_bound`` advertise the full-scan fallback;
+        ``blocks`` streams ``run``'s records a batch per block read.
         Earlier-attached indexes win cost ties (among plans of equal
         generation — the planner's cache keeps a tie resolved until the
         next invalidation).
@@ -234,6 +236,7 @@ class Collection:
                 insert=insert,
                 delete=delete,
                 bulk=bulk,
+                blocks=blocks,
             )
         )
         return index
@@ -300,6 +303,7 @@ class Collection:
             manager,
             translate=lambda q: q if isinstance(q, (Stab, Range)) else None,
             run=manager.stream,
+            blocks=manager.stream_blocks,
             # attached first: on static collections manager.insert raises
             # before any other physical index has been touched
             insert=manager.insert,
@@ -328,6 +332,7 @@ class Collection:
             low,
             translate=endpoint_range("low"),
             run=lambda pq: low.stream(pq, values=True),
+            blocks=lambda pq: low.stream_blocks(pq, values=True),
             # only one scan provider is needed; the low tree volunteers
             scan=lambda: (iv for _, iv in low.iter_pairs()),
             # priced arithmetically (leaves are at least half full, so a
@@ -346,6 +351,7 @@ class Collection:
             high,
             translate=endpoint_range("high"),
             run=lambda pq: high.stream(pq, values=True),
+            blocks=lambda pq: high.stream_blocks(pq, values=True),
             insert=lambda iv: high.insert(iv.high, iv),
             delete=lambda iv: high.delete(iv.high, match=lambda v: v.uid == iv.uid),
             bulk=lambda ivs: high.bulk_load((iv.high, iv) for iv in ivs),

@@ -46,7 +46,7 @@ from repro.durability.recovery import replay_wal
 from repro.engine.collection import Collection
 from repro.engine.planner import Plan, QueryPlanner
 from repro.rebuilding import RebuildingIndex
-from repro.engine.result import QueryResult
+from repro.engine.result import QueryResult, RecordBatches
 from repro.engine.session import EngineSession, RWLock
 from repro.errors import DuplicateError, UnknownIndexError
 from repro.interval import Interval
@@ -56,7 +56,6 @@ from repro.obs import tracer as obs_tracer
 from repro.metablock import geometry as _geometry
 from repro.metablock.geometry import PlanarPoint
 from repro.pst import ExternalPST
-from repro.records import record_key
 from repro.values import check_value
 
 DEFAULT_BLOCK_SIZE = 16
@@ -395,8 +394,10 @@ class Engine:
         """The engine's MVCC epoch clock."""
         return self._epochs
 
-    def visible_records(self, name: str, records: List[Any], epoch: int) -> List[Any]:
-        """Filter a drained result down to what ``epoch`` may see.
+    def visible_records(self, name: str, records: Any, epoch: int) -> RecordBatches:
+        """Filter a drained result — a list of records or a
+        :class:`~repro.engine.result.RecordBatches` — down to what
+        ``epoch`` may see, by record key: a page batch's uid column.
 
         Only collections carry version tags (and only while some version
         is newer than the GC horizon), so this is a no-op pass-through in
@@ -404,10 +405,11 @@ class Engine:
         latch instead of snapshot semantics — the server documents that
         contract.
         """
+        hits = records if isinstance(records, RecordBatches) else RecordBatches([records])
         index = self._indexes.get(name)
         if isinstance(index, Collection) and index.has_mvcc_state:
-            return [r for r in records if index.visible_at(record_key(r), epoch)]
-        return records
+            return hits.where(lambda key: index.visible_at(key, epoch))
+        return hits
 
     # ------------------------------------------------------------------ #
     # index creation

@@ -110,6 +110,9 @@ class Accessor:
     index context onto residual oracle nodes (see
     :meth:`repro.core.ClassIndexer.bind`).
 
+    ``blocks`` (optional) streams the same records as ``run``, a batch
+    per block read (see :meth:`~repro.engine.result.QueryResult.batches`).
+
     The write path rides on the same records: ``insert``/``delete`` apply
     one logical record to this physical index, ``bulk`` absorbs a batch in
     one reorganisation.  All three are optional — a read-only physical
@@ -127,6 +130,7 @@ class Accessor:
     insert: Optional[Callable[[Any], None]] = None
     delete: Optional[Callable[[Any], Any]] = None
     bulk: Optional[Callable[[List[Any]], Any]] = None
+    blocks: Optional[Callable[[Any], Iterable[Any]]] = None
 
     @classmethod
     def for_index(cls, name: str, index: Any) -> "Accessor":
@@ -137,6 +141,7 @@ class Accessor:
             translate=lambda q: q if index.supports(q) else None,
             run=index.stream,
             rewrite=getattr(index, "bind", None),
+            blocks=getattr(index, "stream_blocks", None),
         )
 
     def supports(self, q: Any) -> bool:
@@ -542,14 +547,16 @@ class QueryPlanner:
             # union, so the raw output IS the yielded output and the
             # result's own count serves as ``t``; stream the access path
             # without the counting wrapper (one generator frame per record
-            # saved on the hottest shape)
+            # saved on the hottest shape), and let a batch drain take the
+            # access path's blocks as they were read
             acc = self._accessor(plan.index)
-            access = plan.access
+            access, blocks = plan.access, acc.blocks
             result = QueryResult(
                 lambda: acc.run(access),
                 disk=self.disk,
                 bound=plan.bound,
                 label=f"plan:index:{plan.index}",
+                blocks=None if blocks is None else lambda: blocks(access),
             )
             result.plan = plan
             return result

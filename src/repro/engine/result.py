@@ -34,10 +34,11 @@ write) or yielding nothing.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from repro.io.counters import IOStats
+from repro.records import record_key
 
 #: what ``next`` returns for an exhausted source (no try/except per record)
 _DONE = object()
@@ -54,6 +55,51 @@ class ResultConsumedError(RuntimeError):
     saw.  Re-issue the query (or drain through ``all()``/iteration, which
     cache) instead.
     """
+
+
+class RecordBatches:
+    """A drained answer in the batches it was read in.
+
+    A batch is a list of records, or a :class:`~repro.io.disk.Batch`: rows
+    of a decoded page, not yet built as records.  :meth:`records` builds
+    the flat list once — the same records in the same order as draining
+    record by record — while ``len`` and :meth:`where` build nothing, and
+    a record frame packs the page columns as they are
+    (:meth:`~repro.server.protocol.RecordFrame.of`).
+    """
+
+    __slots__ = ("batches", "_records")
+
+    def __init__(self, batches: List[Any]) -> None:
+        self.batches = batches
+        self._records: Optional[List[Any]] = None
+
+    def __len__(self) -> int:
+        return sum(map(len, self.batches))
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.records())
+
+    def records(self) -> List[Any]:
+        if self._records is None:
+            batches = self.batches
+            if len(batches) == 1 and type(batches[0]) is list:
+                self._records = batches[0]
+            else:
+                self._records = list(chain.from_iterable(batches))
+        return self._records
+
+    def where(self, keep: Callable[[Any], bool]) -> "RecordBatches":
+        """The records whose :func:`~repro.records.record_key` passes
+        ``keep`` — for a page batch, tested on its uid column."""
+        out: List[Any] = []
+        for batch in self.batches:
+            uids = None if type(batch) is list else batch.uids()
+            if uids is None:
+                out.append([r for r in batch if keep(record_key(r))])
+            else:
+                out.append(batch.subset([i for i, uid in enumerate(uids) if keep(uid)]))
+        return RecordBatches(out)
 
 
 class QueryResult:
@@ -78,6 +124,9 @@ class QueryResult:
         bound for this query shape (e.g. ``O(log_B n + t/B)``).
     label:
         Cosmetic tag used in ``repr`` and engine diagnostics.
+    blocks:
+        Optional zero-argument callable returning the same hits as
+        ``source``, a batch per block read: what :meth:`batches` drains.
     """
 
     def __init__(
@@ -86,8 +135,12 @@ class QueryResult:
         disk: Any = None,
         bound: Optional[Callable[[int], float]] = None,
         label: str = "query",
+        blocks: Optional[Callable[[], Iterable[Any]]] = None,
     ) -> None:
         self._source = source
+        self._blocks = blocks
+        #: what :meth:`batches` drained, until a record is asked for
+        self._batched: Optional[RecordBatches] = None
         self._disk = disk
         self._bound_fn = bound
         self.label = label
@@ -164,6 +217,7 @@ class QueryResult:
         # replay what is cached, then continue streaming; supports several
         # (even interleaved) consumers without re-running the query
         self._check_not_raw_consumed()
+        self._unbatch()
         i = 0
         while True:
             if i < len(self._cache):
@@ -211,6 +265,7 @@ class QueryResult:
         again replays the same records without touching the disk.
         """
         self._check_not_raw_consumed()
+        self._unbatch()
         if not self._started and self._error is None:
             # a pristine result drains through ``list()`` directly — no
             # per-record generator hand-off — inside one attribution scope
@@ -228,6 +283,34 @@ class QueryResult:
         return list(self._cache)
 
     to_list = all
+
+    def batches(self) -> RecordBatches:
+        """Drain the result in the batches its structure read it in.
+
+        A pristine result with a block source drains that — a page's rows
+        stay unbuilt (:class:`~repro.io.disk.Batch`) — inside one
+        attribution scope; any other is drained by :meth:`all`, as one
+        batch.  Either way the result is exhausted after, and iterating it
+        replays the same records, built then.
+        """
+        if self._blocks is None or self._started or self._raw_consumed:
+            return RecordBatches([self.all()])
+        self._started = True
+        try:
+            with self._scope:
+                batched = list(self._blocks())
+        except BaseException as exc:
+            self._error = exc  # re-iterations must re-raise, not re-run
+            raise
+        self._batched = RecordBatches(batched)
+        self._exhausted = True
+        return self._batched
+
+    def _unbatch(self) -> None:
+        """Build the record cache from what :meth:`batches` drained."""
+        if self._batched is not None:
+            self._cache = list(self._batched.records())
+            self._batched = None
 
     def first(self, default: Any = None) -> Any:
         """The first hit, or ``default`` when the result is empty."""
@@ -305,7 +388,8 @@ class QueryResult:
     @property
     def count(self) -> int:
         """Hits reported so far (does not force materialisation)."""
-        return len(self._cache)
+        batched = self._batched
+        return len(self._cache) if batched is None else len(batched)
 
     @property
     def ios(self) -> int:

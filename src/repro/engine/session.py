@@ -41,10 +41,10 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro.analysis import lockdep
+from repro.engine.result import RecordBatches
 from repro.io.counters import IOStats
 from repro.obs import tracer as obs_tracer
 from repro.obs.slowlog import SLOWLOG
@@ -150,23 +150,39 @@ class RWLock:
         )
 
 
-@dataclass
 class SessionResult:
     """One request's drained answer plus its private accounting.
 
-    The serving layer materialises results inside the lock's critical
-    section (laziness ends at the session boundary — a lazy stream held
-    across requests would read blocks mid-write-turn), so what crosses the
-    boundary is plain data: the records, the I/Os this request performed
+    The serving layer drains results inside the lock's critical section
+    (laziness ends at the session boundary — a lazy stream held across
+    requests would read blocks mid-write-turn), so what crosses the
+    boundary is plain data: the answer, the I/Os this request performed
     (attributed per-thread, unpolluted by concurrent sessions), and the
     paper's predicted bound at the observed output size.
+
+    ``records`` is a list of records or a
+    :class:`~repro.engine.result.RecordBatches` — a read's answer in the
+    batches it was read in, page rows unbuilt — kept as :attr:`hits`;
+    :attr:`records` builds the list on first use.
     """
 
-    records: List[Any]
-    stats: IOStats
-    bound: Optional[float] = None
-    plan: Optional[Any] = None
-    from_cache: Optional[bool] = None
+    def __init__(
+        self,
+        records: Any,
+        stats: IOStats,
+        bound: Optional[float] = None,
+        plan: Optional[Any] = None,
+        from_cache: Optional[bool] = None,
+    ) -> None:
+        self.hits = records if isinstance(records, RecordBatches) else RecordBatches([records])
+        self.stats = stats
+        self.bound = bound
+        self.plan = plan
+        self.from_cache = from_cache
+
+    @property
+    def records(self) -> List[Any]:
+        return self.hits.records()
 
     @property
     def ios(self) -> int:
@@ -176,7 +192,10 @@ class SessionResult:
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.hits)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SessionResult({len(self)} records, ios={self.ios}, bound={self.bound})"
 
 
 class EngineSession:
@@ -291,7 +310,7 @@ class EngineSession:
                     tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
                     if tally is not None:
                         pages, built = tally.pages, tally.records
-                    records = self.engine.visible_records(name, result.all(), epoch)
+                    records = self.engine.visible_records(name, result.batches(), epoch)
                     if tally is not None:
                         sp.annotate(
                             pages_decoded=tally.pages - pages,

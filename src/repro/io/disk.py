@@ -14,7 +14,8 @@ data items" and control information of constant size per block is ignored.
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.io.counters import IOStats, Measurement
 
@@ -115,18 +116,24 @@ class Block:
         """
         return self._columns
 
-    def take(self, columns: Any, rows: Sequence[int], *, payloads: bool = False) -> List[Any]:
-        """Materialise rows ``rows`` of ``columns`` — what :attr:`columns`
-        returned to the caller that filtered them.
+    def take(
+        self, columns: Any, rows: Optional[Sequence[int]] = None, *, payloads: bool = False
+    ) -> "Batch":
+        """Rows ``rows`` of ``columns`` — what :attr:`columns` returned to the
+        caller that filtered them — as a :class:`Batch`: no record is built
+        until the batch's records are asked for.  ``rows`` ``None`` is the
+        whole page.
 
-        With ``payloads`` only what the records carry is built (a point's
+        With ``payloads`` the batch is of what the records carry (a point's
         payload, an entry's value).  The caller hands its own reference
         back because the block may have dropped its: under a buffer pool
         concurrent readers share one cached block, and one of them touching
         ``records`` must not pull the columns out from under another's scan.
         """
-        self._tally.records += len(rows)
-        return columns.take_payloads(rows) if payloads else columns.take(rows)
+        return Batch(
+            columns.payloads if payloads else columns, rows,
+            self._count if rows is None else len(rows), self._tally,
+        )
 
     @property
     def is_full(self) -> bool:
@@ -137,6 +144,94 @@ class Block:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block(id={self.block_id}, n={len(self)}/{self.capacity})"
+
+
+def pick(columns: Sequence[Sequence[Any]], rows: Optional[Sequence[int]]) -> List[Sequence[Any]]:
+    """Rows ``rows`` of each of ``columns`` (a page's value tuples): the
+    columns themselves for ``None``, slices for a ``range``, else tuples."""
+    if rows is None:
+        return list(columns)
+    if type(rows) is range:
+        part = slice(rows.start, rows.stop)
+        return [column[part] for column in columns]
+    if len(rows) < 2:  # ``itemgetter`` of one row returns it bare
+        return [tuple(column[i] for i in rows) for column in columns]
+    return list(map(itemgetter(*rows), columns))
+
+
+class Batch:
+    """Rows of one decoded page: a scan's hits, not yet built as records.
+
+    ``column`` is a :mod:`~repro.io.pagecodec` column reader, or the value
+    tuple of a packed or ``V`` column; ``rows`` the rows that matched, in
+    order, ``None`` for all ``count`` of them.  :meth:`records` (and
+    iteration) builds the records once, counted in the disk's ``tally``;
+    :meth:`uids` and :meth:`interval_columns` read columns and build
+    nothing — what the filters of a read and the wire's record frames use,
+    so a served answer can leave as the columns it was read in.  A block
+    of :class:`SimulatedDisk` holds records, and its hits stay lists.
+    """
+
+    __slots__ = ("column", "rows", "count", "tally", "_records")
+
+    def __init__(self, column: Any, rows: Optional[Sequence[int]], count: int, tally: Any) -> None:
+        self.column = column
+        self.rows = rows
+        self.count = count
+        self.tally = tally
+        self._records: Optional[List[Any]] = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.records())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Batch({type(self.column).__name__}, {self.count} rows)"
+
+    def records(self) -> List[Any]:
+        """The rows as records (or values), built on the first call."""
+        records = self._records
+        if records is None:
+            column, rows = self.column, self.rows
+            if type(column) is tuple:
+                records = list(pick((column,), rows)[0])
+            else:
+                records = column.tolist() if rows is None else column.take(rows)
+            self.tally.records += len(records)
+            self._records = records
+        return records
+
+    def row(self, i: int) -> Any:
+        """The record of this batch's ``i``-th row alone."""
+        if self._records is not None:
+            return self._records[i]
+        column = self.column
+        row = i if self.rows is None else self.rows[i]
+        self.tally.records += 1
+        return column[row] if type(column) is tuple else column.take([row])[0]
+
+    def subset(self, positions: Sequence[int]) -> "Batch":
+        """The rows at ``positions`` (indexes into this batch), as a batch."""
+        rows = self.rows
+        picked = list(positions) if rows is None else [rows[i] for i in positions]
+        return Batch(self.column, picked, len(picked), self.tally)
+
+    def uids(self) -> Optional[Sequence[Any]]:
+        """Each row's record uid, off the uid column; ``None`` when the rows
+        are not uid-keyed records (B+-tree pairs, bare values)."""
+        uids = getattr(self.column, "uids", None)
+        return None if uids is None else pick((uids,), self.rows)[0]
+
+    def interval_columns(
+        self,
+    ) -> Optional[Tuple[List[Sequence[Any]], Tuple[Optional[type], ...]]]:
+        """The rows' lows, highs, uids and payloads, and per column the type
+        every value of that page column has (``None`` for a ``V`` column) —
+        or ``None`` unless the rows are intervals in flat columns."""
+        read = getattr(self.column, "interval_columns", None)
+        return None if read is None else read(self.rows)
 
 
 class SimulatedDisk:

@@ -2,10 +2,11 @@
 
 :class:`FileDisk` implements the same :class:`~repro.io.backend.StorageBackend`
 contract as :class:`~repro.io.disk.SimulatedDisk`, but every block lives in
-an append-only page file on the real filesystem.  Reads seek, verify the
-page's frame and checksum and decode its columns; writes append a fresh
-version of the page and advance the in-memory offset table (a tiny
-log-structured store).  The bytes of a page are owned by
+an append-only page file on the real filesystem.  A read is one
+``os.pread`` of the page's extent, then its frame and checksum are
+verified and its columns decoded; writes append a fresh version of the
+page through the file's write buffer and advance the in-memory offset
+table (a tiny log-structured store).  The bytes of a page are owned by
 :mod:`repro.io.pagecodec`.  I/O accounting is identical to the simulated
 disk, so every bound-checking experiment runs unchanged against real pages.
 
@@ -100,10 +101,13 @@ class FileDisk:
         self.meta: Dict[str, Any] = {}
         self._file = open(path, "w+b")
         self._end = 0
+        #: the file offset up to which appended pages have left the buffer
+        self._flushed = 0
         self._closed = False
-        #: serializes seek+read/seek+write pairs on the shared file handle
+        #: serializes preads, appends and flushes on the shared file handle
         #: (and the extent-table updates next to them) — concurrent reader
-        #: sessions issue parallel block reads through one FileDisk
+        #: sessions issue parallel block reads through one FileDisk, and
+        #: compact() swaps the file under it
         self._io_lock = threading.RLock()
 
     @classmethod
@@ -142,7 +146,7 @@ class FileDisk:
         disk.path = path
         disk.meta = dict(state["meta"])
         disk._file = open(path, "r+b")
-        disk._end = state["end"]
+        disk._end = disk._flushed = state["end"]
         disk._closed = False
         disk._io_lock = threading.RLock()
         return disk
@@ -217,6 +221,7 @@ class FileDisk:
         with self._io_lock:
             payload = self._sidecar(self._extents, self._end)
             self._file.flush()
+            self._flushed = self._end
             fileno = self._file.fileno()
         # the fsync runs *outside* _io_lock: the snapshot above is already
         # consistent (flush happened under the lock), and holding the page
@@ -268,22 +273,32 @@ class FileDisk:
     # serialization
     # ------------------------------------------------------------------ #
     def _append(self, block_id: BlockId, capacity: int, page: bytes) -> None:
+        """Append a page version through the file's write buffer: reads go
+        by ``os.pread`` and never move the file position, so it stays at
+        the end, and :meth:`_extent` flushes what a read reaches."""
         with self._io_lock:
-            self._file.seek(self._end)
+            if self._file.tell() != self._end:
+                # a handle :meth:`open` or :meth:`compact` just opened starts
+                # at 0 (and a killed writer may have left bytes past the end)
+                self._file.seek(self._end)
             self._file.write(page)
             self._extents[block_id] = (self._end, len(page))
             self._capacities[block_id] = capacity
             self._end += len(page)
 
     def _extent(self, block_id: BlockId) -> Tuple[int, int, bytes]:
-        """A block's raw page: ``(offset, recorded length, bytes read)``."""
+        """A block's raw page: ``(offset, recorded length, bytes read)`` —
+        one ``os.pread``, after a flush only when the page is still in the
+        write buffer."""
         with self._io_lock:
             try:
                 offset, length = self._extents[block_id]
             except KeyError as exc:
                 raise KeyError(f"no such block: {block_id}") from exc
-            self._file.seek(offset)
-            return offset, length, self._file.read(length)
+            if offset + length > self._flushed:
+                self._file.flush()
+                self._flushed = self._end
+            return offset, length, os.pread(self._file.fileno(), length, offset)
 
     def _decode(self, block_id: BlockId, offset: int, length: int, raw: bytes) -> Block:
         capacity, count, header, columns = pagecodec.decode(raw, block_id, offset, length)
@@ -420,6 +435,7 @@ class FileDisk:
             self._file = open(self.path, "r+b")
             reclaimed = self._end - end
             self._extents, self._end = extents, end
+            self._flushed = end
             return reclaimed
 
     def close(self) -> None:

@@ -69,13 +69,24 @@ its value; two values share one exactly when they are
 uid, and identical blocks give identical bytes.  The round-trip property
 tests in ``tests/test_pagecodec.py`` check this over the whole domain.
 
-Decoding is lazy: :func:`decode` checks the frame and unpacks the columns
-(a few ``struct.unpack`` calls; ``V`` values are built there too), but
-builds no record object of the typed columns.  The column readers
-materialise single rows (``take``) or the whole list (``tolist``) on
-demand, constructing records without re-running their ``__post_init__``
-validation (:func:`~repro.interval.trusted_interval`) — a page that passes
-its checksum holds exactly what a validated record wrote.
+Decoding is lazy.  :class:`~repro.io.filedisk.FileDisk` reads a page's
+extent with one ``os.pread``; :func:`decode` checks the frame and the
+crc32, then unpacks the columns but builds no record object of the typed
+columns.  A page whose columns are all packed (``d`` / ``q`` / ``N``
+under ``S`` / ``I`` / ``P`` / ``T``) is unpacked by one precompiled
+``struct`` call, memoised per (layout, row count): the tag bytes come out
+with the values and must all equal the layout's, and the body length is
+the plan's size, so every check of the generic reader still runs.  A page
+with a ``V`` column — or one no plan matches — takes the recursive reader
+(:func:`decode_column`), which builds the ``V`` values.  The column
+readers materialise single rows (``take``) or the whole list
+(``tolist``) on demand, constructing records without re-running their
+``__post_init__`` validation (:func:`~repro.interval.trusted_interval`) —
+a page that passes its checksum holds exactly what a validated record
+wrote — and a scan's hits stay a :class:`~repro.io.disk.Batch` of rows
+until someone asks for records: a record frame packs the columns
+(:meth:`~repro.server.protocol.RecordFrame.of`), and ``IntervalColumn``
+keeps the type of each packed column so it is never re-scanned.
 """
 
 from __future__ import annotations
@@ -85,12 +96,14 @@ import struct
 import threading
 import zlib
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.classes.hierarchy  # noqa: F401 - registers ClassObject in RECORDS
 import repro.constraints.terms  # noqa: F401 - registers the constraint records
 from repro.errors import DomainError
 from repro.interval import Interval, trusted_interval as _interval
+from repro.io.disk import pick
 from repro.metablock.geometry import PlanarPoint
 from repro.values import RECORDS
 
@@ -199,12 +212,18 @@ def _encode_column(values: Sequence[Any]) -> bytes:
     return b"".join(out)
 
 
-def encode_packed(values: Sequence[Any]) -> Optional[bytes]:
+def encode_packed(values: Sequence[Any], kind: Optional[type] = None) -> Optional[bytes]:
     """``values`` as a ``d`` / ``q`` / ``N`` column — all floats, all ints
     within int64, all ``None`` or none at all — else ``None`` (what the
-    wire's record frames pack their columns with)."""
-    kinds = set(map(type, values)) or {type(None)}
-    packer = _PACKERS.get(kinds.pop()) if len(kinds) == 1 else None
+    wire's record frames pack their columns with).  ``kind``, the one type
+    the caller knows every value has (a packed page column's), spares the
+    scan for it."""
+    if kind is None:
+        kinds = set(map(type, values)) or {type(None)}
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+    packer = _PACKERS.get(kind)
     return None if packer is None else packer(values)
 
 
@@ -421,15 +440,22 @@ class PackedColumn:
 
 
 class IntervalColumn:
-    """``I``: intervals as (lows, highs, uids, payloads)."""
+    """``I``: intervals as (lows, highs, uids, payloads).
 
-    __slots__ = ("lows", "highs", "uids", "payloads")
+    ``kinds`` holds, per column, the one type a packed column's values have
+    (``float`` for ``d``, ``int`` for ``q``, ``NoneType`` for ``N``) and
+    ``None`` for any other — what a record frame packs them by, unscanned.
+    """
 
-    def __init__(self, lows: Any, highs: Any, uids: Any, payloads: Any) -> None:
+    __slots__ = ("lows", "highs", "uids", "payloads", "kinds")
+
+    def __init__(self, lows: Any, highs: Any, uids: Any, payloads: Any,
+                 kinds: Tuple[Optional[type], ...] = (None,) * 4) -> None:
         self.lows = lows
         self.highs = highs
         self.uids = uids
         self.payloads = payloads
+        self.kinds = kinds
 
     def tolist(self) -> List[Interval]:
         return list(map(
@@ -441,6 +467,16 @@ class IntervalColumn:
         lows, highs = _values(self.lows), _values(self.highs)
         payloads, uids = _values(self.payloads), _values(self.uids)
         return [_interval(lows[i], highs[i], payloads[i], uids[i]) for i in rows]
+
+    def interval_columns(
+        self, rows: Optional[Sequence[int]]
+    ) -> Optional[Tuple[List[Sequence[Any]], Tuple[Optional[type], ...]]]:
+        """Rows ``rows`` of the four columns, and their kinds (see
+        :meth:`~repro.io.disk.Batch.interval_columns`); ``None`` when the
+        payloads are records themselves (a nested column)."""
+        if type(self.payloads) is not tuple:
+            return None
+        return pick((self.lows, self.highs, self.uids, self.payloads), rows), self.kinds
 
 
 class PointColumn:
@@ -472,10 +508,6 @@ class PointColumn:
             for i, payload in zip(rows, _take(self.payloads, rows))
         ]
 
-    def take_payloads(self, rows: Sequence[int]) -> List[Any]:
-        """The payloads of rows ``rows`` alone — no point is built."""
-        return _take(self.payloads, rows)
-
 
 class PairColumn:
     """``T``: 2-tuples as (firsts, seconds) — B+-tree keys beside values."""
@@ -486,15 +518,16 @@ class PairColumn:
         self.firsts = firsts
         self.seconds = seconds
 
+    @property
+    def payloads(self) -> Any:
+        """The second members: what a B+-tree entry carries."""
+        return self.seconds
+
     def tolist(self) -> List[Tuple[Any, Any]]:
         return list(zip(_values(self.firsts), _values(self.seconds)))
 
     def take(self, rows: Sequence[int]) -> List[Tuple[Any, Any]]:
         return list(zip(_take(self.firsts, rows), _take(self.seconds, rows)))
-
-    def take_payloads(self, rows: Sequence[int]) -> List[Any]:
-        """The second members (a B+-tree entry's value) of rows ``rows``."""
-        return _take(self.seconds, rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -535,19 +568,25 @@ def decode(
 
     ``column`` is a column reader (``tolist()`` / ``take(rows)``) over the
     page's records; no record object exists until one of them is called.
+    A page whose columns are all packed is read by its layout's one
+    :class:`_Plan`; any other by :func:`decode_column`, which teaches the
+    plan of a packed layout it meets.
     """
     count, capacity = verify(
         raw, block_id, offset, len(raw) if expected is None else expected
     )
     try:
         header, at = _decode_header(raw, _FRAME.size)
-        column, at = decode_column(raw, at, count)
+        column = _planned(raw, at, count)
+        if column is None:
+            column, end = decode_column(raw, at, count)
+            if end != len(raw):
+                raise PageCorruptError(block_id, offset, f"{len(raw) - end} trailing body bytes")
+            _learn(raw, at, count)
     except (struct.error, IndexError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         # unreachable for bytes this module wrote (the checksum held), but
         # a foreign writer's page must fail typed, not as a stray IndexError
         raise PageCorruptError(block_id, offset, f"undecodable body: {exc!r}") from exc
-    if at != len(raw):
-        raise PageCorruptError(block_id, offset, f"{len(raw) - at} trailing body bytes")
     if type(column) is tuple:
         column = PackedColumn(column)
     return capacity, count, header, column
@@ -567,7 +606,11 @@ def _decode_header(raw: bytes, at: int) -> Tuple[Dict[str, Any], int]:
     raise ValueError(f"unknown header tag {tag}")
 
 
-_D, _Q, _N, _EMPTY, _V, _S = (ord(c) for c in "dqN-VS")
+_D, _Q, _N, _EMPTY, _V, _S, _I, _P, _T = (ord(c) for c in "dqN-VSIPT")
+#: a packed column's tag -> the one type its values have
+_KINDS: Dict[int, type] = {_D: float, _Q: int, _N: type(None)}
+#: a record column's tag -> how many columns follow it
+_WIDTHS = {_S: 5, _I: 4, _P: 4, _T: 2}
 
 
 def decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
@@ -586,26 +629,169 @@ def decode_column(raw: bytes, at: int, n: int) -> Tuple[Any, int]:
     if tag == _V:
         values, at = _get_many(raw, at, n)
         return tuple(values), at
-    if tag == _S:
-        xs, at = decode_column(raw, at, n)
-        ys, at = decode_column(raw, at, n)
-        uids, at = decode_column(raw, at, n)
-        interval_uids, at = decode_column(raw, at, n)
-        payloads, at = decode_column(raw, at, n)
-        return PointColumn(xs, ys, uids, IntervalColumn(xs, ys, interval_uids, payloads)), at
-    reader = _READERS.get(tag)
-    if reader is None:
+    width = _WIDTHS.get(tag)
+    if width is None:
         raise ValueError(f"unknown column tag {bytes((tag,))!r}")
-    cls, width = reader
-    parts = []
+    parts, kinds = [], []
     for _ in range(width):
+        kinds.append(_KINDS.get(raw[at]))
         part, at = decode_column(raw, at, n)
         parts.append(part)
-    return cls(*parts), at
+    return _column(tag, parts, kinds), at
 
 
-_READERS: Dict[int, Tuple[Callable[..., Any], int]] = {
-    ord("I"): (IntervalColumn, 4),
-    ord("P"): (PointColumn, 4),
-    ord("T"): (PairColumn, 2),
-}
+def _column(tag: int, parts: List[Any], kinds: List[Optional[type]]) -> Any:
+    """The reader of a record column from its decoded columns and their kinds."""
+    if tag == _S:
+        xs, ys, uids, interval_uids, payloads = parts
+        kinds = [kinds[0], kinds[1], kinds[3], kinds[4]]
+        return PointColumn(xs, ys, uids, IntervalColumn(xs, ys, interval_uids, payloads, tuple(kinds)))
+    if tag == _I:
+        return IntervalColumn(*parts, tuple(kinds))
+    return (PointColumn if tag == _P else PairColumn)(*parts)
+
+
+# --------------------------------------------------------------------------- #
+# unpack plans: a page of packed columns in one ``struct`` call
+# --------------------------------------------------------------------------- #
+class _Plan:
+    """How to read one packed layout at one row count — an ``S`` page of
+    ``d d q q q`` columns, say — with a single precompiled unpack.
+
+    The tag bytes are unpacked with the values and must all equal the
+    layout's (``check(values) == tags``); the body length is the struct's
+    size, part of the key it is found under.  A page that fails either is
+    read by :func:`decode_column` instead, which raises on what is corrupt.
+    """
+
+    __slots__ = ("unpack", "check", "tags", "pad", "build")
+
+    def __init__(self, layout: List[int], n: int) -> None:
+        fmt, tag_at, spans = ["<"], [], []
+        width, pad = 0, ()
+        for tag in layout:
+            tag_at.append(width)
+            fmt.append("B")
+            width += 1
+            if tag == _D or tag == _Q:
+                fmt.append(f"{n}{chr(tag)}")
+                spans.append(slice(width, width + n))
+                width += n
+            elif tag == _N:
+                # an ``N`` column is read off a tail of Nones the unpack gets
+                pad = (None,) * n
+                spans.append(None)
+        total = width + len(pad)
+        self.unpack = struct.Struct("".join(fmt)).unpack_from
+        self.check = itemgetter(*tag_at)
+        self.tags = tuple(layout) if len(layout) > 1 else layout[0]
+        self.pad = pad
+        self.build = _builder(
+            layout, [slice(width, total) if span is None else span for span in spans]
+        )
+
+    def read(self, raw: bytes, at: int) -> Any:
+        """The column at ``raw[at:]``, or ``None`` when a tag byte differs."""
+        values = self.unpack(raw, at)
+        if self.check(values) != self.tags:
+            return None
+        return self.build(values + self.pad if self.pad else values)
+
+
+def _builder(layout: List[int], spans: List[slice]) -> Callable[[Tuple[Any, ...]], Any]:
+    """What turns a layout's unpacked values into its column: ``spans`` are
+    where its packed columns lie in them, in layout order.  The tuple itself
+    for one packed column, else the readers of :func:`_column`, nested as
+    the layout nests them — written out for the interval manager's ``S``
+    page, the one every stab reads."""
+    if len(spans) <= 1:
+        span = spans[0] if spans else slice(0, 0)
+        return lambda values: values[span]
+
+    def shape(tags: Any) -> Any:
+        """A packed column as its kind, a record column as (tag, children)."""
+        tag = next(tags)
+        if tag not in _WIDTHS:
+            return _KINDS[tag]
+        return tag, [shape(tags) for _ in range(_WIDTHS[tag])]
+
+    tree = shape(iter(layout))
+    tag, children = tree
+    if not any(type(child) is tuple for child in children):
+        if tag == _S:
+            xs, ys, uids, interval_uids, payloads = spans
+            kinds = (children[0], children[1], children[3], children[4])
+
+            def build_points(values: Tuple[Any, ...]) -> PointColumn:
+                lows, highs = values[xs], values[ys]
+                return PointColumn(lows, highs, values[uids], IntervalColumn(
+                    lows, highs, values[interval_uids], values[payloads], kinds,
+                ))
+
+            return build_points
+        # any other record column over packed ones: no nesting to walk
+        return lambda values: _column(tag, [values[span] for span in spans], children)
+
+    leaves = itemgetter(*spans)
+
+    def build(node: Any, columns: Any) -> Any:
+        tag, children = node
+        parts = [
+            build(child, columns) if type(child) is tuple else next(columns)
+            for child in children
+        ]
+        kinds = [None if type(child) is tuple else child for child in children]
+        return _column(tag, parts, kinds)
+
+    return lambda values: build(tree, iter(leaves(values)))
+
+
+#: (outer tag, row count, column bytes) -> the plans of the packed layouts
+#: met under that key; bounded, as a cache of compiled code
+_PLANS: Dict[Tuple[int, int, int], List[_Plan]] = {}
+_PLANS_MAX, _PLANS_PER_KEY = 4096, 4
+
+
+def _planned(raw: bytes, at: int, n: int) -> Any:
+    """The column at ``raw[at:]`` read by a plan, or ``None`` when no plan
+    of its key matches its tag bytes."""
+    plans = _PLANS.get((raw[at], n, len(raw) - at))
+    if plans is not None:
+        for plan in plans:
+            column = plan.read(raw, at)
+            if column is not None:
+                return column
+    return None
+
+
+def _learn(raw: bytes, at: int, n: int) -> None:
+    """Compile a plan for the column at ``raw[at:]`` if it is all packed
+    (the generic reader has just read it whole)."""
+    layout: List[int] = []
+    if _packed_layout(raw, at, n, layout) != len(raw):
+        return
+    if len(_PLANS) >= _PLANS_MAX:
+        _PLANS.clear()
+    plans = _PLANS.setdefault((raw[at], n, len(raw) - at), [])
+    if len(plans) < _PLANS_PER_KEY:
+        plans.append(_Plan(layout, n))
+
+
+def _packed_layout(raw: bytes, at: int, n: int, layout: List[int]) -> int:
+    """Append the tags of the column at ``raw[at:]`` to ``layout``; where the
+    column ends, or ``-1`` when some column in it is ``V``."""
+    tag = raw[at]
+    layout.append(tag)
+    at += 1
+    if tag == _D or tag == _Q:
+        return at + 8 * n
+    if tag == _N or tag == _EMPTY:
+        return at
+    width = _WIDTHS.get(tag)
+    if width is None:  # ``V``
+        return -1
+    for _ in range(width):
+        at = _packed_layout(raw, at, n, layout)
+        if at < 0:
+            return -1
+    return at

@@ -113,14 +113,17 @@ def select(
     x_max: Any = None,
     y_min: Any = None,
     x_gt: Any = None,
-) -> List[Any]:
-    """The points of ``block`` with ``x_gt < x <= x_max`` and ``y >= y_min``.
+) -> Any:
+    """The points of ``block`` with ``x_gt < x <= x_max`` and ``y >= y_min``,
+    as a *batch*: a list for an in-memory block, else a
+    :class:`~repro.io.disk.Batch` of the page's matching rows.
 
     A side left ``None`` is unconstrained (``x_gt`` needs the other two);
     with none the block matches whole and goes up with no per-row test.
     On a block that still holds its page's columns the test runs over the
-    packed coordinate columns and only the rows that pass — and, with
-    ``hits``, were not reported before — are materialised.
+    packed coordinate columns, and the rows that pass — and, with
+    ``hits``, were not reported before — stay unbuilt until someone asks
+    for records.
     """
     columns = block.columns
     if columns is not None:
@@ -140,11 +143,11 @@ def select(
             return hits.fresh(found)
         # never the block's own list: that one stays the block's to mutate
         return list(found) if found is records else found
-    rows: Sequence[int]
+    rows: Optional[Sequence[int]]
     if x_gt is not None:
         rows = [i for i, x in enumerate(xs) if x_gt < x <= x_max and ys[i] >= y_min]
     elif x_max is None:
-        rows = range(len(ys)) if y_min is None else [i for i, y in enumerate(ys) if y >= y_min]
+        rows = None if y_min is None else [i for i, y in enumerate(ys) if y >= y_min]
     elif y_min is None:
         rows = [i for i, x in enumerate(xs) if x <= x_max]
     else:
@@ -153,7 +156,10 @@ def select(
         return block.take(columns, rows)
     seen, uids = hits.seen, columns.uids
     if seen is not None:
-        rows = [i for i in rows if not (uids[i] in seen or seen.add(uids[i]))]
+        rows = [
+            i for i in (range(len(uids)) if rows is None else rows)
+            if not (uids[i] in seen or seen.add(uids[i]))
+        ]
     return block.take(columns, rows, payloads=hits.payloads)
 
 
@@ -163,35 +169,37 @@ def scan_vertical_upto(
     """Read vertical blocks left-to-right while they may contain ``x <= x_max``.
 
     Returns the matching points (those with ``y >= y_min`` too, when given)
-    and the number of blocks read.  At most one block read contains no
-    matching point (the one that crosses ``x_max``), which is the "at most
-    one block that is not completely full" accounting of Theorem 3.2.  A
-    block whose last x is inside the query matches whole on that side, so
-    only the crossing block is tested value by value.  ``bounds`` names the
-    blocks to read before any is read, so they are read as one run.
+    as one batch per block read (see :func:`select`), and the number of
+    blocks read.  At most one block read contains no matching point (the
+    one that crosses ``x_max``), which is the "at most one block that is
+    not completely full" accounting of Theorem 3.2.  A block whose last x
+    is inside the query matches whole on that side, so only the crossing
+    block is tested value by value.  ``bounds`` names the blocks to read
+    before any is read, so they are read as one run.
     """
     bounds = blocking.bounds
     k = 0
     while k < len(bounds) and bounds[k][0] <= x_max:
         k += 1
-    out: List[Any] = []
-    for block, (_, last_x) in zip(disk.read_run(blocking.block_ids[:k]), bounds):
-        out.extend(select(block, hits, None if last_x <= x_max else x_max, y_min))
-    return out, k
+    return [
+        select(block, hits, None if last_x <= x_max else x_max, y_min)
+        for block, (_, last_x) in zip(disk.read_run(blocking.block_ids[:k]), bounds)
+    ], k
 
 
 def scan_horizontal_downto(
     disk, blocking: Blocking, y_min: Any, hits: Optional[Hits] = None
 ) -> Tuple[List[Any], int]:
     """Read horizontal blocks top-to-bottom while they may contain ``y >= y_min``,
-    as one run.  There is no x test: the diagonal-corner walk scans only
-    blockings whose every x is inside its query (a Type III / IV metablock,
-    an explicit corner answer, a TS structure)."""
+    as one run; one batch per block read.  There is no x test: the
+    diagonal-corner walk scans only blockings whose every x is inside its
+    query (a Type III / IV metablock, an explicit corner answer, a TS
+    structure)."""
     bounds = blocking.bounds
     k = 0
     while k < len(bounds) and bounds[k][0] >= y_min:
         k += 1
-    out: List[Any] = []
-    for block, (_, last_y) in zip(disk.read_run(blocking.block_ids[:k]), bounds):
-        out.extend(select(block, hits, None, None if last_y >= y_min else y_min))
-    return out, k
+    return [
+        select(block, hits, None, None if last_y >= y_min else y_min)
+        for block, (_, last_y) in zip(disk.read_run(blocking.block_ids[:k]), bounds)
+    ], k

@@ -25,6 +25,7 @@ the vertical blocks strictly between ``e`` and ``c`` (Figs. 13–14).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.io.disk import BlockId
@@ -94,17 +95,23 @@ class CornerStructure:
     # ------------------------------------------------------------------ #
     # query
     # ------------------------------------------------------------------ #
-    def query(
-        self, corner: Any, hits: Optional[blk.Hits] = None
-    ) -> Tuple[List[Any], int]:
+    def query(self, corner: Any) -> Tuple[List[PlanarPoint], int]:
         """Answer a diagonal corner query anchored at ``(corner, corner)``.
 
         Returns ``(points, ios)`` where ``ios`` counts the block reads
-        performed by this call (also reflected in the disk counters).  With
-        ``hits`` (see :class:`~repro.metablock.blocking.Hits`) the answer
-        leaves out what the caller's query already reported and comes in
-        the form ``hits`` asks for.
+        performed by this call (also reflected in the disk counters).
         """
+        batches, ios = self.batches(corner)
+        return list(chain.from_iterable(batches)), ios
+
+    def batches(
+        self, corner: Any, hits: Optional[blk.Hits] = None
+    ) -> Tuple[List[Any], int]:
+        """:meth:`query`'s answer as one batch per block read (see
+        :func:`~repro.metablock.blocking.select`).  With ``hits`` (see
+        :class:`~repro.metablock.blocking.Hits`) the answer leaves out what
+        the caller's query already reported and comes in the form ``hits``
+        asks for."""
         if not self._points:
             return [], 0
         ios = 0
@@ -142,7 +149,7 @@ class CornerStructure:
         while end < len(bounds) and bounds[end][0] <= corner:
             end += 1
         for block in self.disk.read_run(self._vertical.block_ids[start:end]):
-            out.extend(blk.select(block, hits, corner, corner, lower))
+            out.append(blk.select(block, hits, corner, corner, lower))
         return out, ios + end - start
 
     # ------------------------------------------------------------------ #

@@ -385,17 +385,18 @@ class AugmentedMetablockTree(StaticMetablockTree):
         # authoritative copy (identical content except transiently during
         # an interrupted batch reorganisation)
         self.disk.read(mb.update_block_id)
-        return hits.fresh([p for p in mb.update_points if p.x <= q and p.y >= q])
+        found = hits.fresh([p for p in mb.update_points if p.x <= q and p.y >= q])
+        return [found] if found else []
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Query the TD corner structure of a visited nonleaf metablock: the
         one source whose points the walk may already have reported."""
         out: List[Any] = []
         if mb.td_corner is not None:
-            out = mb.td_corner.query(q, hits)[0]
+            out = mb.td_corner.batches(q, hits)[0]
         if mb.td_update_block_id is not None and mb.td_update_points:
             self.disk.read(mb.td_update_block_id)
-            out.extend(hits.fresh([p for p in mb.td_update_points if p.x <= q and p.y >= q]))
+            out.append(hits.fresh([p for p in mb.td_update_points if p.x <= q and p.y >= q]))
         return out
 
     # ------------------------------------------------------------------ #

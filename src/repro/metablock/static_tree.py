@@ -311,15 +311,15 @@ class StaticMetablockTree:
         """
         return chain.from_iterable(self.iter_diagonal_blocks(corner))
 
-    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[List[Any]]:
-        """Stream the answer a block at a time: one list per organisation read.
+    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[Any]:
+        """Stream the answer a block at a time: one batch per block read.
 
         The generator performs no I/O until the first ``next()`` and then
-        reads blocks only as far as the consumer iterates.  Each list holds
-        what one scan (a blocking, a corner structure, an update block)
-        added to the answer; with ``payloads`` it holds the points'
-        payloads instead of the points (see :class:`~repro.metablock.
-        blocking.Hits`).
+        reads blocks only as far as the consumer iterates.  Each batch (see
+        :func:`~repro.metablock.blocking.select`) holds what one block — or
+        one in-memory update list — added to the answer; with ``payloads``
+        it holds the points' payloads instead of the points (see
+        :class:`~repro.metablock.blocking.Hits`).
 
         Every point is reported once.  Of a visited metablock the walk reads
         one organisation: the vertical blocking, the horizontal one or the
@@ -334,7 +334,7 @@ class StaticMetablockTree:
         if self.root is None:
             return iter(())
         hits = blk.Hits(payloads, track=self.td_holders > 0)
-        return self._iter_query_node(self.root, corner, hits)
+        return chain.from_iterable(self._iter_query_node(self.root, corner, hits))
 
     def query(self, query: DiagonalCornerQuery) -> List[PlanarPoint]:
         """Answer a :class:`DiagonalCornerQuery` object."""
@@ -354,14 +354,14 @@ class StaticMetablockTree:
 
     # -- per-metablock reporting ------------------------------------------ #
     def _report_own_points(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """The points stored *in* ``mb`` that match the query."""
+        """The points stored *in* ``mb`` that match the query, in batches."""
         bbox = mb.bbox
         if bbox is None or bbox.max_y < q or bbox.min_x > q:
             return []
         corner_inside = bbox.min_x <= q <= bbox.max_x and bbox.min_y <= q <= bbox.max_y
         if corner_inside and mb.corner is not None:
             # Type II: the corner falls inside this metablock
-            return mb.corner.query(q, hits)[0]
+            return mb.corner.batches(q, hits)[0]
         if bbox.max_x <= q:
             # Type III (the whole metablock is inside the query) and Type IV
             # (crossed by the bottom boundary only): top-down until crossed
@@ -373,7 +373,8 @@ class StaticMetablockTree:
         return blk.scan_vertical_upto(self.disk, mb.vertical, q, y_min=y_min, hits=hits)[0]
 
     def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Hook for the dynamic tree (update blocks); static tree: nothing."""
+        """Hook for the dynamic tree (update blocks, in batches); static
+        tree: nothing."""
         return []
 
     def _ts_points(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
@@ -409,6 +410,8 @@ class StaticMetablockTree:
 
     # -- recursion --------------------------------------------------------- #
     def _iter_query_node(self, mb: Metablock, q: Any, hits: blk.Hits) -> Iterator[List[Any]]:
+        """The batches of each organisation read under ``mb``, one list of
+        them per organisation (what the recursion resumes for)."""
         if mb.subtree_min_x is not None and mb.subtree_min_x > q:
             return
         if mb.subtree_max_y is not None and mb.subtree_max_y < q:
@@ -461,7 +464,8 @@ class StaticMetablockTree:
             yield chunk
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Hook for the dynamic tree (TD corner structures); static: nothing."""
+        """Hook for the dynamic tree (TD corner structures, in batches);
+        static: nothing."""
         return []
 
     # ------------------------------------------------------------------ #

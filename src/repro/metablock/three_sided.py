@@ -47,6 +47,7 @@ inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os (Lemma 4.4).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import Any, Iterator, List, Optional
 
@@ -275,8 +276,8 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             if ts_bottom < y0 and (ts_size >= self.capacity or all(c.is_leaf for c in middles)):
                 covered = True
         if covered:
-            pts, _ = blk.scan_horizontal_downto(self.disk, ts, y0)
-            out.extend(p for p in pts if x1 <= p.x <= x2)
+            batches, _ = blk.scan_horizontal_downto(self.disk, ts, y0)
+            out.extend(p for p in chain.from_iterable(batches) if x1 <= p.x <= x2)
             # deep descendants of middles cannot reach above y0 here (their
             # metablocks are all crossed by or below the query bottom), except
             # through the conservative desc_max_y guard:

@@ -258,12 +258,23 @@ class RebuildingIndex:
             return items
         return filter(self._keep(), items)
 
-    def live_blocks(self, blocks: Iterator[List[Any]]) -> Iterator[List[Any]]:
-        """:meth:`live` a block at a time (one list per block read)."""
+    def live_blocks(self, blocks: Iterator[Any]) -> Iterator[Any]:
+        """:meth:`live` a batch at a time (one per block read).  A page
+        batch (:class:`~repro.io.disk.Batch`) is tested on its uid column;
+        only a row whose uid has a dead version is built, to match it."""
         if not self._tombstones:
             return blocks
-        keep = self._keep()
-        return ([item for item in block if keep(item)] for block in blocks)
+        keep, dead = self._keep(), self._tombstones
+
+        def live(batch: Any) -> Any:
+            uids = None if type(batch) is list else batch.uids()
+            if uids is None:
+                return [item for item in batch if keep(item)]
+            return batch.subset(
+                [i for i, uid in enumerate(uids) if uid not in dead or keep(batch.row(i))]
+            )
+
+        return map(live, blocks)
 
     def _keep(self) -> Callable[[Any], bool]:
         """The per-record filter: one membership test unless the uid died."""

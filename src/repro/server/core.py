@@ -444,11 +444,12 @@ class JsonLineServer:
 
 
 def _result_payload(res: Any) -> Payload:
+    # the answer as read: a frames reply packs its page columns unbuilt
     out: Payload = {
         "ios": res.ios,
         "stats": res.stats.as_dict(),
-        "records": res.records,
-        "count": len(res.records),
+        "records": res.hits,
+        "count": len(res),
     }
     if res.bound is not None:
         out["bound"] = res.bound

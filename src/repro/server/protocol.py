@@ -82,15 +82,24 @@ tag    values
        array with sorted keys
 =====  ==============================================================
 
+A server packs its frames from page columns: a read's answer reaches the
+reply as the batches it was read in
+(:class:`~repro.engine.result.RecordBatches`), and :meth:`RecordFrame.of`
+takes a page batch's columns as the page holds them — a packed column by
+the type its page tag names, unscanned — so no record object is built
+for a ``frames`` reply.  Rows come from records, built on the way.
+
 A frame is data, never code, and its reader raises :class:`ProtocolError`
 on any other tag, on a count that disagrees with a column, on trailing
 bytes, and — column-wise, before a single record is built — on whatever
 :func:`record_from_dict` refuses in a row (an endpoint that is not a
 finite ``int``/``float``, ``low > high``, a uid that is not an ``int``, a
-payload outside the domain).  What a frame decodes to equals what the rows
-would have, type for type and uid for uid — which is why ``J`` is JSON and
-not the pages' tagged ``V`` column: a row is JSON, so a tuple payload
-reaches a row reader as a list, and a frame must hand it the same list.  Rows remain the *input*
+payload outside the domain: ints and ``None`` need no look, a column of
+floats one pass for finiteness, any other the value-by-value walk).  What
+a frame decodes to equals what the rows would have, type for type and uid
+for uid — which is why ``J`` is JSON and not the pages' tagged ``V``
+column: a row is JSON, so a tuple payload reaches a row reader as a list,
+and a frame must hand it the same list.  Rows remain the *input*
 form of every write command and the reply form of every request that does
 not ask, so ``netcat`` still works; a peer that does not know the field
 ignores it and answers rows, and :func:`read_reply` takes either — which
@@ -132,10 +141,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from itertools import chain
+from math import isfinite
 from operator import le
 from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.engine.queries import query_from_dict
+from repro.engine.result import RecordBatches
 from repro.errors import DomainError, DuplicateError, ParameterError, StalePreparedError
 from repro.interval import Interval, fresh_interval_uid, trusted_interval
 from repro.io import pagecodec
@@ -321,8 +333,8 @@ _TAG_J = ord("J")
 Columns = Tuple[Sequence[Any], Sequence[Any], Sequence[Any], Sequence[Any]]
 
 
-def _pack_column(values: Sequence[Any]) -> bytes:
-    packed = pagecodec.encode_packed(values)
+def _pack_column(values: Sequence[Any], kind: Optional[type] = None) -> bytes:
+    packed = pagecodec.encode_packed(values, kind)
     if packed is not None:
         return packed
     # sorted keys: equal payloads give equal bytes
@@ -352,10 +364,10 @@ def _unpack_column(data: bytes, at: int, n: int) -> Tuple[Sequence[Any], Any, in
 class RecordFrame:
     """The records of one reply as a checksummed block of four columns.
 
-    Built from records (:meth:`of`), from columns (:meth:`from_columns`) or
-    from received bytes (:meth:`parse`, which checks magic, crc and count
-    and touches no column); ``data`` is the wire form either way, so a
-    frame received can be sent on without re-encoding.  The columns are
+    Built from an answer (:meth:`of`), from columns (:meth:`from_columns`)
+    or from received bytes (:meth:`parse`, which checks magic, crc and
+    count and touches no column); ``data`` is the wire form either way, so
+    a frame received can be sent on without re-encoding.  The columns are
     decoded — and every record in them validated — on first use.
     """
 
@@ -374,22 +386,55 @@ class RecordFrame:
 
     @classmethod
     def from_columns(cls, lows: Sequence[Any], highs: Sequence[Any],
-                     uids: Sequence[Any], payloads: Sequence[Any]) -> "RecordFrame":
+                     uids: Sequence[Any], payloads: Sequence[Any],
+                     kinds: Sequence[Optional[type]] = (None,) * 4) -> "RecordFrame":
+        """The frame of four columns; ``kinds[i]``, when not ``None``, is the
+        one type every value of column ``i`` has, which spares its scan."""
         count = len(uids)
         body = b"".join((
-            _U32.pack(count), _pack_column(lows), _pack_column(highs),
-            _pack_column(uids), _pack_column(payloads),
+            _U32.pack(count), _pack_column(lows, kinds[0]), _pack_column(highs, kinds[1]),
+            _pack_column(uids, kinds[2]), _pack_column(payloads, kinds[3]),
         ))
         data = b"".join((FRAME_MAGIC, _U32.pack(zlib.crc32(body)), body))
         return cls(data, count, (lows, highs, uids, payloads))
 
     @classmethod
-    def of(cls, records: Sequence[Any]) -> "RecordFrame":
-        if not set(map(type, records)) <= {Interval}:
-            raise _no_wire_form(next(r for r in records if type(r) is not Interval))
+    def of(cls, records: Any) -> "RecordFrame":
+        """The frame of a list of intervals or of a read's
+        :class:`~repro.engine.result.RecordBatches` — the one frame builder.
+
+        A page batch of intervals (:class:`~repro.io.disk.Batch`) gives its
+        rows' columns as the page holds them, so no record is built, and a
+        packed page column is packed by the type its tag names, unscanned;
+        a list of records — or any other batch, built — is read off the
+        objects.
+        """
+        batches = records.batches if isinstance(records, RecordBatches) else [records]
+        parts: List[Tuple[Sequence[Sequence[Any]], Tuple[Optional[type], ...]]] = []
+        run: List[Any] = []                   # batches read off objects, in order
+        for batch in batches:
+            if not len(batch):
+                continue
+            read = None if type(batch) is list else batch.interval_columns()
+            if read is None:
+                run.append(batch)
+                continue
+            if run:
+                parts.append(_record_columns(run))
+                run = []
+            parts.append(read)
+        if run or not parts:
+            parts.append(_record_columns(run))
+        if len(parts) == 1:
+            columns, kinds = parts[0]
+            return cls.from_columns(*columns, kinds=kinds)
+        layouts = {kinds for _, kinds in parts}
         return cls.from_columns(
-            [r.low for r in records], [r.high for r in records],
-            [r.uid for r in records], [r.payload for r in records],
+            *(list(chain.from_iterable(values[i] for values, _ in parts)) for i in range(4)),
+            kinds=layouts.pop() if len(layouts) == 1 else [
+                same.pop() if len(same := {kinds[i] for kinds in layouts}) == 1 else None
+                for i in range(4)
+            ],
         )
 
     @classmethod
@@ -435,7 +480,14 @@ class RecordFrame:
                 )
             if n and not kinds[2] <= _INTS:
                 raise ProtocolError("malformed record frame: uids must be integers")
-            if not kinds[3] <= _NONES:
+            # every int and None is a domain value: only floats need a look
+            # (one pass), and anything else the whole walk
+            if kinds[3] == _FLOATS:
+                if not all(map(isfinite, payloads)):
+                    raise ProtocolError(
+                        "malformed interval record: a payload float must be finite"
+                    )
+            elif not kinds[3] <= _INTS | _NONES:
                 _check_payloads(payloads)
             self._columns = (lows, highs, uids, payloads)
         return self._columns
@@ -449,22 +501,40 @@ class RecordFrame:
         return list(map(list, zip(lows, highs, payloads, uids)))
 
 
+def _record_columns(batches: List[Any]) -> Tuple[List[List[Any]], Tuple[None, ...]]:
+    """The four frame columns of batches of intervals read off the objects,
+    their kinds unknown."""
+    records = batches[0] if len(batches) == 1 and type(batches[0]) is list else list(
+        chain.from_iterable(batches)
+    )
+    if not set(map(type, records)) <= {Interval}:
+        raise _no_wire_form(next(r for r in records if type(r) is not Interval))
+    return [
+        [r.low for r in records], [r.high for r in records],
+        [r.uid for r in records], [r.payload for r in records],
+    ], (None,) * 4
+
+
 def encode_reply(response: Dict[str, Any], frames: bool = False) -> bytes:
     """One response as wire bytes — the only reply encoder.
 
-    ``response["records"]``, when present, is a list of records or a
-    :class:`RecordFrame`; it leaves as rows on the JSON line, or — when the
+    ``response["records"]``, when present, is a list of records, a read's
+    :class:`~repro.engine.result.RecordBatches` or a :class:`RecordFrame`;
+    it leaves as rows on the JSON line, built from records, or — when the
     request said ``"frames": true`` — as ``"frame": <byte length>`` on the
-    line and that many frame bytes behind it.
+    line and that many frame bytes behind it (:meth:`RecordFrame.of`).
     """
     records = response.get("records")
     if records is None:
         return encode_message(response)
     envelope = dict(response)
     if not frames:
-        envelope["records"] = (
-            records.rows() if isinstance(records, RecordFrame) else records_to_wire(records)
-        )
+        if isinstance(records, RecordFrame):
+            envelope["records"] = records.rows()
+        else:
+            envelope["records"] = records_to_wire(
+                records.records() if isinstance(records, RecordBatches) else records
+            )
         return encode_message(envelope)
     frame = records if isinstance(records, RecordFrame) else RecordFrame.of(records)
     del envelope["records"]

@@ -43,16 +43,16 @@ class TestBlockings:
     def test_scan_vertical_stops_at_boundary(self, disk):
         pts = [PlanarPoint(i, 100) for i in range(64)]
         blocking = blk.build_vertical(disk, pts)
-        out, reads = blk.scan_vertical_upto(disk, blocking, 10.5)
-        assert sorted(p.x for p in out) == list(range(11))
+        batches, reads = blk.scan_vertical_upto(disk, blocking, 10.5)
+        assert sorted(p.x for batch in batches for p in batch) == list(range(11))
         # 11 points with B=8 -> 2 blocks, at most one of them partially useful
         assert reads == 2
 
     def test_scan_horizontal_stops_at_boundary(self, disk):
         pts = [PlanarPoint(0, i) for i in range(64)]
         blocking = blk.build_horizontal(disk, pts)
-        out, reads = blk.scan_horizontal_downto(disk, blocking, 55.0)
-        assert sorted(p.y for p in out) == list(range(55, 64))
+        batches, reads = blk.scan_horizontal_downto(disk, blocking, 55.0)
+        assert sorted(p.y for batch in batches for p in batch) == list(range(55, 64))
         assert reads <= 2
 
     def test_scan_counts_ios_on_disk(self, disk):

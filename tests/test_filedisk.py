@@ -2,10 +2,13 @@
 
 import os
 import pickle
+import random
+import sys
+import threading
 
 import pytest
 
-from repro.io import FileDisk, SimulatedDisk, StorageBackend
+from repro.io import BufferManager, FileDisk, SimulatedDisk, StorageBackend
 from repro.btree import BPlusTree
 from repro.pst import ExternalPST
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
@@ -107,6 +110,79 @@ class TestLifecycle:
         assert os.path.getsize(path) > 0          # untouched
         with FileDisk(path, block_size=4, overwrite=True) as disk:
             assert disk.blocks_in_use == 0        # explicit opt-in truncates
+
+
+class TestPageReads:
+    """Reads are one ``os.pread``; appends stay in the write buffer until a
+    read reaches them, a sync, or a compaction."""
+
+    def test_a_page_still_in_the_write_buffer_reads_back_intact(self, fdisk):
+        first = fdisk.allocate(records=[1, 2], header={"leaf": True})
+        assert os.path.getsize(fdisk.path) == 0           # nothing flushed yet
+        assert fdisk.read(first.block_id).records == [1, 2]
+        second = fdisk.allocate(records=["x"])            # appended after the flush
+        first.records = [3]
+        fdisk.write(first)                                # a newer version, buffered too
+        assert os.path.getsize(fdisk.path) < fdisk.file_bytes
+        assert fdisk.read(second.block_id).records == ["x"]
+        assert [b.records for b in fdisk.read_run([first.block_id, second.block_id])] == [[3], ["x"]]
+        assert fdisk.read(first.block_id).header == {"leaf": True}
+
+    def test_appends_after_reopen_and_compaction_land_at_the_end(self, tmp_path):
+        path = str(tmp_path / "pages.bin")
+        with FileDisk(path, block_size=4) as disk:
+            kept = disk.allocate(records=[1]).block_id
+        disk = FileDisk.open(path)
+        try:
+            added = disk.allocate(records=[2]).block_id
+            block = disk.read(kept)
+            block.records = [3]
+            disk.write(block)
+            disk.compact()
+            last = disk.allocate(records=[4]).block_id
+            assert [disk.read(b).records for b in (kept, added, last)] == [[3], [2], [4]]
+        finally:
+            disk.close()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "buffer_manager"])
+    def test_readers_racing_compaction_get_the_page_they_asked_for(self, tmp_path, pooled):
+        disk = FileDisk(str(tmp_path / "pages.bin"), block_size=4)
+        pages = {}
+        for i in range(24):
+            block = disk.allocate(records=[i, -i], header={"block": i})
+            pages[block.block_id] = ([i, -i], {"block": i})
+        store = BufferManager(disk, capacity_pages=3) if pooled else disk
+        errors, done = [], threading.Event()
+
+        def reader(seed):
+            rnd = random.Random(seed)
+            try:
+                while not done.is_set():
+                    bid = rnd.choice(list(pages))
+                    block = store.read(bid)
+                    assert (block.records, block.header) == pages[bid]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        try:
+            for round_ in range(30):
+                # superseded versions for compact() to drop, then the swap
+                for bid in list(pages)[round_ % 4::4]:
+                    block = disk.read(bid)
+                    disk.write(block)
+                disk.compact()
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+            disk.close()
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
 
 
 class TestStructuresOnFileDisk:

@@ -486,3 +486,122 @@ def test_same_answers_and_same_ios_on_memory_and_file(tmp_path):
         engine.close()
     assert answers["memory"] == answers["file"]
     assert sum(ios for _records, ios in answers["file"]) > 0
+
+
+# --------------------------------------------------------------------------- #
+# unpack plans: a packed page in one struct call, read exactly as the
+# generic column reader reads it
+# --------------------------------------------------------------------------- #
+PLAN_B = 16
+#: int64 extremes, both zeros, both infinities
+EDGE_INTS = [-(2**63), 2**63 - 1, 0, -1, 7]
+EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, 1.5, -2.25, 5e-324]
+FINITE_FLOATS = [f for f in EDGE_FLOATS if math.isfinite(f)]
+
+
+def _cycle(values, n):
+    return [values[i % len(values)] for i in range(n)]
+
+
+def _ordered_pairs(values, n):
+    return [tuple(sorted((a, b))) for a, b in zip(_cycle(values, n), _cycle(values[::-1], n))]
+
+
+def _packed_pages(n):
+    """A page of ``n`` records of every packed layout: name -> records."""
+    uids = [1000 + i for i in range(n)]
+    pages = {}
+    for ends_name, ends in (("d", EDGE_FLOATS), ("q", EDGE_INTS)):
+        pairs = _ordered_pairs(ends, n)
+        for pay_name, pay in (("d", FINITE_FLOATS), ("q", EDGE_INTS), ("N", [None])):
+            ivs = [Interval(lo, hi, p, u) for (lo, hi), p, u in zip(pairs, _cycle(pay, n), uids)]
+            pages[f"I{ends_name}{pay_name}"] = ivs
+            pages[f"S{ends_name}{pay_name}"] = [
+                PlanarPoint(iv.low, iv.high, iv, u + 1) for iv, u in zip(ivs, uids)
+            ]
+            pages[f"P{ends_name}{pay_name}"] = [
+                PlanarPoint(lo, hi, p, u) for (lo, hi), p, u in zip(pairs, _cycle(pay, n), uids)
+            ]
+            pages[f"T{ends_name}{pay_name}"] = [(iv.low, iv) for iv in ivs]
+    pages["Tqq"] = list(zip(_cycle(EDGE_INTS, n), _cycle(EDGE_INTS[::-1], n)))
+    pages["d"] = _cycle(EDGE_FLOATS, n)
+    pages["q"] = _cycle(EDGE_INTS, n)
+    pages["N"] = [None] * n
+    return pages
+
+
+def _counting_generic(monkeypatch):
+    real = pagecodec.decode_column
+
+    def counting(*args):
+        counting.calls += 1
+        return real(*args)
+
+    counting.calls = 0
+    monkeypatch.setattr(pagecodec, "decode_column", counting)
+    return counting
+
+
+def _structure(column):
+    """What a reader is made of: reader types, kinds, the S page's shared
+    endpoint columns — everything but the values ``same`` compares."""
+    if type(column) is tuple:
+        return "tuple"
+    slots = [getattr(column, name) for name in type(column).__slots__]
+    shape = [type(column).__name__, getattr(column, "kinds", None)]
+    shape += [_structure(part) for part in slots if not isinstance(part, tuple)]
+    if type(column) is pagecodec.PointColumn and type(column.payloads) is pagecodec.IntervalColumn:
+        shape.append(column.payloads.lows is column.xs and column.payloads.highs is column.ys)
+    return shape
+
+
+@pytest.mark.parametrize("n", range(PLAN_B + 1))
+def test_the_unpack_plan_reads_what_the_generic_decoder_reads(n, monkeypatch):
+    generic = _counting_generic(monkeypatch)
+    monkeypatch.setattr(pagecodec, "_PLANS", {})
+    for name, records in _packed_pages(n).items():
+        raw = pagecodec.encode(PLAN_B, records, {"leaf": True})
+        column = len(raw) - len(pagecodec._encode_column(records) if n else b"-")
+        assert raw[column] == ord(name[0] if n else "-"), name   # the layout of this case
+        pagecodec._PLANS.clear()
+        generic.calls = 0
+        first = pagecodec.decode(raw)                        # the generic reader, which learns
+        assert generic.calls > 0, name
+        generic.calls = 0
+        planned = pagecodec.decode(raw)                      # the plan alone
+        assert generic.calls == 0, name
+        assert first[:3] == planned[:3]
+        assert same(planned[3].tolist(), records) and same(first[3].tolist(), records), name
+        assert same(planned[3].take(range(n)), records), name
+        assert _structure(planned[3]) == _structure(first[3]), name
+
+
+def _with_crc(raw):
+    """``raw`` with its crc recomputed: only the decoder's own checks remain."""
+    return raw[:4] + struct.pack("<I", zlib.crc32(raw[8:])) + raw[8:]
+
+
+def test_a_plan_decoded_page_with_a_wrong_tag_or_length_fails_typed(monkeypatch):
+    monkeypatch.setattr(pagecodec, "_PLANS", {})
+    n = 6
+    ivs = [Interval(float(i), float(i + 2), i, 50 + i) for i in range(n)]
+    raw = pagecodec.encode(8, [PlanarPoint(iv.low, iv.high, iv, i) for i, iv in enumerate(ivs)], {})
+    pagecodec.decode(raw)
+    assert pagecodec._PLANS                                  # learned: the next read is planned
+    column = 25                                              # frame (24) + empty header tag
+    uids_tag = column + 1 + 2 * (1 + 8 * n)
+    assert raw[column:column + 2] == b"Sd" and raw[uids_tag] == ord("q")
+    damaged = {
+        "unknown tag": raw[:uids_tag] + b"x" + raw[uids_tag + 1:],
+        "outer tag": raw[:column] + b"I" + raw[column + 1:],
+        "shorter body": raw[:-8],
+        "longer body": raw + bytes(8),
+        "tag of another width": raw[:uids_tag] + b"N" + raw[uids_tag + 1:],
+    }
+    for why, page in damaged.items():
+        body = len(page) - 24
+        page = _with_crc(page[:20] + struct.pack("<I", body) + page[24:])
+        with pytest.raises(PageCorruptError) as err:
+            pagecodec.decode(page, 41, 4096)
+        assert err.value.block_id == 41 and "block 41" in str(err.value), why
+    assert same(pagecodec.decode(raw)[3].payloads.tolist(), ivs)     # the plan itself is intact

@@ -5,6 +5,7 @@ did not write, and its parity with rows through a server and a cluster.
 import io
 import json
 import math
+import random
 import socket
 import struct
 import subprocess
@@ -14,10 +15,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, Interval, Limit, OrderBy, Param, Range, SimulatedDisk, Stab
+from repro import (
+    EndpointRange, Engine, FileDisk, Interval, Limit, OrderBy, Param, Range, SimulatedDisk, Stab,
+)
 from repro.cluster import Cluster
 from repro.errors import DomainError
 from repro.obs import metrics as obs_metrics
@@ -119,6 +122,9 @@ BAD_FRAMES = {
     "opaque tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"O" + struct.pack("<I", 0)),
     "a page's value tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"Vnn"),
     "nan payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(b"[1,NaN]")),
+    "nan float payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _d(0.5, math.nan)),
+    "infinite float payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _d(math.inf, 0.5)),
+    "negative infinite float payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _d(0.5, -math.inf)),
     "infinite payload": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(b'[1,{"k":[Infinity]}]')),
     "unknown tag": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), b"I"),
     "json column not a list": _frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j({"0": 1, "1": 2})),
@@ -171,6 +177,26 @@ def test_the_reference_frame_decodes(build):
 @pytest.mark.parametrize("why", sorted(BAD_FRAMES))
 def test_decoder_rejects_what_it_did_not_write(why, build):
     _rejected(BAD_FRAMES[why], build)
+
+
+def test_packed_payload_columns_are_not_walked_value_by_value(monkeypatch):
+    """Every int and ``None`` is a domain value and a ``d`` column is checked
+    for finiteness in one pass: only a ``J`` column is walked."""
+    real = P.check_value
+
+    def counting(*args, **kwargs):
+        counting.calls += 1
+        return real(*args, **kwargs)
+
+    counting.calls = 0
+    monkeypatch.setattr(P, "check_value", counting)
+    for payloads, want in ((_q(3, -(2**63)), [3, -(2**63)]), (b"N", [None, None]),
+                           (_d(0.5, -0.0), [0.5, -0.0])):
+        frame = P.RecordFrame.parse(_frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), payloads))
+        assert [r.payload for r in frame.records()] == want
+    assert counting.calls == 0
+    frame = P.RecordFrame.parse(_frame(2, _d(1.0, 2.0), _d(5.0, 6.0), _q(7, 8), _j(["a", {"k": 1}])))
+    assert [r.payload for r in frame.records()] == ["a", {"k": 1}] and counting.calls == 2
 
 
 def test_decoder_rejects_every_truncation_and_every_flipped_bit(build):
@@ -529,3 +555,134 @@ def test_a_structured_error_keeps_the_connection():
         with pytest.raises(ServerError):
             db.query("nope", Stab(1.0))
         assert db.ping()["pong"]
+
+
+# --------------------------------------------------------------------------- #
+# page columns to frame columns: a read leaves as the columns it was read in
+# --------------------------------------------------------------------------- #
+def test_a_frames_read_on_filedisk_builds_no_record_on_the_server(tmp_path):
+    disk = FileDisk(str(tmp_path / "db.pages"), block_size=16)
+    engine = Engine(disk)
+    rnd = random.Random(7)
+    records = [Interval(lo, lo + rnd.uniform(0.0, 40.0), i)
+               for i, lo in enumerate(rnd.uniform(0.0, 1000.0) for _ in range(3000))]
+    try:
+        engine.create_collection("c")
+        engine.bulk_load("c", records[:2500])
+        for record in records[2500:]:                     # update blocks and TD copies too
+            engine.insert("c", record)
+        executor = server_core.SessionExecutor(None, engine.session())
+        prepared, _ = executor.prepare("c", Stab(Param("x")))
+        for x in [rnd.uniform(0.0, 1000.0) for _ in range(40)]:
+            pages, built = disk.decoded.pages, disk.decoded.records
+            payload = executor.run(prepared, {"x": x})
+            reply = P.encode_reply(P.ok_response(1, **payload), frames=True)
+            assert disk.decoded.pages > pages and disk.decoded.records == built
+            got = P.read_reply(io.BytesIO(reply))["records"].records()
+            assert sorted(r.uid for r in got) == sorted(r.uid for r in records if r.low <= x <= r.high)
+            assert_same_records(got, engine.query("c", Stab(x)).all())
+    finally:
+        engine.close()
+
+
+PAYLOADS = {
+    "none": st.none(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=3),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(-9, 9), max_size=2),
+}
+
+
+@st.composite
+def lifecycles(draw):
+    """A bulk-built prefix, then inserts and deletes, and the reads to make:
+    payloads of one kind (packed page columns) or of all (``V`` ones)."""
+    kind = draw(st.sampled_from(sorted(PAYLOADS) + ["mixed"]))
+    payload = st.one_of(*PAYLOADS.values()) if kind == "mixed" else PAYLOADS[kind]
+    ends = draw(st.sampled_from([st.floats(0.0, 100.0), st.integers(0, 100)]))
+    intervals = st.builds(
+        lambda low, length, p: Interval(low, low + length, p), ends, ends, payload
+    )
+    point = st.floats(-5.0, 105.0)
+    queries = st.one_of(
+        st.builds(Stab, point),
+        st.builds(lambda a, b: Range(min(a, b), max(a, b)), point, point),
+        st.builds(lambda side, a, b: EndpointRange(side, min(a, b), max(a, b)),
+                  st.sampled_from(["low", "high"]), point, point),
+    )
+    return (
+        draw(st.lists(intervals, min_size=1, max_size=60)),
+        draw(st.lists(intervals, max_size=40)),
+        draw(st.lists(st.integers(0, 10**6), max_size=15)),
+        draw(st.lists(queries, min_size=1, max_size=4)),
+    )
+
+
+def _oracle(model, q):
+    return sorted(uid for uid, r in model.items() if q.matches(r))
+
+
+def _current(engine, q):
+    """``.all()`` of ``q``, filtered to what a reader of the current epoch sees."""
+    with engine.read_turn("c") as epoch:
+        return engine.visible_records("c", engine.query("c", q).all(), epoch).records()
+
+
+def _frames_and_rows(payload):
+    """The records a reply payload carries, read back from both wire forms."""
+    frame = P.read_reply(io.BytesIO(P.encode_reply(P.ok_response(1, **payload), True)))
+    rows = P.read_reply(io.BytesIO(P.encode_reply(P.ok_response(1, **payload), False)))
+    return frame["records"].records(), P.records_from_wire(rows["records"])
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=lifecycles())
+def test_the_columnar_answer_is_the_record_answer(backend, case):
+    """Frames packed from page columns, rows built from records and
+    ``.all()`` give the same records, uid for uid, in order, type for type —
+    with the TD seen-set, the tombstone filter and a pinned reader's MVCC
+    filter on, in process and through a server."""
+    base, inserts, deletes, queries = case
+    engine = Engine(SimulatedDisk(4) if backend == "memory" else FileDisk(block_size=4))
+    try:
+        engine.create_collection("c")
+        engine.bulk_load("c", base)
+        model = {r.uid: r for r in base}
+        executor = server_core.SessionExecutor(None, engine.session())
+        with ReproServer(engine) as srv, ReproClient(*srv.address) as frames_db, \
+                RowsClient(*srv.address) as rows_db:
+            with engine.epochs.pinned() as epoch:
+                snapshot = dict(model)
+                for record in inserts:
+                    engine.insert("c", record)
+                    model[record.uid] = record
+                for k in deletes:
+                    if model:
+                        victim = list(model.values())[k % len(model)]
+                        assert engine.delete("c", victim)
+                        del model[victim.uid]
+                for q in queries:
+                    # the reader pinned before the writes
+                    pinned = engine.visible_records("c", engine.query("c", q).batches(), epoch)
+                    listed = engine.visible_records("c", engine.query("c", q).all(), epoch)
+                    assert [r.uid for r in listed] == [r.uid for r in pinned]
+                    assert sorted(r.uid for r in pinned) == _oracle(snapshot, q)
+                    assert_same_records(pinned.records(), listed.records())
+                    assert_same_records(P.RecordFrame.of(pinned).records(), listed.records())
+                    # a reader of the current epoch, in process and over the wire
+                    want = _current(engine, q)
+                    assert sorted(r.uid for r in want) == _oracle(model, q)
+                    for got in (*_frames_and_rows(executor.query("c", q)),
+                                frames_db.query("c", q).records, rows_db.query("c", q).records,
+                                engine.session().query("c", q).records):
+                        assert_same_records(got, want)
+            victims = _current(engine, queries[0])
+            for got in _frames_and_rows(executor.delete_matching("c", queries[0], None)):
+                assert_same_records(got, victims)
+            left = _current(engine, queries[-1])
+            reply = frames_db.call("delete", index="c", q=P.query_to_wire(queries[-1]), frames=True)
+            assert_same_records(reply["records"].records(), left)
+    finally:
+        engine.close()
