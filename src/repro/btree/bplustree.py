@@ -68,15 +68,15 @@ class BPlusTree:
     """
 
     def __init__(self, disk, name: str = "bptree") -> None:
+        self._bind(disk, name)
+        self._load_sorted([])
+
+    def _bind(self, disk, name: str) -> None:
         self.disk = disk
         self.name = name
         self.branching = disk.block_size
         if self.branching < 2:
             raise ValueError("block size must be at least 2 for a B+-tree")
-        root = self.disk.allocate(records=[], header={"leaf": True, "next": None})
-        self.root_id: BlockId = root.block_id
-        self.height = 1
-        self.size = 0
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
     #: tier: deletion and bottom-up bulk loading are both native here
@@ -91,43 +91,34 @@ class BPlusTree:
         """Build a tree from (not necessarily sorted) ``(key, value)`` pairs.
 
         Bulk loading packs leaves completely full, which gives the
-        ``O(n/B)`` space bound with a small constant, and costs
-        ``O(n/B)`` I/Os after sorting.
+        ``O(n/B)`` space bound with a small constant, and costs one write
+        per block and no read after sorting.
         """
-        tree = cls(disk, name=name)
         data = sorted(pairs, key=lambda kv: kv[0])
-        if not data:
-            return tree
-        # free the empty root created by __init__
-        tree.disk.free(tree.root_id)
+        tree = cls.__new__(cls)
+        tree._bind(disk, name)
         tree._load_sorted(data)
         return tree
 
     def _load_sorted(self, data: List[Pair]) -> None:
-        """Pack already-sorted pairs into full leaves, bottom-up (``O(n/B)`` writes)."""
+        """Pack already-sorted pairs into full leaves, bottom-up: one write
+        per block, no read.
+
+        The leaves are allocated right to left, so each is written once,
+        already holding the id of the leaf after it.
+        """
         disk = self.disk
         B = self.branching
-        if not data:
-            root = disk.allocate(records=[], header={"leaf": True, "next": None})
-            self.root_id = root.block_id
-            self.height = 1
-            self.size = 0
-            return
+        chunks = [data[start : start + B] for start in range(0, len(data), B)] or [[]]
         leaf_ids: List[BlockId] = []
-        leaf_max_keys: List[Any] = []
-        for start in range(0, len(data), B):
-            chunk = data[start : start + B]
-            block = disk.allocate(records=list(chunk), header={"leaf": True, "next": None})
-            leaf_ids.append(block.block_id)
-            leaf_max_keys.append(chunk[-1][0])
-        # chain leaves
-        for i in range(len(leaf_ids) - 1):
-            block = disk.read(leaf_ids[i])
-            block.header["next"] = leaf_ids[i + 1]
-            disk.write(block)
+        next_id: Optional[BlockId] = None
+        for chunk in reversed(chunks):
+            next_id = disk.allocate(records=chunk, header={"leaf": True, "next": next_id}).block_id
+            leaf_ids.append(next_id)
+        leaf_ids.reverse()
 
         level_ids = leaf_ids
-        level_keys = leaf_max_keys
+        level_keys = [chunk[-1][0] if chunk else None for chunk in chunks]
         height = 1
         while len(level_ids) > 1:
             next_ids: List[BlockId] = []

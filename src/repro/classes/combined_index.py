@@ -72,6 +72,8 @@ class CombinedClassIndex:
                     PlanarPoint(key, position, payload=obj) for key, position, obj in entries
                 ]
                 self._structures[piece.piece_id] = ThreeSidedMetablockTree(disk, points)
+        #: the pieces' summed size, kept by ``insert`` (a query's bound reads it)
+        self._size = sum(len(structure) for structure in self._structures.values())
 
     # ------------------------------------------------------------------ #
     # updates
@@ -82,10 +84,15 @@ class CombinedClassIndex:
             raise KeyError(f"unknown class {obj.class_name!r}")
         for piece_id, position in self._extent_locations[obj.class_name]:
             structure = self._structures[piece_id]
-            if isinstance(structure, CollectionIndex):
-                structure.insert(obj)
-            else:
-                structure.insert(PlanarPoint(obj.key, position, payload=obj))
+            before = len(structure)
+            try:
+                if isinstance(structure, CollectionIndex):
+                    structure.insert(obj)
+                else:
+                    structure.insert(PlanarPoint(obj.key, position, payload=obj))
+            finally:
+                # a piece that counted the object before raising keeps it counted
+                self._size += len(structure) - before
 
     # ------------------------------------------------------------------ #
     # queries
@@ -141,7 +148,4 @@ class CombinedClassIndex:
         return out
 
     def __len__(self) -> int:
-        total = 0
-        for structure in self._structures.values():
-            total += len(structure)
-        return total
+        return self._size

@@ -61,6 +61,8 @@ class SimpleClassIndex:
                 grouped[node].append(obj)
         for node, members in grouped.items():
             self._collections[node] = CollectionIndex(disk, members, name=f"simple:{node[0]}-{node[1]}")
+        #: the collections' summed size, kept by the writes (a query's bound reads it)
+        self._size = sum(len(members) for members in grouped.values())
 
     # ------------------------------------------------------------------ #
     # implicit binary tree over class positions
@@ -105,11 +107,14 @@ class SimpleClassIndex:
         """Insert into the (at most ``O(log2 c)``) collections on the class's path."""
         for node in self._path_nodes(self._position[obj.class_name]):
             self._collections[node].insert(obj)
+            self._size += 1
 
     def delete(self, obj: ClassObject) -> bool:
         found = False
         for node in self._path_nodes(self._position[obj.class_name]):
-            found = self._collections[node].delete(obj) or found
+            if self._collections[node].delete(obj):
+                self._size -= 1
+                found = True
         return found
 
     # ------------------------------------------------------------------ #
@@ -146,4 +151,4 @@ class SimpleClassIndex:
         return max(len(self._path_nodes(i)) for i in range(self._count))
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self._collections.values())
+        return self._size

@@ -127,16 +127,21 @@ class ShardSupervisor:
     def start_shards(self, count: int) -> List[ShardHandle]:
         """Boot ``count`` shards and wait until each answers ``ping``.
 
-        When one does not come up this raises with the earlier shards still
-        running: they are on ``self.handles``, and the caller must ``kill()``.
+        In process mode every child is spawned before any is waited for, so
+        the interpreters start side by side; each shard's ``start_timeout``
+        counts from its own spawn.  When one does not come up this raises
+        with every shard spawned so far still running: they are on
+        ``self.handles``, and the caller must ``kill()``.
         """
         handles = [ShardHandle(shard=i) for i in range(count)]
         with self._spawn_lock:
             self.handles = handles
-        for handle in handles:
-            if self.mode == "process":
-                self._start_process_shard(handle)
-            else:
+        if self.mode == "process":
+            deadlines = [self._spawn_process_shard(handle) for handle in handles]
+            for handle, deadline in zip(handles, deadlines):
+                self._await_address(handle, deadline)
+        else:
+            for handle in handles:
                 self._start_thread_shard(handle)
         for handle in handles:
             self._probe(handle)
@@ -149,7 +154,8 @@ class ShardSupervisor:
         os.makedirs(shard_dir, exist_ok=True)
         return os.path.join(shard_dir, "shard.pages")
 
-    def _start_process_shard(self, handle: ShardHandle) -> None:
+    def _spawn_process_shard(self, handle: ShardHandle) -> float:
+        """Start the child of ``handle``; returns the deadline of its start."""
         db_path = self._shard_db(handle.shard)
         cmd = [
             sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -166,7 +172,11 @@ class ShardSupervisor:
         # on the handle before the child has said anything, so that kill()
         # reaches it however the start ends
         handle.db_path, handle.proc = db_path, proc
-        deadline = time.monotonic() + self.start_timeout
+        return time.monotonic() + self.start_timeout
+
+    def _await_address(self, handle: ShardHandle, deadline: float) -> None:
+        """Read the child's output up to its ``listening on`` line."""
+        proc = handle.proc
         output: List[str] = []
         while True:
             line = proc.stdout.readline()

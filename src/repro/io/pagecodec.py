@@ -255,9 +255,12 @@ def _encode_points(values: Sequence[PlanarPoint]) -> bytes:
     payloads = [p.payload for p in values]
     if set(map(type, payloads)) == {Interval}:
         # equal column bytes mean equal values of equal types, so the
-        # interval's endpoints can ride on the point's coordinates
-        if _encode_column([iv.low for iv in payloads]) == xs and (
-            _encode_column([iv.high for iv in payloads]) == ys
+        # interval's endpoints can ride on the point's coordinates; the
+        # interval manager's points share their interval's endpoint objects,
+        # which spares encoding the endpoints a second time
+        if all(iv.low is p.x and iv.high is p.y for p, iv in zip(values, payloads)) or (
+            _encode_column([iv.low for iv in payloads]) == xs
+            and _encode_column([iv.high for iv in payloads]) == ys
         ):
             return b"".join((
                 b"S", xs, ys, uids,

@@ -23,7 +23,9 @@ corner queries in ``O(log_B n + t/B)`` I/Os (Theorem 3.2), which is optimal
 from __future__ import annotations
 
 import weakref
-from itertools import chain
+from heapq import merge
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.metablock import blocking as blk
@@ -286,12 +288,19 @@ class StaticMetablockTree:
         self, point_sets: Iterable[List[PlanarPoint]]
     ) -> Iterator[Tuple[Optional[blk.Blocking], int]]:
         """Per set, the ``B^2`` highest points of the sets before it, horizontally
-        blocked, with their number (``(None, 0)`` where nothing precedes)."""
-        accumulated: List[PlanarPoint] = []
+        blocked, with their number (``(None, 0)`` where nothing precedes).
+
+        ``top`` is kept as ``sorted(everything before, key, reverse=True)``
+        cut to ``B^2``: each set is sorted on its own and merged in.  Both
+        the sort and the merge are stable, so ties keep the order of the
+        sets, as one sort of all the points before would.
+        """
+        key = attrgetter("y", "x")
+        top: List[PlanarPoint] = []
         for points in point_sets:
-            top = sorted(accumulated, key=lambda p: (p.y, p.x), reverse=True)[: self.capacity]
             yield (blk.build_horizontal(self.disk, top) if top else None), len(top)
-            accumulated.extend(points)
+            ranked = sorted(points, key=key, reverse=True)
+            top = list(islice(merge(top, ranked, key=key, reverse=True), self.capacity))
 
     # ------------------------------------------------------------------ #
     # queries

@@ -10,7 +10,11 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.complexity import simple_class_space_bound
+from repro.analysis.complexity import (
+    combined_class_query_bound,
+    simple_class_query_bound,
+    simple_class_space_bound,
+)
 from repro.classes import (
     CombinedClassIndex,
     ExtentPerClassIndex,
@@ -245,3 +249,36 @@ class TestClassIndexerFacade:
         assert got == sorted(p for _, p in brute_force(hierarchy, objects, "C2", 100, 600))
         assert facade.block_count() > 0
         assert len(facade) >= 1
+
+    @pytest.mark.parametrize("method", ["simple", "combined"])
+    def test_the_bounds_n_is_kept_equal_to_the_pieces_summed_size(self, method):
+        """The query bound's ``n`` is counted as the writes change it, not
+        summed over every piece per query: after inserts, deletes (the
+        combined scheme's rebuild among them) and inserts that raise
+        part-way, it is still the pieces' summed size."""
+        hierarchy = HIERARCHIES["random"]
+        objects = random_class_objects(hierarchy, 300, seed=14)
+        facade = ClassIndexer(SimulatedDisk(4), hierarchy, objects, method=method)
+
+        def summed():
+            inner = facade.backend
+            pieces = inner._structures if method == "combined" else inner.collections()
+            return sum(len(piece) for piece in pieces.values())
+
+        assert len(facade) == summed() > len(objects)
+        for obj in random_class_objects(hierarchy, 80, seed=15):
+            facade.insert(obj)
+        for obj in objects[:150]:
+            assert facade.delete(obj)
+        assert len(facade) == summed()
+        for cls in hierarchy.classes():
+            # a key that compares with none stored: some pieces may have
+            # counted the object before the comparison raised
+            with pytest.raises(TypeError):
+                facade.insert(ClassObject("k", cls))
+        assert len(facade) == summed()
+        n = max(summed(), 2)
+        assert facade._bound_fn()(7) == (
+            simple_class_query_bound(n, 4, len(hierarchy), 7) if method == "simple"
+            else combined_class_query_bound(n, 4, 7)
+        )

@@ -19,6 +19,7 @@ import pytest
 
 from repro import Engine, Interval, Param, SimulatedDisk, Stab
 from repro.cluster import Cluster, ShardMap, mix_uid
+from repro.cluster.supervisor import ShardSupervisor
 from repro.durability.wal import WriteAheadLog
 from repro.engine.queries import And, EndpointRange, Limit, Not, Or, OrderBy, Range
 from repro.server import ReproClient, ReproServer, ServerError, ShardUnavailableError
@@ -432,16 +433,28 @@ class TestClusterLifecycle:
             with ReproClient(*reopened.address) as db:
                 assert {r.uid for r in db.query("base", Stab(20.0)).records} == before
 
+    @pytest.mark.parametrize("shards,bad", [(2, 1), (4, 0)])
     @pytest.mark.parametrize("mode", ["process", "thread"])
-    def test_failed_start_stops_the_shards_it_booted(self, tmp_path, mode):
-        """Shard 1 cannot boot (a page file with no sidecar is not a database
-        and is never truncated): shard 0, already serving, must not outlive
-        the failed ``start()``, and the error is shard 1's own."""
+    def test_failed_start_stops_the_shards_it_booted(self, tmp_path, monkeypatch,
+                                                     mode, shards, bad):
+        """One shard cannot boot (a page file with no sidecar is not a
+        database and is never truncated): every shard spawned beside it must
+        not outlive the failed ``start()``, and the error is the bad shard's
+        own.  In process mode all the children are spawned before any is
+        waited for, so when shard 0 fails, shards 1-3 are already running."""
         directory = tmp_path / "c"
-        (directory / "shard-1").mkdir(parents=True)
-        (directory / "shard-1" / "shard.pages").write_bytes(b"not a database")
+        (directory / f"shard-{bad}").mkdir(parents=True)
+        (directory / f"shard-{bad}" / "shard.pages").write_bytes(b"not a database")
+        spawned = []
+        kill = ShardSupervisor.kill
+
+        def counting_kill(supervisor):
+            spawned.append(sum(h.proc is not None for h in supervisor.handles))
+            kill(supervisor)
+
+        monkeypatch.setattr(ShardSupervisor, "kill", counting_kill)
         threads = set(threading.enumerate())
-        cluster = Cluster.create(str(directory), shards=2, mode=mode)
+        cluster = Cluster.create(str(directory), shards=shards, mode=mode)
         with pytest.raises((ShardUnavailableError, ValueError),
                            match="refusing to truncate non-empty page file") as err:
             cluster.start()
@@ -452,7 +465,43 @@ class TestClusterLifecycle:
         assert [t for t in set(threading.enumerate()) - threads if t.is_alive()] == []
         assert cluster.supervisor is None and cluster.frontend is None
         if mode == "process":
-            assert "shard 1 failed to start (exit 1)" in str(err.value)
+            assert f"shard {bad} failed to start (exit 1)" in str(err.value)
+            assert spawned == [shards]
+
+    def test_a_reopened_process_cluster_boots_in_parallel_and_answers_as_before(
+        self, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "c")
+        queries = [Stab(5.0), Stab(250.0), Stab(610.0), Stab(999.0),
+                   EndpointRange("low", 100.0, 400.0), Range(300.0, 320.0)]
+        with Cluster.create(directory, shards=4, strategy="range",
+                            domain=(0.0, 1000.0)) as cluster:
+            with ReproClient(*cluster.address) as db:
+                db.create("base", records=[])
+                stored = db.bulk_load("base", random_intervals(300, seed=11))
+                before = [{r.uid for r in db.query("base", q).records} for q in queries]
+        assert before == [oracle_uids(stored, q) for q in queries]
+        assert any(before)
+
+        spawned, awaited = [], []
+        spawn, wait = ShardSupervisor._spawn_process_shard, ShardSupervisor._await_address
+
+        def logged_spawn(supervisor, handle):
+            spawned.append(handle.shard)
+            return spawn(supervisor, handle)
+
+        def logged_wait(supervisor, handle, deadline):
+            awaited.append(len(spawned))
+            return wait(supervisor, handle, deadline)
+
+        monkeypatch.setattr(ShardSupervisor, "_spawn_process_shard", logged_spawn)
+        monkeypatch.setattr(ShardSupervisor, "_await_address", logged_wait)
+        with Cluster.open(directory) as reopened:
+            assert spawned == [0, 1, 2, 3]
+            assert awaited == [4, 4, 4, 4]  # every child spawned before any is awaited
+            with ReproClient(*reopened.address) as db:
+                assert [{r.uid for r in db.query("base", q).records} for q in queries] == before
+        assert _serve_children() == []
 
 
 def _serve_children():

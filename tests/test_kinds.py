@@ -104,6 +104,20 @@ def test_the_fixture_table_covers_every_kind():
     assert all(len(row) == 2 for row in KINDS.values())  # build, read: no third column
 
 
+@pytest.mark.parametrize("backend", [SimulatedDisk, FileDisk])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_build_writes_each_page_once_and_reads_none(kind, backend):
+    """The paper's bottom-up build: ``O(n/B)`` writes, one per block it leaves.
+    At ``B = 4`` the fixture's 60 records span several metablocks, so the
+    sibling (TS) structures and every B+-tree level are part of the count."""
+    records, params, _, _ = _case(kind)
+    with Engine(backend(block_size=4)) as engine:
+        with engine.backend.measure() as m:
+            engine.create("ix", kind, records, **params)
+        assert (m.reads, m.writes) == (0, engine.block_count())
+        assert engine.block_count() == engine.backend.blocks_in_use
+
+
 # --------------------------------------------------------------------------- #
 # (i) persistence: checkpoint + open, and WAL-only recovery
 # --------------------------------------------------------------------------- #

@@ -9,9 +9,12 @@ rot into noise.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
+import repro.analysis
 from repro.analysis.lint import (
     Linter,
     check_fixture_corpus,
@@ -20,6 +23,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.lintrules import Rule, rule_catalog
 from repro.cli import main
+from repro.cluster.supervisor import _python_env
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(repro.__file__).parent
@@ -490,3 +494,27 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in rule_catalog():
             assert rule_id in out
+
+
+class TestLazyImport:
+    def test_importing_the_engine_and_server_leaves_the_linter_unloaded(self):
+        """The engine imports ``repro.analysis`` for ``lockdep`` alone; the
+        linter's modules load on first use of one of their names."""
+        probe = (
+            "import sys, repro.engine, repro.server; "
+            "print(' '.join(m for m in sys.modules if m.startswith('repro.analysis.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=_python_env(), capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        loaded = out.split()
+        assert "repro.analysis.lockdep" in loaded
+        assert not {"repro.analysis.lint", "repro.analysis.lintrules",
+                    "repro.analysis.effects"} & set(loaded)
+
+    def test_every_exported_name_still_resolves_on_the_package(self):
+        assert repro.analysis.Linter is Linter
+        assert repro.analysis.rule_catalog is rule_catalog
+        assert all(hasattr(repro.analysis, name) for name in repro.analysis.__all__)
+        assert not hasattr(repro.analysis, "no_such_name")

@@ -13,7 +13,11 @@ Recorded at PR 17, which removed three such structures (the collection's
 second low-endpoint tree, the 3-sided metablock's two blockings, the
 uncovered nodes of the Theorem 2.6 range tree); CHANGES.md (PR 17) has the
 parent's values beside these.  A row may change only together with such a
-line.  The ``point`` rows (a blocked PST under global rebuilding: side-log
+line.  The build rows were re-pinned when the B+-tree bulk build stopped
+writing its leaves twice and reading them back: since then every build
+writes each block once, so ``build_ios == built_blocks`` in every row (and
+a combined index's delete run, whose global rebuild is a build, went down
+with it).  The ``point`` rows (a blocked PST under global rebuilding: side-log
 inserts, tombstoned deletes) were recorded before the global-rebuilding
 core was shared by the interval manager and the class indexer, and pin
 that it moved nothing for its first user.
@@ -126,28 +130,28 @@ def point_row(B):
 #: kind -> I/Os of the build and of each fixed run, blocks after the build and at the end
 GOLDEN = {
     ("collection", 4): {
-        "build_ios": 494, "built_blocks": 348, "insert_ios": 888,
-        "delete_ios": 1050, "bulk_ios": 452, "final_blocks": 270,
+        "build_ios": 348, "built_blocks": 348, "insert_ios": 888,
+        "delete_ios": 1050, "bulk_ios": 332, "final_blocks": 270,
     },
     ("collection", 8): {
-        "build_ios": 655, "built_blocks": 437, "insert_ios": 2692,
-        "delete_ios": 2447, "bulk_ios": 734, "final_blocks": 426,
+        "build_ios": 437, "built_blocks": 437, "insert_ios": 2692,
+        "delete_ios": 2447, "bulk_ios": 530, "final_blocks": 426,
     },
     ("collection", 16): {
-        "build_ios": 1346, "built_blocks": 948, "insert_ios": 9051,
-        "delete_ios": 8586, "bulk_ios": 1536, "final_blocks": 945,
+        "build_ios": 948, "built_blocks": 948, "insert_ios": 9051,
+        "delete_ios": 8586, "bulk_ios": 1148, "final_blocks": 945,
     },
     ("simple", "balanced"): {
-        "build_ios": 1910, "built_blocks": 731, "insert_ios": 3982,
+        "build_ios": 731, "built_blocks": 731, "insert_ios": 3982,
         "delete_ios": 9988, "final_blocks": 1169,
     },
     ("simple", "chain"): {
-        "build_ios": 1825, "built_blocks": 681, "insert_ios": 4045,
+        "build_ios": 681, "built_blocks": 681, "insert_ios": 4045,
         "delete_ios": 10000, "final_blocks": 1137,
     },
     ("combined", "balanced"): {
-        "build_ios": 2888, "built_blocks": 2718, "insert_ios": 2984,
-        "delete_ios": 2251, "final_blocks": 2125,
+        "build_ios": 2718, "built_blocks": 2718, "insert_ios": 2984,
+        "delete_ios": 2125, "final_blocks": 2125,
     },
     ("combined", "chain"): {
         "build_ios": 1412, "built_blocks": 1412, "insert_ios": 1699,
@@ -182,6 +186,12 @@ def test_class_index_space_and_write_ios_match_the_recorded_table(method, shape)
 @pytest.mark.parametrize("B", [4, 8, 16])
 def test_point_space_and_write_ios_match_the_recorded_table(B):
     assert point_row(B) == GOLDEN["point", B]
+
+
+def test_every_recorded_build_writes_each_block_once():
+    assert {row: cells["build_ios"] for row, cells in GOLDEN.items()} == {
+        row: cells["built_blocks"] for row, cells in GOLDEN.items()
+    }
 
 
 # --------------------------------------------------------------------------- #
