@@ -12,6 +12,7 @@ from typing import Any, Iterable, Iterator, List
 
 from repro.btree import BPlusTree
 from repro.classes.hierarchy import ClassObject
+from repro.values import identical
 
 
 class CollectionIndex:
@@ -28,13 +29,14 @@ class CollectionIndex:
         self.tree.insert(obj.key, obj)
 
     def delete(self, obj: ClassObject) -> bool:
-        """Delete one object (matched by uid); ``True`` when it was present.
+        """Delete this very version of one object; ``True`` when it was present.
 
-        Matching by the record's stable ``uid`` rather than by value means
-        deleting one of several value-identical objects removes exactly the
-        record asked for, never an equal twin.
+        Matching :func:`~repro.values.identical` records — the uid and
+        every field — means deleting one of several value-equal objects
+        removes exactly the record asked for, never an equal twin, and a
+        dead version of a uid goes while its live version stays.
         """
-        return self.tree.delete(obj.key, match=lambda v, uid=obj.uid: v.uid == uid)
+        return self.tree.delete(obj.key, match=lambda v: identical(v, obj))
 
     def destroy(self) -> None:
         """Free every block of the underlying tree (rebuilds use this)."""

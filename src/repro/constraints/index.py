@@ -95,6 +95,9 @@ class GeneralizedOneDimensionalIndex:
         self.relation.discard(gt)
         return self.manager.delete(iv)
 
+    def purge(self, safe_epoch: int) -> None:
+        self.manager.purge(safe_epoch)
+
     def bulk_load(self, gts: Iterable[GeneralizedTuple]) -> int:
         """Absorb a batch of tuples through the manager's global rebuild."""
         new = [gt for gt in gts]

@@ -99,6 +99,9 @@ class ClassIndexer:
         """
         return self._core.delete(obj)
 
+    def purge(self, safe_epoch: int) -> None:
+        self._core.purge(safe_epoch)
+
     def bulk_load(self, objects: Iterable[ClassObject]) -> int:
         """Absorb a batch of objects in one global reorganisation.
 
@@ -143,8 +146,9 @@ class ClassIndexer:
     def iter_query(self, class_name: str, low: Any, high: Any) -> Iterator[ClassObject]:
         """Stream the answer to a full-extent attribute range query.
 
-        Tombstoned versions (deleted but not yet swept by a global rebuild)
-        are filtered out of the stream; the filter is free of I/O.
+        The stream holds the versions the reader's epoch sees (tombstoned
+        ones, not yet swept by a global rebuild, never); the filter is free
+        of I/O.
         """
         core = self._core
         return core.live(core.inner.iter_query(class_name, low, high))

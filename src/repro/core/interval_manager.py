@@ -40,7 +40,6 @@ def _point(iv: Interval) -> PlanarPoint:
     """Proposition 2.2's reduction: the interval as the planar point (low, high)."""
     return PlanarPoint(iv.low, iv.high, payload=iv)
 
-
 class ExternalIntervalManager:
     """I/O-efficient interval index (stabbing + intersection + insert).
 
@@ -70,7 +69,7 @@ class ExternalIntervalManager:
         items = list(intervals)
         tree = AugmentedMetablockTree if dynamic else StaticMetablockTree
         #: the stabbing structure under global rebuilding: it holds the live
-        #: records, the tombstones and the rebuild ``generation``; the tree
+        #: records, their versions and the rebuild ``generation``; the tree
         #: inserts natively (Theorem 3.7) and deletes by tombstone
         self._core = RebuildingIndex(
             disk,
@@ -78,8 +77,10 @@ class ExternalIntervalManager:
             items,
             insert=lambda stabbing, iv: stabbing.insert(_point(iv)),
         )
-        self._endpoints = BPlusTree.bulk_load(
-            disk, ((iv.low, iv) for iv in items), name="left-endpoints"
+        low = BPlusTree.bulk_load(disk, ((iv.low, iv) for iv in items), name="left-endpoints")
+        #: Proposition 2.2's left-endpoint tree, rebuilt with the core's structure
+        self._endpoints = self._core.beside(
+            low, lambda iv: iv.low, lambda stored, batch: low.rebuild((iv.low, iv) for iv in stored)
         )
 
     @property
@@ -103,7 +104,6 @@ class ExternalIntervalManager:
                 "dynamic=True for insertions (Theorem 3.7)"
             )
         self._core.insert(interval)
-        self._endpoints.insert(interval.low, interval)
 
     def delete(self, interval: Interval) -> bool:
         """Delete one interval (matched by uid); ``True`` when it was present.
@@ -115,14 +115,13 @@ class ExternalIntervalManager:
         structure's answers, which the core globally rebuilds from the live
         records once tombstones reach ``REBUILD_FRACTION`` of the live set —
         all rebuild I/Os are charged to the disk counters, so the amortized
-        delete cost stays ``O(log_B n)`` I/Os.
+        delete cost stays ``O(log_B n)`` I/Os.  Inside an engine commit
+        both wait for :meth:`purge`: a pinned reader still sees the record.
         """
-        if not self._core.delete(interval):
-            return False
-        self._endpoints.delete(
-            interval.low, match=lambda v, uid=interval.uid: v.uid == uid
-        )
-        return True
+        return self._core.delete(interval)
+
+    def purge(self, safe_epoch: int) -> None:
+        self._core.purge(safe_epoch)
 
     def bulk_load(self, intervals: Iterable[Interval]) -> int:
         """Absorb a batch of intervals in one global reorganisation.
@@ -136,20 +135,16 @@ class ExternalIntervalManager:
         static managers too: reconstruction, not insertion, is how the
         paper's static structures absorb batch updates.
 
-        Both replacements are built *before* anything old is freed or any
-        bookkeeping changes, so a failing batch (e.g. records whose
+        The metablock replacement is built *before* anything old is freed
+        or any bookkeeping changes, so a failing batch (e.g. records whose
         endpoints do not compare with the resident ones) raises with the
         manager intact; :attr:`endpoints` stays the same tree object.
         """
-        return self._core.bulk_load(
-            intervals,
-            alongside=lambda live: self._endpoints.rebuild((iv.low, iv) for iv in live),
-        )
+        return self._core.bulk_load(intervals)
 
     def destroy(self) -> None:
         """Free every block of both substructures (``Engine.drop_index``)."""
         self._core.destroy()
-        self._endpoints.destroy()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -170,10 +165,10 @@ class ExternalIntervalManager:
         """The intervals containing ``x``, one batch per block read (a list,
         or a :class:`~repro.io.disk.Batch` of a page's rows).
 
-        Lazy like the metablock tree's block stream it wraps.  Tombstoned
-        versions (deleted but not yet swept by a global rebuild) are
-        filtered out of each batch; the filter is free of I/O, and absent
-        while nothing is tombstoned.
+        Lazy like the metablock tree's block stream it wraps.  Each batch
+        holds the versions the reader's epoch sees (tombstoned ones, not
+        yet swept by a global rebuild, never); the filter is free of I/O,
+        and absent while no stored version needs one.
         """
         core = self._core
         return core.live_blocks(core.inner.iter_diagonal_blocks(x, payloads=True))
@@ -192,8 +187,9 @@ class ExternalIntervalManager:
         # the query — the open lower bound replaces the old `key > low`
         # post-filter (same block reads; boundary records are now skipped
         # inside the B+-tree scan instead of discarded by the caller)
-        yield from self._endpoints.iter_range_blocks(
-            low, high, min_inclusive=False, values=True
+        yield from self._core.live_blocks(
+            self._endpoints.iter_range_blocks(low, high, min_inclusive=False, values=True),
+            beside=True,
         )
 
     # ------------------------------------------------------------------ #
@@ -245,8 +241,8 @@ class ExternalIntervalManager:
     # accounting / introspection
     # ------------------------------------------------------------------ #
     def block_count(self) -> int:
-        """Total blocks used by both substructures (``O(n/B)``)."""
-        return self._core.block_count() + self._endpoints.block_count()
+        """Total blocks used by the substructures (``O(n/B)``)."""
+        return self._core.block_count()
 
     @property
     def endpoints(self) -> BPlusTree:
@@ -256,6 +252,11 @@ class ExternalIntervalManager:
 
     def intervals(self) -> List[Interval]:
         return self._core.items()
+
+    @property
+    def uids(self) -> Any:
+        """The live intervals' identity keys (a view)."""
+        return self._core.uids
 
     @property
     def live_count(self) -> int:

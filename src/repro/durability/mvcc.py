@@ -26,10 +26,11 @@ concurrency story:
   pin registry, so a concurrent pin either blocks the purge or is new
   enough not to need the record.
 
-The manager also tracks the **write epoch** of the commit currently
-applying on this thread (thread-local), which is how
-:class:`~repro.engine.collection.Collection` tags record versions without
-threading an epoch argument through every write hook.
+The versions live in :class:`~repro.rebuilding.RebuildingIndex`, the one
+record store of every kind but ``key``.  It learns the epochs from one
+thread-local, not from an argument threaded through every write hook:
+:func:`write_epoch` (the commit applying on this thread) and
+:func:`read_epoch` (this thread's innermost :meth:`pinned` epoch).
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
+
+#: this thread's ``write`` (applying commit) and ``read`` (innermost pin) epochs
+_LOCAL = threading.local()
+
+
+def write_epoch() -> Optional[int]:
+    """The epoch of the commit applying on this thread, or ``None``."""
+    return getattr(_LOCAL, "write", None)
+
+
+def read_epoch() -> Optional[int]:
+    """The epoch of this thread's innermost pin, or ``None`` (the current state)."""
+    return getattr(_LOCAL, "read", None)
 
 
 class EpochManager:
@@ -51,7 +65,6 @@ class EpochManager:
         #: epoch -> monotonic time its earliest live pin registered (for
         #: the epoch-pin age gauge: an old pin is what holds back GC)
         self._pin_started: Dict[int, float] = {}
-        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
     # the writer side
@@ -98,14 +111,14 @@ class EpochManager:
 
     # -- the applying commit's epoch, visible to write hooks ------------- #
     def set_write_epoch(self, epoch: int) -> None:
-        self._local.write_epoch = epoch
+        _LOCAL.write = epoch
 
     def clear_write_epoch(self) -> None:
-        self._local.write_epoch = None
+        _LOCAL.write = None
 
     def write_epoch(self) -> Optional[int]:
         """The epoch of the commit applying on this thread, or ``None``."""
-        return getattr(self._local, "write_epoch", None)
+        return write_epoch()
 
     # ------------------------------------------------------------------ #
     # the reader side
@@ -115,16 +128,19 @@ class EpochManager:
         """Pin the latest published epoch for the scope; yields it.
 
         While pinned, version GC keeps every record version the epoch can
-        see (see :meth:`safe_epoch`).  Pins nest freely; each scope
-        re-pins the then-current epoch.
+        see (see :meth:`safe_epoch`), and this thread's reads see that
+        epoch (:func:`read_epoch`).  Pins nest freely; each scope re-pins
+        the then-current epoch, and leaving it restores the outer one.
         """
         with self._cond:
             epoch = self._current
             self._pins[epoch] = self._pins.get(epoch, 0) + 1
             self._pin_started.setdefault(epoch, time.monotonic())
+        outer, _LOCAL.read = read_epoch(), epoch
         try:
             yield epoch
         finally:
+            _LOCAL.read = outer
             with self._cond:
                 left = self._pins.get(epoch, 0) - 1
                 if left > 0:

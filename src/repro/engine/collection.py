@@ -11,10 +11,16 @@ collection (:meth:`Collection.for_intervals`) keeps
   writes and the ``low-endpoints`` accessor reads, and
 * a B+-tree over **high** endpoints,
 
-three structures on the same storage backend, kept in sync by the
-lifecycle-complete write path — :meth:`Collection.insert`, :meth:`Collection.delete`,
+three structures on the same storage backend, kept in sync by one write
+fan-out: the manager's global-rebuilding core
+(:class:`~repro.rebuilding.RebuildingIndex`) holds the live records and
+their versions and writes both endpoint trees beside its metablock tree.
+The collection keeps no record of its own; its lifecycle-complete write
+path — :meth:`Collection.insert`, :meth:`Collection.delete`,
 :meth:`Collection.update`, :meth:`Collection.bulk_load`, and the deferred,
-grouped :class:`WriteBatch` (``with coll.batch(): ...``).  Queries
+grouped :class:`WriteBatch` (``with coll.batch(): ...``) — goes through
+the manager, and a reader pinned at an epoch reads that epoch's versions
+through every physical index.  Queries
 go through a :class:`~repro.engine.planner.QueryPlanner` that picks the
 cheapest physical index per shape: ``Stab``/``Range`` run on the interval
 manager, ``EndpointRange`` on the matching endpoint tree, conjunctions
@@ -32,7 +38,8 @@ A ``Collection`` itself satisfies the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.complexity import log_b
 from repro.engine.planner import Accessor, Plan, QueryPlanner
@@ -66,7 +73,7 @@ class WriteBatch:
         self.max_size = max_size
         self._ops: List[Tuple[str, Any]] = []
         #: uids as they will stand after the queue is applied
-        self._staged_uids = set(collection._uids)
+        self._staged_uids = set(collection.manager.uids)
 
     # -- enqueue ---------------------------------------------------------- #
     def insert(self, record: Any) -> None:
@@ -147,43 +154,28 @@ class WriteBatch:
 class Collection:
     """Several physical indexes over one logical record set.
 
-    Build one with :meth:`for_intervals` (the canonical configuration) or
-    assemble a custom one by calling :meth:`attach` per physical index.
-    The collection keeps the logical records in memory as the brute-force
-    :meth:`oracle` substrate — the planner's answers are always checkable
-    against ``[r for r in records if q.matches(r)]``.
+    Build one with :meth:`for_intervals` (the canonical configuration).
+    Every write goes through the record store, the collection's
+    :class:`~repro.core.ExternalIntervalManager`: its global-rebuilding
+    core holds the live records and their versions, and writes every tree
+    kept beside it.  :meth:`attach` adds a read path; the live records are
+    the brute-force :meth:`oracle` substrate — the planner's answers are
+    always checkable against ``[r for r in records if q.matches(r)]``.
     """
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
-    #: tier (per-accessor write hooks do the actual work)
+    #: tier (the record store does the actual work)
     supports_deletes = True
     supports_bulk_load = True
 
-    def __init__(self, disk: Any, *, name: str = "collection") -> None:
-        self.disk = disk
+    def __init__(self, manager: Any, *, name: str = "collection") -> None:
+        #: the record store: every write goes through it
+        self.manager = manager
+        self.disk = manager.disk
         self.name = name
-        #: live records keyed by record_key (insertion-ordered); dict-keyed
-        #: so a delete is O(1) bookkeeping next to its O(log_B n) I/Os
-        self._records: Dict[Any, Any] = {}
         self._accessors: List[Accessor] = []
-        self._planner = QueryPlanner(self._accessors, disk=disk)
+        self._planner = QueryPlanner(self._accessors, disk=self.disk)
         self._batch: Optional[WriteBatch] = None
-        #: the engine's :class:`~repro.durability.mvcc.EpochManager`; when
-        #: attached, committed writes tag record versions for snapshot
-        #: readers.  ``None`` for standalone collections (legacy behavior:
-        #: no tags, physical deletes are immediate).
-        self.epochs: Optional[Any] = None
-        #: uid -> created_epoch, for records newer than the GC horizon —
-        #: a pinned reader older than the epoch must not see them
-        self._fresh: Dict[Any, int] = {}
-        #: uid -> (record, deleted_epoch): logically deleted, physically
-        #: still indexed until no pinned reader can see the version
-        self._tombstones: Dict[Any, Tuple[Any, int]] = {}
-
-    @property
-    def _uids(self):
-        """The live record identity keys (a view over the record store)."""
-        return self._records.keys()
 
     # ------------------------------------------------------------------ #
     # assembly
@@ -195,30 +187,19 @@ class Collection:
         *,
         translate: Callable[[Any], Optional[Any]],
         run: Callable[[Any], Iterable[Any]],
-        insert: Optional[Callable[[Any], None]] = None,
-        delete: Optional[Callable[[Any], Any]] = None,
-        bulk: Optional[Callable[[List[Any]], Any]] = None,
         scan: Optional[Callable[[], Iterable[Any]]] = None,
         scan_bound: Optional[Callable[[], Bound]] = None,
         blocks: Optional[Callable[[Any], Iterable[Any]]] = None,
     ) -> Any:
-        """Attach one physical index.
+        """Attach one read path over a physical index.
 
         ``translate`` maps a logical query node to this index's query (or
         ``None``); ``run`` streams logical records for a translated query;
-        ``insert``/``delete``/``bulk`` (when given) keep the index in sync
-        with the collection's write path — ``bulk`` absorbs a whole batch
-        in one reorganisation, falling back to per-record ``insert`` when
-        unset; ``scan``/``scan_bound`` advertise the full-scan fallback;
+        ``scan``/``scan_bound`` advertise the full-scan fallback;
         ``blocks`` streams ``run``'s records a batch per block read.
         Earlier-attached indexes win cost ties (among plans of equal
         generation — the planner's cache keeps a tie resolved until the
         next invalidation).
-
-        ``index`` may be a structure an attached index already maintains
-        (``low-endpoints`` reads the interval manager's left-endpoint tree):
-        no write hooks then, its blocks count with the owner's, and the
-        owner cannot be detached before it (see :meth:`detach`).
 
         Attaching changes the planner's candidate set, so the plan cache
         is invalidated: prepared queries re-plan on their next run.
@@ -233,9 +214,6 @@ class Collection:
                 scan=scan,
                 scan_bound=scan_bound,
                 rewrite=getattr(index, "bind", None),
-                insert=insert,
-                delete=delete,
-                bulk=bulk,
                 blocks=blocks,
             )
         )
@@ -244,35 +222,20 @@ class Collection:
     def detach(self, name: str) -> Any:
         """Detach one physical index by name (the inverse of :meth:`attach`).
 
-        The index leaves the planner's candidate set and the write fan-out
-        — it stops being maintained, so re-attaching it later is only sound
-        if no writes happened in between (or after a fresh bulk build).
-        Returns the detached index; its blocks are *not* freed.  The plan
-        cache is invalidated, so cached strategies referencing it re-plan.
-
-        Raises :class:`ValueError` naming the accessors that read a structure
-        this index maintains — they would answer from a tree nobody updates.
+        The index leaves the planner's candidate set only: the record
+        store keeps writing every structure, so no other read path ever
+        answers from a tree nobody updates.  Returns the detached index;
+        its blocks are *not* freed.  The plan cache is invalidated, so
+        cached strategies referencing it re-plan.
         """
         for i, acc in enumerate(self._accessors):
             if acc.name == name:
-                readers = [a.name for a in self._accessors if self._owner(a) is acc]
-                if readers:
-                    raise ValueError(f"cannot detach {name!r}: {readers} read a structure it maintains")
                 self._planner.invalidate()
                 del self._accessors[i]
                 return acc.index
         raise KeyError(
             f"no physical index named {name!r}; have {self.physical}"
         )
-
-    def _owner(self, acc: Accessor) -> Optional[Accessor]:
-        """The attached index that holds ``acc``'s structure as a part of
-        itself, if any — it writes that structure and counts its blocks."""
-        for other in self._accessors:
-            parts = getattr(other.index, "__dict__", {}).values()
-            if other is not acc and any(part is acc.index for part in parts):
-                return other
-        return None
 
     @property
     def planner(self) -> QueryPlanner:
@@ -293,25 +256,26 @@ class Collection:
         from repro.core.interval_manager import ExternalIntervalManager
 
         items = list(intervals)
-        coll = cls(disk, name=name)
-        fresh_record_keys(items, context="the initial intervals")
-        coll._records = {record_key(iv): iv for iv in items}
-
         manager = ExternalIntervalManager(disk, items, dynamic=dynamic)
+        coll = cls(manager, name=name)
         coll.attach(
             "interval-manager",
             manager,
             translate=lambda q: q if isinstance(q, (Stab, Range)) else None,
             run=manager.stream,
             blocks=manager.stream_blocks,
-            # attached first: on static collections manager.insert raises
-            # before any other physical index has been touched
-            insert=manager.insert,
-            delete=manager.delete,
-            bulk=manager.bulk_load,
+        )
+        # the manager's core keeps both endpoint trees: every read of one
+        # sees the reader's versions, as the manager's own reads do
+        core = manager._core
+        high = core.beside(
+            BPlusTree.bulk_load(disk, ((iv.high, iv) for iv in items), name="high-endpoints"),
+            lambda iv: iv.high,
+            # the high side merges the batch in; the manager rebuilds its low one
+            lambda stored, batch: high.bulk_load((iv.high, iv) for iv in batch),
         )
 
-        def endpoint_range(side: str) -> Callable[[Any], Optional[Any]]:
+        def endpoints(side: str, tree: Any, **scan: Any) -> None:
             def translate(q: Any) -> Optional[Any]:
                 if isinstance(q, EndpointRange) and q.side == side:
                     return Range(
@@ -322,19 +286,26 @@ class Collection:
                     )
                 return None
 
-            return translate
+            def blocks(pq: Any) -> Iterator[Any]:
+                return core.live_blocks(tree.stream_blocks(pq, values=True), beside=True)
+
+            coll.attach(
+                f"{side}-endpoints",
+                tree,
+                translate=translate,
+                run=lambda pq: chain.from_iterable(blocks(pq)),
+                blocks=blocks,
+                **scan,
+            )
 
         # Proposition 2.2's own left-endpoint tree: the manager builds it and
-        # keeps it current, this accessor only reads it (no write hooks)
+        # keeps it current, this accessor only reads it
         low = manager.endpoints
-        coll.attach(
-            "low-endpoints",
+        endpoints(
+            "low",
             low,
-            translate=endpoint_range("low"),
-            run=lambda pq: low.stream(pq, values=True),
-            blocks=lambda pq: low.stream_blocks(pq, values=True),
             # only one scan provider is needed; the low tree volunteers
-            scan=lambda: (iv for _, iv in low.iter_pairs()),
+            scan=lambda: core.live((iv for _, iv in low.iter_pairs()), beside=True),
             # priced arithmetically (leaves are at least half full, so a
             # full scan reads <= 2n/B leaf blocks plus the root path) —
             # walking the tree to count blocks here would itself cost
@@ -345,17 +316,7 @@ class Collection:
                 + 2.0 * max(low.size, 1) / low.branching,
             ),
         )
-        high = BPlusTree.bulk_load(disk, ((iv.high, iv) for iv in items), name="high-endpoints")
-        coll.attach(
-            "high-endpoints",
-            high,
-            translate=endpoint_range("high"),
-            run=lambda pq: high.stream(pq, values=True),
-            blocks=lambda pq: high.stream_blocks(pq, values=True),
-            insert=lambda iv: high.insert(iv.high, iv),
-            delete=lambda iv: high.delete(iv.high, match=lambda v: v.uid == iv.uid),
-            bulk=lambda ivs: high.bulk_load((iv.high, iv) for iv in ivs),
-        )
+        endpoints("high", high)
         return coll
 
     # ------------------------------------------------------------------ #
@@ -391,7 +352,7 @@ class Collection:
         ``old`` is restored through the bulk path, so a failed update
         never loses the record.
         """
-        staged = self._batch._staged_uids if self._batch is not None else self._uids
+        staged = self._batch._staged_uids if self._batch is not None else self.manager.uids
         old_key, new_key = record_key(old), record_key(new)
         if old_key not in staged:
             raise KeyError(f"cannot update: no record with uid {old_key!r}")
@@ -413,11 +374,10 @@ class Collection:
     def bulk_load(self, records: Iterable[Any]) -> int:
         """Absorb a batch of records in one reorganisation per member index.
 
-        Physical indexes that registered a ``bulk`` hook get the whole
-        batch at once (bottom-up B+-tree builds, global metablock
-        rebuilds); the rest fall back to per-record inserts.  Duplicate
-        uids — within the batch or against the live set — raise before any
-        index is touched.
+        The stabbing structure and the low-endpoint tree are rebuilt over
+        the live records and the batch, the high-endpoint tree merges it
+        in.  Duplicate uids — within the batch or against the live set —
+        raise before any index is touched.
         """
         batch = list(records)
         if not batch:
@@ -430,7 +390,6 @@ class Collection:
             for record in batch:
                 self._batch.insert(record)
             return len(batch)
-        fresh_record_keys(batch, self._uids)
         self._apply_bulk(batch)
         return len(batch)
 
@@ -448,119 +407,21 @@ class Collection:
         return self._batch
 
     # -- the unbuffered appliers (WriteBatch.flush calls these) ---------- #
-    def _write_epoch(self) -> Optional[int]:
-        """The epoch of the engine commit applying on this thread, if any."""
-        return self.epochs.write_epoch() if self.epochs is not None else None
-
     def _apply_insert(self, record: Any) -> None:
-        key = record_key(record)
-        if key in self._uids:
-            raise DuplicateError(
-                f"record uid {key!r} is already indexed; inserting the same "
-                "object twice would silently double-index it"
-            )
-        # a logically deleted uid may be physically indexed still (its
-        # tombstone waits for pinned readers): evict it now, or the
-        # physical indexes would hold the uid twice
-        self._evict_tombstone(key)
-        # the manager raises on static collections *before* any state changes
-        for acc in self._accessors:
-            if acc.insert is not None:
-                acc.insert(record)
-        self._records[key] = record
-        epoch = self._write_epoch()
-        if epoch is not None:
-            self._fresh[key] = epoch
+        # a static manager raises before any state changes
+        self.manager.insert(record)
 
     def _apply_delete(self, record: Any) -> bool:
-        key = record_key(record)
-        if key not in self._uids:
-            return False
-        epoch = self._write_epoch()
-        if epoch is None:
-            # standalone (no epoch clock): physical delete, immediately
-            for acc in self._accessors:
-                if acc.delete is not None:
-                    acc.delete(record)
-        else:
-            # committed turn: keep the physical entries for pinned
-            # readers; the engine purges them once the GC horizon passes
-            # (immediately after publish when nobody is pinned)
-            self._tombstones[key] = (self._records[key], epoch)
-        del self._records[key]
-        return True
+        return self.manager.delete(record)
 
     def _apply_bulk(self, batch: List[Any]) -> None:
         # one reorganisation per member index changes costs wholesale —
         # drop cached plan strategies so the next query re-costs candidates
         self._planner.invalidate()
-        for record in batch:
-            self._evict_tombstone(record_key(record))
-        for acc in self._accessors:
-            if acc.bulk is not None:
-                acc.bulk(batch)
-            elif acc.insert is not None:
-                for record in batch:
-                    acc.insert(record)
-        epoch = self._write_epoch()
-        for record in batch:
-            self._records[record_key(record)] = record
-            if epoch is not None:
-                self._fresh[record_key(record)] = epoch
+        self.manager.bulk_load(batch)
 
-    # ------------------------------------------------------------------ #
-    # MVCC version state (tagged by the appliers, filtered by sessions)
-    # ------------------------------------------------------------------ #
-    @property
-    def has_mvcc_state(self) -> bool:
-        """Whether any version tags exist (fast gate for the read filter)."""
-        return bool(self._fresh or self._tombstones)
-
-    def visible_at(self, key: Any, epoch: int) -> bool:
-        """Whether the record with identity ``key`` is visible at ``epoch``.
-
-        Untagged records are visible at every epoch (they predate the
-        oldest pin, or the collection never saw a committed turn); a
-        fresh tag hides the record from older epochs, a tombstone from
-        ``deleted_epoch`` onward.
-        """
-        entry = self._tombstones.get(key)
-        if entry is not None and entry[1] <= epoch:
-            return False
-        created = self._fresh.get(key)
-        return created is None or created <= epoch
-
-    def _evict_tombstone(self, key: Any) -> None:
-        entry = self._tombstones.pop(key, None)
-        if entry is not None:
-            record, _ = entry
-            for acc in self._accessors:
-                if acc.delete is not None:
-                    acc.delete(record)
-            self._fresh.pop(key, None)
-
-    def purge_versions(self, safe_epoch: int) -> int:
-        """Reclaim version state no pinned reader can see (engine GC hook).
-
-        Tombstones with ``deleted_epoch <= safe_epoch`` are physically
-        deleted from every member index; fresh tags with
-        ``created_epoch <= safe_epoch`` become implicit (every current and
-        future pin sees them).  Returns the number of physical purges.
-        Caller holds the collection's write latch.
-        """
-        for key in [k for k, c in self._fresh.items() if c <= safe_epoch]:
-            del self._fresh[key]
-        doomed = [
-            (key, record)
-            for key, (record, deleted) in self._tombstones.items()
-            if deleted <= safe_epoch
-        ]
-        for key, record in doomed:
-            for acc in self._accessors:
-                if acc.delete is not None:
-                    acc.delete(record)
-            del self._tombstones[key]
-        return len(doomed)
+    def purge(self, safe_epoch: int) -> None:
+        self.manager.purge(safe_epoch)
 
     # ------------------------------------------------------------------ #
     # the uniform Index surface
@@ -606,7 +467,7 @@ class Collection:
         from repro.engine.queries import Limit, OrderBy
 
         base, modifiers = QueryPlanner._peel(q)
-        out = [r for r in self._records.values() if base.matches(r)]
+        out = [r for r in self.manager.intervals() if base.matches(r)]
         for m in modifiers:
             if isinstance(m, OrderBy):
                 out.sort(key=m.key_fn(), reverse=m.reverse)
@@ -615,29 +476,18 @@ class Collection:
         return out
 
     def block_count(self) -> int:
-        """Blocks used by all physical indexes together (each counted once)."""
-        return sum(acc.index.block_count() for acc in self._accessors if self._owner(acc) is None)
+        """Blocks used by all physical indexes together: the record store's."""
+        return int(self.manager.block_count())
 
     @property
     def live_count(self) -> int:
-        """Number of live (non-deleted) records — what the cost bounds use.
-
-        Each member structure maintains its own live size (B+-trees shrink
-        on delete, the interval manager's ``len`` excludes tombstones), so
-        the planner's ``cost()`` comparisons stay correct under deletion.
-        """
-        return len(self._records)
+        """Number of live (non-deleted) records — what the cost bounds use."""
+        return int(self.manager.live_count)
 
     def destroy(self) -> None:
         """Free every block of every physical index (``Engine.drop_index``)."""
         self._planner.invalidate()
-        for acc in self._accessors:
-            destroy = getattr(acc.index, "destroy", None)
-            if callable(destroy) and self._owner(acc) is None:
-                destroy()
-        self._records = {}
-        self._fresh = {}
-        self._tombstones = {}
+        self.manager.destroy()
 
     def io_stats(self):
         """Live I/O counters of the shared backing store."""
@@ -652,13 +502,13 @@ class Collection:
         return [acc.name for acc in self._accessors]
 
     def records(self) -> List[Any]:
-        return list(self._records.values())
+        return self.manager.intervals()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self.live_count
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._records.values()))
+        return iter(self.records())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -46,7 +46,7 @@ from repro.durability.recovery import replay_wal
 from repro.engine.collection import Collection
 from repro.engine.planner import Plan, QueryPlanner
 from repro.rebuilding import RebuildingIndex
-from repro.engine.result import QueryResult, RecordBatches
+from repro.engine.result import QueryResult
 from repro.engine.session import EngineSession, RWLock
 from repro.errors import DuplicateError, UnknownIndexError
 from repro.interval import Interval
@@ -333,23 +333,24 @@ class Engine:
             if epoch is not None:
                 with obs_tracer.span("epoch.publish", epoch=epoch):
                     self._epochs.publish(epoch)
-        # version GC: physically reclaim tombstones no pinned reader can
+        # version GC: physically reclaim versions no pinned reader can
         # see — with no readers pinned this purges the commit's own
-        # tombstones before returning, so single-caller deletes stay
-        # physically immediate
-        self._purge_versions(name)
+        # before returning, so single-caller deletes stay physically
+        # immediate
+        self._gc_versions(name)
         return out
 
-    def _purge_versions(self, name: str) -> None:
+    def _gc_versions(self, name: str) -> None:
         """Reclaim one index's versions below the GC horizon, under its
-        exclusive latch inside the (reentrant) write mutex."""
-        index = self._indexes.get(name)
-        if isinstance(index, Collection) and index.has_mvcc_state:
+        exclusive latch inside the (reentrant) write mutex.  Every kind
+        but ``key`` (a bare B+-tree, which keeps no versions) has ``purge``."""
+        purge = getattr(self._indexes.get(name), "purge", None)
+        if purge is not None:
             with self._write_mutex:
                 latch = self._latch(name)
                 latch.acquire_write()
                 try:
-                    index.purge_versions(self._epochs.safe_epoch())
+                    purge(self._epochs.safe_epoch())
                 finally:
                     latch.release_write()
 
@@ -358,10 +359,9 @@ class Engine:
         """One snapshot read turn: pin the current epoch, share the latch.
 
         Yields the pinned epoch.  The caller drains its result inside the
-        scope and filters it with :meth:`visible_records` — records of
-        commits published after the pin (or deleted at/before it) are
-        residual-filtered out, so the answer is the oracle of the pinned
-        epoch even while writers commit concurrently.
+        scope, and every kind but ``key`` (a bare B+-tree, consistent per
+        latch turn only) streams the versions that epoch sees — the oracle
+        of the pinned epoch even while writers commit concurrently.
         """
         latch = self._latch(name)
         with self._epochs.pinned() as epoch:
@@ -393,23 +393,6 @@ class Engine:
     def epochs(self) -> EpochManager:
         """The engine's MVCC epoch clock."""
         return self._epochs
-
-    def visible_records(self, name: str, records: Any, epoch: int) -> RecordBatches:
-        """Filter a drained result — a list of records or a
-        :class:`~repro.engine.result.RecordBatches` — down to what
-        ``epoch`` may see, by record key: a page batch's uid column.
-
-        Only collections carry version tags (and only while some version
-        is newer than the GC horizon), so this is a no-op pass-through in
-        the common case.  Plain indexes get per-turn consistency from the
-        latch instead of snapshot semantics — the server documents that
-        contract.
-        """
-        hits = records if isinstance(records, RecordBatches) else RecordBatches([records])
-        index = self._indexes.get(name)
-        if isinstance(index, Collection) and index.has_mvcc_state:
-            return hits.where(lambda key: index.visible_at(key, epoch))
-        return hits
 
     # ------------------------------------------------------------------ #
     # index creation
@@ -449,15 +432,10 @@ class Engine:
             index = build(self.disk, name, records, params)
             self._indexes[name] = index
             self._catalog[name] = entry
-            if isinstance(index, Collection):
-                # a collection versions its records against the engine's
-                # epoch clock and brings its own multi-accessor planner
-                index.epochs = self._epochs
-                self._planners[name] = index.planner
-            else:
-                self._planners[name] = QueryPlanner.for_index(
-                    name, index, disk=self.disk
-                )
+            # a collection brings its own multi-accessor planner
+            self._planners[name] = getattr(index, "planner", None) or QueryPlanner.for_index(
+                name, index, disk=self.disk
+            )
             return index
 
         return self._commit(
@@ -873,7 +851,7 @@ class Engine:
             # cover a prefix of the epoch order, not race its tail
             self._epochs.quiesce()
             for name in sorted(self._indexes):
-                self._purge_versions(name)
+                self._gc_versions(name)
             for bid in meta.get("catalog_blocks", ()):
                 self.disk.free(bid)
             blocks: List[int] = []

@@ -112,12 +112,7 @@ class Accessor:
 
     ``blocks`` (optional) streams the same records as ``run``, a batch
     per block read (see :meth:`~repro.engine.result.QueryResult.batches`).
-
-    The write path rides on the same records: ``insert``/``delete`` apply
-    one logical record to this physical index, ``bulk`` absorbs a batch in
-    one reorganisation.  All three are optional — a read-only physical
-    index simply leaves them unset, and the owning
-    :class:`~repro.engine.collection.Collection` skips it on writes.
+    An accessor only reads: writes go through the index's record store.
     """
 
     name: str
@@ -127,9 +122,6 @@ class Accessor:
     scan: Optional[Callable[[], Iterable[Any]]] = None
     scan_bound: Optional[Callable[[], Bound]] = None
     rewrite: Optional[Callable[[Any], Any]] = None
-    insert: Optional[Callable[[Any], None]] = None
-    delete: Optional[Callable[[Any], Any]] = None
-    bulk: Optional[Callable[[List[Any]], Any]] = None
     blocks: Optional[Callable[[Any], Iterable[Any]]] = None
 
     @classmethod
@@ -341,7 +333,7 @@ class QueryPlanner:
                         # stale generation or structural mismatch: drop and re-plan
                         self._cache.pop(sig, None)
                 with obs_tracer.span("planner.enumerate"):
-                    plan, template = self._plan_fresh(q)
+                    plan, template = self._plan_uncached(q)
                 sp.annotate(cache_hit=False)
                 if sig is not None and template is not None:
                     self.cache_misses += 1
@@ -351,7 +343,7 @@ class QueryPlanner:
                         self._cache.popitem(last=False)
                 return plan
 
-    def _plan_fresh(self, q: Any) -> Tuple[Plan, Optional[PlanTemplate]]:
+    def _plan_uncached(self, q: Any) -> Tuple[Plan, Optional[PlanTemplate]]:
         base, modifiers = self._peel(q)
         plan, template = self._plan_base(base)
         if modifiers:

@@ -38,7 +38,6 @@ from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from repro.io.counters import IOStats
-from repro.records import record_key
 
 #: what ``next`` returns for an exhausted source (no try/except per record)
 _DONE = object()
@@ -63,8 +62,8 @@ class RecordBatches:
     A batch is a list of records, or a :class:`~repro.io.disk.Batch`: rows
     of a decoded page, not yet built as records.  :meth:`records` builds
     the flat list once — the same records in the same order as draining
-    record by record — while ``len`` and :meth:`where` build nothing, and
-    a record frame packs the page columns as they are
+    record by record — while ``len`` builds nothing, and a record frame
+    packs the page columns as they are
     (:meth:`~repro.server.protocol.RecordFrame.of`).
     """
 
@@ -88,18 +87,6 @@ class RecordBatches:
             else:
                 self._records = list(chain.from_iterable(batches))
         return self._records
-
-    def where(self, keep: Callable[[Any], bool]) -> "RecordBatches":
-        """The records whose :func:`~repro.records.record_key` passes
-        ``keep`` — for a page batch, tested on its uid column."""
-        out: List[Any] = []
-        for batch in self.batches:
-            uids = None if type(batch) is list else batch.uids()
-            if uids is None:
-                out.append([r for r in batch if keep(record_key(r))])
-            else:
-                out.append(batch.subset([i for i, uid in enumerate(uids) if keep(uid)]))
-        return RecordBatches(out)
 
 
 class QueryResult:

@@ -14,8 +14,8 @@ subsystem multiplexes it with two small pieces:
 * :class:`EngineSession` — one caller's handle on a shared engine.  Reads
   run as **MVCC snapshot turns**: the session pins the engine's current
   epoch (:meth:`~repro.engine.core.Engine.read_turn`), shares only the
-  target index's structural latch — never an engine-wide lock — drains its
-  result, and residual-filters it to the pinned epoch's visibility.  A
+  target index's structural latch — never an engine-wide lock — and drains
+  its result, which holds the versions the pinned epoch sees.  A
   writer committing on *another* index therefore never delays the read at
   all, and a writer on the *same* index delays it only for the structural
   change, not for the WAL fsync.  Writes go straight through the engine's
@@ -31,9 +31,11 @@ subsystem multiplexes it with two small pieces:
 Consistency model (what the server documents to clients): readers never
 observe a half-applied write; a query's answer is the brute-force oracle
 of the record set at the pinned epoch — a prefix of the committed write
-history (commits publish in order).  A session that writes sees its own
-write in every later read (the ack happens after publication).  There are
-no multi-request transactions — each request is one atomic turn.
+history (commits publish in order) — for every index kind but ``key``,
+whose bare B+-tree is consistent per latch turn only.  A session that
+writes sees its own write in every later read (the ack happens after
+publication).  There are no multi-request transactions — each request is
+one atomic turn.
 """
 
 from __future__ import annotations
@@ -202,8 +204,8 @@ class EngineSession:
     """One caller's thread-safe handle on a shared :class:`Engine`.
 
     Reads (:meth:`query`, :meth:`run`, :meth:`explain`) are snapshot
-    turns: pin the current MVCC epoch, share the one index's latch, drain,
-    filter to the pinned epoch.  The write surface (:meth:`insert`,
+    turns: pin the current MVCC epoch, share the one index's latch, drain
+    the versions the pinned epoch sees.  The write surface (:meth:`insert`,
     :meth:`delete`, :meth:`bulk_load`, :meth:`create`,
     :meth:`drop_index`) delegates to the engine's commit kernel — each
     call is one committed, WAL-durable write turn, acknowledged only after
@@ -284,14 +286,14 @@ class EngineSession:
         """Answer ``q`` on the named index: one pinned-epoch snapshot turn.
 
         The lazy result is drained while sharing only this index's latch,
-        then residual-filtered to the pinned epoch — the answer is the
-        oracle of that epoch's record set even while writers commit
-        concurrently on this or any other index.
+        inside the pin — the answer is the oracle of that epoch's record
+        set even while writers commit concurrently on this or any other
+        index.
         """
         return self._read("query", name, lambda: self.engine.query(name, q))
 
     def _read(self, op: str, name: str, issue: Callable[[], Any]) -> SessionResult:
-        """Drain ``issue()`` to its epoch-visible records under ``plan.execute``.
+        """Drain ``issue()`` inside a read turn under ``plan.execute``.
 
         The result's own counters are the request's (no second sink is
         opened — each one is another locked add per page); they are handed
@@ -302,7 +304,7 @@ class EngineSession:
         request, without a profiler.
         """
         with self._root_span(op=op, index=name) as root:
-            with self.engine.read_turn(name) as epoch:
+            with self.engine.read_turn(name):
                 result = issue()
                 with obs_tracer.span(
                     "plan.execute", stats=self.engine.io_stats(), index=name
@@ -310,7 +312,7 @@ class EngineSession:
                     tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
                     if tally is not None:
                         pages, built = tally.pages, tally.records
-                    records = self.engine.visible_records(name, result.batches(), epoch)
+                    records = result.batches()
                     if tally is not None:
                         sp.annotate(
                             pages_decoded=tally.pages - pages,

@@ -80,6 +80,8 @@ def identical(a: Any, b: Any) -> bool:
     what gives them one page encoding.  ``==`` conflates what this keeps
     apart: ``1`` / ``1.0`` / ``True``, ``0.0`` / ``-0.0``, and a record's
     payload and uid, which its ``==`` skips."""
+    if a is b:
+        return True
     kind = type(a)
     if kind is not type(b):
         return False

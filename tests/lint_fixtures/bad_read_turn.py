@@ -24,6 +24,6 @@ def bare_write_turn_call_inside_read_turn(engine):
         engine.write_turn()  # seeded: engine-lock-in-read-turn
 
 
-def read_turn_alone_is_fine(engine):
-    with engine.read_turn("points") as epoch:
-        return engine.visible_records("points", [], epoch)
+def read_turn_alone_is_fine(engine, q):
+    with engine.read_turn("points"):
+        return engine.query("points", q).all()

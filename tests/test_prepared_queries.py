@@ -268,28 +268,28 @@ def test_attach_and_detach_invalidate(disk):
         coll.detach("nope")
 
 
-def test_detach_refuses_to_orphan_a_reader_of_the_detached_index(disk):
-    """``low-endpoints`` reads the interval manager's own left-endpoint tree:
-    with the manager out of the write fan-out it would answer from a tree
-    nobody maintains."""
+def test_detach_takes_a_read_path_away_and_never_a_writer(disk):
+    """``low-endpoints`` reads the interval manager's own left-endpoint tree.
+    Detaching the manager takes its read path away only: every write still
+    goes through the manager, so the low tree it keeps never goes stale."""
     engine = Engine(disk)
     items = make_intervals(120, seed=11)
     coll = engine.create_collection("c", items)
     prepared = engine.prepare("c", EndpointRange("low", Param("lo"), Param("hi")))
     prepared.run(lo=100.0, hi=300.0).all()
 
-    with pytest.raises(ValueError, match="low-endpoints"):
-        coll.detach("interval-manager")
-    # nothing changed: same physical set, the cached plan still serves
-    assert coll.physical == ["interval-manager", "low-endpoints", "high-endpoints"]
-    prepared.run(lo=100.0, hi=300.0).all()
-    assert prepared.last_from_cache is True
-
-    # reader first, then its owner
-    coll.detach("low-endpoints")
     manager = coll.detach("interval-manager")
-    assert coll.physical == ["high-endpoints"]
+    assert coll.physical == ["low-endpoints", "high-endpoints"]
     assert manager.endpoints.size == len(items)
+    coll.insert(Interval(150.0, 152.0))
+    assert manager.endpoints.size == len(items) + 1
+    got = prepared.run(lo=100.0, hi=300.0)
+    assert prepared.last_from_cache is False
+    q = EndpointRange("low", 100.0, 300.0)
+    assert _uids(got.all()) == _uids(coll.oracle(q))
+
+    coll.detach("low-endpoints")
+    assert coll.physical == ["high-endpoints"]
     coll.insert(Interval(1.0, 2.0))
     q = EndpointRange("high", 0.0, 500.0)
     assert _uids(coll.query(q).all()) == _uids(coll.oracle(q))

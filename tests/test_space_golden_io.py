@@ -20,7 +20,9 @@ a combined index's delete run, whose global rebuild is a build, went down
 with it).  The ``point`` rows (a blocked PST under global rebuilding: side-log
 inserts, tombstoned deletes) were recorded before the global-rebuilding
 core was shared by the interval manager and the class indexer, and pin
-that it moved nothing for its first user.
+that it moved nothing for its first user; their ``insert_ios`` went down
+(the parent's value beside each) when a side-log append stopped reading
+its page back before writing it.
 
 The second half holds the same designs structurally: every block in use is
 owned by exactly one index (``block_count() == blocks_in_use`` for all six
@@ -28,6 +30,7 @@ kinds, after writes too), and the collection's ``low-endpoints`` accessor
 reads the manager's own tree.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -158,15 +161,15 @@ GOLDEN = {
         "delete_ios": 1150, "final_blocks": 1150,
     },
     ("point", 4): {
-        "build_ios": 50, "built_blocks": 50, "insert_ios": 183, "insert_rebuilds": 3,
+        "build_ios": 50, "built_blocks": 50, "insert_ios": 173, "insert_rebuilds": 3,  # was 183
         "delete_ios": 32, "delete_rebuilds": 1, "bulk_ios": 33, "final_blocks": 33,
     },
     ("point", 8): {
-        "build_ios": 66, "built_blocks": 66, "insert_ios": 249, "insert_rebuilds": 3,
+        "build_ios": 66, "built_blocks": 66, "insert_ios": 225, "insert_rebuilds": 3,  # was 249
         "delete_ios": 59, "delete_rebuilds": 1, "bulk_ios": 61, "final_blocks": 61,
     },
     ("point", 16): {
-        "build_ios": 127, "built_blocks": 127, "insert_ios": 489, "insert_rebuilds": 3,
+        "build_ios": 127, "built_blocks": 127, "insert_ios": 437, "insert_rebuilds": 3,  # was 489
         "delete_ios": 109, "delete_rebuilds": 1, "bulk_ios": 108, "final_blocks": 108,
     },
 }
@@ -303,7 +306,8 @@ def test_low_endpoints_reads_the_managers_own_tree_across_bulk_loads(dynamic):
     low, manager = _low_and_manager(coll)
     tree = low.index
     assert tree is manager.endpoints
-    assert (low.insert, low.delete, low.bulk) == (None, None, None)
+    # an accessor only reads: the manager writes its tree
+    assert {"insert", "delete", "bulk"}.isdisjoint(f.name for f in dataclasses.fields(low))
 
     if dynamic:
         coll.insert(Interval(5.0, 6.0))

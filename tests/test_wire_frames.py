@@ -22,6 +22,7 @@ from repro import (
     EndpointRange, Engine, FileDisk, Interval, Limit, OrderBy, Param, Range, SimulatedDisk, Stab,
 )
 from repro.cluster import Cluster
+from repro.engine.result import RecordBatches
 from repro.errors import DomainError
 from repro.obs import metrics as obs_metrics
 from repro.server import PROTOCOL_VERSION, ProtocolError, ReproClient, ReproServer, ServerError
@@ -581,6 +582,20 @@ def test_a_frames_read_on_filedisk_builds_no_record_on_the_server(tmp_path):
             got = P.read_reply(io.BytesIO(reply))["records"].records()
             assert sorted(r.uid for r in got) == sorted(r.uid for r in records if r.low <= x <= r.high)
             assert_same_records(got, engine.query("c", Stab(x)).all())
+        # deletes with no pin held (a mixed workload's shape): the metablock
+        # keeps tombstones until its rebuild, the endpoint trees hold none — an
+        # endpoint read still builds nothing
+        live = {r.uid: r for r in records}
+        for record in records[::30]:
+            assert engine.delete("c", record)
+            del live[record.uid]
+        for side in ("low", "high"):
+            q = EndpointRange(side, 200.0, 260.0)
+            pages, built = disk.decoded.pages, disk.decoded.records
+            reply = P.encode_reply(P.ok_response(1, **executor.query("c", q)), frames=True)
+            assert disk.decoded.pages > pages and disk.decoded.records == built
+            got = P.read_reply(io.BytesIO(reply))["records"].records()
+            assert sorted(r.uid for r in got) == sorted(uid for uid, r in live.items() if q.matches(r))
     finally:
         engine.close()
 
@@ -624,9 +639,9 @@ def _oracle(model, q):
 
 
 def _current(engine, q):
-    """``.all()`` of ``q``, filtered to what a reader of the current epoch sees."""
-    with engine.read_turn("c") as epoch:
-        return engine.visible_records("c", engine.query("c", q).all(), epoch).records()
+    """``.all()`` of ``q`` as a reader of the current epoch sees it."""
+    with engine.read_turn("c"):
+        return engine.query("c", q).all()
 
 
 def _frames_and_rows(payload):
@@ -653,7 +668,7 @@ def test_the_columnar_answer_is_the_record_answer(backend, case):
         executor = server_core.SessionExecutor(None, engine.session())
         with ReproServer(engine) as srv, ReproClient(*srv.address) as frames_db, \
                 RowsClient(*srv.address) as rows_db:
-            with engine.epochs.pinned() as epoch:
+            with engine.epochs.pinned():
                 snapshot = dict(model)
                 for record in inserts:
                     engine.insert("c", record)
@@ -665,8 +680,8 @@ def test_the_columnar_answer_is_the_record_answer(backend, case):
                         del model[victim.uid]
                 for q in queries:
                     # the reader pinned before the writes
-                    pinned = engine.visible_records("c", engine.query("c", q).batches(), epoch)
-                    listed = engine.visible_records("c", engine.query("c", q).all(), epoch)
+                    pinned = engine.query("c", q).batches()
+                    listed = RecordBatches([engine.query("c", q).all()])
                     assert [r.uid for r in listed] == [r.uid for r in pinned]
                     assert sorted(r.uid for r in pinned) == _oracle(snapshot, q)
                     assert_same_records(pinned.records(), listed.records())
