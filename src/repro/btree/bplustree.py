@@ -45,14 +45,14 @@ class _HybridBulkLoad:
 
     ``BPlusTree.bulk_load(disk, pairs)`` — the historical constructor —
     builds a fresh tree; ``tree.bulk_load(pairs)`` — the
-    :class:`~repro.engine.protocols.MutableIndex` surface — merges a batch
-    into an existing tree by repacking it bottom-up.
+    :class:`~repro.engine.protocols.MutableIndex` surface — adds a batch
+    to an existing tree by repacking it bottom-up.
     """
 
     def __get__(self, obj, objtype=None):
         if obj is None:
             return objtype._bulk_build
-        return obj._bulk_merge
+        return obj._bulk_add
 
 
 class BPlusTree:
@@ -138,24 +138,13 @@ class BPlusTree:
         self.height = height
         self.size = len(data)
 
-    def _bulk_merge(self, pairs: Iterable[Pair]) -> int:
-        """Merge a batch into this tree by rebuilding it bottom-up.
-
-        One ``O(n/B)`` leaf scan streams the resident pairs, a single merge
-        with the sorted batch produces the new leaf sequence, and the tree
-        is repacked with full leaves — ``O((n + m)/B + m log m)`` work and
-        ``O((n + m)/B)`` I/Os for a batch of ``m``, versus
-        ``O(m log_B n)`` I/Os for ``m`` one-at-a-time inserts.
-        """
-        from heapq import merge
-
-        new = sorted(pairs, key=lambda kv: kv[0])
-        if not new:
-            return 0
-        data = list(merge(self.iter_pairs(), new, key=lambda kv: kv[0]))
-        self.destroy()
-        self._load_sorted(data)
-        return len(new)
+    def _bulk_add(self, pairs: Iterable[Pair]) -> int:
+        """Add a batch: :meth:`rebuild` over one leaf scan of the resident
+        pairs, then the batch — ``O((n + m)/B)`` I/Os for ``m`` pairs."""
+        batch = list(pairs)
+        if batch:
+            self.rebuild(chain(self.iter_pairs(), batch))
+        return len(batch)
 
     bulk_load = _HybridBulkLoad()
 

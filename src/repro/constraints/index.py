@@ -16,17 +16,21 @@ range searches over the generalized database:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.analysis.complexity import metablock_query_bound
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
 from repro.core.interval_manager import ExternalIntervalManager
+from repro.errors import DuplicateError
 from repro.interval import Interval
+from repro.values import identical
 
 
 class GeneralizedOneDimensionalIndex:
-    """Index a generalized relation on one of its variables."""
+    """Index a generalized relation on one of its variables.  A tuple has
+    no uid: it is identified by its value (``GeneralizedTuple.__eq__``), so
+    a copy decoded from a page or the WAL names the tuple that was written."""
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
     #: tier — both delegate to the interval manager's native machinery
@@ -45,14 +49,14 @@ class GeneralizedOneDimensionalIndex:
         self.disk = disk
         self.attribute = attribute
         self.relation = relation
-        intervals = [self._generalized_key(gt) for gt in relation.tuples]
-        #: generalized key per indexed tuple (tuples carry no uid of their
-        #: own, so identity keys the mapping; the relation holds the tuples
-        #: alive for exactly as long as they are indexed)
-        self._keys: Dict[int, Interval] = {
-            id(gt): iv for gt, iv in zip(relation.tuples, intervals)
-        }
+        #: generalized key per indexed tuple, and per tuple deleted since the
+        #: manager's rebuild ``_retired_at`` (``_retired``, see :meth:`_new_keys`)
+        self._keys: Dict[GeneralizedTuple, Interval] = {}
+        self._retired: Dict[GeneralizedTuple, Interval] = {}
+        self._retired_at = 0
+        intervals = self._new_keys(relation.tuples)
         self.manager = ExternalIntervalManager(disk, intervals, dynamic=dynamic)
+        self._keys = dict(zip(relation.tuples, intervals))
 
     @property
     def generation(self) -> int:
@@ -64,61 +68,70 @@ class GeneralizedOneDimensionalIndex:
     # ------------------------------------------------------------------ #
     # keys
     # ------------------------------------------------------------------ #
-    def _generalized_key(self, gt: GeneralizedTuple) -> Interval:
+    def _generalized_key(self, gt: GeneralizedTuple, old: Optional[Interval] = None) -> Interval:
+        if old is not None and identical(old.payload, gt):
+            return old
         low, high = gt.projection(self.attribute)
         return Interval(low, high, payload=gt)
+
+    def _retired_keys(self) -> Dict[GeneralizedTuple, Interval]:
+        """:attr:`_retired`, dropped once the manager's rebuild swept it."""
+        if self._retired and self._retired_at != self.manager.generation:
+            self._retired = {}
+        return self._retired
+
+    def _new_keys(self, gts: List[GeneralizedTuple]) -> List[Interval]:
+        """The intervals to index new tuples ``gts`` under.  A tuple deleted
+        since the manager's last rebuild takes its interval back, uid and
+        all, when it is that very value type for type, so the core revives
+        its dead version instead of storing a second row."""
+        if len(set(gts)) != len(gts) or any(gt in self._keys for gt in gts):
+            raise DuplicateError("the batch repeats a tuple or holds an indexed one (tuples are values)")
+        retired = self._retired_keys()
+        return [self._generalized_key(gt, retired.pop(gt, None)) for gt in gts]
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, gt: GeneralizedTuple) -> None:
         """Add a generalized tuple to the relation and the index."""
-        if id(gt) in self._keys:
-            raise ValueError(
-                f"tuple {gt!s} is already indexed; inserting the same object "
-                "twice would silently double-index it"
-            )
-        iv = self._generalized_key(gt)
+        (iv,) = self._new_keys([gt])
         # index first, book-keep after: a failed insert (e.g. a static
         # manager) must not leak the tuple into the relation, which the
         # persistent catalog would then serialize as if it were indexed
         self.manager.insert(iv)
-        self.relation.add(gt)
-        self._keys[id(gt)] = iv
+        self.relation.add(iv.payload)
+        self._keys[gt] = iv
 
     def delete(self, gt: GeneralizedTuple) -> bool:
         """Remove one tuple from the relation and the index; ``True`` when
-        present (matched by object identity, like :meth:`insert` indexed it)."""
-        iv = self._keys.pop(id(gt), None)
+        present (matched by value, like :meth:`insert` indexed it)."""
+        iv = self._keys.pop(gt, None)
         if iv is None:
             return False
-        self.relation.discard(gt)
-        return self.manager.delete(iv)
+        self.relation.discard(iv.payload)
+        self.manager.delete(iv)
+        self._retired_keys()[gt] = iv
+        self._retired_at = self.manager.generation
+        return True
 
     def purge(self, safe_epoch: int) -> None:
         self.manager.purge(safe_epoch)
 
     def bulk_load(self, gts: Iterable[GeneralizedTuple]) -> int:
-        """Absorb a batch of tuples through the manager's global rebuild."""
-        new = [gt for gt in gts]
-        ids = [id(gt) for gt in new]
-        if len(set(ids)) != len(ids) or any(i in self._keys for i in ids):
-            raise ValueError(
-                "bulk_load batch repeats a tuple or contains already-indexed "
-                "tuples; indexing the same object twice would make one copy "
-                "undeletable"
-            )
-        intervals = [self._generalized_key(gt) for gt in new]
+        """Load a batch of tuples through the manager's global rebuild."""
+        new = list(gts)
+        intervals = self._new_keys(new)
         self.manager.bulk_load(intervals)  # validates/rebuilds before mutation
         for gt, iv in zip(new, intervals):
-            self.relation.add(gt)
-            self._keys[id(gt)] = iv
+            self.relation.add(iv.payload)
+            self._keys[gt] = iv
         return len(new)
 
     def destroy(self) -> None:
         """Free every block of the underlying manager (``Engine.drop_index``)."""
         self.manager.destroy()
-        self._keys = {}
+        self._keys, self._retired = {}, {}
 
     # ------------------------------------------------------------------ #
     # queries

@@ -44,7 +44,8 @@ class GeneralizedRelation:
         self.tuples.append(gt)
 
     def discard(self, gt: GeneralizedTuple) -> bool:
-        """Remove ``gt`` itself (by identity: an equal tuple is another one)."""
+        """Remove ``gt`` itself, by identity (an index finds the held object by
+        value; a scan by ``==`` would cost a Python call per held tuple)."""
         for i, held in enumerate(self.tuples):
             if held is gt:
                 del self.tuples[i]

@@ -103,7 +103,7 @@ class ClassIndexer:
         self._core.purge(safe_epoch)
 
     def bulk_load(self, objects: Iterable[ClassObject]) -> int:
-        """Absorb a batch of objects in one global reorganisation.
+        """Load a batch of objects in one global reorganisation.
 
         Every scheme's constructor *is* its bulk build (packed B+-trees /
         static 3-sided structures), so a batch of ``m`` costs one

@@ -57,9 +57,9 @@ class ExternalIntervalManager:
     """
 
     #: capability flags of the :class:`~repro.engine.protocols.MutableIndex`
-    #: tier — the stabbing structure deletes through the global-rebuilding
-    #: core's tombstones, the left-endpoint B+-tree natively, and bulk
-    #: loading is the static bulk construction over live + new records
+    #: tier — the global-rebuilding core writes both structures: deletes
+    #: tombstone the stabbing one and reach the left-endpoint B+-tree when
+    #: :meth:`purge` retires the version; a bulk load rebuilds both
     supports_deletes = True
     supports_bulk_load = True
 
@@ -79,9 +79,7 @@ class ExternalIntervalManager:
         )
         low = BPlusTree.bulk_load(disk, ((iv.low, iv) for iv in items), name="left-endpoints")
         #: Proposition 2.2's left-endpoint tree, rebuilt with the core's structure
-        self._endpoints = self._core.beside(
-            low, lambda iv: iv.low, lambda stored, batch: low.rebuild((iv.low, iv) for iv in stored)
-        )
+        self._endpoints = self._core.beside(low, lambda iv: iv.low)
 
     @property
     def generation(self) -> int:
@@ -124,16 +122,16 @@ class ExternalIntervalManager:
         self._core.purge(safe_epoch)
 
     def bulk_load(self, intervals: Iterable[Interval]) -> int:
-        """Absorb a batch of intervals in one global reorganisation.
+        """Load a batch of intervals in one global reorganisation.
 
-        Both substructures are rebuilt from the union of the live records
-        and the batch — the metablock tree through its static bulk
+        Both substructures are rebuilt from the core's stored versions and
+        the batch — the metablock tree through its static bulk
         construction, the endpoint B+-tree through a bottom-up packed
         build — costing ``O(((n + m)/B) log_B(n + m))`` I/Os total instead
         of ``O(m (log_B n + (log_B n)^2/B))`` for ``m`` repeated inserts.
         Pending tombstones are swept for free along the way.  Works on
         static managers too: reconstruction, not insertion, is how the
-        paper's static structures absorb batch updates.
+        paper's static structures take batch updates.
 
         The metablock replacement is built *before* anything old is freed
         or any bookkeeping changes, so a failing batch (e.g. records whose

@@ -58,7 +58,7 @@ class WriteBatch:
     touching the physical indexes.  :meth:`flush` — called automatically
     when ``max_size`` operations are buffered and once more on ``with``
     exit — applies the queue *in order*, grouping maximal runs of inserts
-    into one ``bulk_load`` per run so every member index absorbs them in a
+    into one ``bulk_load`` per run so every member index takes them in a
     single reorganisation instead of one tree-descent per record.
 
     Validation happens at enqueue time against the staged state (live uids
@@ -251,7 +251,9 @@ class Collection:
         name: str = "intervals",
         dynamic: bool = True,
     ) -> "Collection":
-        """The canonical interval collection (manager + endpoint B+-trees)."""
+        """The canonical interval collection (manager + endpoint B+-trees):
+        the manager's core writes and rebuilds the high-endpoint tree just
+        as it does its own left-endpoint tree."""
         from repro.btree import BPlusTree
         from repro.core.interval_manager import ExternalIntervalManager
 
@@ -268,12 +270,8 @@ class Collection:
         # the manager's core keeps both endpoint trees: every read of one
         # sees the reader's versions, as the manager's own reads do
         core = manager._core
-        high = core.beside(
-            BPlusTree.bulk_load(disk, ((iv.high, iv) for iv in items), name="high-endpoints"),
-            lambda iv: iv.high,
-            # the high side merges the batch in; the manager rebuilds its low one
-            lambda stored, batch: high.bulk_load((iv.high, iv) for iv in batch),
-        )
+        high = BPlusTree.bulk_load(disk, ((iv.high, iv) for iv in items), name="high-endpoints")
+        core.beside(high, lambda iv: iv.high)
 
         def endpoints(side: str, tree: Any, **scan: Any) -> None:
             def translate(q: Any) -> Optional[Any]:
@@ -372,12 +370,11 @@ class Collection:
             raise
 
     def bulk_load(self, records: Iterable[Any]) -> int:
-        """Absorb a batch of records in one reorganisation per member index.
+        """Load a batch of records in one reorganisation per member index.
 
-        The stabbing structure and the low-endpoint tree are rebuilt over
-        the live records and the batch, the high-endpoint tree merges it
-        in.  Duplicate uids — within the batch or against the live set —
-        raise before any index is touched.
+        The stabbing structure and both endpoint trees are rebuilt over
+        the stored versions and the batch.  Duplicate uids — within the
+        batch or against the live set — raise before any index is touched.
         """
         batch = list(records)
         if not batch:

@@ -581,7 +581,8 @@ class Engine:
         """Delete a record from the named index; ``True`` when present.
 
         B+-tree indexes take ``engine.delete(name, key[, value])``; every
-        other index takes the single record object (matched by uid).
+        other index takes the single record object (matched by uid, and a
+        constraint tuple, which has none, by value).
         """
         outcome: List[bool] = []
 

@@ -135,7 +135,7 @@ class MutableIndex(Index, Protocol):
 
     * ``delete(item)`` removes one record (matched by its stable ``uid``
       where the record carries one) and returns whether it was present;
-    * ``bulk_load(items)`` absorbs a batch in one reorganisation — packed
+    * ``bulk_load(items)`` loads a batch in one reorganisation — packed
       bottom-up builds for B+-trees, a global rebuild for the
       tombstone-bearing structures — and returns the number of records
       added;
@@ -162,7 +162,7 @@ class MutableIndex(Index, Protocol):
         ...
 
     def bulk_load(self, items: Iterable[Any]) -> int:
-        """Absorb a batch of records in one reorganisation; returns the count."""
+        """Load a batch of records in one reorganisation; returns the count."""
         ...
 
 

@@ -28,7 +28,8 @@ lacks, the core supplies:
   so the match is exact on every backend (``==`` would call a ``1.0``
   payload a copy of a ``1``).
 * **bulk loads** are one rebuild — the static constructor *is* the bulk
-  build.
+  build — and every B+-tree kept beside ``inner`` is repacked from the
+  same stored versions: a bulk load writes each block once, reads none.
 * **versions**: the core is the one version store of every kind but
   ``key``.  A write inside an engine commit tags the version it writes
   with the commit's epoch (``born``), the one it kills with ``died``, and
@@ -37,7 +38,8 @@ lacks, the core supplies:
   pinned epoch — the current state unpinned — and pay no filter while no
   stored row needs one.  A dead version a pin still sees and a rebuild
   keeps it; re-inserting it adds a life to its tag, so no row is stored
-  twice.
+  twice.  (A ``key`` pair has no identity to version: the B+-tree is a
+  multiset, and a delete may name a key alone.)
 
 Every rebuild's I/Os are charged to the shared disk — ``O((n/B) log_B n)``
 amortized over the ``Θ(B)`` side-log inserts or ``Θ(n)`` deletes between
@@ -58,9 +60,6 @@ from repro.values import identical
 
 #: a native write of the wrapped structure: ``hook(structure, record)``
 Hook = Callable[[Any, Any], Any]
-#: how a tree kept beside the structure absorbs a bulk load:
-#: ``absorb(stored, batch)`` — every version the rebuild keeps, the batch
-Absorb = Callable[[List[Any], List[Any]], Any]
 
 
 class Version:
@@ -130,20 +129,20 @@ class RebuildingIndex:
         self._pending: List[Any] = []
         self._log_block_id: Optional[int] = None
         #: B+-trees kept beside ``inner`` over the same records:
-        #: ``(tree, key, absorb)``, see :meth:`beside`
-        self._beside: List[Tuple[Any, Callable[[Any], Any], Absorb]] = []
+        #: ``(tree, key)``, see :meth:`beside`
+        self._beside: List[Tuple[Any, Callable[[Any], Any]]] = []
         #: bumped on every global rebuild — the planner's cache generation
         #: key folds this in, so cached plans over the structure re-plan
         #: after a reorganisation
         self.generation = 0
         self.inner: Any = build(initial)
 
-    def beside(self, tree: Any, key: Callable[[Any], Any], absorb: Absorb) -> Any:
-        """Keep B+-tree ``tree`` over the live records (keyed ``key(record)``)
+    def beside(self, tree: Any, key: Callable[[Any], Any]) -> Any:
+        """Keep B+-tree ``tree`` over the stored versions (keyed ``key(record)``)
         beside ``inner``: it gets every insert, its deletes wait for
-        :meth:`purge`, ``absorb`` takes a bulk load, and its blocks count
-        and free with this core's.  Returns ``tree``."""
-        self._beside.append((tree, key, absorb))
+        :meth:`purge`, a bulk load repacks it as it rebuilds ``inner``, and
+        its blocks count and free with this core's.  Returns ``tree``."""
+        self._beside.append((tree, key))
         return tree
 
     # ------------------------------------------------------------------ #
@@ -173,7 +172,7 @@ class RebuildingIndex:
                 self._insert(self.inner, item)
             else:
                 self._log(key, item)
-        for tree, side, _ in self._beside:
+        for tree, side in self._beside:
             tree.insert(side(item), item)
         self._live[key] = item
         if epoch is not None:
@@ -220,12 +219,13 @@ class RebuildingIndex:
         return True
 
     def bulk_load(self, items: Iterable[Any]) -> int:
-        """Absorb a batch in one global rebuild (the static bulk build).
+        """Load a batch in one global rebuild (the static bulk build).
 
         The batch is validated and the replacement built before the old
         structure is freed, so a failing batch raises with the index
-        intact.  The trees kept beside absorb it once the old structure
-        is gone: the build compared every key they sort.
+        intact.  The trees kept beside are repacked from the same stored
+        versions once the old structure is gone: the build compared every
+        key they sort.
         """
         new = list(items)
         fresh_record_keys(new, self._live)
@@ -236,8 +236,8 @@ class RebuildingIndex:
         fresh = [r for r, version in zip(new, shared) if version is None]
         stored = self._stored() + fresh
         self._install(self._build(stored))
-        for _, _, absorb in self._beside:
-            absorb(stored, fresh)
+        for tree, side in self._beside:
+            tree.rebuild((side(r), r) for r in stored)
         for r, version in zip(new, shared):
             key = record_key(r)
             self._live[key] = r
@@ -297,7 +297,7 @@ class RebuildingIndex:
     def _retire(self, key: Any, record: Any) -> bool:
         """Remove a version no reader sees: from the trees beside, the side
         log or natively; else tombstone it in ``inner`` (``True``)."""
-        for tree, side, _ in self._beside:
+        for tree, side in self._beside:
             tree.delete(side(record), match=lambda v: identical(v, record))
         at = next((i for i, p in enumerate(self._pending) if identical(p, record)), None)
         if at is not None:
@@ -371,7 +371,7 @@ class RebuildingIndex:
     def destroy(self) -> None:
         """Free every block (``Engine.drop_index`` calls this)."""
         self.inner.destroy()
-        for tree, _, _ in self._beside:
+        for tree, _ in self._beside:
             tree.destroy()
         self._pending, self._live, self._young = [], {}, {}
         self._write_log()
@@ -478,7 +478,7 @@ class RebuildingIndex:
     def block_count(self) -> int:
         return (
             int(self.inner.block_count())
-            + sum(int(tree.block_count()) for tree, _, _ in self._beside)
+            + sum(int(tree.block_count()) for tree, _ in self._beside)
             + (1 if self._log_block_id is not None else 0)
         )
 

@@ -20,7 +20,10 @@ from repro.constraints.rectangles import (
 )
 from repro.constraints.relation import GeneralizedDatabase
 from repro.constraints.terms import UNBOUNDED_HIGH, UNBOUNDED_LOW
+from repro.engine import Engine, Range, Stab
+from repro.errors import DuplicateError
 from repro.io import FileDisk, SimulatedDisk
+from repro.io import pagecodec
 
 X, Y = var("x"), var("y")
 
@@ -201,6 +204,92 @@ class TestGeneralizedIndex:
         assert {gt.name for gt in index.stabbing_tuples(5)} == {"a"}
         assert {gt.name for gt in index.stabbing_tuples(25)} == {"b"}
         assert index.stabbing_tuples(15) == []
+
+
+class TestTuplesAreValues:
+    """A tuple carries no uid: the index identifies it by its value, so a
+    copy decoded from a page or replayed from the WAL names the tuple that
+    was written."""
+
+    @staticmethod
+    def _tuples(start, stop):
+        return [
+            GeneralizedTuple([Constraint(X, ">=", i), Constraint(X, "<=", i + 10)], name=f"t{i}")
+            for i in range(start, stop)
+        ]
+
+    @staticmethod
+    def _names(engine):
+        return sorted(gt.name for gt in engine.query("c", Range(-1.0, 100.0)))
+
+    def test_a_decoded_copy_deletes_its_tuple(self, tmp_path):
+        tuples = self._tuples(0, 10)
+        with Engine(FileDisk(str(tmp_path / "db.pages"), block_size=8)) as engine:
+            engine.create_constraint_index("c", GeneralizedRelation(["x"], tuples, name="r"), "x")
+            copy = next(gt for gt in engine.query("c", Stab(3.5)) if gt.name == "t3")
+            assert copy == tuples[3] and copy is not tuples[3]
+            assert engine.delete("c", copy)
+            assert "t3" not in {gt.name for gt in engine.query("c", Stab(3.5))}
+            assert engine.delete("c", copy) is False
+
+    def test_an_acknowledged_delete_survives_wal_replay(self, tmp_path):
+        path = str(tmp_path / "db.pages")
+        tuples = self._tuples(0, 10)
+        engine = Engine.open_or_create(path, block_size=8)
+        engine.create_constraint_index("c", GeneralizedRelation(["x"], tuples, name="r"), "x")
+        engine.checkpoint()
+        extra = self._tuples(50, 51)[0]
+        engine.insert("c", extra)
+        assert engine.delete("c", tuples[3])
+        assert engine.delete("c", extra)
+        want = self._names(engine)
+        assert "t3" not in want and "t50" not in want
+        # a crash: the pages keep the checkpoint, the log the acknowledged
+        # writes, and the replayed deletes carry decoded copies of the tuples
+        engine.wal.close()
+        engine.backend.close()
+        with Engine.open(path) as reopened:
+            assert self._names(reopened) == want
+
+    def test_an_equal_copy_of_a_live_tuple_is_a_duplicate(self):
+        tuples = self._tuples(0, 30)
+        index = GeneralizedOneDimensionalIndex(SimulatedDisk(4), GeneralizedRelation(["x"], tuples), "x")
+        twin = pagecodec.decode(pagecodec.encode(1, [tuples[7]], {}))[3].tolist()[0]
+        assert twin == tuples[7] and twin is not tuples[7]
+        with pytest.raises(DuplicateError):
+            index.insert(twin)
+        with pytest.raises(DuplicateError):
+            index.bulk_load([twin])
+        assert len(index) == len(index.relation) == 30
+        # deleted, the tuple is free again, and its re-insert revives the
+        # stored version instead of writing a second row
+        blocks = index.block_count()
+        assert index.delete(tuples[7])
+        index.insert(twin)
+        assert len(index) == len(index.relation) == 30
+        assert index.block_count() == blocks
+        assert [gt.name for gt in index.stabbing_tuples(7.5)].count("t7") == 1
+
+    def test_a_delete_by_value_compares_no_other_tuple(self, monkeypatch):
+        """The value finds the interval, and the interval the held object:
+        the relation is not scanned with ``==`` (a call per held tuple)."""
+        tuples = self._tuples(0, 500)
+        index = GeneralizedOneDimensionalIndex(SimulatedDisk(8), GeneralizedRelation(["x"], tuples), "x")
+        twin = pagecodec.decode(pagecodec.encode(1, [tuples[400]], {}))[3].tolist()[0]
+        compared = []
+        eq = GeneralizedTuple.__eq__
+        monkeypatch.setattr(GeneralizedTuple, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+        assert index.delete(twin)
+        assert len(compared) <= 2 and tuples[400] not in index.relation.tuples
+
+    def test_the_keys_of_deleted_tuples_last_until_the_next_rebuild(self):
+        tuples = self._tuples(0, 40)
+        index = GeneralizedOneDimensionalIndex(SimulatedDisk(4), GeneralizedRelation(["x"], tuples), "x")
+        for gt in tuples[:30]:  # far past the tombstone threshold
+            assert index.delete(gt)
+        assert index.generation > 0
+        # only the deletes since the last rebuild keep their key
+        assert tuples[29] in index._retired and len(index._retired) < 30
 
 
 class TestRectangleExample:

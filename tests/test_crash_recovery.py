@@ -29,6 +29,8 @@ import pytest
 
 from repro import Engine, Interval, Range
 from repro.classes.hierarchy import ClassHierarchy, ClassObject
+from repro.constraints.relation import GeneralizedRelation
+from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
 from repro.engine import ClassRange
 from repro.engine.core import KINDS as ENGINE_KINDS
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
@@ -79,21 +81,7 @@ def steps_for(kind: str, seed: int = 0):
                 victim = live.pop(rnd.randrange(len(live)))
                 steps.append(("delete", victim))
         return steps
-    if kind == "key":
-        base = [row(i) for i in range(8)]
-        steps = [("create", base)]
-        live = [r[2] for r in base]
-        next_payload = len(base)
-        for _ in range(8):
-            if rnd.random() < 0.6 or not live:
-                r = row(next_payload)
-                next_payload += 1
-                live.append(r[2])
-                steps.append(("insert", r))
-            else:
-                steps.append(("delete", live.pop(rnd.randrange(len(live)))))
-        return steps
-    if kind == "point":
+    if kind in ("key", "point", "constraint"):
         base = [row(i) for i in range(8)]
         steps = [("create", base)]
         live = [r[2] for r in base]
@@ -113,12 +101,11 @@ def steps_for(kind: str, seed: int = 0):
         for i in range(8, 14):
             steps.append(("insert", row(i)))
         return steps
-    if kind == "constraint":
-        return [("create", [row(i) for i in range(10)])]
     raise ValueError(kind)
 
 
 _CLASSES = ["Root", "A", "B"]
+_X = Variable("x")
 
 
 class EngineApplier:
@@ -134,6 +121,12 @@ class EngineApplier:
         low, high, payload = row
         if self.kind == "point":
             rec = PlanarPoint(low, high, payload=payload)
+        elif self.kind == "constraint":
+            # a tuple has no uid: a replayed delete names it by value
+            rec = GeneralizedTuple(
+                [Constraint(_X, ">=", low), Constraint(_X, "<=", high)],
+                name=f"t{payload}",
+            )
         elif self.kind == "class":
             rec = ClassObject(low, _CLASSES[payload % len(_CLASSES)],
                               payload=payload)
@@ -165,22 +158,7 @@ class EngineApplier:
                 eng.create_class_index(name, hierarchy, records,
                                        method="combined")
             elif self.kind == "constraint":
-                from repro.constraints.relation import GeneralizedRelation
-                from repro.constraints.terms import (
-                    Constraint,
-                    GeneralizedTuple,
-                    Variable,
-                )
-
-                x = Variable("x")
-                tuples = [
-                    GeneralizedTuple(
-                        [Constraint(x, ">=", r[0]), Constraint(x, "<=", r[1])],
-                        name=f"t{r[2]}",
-                    )
-                    for r in step[1]
-                ]
-                relation = GeneralizedRelation(["x"], tuples, name="r")
+                relation = GeneralizedRelation(["x"], records, name="r")
                 eng.create_constraint_index(name, relation, "x", dynamic=True)
         elif op == "insert":
             rec = self._record(step[1])

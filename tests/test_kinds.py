@@ -118,6 +118,28 @@ def test_a_build_writes_each_page_once_and_reads_none(kind, backend):
         assert engine.block_count() == engine.backend.blocks_in_use
 
 
+@pytest.mark.parametrize("backend", [SimulatedDisk, FileDisk])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_bulk_load_into_an_index_writes_each_page_once(kind, backend):
+    """A bulk load into a built index is a global rebuild: every kind on
+    the rebuilding core repacks its structure and each tree beside it from
+    the versions it stores, so it writes each block it leaves once and
+    reads none.  ``key`` stores no versions (a bare B+-tree), so it reads
+    its pairs back in one leaf scan (the descent to its first leaf, then
+    each leaf it held) and nothing else."""
+    records, params, _, _ = _case(kind)
+    half = len(records) // 2
+    with Engine(backend(block_size=4)) as engine:
+        engine.create("ix", kind, records[:half], **params)
+        with engine.backend.measure() as scan:
+            if kind == "key":
+                list(engine["ix"].iter_pairs())
+        with engine.backend.measure() as m:
+            assert engine.bulk_load("ix", records[half:]) == len(records) - half
+        assert (m.reads, m.writes) == (scan.reads, engine.block_count())
+        assert engine.block_count() == engine.backend.blocks_in_use
+
+
 # --------------------------------------------------------------------------- #
 # (i) persistence: checkpoint + open, and WAL-only recovery
 # --------------------------------------------------------------------------- #
