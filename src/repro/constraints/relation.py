@@ -24,9 +24,16 @@ class GeneralizedRelation:
     ) -> None:
         self.name = name
         self.variables: List[str] = list(variables)
-        self.tuples: List[GeneralizedTuple] = list(tuples)
-        for gt in self.tuples:
-            self._check_variables(gt)
+        #: the held tuples by identity, in insertion order: a delete finds
+        #: its tuple in O(1) (see :meth:`discard`)
+        self._held: Dict[int, GeneralizedTuple] = {}
+        for gt in tuples:
+            self.add(gt)
+
+    @property
+    def tuples(self) -> List[GeneralizedTuple]:
+        """The tuples, in insertion order (a new list)."""
+        return list(self._held.values())
 
     def _check_variables(self, gt: GeneralizedTuple) -> None:
         unknown = gt.variables() - set(self.variables)
@@ -41,16 +48,12 @@ class GeneralizedRelation:
     # ------------------------------------------------------------------ #
     def add(self, gt: GeneralizedTuple) -> None:
         self._check_variables(gt)
-        self.tuples.append(gt)
+        self._held[id(gt)] = gt
 
     def discard(self, gt: GeneralizedTuple) -> bool:
         """Remove ``gt`` itself, by identity (an index finds the held object by
-        value; a scan by ``==`` would cost a Python call per held tuple)."""
-        for i, held in enumerate(self.tuples):
-            if held is gt:
-                del self.tuples[i]
-                return True
-        return False
+        value; matching by ``==`` would hash or compare constraints)."""
+        return self._held.pop(id(gt), None) is not None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -63,7 +66,7 @@ class GeneralizedRelation:
         way.
         """
         out = []
-        for gt in self.tuples:
+        for gt in self._held.values():
             candidate = gt.conjoin(*constraints)
             if not prune or candidate.is_satisfiable():
                 out.append(candidate)
@@ -73,22 +76,22 @@ class GeneralizedRelation:
         """Drop unsatisfiable tuples."""
         return GeneralizedRelation(
             self.variables,
-            [gt for gt in self.tuples if gt.is_satisfiable()],
+            [gt for gt in self._held.values() if gt.is_satisfiable()],
             name=self.name,
         )
 
     def contains_point(self, assignment: Dict[str, Any]) -> bool:
         """Whether the concrete point belongs to the represented set."""
-        return any(gt.evaluate(assignment) for gt in self.tuples)
+        return any(gt.evaluate(assignment) for gt in self._held.values())
 
     def __iter__(self) -> Iterator[GeneralizedTuple]:
         return iter(self.tuples)
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self._held)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}({', '.join(self.variables)}) with {len(self.tuples)} tuples"
+        return f"{self.name}({', '.join(self.variables)}) with {len(self)} tuples"
 
 
 class GeneralizedDatabase:

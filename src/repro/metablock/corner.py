@@ -13,7 +13,13 @@ Construction (Section 3.1, Figs. 11–12):
    first element is the left boundary of the rightmost block.  A candidate
    ``c_i`` is promoted into ``C*`` exactly when
    ``|Δ−_i| + |Δ+_i| > |S_i|`` — i.e. when a query cornered at ``c_i`` could
-   *not* be amortized against already-blocked answers.
+   *not* be amortized against already-blocked answers.  Here ``c_j`` is the
+   last corner promoted, ``S_i = {x <= c_i, y >= c_i}``,
+   ``Δ+_i = {x <= c_i, c_i <= y < c_j}`` and ``Δ−_i = {c_i < x <= c_j}``.
+   One x-sorted copy of ``S`` decides every candidate: ``|Δ−_i|`` is a
+   difference of two prefix lengths (two bisections), and as ``Δ+_i ⊆ S_i``
+   the test reads ``|Δ−_i| > |S_i| − |Δ+_i|``, the points of the
+   ``x <= c_i`` prefix with ``y >= c_j`` — one pass over that prefix.
 4. For every ``c* ∈ C*`` store the full answer ``S*(c*) = {x <= c*, y >= c*}``
    explicitly, as a horizontally oriented blocking.
 
@@ -25,7 +31,9 @@ the vertical blocks strictly between ``e`` and ``c`` (Figs. 13–14).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
+from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.io.disk import BlockId
@@ -48,9 +56,6 @@ class CornerStructure:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _answer(self, corner: Any) -> List[PlanarPoint]:
-        return [p for p in self._points if p.x <= corner and p.y >= corner]
-
     def _build(self) -> None:
         points = self._points
         if not points:
@@ -65,18 +70,23 @@ class CornerStructure:
         candidates = sorted({b[1] for b in bounds[:-1]}, reverse=True)
         candidates = [c for c in candidates if c < rightmost_left_boundary]
 
+        # Step 3 in one x-sorted copy (see the module docstring): the points
+        # at x <= c are a prefix of it.
+        by_x = sorted(points, key=attrgetter("x"))
+        xs = [p.x for p in by_x]
+        ys = [p.y for p in by_x]
         explicit_corners: List[Any] = [rightmost_left_boundary]
         for c in candidates:
             cj = explicit_corners[-1]
-            s_i = [p for p in points if p.x <= c and p.y >= c]
-            delta_plus = [p for p in points if p.x <= c and c <= p.y < cj]
-            delta_minus_1 = [p for p in points if c < p.x <= cj and p.y >= cj]
-            delta_minus_2 = [p for p in points if c < p.x <= cj and p.y < cj]
-            if len(delta_minus_1) + len(delta_minus_2) + len(delta_plus) > len(s_i):
+            prefix = bisect_right(xs, c)
+            delta_minus = bisect_right(xs, cj) - prefix
+            if delta_minus > len([y for y in ys[:prefix] if y >= cj]):
                 explicit_corners.append(c)
 
         for corner in explicit_corners:
-            answer = self._answer(corner)
+            # the sort is stable: tied points keep their input order, which
+            # the horizontal blocking's own stable sort then keeps
+            answer = [p for p in by_x[: bisect_right(xs, corner)] if p.y >= corner]
             if answer:
                 blocking = blk.build_horizontal(self.disk, answer)
             else:

@@ -4,8 +4,10 @@ A metablock tree over ``n`` points in the region ``y >= x`` is a ``B``-ary
 tree of *metablocks*, each representing ``B^2`` points:
 
 * the root holds the ``B^2`` points with the largest y values;
-* the remaining points are divided by x coordinate into ``B`` groups, and a
-  metablock tree is built recursively for each group;
+* the remaining points are divided by x coordinate into ``B`` groups — or,
+  when they fit into fewer than ``B`` full metablocks, into just enough
+  groups of at most ``B^2`` — and a metablock tree is built recursively for
+  each group;
 * a group with at most ``B^2`` points becomes a leaf metablock.
 
 Each metablock stores its points in both a vertically and a horizontally
@@ -221,6 +223,19 @@ class StaticMetablockTree:
     # construction
     # ------------------------------------------------------------------ #
     def _build(self, points: List[PlanarPoint], parent: Optional[Metablock]) -> Metablock:
+        """Build the subtree over ``points`` below ``parent``.
+
+        The metablock keeps the ``B^2`` highest points; the ``rest`` is cut
+        by x into ``min(B, ceil(|rest| / B^2))`` equal groups, one child
+        each.  Above ``B^3`` points that is the paper's ``B`` groups.  Below,
+        ``B`` groups would make ``B`` leaves of ``|rest|/B`` points each,
+        every one paying a control block, a corner structure and a TS
+        blocking of up to ``B^2`` points; just enough groups of at most
+        ``B^2`` instead give leaves of at least ``B^2/2`` points (but for a
+        lone child or the last group's remainder), so the tree keeps the
+        ``O(n/B^2)`` metablocks that Theorem 3.2's ``O(n/B)`` space and its
+        "a whole metablock in ``B`` I/Os" amortisation count on.
+        """
         mb = self.node_class()
         mb.parent = parent
         mb.subtree_min_x = min(p.x for p in points)
@@ -236,7 +251,8 @@ class StaticMetablockTree:
             rest = sorted(by_y[self.capacity :], key=lambda p: (p.x, p.y))
             mb.is_leaf = False
             mb.note_below(by_y[self.capacity].y)
-            group_size = max(1, -(-len(rest) // self.B))  # ceil division
+            groups = min(self.B, -(-len(rest) // self.capacity))  # ceil division
+            group_size = -(-len(rest) // groups)
             for start in range(0, len(rest), group_size):
                 group = rest[start : start + group_size]
                 child = self._build(group, parent=mb)

@@ -1,7 +1,9 @@
 """Tests for the constraint data model (Section 2.1) and its 1-D index."""
 
+import gc
 import math
 import random
+import sys
 
 import pytest
 
@@ -131,6 +133,46 @@ class TestGeneralizedRelation:
         assert len(rel) == 11
         assert rel.discard(extra)
         assert not rel.discard(extra)
+
+    def test_tuples_stay_in_insertion_order_across_discards(self):
+        rel = self._relation()
+        held = rel.tuples
+        rel.discard(held[3])
+        rel.add(held[3])
+        assert rel.tuples == held[:3] + held[4:] + [held[3]]
+        # an equal copy is not the held tuple: discard goes by identity
+        assert not rel.discard(GeneralizedTuple(list(held[0].constraints), name=held[0].name))
+
+    def test_a_discards_opcode_count_does_not_grow_with_the_relation(self):
+        """A delete finds its tuple by identity, in O(1), wherever it sits."""
+
+        def opcodes(fn):
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                frame.f_trace_opcodes = True
+                count += event == "opcode"
+                return tracer
+
+            # no collection mid-call: a finalizer it ran would be counted
+            gc.collect()
+            gc.disable()
+            sys.settrace(tracer)
+            try:
+                fn()
+            finally:
+                sys.settrace(None)
+                gc.enable()
+            return count
+
+        costs = []
+        for n in (2_000, 32_000):
+            tuples = [GeneralizedTuple([Constraint(X, "=", i)], name=i) for i in range(n)]
+            rel = GeneralizedRelation(["x"], tuples)
+            costs.append([opcodes(lambda: rel.discard(tuples[i])) for i in (0, n // 2, n - 1)])
+            assert len(rel) == n - 3
+        assert costs[0] == costs[1]
 
     def test_select_prunes_unsatisfiable(self):
         rel = self._relation()

@@ -204,13 +204,8 @@ def recovered_payloads(engine, name: str, kind: str):
         rows = engine.query(name, ClassRange("Root", -1e9, 1e9)).all()
         return {o.payload for o in rows}
     if kind == "constraint":
-        # tuples carry names t<payload>; stab the whole domain piecewise
-        names = set()
-        for x in range(0, 115, 5):
-            names.update(
-                t.name for t in engine.query(name, Range(-1.0, 115.0)).all()
-            )
-        return {int(n[1:]) for n in names}
+        # tuples carry names t<payload>; one range covers the whole domain
+        return {int(t.name[1:]) for t in engine.query(name, Range(-1.0, 115.0)).all()}
     rows = engine.query(name, Range(-1e9, 1e9)).all()
     return {iv.payload for iv in rows}
 

@@ -574,7 +574,8 @@ SNAPSHOT_SCRIPTS = {
 
 def _snapshot_run(kind, script, backend, pin):
     """Build, run ``script`` (inside a pin or not), purge, rebuild; the
-    blocks in use after the purge and after the rebuild."""
+    blocks in use after the purge, the dead versions the purge left
+    tombstoned in the structure, and the blocks in use after the rebuild."""
     rnd = random.Random(f"{kind}-{script}")
     engine = Engine(SimulatedDisk(4) if backend == "memory" else FileDisk(block_size=4))
     try:
@@ -604,9 +605,12 @@ def _snapshot_run(kind, script, backend, pin):
                 got = _snapshot_answer(kind, q, engine.query("ix", q))
             assert got == _snapshot_answer(kind, q, model), q
         purged = engine.block_count()
+        index = engine["ix"]
+        # the rebuilding core under every kind (a point index is one)
+        tombstoned = getattr(getattr(index, "manager", index), "_core", index)._dead
         engine.bulk_load("ix", [_snapshot_record(kind, rnd, "last")])
         assert engine["ix"].live_count == len(model) + 1
-        return purged, engine.block_count()
+        return purged, tombstoned, engine.block_count()
     finally:
         engine.close()
 
@@ -716,21 +720,22 @@ class TestSnapshotReads:
         oracle, and once the versions are purged (and, where a rebuild
         kept some for the pin, rebuilt again) the index holds exactly the
         blocks the same writes leave without a pin."""
-        (purged, rebuilt), (unpinned_purged, unpinned_rebuilt) = (
+        (purged, tombstoned, rebuilt), (unpinned_purged, unpinned_tombstoned, unpinned_rebuilt) = (
             _snapshot_run(kind, script, backend, pin) for pin in (True, False)
         )
         assert rebuilt == unpinned_rebuilt
         if script == "bulk":
             # a bulk load is a rebuild, and the one under the pin kept the
             # dead versions the pin saw: the purge after it only tombstones
-            # them in the structure and empties their endpoint-tree slots
-            # (a B+-tree never merges a leaf), so the next rebuild reclaims
-            # that space
-            assert purged >= unpinned_purged
+            # them in the structure (the endpoint trees drop them), so the
+            # next rebuild reclaims them.  Their blocks are not compared: a
+            # metablock tree's block count is not monotone in its points
+            # (one more point can regroup a level into fuller leaves)
+            assert tombstoned >= unpinned_tombstoned
         else:
             # a re-inserted record — a constraint tuple too, identified by
             # its value — revives its dead version: no row is stored twice
-            assert purged == unpinned_purged
+            assert (purged, tombstoned) == (unpinned_purged, unpinned_tombstoned)
 
     @pytest.mark.parametrize("kind", ["collection", "interval", "point"])
     def test_pinned_readers_beside_a_writer_each_read_their_epoch(self, kind):

@@ -107,7 +107,9 @@ class TestIOBehaviour:
         manager = ExternalIntervalManager(
             SimulatedDisk(B), make_intervals(n, seed=7), dynamic=False
         )
-        assert manager.block_count() <= 15 * linear_space_bound(n, B)
+        # measured: at most 6.63 * n/B over seeds 0-19 of this set-up (9.58
+        # while the build cut small remainders into B thin leaves); +10 %
+        assert manager.block_count() <= 7.3 * linear_space_bound(n, B)
 
     def test_stabbing_query_io_within_bound(self):
         B = 16

@@ -161,7 +161,9 @@ class TestIOBounds:
         tree = AugmentedMetablockTree(disk)
         for p in make_interval_points(n, seed=8):
             tree.insert(p)
-        assert disk.blocks_in_use <= 20 * linear_space_bound(n, B)
+        # measured: at most 5.04 * n/B over seeds 0-19 of this insert run
+        # (5.47 while the build cut small remainders into B thin leaves); +10 %
+        assert disk.blocks_in_use <= 5.5 * linear_space_bound(n, B)
 
     def test_amortized_insert_io_is_polylogarithmic(self):
         B = 16

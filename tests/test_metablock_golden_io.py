@@ -21,6 +21,15 @@ PR 17 lowered the ``built`` / ``inserted`` totals of the three 3-sided rows
 (a 3-sided metablock no longer builds the two blockings its queries never
 read; reads, every query entry and every augmented row stayed) — CHANGES.md
 (PR 17) has the parent's values.
+
+Every row was re-pinned when the build stopped cutting the points below a
+metablock into ``B`` groups whatever their number and cut them into just
+enough groups of at most ``B^2`` (``StaticMetablockTree._build``).  A
+depth-1 metablock of this bulk set then starts with one leaf instead of
+``B``, so the marching run was lengthened from ``(B + 6) B^2`` to
+``(2B + 6) B^2`` points to still reach a branching split under it.  Beside
+each entry (``was``) is the parent commit's value on this same, lengthened
+workload.
 """
 
 import random
@@ -44,7 +53,7 @@ def _workload(B, diagonal):
     """Seeded untied bulk points, inserts and queries for block size ``B``."""
     rnd = random.Random(7000 + B)
     cap = B * B
-    # three levels: the root, B internal children, their leaves
+    # three levels: the root, B internal children, one leaf of 4B points under each
     n_bulk = cap + B * cap + 4 * B * B
     bulk = [
         _point(diagonal, rnd.uniform(0, DOMAIN), rnd.uniform(0, 60), i)
@@ -54,7 +63,7 @@ def _workload(B, diagonal):
     # low points marching right inside one leaf's x range: they sink to it,
     # split it, then its right half, and so on, until the depth-1 metablock
     # above them has 2B children
-    n_low = (B + 6) * cap
+    n_low = (2 * B + 6) * cap
     for i in range(n_low):
         x = 0.3 * DOMAIN + 0.01 * i / n_low
         inserts.append(_point(diagonal, x, rnd.uniform(0, 0.005), len(bulk) + len(inserts)))
@@ -134,45 +143,55 @@ def measure(tree_cls, B):
 #: (tree, B) -> block_count / reads / writes / allocations / frees, per-query I/Os
 GOLDEN = {
     ("AugmentedMetablockTree", 4): {
-        "built": [214, 0, 214, 214, 0],
-        "built_queries": [5, 5, 3, 6, 8, 0, 9, 4, 5, 5, 4, 0],
-        "inserted": [459, 826, 4167, 3395, 2936],
-        "inserted_queries": [13, 14, 11, 20, 22, 0, 17, 13, 14, 13, 24, 7],
+        "built": [174, 0, 174, 174, 0],  # was [214, 0, 214, 214, 0]
+        "built_queries": [6, 6, 5, 0, 5, 5, 6, 5, 7, 5, 5, 0],  # was [8, 6, 5, 0, 4, 5, 6, 5, 6, 4, 4, 0]
+        "inserted": [541, 1078, 5613, 4590, 4049],  # was [544, 1063, 5603, 4593, 4049]
+        "inserted_queries": [17, 14, 14, 16, 19, 14, 16, 17, 24, 19, 31, 8],
+        # was [20, 16, 16, 16, 17, 16, 16, 19, 24, 17, 30, 8]
         "height": 3,
     },
     ("AugmentedMetablockTree", 8): {
-        "built": [739, 0, 739, 739, 0],
-        "built_queries": [8, 7, 10, 11, 8, 10, 8, 6, 11, 7, 12, 0],
-        "inserted": [1510, 3739, 18952, 15311, 13801],
-        "inserted_queries": [12, 13, 28, 26, 16, 23, 22, 13, 23, 20, 58, 8],
+        "built": [534, 0, 534, 534, 0],  # was [739, 0, 739, 739, 0]
+        "built_queries": [7, 7, 8, 8, 9, 7, 10, 11, 8, 8, 11, 0],  # was [7, 7, 8, 9, 9, 7, 11, 11, 9, 7, 12, 0]
+        "inserted": [1666, 5488, 28569, 23175, 21509],  # was [1842, 5474, 29130, 23753, 21911]
+        "inserted_queries": [16, 19, 19, 13, 26, 20, 28, 24, 21, 14, 80, 9],
+        # was [16, 19, 19, 14, 25, 17, 28, 25, 22, 12, 74, 9]
         "height": 3,
     },
     ("AugmentedMetablockTree", 16): {
-        "built": [2991, 0, 2991, 2991, 0],
-        "built_queries": [18, 18, 16, 18, 18, 17, 16, 17, 19, 17, 17, 0],
-        "inserted": [5446, 20359, 107318, 87150, 81704],
-        "inserted_queries": [29, 29, 23, 30, 32, 29, 28, 45, 37, 33, 140, 13],
+        "built": [1805, 0, 1805, 1805, 0],  # was [2991, 0, 2991, 2991, 0]
+        "built_queries": [16, 19, 13, 15, 13, 17, 15, 0, 13, 16, 16, 0],
+        # was [16, 18, 13, 15, 13, 17, 17, 0, 13, 17, 17, 0]
+        "inserted": [5538, 33443, 175353, 142063, 136525],  # was [6821, 33384, 181739, 148511, 141690]
+        "inserted_queries": [29, 31, 21, 43, 21, 28, 37, 21, 40, 32, 207, 13],
+        # was [29, 29, 21, 47, 21, 28, 39, 21, 40, 30, 217, 13]
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 4): {
-        "built": [186, 0, 186, 186, 0],
-        "built_queries": [10, 29, 12, 12, 7, 9, 13, 13, 17, 9, 13, 0],
-        "inserted": [407, 891, 3884, 3137, 2730],
-        "inserted_queries": [16, 44, 18, 28, 12, 14, 19, 21, 29, 18, 90, 8],
+        "built": [133, 0, 133, 133, 0],  # was [186, 0, 186, 186, 0]
+        "built_queries": [10, 8, 5, 11, 6, 22, 13, 22, 0, 9, 15, 0],
+        # was [10, 8, 5, 11, 6, 22, 13, 20, 0, 9, 13, 0]
+        "inserted": [433, 1115, 5406, 4412, 3979],  # was [481, 1093, 5326, 4350, 3869]
+        "inserted_queries": [19, 15, 14, 22, 13, 37, 34, 37, 8, 14, 112, 8],
+        # was [19, 15, 15, 22, 13, 35, 34, 35, 8, 14, 119, 8]
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 8): {
-        "built": [749, 0, 749, 749, 0],
-        "built_queries": [8, 13, 19, 7, 6, 12, 20, 13, 23, 0, 16, 0],
-        "inserted": [1478, 3683, 18114, 14568, 13090],
-        "inserted_queries": [13, 25, 32, 13, 21, 20, 34, 19, 32, 7, 150, 10],
+        "built": [428, 0, 428, 428, 0],  # was [749, 0, 749, 749, 0]
+        "built_queries": [39, 19, 14, 41, 7, 49, 23, 79, 8, 12, 17, 0],
+        # was [39, 19, 14, 37, 7, 49, 23, 89, 8, 10, 16, 0]
+        "inserted": [1338, 5599, 28077, 22786, 21448],  # was [1760, 5583, 28979, 23707, 21947]
+        "inserted_queries": [50, 34, 25, 61, 19, 82, 59, 111, 29, 20, 216, 10],
+        # was [57, 34, 25, 56, 19, 80, 56, 111, 27, 18, 266, 10]
         "height": 3,
     },
     ("ThreeSidedMetablockTree", 16): {
-        "built": [3022, 0, 3022, 3022, 0],
-        "built_queries": [135, 85, 107, 21, 0, 92, 95, 18, 91, 225, 44, 0],
-        "inserted": [5508, 20669, 100631, 80875, 75367],
-        "inserted_queries": [179, 129, 141, 30, 12, 111, 120, 32, 136, 326, 467, 18],
+        "built": [1486, 0, 1486, 1486, 0],  # was [3022, 0, 3022, 3022, 0]
+        "built_queries": [53, 27, 0, 0, 112, 9, 0, 0, 40, 0, 35, 0],
+        # was [51, 30, 0, 0, 112, 9, 0, 0, 40, 0, 44, 0]
+        "inserted": [4698, 33207, 174612, 141681, 136983],  # was [6476, 33093, 184316, 151509, 145033]
+        "inserted_queries": [119, 37, 12, 17, 164, 30, 8, 17, 57, 9, 738, 18],
+        # was [111, 40, 12, 17, 166, 30, 8, 17, 57, 9, 755, 18]
         "height": 3,
     },
 }

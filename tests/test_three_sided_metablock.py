@@ -141,7 +141,9 @@ class TestIOBounds:
         n = 6_000
         disk = SimulatedDisk(block_size=B)
         tree = ThreeSidedMetablockTree(disk, make_points(n, seed=11))
-        assert tree.block_count() <= 20 * linear_space_bound(n, B)
+        # measured: at most 4.03 * n/B over seeds 0-19 of this set-up (9.40
+        # while the build cut small remainders into B thin leaves); +10 %
+        assert tree.block_count() <= 4.4 * linear_space_bound(n, B)
 
     def test_small_output_query_cost(self):
         B = 16

@@ -76,7 +76,7 @@ def tied_points(draw):
     B = draw(st.sampled_from([2, 3, 4, 8]))
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(FIVE), st.sampled_from(FIVE)),
-        min_size=B * B + 2, max_size=4 * B * B + B,
+        min_size=2 * B * B + 1, max_size=4 * B * B + B,
     ))
     repeats = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=B * B))
     pairs += [pairs[i] for i in repeats]
@@ -97,7 +97,8 @@ def test_a_built_trees_ts_pages_equal_the_prefix_resorts(case, cls):
     B, points = case
     merged = _build(cls, B, points, None, use_oracle=False)
     assert merged == _build(cls, B, points, None, use_oracle=True)
-    # more than B^2 points: a root with two children or more, so TS pages exist
+    # more than 2B^2 points: the root keeps B^2 and cuts more than B^2 into
+    # groups of at most B^2, so it has two children or more and TS pages exist
     sides = {"ts", "ts_right"} if cls is ThreeSidedMetablockTree else {"ts"}
     assert {side for side, _ in merged} == sides
 
@@ -106,7 +107,7 @@ def test_a_built_trees_ts_pages_equal_the_prefix_resorts(case, cls):
 @given(tied_points(), st.data())
 def test_a_dynamic_ts_reorganisation_equals_the_prefix_resort(case, data):
     B, points = case
-    cut = data.draw(st.integers(B * B + 2, len(points)))
+    cut = data.draw(st.integers(2 * B * B + 1, len(points)))
     bulk, inserts = points[:cut], points[cut:]
     for cls in (AugmentedMetablockTree, ThreeSidedMetablockTree):
         merged = _build(cls, B, bulk, inserts, use_oracle=False)
