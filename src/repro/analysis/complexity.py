@@ -4,13 +4,16 @@ The benchmarks and the bound checks compare every measured I/O count
 against the corresponding bound evaluated by these helpers; the
 reproduction claims the *shape*
 (constant ``measured / bound`` ratios as ``n``, ``B``, ``c`` and ``t``
-grow), not specific constants.
+grow), not specific constants.  :class:`Bound` carries one of them with
+its formula: what a structure's ``cost(q)`` returns and the planner
+compares (re-exported as :class:`repro.engine.protocols.Bound`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 
 def log_b(n: float, b: float) -> float:
@@ -113,3 +116,42 @@ def ratio_trend(measured: Sequence[float], predicted: Sequence[float]) -> float:
     if len(ratios) < 2 or ratios[0] == 0:
         return 1.0
     return ratios[-1] / ratios[0]
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A predicted I/O bound: a formula from the paper plus its evaluation.
+
+    ``pages`` is the output-independent part of the bound (the formula at
+    ``t = 0``, e.g. the ``log_B n`` search cost) — it is what the planner
+    compares when choosing among candidate plans, since the output size is
+    unknown before execution.  ``at(t)`` evaluates the full formula at
+    output size ``t``; equality and hashing ignore it so plans built for the
+    same query compare equal.
+    """
+
+    formula: str
+    pages: float
+    at: Optional[Callable[[int], float]] = field(default=None, compare=False, repr=False)
+
+    def __call__(self, t: int = 0) -> float:
+        """Predicted I/Os at output size ``t``."""
+        if self.at is None:
+            return self.pages
+        return self.at(t)
+
+    @classmethod
+    def of(cls, formula: str, fn: Callable[[int], float]) -> "Bound":
+        """Build a bound from a ``t -> pages`` function (``pages = fn(0)``)."""
+        return cls(formula, fn(0), fn)
+
+    def __add__(self, other: "Bound") -> "Bound":
+        """Sum of two bounds (union plans execute both sides)."""
+        if not isinstance(other, Bound):
+            return NotImplemented
+        left, right = self, other
+        return Bound(
+            f"{left.formula} + {right.formula}",
+            left.pages + right.pages,
+            at=lambda t: left(t) + right(t),
+        )

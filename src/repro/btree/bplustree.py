@@ -23,6 +23,8 @@ from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
+from repro.algebra import Range, Stab
+from repro.analysis.complexity import Bound, btree_query_bound
 from repro.io.disk import Block, BlockId
 
 Pair = Tuple[Any, Any]
@@ -437,8 +439,6 @@ class BPlusTree:
 
     def stream_blocks(self, q: Any, *, values: bool = False) -> Iterator[Any]:
         """:meth:`stream` a batch per leaf read (see :meth:`iter_range_blocks`)."""
-        from repro.engine.queries import Stab
-
         if isinstance(q, Stab):
             return self.iter_range_blocks(q.x, q.x, values=True)
         return self.iter_range_blocks(
@@ -455,15 +455,10 @@ class BPlusTree:
 
     def supports(self, q: Any) -> bool:
         """Exact-key (:class:`Stab`) and key-range (:class:`Range`) shapes."""
-        from repro.engine.queries import Range, Stab
-
         return isinstance(q, (Stab, Range))
 
     def cost(self, q: Any) -> "Any":
         """Section 1.1: ``O(log_B n + t/B)`` I/Os per search."""
-        from repro.analysis.complexity import btree_query_bound
-        from repro.engine.protocols import Bound
-
         n, b = max(self.size, 2), self.branching
         return Bound.of("log_B n + t/B", lambda t: btree_query_bound(n, b, t))
 

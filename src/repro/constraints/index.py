@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.analysis.complexity import metablock_query_bound
+from repro.algebra import Range, Stab
+from repro.analysis.complexity import Bound, metablock_query_bound
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.terms import Constraint, GeneralizedTuple, Variable
 from repro.core.interval_manager import ExternalIntervalManager
@@ -179,8 +180,6 @@ class GeneralizedOneDimensionalIndex:
         * :class:`~repro.engine.queries.Stab` -> tuples whose generalized
           key contains ``q.x``.
         """
-        from repro.engine.queries import Stab
-
         if isinstance(q, Stab):
             return (iv.payload for iv in self.manager.iter_stabbing(q.x))
         return self.iter_restricted(q.low, q.high)
@@ -194,14 +193,10 @@ class GeneralizedOneDimensionalIndex:
 
     def supports(self, q: Any) -> bool:
         """Point (:class:`Stab`) and range (:class:`Range`) restrictions."""
-        from repro.engine.queries import Range, Stab
-
         return isinstance(q, (Stab, Range))
 
     def cost(self, q: Any) -> "Any":
         """Section 2.1 via Theorem 3.2: ``O(log_B n + t/B)`` I/Os."""
-        from repro.engine.protocols import Bound
-
         n, b = max(len(self), 2), self.disk.block_size
         return Bound.of("log_B n + t/B", lambda t: metablock_query_bound(n, b, t))
 

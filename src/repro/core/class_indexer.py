@@ -17,9 +17,12 @@ examples and benchmarks can switch scheme by name:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Iterator, List
 
+from repro.algebra import And, ClassRange, Limit, Not, Or, OrderBy
 from repro.analysis.complexity import (
+    Bound,
     btree_query_bound,
     combined_class_query_bound,
     simple_class_query_bound,
@@ -168,14 +171,10 @@ class ClassIndexer:
 
     def supports(self, q: Any) -> bool:
         """Full-extent attribute ranges (:class:`ClassRange`) over known classes."""
-        from repro.engine.queries import ClassRange
-
         return isinstance(q, ClassRange) and q.class_name in self.hierarchy
 
     def cost(self, q: Any) -> Any:
         """The active scheme's query bound (Theorem 2.6 / 4.7 or the baseline)."""
-        from repro.engine.protocols import Bound
-
         formula = {
             "simple": "log2 c * log_B n + t/B",
             "combined": "log_B n + log2 B + t/B",
@@ -189,10 +188,6 @@ class ClassIndexer:
         ``matches`` oracles test full-extent membership (descendants) rather
         than exact class equality.
         """
-        from dataclasses import replace
-
-        from repro.engine.queries import And, ClassRange, Limit, Not, Or, OrderBy
-
         if isinstance(q, ClassRange) and q.hierarchy is None:
             return replace(q, hierarchy=self.hierarchy)
         if isinstance(q, (And, Or)):

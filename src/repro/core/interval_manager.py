@@ -27,7 +27,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Iterable, Iterator, List
 
-from repro.analysis.complexity import metablock_query_bound
+from repro.algebra import Range, Stab
+from repro.analysis.complexity import Bound, metablock_query_bound
 from repro.btree import BPlusTree
 from repro.interval import Interval
 from repro.metablock.geometry import PlanarPoint
@@ -205,8 +206,6 @@ class ExternalIntervalManager:
     def stream_blocks(self, q: Any) -> Iterator[Any]:
         """:meth:`stream` a batch per block read — what a served read
         carries to its reply unbuilt."""
-        from repro.engine.queries import Stab
-
         if isinstance(q, Stab):
             return self.iter_stabbing_blocks(q.x)
         return self.iter_intersection_blocks(q.low, q.high)
@@ -220,14 +219,10 @@ class ExternalIntervalManager:
 
     def supports(self, q: Any) -> bool:
         """Stabbing (:class:`Stab`) and intersection (:class:`Range`) shapes."""
-        from repro.engine.queries import Range, Stab
-
         return isinstance(q, (Stab, Range))
 
     def cost(self, q: Any) -> "Any":
         """Theorem 3.2/3.7: ``O(log_B n + t/B)`` I/Os per query."""
-        from repro.engine.protocols import Bound
-
         n, b = max(len(self), 2), self.disk.block_size
         return Bound.of("log_B n + t/B", lambda t: metablock_query_bound(n, b, t))
 

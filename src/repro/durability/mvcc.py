@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 #: this thread's ``write`` (applying commit) and ``read`` (innermost pin) epochs
 _LOCAL = threading.local()
@@ -58,7 +57,9 @@ class EpochManager:
     """The global epoch clock: ordered publication, reader pins, GC horizon."""
 
     def __init__(self, start: int = 0) -> None:
-        self._cond = threading.Condition()
+        #: the condition's lock, taken bare where nothing waits or notifies
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._current = start   # highest *published* epoch
         self._next = start      # highest *begun* epoch
         self._pins: Dict[int, int] = {}   # epoch -> pinned reader count
@@ -123,32 +124,15 @@ class EpochManager:
     # ------------------------------------------------------------------ #
     # the reader side
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def pinned(self) -> Iterator[int]:
-        """Pin the latest published epoch for the scope; yields it.
+    def pinned(self) -> "Pin":
+        """Pin the latest published epoch for the scope; ``as`` gives it.
 
         While pinned, version GC keeps every record version the epoch can
         see (see :meth:`safe_epoch`), and this thread's reads see that
         epoch (:func:`read_epoch`).  Pins nest freely; each scope re-pins
         the then-current epoch, and leaving it restores the outer one.
         """
-        with self._cond:
-            epoch = self._current
-            self._pins[epoch] = self._pins.get(epoch, 0) + 1
-            self._pin_started.setdefault(epoch, time.monotonic())
-        outer, _LOCAL.read = read_epoch(), epoch
-        try:
-            yield epoch
-        finally:
-            _LOCAL.read = outer
-            with self._cond:
-                left = self._pins.get(epoch, 0) - 1
-                if left > 0:
-                    self._pins[epoch] = left
-                else:
-                    self._pins.pop(epoch, None)
-                    self._pin_started.pop(epoch, None)
-                self._cond.notify_all()
+        return Pin(self)
 
     def pinned_count(self) -> int:
         """How many reader pins are currently registered."""
@@ -201,3 +185,42 @@ class EpochManager:
             f"EpochManager(current={self._current}, begun={self._next}, "
             f"pins={self.pinned_count()})"
         )
+
+
+class Pin:
+    """One reader pin (what :meth:`EpochManager.pinned` returns).
+
+    A plain context object: entering registers the then-current epoch in
+    the pin registry and makes it this thread's :func:`read_epoch`;
+    leaving restores the outer epoch and unregisters.  The unpin notifies
+    nobody — only :meth:`~EpochManager.publish` and
+    :meth:`~EpochManager.quiesce` wait on the clock, and no pin changes
+    what they wait for.
+    """
+
+    __slots__ = ("_epochs", "epoch", "_outer")
+
+    def __init__(self, epochs: EpochManager) -> None:
+        self._epochs = epochs
+
+    def __enter__(self) -> int:
+        epochs = self._epochs
+        with epochs._lock:
+            epoch = self.epoch = epochs._current
+            pins = epochs._pins
+            pins[epoch] = pins.get(epoch, 0) + 1
+            if epoch not in epochs._pin_started:
+                epochs._pin_started[epoch] = time.monotonic()
+        self._outer, _LOCAL.read = getattr(_LOCAL, "read", None), epoch
+        return epoch
+
+    def __exit__(self, *exc: Any) -> None:
+        _LOCAL.read = self._outer
+        epochs, epoch = self._epochs, self.epoch
+        with epochs._lock:
+            left = epochs._pins.get(epoch, 0) - 1
+            if left > 0:
+                epochs._pins[epoch] = left
+            else:
+                epochs._pins.pop(epoch, None)
+                epochs._pin_started.pop(epoch, None)

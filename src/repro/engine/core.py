@@ -42,6 +42,7 @@ from repro.constraints.relation import GeneralizedRelation
 from repro.core.class_indexer import ClassIndexer
 from repro.core.interval_manager import ExternalIntervalManager
 from repro.durability import EpochManager, WriteAheadLog
+from repro.durability.mvcc import Pin
 from repro.durability.recovery import replay_wal
 from repro.engine.collection import Collection
 from repro.engine.planner import Plan, QueryPlanner
@@ -200,6 +201,55 @@ def _advance_uid_counters(records: Iterable[Any]) -> None:
     advance_uid_floor(_highest_uid(records))
 
 
+class ReadTurn:
+    """One snapshot read turn (what :meth:`Engine.read_turn` returns).
+
+    A plain context object: entering pins the current epoch, shares the
+    index's structural latch (its wait observed in the
+    ``engine.read_latch_wait_ms`` histogram) and opens the
+    ``engine.read_turn`` span; leaving undoes the three in reverse.
+    """
+
+    __slots__ = ("_engine", "_name", "_pin", "_latch", "_span")
+
+    def __init__(self, engine: "Engine", name: str) -> None:
+        self._engine = engine
+        self._name = name
+
+    def __enter__(self) -> int:
+        engine = self._engine
+        latch = self._latch = engine._latch(self._name)
+        pin = self._pin = Pin(engine._epochs)
+        epoch = pin.__enter__()
+        try:
+            wait0 = time.perf_counter()
+            latch.acquire_read()
+            try:
+                obs_metrics.REGISTRY.histogram("engine.read_latch_wait_ms").observe(
+                    (time.perf_counter() - wait0) * 1e3
+                )
+                span = self._span = obs_tracer.span(
+                    "engine.read_turn", stats=engine.disk.stats, index=self._name, epoch=epoch
+                )
+                span.__enter__()
+            except BaseException:
+                latch.release_read()
+                raise
+        except BaseException:
+            pin.__exit__(None, None, None)
+            raise
+        return epoch
+
+    def __exit__(self, *exc: Any) -> None:
+        try:
+            self._span.__exit__(*exc)
+        finally:
+            try:
+                self._latch.release_read()
+            finally:
+                self._pin.__exit__(None, None, None)
+
+
 class Engine:
     """A database engine over the paper's I/O-efficient index structures.
 
@@ -261,6 +311,9 @@ class Engine:
     # ------------------------------------------------------------------ #
     def _latch(self, name: str) -> RWLock:
         """The structural latch for one index name (created on first use)."""
+        latch = self._latches.get(name)
+        if latch is not None:
+            return latch
         with self._latch_guard:
             latch = self._latches.get(name)
             if latch is None:
@@ -354,29 +407,16 @@ class Engine:
                 finally:
                     latch.release_write()
 
-    @contextmanager
-    def read_turn(self, name: str) -> Iterator[int]:
+    def read_turn(self, name: str) -> "ReadTurn":
         """One snapshot read turn: pin the current epoch, share the latch.
 
-        Yields the pinned epoch.  The caller drains its result inside the
-        scope, and every kind but ``key`` (a bare B+-tree, consistent per
-        latch turn only) streams the versions that epoch sees — the oracle
-        of the pinned epoch even while writers commit concurrently.
+        ``with engine.read_turn(name) as epoch`` gives the pinned epoch.
+        The caller drains its result inside the scope, and every kind but
+        ``key`` (a bare B+-tree, consistent per latch turn only) streams
+        the versions that epoch sees — the oracle of the pinned epoch even
+        while writers commit concurrently.
         """
-        latch = self._latch(name)
-        with self._epochs.pinned() as epoch:
-            wait0 = time.perf_counter()
-            latch.acquire_read()
-            obs_metrics.REGISTRY.histogram("engine.read_latch_wait_ms").observe(
-                (time.perf_counter() - wait0) * 1e3
-            )
-            try:
-                with obs_tracer.span(
-                    "engine.read_turn", stats=self.io_stats(), index=name, epoch=epoch
-                ):
-                    yield epoch
-            finally:
-                latch.release_read()
+        return ReadTurn(self, name)
 
     @contextmanager
     def write_turn(self) -> Iterator[None]:

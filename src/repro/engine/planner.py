@@ -37,10 +37,11 @@ cheap).  The planner therefore keeps a size-bounded LRU cache mapping a
 query's structural :meth:`~repro.algebra.AlgebraicQuery.signature` — its
 shape with scalar parameters factored out — to the *strategy* it chose: a
 :class:`PlanTemplate` recording which index served the query and which
-conjunct was pushed down.  A later query with the same signature skips
-enumeration entirely; the template is re-instantiated against the live
-accessors (one ``translate`` + one ``cost`` call), so predicted bounds
-always reflect current structure sizes.
+conjunct was pushed down, compiled once against the accessors it names.
+A later query with the same signature skips enumeration entirely; the
+compiled template is re-instantiated (one ``translate`` + one ``cost``
+call against the live structure), so predicted bounds always reflect
+current structure sizes.
 
 Cached strategies are validated against a **generation key**: the
 planner's own ``generation`` counter (bumped by :meth:`invalidate`, which
@@ -197,6 +198,11 @@ class Plan:
         return self.describe()
 
 
+#: a cached strategy compiled for one signature: query -> fresh plan, or
+#: ``None`` when the query does not fit (see ``QueryPlanner._instantiator``)
+Instantiator = Callable[[Any], Optional[Plan]]
+
+
 @dataclass(frozen=True)
 class PlanTemplate:
     """A cached planning *decision*, independent of parameter values.
@@ -206,7 +212,7 @@ class PlanTemplate:
     serves the query (``index``), whether a specific conjunct of an
     :class:`And` was pushed down (``push`` is its position; ``None`` means
     the whole base query was translated), and the per-part templates of a
-    union.  :meth:`QueryPlanner._instantiate` turns a template back into a
+    union.  :meth:`QueryPlanner._instantiator` turns a template back into a
     full :class:`Plan` for any query of the matching signature — one
     ``translate`` + one ``cost`` call instead of a full enumeration.
     """
@@ -215,10 +221,6 @@ class PlanTemplate:
     index: Optional[str] = None
     push: Optional[int] = None
     subtemplates: Tuple["PlanTemplate", ...] = ()
-
-
-class _TemplateMismatch(Exception):
-    """A cached template no longer fits the query/accessors; re-plan."""
 
 
 class QueryPlanner:
@@ -240,7 +242,8 @@ class QueryPlanner:
         self.disk = disk
         #: bumped by :meth:`invalidate`; part of every cache entry's key
         self.generation = 0
-        self._cache: "OrderedDict[Any, Tuple[Any, PlanTemplate]]" = OrderedDict()
+        #: signature -> (generation key, the chosen template compiled)
+        self._cache: "OrderedDict[Any, Tuple[Any, Optional[Instantiator]]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         #: guards the plan cache's read-modify-write sequences so concurrent
@@ -271,15 +274,14 @@ class QueryPlanner:
     def _generation_key(self) -> Tuple[Any, ...]:
         """What a cached strategy's validity is checked against.
 
-        Folds in the explicit :attr:`generation`, the accessor count
-        (attach changes it even without an ``invalidate`` call), and each
-        accessor index's own ``generation`` counter where the structure
-        maintains one (threshold-triggered rebuilds bump it).
+        Folds in the explicit :attr:`generation` and each accessor index's
+        own ``generation`` counter where the structure maintains one
+        (threshold-triggered rebuilds bump it) — one per accessor, so an
+        attach changes the key even without an ``invalidate`` call.
         """
         return (
             self.generation,
-            len(self.accessors),
-            tuple(getattr(acc.index, "generation", 0) for acc in self.accessors),
+            *[getattr(acc.index, "generation", 0) for acc in self.accessors],
         )
 
     def cache_info(self) -> Dict[str, int]:
@@ -319,9 +321,9 @@ class QueryPlanner:
                 if sig is not None:
                     entry = self._cache.get(sig)
                     if entry is not None:
-                        gen_key, template = entry
+                        gen_key, instantiate = entry
                         if gen_key == self._generation_key():
-                            plan = self._try_instantiate(template, q)
+                            plan = instantiate(q) if instantiate is not None else None
                             if plan is not None:
                                 self.cache_hits += 1
                                 obs_metrics.REGISTRY.counter(
@@ -338,7 +340,9 @@ class QueryPlanner:
                 if sig is not None and template is not None:
                     self.cache_misses += 1
                     obs_metrics.REGISTRY.counter("planner.cache_misses").inc()
-                    self._cache[sig] = (self._generation_key(), template)
+                    self._cache[sig] = (
+                        self._generation_key(), self._instantiator(template, q)
+                    )
                     while len(self._cache) > PLAN_CACHE_SIZE:
                         self._cache.popitem(last=False)
                 return plan
@@ -469,57 +473,81 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # template instantiation (the cached fast path)
     # ------------------------------------------------------------------ #
-    def _try_instantiate(self, template: PlanTemplate, q: Any) -> Optional[Plan]:
-        """A fresh :class:`Plan` from a cached strategy, or ``None`` to re-plan."""
-        try:
-            return self._instantiate(template, q)
-        except _TemplateMismatch:
-            return None
+    def _instantiator(self, template: PlanTemplate, q: Any) -> Optional[Instantiator]:
+        """Compile a cached strategy for queries of ``q``'s signature.
 
-    def _instantiate(self, template: PlanTemplate, q: Any) -> Plan:
-        base, modifiers = self._peel(q)
-        plan = self._instantiate_base(template, base)
-        if modifiers:
-            plan = self._with_modifiers(plan, modifiers)
-        return plan
+        Returns a function from such a query to a fresh :class:`Plan`, or
+        to ``None`` when the query does not fit and the caller re-plans;
+        ``None`` itself when an accessor the template names is gone.
+        Accessors are resolved here, once — the compiled function is valid
+        while the generation key holds — and whether modifiers are peeled
+        is the signature's; each call still translates the query and costs
+        it against the live structure.
+        """
+        base = self._base_instantiator(template)
+        if base is None or not isinstance(q, MODIFIERS):
+            return base
+        peel, with_modifiers = self._peel, self._with_modifiers
 
-    def _instantiate_base(self, t: PlanTemplate, q: Any) -> Plan:
+        def instantiate(q: Any) -> Optional[Plan]:
+            q, modifiers = peel(q)
+            plan = base(q)
+            return None if plan is None else with_modifiers(plan, modifiers)
+
+        return instantiate
+
+    def _base_instantiator(self, t: PlanTemplate) -> Optional[Instantiator]:
+        """One template node compiled against the current accessors."""
         if t.kind == "union":
-            if not isinstance(q, Or) or len(q.parts) != len(t.subtemplates):
-                raise _TemplateMismatch
-            subplans = tuple(
-                self._instantiate_base(st, p)
-                for st, p in zip(t.subtemplates, q.parts)
-            )
-            bound = subplans[0].bound
-            for sub in subplans[1:]:
-                bound = bound + sub.bound
-            return Plan("union", None, q, None, bound, subplans=subplans)
+            makers = [self._base_instantiator(st) for st in t.subtemplates]
+            if None in makers:
+                return None
+
+            def union(q: Any) -> Optional[Plan]:
+                if not isinstance(q, Or) or len(q.parts) != len(makers):
+                    return None
+                subplans = tuple(make(p) for make, p in zip(makers, q.parts))
+                if None in subplans:
+                    return None
+                bound = subplans[0].bound
+                for sub in subplans[1:]:
+                    bound = bound + sub.bound
+                return Plan("union", None, q, None, bound, subplans=subplans)
+
+            return union
         acc = self._accessor_or_none(t.index)
-        if acc is None:
-            raise _TemplateMismatch
+        if acc is None or (t.kind == "scan" and acc.scan is None):
+            return None
+        name, translate, rewrite = acc.name, acc.translate, self._rewrite
         if t.kind == "scan":
-            if acc.scan is None or not hasattr(q, "matches"):
-                raise _TemplateMismatch
-            return Plan("scan", acc.name, None, self._rewrite(acc, q),
-                        self._scan_cost(acc))
-        if t.push is None:
-            pq = acc.translate(q)
+            scan_cost = self._scan_cost
+
+            def scan(q: Any) -> Optional[Plan]:
+                if not hasattr(q, "matches"):
+                    return None
+                return Plan("scan", name, None, rewrite(acc, q), scan_cost(acc))
+
+            return scan
+        cost, push = acc.index.cost, t.push
+        if push is None:
+
+            def index(q: Any) -> Optional[Plan]:
+                pq = translate(q)
+                return None if pq is None else Plan("index", name, pq, None, cost(pq))
+
+            return index
+
+        def pushdown(q: Any) -> Optional[Plan]:
+            if not isinstance(q, And) or push >= len(q.parts):
+                return None
+            pq = translate(q.parts[push])
             if pq is None:
-                raise _TemplateMismatch
-            return Plan("index", acc.name, pq, None, acc.index.cost(pq))
-        if not isinstance(q, And) or t.push >= len(q.parts):
-            raise _TemplateMismatch
-        part = q.parts[t.push]
-        pq = acc.translate(part)
-        if pq is None:
-            raise _TemplateMismatch
-        rest = q.parts[: t.push] + q.parts[t.push + 1 :]
-        residual = rest[0] if len(rest) == 1 else (And(*rest) if rest else None)
-        return Plan(
-            "index", acc.name, pq, self._rewrite(acc, residual),
-            acc.index.cost(pq),
-        )
+                return None
+            rest = q.parts[:push] + q.parts[push + 1 :]
+            residual = rest[0] if len(rest) == 1 else (And(*rest) if rest else None)
+            return Plan("index", name, pq, rewrite(acc, residual), cost(pq))
+
+        return pushdown
 
     # ------------------------------------------------------------------ #
     # execution

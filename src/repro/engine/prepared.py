@@ -5,10 +5,12 @@
 positions — against the named index and hands back a :class:`PreparedQuery`.
 ``run(**params)`` substitutes the bindings and re-instantiates the *cached
 strategy* directly: no candidate enumeration, no costing of alternatives,
-no signature lookup — the per-call work is one parameter substitution, one
-``translate`` + ``cost`` call against the live structures (so predicted
-bounds always reflect current sizes, even as plain inserts grow the index),
-and the execution itself — the same one result, counted the same way, as
+no signature lookup — the per-call work is one parameter substitution
+(by a binder compiled once for the query's shape), one ``translate`` +
+``cost`` call against the live structures (so predicted bounds always
+reflect current sizes, even as plain inserts grow the index) through the
+strategy compiled against the accessors once per generation, and the
+execution itself — the same one result, counted the same way, as
 an ad-hoc ``Engine.query``.
 
 Correctness is guarded twice:
@@ -43,8 +45,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Set
 
-from repro.engine.planner import Plan, PlanTemplate, QueryPlanner
-from repro.engine.queries import bind_params, unbound_params
+from repro.engine.planner import Instantiator, Plan, QueryPlanner
+from repro.engine.queries import compile_params
 from repro.engine.result import QueryResult
 from repro.errors import ParameterError, StalePreparedError
 
@@ -56,8 +58,9 @@ class PreparedQuery:
     code.  The prepared query may contain unbound
     :class:`~repro.engine.queries.Param` nodes — ``run``/``plan`` bind
     them and, while the planner's cache generation holds, re-instantiate
-    the cached :class:`~repro.engine.planner.PlanTemplate` instead of
-    planning from scratch.
+    the cached :class:`~repro.engine.planner.PlanTemplate` — compiled
+    against the accessors once per generation — instead of planning from
+    scratch.
     """
 
     def __init__(
@@ -73,10 +76,13 @@ class PreparedQuery:
         self.planner = planner
         self._engine = engine
         self._index = index
+        #: the query's placeholders, bound per run by one compiled binder
+        self._bind, names = compile_params(query)
         #: parameter names ``run()`` requires, sorted for the repr
-        self.params: List[str] = sorted(unbound_params(query))
-        self._param_set: Set[str] = set(self.params)
-        self._template: Optional[PlanTemplate] = None
+        self.params: List[str] = sorted(names)
+        self._param_set: Set[str] = names
+        #: the cached strategy compiled against this generation's accessors
+        self._instantiate: Optional[Instantiator] = None
         self._gen_key: Any = None
         #: whether the most recent ``run``/``plan`` served the cached
         #: strategy (``False`` means an invalidation forced a re-plan);
@@ -104,7 +110,7 @@ class PreparedQuery:
         # must see the entry that call wrote, not a concurrent eviction
         with self.planner._lock:
             self._gen_key = self.planner._generation_key()
-            self._template = None
+            self._instantiate = None
             try:
                 self.planner.plan(self.query)
             except Exception:
@@ -114,7 +120,7 @@ class PreparedQuery:
             sig = self.planner._signature(self.query)
             entry = self.planner._cache.get(sig) if sig is not None else None
             if entry is not None:
-                self._template = entry[1]
+                self._instantiate = entry[1]
 
     def _check_live(self) -> None:
         """Fail loudly when the prepared index left the engine namespace."""
@@ -127,19 +133,19 @@ class PreparedQuery:
                 "query was prepared; call Engine.prepare again"
             )
 
-    def _check_params(self, params: dict) -> None:
-        if set(params) != self._param_set:
-            missing = sorted(self._param_set - set(params))
-            extras = sorted(set(params) - self._param_set)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extras:
-                detail.append(f"unknown {extras}")
-            raise ParameterError(
-                f"prepared query {self.name!r} takes parameters "
-                f"{self.params}: " + ", ".join(detail)
-            )
+    def _reject_params(self, params: dict) -> None:
+        """Raise for bindings that are not exactly :attr:`params`."""
+        missing = sorted(self._param_set - set(params))
+        extras = sorted(set(params) - self._param_set)
+        detail = []
+        if missing:
+            detail.append(f"missing {missing}")
+        if extras:
+            detail.append(f"unknown {extras}")
+        raise ParameterError(
+            f"prepared query {self.name!r} takes parameters "
+            f"{self.params}: " + ", ".join(detail)
+        )
 
     def plan(self, **params: Any) -> Plan:
         """The plan :meth:`run` would execute for these bindings (no I/O).
@@ -149,18 +155,18 @@ class PreparedQuery:
         holds; re-plans otherwise.
         """
         self._check_live()
-        self._check_params(params)
+        if params.keys() != self._param_set:
+            self._reject_params(params)
         if self._gen_key != self.planner._generation_key():
             # an invalidating write event happened since the last plan
             self.last_from_cache = False
             self._prime()
         else:
-            self.last_from_cache = self._template is not None
-        # _check_params validated the exact set; partial=True skips the
-        # redundant per-node bookkeeping of the strict mode
-        bound_q = bind_params(self.query, params, partial=True) if params else self.query
-        if self._template is not None:
-            plan = self.planner._try_instantiate(self._template, bound_q)
+            self.last_from_cache = self._instantiate is not None
+        # the bindings are exactly the placeholders (checked above)
+        bound_q = self.query if self._bind is None else self._bind(params)
+        if self._instantiate is not None:
+            plan = self._instantiate(bound_q)
             if plan is not None:
                 return plan
             self.last_from_cache = False

@@ -32,49 +32,10 @@ structure by the global-rebuilding core,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
+from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
 
+from repro.analysis.complexity import Bound  # re-exported: the cost surface
 from repro.io.counters import IOStats
-
-
-@dataclass(frozen=True)
-class Bound:
-    """A predicted I/O bound: a formula from the paper plus its evaluation.
-
-    ``pages`` is the output-independent part of the bound (the formula at
-    ``t = 0``, e.g. the ``log_B n`` search cost) — it is what the planner
-    compares when choosing among candidate plans, since the output size is
-    unknown before execution.  ``at(t)`` evaluates the full formula at
-    output size ``t``; equality and hashing ignore it so plans built for the
-    same query compare equal.
-    """
-
-    formula: str
-    pages: float
-    at: Optional[Callable[[int], float]] = field(default=None, compare=False, repr=False)
-
-    def __call__(self, t: int = 0) -> float:
-        """Predicted I/Os at output size ``t``."""
-        if self.at is None:
-            return self.pages
-        return self.at(t)
-
-    @classmethod
-    def of(cls, formula: str, fn: Callable[[int], float]) -> "Bound":
-        """Build a bound from a ``t -> pages`` function (``pages = fn(0)``)."""
-        return cls(formula, fn(0), fn)
-
-    def __add__(self, other: "Bound") -> "Bound":
-        """Sum of two bounds (union plans execute both sides)."""
-        if not isinstance(other, Bound):
-            return NotImplemented
-        left, right = self, other
-        return Bound(
-            f"{left.formula} + {right.formula}",
-            left.pages + right.pages,
-            at=lambda t: left(t) + right(t),
-        )
 
 
 @runtime_checkable

@@ -1,6 +1,9 @@
 """The composable query algebra understood by ``Index.query`` and the planner.
 
 Leaves are small frozen dataclasses naming one query shape from the paper.
+The nodes live in :mod:`repro.algebra` (a dependency-free module the
+structures import too) and are re-exported here, beside what the engine
+adds: :class:`Param` binding for prepared queries and the wire form.
 Every node — leaf, combinator or modifier — carries a brute-force
 ``matches(record)`` predicate as the correctness oracle, so any composed
 query can be checked against a plain list of records.  Geometric shapes
@@ -45,10 +48,24 @@ pairs by their key, and anything else as a bare key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable, Mapping, Optional, Set, Tuple, Union
+from dataclasses import fields, is_dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
-from repro.algebra import AlgebraicQuery
+from repro.algebra import (  # noqa: F401  (re-exported)
+    COMPOSED,
+    MODIFIERS,
+    AlgebraicQuery,
+    And,
+    ClassRange,
+    EndpointRange,
+    Limit,
+    Not,
+    Or,
+    OrderBy,
+    Param,
+    Range,
+    Stab,
+)
 from repro.errors import ParameterError
 from repro.metablock.geometry import (  # noqa: F401  (re-exported)
     DiagonalCornerQuery,
@@ -57,73 +74,58 @@ from repro.metablock.geometry import (  # noqa: F401  (re-exported)
 )
 
 
-def _as_interval(record: Any) -> Optional[Tuple[Any, Any]]:
-    """The closed interval a record denotes, or ``None`` for key records."""
-    low = getattr(record, "low", None)
-    high = getattr(record, "high", None)
-    if low is not None and high is not None:
-        return low, high
-    x = getattr(record, "x", None)
-    y = getattr(record, "y", None)
-    if x is not None and y is not None:
-        return x, y
-    return None
-
-
-def _as_key(record: Any) -> Any:
-    """The scalar key a record denotes (``(key, value)`` pairs use the key)."""
-    if isinstance(record, tuple) and len(record) == 2:
-        return record[0]
-    return record
-
-
 # --------------------------------------------------------------------------- #
 # parameters (prepared queries)
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Param:
-    """A named placeholder for a scalar operand in a prepared query.
+#: a compiled binding: the query with its placeholders bound from a mapping
+Binder = Callable[[Mapping[str, Any]], Any]
 
-    Use it wherever a literal would go — ``Stab(Param("x"))``,
-    ``Range(Param("lo"), Param("hi"))`` — then bind concrete values with
-    :func:`bind_params` (what ``PreparedQuery.run(**params)`` does).  A
-    parameter never enters a query's :meth:`~repro.algebra.AlgebraicQuery.
-    signature`, so the parameterised query shares its cached plan with
-    every concrete instantiation.
+
+def compile_params(q: Any) -> Tuple[Optional[Binder], Set[str]]:
+    """Compile ``q``'s :class:`Param` placeholders once: ``(binder, names)``.
+
+    ``binder(params)`` rebuilds only the nodes on a path to a placeholder
+    and leaves a placeholder with no binding in place; it is ``None`` when
+    ``q`` has no placeholder, so binding an already-concrete query is
+    allocation-free.  ``names`` are the placeholders' names.  A prepared
+    query compiles its shape once and binds every run with the result.
     """
-
-    name: str
-
-    def to_dict(self) -> dict:
-        """Wire form (placeholders survive serialization unbound)."""
-        return {"node": "Param", "name": self.name}
+    names: Set[str] = set()
+    return _compile(q, names), names
 
 
-def _walk_bind(q: Any, params: Mapping[str, Any], missing: Set[str], used: Set[str]) -> Any:
-    """Substitute :class:`Param` placeholders throughout a query tree.
-
-    Returns ``q`` itself (not a copy) when nothing inside it changed, so
-    binding an already-concrete query is allocation-free.
-    """
+def _compile(q: Any, names: Set[str]) -> Optional[Binder]:
     if isinstance(q, Param):
-        if q.name in params:
-            used.add(q.name)
-            return params[q.name]
-        missing.add(q.name)
-        return q
+        names.add(q.name)
+        name = q.name
+        return lambda params: params.get(name, q)
     if isinstance(q, (And, Or)):
-        parts = tuple(_walk_bind(p, params, missing, used) for p in q.parts)
-        return q if parts == q.parts else type(q)(*parts)
+        parts = q.parts
+        binders = [_compile(p, names) for p in parts]
+        if not any(binders):
+            return None
+        combine = type(q)
+        steps = tuple(zip(parts, binders))
+        return lambda params: combine(
+            *[part if bind is None else bind(params) for part, bind in steps]
+        )
     if is_dataclass(q) and isinstance(q, AlgebraicQuery):
-        changes = {}
+        fixed: Dict[str, Any] = {}
+        bound: Dict[str, Binder] = {}
         for f in fields(q):
+            if not f.init:
+                continue
             value = getattr(q, f.name)
-            if isinstance(value, (Param, AlgebraicQuery)):
-                bound = _walk_bind(value, params, missing, used)
-                if bound is not value:
-                    changes[f.name] = bound
-        return replace(q, **changes) if changes else q
-    return q
+            bind = _compile(value, names) if isinstance(value, (Param, AlgebraicQuery)) else None
+            if bind is None:
+                fixed[f.name] = value
+            else:
+                bound[f.name] = bind
+        if not bound:
+            return None
+        node = type(q)
+        return lambda params: node(**fixed, **{k: b(params) for k, b in bound.items()})
+    return None
 
 
 def bind_params(q: Any, params: Mapping[str, Any], *, partial: bool = False) -> Any:
@@ -135,273 +137,20 @@ def bind_params(q: Any, params: Mapping[str, Any], *, partial: bool = False) -> 
     in place and extras are ignored — which is what plan rebinding uses when
     a sub-expression only mentions a subset of the query's parameters.
     """
-    missing: Set[str] = set()
-    used: Set[str] = set()
-    bound = _walk_bind(q, params, missing, used)
+    binder, names = compile_params(q)
     if not partial:
+        missing = names - params.keys()
         if missing:
             raise ParameterError(f"unbound query parameters: {sorted(missing)}")
-        extras = set(params) - used
+        extras = params.keys() - names
         if extras:
             raise ParameterError(f"unknown query parameters: {sorted(extras)}")
-    return bound
+    return q if binder is None else binder(params)
 
 
 def unbound_params(q: Any) -> Set[str]:
     """The names of every :class:`Param` remaining in ``q``."""
-    missing: Set[str] = set()
-    _walk_bind(q, {}, missing, set())
-    return missing
-
-
-# --------------------------------------------------------------------------- #
-# leaves
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Stab(AlgebraicQuery):
-    """All records containing / keyed exactly at ``x``."""
-
-    x: Any
-
-    def matches_interval(self, low: Any, high: Any) -> bool:
-        return low <= self.x <= high
-
-    def matches(self, record: Any) -> bool:
-        bounds = _as_interval(record)
-        if bounds is not None:
-            return self.matches_interval(*bounds)
-        return _as_key(record) == self.x
-
-
-@dataclass(frozen=True)
-class Range(AlgebraicQuery):
-    """All records overlapping / keyed within ``[low, high]``.
-
-    ``min_inclusive`` / ``max_inclusive`` control whether the endpoints
-    belong to the range (B+-tree key semantics; interval intersection always
-    treats the query as a closed interval).
-    """
-
-    low: Any
-    high: Any
-    min_inclusive: bool = True
-    max_inclusive: bool = True
-
-    def matches_key(self, key: Any) -> bool:
-        if key < self.low or key > self.high:
-            return False
-        if key == self.low and not self.min_inclusive:
-            return False
-        if key == self.high and not self.max_inclusive:
-            return False
-        return True
-
-    def matches(self, record: Any) -> bool:
-        bounds = _as_interval(record)
-        if bounds is not None:
-            low, high = bounds
-            return low <= self.high and self.low <= high
-        return self.matches_key(_as_key(record))
-
-    def signature(self) -> tuple:
-        # endpoints are parameters; inclusivity is structural (it survives
-        # into the translated B+-tree query, so keep shapes distinct)
-        return ("Range", self.min_inclusive, self.max_inclusive)
-
-
-@dataclass(frozen=True)
-class EndpointRange(AlgebraicQuery):
-    """Interval records whose ``side`` endpoint lies within ``[low, high]``.
-
-    ``side`` is ``"low"`` or ``"high"``.  This is *not* the same as interval
-    intersection: ``EndpointRange("low", a, b)`` asks for intervals that
-    *start* inside ``[a, b]``.  Inside a
-    :class:`~repro.engine.collection.Collection` it is served optimally by
-    the B+-tree over that endpoint.
-    """
-
-    side: str
-    low: Any
-    high: Any
-    min_inclusive: bool = True
-    max_inclusive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.side not in ("low", "high"):
-            raise ValueError(f"side must be 'low' or 'high', not {self.side!r}")
-
-    def endpoint(self, record: Any) -> Any:
-        bounds = _as_interval(record)
-        if bounds is None:
-            return _as_key(record)
-        return bounds[0] if self.side == "low" else bounds[1]
-
-    def matches(self, record: Any) -> bool:
-        v = self.endpoint(record)
-        if v < self.low or v > self.high:
-            return False
-        if v == self.low and not self.min_inclusive:
-            return False
-        if v == self.high and not self.max_inclusive:
-            return False
-        return True
-
-    def signature(self) -> tuple:
-        # ``side`` picks which endpoint B+-tree can serve the query, so it
-        # is part of the shape, not a parameter
-        return ("EndpointRange", self.side, self.min_inclusive, self.max_inclusive)
-
-
-@dataclass(frozen=True)
-class ClassRange(AlgebraicQuery):
-    """Attribute range ``[low, high]`` over the full extent of a class.
-
-    The ``hierarchy`` field (optional, excluded from equality) lets the
-    ``matches`` oracle test full-extent membership — without it only exact
-    class membership is checked.  :meth:`repro.core.ClassIndexer.bind`
-    attaches the indexer's hierarchy to residual predicates automatically.
-    """
-
-    class_name: str
-    low: Any
-    high: Any
-    hierarchy: Any = field(default=None, compare=False, repr=False)
-
-    def matches(self, record: Any) -> bool:
-        key = getattr(record, "key", None)
-        if key is None or key < self.low or key > self.high:
-            return False
-        cls = getattr(record, "class_name", None)
-        if self.hierarchy is not None:
-            return cls in self.hierarchy.descendants(self.class_name)
-        return cls == self.class_name
-
-    def signature(self) -> tuple:
-        # the class names an extent (a different sub-structure per class in
-        # some schemes); only the attribute endpoints are parameters
-        return ("ClassRange", self.class_name)
-
-
-# --------------------------------------------------------------------------- #
-# combinators
-# --------------------------------------------------------------------------- #
-def _flatten(kind: type, parts: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    flat = []
-    for p in parts:
-        if isinstance(p, kind):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return tuple(flat)
-
-
-@dataclass(frozen=True, init=False)
-class And(AlgebraicQuery):
-    """Conjunction: records matching *every* part (nested ``And``s flatten)."""
-
-    parts: Tuple[Any, ...]
-
-    def __init__(self, *parts: Any) -> None:
-        object.__setattr__(self, "parts", _flatten(And, parts))
-
-    def matches(self, record: Any) -> bool:
-        return all(p.matches(record) for p in self.parts)
-
-    def signature(self) -> tuple:
-        return ("And",) + tuple(p.signature() for p in self.parts)
-
-
-@dataclass(frozen=True, init=False)
-class Or(AlgebraicQuery):
-    """Disjunction: records matching *any* part (nested ``Or``s flatten)."""
-
-    parts: Tuple[Any, ...]
-
-    def __init__(self, *parts: Any) -> None:
-        object.__setattr__(self, "parts", _flatten(Or, parts))
-
-    def matches(self, record: Any) -> bool:
-        return any(p.matches(record) for p in self.parts)
-
-    def signature(self) -> tuple:
-        return ("Or",) + tuple(p.signature() for p in self.parts)
-
-
-@dataclass(frozen=True)
-class Not(AlgebraicQuery):
-    """Complement: records *not* matching ``part``.
-
-    Alone it forces a scan plan (only available on a
-    :class:`~repro.engine.collection.Collection`); inside an :class:`And`
-    it rides along as a free residual post-filter.
-    """
-
-    part: Any
-
-    def matches(self, record: Any) -> bool:
-        return not self.part.matches(record)
-
-    def signature(self) -> tuple:
-        return ("Not", self.part.signature())
-
-
-# --------------------------------------------------------------------------- #
-# modifiers
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Limit(AlgebraicQuery):
-    """At most ``n`` records of ``part``'s answer (streaming; lazy)."""
-
-    part: Any
-    n: int
-
-    def matches(self, record: Any) -> bool:
-        # membership oracle of the underlying query; the cardinality cap is a
-        # property of the stream, not of any single record
-        return self.part.matches(record)
-
-    def signature(self) -> tuple:
-        # ``n`` is a parameter: the base plan is identical for any cap
-        return ("Limit", self.part.signature())
-
-
-@dataclass(frozen=True)
-class OrderBy(AlgebraicQuery):
-    """``part``'s answer sorted by ``key`` (attribute name or callable).
-
-    Sorting materialises the stream; combined with :class:`Limit` on top the
-    tail past the limit is never yielded, but the sort itself must see every
-    record.  The sort is *stable* and runs **once** per executed result:
-    records comparing equal under ``key`` keep the access path's emission
-    order, and re-iterating an exhausted result replays the already-sorted
-    cache instead of re-materialising the sort.
-    """
-
-    part: Any
-    key: Optional[Union[str, Callable[[Any], Any]]] = None
-    reverse: bool = False
-
-    def matches(self, record: Any) -> bool:
-        return self.part.matches(record)
-
-    def signature(self) -> tuple:
-        # the sort key only shapes the output order, never the access plan
-        return ("OrderBy", self.part.signature())
-
-    def key_fn(self) -> Callable[[Any], Any]:
-        if self.key is None:
-            return lambda record: record
-        if callable(self.key):
-            return self.key
-        attr = self.key
-        return lambda record: getattr(record, attr)
-
-
-#: modifier node types the planner peels off the top of a query
-MODIFIERS = (Limit, OrderBy)
-
-#: node types that require planning (no single index answers them directly)
-COMPOSED = (And, Or, Not, Limit, OrderBy)
+    return compile_params(q)[1]
 
 
 # --------------------------------------------------------------------------- #

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro.analysis import lockdep
@@ -77,7 +78,9 @@ class RWLock:
     """
 
     def __init__(self, name: Optional[str] = None, *, no_block: bool = False) -> None:
-        self._cond = threading.Condition()
+        #: the condition's lock, taken bare on the reader side's fast path
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers = 0
         self._writer = False
         self._waiting_writers = 0
@@ -96,18 +99,21 @@ class RWLock:
 
     # -- the reader side ------------------------------------------------- #
     def acquire_read(self) -> None:
-        with self._cond:
+        with self._lock:
             while self._writer or self._waiting_writers:
                 self._cond.wait()
             self._readers += 1
-        self._witness_acquired()
+        if lockdep.ACTIVE is not None:
+            self._witness_acquired()
 
     def release_read(self) -> None:
-        with self._cond:
+        with self._lock:
             self._readers -= 1
-            if self._readers <= 0:
+            # only a writer waits for the readers to drain
+            if self._readers <= 0 and self._waiting_writers:
                 self._cond.notify_all()
-        self._witness_released()
+        if lockdep.ACTIVE is not None:
+            self._witness_released()
 
     @contextmanager
     def read(self) -> Iterator[None]:
@@ -253,7 +259,7 @@ class EngineSession:
     def _root_span(self, **attrs: Any) -> Any:
         """The request's root span (a shared no-op while tracing is off)."""
         return obs_tracer.span(
-            "session.request", stats=self.engine.io_stats(),
+            "session.request", stats=self.engine.disk.stats,
             session=self.session_id, **attrs,
         )
 
@@ -307,7 +313,7 @@ class EngineSession:
             with self.engine.read_turn(name):
                 result = issue()
                 with obs_tracer.span(
-                    "plan.execute", stats=self.engine.io_stats(), index=name
+                    "plan.execute", stats=self.engine.disk.stats, index=name
                 ) as sp:
                     tally = getattr(self.engine.backend, "decoded", None) if obs_tracer.ACTIVE else None
                     if tally is not None:
@@ -332,7 +338,7 @@ class EngineSession:
         the planner they delegate to is internally locked, so re-planning
         after an invalidation is safe under the shared latch.
         """
-        out = self._read("run", prepared.name, lambda: prepared.run(**params))
+        out = self._read("run", prepared.name, partial(prepared.run, **params))
         out.from_cache = prepared.last_from_cache
         return out
 

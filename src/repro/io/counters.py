@@ -15,13 +15,17 @@ EngineSession` draining queries in parallel.  Two guarantees follow:
   (or :meth:`merge`/:meth:`reset`), which holds a per-instance lock around
   the read-modify-write.  The bare ``stats.reads += 1`` pattern of the
   single-caller era is gone from the backends.
-* **Per-thread attribution.**  :meth:`attributed` registers a *sink*
-  :class:`IOStats` for the **current thread only**: every ``count`` on this
-  instance performed by that thread is mirrored into the sink until the
-  ``with`` block exits.  Because registration is thread-local, concurrent
-  requests on one backend each see exactly their own I/Os — which is what
-  keeps the paper's per-query bounds checkable per request while other
-  sessions hammer the same disk.  :meth:`measure` and every
+* **Per-thread attribution.**  :meth:`attributed` opens a scope that
+  attributes to a *sink* :class:`IOStats` the I/Os **the current thread
+  only** charges on this instance until the ``with`` block exits.  Each
+  charge is counted once: besides the totals, :meth:`count` adds it to the
+  calling thread's own running tally of this instance, and a scope records
+  that tally on entry and adds the difference to its sink on exit — one
+  merge per scope exit, however many charges it saw, and no sink is
+  touched while a backend charges.  Because tallies are thread-local,
+  concurrent requests on one backend each see exactly their own I/Os —
+  which is what keeps the paper's per-query bounds checkable per request
+  while other sessions hammer the same disk.  :meth:`measure` and every
   :class:`~repro.engine.result.QueryResult` count through it, so a scoped
   measurement and ``result.ios`` are per thread too.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 @dataclass
@@ -67,9 +72,10 @@ class IOStats:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-    #: per-thread attribution sinks (see :meth:`attributed`)
-    _local: threading.local = field(
-        default_factory=threading.local, init=False, repr=False, compare=False
+    #: this instance's per-thread running tallies and open scopes (see
+    #: :meth:`attributed`); made by the first scope, so a sink never has one
+    _local: Optional[threading.local] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------ #
@@ -84,11 +90,12 @@ class IOStats:
         cache_hits: int = 0,
         fsyncs: int = 0,
     ) -> None:
-        """Add to the counters under the lock; mirror into this thread's sinks.
+        """Add to the counters under the lock, and to this thread's tally.
 
         This is what the storage backends call on every block operation.
         A bare ``stats.reads += 1`` is a read-modify-write that loses
-        updates under concurrency; ``count`` does not.
+        updates under concurrency; ``count`` does not.  It never calls
+        into a sink: the scopes open on this thread read the tally.
         """
         with self._lock:
             self.reads += reads
@@ -97,17 +104,16 @@ class IOStats:
             self.frees += frees
             self.cache_hits += cache_hits
             self.fsyncs += fsyncs
-        sinks = getattr(self._local, "sinks", None)
-        if sinks:
-            for sink in sinks:
-                sink.count(
-                    reads=reads,
-                    writes=writes,
-                    allocations=allocations,
-                    frees=frees,
-                    cache_hits=cache_hits,
-                    fsyncs=fsyncs,
-                )
+        local = self._local
+        if local is not None:
+            tally = getattr(local, "tally", None)
+            if tally is not None:
+                tally[0] += reads
+                tally[1] += writes
+                tally[2] += allocations
+                tally[3] += frees
+                tally[4] += cache_hits
+                tally[5] += fsyncs
 
     def merge(self, other: "IOStats") -> None:
         """Fold another counter set into this one (thread-safe)."""
@@ -134,16 +140,28 @@ class IOStats:
     # per-thread attribution
     # ------------------------------------------------------------------ #
     def attributed(self, sink: "IOStats") -> "_Attribution":
-        """Mirror this thread's counts into ``sink`` for the scope's duration.
+        """Attribute this thread's counts to ``sink`` for the scope's duration.
 
-        Registration is **thread-local**: other threads' I/Os on the same
+        Attribution is **thread-local**: other threads' I/Os on the same
         backend are never attributed to ``sink``, so concurrent sessions can
         each measure their own requests on one shared disk.  Scopes nest —
         an inner sink and an outer sink both receive the inner scope's
-        counts.  The returned scope may be entered any number of times (a
-        lazy result re-enters its one scope around every resumption).
+        counts, and scopes may exit in any order.  The returned scope may be
+        entered any number of times (a lazy result re-enters its one scope
+        around every resumption); each exit adds what its thread charged
+        since the matching entry to ``sink``, in one :meth:`count`.
         """
-        return _Attribution(self._local, sink)
+        return _Attribution(self, sink)
+
+    def _thread_local(self) -> threading.local:
+        """The per-thread state, made once under the lock."""
+        local = self._local
+        if local is None:
+            with self._lock:
+                local = self._local
+                if local is None:
+                    local = self._local = threading.local()
+        return local
 
     def measure(self) -> "_Attribution":
         """``with stats.measure() as m``: this thread's I/Os inside the scope,
@@ -210,7 +228,7 @@ class IOStats:
         self.__dict__.update(state)
         self.__dict__.setdefault("fsyncs", 0)  # states from older layouts
         self.__dict__["_lock"] = threading.Lock()
-        self.__dict__["_local"] = threading.local()
+        self.__dict__["_local"] = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -221,29 +239,53 @@ class IOStats:
 
 
 class _Attribution:
-    """One sink's registration on the entering thread (see ``attributed``)."""
+    """One sink's scope on the entering thread (see ``attributed``).
 
-    __slots__ = ("_local", "_sink")
+    Entry appends ``(sink, tally at entry)`` to the thread's open scopes;
+    exit removes its entry by identity — ``list.remove`` compares by
+    ``==``, and two sinks with equal counter values would unregister the
+    wrong one — and adds the tally's growth since entry to the sink.  A
+    thread keeps a tally only while it has a scope open, so a charge
+    outside every scope adds to the totals alone.
+    """
 
-    def __init__(self, local: threading.local, sink: IOStats) -> None:
-        self._local = local
+    __slots__ = ("_stats", "_sink")
+
+    def __init__(self, stats: IOStats, sink: IOStats) -> None:
+        self._stats = stats
         self._sink = sink
 
     def __enter__(self) -> IOStats:
-        sinks = getattr(self._local, "sinks", None)
-        if sinks is None:
-            sinks = self._local.sinks = []
-        sinks.append(self._sink)
+        stats = self._stats
+        local = stats._local or stats._thread_local()
+        tally = getattr(local, "tally", None)
+        if tally is None:
+            # the thread's first open scope: charges are tallied from now on
+            tally = local.tally = [0, 0, 0, 0, 0, 0]
+            if getattr(local, "sinks", None) is None:
+                local.sinks = []
+        local.sinks.append((self._sink, tally[:]))
         return self._sink
 
     def __exit__(self, *exc: object) -> None:
-        # unregister by identity: list.remove compares by ==, and two
-        # sinks with equal counter values would unregister the wrong one
-        sinks, sink = getattr(self._local, "sinks", ()), self._sink
+        local, sink = self._stats._local, self._sink
+        sinks = getattr(local, "sinks", ())
         for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
+            if sinks[i][0] is sink:
+                start = sinks.pop(i)[1]
+                tally = local.tally
+                if not sinks:
+                    local.tally = None  # no scope left: stop tallying
+                if tally != start:
+                    sink.count(
+                        reads=tally[0] - start[0],
+                        writes=tally[1] - start[1],
+                        allocations=tally[2] - start[2],
+                        frees=tally[3] - start[3],
+                        cache_hits=tally[4] - start[4],
+                        fsyncs=tally[5] - start[5],
+                    )
+                return
 
 
 class Measurement(IOStats):

@@ -30,6 +30,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
+from repro.analysis.complexity import Bound, metablock_query_bound
 from repro.metablock import blocking as blk
 from repro.metablock.corner import CornerStructure
 from repro.metablock.geometry import BoundingBox, DiagonalCornerQuery, PlanarPoint
@@ -371,9 +372,6 @@ class StaticMetablockTree:
 
     def cost(self, q: Any) -> Any:
         """Theorem 3.2: ``O(log_B n + t/B)`` I/Os per query."""
-        from repro.analysis.complexity import metablock_query_bound
-        from repro.engine.protocols import Bound
-
         n, b = max(self.size, 2), self.B
         return Bound.of("log_B n + t/B", lambda t: metablock_query_bound(n, b, t))
 

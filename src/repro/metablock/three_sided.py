@@ -51,6 +51,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Iterator, List, Optional
 
+from repro.analysis.complexity import Bound, three_sided_query_bound
 from repro.metablock import blocking as blk
 from repro.metablock.dynamic_tree import AugmentedMetablockTree, DynamicMetablock
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery, dedupe_points
@@ -167,9 +168,6 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
 
     def cost(self, q: Any) -> Any:
         """Lemma 4.4: ``O(log_B n + log2 B + t/B)`` I/Os per query."""
-        from repro.analysis.complexity import three_sided_query_bound
-        from repro.engine.protocols import Bound
-
         n, b = max(self.size, 2), self.B
         return Bound.of(
             "log_B n + log2 B + t/B", lambda t: three_sided_query_bound(n, b, t)

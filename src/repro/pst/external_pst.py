@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional
 
-from repro.analysis.complexity import external_pst_query_bound
+from repro.analysis.complexity import Bound, external_pst_query_bound
 from repro.io.disk import BlockId
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
 
@@ -108,8 +108,6 @@ class ExternalPST:
 
     def cost(self, q: Any) -> "Any":
         """Lemma 4.1: ``O(log2 n + t/B)`` I/Os per 3-sided query."""
-        from repro.engine.protocols import Bound
-
         n, b = max(self.size, 2), self.B
         return Bound.of("log2 n + t/B", lambda t: external_pst_query_bound(n, b, t))
 

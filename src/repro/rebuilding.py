@@ -52,7 +52,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.analysis.complexity import rebuild_due
+from repro.analysis.complexity import Bound, rebuild_due
 from repro.durability.mvcc import read_epoch, write_epoch
 from repro.errors import DuplicateError
 from repro.records import fresh_record_keys, record_key
@@ -451,8 +451,6 @@ class RebuildingIndex:
 
     def cost(self, q: Any) -> Any:
         """The structure's bound plus the one side-log block."""
-        from repro.engine.protocols import Bound
-
         inner = self.inner.cost(q)
         if not self._pending:
             return inner

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro import Engine, Interval, Param, SimulatedDisk, Stab
+from repro import Engine, FileDisk, Interval, Param, SimulatedDisk, Stab
 from repro.analysis import lockdep
 from repro.analysis.lockdep import (
     BlockingUnderLockError,
@@ -32,6 +32,20 @@ from repro.analysis.lockdep import (
 from repro.engine.session import RWLock
 from repro.io.counters import IOStats
 from repro.workloads import random_intervals
+
+
+@pytest.fixture(params=["SimulatedDisk", "FileDisk"])
+def backend(request, tmp_path):
+    """Both backends for the attribution tests: ``FileDisk`` charges under
+    its own I/O lock, the simulator without one."""
+    if request.param == "SimulatedDisk":
+        yield SimulatedDisk(block_size=8)
+        return
+    disk = FileDisk(str(tmp_path / "pages.bin"), block_size=8)
+    try:
+        yield disk
+    finally:
+        disk.close()
 
 
 @pytest.fixture(autouse=True)
@@ -60,25 +74,25 @@ class TestIOStatsThreadSafety:
         assert stats.cache_hits == threads * per_thread
         assert stats.total == 2 * threads * per_thread
 
-    def test_backend_hammered_from_8_threads_counts_exactly(self, disk):
+    def test_backend_hammered_from_8_threads_counts_exactly(self, backend):
         """The regression the satellite asks for: one backend, 8 threads."""
-        blocks = [disk.allocate([i]) for i in range(16)]
-        disk.stats.reset()
+        blocks = [backend.allocate([i]) for i in range(16)]
+        backend.stats.reset()
         threads, per_thread = 8, 500
 
         def hammer(tid):
             for i in range(per_thread):
-                disk.read(blocks[(tid + i) % len(blocks)].block_id)
+                backend.read(blocks[(tid + i) % len(blocks)].block_id)
 
         ts = [threading.Thread(target=hammer, args=(t,)) for t in range(threads)]
         for t in ts:
             t.start()
         for t in ts:
             t.join()
-        assert disk.stats.reads == threads * per_thread
+        assert backend.stats.reads == threads * per_thread
 
-    def test_attributed_sink_sees_only_its_thread(self, disk):
-        block = disk.allocate([1])
+    def test_attributed_sink_sees_only_its_thread(self, backend):
+        block = backend.allocate([1])
         sink_main = IOStats()
         noise_done = threading.Event()
         start = threading.Event()
@@ -86,27 +100,27 @@ class TestIOStatsThreadSafety:
         def noise():
             start.wait()
             for _ in range(300):
-                disk.read(block.block_id)
+                backend.read(block.block_id)
             noise_done.set()
 
         t = threading.Thread(target=noise)
         t.start()
-        with disk.stats.attributed(sink_main):
+        with backend.stats.attributed(sink_main):
             start.set()
             for _ in range(50):
-                disk.read(block.block_id)
+                backend.read(block.block_id)
             noise_done.wait()
         t.join()
         assert sink_main.reads == 50           # none of the noise thread's 300
-        assert disk.stats.reads >= 350         # global totals have both
+        assert backend.stats.reads >= 350      # global totals have both
 
-    def test_attribution_scopes_nest(self, disk):
-        block = disk.allocate([1])
+    def test_attribution_scopes_nest(self, backend):
+        block = backend.allocate([1])
         outer, inner = IOStats(), IOStats()
-        with disk.stats.attributed(outer):
-            disk.read(block.block_id)
-            with disk.stats.attributed(inner):
-                disk.read(block.block_id)
+        with backend.stats.attributed(outer):
+            backend.read(block.block_id)
+            with backend.stats.attributed(inner):
+                backend.read(block.block_id)
         assert inner.reads == 1
         assert outer.reads == 2
 
@@ -424,32 +438,56 @@ class TestCountsArePerThread:
         assert not any(t.is_alive() for t in ts)
         assert wrong == [] and min(map(min, expected.values())) > 0
 
-    def test_a_session_read_registers_one_sink_per_charge(self):
-        """The result's own counters are the request's: no second sink."""
+    def test_a_charge_never_calls_a_sink_and_a_scope_merges_once(self):
+        """Each I/O is counted once: a backend charge never calls into a
+        sink, a read's sink takes at most one merge per scope exit, and
+        ``res.ios`` is still the reads the backend was charged."""
+        from repro.io.counters import _Attribution
+
         engine = Engine(SimulatedDisk(16))
         engine.create_collection("base", random_intervals(4000, seed=3, mean_length=300.0))
         session = engine.session()
         prepared = session.prepare("base", Stab(Param("x")))
-        charged, mirrored = [], []
-        real_count = IOStats.count
+        backend = engine.io_stats()
+        charged, merges, exits, inside = [], [], [], []
+        depth = [0]
+        real_count, real_exit = IOStats.count, _Attribution.__exit__
 
         def counting(self, **deltas):
-            # the backend's own charge, or a sink receiving its mirror
-            (charged if self is engine.io_stats() else mirrored).append(deltas)
-            real_count(self, **deltas)
+            if depth[0]:
+                inside.append(deltas)  # called from within another count
+            if self is backend:
+                charged.append(deltas)
+            else:
+                merges.append(self)
+            depth[0] += 1
+            try:
+                real_count(self, **deltas)
+            finally:
+                depth[0] -= 1
+
+        def exiting(scope, *exc):
+            exits.append(scope._sink)
+            return real_exit(scope, *exc)
 
         for read in (lambda: session.query("base", Stab(500.0)),
                      lambda: session.run(prepared, x=500.0)):
-            del charged[:], mirrored[:]
-            IOStats.count = counting
+            for log in (charged, merges, exits, inside):
+                del log[:]
+            IOStats.count, _Attribution.__exit__ = counting, exiting
             try:
                 res = read()
             finally:
-                IOStats.count = real_count
+                IOStats.count, _Attribution.__exit__ = real_count, real_exit
             assert res.ios >= 20 and sum(c.get("reads", 0) for c in charged) == res.ios
-            # one mirror per charge (a scan's run is one), then the one
-            # merge into session.stats
-            assert len(mirrored) == len(charged) + 1, mirrored
+            assert len(charged) > 1 and inside == []
+            # the result's counters: one scope, one merge for all its charges
+            assert sum(s is res.stats for s in merges) == 1
+            assert sum(s is res.stats for s in exits) == 1
+            for sink in merges:
+                if sink is not session.stats:  # the request's one fold
+                    assert sum(m is sink for m in merges) <= sum(e is sink for e in exits)
+            assert sum(m is session.stats for m in merges) == 1
 
 
 class TestLockdepWitness:
