@@ -5,13 +5,15 @@ command table, validation, leases and error codes as a single
 ``ReproServer``, so a client cannot tell the difference — whose
 :class:`~repro.server.core.Executor` is the router.  The router holds one
 pooled :class:`ShardConnection` per shard and turns each validated
-request into per-shard requests plus a merge:
+request into per-shard requests plus a merge.  One thread writes every
+shard's request before it reads any reply (a scatter of one is a
+single-shard request), so the contacted shards work side by side:
 
 =============  ===========================================================
 request        routing
 =============  ===========================================================
 ``query``      :meth:`~repro.cluster.topology.ShardMap.shards_for_query`
-               classifies the algebra tree: single-shard → direct call,
+               classifies the algebra tree: single-shard → one shard,
                prunable window (range strategy) → the overlapping slabs,
                otherwise broadcast.  Answers merge by **uid-deduped
                union**, a global sort for a top-level ``OrderBy`` (each
@@ -29,12 +31,13 @@ request        routing
                targets; with a ``limit`` the scatter degrades to an
                ordered walk that decrements the remaining budget so the
                cluster never over-deletes.
-``bulk_load``  minted uids, split per shard, loaded **in parallel**.
+``bulk_load``  minted uids, split per shard, loaded side by side.
 ``create``     every shard gets the index (records partitioned as above);
 ``drop``       broadcast.
-``prepare``    the lease is ``(index, q)``; ``run`` binds the parameters
-``run``        locally — which both validates them and makes the *bound*
-               query classifiable — then executes as a read.  A shard
+``prepare``    the lease is ``(index, q)``, ``q``'s placeholders compiled
+``run``        once; ``run`` binds them locally — which both validates the
+               parameters and makes the *bound* query classifiable —
+               then executes as a read.  A shard
                answering ``unknown_index`` raises the same
                :class:`~repro.errors.UnknownIndexError` a dropped index
                raises in process, which the server turns into
@@ -52,20 +55,19 @@ client connection.
 
 Locking (ranked in the concurrency linter's table): ``_topology_lock``
 and the supervisor's ``_spawn_lock`` are latches; each shard link's
-``_rpc_lock`` is a declared **barrier** lock, held across the socket
-round-trip by design — it is the per-connection serialization point of
-the pool, exactly like the WAL's group-commit sync lock.
+``_rpc_lock`` (declared a **barrier** lock) guards only its idle pool: a
+socket checked out of it is its caller's alone from the send to the
+reply, so no lock is held while a shard works.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.engine.queries import Limit, OrderBy, bind_params, unbound_params
+from repro.engine.queries import Limit, OrderBy, bind_exactly, compile_params
 from repro.errors import UnknownIndexError
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
@@ -78,42 +80,40 @@ from repro.cluster.topology import ShardMap
 class ShardConnection:
     """A small pool of persistent client connections to one shard.
 
-    ``call`` checks a client out, runs one round-trip, checks it back in;
-    concurrent frontend connections therefore fan into a shard over up to
-    ``pool_size`` sockets instead of serializing on one.  A transport
-    failure closes the failed socket (the pool re-dials lazily, with the
-    client's own capped backoff) and propagates — the router turns it
-    into ``shard_unavailable``.
+    ``send`` checks a client out and writes a request; ``receive`` reads
+    the reply and checks the client back in (up to ``POOL_SIZE`` idle).
+    In between the socket is the caller's alone.  A transport failure
+    closes the failed socket (the pool re-dials lazily, with the client's
+    own capped backoff) and propagates — the router turns it into
+    ``shard_unavailable``.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 60.0,
-        pool_size: int = 8,
-    ) -> None:
+    POOL_SIZE = 8
+
+    def __init__(self, shard: int, host: str, port: int) -> None:
         self.shard = shard
         self.host = host
         self.port = port
-        self._timeout = timeout
-        self._pool_size = pool_size
-        #: barrier lock: guards the idle pool (and is the serialization
-        #: point when callers outnumber pooled sockets)
+        #: guards the idle pool; never held across a send or a receive
         self._rpc_lock = threading.Lock()
         self._idle: List[ReproClient] = []
 
-    def call(self, cmd: str, **payload: Any) -> Dict[str, Any]:
+    def send(self, cmd: str, **payload: Any) -> Tuple[ReproClient, int]:
+        """Write one request; ``(client, request id)`` for :meth:`receive`."""
         with self._rpc_lock:
             client = self._idle.pop() if self._idle else None
         if client is None:
-            client = ReproClient(
-                self.host, self.port, timeout=self._timeout, connect_retries=4
-            )
+            client = ReproClient(self.host, self.port, connect_retries=4)
         try:
-            response = client.call(cmd, **payload)
+            return client, client.send(cmd, **payload)
+        except Exception:
+            client.close()
+            raise
+
+    def receive(self, client: ReproClient, request_id: int) -> Dict[str, Any]:
+        """The reply to a :meth:`send`; the client goes back to the pool."""
+        try:
+            response = client.receive(request_id)
         except ServerError:
             self._checkin(client)  # structured error; the socket is fine
             raise
@@ -125,7 +125,7 @@ class ShardConnection:
 
     def _checkin(self, client: ReproClient) -> None:
         with self._rpc_lock:
-            if len(self._idle) < self._pool_size:
+            if len(self._idle) < self.POOL_SIZE:
                 self._idle.append(client)
                 return
         client.close()
@@ -175,18 +175,29 @@ def _merge_frames(
     """The shards' frames as one: concatenated in shard order, the first of
     each uid kept (``dedupe``), sorted (``order``), cut (``cap``) — by
     column; no record is built.  One frame with nothing to do to it is
-    returned as it is, so its bytes go out as they came in.
+    returned as it is, so its bytes go out as they came in (beside empty
+    ones too); several with nothing to pick or reorder are packed from
+    their joined columns, by the types their shards packed them as.
     """
     if len(frames) == 1 and order is None and cap is None:
         return frames[0]
     columns: List[List[Any]] = [[], [], [], []]
-    for frame in frames:
+    for frame in frames:  # every frame is validated, the empty ones too
         for column, part in zip(columns, frame.columns()):
             column.extend(part)
     uids = columns[_COLUMN_FIELDS["uid"]]
-    rows = list(range(len(uids)))
     # one shard's answer is already distinct
-    if dedupe and len(frames) > 1 and len(set(uids)) < len(uids):
+    repeated = dedupe and len(frames) > 1 and len(set(uids)) < len(uids)
+    if order is None and cap is None and not repeated:
+        full = [frame for frame in frames if frame.count]
+        if len(full) == 1:
+            return full[0]
+        kinds = {frame.kinds for frame in full}
+        return P.RecordFrame.from_columns(
+            *columns, kinds=kinds.pop() if len(kinds) == 1 else (None,) * 4
+        )
+    rows = list(range(len(uids)))
+    if repeated:
         first: Dict[Any, int] = {}
         for i in rows:
             first.setdefault(uids[i], i)
@@ -208,7 +219,6 @@ class ShardRouter(Executor):
         *,
         supervisor: Any = None,
         persist: Optional[Callable[[], None]] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         if len(links) != shard_map.shards:
             raise ValueError(
@@ -231,10 +241,6 @@ class ShardRouter(Executor):
             shard: 0 for shard in range(shard_map.shards)
         }
         self._started_monotonic = time.monotonic()
-        workers = max_workers or max(8, min(64, shard_map.shards * 8))
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-scatter"
-        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -255,7 +261,6 @@ class ShardRouter(Executor):
         return info
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False)
         for link in self._links:
             link.close()
 
@@ -263,18 +268,8 @@ class ShardRouter(Executor):
     # the scatter primitive
     # ------------------------------------------------------------------ #
     def _call_shard(self, shard: int, cmd: str, **payload: Any) -> Dict[str, Any]:
-        try:
-            # every shard reply that carries records carries them as a frame
-            return self._links[shard].call(cmd, frames=True, **payload)
-        except (ConnectionError, OSError) as exc:
-            if self._supervisor is not None:
-                # a dead shard gets the supervisor's diagnosis (exit code,
-                # drained, never-started); a live-but-flaky one falls through
-                self._supervisor.ensure_alive(shard, context=cmd)
-            raise P.ShardUnavailableError(
-                f"shard {shard} at {self._links[shard].host}:"
-                f"{self._links[shard].port} failed during {cmd!r}: {exc}"
-            ) from exc
+        """``cmd`` to one shard (a scatter of one); its response."""
+        return self._scatter([shard], cmd, lambda _shard: payload)[0][1]
 
     def _scatter(
         self,
@@ -282,42 +277,58 @@ class ShardRouter(Executor):
         cmd: str,
         payload_for: Callable[[int], Dict[str, Any]],
     ) -> List[Tuple[int, Dict[str, Any]]]:
-        """``cmd`` to every target in parallel; ``[(shard, response)]``.
+        """``cmd`` to every target; ``[(shard, response)]`` in target order.
 
-        All futures are drained even when one fails (no half-abandoned
-        requests racing the error path); the first failure then raises.
+        Every request is written before any reply is read, so the shards
+        work side by side.  Every leg sent is read back, even after another
+        failed, before the first failure raises (a transport failure as
+        ``shard_unavailable``): no pooled socket goes back with a reply
+        unread.  Each leg is a ``shard.call`` span from send to reply, its
+        ``ios`` the shard's (from its reply).
         """
-        if not targets:
-            return []
-        # child spans attach to the *dispatching* thread's open span: the
-        # scatter workers run on the pool, so the parent is captured here
-        # and handed across the thread boundary explicitly
         parent = obs_tracer.current_span()
-        decision = self._route_decision(len(targets))
-        if len(targets) == 1:
-            shard = targets[0]
-            return [(
-                shard,
-                self._traced_call(
-                    shard, cmd, parent, decision, **payload_for(shard)
-                ),
-            )]
-        futures = [
-            (s, self._executor.submit(
-                self._traced_call, s, cmd, parent, decision, **payload_for(s)
-            ))
-            for s in targets
-        ]
-        out: List[Tuple[int, Dict[str, Any]]] = []
-        error: Optional[BaseException] = None
-        for shard, future in futures:
-            try:
-                out.append((shard, future.result()))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
+        route = self._route_decision(len(targets))
+        # the legs overlap, so each names its parent: outside any span, one
+        # ``router.scatter`` root holds them (each would nest in the last)
+        with (
+            obs_tracer.TRACER.span("router.scatter", cmd=cmd)
+            if parent is None and obs_tracer.is_enabled() else nullcontext(parent)
+        ) as parent:
+            legs: List[Tuple[int, Any, ReproClient, int]] = []
+            failed: Optional[Tuple[int, Exception]] = None
+            for shard in targets:
+                span = obs_tracer.span(
+                    "shard.call", parent=parent, shard=shard, cmd=cmd, route=route
+                )
+                span.__enter__()
+                try:
+                    sent = self._links[shard].send(cmd, frames=True, **payload_for(shard))
+                    legs.append((shard, span, *sent))
+                except Exception as exc:  # noqa: BLE001 - raised once every leg is read
+                    span.__exit__(None, None, None)
+                    failed = failed or (shard, exc)
+            out: List[Tuple[int, Dict[str, Any]]] = []
+            for shard, span, client, request_id in legs:
+                try:
+                    response = self._links[shard].receive(client, request_id)
+                    span.annotate(ios=response.get("ios", 0))
+                    out.append((shard, response))
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    failed = failed or (shard, exc)
+                finally:
+                    span.__exit__(None, None, None)
+        if failed is not None:
+            shard, exc = failed
+            if not isinstance(exc, (ConnectionError, OSError)):
+                raise exc
+            if self._supervisor is not None:
+                # a dead shard gets the supervisor's diagnosis (exit code,
+                # drained, never started); a live-but-flaky one falls through
+                self._supervisor.ensure_alive(shard, context=cmd)
+            link = self._links[shard]
+            raise P.ShardUnavailableError(
+                f"shard {shard} at {link.host}:{link.port} failed during {cmd!r}: {exc}"
+            ) from exc
         return out
 
     def _route_decision(self, contacted: int) -> str:
@@ -327,27 +338,6 @@ class ShardRouter(Executor):
         if contacted >= self._map.shards > 1:
             return "broadcast"
         return "pruned"
-
-    def _traced_call(
-        self,
-        shard: int,
-        cmd: str,
-        parent: Any,
-        decision: str,
-        **payload: Any,
-    ) -> Dict[str, Any]:
-        """One shard leg of a scatter, bracketed by its own child span.
-
-        The router performs no block I/O of its own, so the leg's ``ios``
-        are annotated from the shard's response rather than measured
-        through a sink.
-        """
-        with obs_tracer.span(
-            "shard.call", parent=parent, shard=shard, cmd=cmd, route=decision
-        ) as sp:
-            resp = self._call_shard(shard, cmd, **payload)
-            sp.annotate(ios=resp.get("ios", 0))
-            return resp
 
     def _count(self, kind: str, shards: List[int]) -> None:
         contacted = len(shards)
@@ -446,11 +436,13 @@ class ShardRouter(Executor):
                     f"no index named {index!r}; the cluster serves "
                     f"{sorted(self._indexes)}"
                 )
-        return (index, q), {"index": index, "params": sorted(unbound_params(q))}
+        # the lease compiles its placeholders once; every run binds with it
+        compiled = compile_params(q)
+        return (index, q, compiled), {"index": index, "params": sorted(compiled[1])}
 
     def run(self, lease: Any, params: Dict[str, Any]) -> Payload:
-        index, q = lease
-        bound = bind_params(q, params)  # strict: bad names raise
+        index, q, compiled = lease
+        bound = bind_exactly(q, compiled, params)  # strict: bad names raise
         try:
             return self.query(index, bound)
         except ServerError as exc:

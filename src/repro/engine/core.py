@@ -24,7 +24,6 @@ True
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from contextlib import contextmanager
 from types import MappingProxyType
@@ -218,12 +217,11 @@ class ReadTurn:
 
     def __enter__(self) -> int:
         engine = self._engine
-        latch = self._latch = engine._latch(self._name)
         pin = self._pin = Pin(engine._epochs)
         epoch = pin.__enter__()
         try:
             wait0 = time.perf_counter()
-            latch.acquire_read()
+            latch = self._latch = engine._read_latch(self._name)
             try:
                 obs_metrics.REGISTRY.histogram("engine.read_latch_wait_ms").observe(
                     (time.perf_counter() - wait0) * 1e3
@@ -286,11 +284,11 @@ class Engine:
         #: serializes committed write turns engine-wide (reentrant: a
         #: write turn may issue nested commits, e.g. delete-by-query)
         self._write_mutex = lockdep.WitnessedMutex("engine.write_mutex")
-        #: per-index-name structural latches: readers share one while
-        #: draining, the committing writer takes it exclusively while
-        #: applying — so a write to index A never blocks readers of B
+        #: per-index structural latches: readers share one while draining,
+        #: the committing writer takes it exclusively while applying — so a
+        #: write to index A never blocks readers of B.  One lives exactly as
+        #: long as its index (:meth:`_commit` keeps the two in step)
         self._latches: Dict[str, RWLock] = {}
-        self._latch_guard = threading.Lock()
         #: the attached :class:`~repro.durability.WriteAheadLog`, or
         #: ``None`` (in-memory engines run without one by default)
         self.wal: Optional[WriteAheadLog] = None
@@ -309,21 +307,17 @@ class Engine:
     # ------------------------------------------------------------------ #
     # the commit kernel (every mutation is one committed write turn)
     # ------------------------------------------------------------------ #
-    def _latch(self, name: str) -> RWLock:
-        """The structural latch for one index name (created on first use)."""
-        latch = self._latches.get(name)
-        if latch is not None:
-            return latch
-        with self._latch_guard:
+    def _read_latch(self, name: str) -> RWLock:
+        """Share (and return) the latch of index ``name``; an unknown name
+        raises, and a latch whose index was dropped while we waited is let go."""
+        while True:
             latch = self._latches.get(name)
             if latch is None:
-                # no_block: a latch holder must never wait on the platter —
-                # that is the commit kernel's core promise, and the lockdep
-                # witness enforces it at runtime
-                latch = self._latches[name] = RWLock(
-                    f"latch:{name}", no_block=True
-                )
-            return latch
+                raise UnknownIndexError(f"no index named {name!r}; have {sorted(self._indexes)}")
+            latch.acquire_read()
+            if self._latches.get(name) is latch:
+                return latch
+            latch.release_read()
 
     def _commit(
         self,
@@ -361,7 +355,10 @@ class Engine:
                 )
                 epoch = self._epochs.begin()
                 self._uid_horizon = max(self._uid_horizon, highest)
-                latch = self._latch(name)
+                # no_block: a latch holder must never wait on the platter —
+                # that is the commit kernel's core promise, and the lockdep
+                # witness enforces it at runtime
+                latch = self._latches.get(name) or RWLock(f"latch:{name}", no_block=True)
                 latch.acquire_write()
                 self._epochs.set_write_epoch(epoch)
                 try:
@@ -371,6 +368,12 @@ class Engine:
                         out = fn()
                 finally:
                     self._epochs.clear_write_epoch()
+                    # the turn may have created or dropped the index: its
+                    # latch comes and goes with it
+                    if name in self._indexes:
+                        self._latches.setdefault(name, latch)
+                    else:
+                        self._latches.pop(name, None)
                     latch.release_write()
                 if self.wal is not None and op is not None:
                     logged = op() if callable(op) else op
@@ -397,10 +400,10 @@ class Engine:
         """Reclaim one index's versions below the GC horizon, under its
         exclusive latch inside the (reentrant) write mutex.  Every kind
         but ``key`` (a bare B+-tree, which keeps no versions) has ``purge``."""
-        purge = getattr(self._indexes.get(name), "purge", None)
-        if purge is not None:
-            with self._write_mutex:
-                latch = self._latch(name)
+        with self._write_mutex:
+            purge = getattr(self._indexes.get(name), "purge", None)
+            if purge is not None:
+                latch = self._latches[name]
                 latch.acquire_write()
                 try:
                     purge(self._epochs.safe_epoch())

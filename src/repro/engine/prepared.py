@@ -43,12 +43,12 @@ recent call took, which is what the invalidation tests assert on.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional
 
 from repro.engine.planner import Instantiator, Plan, QueryPlanner
-from repro.engine.queries import compile_params
+from repro.engine.queries import bind_exactly, compile_params
 from repro.engine.result import QueryResult
-from repro.errors import ParameterError, StalePreparedError
+from repro.errors import StalePreparedError
 
 
 class PreparedQuery:
@@ -77,10 +77,10 @@ class PreparedQuery:
         self._engine = engine
         self._index = index
         #: the query's placeholders, bound per run by one compiled binder
-        self._bind, names = compile_params(query)
+        self._compiled = compile_params(query)
         #: parameter names ``run()`` requires, sorted for the repr
-        self.params: List[str] = sorted(names)
-        self._param_set: Set[str] = names
+        self.params: List[str] = sorted(self._compiled[1])
+        self._owner = f"prepared query {name!r}"
         #: the cached strategy compiled against this generation's accessors
         self._instantiate: Optional[Instantiator] = None
         self._gen_key: Any = None
@@ -114,7 +114,7 @@ class PreparedQuery:
             try:
                 self.planner.plan(self.query)
             except Exception:
-                if not self._param_set:
+                if not self.params:
                     raise
                 return
             sig = self.planner._signature(self.query)
@@ -133,20 +133,6 @@ class PreparedQuery:
                 "query was prepared; call Engine.prepare again"
             )
 
-    def _reject_params(self, params: dict) -> None:
-        """Raise for bindings that are not exactly :attr:`params`."""
-        missing = sorted(self._param_set - set(params))
-        extras = sorted(set(params) - self._param_set)
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extras:
-            detail.append(f"unknown {extras}")
-        raise ParameterError(
-            f"prepared query {self.name!r} takes parameters "
-            f"{self.params}: " + ", ".join(detail)
-        )
-
     def plan(self, **params: Any) -> Plan:
         """The plan :meth:`run` would execute for these bindings (no I/O).
 
@@ -155,16 +141,13 @@ class PreparedQuery:
         holds; re-plans otherwise.
         """
         self._check_live()
-        if params.keys() != self._param_set:
-            self._reject_params(params)
+        bound_q = bind_exactly(self.query, self._compiled, params, self._owner)
         if self._gen_key != self.planner._generation_key():
             # an invalidating write event happened since the last plan
             self.last_from_cache = False
             self._prime()
         else:
             self.last_from_cache = self._instantiate is not None
-        # the bindings are exactly the placeholders (checked above)
-        bound_q = self.query if self._bind is None else self._bind(params)
         if self._instantiate is not None:
             plan = self._instantiate(bound_q)
             if plan is not None:

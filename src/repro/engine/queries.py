@@ -137,14 +137,27 @@ def bind_params(q: Any, params: Mapping[str, Any], *, partial: bool = False) -> 
     in place and extras are ignored — which is what plan rebinding uses when
     a sub-expression only mentions a subset of the query's parameters.
     """
-    binder, names = compile_params(q)
     if not partial:
-        missing = names - params.keys()
-        if missing:
-            raise ParameterError(f"unbound query parameters: {sorted(missing)}")
-        extras = params.keys() - names
-        if extras:
-            raise ParameterError(f"unknown query parameters: {sorted(extras)}")
+        return bind_exactly(q, compile_params(q), params)
+    binder = compile_params(q)[0]
+    return q if binder is None else binder(params)
+
+
+def bind_exactly(
+    q: Any,
+    compiled: Tuple[Optional[Binder], Set[str]],
+    params: Mapping[str, Any],
+    owner: str = "the query",
+) -> Any:
+    """``q`` bound by ``compiled``, its :func:`compile_params` — strictly:
+    bindings that are not exactly its placeholders raise
+    :class:`~repro.errors.ParameterError`, which names ``owner``."""
+    binder, names = compiled
+    if params.keys() != names:
+        missing, extras = names - params.keys(), params.keys() - names
+        detail = [f"missing {sorted(missing)} (unbound)"] if missing else []
+        detail += [f"unknown {sorted(extras)}"] if extras else []
+        raise ParameterError(f"{owner} takes parameters {sorted(names)}: " + ", ".join(detail))
     return q if binder is None else binder(params)
 
 

@@ -23,12 +23,12 @@ brackets the hottest paths (the commit kernel, the planner):
   phase*, never per record, so even enabled tracing stays out of the
   per-record streaming loops.
 
-Thread safety: the span stack is thread-local; cross-thread children
-(the router's scatter workers) attach to an explicit ``parent=`` handed
-across the thread boundary.  Span exit removes the span from the stack
-it was pushed onto *by identity*, so a generator abandoned mid-stream
-(``Limit`` cutting a residual scan short) closes its span late without
-corrupting the nesting of the spans around it.
+Thread safety: the span stack is thread-local; spans that overlap
+without nesting (the router's scatter legs, each open from its send to
+its reply) attach to an explicit ``parent=``.  Span exit removes the
+span from the stack it was pushed onto *by identity*, so a generator
+abandoned mid-stream (``Limit`` cutting a residual scan short) closes
+its span late without corrupting the nesting of the spans around it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 One socket, one request in flight at a time (the protocol is strictly
 request/response per connection; open several clients for parallelism —
-that is exactly what the concurrent workload driver does).  Records go
+that is exactly what the concurrent workload driver does; a router
+calls ``call``'s halves, ``send`` and ``receive``, apart).  Records go
 out as ``[low, high, payload, uid]`` rows; the calls that get records back
 (``query`` / ``run`` / ``bulk_load`` / ``delete(q=)``) ask for them as a
 **record frame** (``"frames": true``, see :mod:`repro.server.protocol`)
@@ -17,7 +18,7 @@ straight back to :meth:`~ReproClient.delete` (whose own reply, for
 itself, in which case ``response["records"]`` is the verified
 :class:`~repro.server.protocol.RecordFrame`.
 
-After any transport failure inside :meth:`~ReproClient.call` — a timeout,
+After any transport failure inside ``send`` or ``receive`` — a timeout,
 a short read, an undecodable reply, a reply to another request — the
 client closes its socket: it no longer knows where the next reply starts,
 so every later call raises :class:`ConnectionError` at once.  A structured
@@ -146,15 +147,27 @@ class ReproClient:
     # ------------------------------------------------------------------ #
     def call(self, cmd: str, **payload: Any) -> Dict[str, Any]:
         """Send one command, wait for its response, unwrap errors."""
+        return self.receive(self.send(cmd, **payload))
+
+    def send(self, cmd: str, **payload: Any) -> int:
+        """Write one request, not waiting for the reply; its id, which one
+        :meth:`receive` must read before the next ``send``."""
         if cmd not in P.COMMANDS:
             raise ValueError(f"unknown command {cmd!r}; know {sorted(P.COMMANDS)}")
         if self._rfile.closed:
             raise ConnectionError("this connection was closed")
         self._next_id += 1
-        request_id = self._next_id
         try:
-            self._wfile.write(P.encode_message({"id": request_id, "cmd": cmd, **payload}))
+            self._wfile.write(P.encode_message({"id": self._next_id, "cmd": cmd, **payload}))
             self._wfile.flush()
+        except OSError:  # the server may have half a request
+            self.close()
+            raise
+        return self._next_id
+
+    def receive(self, request_id: int) -> Dict[str, Any]:
+        """Read the reply to the request :meth:`send` numbered ``request_id``."""
+        try:
             response = P.read_reply(self._rfile)
             if response.get("id") != request_id:
                 raise ConnectionError(

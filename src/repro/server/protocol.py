@@ -369,13 +369,17 @@ class RecordFrame:
     count and touches no column); ``data`` is the wire form either way, so
     a frame received can be sent on without re-encoding.  The columns are
     decoded — and every record in them validated — on first use.
+    ``kinds`` holds, per column, the one type all its values have, where
+    the frame knows it (from its packed tags once decoded), else ``None``.
     """
 
-    __slots__ = ("data", "count", "_columns")
+    __slots__ = ("data", "count", "kinds", "_columns")
 
-    def __init__(self, data: bytes, count: int, columns: Optional[Columns] = None) -> None:
+    def __init__(self, data: bytes, count: int, columns: Optional[Columns] = None,
+                 kinds: Sequence[Optional[type]] = (None,) * 4) -> None:
         self.data = data
         self.count = count
+        self.kinds = tuple(kinds)
         self._columns = columns
 
     def __len__(self) -> int:
@@ -396,7 +400,7 @@ class RecordFrame:
             _pack_column(uids, kinds[2]), _pack_column(payloads, kinds[3]),
         ))
         data = b"".join((FRAME_MAGIC, _U32.pack(zlib.crc32(body)), body))
-        return cls(data, count, (lows, highs, uids, payloads))
+        return cls(data, count, (lows, highs, uids, payloads), kinds)
 
     @classmethod
     def of(cls, records: Any) -> "RecordFrame":
@@ -489,6 +493,7 @@ class RecordFrame:
                     )
             elif not kinds[3] <= _INTS | _NONES:
                 _check_payloads(payloads)
+            self.kinds = tuple([next(iter(k)) if len(k) == 1 else None for k in kinds])
             self._columns = (lows, highs, uids, payloads)
         return self._columns
 

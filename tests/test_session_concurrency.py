@@ -16,6 +16,7 @@ Covers the serving subsystem's foundation layer by layer:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -387,6 +388,94 @@ class TestEngineSession:
         assert res.from_cache is not None
 
 
+class TestLatchLifetime:
+    """An index's structural latch lives exactly as long as the index."""
+
+    def test_unknown_names_make_no_latch(self):
+        engine = Engine(SimulatedDisk(16))
+        engine.create_collection("base", random_intervals(50, seed=1))
+        session = engine.session()
+        for i in range(1000):
+            with pytest.raises(KeyError, match=f"no index named 'nope{i}'"):
+                session.query(f"nope{i}", Stab(1.0))
+        with pytest.raises(KeyError):
+            engine.insert("nope", Interval(1, 2))
+        assert set(engine._latches) == {"base"}
+
+    def test_create_drop_cycles_leave_one_latch_per_index(self):
+        engine = Engine(SimulatedDisk(16))
+        for _ in range(50):
+            engine.create_collection("t", random_intervals(20, seed=2))
+            assert set(engine._latches) == {"t"}
+            engine.drop_index("t")
+            assert engine._latches == {}
+        with pytest.raises(KeyError):
+            engine.drop_index("t")
+        assert engine._latches == {}
+
+    def test_a_reader_that_waited_through_a_drop_and_create_shares_the_new_latch(self, monkeypatch):
+        engine = Engine(SimulatedDisk(16))
+        engine.create_collection("t", random_intervals(20, seed=2))
+        stale = engine._latches["t"]
+        acquire_read = RWLock.acquire_read
+
+        def remake():
+            engine.drop_index("t")
+            engine.create_collection("t", random_intervals(20, seed=5))
+
+        def late(latch):
+            if latch is stale:  # the index is dropped and made again meanwhile
+                worker = threading.Thread(target=remake)
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            return acquire_read(latch)
+
+        monkeypatch.setattr(RWLock, "acquire_read", late)
+        with engine.read_turn("t"):
+            assert engine._latches["t"] is not stale
+            assert engine._latches["t"]._readers == 1
+            assert stale._readers == 0
+
+    def test_readers_beside_create_drop_cycles_see_an_index_or_none(self):
+        engine = Engine(SimulatedDisk(16))
+        records = random_intervals(200, seed=4)
+        want = {r.uid for r in records if Stab(250.0).matches(r)}
+        stop = threading.Event()
+        seen, errors = [], []
+
+        def reader():
+            session = engine.session()
+            while not stop.is_set():
+                try:
+                    seen.append({r.uid for r in session.query("t", Stab(250.0)).records})
+                except KeyError:
+                    seen.append(None)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+
+        # more readers than cores, switching often
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(30):
+                engine.create_collection("t", records)
+                engine.drop_index("t")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(uids in (None, want) for uids in seen)
+        assert engine._latches == {}
+
+
 class TestCountsArePerThread:
     """``result.ios`` and ``measure()`` count the calling thread's pages only."""
 
@@ -394,7 +483,6 @@ class TestCountsArePerThread:
         """Two threads, one backend, an index each: every ad-hoc result,
         prepared result and ``measure()`` scope reports the single-threaded
         count, however the interpreter interleaves them."""
-        import sys
 
         engine = Engine(SimulatedDisk(16))
         xs = [5.0 * i for i in range(1, 201)]
