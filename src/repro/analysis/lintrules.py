@@ -91,12 +91,9 @@ MUTEX_ATTRS = {"_write_mutex"}
 WAL_LOCK_CLASSES = {"WriteAheadLog"}
 BARRIER_LOCK_ATTRS = {"_sync_lock"}
 #: the cluster router/supervisor latches: topology + namespace guard and
-#: the shard-handle list guard — both rank *above* the per-link RPC lock
+#: the shard-handle list guard — both rank *above* the per-link RPC lock,
+#: a plain leaf lock that guards a connection pool and blocks on nothing
 CLUSTER_LATCH_ATTRS = {"_topology_lock", "_spawn_lock"}
-#: the per-shard-connection RPC lock is a declared **barrier**: it is the
-#: serialization point of a connection pool and legitimately brackets a
-#: socket round-trip, exactly like the WAL's group-commit sync lock
-CLUSTER_BARRIER_ATTRS = {"_rpc_lock"}
 #: with-item method calls that are context managers but **not** locks:
 #: ``Tracer.span(...)`` (PR 10) brackets a region for wall-clock and I/O
 #: attribution only — it must never be treated as an acquisition, or every
@@ -148,8 +145,6 @@ def classify_lock(owner: str, attr: str) -> LockToken:
         return LockToken(f"{owner}.{attr}", RANK_MUTEX)
     if attr in CLUSTER_LATCH_ATTRS:
         return LockToken(f"{owner}.{attr}", RANK_LATCH)
-    if attr in CLUSTER_BARRIER_ATTRS:
-        return LockToken(f"{owner}.{attr}", RANK_LEAF, barrier=True)
     if owner in WAL_LOCK_CLASSES:
         return LockToken(
             f"{owner}.{attr}", RANK_WAL, barrier=attr in BARRIER_LOCK_ATTRS
@@ -666,7 +661,6 @@ class WireExhaustivenessRule(Rule):
 __all__ = [
     "BLOCKING_BASES",
     "BLOCKING_CALLS",
-    "CLUSTER_BARRIER_ATTRS",
     "CLUSTER_LATCH_ATTRS",
     "Context",
     "Finding",

@@ -183,13 +183,14 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     # search
     # ------------------------------------------------------------------ #
-    def _find_leaf(self, key: Any) -> Tuple[Block, List[Tuple[BlockId, int]]]:
+    def _find_leaf(self, key: Any) -> Tuple[Block, List[Tuple[Block, int]]]:
         """Descend to the leaf that should contain ``key``.
 
-        Returns the leaf block and the path of ``(block_id, child_index)``
-        taken through internal nodes (used by insertion for splits).
+        Returns the leaf block and the path of ``(block, child_index)``
+        taken through internal nodes: the blocks the descent read, which a
+        split updates without reading them again.
         """
-        path: List[Tuple[BlockId, int]] = []
+        path: List[Tuple[Block, int]] = []
         block = self.disk.read(self.root_id)
         while not block.header["leaf"]:
             columns, keys = _packed_entries(block)
@@ -200,7 +201,7 @@ class BPlusTree:
             else:
                 idx = self._route(block, key)
                 child_id = block.records[idx][1]
-            path.append((block.block_id, idx))
+            path.append((block, idx))
             block = self.disk.read(child_id)
         return block, path
 
@@ -380,7 +381,7 @@ class BPlusTree:
                 hi = mid
         records.insert(lo, (key, value))
 
-    def _split(self, block: Block, path: List[Tuple[BlockId, int]]) -> None:
+    def _split(self, block: Block, path: List[Tuple[Block, int]]) -> None:
         """Split an overfull node and propagate upward."""
         while True:
             mid = len(block.records) // 2
@@ -413,8 +414,7 @@ class BPlusTree:
                 self.height += 1
                 return
 
-            parent_id, child_idx = path.pop()
-            parent = self.disk.read(parent_id)
+            parent, child_idx = path.pop()
             # the existing entry pointed at `block`; refresh its key and add the right sibling
             parent.records[child_idx] = (left_max, block.block_id)
             parent.records.insert(child_idx + 1, (right_max, right.block_id))

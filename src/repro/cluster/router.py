@@ -55,7 +55,7 @@ client connection.
 
 Locking (ranked in the concurrency linter's table): ``_topology_lock``
 and the supervisor's ``_spawn_lock`` are latches; each shard link's
-``_rpc_lock`` (declared a **barrier** lock) guards only its idle pool: a
+``_rpc_lock`` is a plain leaf lock that guards only its idle pool: a
 socket checked out of it is its caller's alone from the send to the
 reply, so no lock is held while a shard works.
 """

@@ -84,7 +84,7 @@ class Hits:
     points that also live in the metablocks below it.  No other pair of
     sources the walk reads can — a metablock is read through exactly one
     of its blockings or its corner structure (whose two stages are disjoint
-    in x), a point lives in exactly one metablock's points or update block,
+    in x), a point lives in exactly one metablock's points or pending list,
     and TS(M) is read *instead of* the left siblings whose points it holds.
     With ``payloads`` the scans hand up what the points carry instead of
     the points — a stabbing query wants the intervals, and on a page store

@@ -3,8 +3,10 @@
 The static metablock tree of Section 3.1 is made insert-capable by deferring
 reorganisation:
 
-* every metablock carries an **update block** of up to ``B`` freshly inserted
-  points; when it fills, a **level I reorganisation** rebuilds the
+* every metablock keeps the fewer than ``B`` points inserted into it since
+  its last reorganisation as the records of its **control block** (the
+  paper's update block, folded into the page every query reads anyway);
+  when the ``B``-th arrives, a **level I reorganisation** rebuilds the
   metablock's vertical/horizontal/corner organisations (``O(B)`` I/Os, hence
   ``O(1)`` amortized per insert);
 * every nonleaf metablock ``M`` carries a **TD corner structure** holding the
@@ -21,10 +23,10 @@ reorganisation:
   is rebuilt into two balanced subtrees which replace it in its parent
   (at the root, the whole tree is rebuilt).
 
-Queries read, in addition to the static organisations, the update block of
-every visited metablock and the TD structure of every visited nonleaf
-metablock; both add only a constant number of I/Os per visited metablock
-(Lemma 3.5), so the query bound remains ``O(log_B n + t/B)``.  Amortized
+Queries read, in addition to the static organisations, the TD structure of
+every visited nonleaf metablock, a constant number of I/Os per visited
+metablock (Lemma 3.5), so the query bound remains ``O(log_B n + t/B)``; the
+pending points come with the control block the static walk reads.  Amortized
 insertion costs ``O(log_B n + (log_B n)^2/B)`` I/Os (Lemma 3.6).
 
 Reproduction notes: TS rebuilds triggered by dynamic events
@@ -56,11 +58,10 @@ from repro.metablock.static_tree import Metablock, StaticMetablockTree
 
 
 class DynamicMetablock(Metablock):
-    """A metablock augmented with an update block and a TD corner structure."""
+    """A metablock augmented with pending update points and a TD corner structure."""
 
     __slots__ = (
         "update_points",
-        "update_block_id",
         "td_points",
         "td_update_points",
         "td_update_block_id",
@@ -70,7 +71,6 @@ class DynamicMetablock(Metablock):
     def __init__(self) -> None:
         super().__init__()
         self.update_points: List[PlanarPoint] = []
-        self.update_block_id: Optional[BlockId] = None
         self.td_points: List[PlanarPoint] = []
         self.td_update_points: List[PlanarPoint] = []
         self.td_update_block_id: Optional[BlockId] = None
@@ -95,17 +95,13 @@ class DynamicMetablock(Metablock):
 
     def destroy(self, disk) -> None:
         super().destroy(disk)
-        for attr in ("update_block_id", "td_update_block_id"):
-            block_id = getattr(self, attr)
-            if block_id is not None:
-                disk.free(block_id)
-                setattr(self, attr, None)
+        if self.td_update_block_id is not None:
+            disk.free(self.td_update_block_id)
+            self.td_update_block_id = None
         self.destroy_td()
 
     def organisation_block_count(self) -> int:
         count = super().organisation_block_count()
-        if self.update_block_id is not None:
-            count += 1
         if self.td_update_block_id is not None:
             count += 1
         if self.td_corner is not None:
@@ -149,7 +145,7 @@ class AugmentedMetablockTree(StaticMetablockTree):
         """Insert ``point`` into the subtree rooted at ``mb``."""
         self._stretch_subtree_bounds(mb, point)
         if mb.is_leaf or self._belongs_here(mb, point):
-            self._add_to_update_block(mb, point)
+            self._add_pending(mb, point)
             return
         child = self._route_child(mb, point)
         mb.note_below(point.y)
@@ -190,28 +186,20 @@ class AugmentedMetablockTree(StaticMetablockTree):
                 return child
         return mb.children[-1]
 
-    # -- update blocks ------------------------------------------------------ #
-    def _add_to_update_block(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
+    # -- pending points ------------------------------------------------------ #
+    def _add_pending(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
         mb.update_points.append(point)
         self._flush_update_points(mb)
 
     def _flush_update_points(self, mb: DynamicMetablock) -> None:
-        """Put ``mb``'s pending points on disk, reorganising it if that fills it."""
+        """Put ``mb``'s pending points on disk, reorganising it if that fills
+        it: the control block holds them (2 I/Os: its read and its write)."""
         if len(mb.update_points) >= self.B:
             self._level_one_reorganisation(mb)
         else:
-            self._write_update_block(mb)
+            self._write_control_block(mb)
         if len(mb.points) + len(mb.update_points) >= 2 * self.capacity:
             self._level_two_reorganisation(mb)
-
-    def _write_update_block(self, mb: DynamicMetablock) -> None:
-        if mb.update_block_id is None:
-            block = self.disk.allocate(records=list(mb.update_points), capacity=self.B)
-            mb.update_block_id = block.block_id
-        else:
-            block = self.disk.read(mb.update_block_id)
-            block.records = list(mb.update_points)
-            self.disk.write(block)
 
     # -- TD corner structures ----------------------------------------------- #
     def _td_insert(self, mb: DynamicMetablock, point: PlanarPoint) -> None:
@@ -243,10 +231,10 @@ class AugmentedMetablockTree(StaticMetablockTree):
 
     # -- reorganisations ------------------------------------------------------ #
     def _level_one_reorganisation(self, mb: DynamicMetablock) -> None:
-        """Merge the update block into the main organisations (O(B) I/Os)."""
+        """Merge the pending points into the main organisations (O(B) I/Os);
+        the control block's rewrite empties its records."""
         mb.points.extend(mb.update_points)
         mb.update_points = []
-        self._write_update_block(mb)
         mb.rebuild_organisations(self.disk)
         self._write_control_block(mb)
 
@@ -286,7 +274,7 @@ class AugmentedMetablockTree(StaticMetablockTree):
                 # rebuilt subtree took its points, pending ones included
                 continue
             # a receiver that is still in the tree must not keep points that
-            # no block holds: queries skip an update list without a block
+            # its control block does not hold
             self._flush_update_points(child)
         if mb.in_tree:
             self._push_down_reorganisation(mb)
@@ -378,13 +366,11 @@ class AugmentedMetablockTree(StaticMetablockTree):
     # query hooks (extend the static query with the dynamic organisations)
     # ------------------------------------------------------------------ #
     def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Read the update block of a visited metablock."""
-        if mb.update_block_id is None or not mb.update_points:
+        """The pending points of a visited metablock."""
+        if not mb.update_points:
             return []
-        # one I/O to fetch the update block; the in-memory list is the
-        # authoritative copy (identical content except transiently during
-        # an interrupted batch reorganisation)
-        self.disk.read(mb.update_block_id)
+        # no I/O: they are the records of the control block the walk has
+        # just read; the filter runs over their copy in heap
         found = hits.fresh([p for p in mb.update_points if p.x <= q and p.y >= q])
         return [found] if found else []
 

@@ -28,7 +28,7 @@ import weakref
 from heapq import merge
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.complexity import Bound, metablock_query_bound
 from repro.metablock import blocking as blk
@@ -52,6 +52,9 @@ class Metablock:
     #: :meth:`needs_corner_structure`) and, in the dynamic tree, over its TD
     #: points; ``corner`` holds it whichever class it is
     structure_class: Any = CornerStructure
+    #: points inserted since the last level I reorganisation, the records of
+    #: the control block (the dynamic tree's slot; a static metablock has none)
+    update_points: Sequence[PlanarPoint] = ()
 
     __slots__ = (
         "points",
@@ -163,7 +166,7 @@ class Metablock:
 
     def resident(self) -> List[PlanarPoint]:
         """The points that live in this metablock (the dynamic tree adds
-        its update block's)."""
+        its pending update points)."""
         return self.points
 
     def note_below(self, y: Any) -> None:
@@ -263,18 +266,21 @@ class StaticMetablockTree:
         return mb
 
     def _write_control_block(self, mb: Metablock) -> None:
-        """Allocate/refresh the constant-size control block of a metablock."""
+        """Allocate/refresh the control block of a metablock: a constant-size
+        header, and the fewer than ``B`` pending update points as records."""
         header = {
             "is_leaf": mb.is_leaf,
             "n_points": len(mb.points),
             "children": len(mb.children),
         }
+        records = list(mb.update_points)
         if mb.control_block_id is None:
-            block = self.disk.allocate(records=[], header=header)
+            block = self.disk.allocate(records=records, header=header)
             mb.control_block_id = block.block_id
         else:
             block = self.disk.read(mb.control_block_id)
             block.header.update(header)
+            block.records = records
             self.disk.write(block)
 
     def _build_ts_structures(self, mb: Metablock) -> None:
@@ -343,14 +349,14 @@ class StaticMetablockTree:
         The generator performs no I/O until the first ``next()`` and then
         reads blocks only as far as the consumer iterates.  Each batch (see
         :func:`~repro.metablock.blocking.select`) holds what one block — or
-        one in-memory update list — added to the answer; with ``payloads``
-        it holds the points' payloads instead of the points (see
+        one control block's pending points — added to the answer; with
+        ``payloads`` it holds the points' payloads instead of the points (see
         :class:`~repro.metablock.blocking.Hits`).
 
         Every point is reported once.  Of a visited metablock the walk reads
         one organisation: the vertical blocking, the horizontal one or the
         corner structure, whose two stages are disjoint in x.  A point lives
-        in one metablock's ``points`` or update block, and TS(M) holds only
+        in one metablock's ``points`` or pending list, and TS(M) holds only
         points of M's left siblings' subtrees and is read *instead of* them
         (:meth:`check_invariants` asserts both).  So only a TD structure of
         the augmented tree, which copies points that the metablocks below
@@ -396,7 +402,7 @@ class StaticMetablockTree:
         return blk.scan_vertical_upto(self.disk, mb.vertical, q, y_min=y_min, hits=hits)[0]
 
     def _extra_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Hook for the dynamic tree (update blocks, in batches); static
+        """Hook for the dynamic tree (pending points, in batches); static
         tree: nothing."""
         return []
 
@@ -553,8 +559,8 @@ class StaticMetablockTree:
 
     def _check_disjoint(self) -> None:
         """What lets a query skip deduplication (:meth:`iter_diagonal_blocks`):
-        every point lives in exactly one metablock's ``points`` or update
-        block, and TS(M) holds only points of M's left siblings' subtrees."""
+        every point lives in exactly one metablock's ``points`` or pending
+        list, and TS(M) holds only points of M's left siblings' subtrees."""
         uids = [p.uid for p in self.all_points()]
         assert len(uids) == self.size, f"point count mismatch: {len(uids)} != {self.size}"
         assert len(set(uids)) == len(uids), "a point lives in two metablocks"

@@ -6,9 +6,9 @@ class hierarchy to 3-sided range searching: report all points with
 modifying the metablock tree of Section 3 in the five ways Lemma 4.3
 enumerates, and so does this module: :class:`ThreeSidedMetablockTree` *is*
 the :class:`~repro.metablock.dynamic_tree.AugmentedMetablockTree` — build,
-insert routing, update blocks, TD structures, level I/II reorganisations,
-leaf and branching-factor splits, accounting and invariants are inherited —
-with one override per item:
+insert routing, pending points in the control block, TD structures, level
+I/II reorganisations, leaf and branching-factor splits, accounting and
+invariants are inherited — with one override per item:
 
 1. & 2.  Corners need not lie on the diagonal and both corners may fall in
    one metablock — ``ThreeSidedMetablock.structure_class`` is the blocked
@@ -184,9 +184,8 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         # the metablock's own points (cases 1–3 of Lemma 4.3)
         if mb.pst is not None:
             out.extend(mb.pst.query_3sided(x1, x2, y0))
-        if mb.update_block_id is not None and mb.update_points:
-            # one I/O for the update block; the in-memory list is authoritative
-            self.disk.read(mb.update_block_id)
+        if mb.update_points:
+            # the records of the control block just read: no I/O of their own
             out.extend(p for p in mb.update_points if x1 <= p.x <= x2 and p.y >= y0)
 
         if mb.is_leaf or not mb.children:

@@ -2,9 +2,11 @@
 """Seeded-bad fixture: a cluster router holding locks the wrong way round.
 
 The declared order is topology latch (``_topology_lock``) before the
-per-link RPC barrier (``_rpc_lock``): a scatter thread that grabs the
-barrier and *then* reaches back for the topology latch can deadlock
-against a writer persisting a grown ``max_length`` while it scatters.
+per-link RPC lock (``_rpc_lock``): a scatter thread that grabs the pool
+lock and *then* reaches back for the topology latch can deadlock against a
+writer persisting a grown ``max_length`` while it scatters.  The RPC lock
+guards only a connection pool, so a socket round-trip under it is
+blocking under a lock like any other.
 """
 import threading
 
@@ -15,16 +17,17 @@ class ShardConnection:
         self.sock = sock
         self.idle = []
 
-    def call_then_reroute(self, router, payload):
+    def checkout_then_reroute(self, router):
         with self._rpc_lock:
-            self.sock.sendall(payload)  # barrier lock: blocking here is fine
+            sock = self.idle.pop()
             with router._topology_lock:  # seeded: lock-order
                 router.rebalance()
+        return sock
 
-    def pooled_send_is_fine(self, payload):
+    def round_trip_under_the_pool_lock(self, payload):
         with self._rpc_lock:
-            self.sock.sendall(payload)
-            return self.sock.recv(4096)
+            self.sock.sendall(payload)  # seeded: blocking-under-mutex
+            return self.sock.recv(4096)  # seeded: blocking-under-mutex
 
 
 class ShardRouter:
@@ -48,5 +51,6 @@ class ShardRouter:
             targets = list(self.links)
         for target in targets:
             with connection._rpc_lock:
-                connection.sock.sendall(payload)
+                sock = connection.idle.pop()
+            sock.sendall(payload)
         return targets

@@ -77,21 +77,20 @@ class TestStaticOrganisation:
 
 
 class TestDynamicOrganisation:
-    def test_update_blocks_created_lazily(self):
+    def test_pending_points_are_the_control_blocks_records(self):
         disk = SimulatedDisk(4)
         tree = AugmentedMetablockTree(disk, make_interval_points(100, seed=18))
-        roots_with_updates = [
-            mb for mb in tree.iter_metablocks()
-            if isinstance(mb, DynamicMetablock) and mb.update_block_id is not None
-        ]
-        assert roots_with_updates == []  # no inserts yet -> no update blocks
-        tree.insert(PlanarPoint(1.0, 2.0))
-        assert any(
-            isinstance(mb, DynamicMetablock) and mb.update_block_id is not None
-            for mb in tree.iter_metablocks()
-        )
 
-    def test_level_one_reorganisation_merges_update_block(self):
+        def pending():
+            return [disk.peek(mb.control_block_id).records for mb in tree.iter_metablocks()]
+
+        assert all(isinstance(mb, DynamicMetablock) for mb in tree.iter_metablocks())
+        assert not any(pending())  # no inserts yet -> no pending points
+        point = PlanarPoint(1.0, 2.0)
+        tree.insert(point)
+        assert [p.uid for records in pending() for p in records] == [point.uid]
+
+    def test_level_one_reorganisation_merges_the_pending_points(self):
         B = 4
         disk = SimulatedDisk(B)
         tree = AugmentedMetablockTree(disk)
@@ -101,6 +100,7 @@ class TestDynamicOrganisation:
         # B inserts into the root leaf trigger exactly one level I reorganisation
         assert len(tree.root.update_points) == 0
         assert len(tree.root.points) == B
+        assert disk.peek(tree.root.control_block_id).records == []
 
     def test_td_structures_track_descending_points(self):
         B = 4

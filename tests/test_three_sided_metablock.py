@@ -180,8 +180,8 @@ class TestIsTheAugmentedTree:
         assert issubclass(ThreeSidedMetablock, DynamicMetablock)
         shared = {
             "_build", "_write_control_block", "insert", "insert_many", "_insert_into",
-            "_stretch_subtree_bounds", "_belongs_here", "_route_child", "_add_to_update_block",
-            "_write_update_block", "_td_insert", "_level_one_reorganisation",
+            "_stretch_subtree_bounds", "_belongs_here", "_route_child", "_add_pending",
+            "_flush_update_points", "_td_insert", "_level_one_reorganisation",
             "_level_two_reorganisation", "_split_leaf", "_split_internal", "_rebuild_whole_tree",
             "_collect_subtree_points", "_destroy_subtree", "iter_metablocks", "block_count",
             "destroy", "all_points", "height", "__len__", "check_invariants",
