@@ -83,7 +83,7 @@ def test_naive_scan_stabbing(benchmark):
         for q in queries:
             for block in blocks:
                 blk = disk.read(block.block_id)
-                total += sum(1 for iv in blk.records if iv.contains(q))
+                total += sum(1 for iv in blk.records() if iv.contains(q))
         return total
 
     reported, ios = measure_ios(disk, run)

@@ -21,25 +21,25 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algebra import Range, Stab
 from repro.analysis.complexity import Bound, btree_query_bound
-from repro.io.disk import Block, BlockId
+from repro.io.disk import BlockId, Page, column_values
 
 Pair = Tuple[Any, Any]
+_key = itemgetter(0)
 
 
-def _packed_entries(block: Block) -> Tuple[Any, Optional[Tuple[Any, ...]]]:
-    """``(columns, keys)`` of a node still in its page's columns.
+def _keys(node: Page) -> Sequence[Any]:
+    """A node's keys, off its page's key column (its entries are pairs)."""
+    return column_values(node.columns.firsts) if node.count else ()
 
-    ``keys`` is ``None`` for an in-memory block, or when the keys fit no
-    packed column (strings, mixed numbers) — callers then walk
-    ``block.records``.
-    """
-    columns = block.columns
-    keys = getattr(columns, "firsts", None)
-    return columns, keys if type(keys) is tuple else None
+
+def _children(node: Page) -> Sequence[BlockId]:
+    """An internal node's child ids, in key order."""
+    return node.columns.seconds
 
 
 class _HybridBulkLoad:
@@ -96,7 +96,7 @@ class BPlusTree:
         ``O(n/B)`` space bound with a small constant, and costs one write
         per block and no read after sorting.
         """
-        data = sorted(pairs, key=lambda kv: kv[0])
+        data = sorted(map(tuple, pairs), key=_key)
         tree = cls.__new__(cls)
         tree._bind(disk, name)
         tree._load_sorted(data)
@@ -157,7 +157,7 @@ class BPlusTree:
         runs first and the old levels are freed last, so a failing batch
         raises with the tree intact.
         """
-        data = sorted(pairs, key=lambda kv: kv[0])
+        data = sorted(map(tuple, pairs), key=_key)
         old_root = self.root_id
         self._load_sorted(data)
         self._free_subtree(old_root)
@@ -175,48 +175,30 @@ class BPlusTree:
         stack = [root_id]
         while stack:
             bid = stack.pop()
-            block = self.disk.peek(bid)
-            if not block.header["leaf"]:
-                stack.extend(child for _, child in block.records)
+            node = self.disk.peek(bid)
+            if not node.header["leaf"]:
+                stack.extend(_children(node))
             self.disk.free(bid)
 
     # ------------------------------------------------------------------ #
     # search
     # ------------------------------------------------------------------ #
-    def _find_leaf(self, key: Any) -> Tuple[Block, List[Tuple[Block, int]]]:
+    def _find_leaf(self, key: Any) -> Tuple[Page, List[Tuple[Page, int]]]:
         """Descend to the leaf that should contain ``key``.
 
-        Returns the leaf block and the path of ``(block, child_index)``
-        taken through internal nodes: the blocks the descent read, which a
-        split updates without reading them again.
+        Returns the leaf's page and the path of ``(page, child_index)``
+        taken through internal nodes: the pages the descent read, which a
+        split updates without reading them again.  A node routes on its
+        key column alone.
         """
-        path: List[Tuple[Block, int]] = []
-        block = self.disk.read(self.root_id)
-        while not block.header["leaf"]:
-            columns, keys = _packed_entries(block)
-            if keys is not None and type(columns.seconds) is tuple:
-                # a page still in columns: route on the key column alone
-                idx = min(bisect_left(keys, key), len(keys) - 1)
-                child_id = columns.seconds[idx]
-            else:
-                idx = self._route(block, key)
-                child_id = block.records[idx][1]
-            path.append((block, idx))
-            block = self.disk.read(child_id)
-        return block, path
-
-    @staticmethod
-    def _route(block: Block, key: Any) -> int:
-        """Index of the child an internal node routes ``key`` to."""
-        records = block.records
-        lo, hi = 0, len(records) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if records[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        path: List[Tuple[Page, int]] = []
+        node = self.disk.read(self.root_id)
+        while not node.header["leaf"]:
+            keys = _keys(node)
+            idx = min(bisect_left(keys, key), len(keys) - 1)
+            path.append((node, idx))
+            node = self.disk.read(_children(node)[idx])
+        return node, path
 
     def search(self, key: Any) -> List[Any]:
         """Return all values stored under ``key`` (``O(log_B n + t/B)`` I/Os)."""
@@ -225,16 +207,14 @@ class BPlusTree:
     def contains(self, key: Any) -> bool:
         """Whether any pair with ``key`` exists."""
         leaf, _ = self._find_leaf(key)
-        if any(k == key for k, _ in leaf.records):
+        if key in _keys(leaf):
             return True
-        # duplicates may spill into following leaves
+        # duplicates may spill into the following leaf
         next_id = leaf.header["next"]
-        while next_id is not None:
-            nxt = self.disk.read(next_id)
-            if nxt.records and nxt.records[0][0] == key:
-                return True
-            break
-        return False
+        if next_id is None:
+            return False
+        keys = _keys(self.disk.read(next_id))
+        return bool(keys) and keys[0] == key
 
     def range_search(
         self,
@@ -291,70 +271,56 @@ class BPlusTree:
 
         As lazy as :meth:`iter_range` (which is this, flattened).  With
         ``values`` the batches hold the stored values instead of ``(key,
-        value)`` pairs.  On a leaf still in its page's columns the range is
-        found by bisecting the packed key column, and the batch is the
-        page's rows inside it (a :class:`~repro.io.disk.Batch`), built
-        only when asked; an in-memory leaf's batch is a list.
+        value)`` pairs.  The range is found by bisecting the leaf's key
+        column, and the batch is the page's rows inside it (a
+        :class:`~repro.io.disk.Batch`), built only when asked.
         """
         if lo > hi or (lo == hi and not (min_inclusive and max_inclusive)):
             return
         leaf, _ = self._find_leaf(lo)
         while True:
-            columns, keys = _packed_entries(leaf)
-            if keys is not None:
-                start = bisect_left(keys, lo) if min_inclusive else bisect_right(keys, lo)
-                stop = bisect_right(keys, hi) if max_inclusive else bisect_left(keys, hi)
-                done = stop < len(keys)
+            keys = _keys(leaf)
+            start = bisect_left(keys, lo) if min_inclusive else bisect_right(keys, lo)
+            stop = bisect_right(keys, hi) if max_inclusive else bisect_left(keys, hi)
+            if start < stop:
                 whole = start == 0 and stop == len(keys)
-                chunk = leaf.take(
-                    columns, None if whole else range(start, stop), payloads=values
-                ) if start < stop else []
-            else:
-                chunk = []
-                done = False
-                for k, v in leaf.records:
-                    if k > hi or (k == hi and not max_inclusive):
-                        done = True
-                        break
-                    if k > lo or (k == lo and min_inclusive):
-                        chunk.append(v if values else (k, v))
-            if chunk:
-                yield chunk
+                yield leaf.take(None if whole else range(start, stop), payloads=values)
             next_id = leaf.header["next"]
-            if done or next_id is None:
+            if stop < len(keys) or next_id is None:
                 return
             leaf = self.disk.read(next_id)
 
     def iter_pairs(self) -> Iterator[Pair]:
         """Iterate over every pair in key order (reads every leaf)."""
-        block = self.disk.read(self.root_id)
-        while not block.header["leaf"]:
-            block = self.disk.read(block.records[0][1])
+        node = self.disk.read(self.root_id)
+        while not node.header["leaf"]:
+            node = self.disk.read(_children(node)[0])
         while True:
-            for pair in block.records:
-                yield tuple(pair)
-            next_id = block.header["next"]
+            yield from node.records()
+            next_id = node.header["next"]
             if next_id is None:
                 return
-            block = self.disk.read(next_id)
+            node = self.disk.read(next_id)
 
     def min_key(self) -> Optional[Any]:
         """Smallest key in the tree, or ``None`` when empty."""
         if self.size == 0:
             return None
-        block = self.disk.read(self.root_id)
-        while not block.header["leaf"]:
-            block = self.disk.read(block.records[0][1])
-        return block.records[0][0] if block.records else None
+        node = self.disk.read(self.root_id)
+        while not node.header["leaf"]:
+            node = self.disk.read(_children(node)[0])
+        keys = _keys(node)
+        return keys[0] if keys else None
 
     def max_key(self) -> Optional[Any]:
         """Largest key in the tree, or ``None`` when empty."""
         if self.size == 0:
             return None
-        block = self.disk.read(self.root_id)
-        while not block.header["leaf"]:
-            block = self.disk.read(block.records[-1][1])
-        return block.records[-1][0] if block.records else None
+        node = self.disk.read(self.root_id)
+        while not node.header["leaf"]:
+            node = self.disk.read(_children(node)[-1])
+        keys = _keys(node)
+        return keys[-1] if keys else None
 
     # ------------------------------------------------------------------ #
     # insertion
@@ -362,44 +328,31 @@ class BPlusTree:
     def insert(self, key: Any, value: Any) -> None:
         """Insert a pair (``O(log_B n)`` I/Os amortised over splits)."""
         leaf, path = self._find_leaf(key)
-        self._insert_into_leaf(leaf, key, value)
+        records = leaf.records()
+        records.insert(bisect_right(_keys(leaf), key), (key, value))
         self.size += 1
-        if len(leaf.records) <= leaf.capacity:
-            self.disk.write(leaf)
+        if len(records) <= leaf.capacity:
+            self.disk.write(leaf.replace(records))
             return
-        self._split(leaf, path)
+        self._split(leaf, records, path)
 
-    @staticmethod
-    def _insert_into_leaf(leaf: Block, key: Any, value: Any) -> None:
-        records = leaf.records
-        lo, hi = 0, len(records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if records[mid][0] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        records.insert(lo, (key, value))
-
-    def _split(self, block: Block, path: List[Tuple[Block, int]]) -> None:
-        """Split an overfull node and propagate upward."""
+    def _split(self, node: Page, records: List[Pair], path: List[Tuple[Page, int]]) -> None:
+        """Split ``node``, whose entries have grown to the overfull
+        ``records``, and propagate upward."""
         while True:
-            mid = len(block.records) // 2
-            left_records = block.records[:mid]
-            right_records = block.records[mid:]
-            is_leaf = block.header["leaf"]
+            mid = len(records) // 2
+            left_records = records[:mid]
+            right_records = records[mid:]
 
-            if is_leaf:
+            if node.header["leaf"]:
                 right = self.disk.allocate(
                     records=right_records,
-                    header={"leaf": True, "next": block.header["next"]},
+                    header={"leaf": True, "next": node.header["next"]},
                 )
-                block.records = left_records
-                block.header["next"] = right.block_id
+                self.disk.write(node.replace(left_records, {"leaf": True, "next": right.block_id}))
             else:
                 right = self.disk.allocate(records=right_records, header={"leaf": False})
-                block.records = left_records
-            self.disk.write(block)
+                self.disk.write(node.replace(left_records))
 
             left_max = left_records[-1][0]
             right_max = right_records[-1][0]
@@ -407,7 +360,7 @@ class BPlusTree:
             if not path:
                 # split the root: allocate a new root above
                 new_root = self.disk.allocate(
-                    records=[(left_max, block.block_id), (right_max, right.block_id)],
+                    records=[(left_max, node.block_id), (right_max, right.block_id)],
                     header={"leaf": False},
                 )
                 self.root_id = new_root.block_id
@@ -415,13 +368,14 @@ class BPlusTree:
                 return
 
             parent, child_idx = path.pop()
-            # the existing entry pointed at `block`; refresh its key and add the right sibling
-            parent.records[child_idx] = (left_max, block.block_id)
-            parent.records.insert(child_idx + 1, (right_max, right.block_id))
-            if len(parent.records) <= parent.capacity:
-                self.disk.write(parent)
+            # the existing entry pointed at `node`; refresh its key and add the right sibling
+            records = parent.records()
+            records[child_idx] = (left_max, node.block_id)
+            records.insert(child_idx + 1, (right_max, right.block_id))
+            if len(records) <= parent.capacity:
+                self.disk.write(parent.replace(records))
                 return
-            block = parent  # keep splitting upward
+            node = parent  # keep splitting upward
 
     # ------------------------------------------------------------------ #
     # uniform Index surface (see repro.engine.protocols.Index)
@@ -474,10 +428,10 @@ class BPlusTree:
         count = 0
         stack = [self.root_id]
         while stack:
-            block = self.disk.peek(stack.pop())
+            node = self.disk.peek(stack.pop())
             count += 1
-            if not block.header["leaf"]:
-                stack.extend(child for _, child in block.records)
+            if not node.header["leaf"]:
+                stack.extend(_children(node))
         return count
 
     def __len__(self) -> int:
@@ -512,12 +466,13 @@ def _delete(
     """
     leaf, _ = self._find_leaf(key)
     while True:
-        for i, (k, v) in enumerate(leaf.records):
+        records = leaf.records()
+        for i, (k, v) in enumerate(records):
             if k == key and (
                 match(v) if match is not None else (value is _MISSING or v == value)
             ):
-                del leaf.records[i]
-                self.disk.write(leaf)
+                del records[i]
+                self.disk.write(leaf.replace(records))
                 self.size -= 1
                 return True
             if k > key:
@@ -526,7 +481,8 @@ def _delete(
         if next_id is None:
             return False
         leaf = self.disk.read(next_id)
-        if leaf.records and leaf.records[0][0] > key:
+        keys = _keys(leaf)
+        if keys and keys[0] > key:
             return False
 
 

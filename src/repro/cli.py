@@ -720,7 +720,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.engine.core import read_catalog
     from repro.io import pagecodec
     from repro.io.counters import IOStats
-    from repro.io.disk import Block
+    from repro.io.disk import Page
+    from repro.io.filedisk import decode_page
 
     if not FileDisk.exists(args.db):
         print(f"catalog: no database at {args.db!r} (missing sidecar)", file=sys.stderr)
@@ -732,16 +733,13 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"catalog: {exc}", file=sys.stderr)
         return 2
 
-    def read(block_id: int) -> Block:
+    def read(block_id: int) -> Page:
         offset, length = sidecar["extents"][block_id]
         with open(args.db, "rb") as fh:
             fh.seek(offset)
             raw = fh.read(length)
         stats.count(reads=1)
-        return Block.lazy(
-            block_id, *pagecodec.decode(raw, block_id, offset, length),
-            pagecodec.DecodeTally(),
-        )
+        return decode_page(block_id, offset, length, raw, pagecodec.DecodeTally())
 
     entries = [entry for entry, _ in read_catalog(read, sidecar["meta"])]
     print(f"catalog: {args.db} (B={sidecar['block_size']}, "

@@ -138,7 +138,7 @@ def read_catalog(
     def chain(head: Optional[int]) -> Iterator[Any]:
         while head is not None:
             block = read(head)
-            yield from block.records
+            yield from block.records()
             head = block.header["next"]
 
     root_id = meta.get("catalog_root")
@@ -908,7 +908,7 @@ class Engine:
                 for start in reversed(range(0, len(records), B)):
                     chunk = records[start : start + B]
                     block = self.disk.allocate(
-                        records=list(chunk), header={"next": head}
+                        records=chunk, header={"next": head}
                     )
                     head = block.block_id
                     blocks.append(block.block_id)

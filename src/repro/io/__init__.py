@@ -20,18 +20,18 @@ physically live.
 """
 
 from repro.io.counters import IOStats, Measurement
-from repro.io.disk import Block, BlockId, SimulatedDisk
+from repro.io.disk import BlockId, Page, SimulatedDisk
 from repro.io.buffer import BufferManager
 from repro.io.backend import StorageBackend
 from repro.io.filedisk import FileDisk
 
 __all__ = [
-    "Block",
     "BlockId",
     "BufferManager",
     "FileDisk",
     "IOStats",
     "Measurement",
+    "Page",
     "SimulatedDisk",
     "StorageBackend",
 ]

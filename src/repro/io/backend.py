@@ -19,11 +19,11 @@ expected, including :class:`~repro.engine.Engine` via ``Engine(backend=...)``.
 from __future__ import annotations
 
 from typing import (
-    Any, ContextManager, Dict, List, Optional, Protocol, Sequence, runtime_checkable,
+    Any, ContextManager, Dict, List, Mapping, Optional, Protocol, Sequence, runtime_checkable,
 )
 
 from repro.io.counters import IOStats, Measurement
-from repro.io.disk import Block, BlockId
+from repro.io.disk import BlockId, Page
 
 
 @runtime_checkable
@@ -31,13 +31,11 @@ class StorageBackend(Protocol):
     """Structural interface of a block store with I/O accounting.
 
     Implementations must treat :meth:`read` and :meth:`write` as one I/O
-    each (buffer pools may absorb reads as cache hits), and must enforce the
-    per-block record capacity on write.
+    each (buffer pools may absorb reads as cache hits).
 
-    Mutating a block returned by :meth:`read` or :meth:`allocate` does *not*
-    persist the change until :meth:`write` is called.  ``SimulatedDisk``
-    happens to alias live objects, but file-backed stores round-trip through
-    serialization — structures must not rely on aliasing.
+    Every backend hands out immutable :class:`~repro.io.disk.Page` values; a
+    block changes only by :meth:`write` of its next version
+    (:meth:`~repro.io.disk.Page.replace`), never overfull.
     """
 
     block_size: int
@@ -49,10 +47,10 @@ class StorageBackend(Protocol):
 
     def allocate(
         self,
-        records: Optional[List[Any]] = None,
-        header: Optional[Dict[str, Any]] = None,
+        records: Optional[Sequence[Any]] = None,
+        header: Optional[Mapping[str, Any]] = None,
         capacity: Optional[int] = None,
-    ) -> Block:
+    ) -> Page:
         """Allocate and persist a new block (one write I/O)."""
         ...
 
@@ -60,21 +58,22 @@ class StorageBackend(Protocol):
         """Release a block (not an I/O)."""
         ...
 
-    def read(self, block_id: BlockId) -> Block:
+    def read(self, block_id: BlockId) -> Page:
         """Fetch a block (one read I/O, unless absorbed by a cache)."""
         ...
 
-    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Page]:
         """Fetch blocks in order, counted exactly as that many :meth:`read`
         calls but in one charge (none for an empty run) — for a scan that
         knows its blocks before it reads any."""
         ...
 
-    def write(self, block: Block) -> None:
-        """Persist a block (one write I/O, possibly deferred by a cache)."""
+    def write(self, page: Page) -> None:
+        """Store ``page`` as its block's next version (one write I/O, possibly
+        deferred by a cache)."""
         ...
 
-    def peek(self, block_id: BlockId) -> Block:
+    def peek(self, block_id: BlockId) -> Page:
         """Inspect a block without accounting (tests, invariant checks, and
         a buffer pool that charges a run's misses itself)."""
         ...

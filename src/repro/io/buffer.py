@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, List, Mapping, Optional, Sequence, Set
 
-from repro.io.disk import Block, BlockId, SimulatedDisk
+from repro.io.disk import BlockId, Page, SimulatedDisk
 
 
 class BufferManager:
@@ -36,7 +36,7 @@ class BufferManager:
             raise ValueError("capacity_pages must be positive")
         self.disk = disk
         self.capacity_pages = capacity_pages if capacity_pages is not None else disk.block_size
-        self._cache: "OrderedDict[BlockId, Block]" = OrderedDict()
+        self._cache: "OrderedDict[BlockId, Page]" = OrderedDict()
         self._dirty: Set[BlockId] = set()
         #: guards the LRU order, residency set and dirty set — concurrent
         #: reader sessions hit the pool in parallel, and an unsynchronized
@@ -70,10 +70,10 @@ class BufferManager:
 
     def allocate(
         self,
-        records: Optional[List[Any]] = None,
-        header: Optional[Dict[str, Any]] = None,
+        records: Optional[Sequence[Any]] = None,
+        header: Optional[Mapping[str, Any]] = None,
         capacity: Optional[int] = None,
-    ) -> Block:
+    ) -> Page:
         with self._lock:
             block = self.disk.allocate(records, header, capacity)
             self._insert(block, dirty=False)
@@ -85,7 +85,7 @@ class BufferManager:
             self._dirty.discard(block_id)
             self.disk.free(block_id)
 
-    def read(self, block_id: BlockId) -> Block:
+    def read(self, block_id: BlockId) -> Page:
         """Read a block, through the cache."""
         with self._lock:
             if block_id in self._cache:
@@ -96,7 +96,7 @@ class BufferManager:
             self._insert(block, dirty=False)
             return block
 
-    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Page]:
         """:meth:`read` each of ``block_ids`` in order, charged in one count.
 
         Hits and misses fall exactly as ``k`` single reads would have them
@@ -104,7 +104,7 @@ class BufferManager:
         is fetched uncounted and the run's misses and hits are charged
         together at the end.
         """
-        run: List[Block] = []
+        run: List[Page] = []
         misses = 0
         with self._lock:
             for block_id in block_ids:
@@ -120,12 +120,13 @@ class BufferManager:
                 self.disk.stats.count(reads=misses, cache_hits=len(run) - misses)
         return run
 
-    def write(self, block: Block) -> None:
-        """Write a block.  Deferred to eviction or :meth:`flush` (write-back)."""
+    def write(self, page: Page) -> None:
+        """Write a page.  Deferred to eviction or :meth:`flush` (write-back),
+        which cannot fail for it: no :class:`~repro.io.disk.Page` is overfull."""
         with self._lock:
-            self._insert(block, dirty=True)
+            self._insert(page, dirty=True)
 
-    def peek(self, block_id: BlockId) -> Block:
+    def peek(self, block_id: BlockId) -> Page:
         with self._lock:
             if block_id in self._cache:
                 return self._cache[block_id]
@@ -134,12 +135,12 @@ class BufferManager:
     # ------------------------------------------------------------------ #
     # cache machinery
     # ------------------------------------------------------------------ #
-    def _insert(self, block: Block, dirty: bool) -> None:
+    def _insert(self, page: Page, dirty: bool) -> None:
         # caller holds self._lock
-        self._cache[block.block_id] = block
-        self._cache.move_to_end(block.block_id)
+        self._cache[page.block_id] = page
+        self._cache.move_to_end(page.block_id)
         if dirty:
-            self._dirty.add(block.block_id)
+            self._dirty.add(page.block_id)
         while len(self._cache) > self.capacity_pages:
             victim_id, victim = self._cache.popitem(last=False)
             if victim_id in self._dirty:

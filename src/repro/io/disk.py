@@ -6,144 +6,117 @@ of I/Os.  :class:`SimulatedDisk` realises that model: it stores blocks in a
 dictionary, enforces the per-block record capacity, and counts every read
 and write.
 
-A *block* here holds up to ``B`` records (arbitrary Python objects) plus a
-small, constant amount of header information (pointers, split keys).  This
-matches the convention used throughout the paper, where "a block holds B
-data items" and control information of constant size per block is ignored.
+A *block* here holds up to ``B`` records (values of the closed domain of
+:mod:`repro.values`) plus a small, constant amount of header information
+(pointers, split keys).  This matches the convention used throughout the
+paper, where "a block holds B data items" and control information of
+constant size per block is ignored.  A block is read and written as a
+:class:`Page`: an immutable value, the same on every backend.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType, SimpleNamespace
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from repro.interval import Interval, trusted_interval as _interval
 from repro.io.counters import IOStats, Measurement
+from repro.values import identical
 
 BlockId = int
 
 
-class Block:
-    """A single disk block.
+class Page:
+    """One block as stored: immutable, on every backend.
 
-    Parameters
-    ----------
-    block_id:
-        Identifier assigned by the owning :class:`SimulatedDisk`.
-    capacity:
-        Maximum number of records the block may hold (the page size ``B``).
-    records:
-        Initial payload records.
-    header:
-        Constant-size control information (child pointers, fence keys...).
-        Kept separate from ``records`` so capacity checks only apply to data.
+    ``header`` is a read-only mapping of constant-size control information
+    (child pointers, fence keys...), apart from the ``count`` records the
+    capacity bounds.  :attr:`columns` is the records' column reader (below):
+    what :func:`~repro.io.pagecodec.decode` makes of the page's bytes, or
+    :func:`split` of the records the page was built from.  Scans filter on
+    it and :meth:`take` the matching rows; :meth:`records` is a fresh list
+    on each call, counted in ``tally``.  A page never changes: the backend's
+    ``write`` stores a block's next version, :meth:`replace`; and a page of
+    more than ``capacity`` records is refused as it is built.
     """
 
-    __slots__ = ("block_id", "capacity", "header", "_records", "_columns", "_count", "_tally")
+    __slots__ = ("block_id", "capacity", "count", "header", "tally", "_columns", "_records")
 
     def __init__(
         self,
         block_id: BlockId,
         capacity: int,
-        records: Optional[List[Any]] = None,
-        header: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.block_id = block_id
-        self.capacity = capacity
-        self._records: Optional[List[Any]] = list(records) if records is not None else []
-        self.header: Dict[str, Any] = dict(header) if header is not None else {}
-        self._columns: Any = None
-        self._count = 0
-        self._tally: Any = None
-        if len(self._records) > capacity:
-            raise ValueError(
-                f"block {block_id} overfull: {len(self._records)} > capacity {capacity}"
-            )
-
-    @classmethod
-    def lazy(
-        cls,
-        block_id: BlockId,
-        capacity: int,
         count: int,
-        header: Dict[str, Any],
+        header: Mapping[str, Any],
         columns: Any,
         tally: Any,
-    ) -> "Block":
-        """A block over a decoded page's columns: no record object built yet.
-
-        ``columns`` is a :mod:`~repro.io.pagecodec` column reader and
-        ``tally`` the owning disk's :class:`~repro.io.pagecodec.DecodeTally`,
-        which counts every record this block materialises.
-        """
-        block = cls.__new__(cls)
-        block.block_id = block_id
-        block.capacity = capacity
-        block.header = header
-        block._records = None
-        block._columns = columns
-        block._count = count
-        block._tally = tally
-        return block
-
-    @property
-    def records(self) -> List[Any]:
-        """The payload records (materialised from the columns on first use)."""
-        records = self._records
-        if records is None:
-            columns = self._columns
-            if columns is None:
-                # a concurrent reader of this (cached) block got here first
-                return self._records  # type: ignore[return-value]
-            records = self._records = columns.tolist()
-            self._tally.records += len(records)
-            # callers may mutate the list, so from here on it is the truth
-            # (dropped only after _records is set: see the early return)
-            self._columns = None
-        return records
-
-    @records.setter
-    def records(self, records: List[Any]) -> None:
+        records: Optional[Tuple[Any, ...]] = None,
+    ) -> None:
+        if count > capacity:
+            raise ValueError(f"block {block_id} overfull: {count} > capacity {capacity}")
+        self.block_id = block_id
+        self.capacity = capacity
+        self.count = count
+        self.header = header
+        self.tally = tally
+        self._columns = columns
         self._records = records
-        self._columns = None
+
+    @classmethod
+    def of(
+        cls, block_id: BlockId, capacity: int, records: Sequence[Any] = (),
+        header: Optional[Mapping[str, Any]] = None,
+    ) -> "Page":
+        """The page of ``records`` and ``header`` (both copied)."""
+        records = tuple(records)
+        header = MappingProxyType(dict(header)) if header else _NO_HEADER
+        return cls(block_id, capacity, len(records), header, None, UNCOUNTED, records)
+
+    def replace(self, records: Sequence[Any], header: Optional[Mapping[str, Any]] = None) -> "Page":
+        """This block's next version: ``records``, and ``header`` in place of
+        the page's own when given.  Nothing is stored until it is written."""
+        return Page.of(self.block_id, self.capacity, records, self.header if header is None else header)
 
     @property
     def columns(self) -> Any:
-        """The undecoded record columns, or ``None``.
+        """The column reader; a page built from records splits them on first
+        use (two readers racing here compute equal columns)."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = split(self._records)
+        return columns
 
-        Set only on a block read from a page store whose ``records`` have
-        not been touched; scans filter on these and :meth:`take` the rows
-        that match instead of materialising the page.
-        """
-        return self._columns
+    def records(self) -> List[Any]:
+        """The page's records, in a list of the caller's own."""
+        records = self.columns.tolist()
+        self.tally.records += len(records)
+        return records
 
-    def take(
-        self, columns: Any, rows: Optional[Sequence[int]] = None, *, payloads: bool = False
-    ) -> "Batch":
-        """Rows ``rows`` of ``columns`` — what :attr:`columns` returned to the
-        caller that filtered them — as a :class:`Batch`: no record is built
-        until the batch's records are asked for.  ``rows`` ``None`` is the
-        whole page.
-
-        With ``payloads`` the batch is of what the records carry (a point's
-        payload, an entry's value).  The caller hands its own reference
-        back because the block may have dropped its: under a buffer pool
-        concurrent readers share one cached block, and one of them touching
-        ``records`` must not pull the columns out from under another's scan.
-        """
+    def take(self, rows: Optional[Sequence[int]] = None, *, payloads: bool = False) -> "Batch":
+        """Rows ``rows`` of the page (``None`` for all of them) as a
+        :class:`Batch`: no record is built until the batch's records are
+        asked for.  With ``payloads`` the batch is of what the records carry
+        (a point's payload, an entry's value)."""
+        columns = self.columns
         return Batch(
             columns.payloads if payloads else columns, rows,
-            self._count if rows is None else len(rows), self._tally,
+            self.count if rows is None else len(rows), self.tally,
         )
 
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity
-
-    def __len__(self) -> int:
-        return self._count if self._records is None else len(self._records)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Block(id={self.block_id}, n={len(self)}/{self.capacity})"
+        return f"Page(id={self.block_id}, n={self.count}/{self.capacity})"
+
+
+_NO_HEADER: Mapping[str, Any] = MappingProxyType({})
+
+
+def column_values(column: Any) -> Sequence[Any]:
+    """A page column's values: the column itself when packed (or ``V``),
+    else the records of a nested column (intervals, pairs), built."""
+    return column if type(column) is tuple else column.tolist()
 
 
 def pick(columns: Sequence[Sequence[Any]], rows: Optional[Sequence[int]]) -> List[Sequence[Any]]:
@@ -162,14 +135,13 @@ def pick(columns: Sequence[Sequence[Any]], rows: Optional[Sequence[int]]) -> Lis
 class Batch:
     """Rows of one decoded page: a scan's hits, not yet built as records.
 
-    ``column`` is a :mod:`~repro.io.pagecodec` column reader, or the value
+    ``column`` is a column reader (:class:`IntervalColumn`...), or the value
     tuple of a packed or ``V`` column; ``rows`` the rows that matched, in
     order, ``None`` for all ``count`` of them.  :meth:`records` (and
     iteration) builds the records once, counted in the disk's ``tally``;
     :meth:`uids` and :meth:`interval_columns` read columns and build
     nothing — what the filters of a read and the wire's record frames use,
-    so a served answer can leave as the columns it was read in.  A block
-    of :class:`SimulatedDisk` holds records, and its hits stay lists.
+    so a served answer can leave as the columns it was read in.
     """
 
     __slots__ = ("column", "rows", "count", "tally", "_records")
@@ -247,6 +219,9 @@ class SimulatedDisk:
     -----
     * ``read``/``write`` each count as one I/O; ``read_run`` counts one
       per block.
+    * A block is the :class:`Page` last written; every read returns it.  Its
+      records are split into columns on its first scan, not at the write:
+      many pages are never read, and a split per write cost 75 % more build.
     * Structures that want to model a buffer pool should wrap the disk in a
       :class:`~repro.io.buffer.BufferManager`; the raw disk itself performs
       no caching, which gives worst-case (cold-cache) I/O counts.
@@ -260,7 +235,7 @@ class SimulatedDisk:
         #: free-form metadata (the engine catalog root pointer lives here);
         #: in-memory only — the file-backed disk persists it in its sidecar
         self.meta: Dict[str, Any] = {}
-        self._blocks: Dict[BlockId, Block] = {}
+        self._blocks: Dict[BlockId, Page] = {}
         self._next_id: BlockId = 0
 
     # ------------------------------------------------------------------ #
@@ -268,21 +243,20 @@ class SimulatedDisk:
     # ------------------------------------------------------------------ #
     def allocate(
         self,
-        records: Optional[List[Any]] = None,
-        header: Optional[Dict[str, Any]] = None,
+        records: Optional[Sequence[Any]] = None,
+        header: Optional[Mapping[str, Any]] = None,
         capacity: Optional[int] = None,
-    ) -> Block:
-        """Allocate a new block, write it, and return it.
+    ) -> Page:
+        """Allocate a new block, write it, and return its page.
 
         Allocation itself is free; the initial write is counted as one I/O,
         mirroring the cost of materialising a page on disk.
         """
-        block_id = self._next_id
+        page = Page.of(self._next_id, capacity or self.block_size, records or (), header)
         self._next_id += 1
-        block = Block(block_id, capacity or self.block_size, records, header)
-        self._blocks[block_id] = block
+        self._blocks[page.block_id] = page
         self.stats.count(allocations=1, writes=1)
-        return block
+        return page
 
     def free(self, block_id: BlockId) -> None:
         """Release a block.  Freeing is not an I/O."""
@@ -293,16 +267,16 @@ class SimulatedDisk:
     # ------------------------------------------------------------------ #
     # access
     # ------------------------------------------------------------------ #
-    def read(self, block_id: BlockId) -> Block:
+    def read(self, block_id: BlockId) -> Page:
         """Read a block from disk (one I/O)."""
         try:
-            block = self._blocks[block_id]
+            page = self._blocks[block_id]
         except KeyError as exc:
             raise KeyError(f"no such block: {block_id}") from exc
         self.stats.count(reads=1)
-        return block
+        return page
 
-    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Page]:
         """Read ``block_ids`` in order: one I/O each, charged in one count."""
         try:
             run = [self._blocks[bid] for bid in block_ids]
@@ -312,19 +286,14 @@ class SimulatedDisk:
             self.stats.count(reads=len(run))
         return run
 
-    def write(self, block: Block) -> None:
-        """Write a block back to disk (one I/O)."""
-        if block.block_id not in self._blocks:
-            raise KeyError(f"no such block: {block.block_id}")
-        if len(block.records) > block.capacity:
-            raise ValueError(
-                f"block {block.block_id} overfull: "
-                f"{len(block.records)} > capacity {block.capacity}"
-            )
-        self._blocks[block.block_id] = block
+    def write(self, page: Page) -> None:
+        """Store ``page`` as its block's new version (one I/O)."""
+        if page.block_id not in self._blocks:
+            raise KeyError(f"no such block: {page.block_id}")
+        self._blocks[page.block_id] = page
         self.stats.count(writes=1)
 
-    def peek(self, block_id: BlockId) -> Block:
+    def peek(self, block_id: BlockId) -> Page:
         """Inspect a block *without* counting an I/O.
 
         Intended for tests, for structure-invariant checks and for a buffer
@@ -363,3 +332,259 @@ class SimulatedDisk:
             f"SimulatedDisk(B={self.block_size}, blocks={self.blocks_in_use}, "
             f"{self.stats})"
         )
+
+
+#: the tally of pages no decode made (:class:`SimulatedDisk`'s): what is
+#: built from them is counted like any other, and read by no one
+UNCOUNTED = SimpleNamespace(pages=0, records=0)
+
+
+# --------------------------------------------------------------------------- #
+# column readers: a packed or ``V`` column is a tuple of its values, a record
+# column a reader that builds rows (``take``, ``tolist``) from its columns or
+# hands back the records it was split from (``objects``)
+# --------------------------------------------------------------------------- #
+def _point(x: Any, y: Any, payload: Any, uid: Any,
+           _new: Callable[[type], Any] = object.__new__) -> PlanarPoint:
+    """A :class:`PlanarPoint` built like :func:`~repro.interval.trusted_interval`."""
+    record = _new(PlanarPoint)
+    fields = record.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    fields["payload"] = payload
+    fields["uid"] = uid
+    return record
+
+
+def _take(column: Any, rows: Sequence[int]) -> List[Any]:
+    if type(column) is tuple:
+        return [column[i] for i in rows]
+    return column.take(rows)
+
+
+class PackedColumn:
+    """``q``/``d``/``N``/``V``/``-`` as the outermost column: the unpacked
+    tuple, and as its one kind the type of its values when it packs
+    (``None`` for ``V`` and ``-``)."""
+
+    __slots__ = ("values", "kinds")
+
+    def __init__(self, values: Tuple[Any, ...], kind: Optional[type]) -> None:
+        self.values = values
+        self.kinds = (kind,)
+
+    def tolist(self) -> List[Any]:
+        return list(self.values)
+
+    def take(self, rows: Sequence[int]) -> List[Any]:
+        values = self.values
+        return [values[i] for i in rows]
+
+
+class IntervalColumn:
+    """``I``: intervals as (lows, highs, uids, payloads).
+
+    ``kinds`` holds, per column, the one type a packed column's values have
+    (``float`` for ``d``, ``int`` for ``q``, ``NoneType`` for ``N``) and
+    ``None`` for any other — what a record frame packs them by, unscanned.
+    Every reader keeps its columns' kinds so.  ``objects`` are the records
+    themselves when the reader was split from them (:func:`split`), and
+    handed out as they are; a decoded reader builds its records.
+    """
+
+    __slots__ = ("lows", "highs", "uids", "payloads", "kinds", "objects")
+
+    def __init__(self, lows: Any, highs: Any, uids: Any, payloads: Any,
+                 kinds: Tuple[Optional[type], ...], objects: Optional[Tuple[Any, ...]] = None) -> None:
+        self.lows = lows
+        self.highs = highs
+        self.uids = uids
+        self.payloads = payloads
+        self.kinds = kinds
+        self.objects = objects
+
+    def tolist(self) -> List[Interval]:
+        if self.objects is not None:
+            return list(self.objects)
+        return list(map(
+            _interval, column_values(self.lows), column_values(self.highs),
+            column_values(self.payloads), column_values(self.uids),
+        ))
+
+    def take(self, rows: Sequence[int]) -> List[Interval]:
+        objects = self.objects
+        if objects is not None:
+            return [objects[i] for i in rows]
+        lows, highs = column_values(self.lows), column_values(self.highs)
+        payloads, uids = column_values(self.payloads), column_values(self.uids)
+        return [_interval(lows[i], highs[i], payloads[i], uids[i]) for i in rows]
+
+    def interval_columns(
+        self, rows: Optional[Sequence[int]]
+    ) -> Optional[Tuple[List[Sequence[Any]], Tuple[Optional[type], ...]]]:
+        """Rows ``rows`` of the four columns, and their kinds (see
+        :meth:`~repro.io.disk.Batch.interval_columns`); ``None`` when the
+        payloads are records themselves (a nested column)."""
+        if type(self.payloads) is not tuple:
+            return None
+        return pick((self.lows, self.highs, self.uids, self.payloads), rows), self.kinds
+
+
+class PointColumn:
+    """``P``/``S``: planar points as (xs, ys, uids, payloads).
+
+    For an ``S`` page ``payloads`` is an :class:`IntervalColumn` sharing
+    ``xs``/``ys`` as its endpoints, so a scan that only reports payloads
+    (a stabbing query) never builds the points.
+    """
+
+    __slots__ = ("xs", "ys", "uids", "payloads", "kinds", "objects")
+
+    def __init__(self, xs: Any, ys: Any, uids: Any, payloads: Any,
+                 kinds: Tuple[Optional[type], ...], objects: Optional[Tuple[Any, ...]] = None) -> None:
+        self.xs = xs
+        self.ys = ys
+        self.uids = uids
+        self.payloads = payloads
+        self.kinds = kinds
+        self.objects = objects
+
+    def tolist(self) -> List[PlanarPoint]:
+        if self.objects is not None:
+            return list(self.objects)
+        return list(map(
+            _point, column_values(self.xs), column_values(self.ys),
+            column_values(self.payloads), column_values(self.uids),
+        ))
+
+    def take(self, rows: Sequence[int]) -> List[PlanarPoint]:
+        objects = self.objects
+        if objects is not None:
+            return [objects[i] for i in rows]
+        xs, ys, uids = column_values(self.xs), column_values(self.ys), column_values(self.uids)
+        return [
+            _point(xs[i], ys[i], payload, uids[i])
+            for i, payload in zip(rows, _take(self.payloads, rows))
+        ]
+
+
+class PairColumn:
+    """``T``: 2-tuples as (firsts, seconds) — B+-tree keys beside values."""
+
+    __slots__ = ("firsts", "seconds", "kinds", "objects")
+
+    def __init__(self, firsts: Any, seconds: Any, kinds: Tuple[Optional[type], ...],
+                 objects: Optional[Tuple[Any, ...]] = None) -> None:
+        self.firsts = firsts
+        self.seconds = seconds
+        self.kinds = kinds
+        self.objects = objects
+
+    @property
+    def payloads(self) -> Any:
+        """The second members: what a B+-tree entry carries."""
+        return self.seconds
+
+    def tolist(self) -> List[Tuple[Any, Any]]:
+        if self.objects is not None:
+            return list(self.objects)
+        return list(zip(column_values(self.firsts), column_values(self.seconds)))
+
+    def take(self, rows: Sequence[int]) -> List[Tuple[Any, Any]]:
+        objects = self.objects
+        if objects is not None:
+            return [objects[i] for i in rows]
+        return list(zip(_take(self.firsts, rows), _take(self.seconds, rows)))
+
+
+# --------------------------------------------------------------------------- #
+# the split: records into a page's columns, the one place a layout is chosen
+# --------------------------------------------------------------------------- #
+def split(records: Sequence[Any]) -> Any:
+    """``records`` as the column reader :func:`~repro.io.pagecodec.decode`
+    gives back for their page — the one place a page's layout is chosen:
+    each column takes the typed form its values fit (``d``, ``q`` within
+    int64, ``N``; intervals, points and pairs as record columns), else
+    ``V``.  :func:`~repro.io.pagecodec.pack` writes what this returns."""
+    column, kind = _split(records)
+    return PackedColumn(column, kind) if type(column) is tuple else column
+
+
+def _split(values: Sequence[Any]) -> Tuple[Any, Optional[type]]:
+    """A nested column and its kind: a tuple and the one type of its values
+    when it packs (``d`` / ``q`` / ``N``), a tuple and ``None`` for ``V``,
+    a record column's reader and ``None``."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind is float or kind is type(None):
+            return tuple(values), kind
+        if kind is int:
+            column = tuple(values)
+            # beyond int64 a ``V`` column keeps it exact
+            if _INT64_MIN <= min(column) and max(column) <= _INT64_MAX:
+                return column, int
+        else:
+            splitter = _SPLITTERS.get(kind)
+            if splitter is not None:
+                column = splitter(values)
+                if column is not None:
+                    return column, None
+    return tuple(values), None
+
+
+def _split_intervals(values: Sequence[Interval]) -> "IntervalColumn":
+    lows, low_kind = _split([iv.low for iv in values])
+    highs, high_kind = _split([iv.high for iv in values])
+    uids, uid_kind = _split([iv.uid for iv in values])
+    payloads, payload_kind = _split([iv.payload for iv in values])
+    return IntervalColumn(
+        lows, highs, uids, payloads, (low_kind, high_kind, uid_kind, payload_kind), tuple(values)
+    )
+
+
+def _split_points(values: Sequence[PlanarPoint]) -> "PointColumn":
+    xs, x_kind = _split([p.x for p in values])
+    ys, y_kind = _split([p.y for p in values])
+    uids, uid_kind = _split([p.uid for p in values])
+    payloads = tuple([p.payload for p in values])
+    kinds = (x_kind, y_kind, uid_kind, None)
+    if set(map(type, payloads)) == _INTERVALS_ONLY and (
+        # the interval manager's points share their interval's endpoint
+        # objects; identical values (type for type) give equal columns too
+        all([iv.low is p.x and iv.high is p.y for p, iv in zip(values, payloads)])
+        or all([identical(iv.low, p.x) and identical(iv.high, p.y) for p, iv in zip(values, payloads)])
+    ):
+        # ``S``: the interval's endpoints ride on the point's coordinates
+        interval_uids, interval_uid_kind = _split([iv.uid for iv in payloads])
+        interval_payloads, payload_kind = _split([iv.payload for iv in payloads])
+        return PointColumn(xs, ys, uids, IntervalColumn(
+            xs, ys, interval_uids, interval_payloads,
+            (x_kind, y_kind, interval_uid_kind, payload_kind), payloads,
+        ), kinds, tuple(values))
+    column, payload_kind = _split(payloads)
+    return PointColumn(xs, ys, uids, column, kinds[:3] + (payload_kind,), tuple(values))
+
+
+def _split_pairs(values: Sequence[Tuple[Any, ...]]) -> Optional["PairColumn"]:
+    if set(map(len, values)) != {2}:
+        return None
+    firsts, seconds = zip(*values)
+    firsts, first_kind = _split(firsts)
+    seconds, second_kind = _split(seconds)
+    return PairColumn(firsts, seconds, (first_kind, second_kind), tuple(values))
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_INTERVALS_ONLY = {Interval}
+
+# the metablock package imports this module: PlanarPoint comes last, once
+# everything here is defined
+from repro.metablock.geometry import PlanarPoint  # noqa: E402
+
+#: a record type -> its record column's reader of a list of such records
+_SPLITTERS: Dict[type, Callable[[Sequence[Any]], Any]] = {
+    Interval: _split_intervals,
+    PlanarPoint: _split_points,
+    tuple: _split_pairs,
+}

@@ -10,16 +10,11 @@ table (a tiny log-structured store).  The bytes of a page are owned by
 :mod:`repro.io.pagecodec`.  I/O accounting is identical to the simulated
 disk, so every bound-checking experiment runs unchanged against real pages.
 
-Because a read decodes a *fresh copy* of the page, ``FileDisk`` is the
-honest implementation of the disk contract: structures that forget a
-``write`` after mutating a page, or that rely on two reads aliasing the
-same Python object, fail loudly here.  The repository's structures carry
-stable record uids (see :class:`~repro.metablock.geometry.PlanarPoint`)
-precisely so that identity-based deduplication survives the round-trip.
-
-A block read from here is *lazy* (:meth:`~repro.io.disk.Block.lazy`): it
-holds the page's columns and builds record objects only when ``records``
-is touched or a scan takes the rows that matched.
+A read returns a :class:`~repro.io.disk.Page` like every backend's, over
+the decoded columns: records are built only when ``records()`` is called
+or a scan takes the rows that matched — fresh copies, so the structures
+deduplicate by record uid, never by object identity.  A write packs a
+page's columns (:func:`~repro.io.pagecodec.pack`) and builds no record.
 """
 
 from __future__ import annotations
@@ -28,18 +23,27 @@ import json
 import os
 import tempfile
 import threading
-from typing import Any, ContextManager, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, ContextManager, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import lockdep
 from repro.errors import DomainError
 from repro.io import pagecodec
 from repro.io.counters import IOStats, Measurement
-from repro.io.disk import Block, BlockId
+from repro.io.disk import BlockId, Page
 from repro.io.pagecodec import PAGE_FORMAT, PageFormatError
 
 
 #: what :meth:`FileDisk.compact` appends to the names of the copies it swaps in
 COMPACT_SUFFIX = ".compact"
+
+
+def decode_page(block_id: BlockId, offset: int, length: int, raw: bytes, tally: Any) -> Page:
+    """The page block ``block_id``'s bytes ``raw`` hold (see
+    :func:`~repro.io.pagecodec.decode`), counted in ``tally``."""
+    capacity, count, header, columns = pagecodec.decode(raw, block_id, offset, length)
+    tally.pages += 1
+    return Page(block_id, capacity, count, MappingProxyType(header), columns, tally)
 
 
 class FileDisk:
@@ -272,19 +276,20 @@ class FileDisk:
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
-    def _append(self, block_id: BlockId, capacity: int, page: bytes) -> None:
+    def _append(self, page: Page) -> None:
         """Append a page version through the file's write buffer: reads go
         by ``os.pread`` and never move the file position, so it stays at
         the end, and :meth:`_extent` flushes what a read reaches."""
+        raw = pagecodec.pack(page.capacity, page.count, page.header, page.columns)
         with self._io_lock:
             if self._file.tell() != self._end:
                 # a handle :meth:`open` or :meth:`compact` just opened starts
                 # at 0 (and a killed writer may have left bytes past the end)
                 self._file.seek(self._end)
-            self._file.write(page)
-            self._extents[block_id] = (self._end, len(page))
-            self._capacities[block_id] = capacity
-            self._end += len(page)
+            self._file.write(raw)
+            self._extents[page.block_id] = (self._end, len(raw))
+            self._capacities[page.block_id] = page.capacity
+            self._end += len(raw)
 
     def _extent(self, block_id: BlockId) -> Tuple[int, int, bytes]:
         """A block's raw page: ``(offset, recorded length, bytes read)`` —
@@ -300,33 +305,23 @@ class FileDisk:
                 self._flushed = self._end
             return offset, length, os.pread(self._file.fileno(), length, offset)
 
-    def _decode(self, block_id: BlockId, offset: int, length: int, raw: bytes) -> Block:
-        capacity, count, header, columns = pagecodec.decode(raw, block_id, offset, length)
-        tally = self.decoded
-        tally.pages += 1
-        return Block.lazy(block_id, capacity, count, header, columns, tally)
-
     # ------------------------------------------------------------------ #
     # StorageBackend surface
     # ------------------------------------------------------------------ #
     def allocate(
         self,
-        records: Optional[List[Any]] = None,
-        header: Optional[Dict[str, Any]] = None,
+        records: Optional[Sequence[Any]] = None,
+        header: Optional[Mapping[str, Any]] = None,
         capacity: Optional[int] = None,
-    ) -> Block:
+    ) -> Page:
         """Allocate a new block and persist it (one write I/O)."""
         self._check_open()
         with self._io_lock:
-            block_id = self._next_id
+            page = Page.of(self._next_id, capacity or self.block_size, records or (), header)
+            self._append(page)
             self._next_id += 1
-            block = Block(block_id, capacity or self.block_size, records, header)
-            self._append(
-                block_id, block.capacity,
-                pagecodec.encode(block.capacity, block.records, block.header),
-            )
         self.stats.count(allocations=1, writes=1)
-        return block
+        return page
 
     def free(self, block_id: BlockId) -> None:
         """Release a block.  Freeing is not an I/O; space is reclaimed by compact()."""
@@ -337,45 +332,37 @@ class FileDisk:
             del self._capacities[block_id]
         self.stats.count(frees=1)
 
-    def read(self, block_id: BlockId) -> Block:
+    def read(self, block_id: BlockId) -> Page:
         """Read, verify and decode a block from the page file (one I/O).
 
         Raises :class:`~repro.io.pagecodec.PageCorruptError` when the page
         fails its frame or checksum — a damaged page is never data.
         """
         self._check_open()
-        block = self._decode(block_id, *self._extent(block_id))
+        page = decode_page(block_id, *self._extent(block_id), self.decoded)
         self.stats.count(reads=1)
-        return block
+        return page
 
-    def read_run(self, block_ids: Sequence[BlockId]) -> List[Block]:
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[Page]:
         """:meth:`read` each of ``block_ids`` in order, charged in one count."""
         self._check_open()
-        run = [self._decode(bid, *self._extent(bid)) for bid in block_ids]
+        run = [decode_page(bid, *self._extent(bid), self.decoded) for bid in block_ids]
         if run:
             self.stats.count(reads=len(run))
         return run
 
-    def write(self, block: Block) -> None:
-        """Persist a block (one I/O; appends a new page version)."""
+    def write(self, page: Page) -> None:
+        """Persist ``page`` as its block's new version (one I/O, appended)."""
         self._check_open()
-        if block.block_id not in self._extents:
-            raise KeyError(f"no such block: {block.block_id}")
-        if len(block.records) > block.capacity:
-            raise ValueError(
-                f"block {block.block_id} overfull: "
-                f"{len(block.records)} > capacity {block.capacity}"
-            )
-        self._append(
-            block.block_id, block.capacity,
-            pagecodec.encode(block.capacity, block.records, block.header),
-        )
+        if page.block_id not in self._extents:
+            raise KeyError(f"no such block: {page.block_id}")
+        self._append(page)
         self.stats.count(writes=1)
 
-    def peek(self, block_id: BlockId) -> Block:
+    def peek(self, block_id: BlockId) -> Page:
         """Decode a block without counting an I/O (tests/invariants only)."""
         self._check_open()
-        return self._decode(block_id, *self._extent(block_id))
+        return decode_page(block_id, *self._extent(block_id), self.decoded)
 
     # ------------------------------------------------------------------ #
     # accounting helpers (same surface as SimulatedDisk)

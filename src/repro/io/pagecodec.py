@@ -69,6 +69,11 @@ its value; two values share one exactly when they are
 uid, and identical blocks give identical bytes.  The round-trip property
 tests in ``tests/test_pagecodec.py`` check this over the whole domain.
 
+Encoding is :func:`pack` of :func:`~repro.io.disk.split`: the split picks
+a page's layout, once, into the column readers :func:`decode` gives back
+(they live beside :class:`~repro.io.disk.Page`), and a page of either
+backend is packed without building a record.
+
 Decoding is lazy.  :class:`~repro.io.filedisk.FileDisk` reads a page's
 extent with one ``os.pread``; :func:`decode` checks the frame and the
 crc32, then unpacks the columns but builds no record object of the typed
@@ -97,14 +102,13 @@ import threading
 import zlib
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import repro.classes.hierarchy  # noqa: F401 - registers ClassObject in RECORDS
 import repro.constraints.terms  # noqa: F401 - registers the constraint records
 from repro.errors import DomainError
-from repro.interval import Interval, trusted_interval as _interval
-from repro.io.disk import pick
-from repro.metablock.geometry import PlanarPoint
+# (registers Interval and PlanarPoint in RECORDS too)
+from repro.io.disk import IntervalColumn, PackedColumn, PairColumn, PointColumn, split
 from repro.values import RECORDS
 
 MAGIC = b"RPPG"
@@ -159,22 +163,30 @@ class DecodeTally(threading.local):
 
 
 # --------------------------------------------------------------------------- #
-# encoding
+# encoding: records split into typed columns, then the columns packed
 # --------------------------------------------------------------------------- #
-def encode(capacity: int, records: List[Any], header: Dict[str, Any]) -> bytes:
+def encode(capacity: int, records: List[Any], header: Mapping[str, Any]) -> bytes:
     """One block as page bytes (frame + body)."""
+    return pack(capacity, len(records), header, split(records))
+
+
+def pack(capacity: int, count: int, header: Mapping[str, Any], column: Any) -> bytes:
+    """A page of ``count`` records already split into ``column`` (a reader
+    of :func:`split` or :func:`decode`), as bytes."""
     head = _encode_header(header)
-    column = _encode_column(records) if records else b"-"
-    tail = _FRAME_TAIL.pack(
-        PAGE_FORMAT, column[0], len(records), capacity, len(head) + len(column)
-    )
-    crc = zlib.crc32(column, zlib.crc32(head, zlib.crc32(tail)))
-    return b"".join((MAGIC, _U32.pack(crc), tail, head, column))
+    out: List[bytes] = []
+    _pack_column(column, None, out)
+    body = b"".join(out)
+    tail = _FRAME_TAIL.pack(PAGE_FORMAT, body[0], count, capacity, len(head) + len(body))
+    crc = zlib.crc32(body, zlib.crc32(head, zlib.crc32(tail)))
+    return b"".join((MAGIC, _U32.pack(crc), tail, head, body))
 
 
-def _encode_header(header: Dict[str, Any]) -> bytes:
+def _encode_header(header: Mapping[str, Any]) -> bytes:
     if not header:
         return bytes((_HEADER_EMPTY,))
+    if type(header) is not dict:  # a page's read-only view
+        header = dict(header)
     if json_exact(header):
         data = canonical_json(header).encode("utf-8")
         return b"".join((bytes((_HEADER_JSON,)), _U32.pack(len(data)), data))
@@ -198,18 +210,42 @@ def json_exact(value: Any) -> bool:
     return False
 
 
-def _encode_column(values: Sequence[Any]) -> bytes:
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        encoder = _ENCODERS.get(kinds.pop())
-        if encoder is not None:
-            encoded = encoder(values)
-            if encoded is not None:
-                return encoded
-    out = [b"V"]
-    for value in values:
-        _put(value, out)
-    return b"".join(out)
+def _pack_column(column: Any, kind: Optional[type], out: List[bytes]) -> None:
+    """Append a column's bytes: a tuple by its ``kind``, a reader by the
+    tag of its record column."""
+    reader = type(column)
+    if reader is tuple:
+        if kind is None:
+            out.append(b"V")
+            for value in column:
+                _put(value, out)
+        else:
+            out.append(_PACKERS[kind](column))
+    elif reader is PackedColumn:
+        if column.values:
+            _pack_column(column.values, column.kinds[0], out)
+        else:
+            out.append(b"-")
+    elif reader is IntervalColumn:
+        out.append(b"I")
+        for part, kind in zip((column.lows, column.highs, column.uids, column.payloads), column.kinds):
+            _pack_column(part, kind, out)
+    elif reader is PairColumn:
+        out.append(b"T")
+        _pack_column(column.firsts, column.kinds[0], out)
+        _pack_column(column.seconds, column.kinds[1], out)
+    else:
+        payloads, kinds = column.payloads, column.kinds
+        # ``S`` when the payload intervals' endpoints are the points' own columns
+        shared = type(payloads) is IntervalColumn and payloads.lows is column.xs and payloads.highs is column.ys
+        out.append(b"S" if shared else b"P")
+        for part, kind in zip((column.xs, column.ys, column.uids), kinds):
+            _pack_column(part, kind, out)
+        if shared:
+            _pack_column(payloads.uids, payloads.kinds[2], out)
+            _pack_column(payloads.payloads, payloads.kinds[3], out)
+        else:
+            _pack_column(payloads, kinds[3], out)
 
 
 def encode_packed(values: Sequence[Any], kind: Optional[type] = None) -> Optional[bytes]:
@@ -238,58 +274,11 @@ def _encode_floats(values: Sequence[float]) -> bytes:
     return b"d" + struct.pack(f"<{len(values)}d", *values)
 
 
-def _encode_intervals(values: Sequence[Interval]) -> bytes:
-    return b"".join((
-        b"I",
-        _encode_column([iv.low for iv in values]),
-        _encode_column([iv.high for iv in values]),
-        _encode_column([iv.uid for iv in values]),
-        _encode_column([iv.payload for iv in values]),
-    ))
-
-
-def _encode_points(values: Sequence[PlanarPoint]) -> bytes:
-    xs = _encode_column([p.x for p in values])
-    ys = _encode_column([p.y for p in values])
-    uids = _encode_column([p.uid for p in values])
-    payloads = [p.payload for p in values]
-    if set(map(type, payloads)) == {Interval}:
-        # equal column bytes mean equal values of equal types, so the
-        # interval's endpoints can ride on the point's coordinates; the
-        # interval manager's points share their interval's endpoint objects,
-        # which spares encoding the endpoints a second time
-        if all(iv.low is p.x and iv.high is p.y for p, iv in zip(values, payloads)) or (
-            _encode_column([iv.low for iv in payloads]) == xs
-            and _encode_column([iv.high for iv in payloads]) == ys
-        ):
-            return b"".join((
-                b"S", xs, ys, uids,
-                _encode_column([iv.uid for iv in payloads]),
-                _encode_column([iv.payload for iv in payloads]),
-            ))
-    return b"".join((b"P", xs, ys, uids, _encode_column(payloads)))
-
-
-def _encode_pairs(values: Sequence[Tuple[Any, ...]]) -> Optional[bytes]:
-    if set(map(len, values)) != {2}:
-        return None
-    firsts, seconds = zip(*values)
-    return b"".join((b"T", _encode_column(firsts), _encode_column(seconds)))
-
-
 _PACKERS: Dict[type, Callable[[Sequence[Any]], Optional[bytes]]] = {
     type(None): lambda values: b"N",
     int: _encode_ints,
     float: _encode_floats,
 }
-_ENCODERS: Dict[type, Callable[[Sequence[Any]], Optional[bytes]]] = {
-    **_PACKERS,
-    Interval: _encode_intervals,
-    PlanarPoint: _encode_points,
-    tuple: _encode_pairs,
-}
-
-
 # --------------------------------------------------------------------------- #
 # tagged values (the ``V`` column)
 # --------------------------------------------------------------------------- #
@@ -397,143 +386,6 @@ def _get_many(raw: bytes, at: int, n: int) -> Tuple[List[Any], int]:
 
 
 # --------------------------------------------------------------------------- #
-# column readers (what a decoded page holds instead of record objects)
-# --------------------------------------------------------------------------- #
-def _point(x: Any, y: Any, payload: Any, uid: Any,
-           _new: Callable[[type], Any] = object.__new__) -> PlanarPoint:
-    """A :class:`PlanarPoint` built like :func:`~repro.interval.trusted_interval`."""
-    record = _new(PlanarPoint)
-    fields = record.__dict__
-    fields["x"] = x
-    fields["y"] = y
-    fields["payload"] = payload
-    fields["uid"] = uid
-    return record
-
-
-def _values(column: Any) -> Sequence[Any]:
-    """A nested column as an indexable sequence of its row values.
-
-    Packed and ``V`` columns decode straight to tuples; the record readers
-    materialise on demand.
-    """
-    return column if type(column) is tuple else column.tolist()
-
-
-def _take(column: Any, rows: Sequence[int]) -> List[Any]:
-    if type(column) is tuple:
-        return [column[i] for i in rows]
-    return column.take(rows)
-
-
-class PackedColumn:
-    """``q``/``d``/``N``/``V``/``-`` as the outermost column: the unpacked tuple."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Tuple[Any, ...]) -> None:
-        self.values = values
-
-    def tolist(self) -> List[Any]:
-        return list(self.values)
-
-    def take(self, rows: Sequence[int]) -> List[Any]:
-        values = self.values
-        return [values[i] for i in rows]
-
-
-class IntervalColumn:
-    """``I``: intervals as (lows, highs, uids, payloads).
-
-    ``kinds`` holds, per column, the one type a packed column's values have
-    (``float`` for ``d``, ``int`` for ``q``, ``NoneType`` for ``N``) and
-    ``None`` for any other — what a record frame packs them by, unscanned.
-    """
-
-    __slots__ = ("lows", "highs", "uids", "payloads", "kinds")
-
-    def __init__(self, lows: Any, highs: Any, uids: Any, payloads: Any,
-                 kinds: Tuple[Optional[type], ...] = (None,) * 4) -> None:
-        self.lows = lows
-        self.highs = highs
-        self.uids = uids
-        self.payloads = payloads
-        self.kinds = kinds
-
-    def tolist(self) -> List[Interval]:
-        return list(map(
-            _interval, _values(self.lows), _values(self.highs),
-            _values(self.payloads), _values(self.uids),
-        ))
-
-    def take(self, rows: Sequence[int]) -> List[Interval]:
-        lows, highs = _values(self.lows), _values(self.highs)
-        payloads, uids = _values(self.payloads), _values(self.uids)
-        return [_interval(lows[i], highs[i], payloads[i], uids[i]) for i in rows]
-
-    def interval_columns(
-        self, rows: Optional[Sequence[int]]
-    ) -> Optional[Tuple[List[Sequence[Any]], Tuple[Optional[type], ...]]]:
-        """Rows ``rows`` of the four columns, and their kinds (see
-        :meth:`~repro.io.disk.Batch.interval_columns`); ``None`` when the
-        payloads are records themselves (a nested column)."""
-        if type(self.payloads) is not tuple:
-            return None
-        return pick((self.lows, self.highs, self.uids, self.payloads), rows), self.kinds
-
-
-class PointColumn:
-    """``P``/``S``: planar points as (xs, ys, uids, payloads).
-
-    For an ``S`` page ``payloads`` is an :class:`IntervalColumn` sharing
-    ``xs``/``ys`` as its endpoints, so a scan that only reports payloads
-    (a stabbing query) never builds the points.
-    """
-
-    __slots__ = ("xs", "ys", "uids", "payloads")
-
-    def __init__(self, xs: Any, ys: Any, uids: Any, payloads: Any) -> None:
-        self.xs = xs
-        self.ys = ys
-        self.uids = uids
-        self.payloads = payloads
-
-    def tolist(self) -> List[PlanarPoint]:
-        return list(map(
-            _point, _values(self.xs), _values(self.ys),
-            _values(self.payloads), _values(self.uids),
-        ))
-
-    def take(self, rows: Sequence[int]) -> List[PlanarPoint]:
-        xs, ys, uids = _values(self.xs), _values(self.ys), _values(self.uids)
-        return [
-            _point(xs[i], ys[i], payload, uids[i])
-            for i, payload in zip(rows, _take(self.payloads, rows))
-        ]
-
-
-class PairColumn:
-    """``T``: 2-tuples as (firsts, seconds) — B+-tree keys beside values."""
-
-    __slots__ = ("firsts", "seconds")
-
-    def __init__(self, firsts: Any, seconds: Any) -> None:
-        self.firsts = firsts
-        self.seconds = seconds
-
-    @property
-    def payloads(self) -> Any:
-        """The second members: what a B+-tree entry carries."""
-        return self.seconds
-
-    def tolist(self) -> List[Tuple[Any, Any]]:
-        return list(zip(_values(self.firsts), _values(self.seconds)))
-
-    def take(self, rows: Sequence[int]) -> List[Tuple[Any, Any]]:
-        return list(zip(_take(self.firsts, rows), _take(self.seconds, rows)))
-
-
-# --------------------------------------------------------------------------- #
 # decoding
 # --------------------------------------------------------------------------- #
 def verify(raw: bytes, block_id: Any, offset: int, expected: int) -> Tuple[int, int]:
@@ -591,7 +443,7 @@ def decode(
         # a foreign writer's page must fail typed, not as a stray IndexError
         raise PageCorruptError(block_id, offset, f"undecodable body: {exc!r}") from exc
     if type(column) is tuple:
-        column = PackedColumn(column)
+        column = PackedColumn(column, _KINDS.get(raw[at]))
     return capacity, count, header, column
 
 
@@ -647,11 +499,11 @@ def _column(tag: int, parts: List[Any], kinds: List[Optional[type]]) -> Any:
     """The reader of a record column from its decoded columns and their kinds."""
     if tag == _S:
         xs, ys, uids, interval_uids, payloads = parts
-        kinds = [kinds[0], kinds[1], kinds[3], kinds[4]]
-        return PointColumn(xs, ys, uids, IntervalColumn(xs, ys, interval_uids, payloads, tuple(kinds)))
-    if tag == _I:
-        return IntervalColumn(*parts, tuple(kinds))
-    return (PointColumn if tag == _P else PairColumn)(*parts)
+        return PointColumn(xs, ys, uids, IntervalColumn(
+            xs, ys, interval_uids, payloads, (kinds[0], kinds[1], kinds[3], kinds[4]),
+        ), (kinds[0], kinds[1], kinds[2], None))
+    reader = IntervalColumn if tag == _I else PointColumn if tag == _P else PairColumn
+    return reader(*parts, tuple(kinds))
 
 
 # --------------------------------------------------------------------------- #
@@ -724,12 +576,13 @@ def _builder(layout: List[int], spans: List[slice]) -> Callable[[Tuple[Any, ...]
         if tag == _S:
             xs, ys, uids, interval_uids, payloads = spans
             kinds = (children[0], children[1], children[3], children[4])
+            point_kinds = (children[0], children[1], children[2], None)
 
             def build_points(values: Tuple[Any, ...]) -> PointColumn:
                 lows, highs = values[xs], values[ys]
                 return PointColumn(lows, highs, values[uids], IntervalColumn(
                     lows, highs, values[interval_uids], values[payloads], kinds,
-                ))
+                ), point_kinds)
 
             return build_points
         # any other record column over packed ones: no nesting to walk

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.io.disk import Block, BlockId
+from repro.io.disk import Batch, BlockId, Page, column_values
 from repro.metablock.geometry import PlanarPoint
 
 
@@ -68,7 +68,7 @@ def _pack(disk, ordered: List[PlanarPoint], key) -> Blocking:
     bounds: List[Tuple[Any, Any]] = []
     for start in range(0, len(ordered), B):
         chunk = ordered[start : start + B]
-        block = disk.allocate(records=list(chunk))
+        block = disk.allocate(records=chunk)
         block_ids.append(block.block_id)
         bounds.append((key(chunk[0]), key(chunk[-1])))
     return Blocking(block_ids, bounds)
@@ -108,41 +108,23 @@ class Hits:
 
 
 def select(
-    block: Block,
+    page: Page,
     hits: Optional[Hits] = None,
     x_max: Any = None,
     y_min: Any = None,
     x_gt: Any = None,
-) -> Any:
-    """The points of ``block`` with ``x_gt < x <= x_max`` and ``y >= y_min``,
-    as a *batch*: a list for an in-memory block, else a
-    :class:`~repro.io.disk.Batch` of the page's matching rows.
+) -> Batch:
+    """The points of ``page`` with ``x_gt < x <= x_max`` and ``y >= y_min``,
+    as a :class:`~repro.io.disk.Batch` of the page's matching rows.
 
     A side left ``None`` is unconstrained (``x_gt`` needs the other two);
-    with none the block matches whole and goes up with no per-row test.
-    On a block that still holds its page's columns the test runs over the
-    packed coordinate columns, and the rows that pass — and, with
-    ``hits``, were not reported before — stay unbuilt until someone asks
-    for records.
+    with none the page matches whole and goes up with no per-row test.
+    The test runs over the page's coordinate columns, and the rows that
+    pass — and, with ``hits``, were not reported before — stay unbuilt
+    until someone asks for records.
     """
-    columns = block.columns
-    if columns is not None:
-        xs, ys = getattr(columns, "xs", None), getattr(columns, "ys", None)
-    if columns is None or type(xs) is not tuple or type(ys) is not tuple:
-        # an in-memory block, or coordinates no packed column could hold
-        records = block.records
-        if x_gt is not None:
-            found = [p for p in records if x_gt < p.x <= x_max and p.y >= y_min]
-        elif x_max is None:
-            found = records if y_min is None else [p for p in records if p.y >= y_min]
-        elif y_min is None:
-            found = [p for p in records if p.x <= x_max]
-        else:
-            found = [p for p in records if p.x <= x_max and p.y >= y_min]
-        if hits is not None:
-            return hits.fresh(found)
-        # never the block's own list: that one stays the block's to mutate
-        return list(found) if found is records else found
+    columns = page.columns
+    xs, ys = column_values(columns.xs), column_values(columns.ys)
     rows: Optional[Sequence[int]]
     if x_gt is not None:
         rows = [i for i, x in enumerate(xs) if x_gt < x <= x_max and ys[i] >= y_min]
@@ -153,14 +135,15 @@ def select(
     else:
         rows = [i for i, x in enumerate(xs) if x <= x_max and ys[i] >= y_min]
     if hits is None:
-        return block.take(columns, rows)
-    seen, uids = hits.seen, columns.uids
+        return page.take(rows)
+    seen = hits.seen
     if seen is not None:
+        uids = column_values(columns.uids)
         rows = [
             i for i in (range(len(uids)) if rows is None else rows)
             if not (uids[i] in seen or seen.add(uids[i]))
         ]
-    return block.take(columns, rows, payloads=hits.payloads)
+    return page.take(rows, payloads=hits.payloads)
 
 
 def scan_vertical_upto(

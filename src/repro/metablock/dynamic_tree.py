@@ -222,12 +222,11 @@ class AugmentedMetablockTree(StaticMetablockTree):
 
     def _write_td_update_block(self, mb: DynamicMetablock) -> None:
         if mb.td_update_block_id is None:
-            block = self.disk.allocate(records=list(mb.td_update_points), capacity=self.B)
+            block = self.disk.allocate(records=mb.td_update_points, capacity=self.B)
             mb.td_update_block_id = block.block_id
         else:
-            block = self.disk.read(mb.td_update_block_id)
-            block.records = list(mb.td_update_points)
-            self.disk.write(block)
+            page = self.disk.read(mb.td_update_block_id)
+            self.disk.write(page.replace(mb.td_update_points))
 
     # -- reorganisations ------------------------------------------------------ #
     def _level_one_reorganisation(self, mb: DynamicMetablock) -> None:

@@ -273,15 +273,12 @@ class StaticMetablockTree:
             "n_points": len(mb.points),
             "children": len(mb.children),
         }
-        records = list(mb.update_points)
         if mb.control_block_id is None:
-            block = self.disk.allocate(records=records, header=header)
+            block = self.disk.allocate(records=mb.update_points, header=header)
             mb.control_block_id = block.block_id
         else:
-            block = self.disk.read(mb.control_block_id)
-            block.header.update(header)
-            block.records = records
-            self.disk.write(block)
+            page = self.disk.read(mb.control_block_id)
+            self.disk.write(page.replace(mb.update_points, {**page.header, **header}))
 
     def _build_ts_structures(self, mb: Metablock) -> None:
         """Build the sibling structures of a freshly built subtree, level by level.
@@ -568,6 +565,6 @@ class StaticMetablockTree:
             left: set = set()
             for child in mb.children:
                 if child.ts is not None:
-                    ts = {p.uid for bid in child.ts.block_ids for p in self.disk.peek(bid).records}
+                    ts = {p.uid for bid in child.ts.block_ids for p in self.disk.peek(bid).records()}
                     assert ts <= left, "TS holds a point of no left sibling's subtree"
                 left.update(p.uid for p in self._collect_subtree_points(child))

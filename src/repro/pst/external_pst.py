@@ -66,7 +66,7 @@ class ExternalPST:
         left_id = self._build(left_pts)
         right_id = self._build(right_pts)
         block = self.disk.allocate(
-            records=list(top),
+            records=top,
             header={
                 "split_x": split_x,
                 "left": left_id,
@@ -123,14 +123,14 @@ class ExternalPST:
             block_id = stack.pop()
             if block_id is None:
                 continue
-            block = self.disk.read(block_id)
+            page = self.disk.read(block_id)
             found = [
-                p for p in block.records
+                p for p in page.records()
                 if p.y >= y0 and (x1 is None or p.x >= x1) and p.x <= x2
             ]
             if found:
                 yield found
-            header = block.header
+            header = page.header
             # every point below this node has y <= the smallest y stored
             # here; stop when even the stored points dip below the bottom
             if header["min_y"] < y0:

@@ -366,7 +366,7 @@ class RebuildingIndex:
         none while nothing is pending)."""
         if self._log_block_id is not None:
             self.disk.free(self._log_block_id)
-        self._log_block_id = self.disk.allocate(records=list(self._pending)).block_id if self._pending else None
+        self._log_block_id = self.disk.allocate(records=self._pending).block_id if self._pending else None
 
     def destroy(self) -> None:
         """Free every block (``Engine.drop_index`` calls this)."""
@@ -436,7 +436,7 @@ class RebuildingIndex:
         if self._pending and self._log_block_id is not None:
             block = self.disk.read(self._log_block_id)
             matches = getattr(q, "matches", None)
-            for item in block.records:
+            for item in block.records():
                 if matches is None or matches(item):
                     yield item
 

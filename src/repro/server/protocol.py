@@ -509,9 +509,7 @@ class RecordFrame:
 def _record_columns(batches: List[Any]) -> Tuple[List[List[Any]], Tuple[None, ...]]:
     """The four frame columns of batches of intervals read off the objects,
     their kinds unknown."""
-    records = batches[0] if len(batches) == 1 and type(batches[0]) is list else list(
-        chain.from_iterable(batches)
-    )
+    records = list(chain.from_iterable(batches))
     if not set(map(type, records)) <= {Interval}:
         raise _no_wire_form(next(r for r in records if type(r) is not Interval))
     return [

@@ -18,7 +18,7 @@ class TestBlockings:
         blocking = blk.build_vertical(disk, pts)
         stored = []
         for bid in blocking.block_ids:
-            stored.extend(p.x for p in disk.peek(bid).records)
+            stored.extend(p.x for p in disk.peek(bid).records())
         assert stored == sorted(stored)
 
     def test_horizontal_blocking_orders_by_descending_y(self, disk):
@@ -26,7 +26,7 @@ class TestBlockings:
         blocking = blk.build_horizontal(disk, pts)
         stored = []
         for bid in blocking.block_ids:
-            stored.extend(p.y for p in disk.peek(bid).records)
+            stored.extend(p.y for p in disk.peek(bid).records())
         assert stored == sorted(stored, reverse=True)
 
     def test_block_count_is_ceiling_of_n_over_b(self, disk):

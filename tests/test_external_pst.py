@@ -45,7 +45,7 @@ class TestConstruction:
                 child_id = block.header[child_key]
                 if child_id is not None:
                     child = disk.peek(child_id)
-                    assert all(p.y <= min_y for p in child.records)
+                    assert all(p.y <= min_y for p in child.records())
                     check(child_id)
 
         check(pst.root_id)

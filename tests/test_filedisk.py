@@ -31,22 +31,22 @@ class TestContract:
         block = fdisk.allocate(records=[1, 2], header={"leaf": True})
         assert fdisk.stats.writes == 1 and fdisk.stats.allocations == 1
         got = fdisk.read(block.block_id)
-        assert got.records == [1, 2] and got.header == {"leaf": True}
+        assert got.records() == [1, 2] and got.header == {"leaf": True}
         assert fdisk.stats.reads == 1
 
     def test_reads_return_fresh_copies_until_write(self, fdisk):
         block = fdisk.allocate(records=["a"])
-        copy = fdisk.read(block.block_id)
-        copy.records.append("b")                       # mutation not persisted
-        assert fdisk.read(block.block_id).records == ["a"]
-        fdisk.write(copy)                              # now it is
-        assert fdisk.read(block.block_id).records == ["a", "b"]
+        copy = fdisk.read(block.block_id).records()
+        copy.append("b")                               # mutation not persisted
+        assert fdisk.read(block.block_id).records() == ["a"]
+        fdisk.write(block.replace(copy))               # now it is
+        assert fdisk.read(block.block_id).records() == ["a", "b"]
 
     def test_capacity_enforced_on_write(self, fdisk):
         block = fdisk.allocate(records=[1, 2, 3, 4])
-        block.records.append(5)
         with pytest.raises(ValueError):
-            fdisk.write(block)
+            fdisk.write(block.replace([1, 2, 3, 4, 5]))
+        assert fdisk.read(block.block_id).records() == [1, 2, 3, 4]
 
     def test_free_and_missing_blocks(self, fdisk):
         block = fdisk.allocate(records=[1])
@@ -66,7 +66,7 @@ class TestContract:
     def test_peek_costs_nothing(self, fdisk):
         block = fdisk.allocate(records=[7])
         before = fdisk.stats.total
-        assert fdisk.peek(block.block_id).records == [7]
+        assert fdisk.peek(block.block_id).records() == [7]
         assert fdisk.stats.total == before
 
 
@@ -74,12 +74,11 @@ class TestLifecycle:
     def test_compact_reclaims_superseded_versions(self, fdisk):
         block = fdisk.allocate(records=[0])
         for i in range(10):
-            block.records = [i]
-            fdisk.write(block)
+            fdisk.write(block.replace([i]))
         grown = fdisk.file_bytes
         reclaimed = fdisk.compact()
         assert reclaimed > 0 and fdisk.file_bytes < grown
-        assert fdisk.read(block.block_id).records == [9]
+        assert fdisk.read(block.block_id).records() == [9]
 
     def test_temporary_file_cleanup(self):
         disk = FileDisk(block_size=4)
@@ -119,13 +118,12 @@ class TestPageReads:
     def test_a_page_still_in_the_write_buffer_reads_back_intact(self, fdisk):
         first = fdisk.allocate(records=[1, 2], header={"leaf": True})
         assert os.path.getsize(fdisk.path) == 0           # nothing flushed yet
-        assert fdisk.read(first.block_id).records == [1, 2]
+        assert fdisk.read(first.block_id).records() == [1, 2]
         second = fdisk.allocate(records=["x"])            # appended after the flush
-        first.records = [3]
-        fdisk.write(first)                                # a newer version, buffered too
+        fdisk.write(first.replace([3]))                   # a newer version, buffered too
         assert os.path.getsize(fdisk.path) < fdisk.file_bytes
-        assert fdisk.read(second.block_id).records == ["x"]
-        assert [b.records for b in fdisk.read_run([first.block_id, second.block_id])] == [[3], ["x"]]
+        assert fdisk.read(second.block_id).records() == ["x"]
+        assert [b.records() for b in fdisk.read_run([first.block_id, second.block_id])] == [[3], ["x"]]
         assert fdisk.read(first.block_id).header == {"leaf": True}
 
     def test_appends_after_reopen_and_compaction_land_at_the_end(self, tmp_path):
@@ -135,12 +133,10 @@ class TestPageReads:
         disk = FileDisk.open(path)
         try:
             added = disk.allocate(records=[2]).block_id
-            block = disk.read(kept)
-            block.records = [3]
-            disk.write(block)
+            disk.write(disk.read(kept).replace([3]))
             disk.compact()
             last = disk.allocate(records=[4]).block_id
-            assert [disk.read(b).records for b in (kept, added, last)] == [[3], [2], [4]]
+            assert [disk.read(b).records() for b in (kept, added, last)] == [[3], [2], [4]]
         finally:
             disk.close()
 
@@ -160,7 +156,7 @@ class TestPageReads:
                 while not done.is_set():
                     bid = rnd.choice(list(pages))
                     block = store.read(bid)
-                    assert (block.records, block.header) == pages[bid]
+                    assert (block.records(), block.header) == pages[bid]
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

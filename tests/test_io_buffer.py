@@ -52,18 +52,17 @@ class TestCaching:
 class TestWriteBack:
     def test_write_is_deferred_until_flush(self, pool):
         block = pool.allocate([1])
-        block.records.append(2)
         before = pool.stats.writes
-        pool.write(block)
+        pool.write(block.replace([1, 2]))
         assert pool.stats.writes == before  # not yet written through
+        assert pool.disk.peek(block.block_id).records() == [1]
         pool.flush()
         assert pool.stats.writes == before + 1
-        assert pool.disk.peek(block.block_id).records == [1, 2]
+        assert pool.disk.peek(block.block_id).records() == [1, 2]
 
     def test_eviction_writes_dirty_page(self, pool):
         block = pool.allocate([1])
-        block.records.append(2)
-        pool.write(block)
+        pool.write(block.replace([1, 2]))
         before = pool.stats.writes
         for i in range(5):  # force eviction
             pool.allocate([i])

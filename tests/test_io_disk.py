@@ -7,16 +7,16 @@ import pytest
 
 import repro.io
 from repro.analysis.lint import lint_paths, render_report
-from repro.io import Block, BufferManager, FileDisk, IOStats, SimulatedDisk
+from repro.io import BufferManager, FileDisk, IOStats, Page, SimulatedDisk
 from repro.io.counters import Measurement
 
 
 class TestAllocation:
     def test_allocate_returns_block_with_capacity(self, disk):
         block = disk.allocate([1, 2, 3])
-        assert isinstance(block, Block)
+        assert isinstance(block, Page)
         assert block.capacity == disk.block_size
-        assert block.records == [1, 2, 3]
+        assert block.records() == [1, 2, 3]
 
     def test_allocate_counts_one_write(self, disk):
         before = disk.stats.writes
@@ -59,25 +59,23 @@ class TestReadWrite:
 
     def test_write_counts_one_io(self, disk):
         block = disk.allocate([1])
-        block.records.append(2)
         before = disk.stats.writes
-        disk.write(block)
+        disk.write(block.replace([1, 2]))
         assert disk.stats.writes == before + 1
 
     def test_write_rejects_overfull_block(self, disk):
         block = disk.allocate([])
-        block.records = list(range(disk.block_size + 1))
         with pytest.raises(ValueError):
-            disk.write(block)
+            disk.write(block.replace(list(range(disk.block_size + 1))))
+        assert disk.read(block.block_id).records() == []
 
     def test_read_unknown_block_raises(self, disk):
         with pytest.raises(KeyError):
             disk.read(999)
 
     def test_write_unknown_block_raises(self, disk):
-        block = Block(block_id=123456, capacity=4, records=[])
         with pytest.raises(KeyError):
-            disk.write(block)
+            disk.write(Page.of(123456, 4, []))
 
     def test_peek_does_not_count_io(self, disk):
         block = disk.allocate([1])
@@ -87,9 +85,8 @@ class TestReadWrite:
 
     def test_roundtrip_preserves_records(self, disk):
         block = disk.allocate(["a", "b"])
-        block.records.append("c")
-        disk.write(block)
-        assert disk.read(block.block_id).records == ["a", "b", "c"]
+        disk.write(block.replace(block.records() + ["c"]))
+        assert disk.read(block.block_id).records() == ["a", "b", "c"]
 
 
 class TestMeasurement:
@@ -140,12 +137,11 @@ class TestValidation:
 
     def test_block_overfull_constructor_check(self):
         with pytest.raises(ValueError):
-            Block(block_id=0, capacity=2, records=[1, 2, 3])
+            Page.of(0, 2, [1, 2, 3])
 
-    def test_block_is_full_property(self, disk):
+    def test_a_full_page_counts_its_capacity(self, disk):
         block = disk.allocate(list(range(disk.block_size)))
-        assert block.is_full
-        assert len(block) == disk.block_size
+        assert block.count == block.capacity == disk.block_size
 
 
 class TestReadRun:
@@ -166,9 +162,7 @@ class TestReadRun:
         if kind == "buffer":
             disk.drop()
             disk.read(ids[1])
-            dirty = disk.read(ids[3])
-            dirty.records = [9]
-            disk.write(dirty)
+            disk.write(disk.read(ids[3]).replace([9]))
         return disk, ids
 
     @pytest.mark.parametrize("kind", BACKENDS)
@@ -177,9 +171,9 @@ class TestReadRun:
         (single, ids), (batched, _) = self._backend(kind), self._backend(kind)
         try:
             before = single.stats.snapshot(), batched.stats.snapshot()
-            one = [single.read(ids[i]).records for i in run]
+            one = [single.read(ids[i]).records() for i in run]
             with batched.measure() as mine:
-                many = [block.records for block in batched.read_run([ids[i] for i in run])]
+                many = [block.records() for block in batched.read_run([ids[i] for i in run])]
             assert many == one
             moved = [d.stats.diff(b) for d, b in zip((single, batched), before)]
             assert [(m.reads, m.cache_hits, m.writes) for m in moved] == [
@@ -243,3 +237,66 @@ class TestReadRun:
     def test_the_backends_lint_clean(self):
         linter = lint_paths([Path(repro.io.__file__).parent])
         assert linter.findings == [], render_report(linter)
+
+
+def _store(kind):
+    """A fresh backend: ``memory``, ``file``, or a two-page pool over either."""
+    base = FileDisk(block_size=4) if kind.startswith("file") else SimulatedDisk(4)
+    return base, BufferManager(base, 2) if kind.endswith("pool") else base
+
+
+class TestImmutablePages:
+    """A page is a value: what a reader does with it never reaches the
+    store, and ``write`` of a new page is the only way a block changes."""
+
+    KINDS = ["memory", "file", "memory_pool", "file_pool"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_page_changes_only_through_write(self, kind):
+        base, disk = _store(kind)
+        try:
+            given_records, given_header = [1, 2], {"leaf": True, "next": None}
+            page = disk.allocate(given_records, given_header)
+            given_records.append(3)                  # the caller's lists stay theirs
+            given_header["leaf"] = False
+            read = disk.read(page.block_id)
+            records = read.records()
+            assert records == [1, 2] and records is not read.records()   # fresh each call
+            records.append(9)
+            records[0] = -1
+            with pytest.raises(TypeError):
+                read.header["leaf"] = False
+            with pytest.raises(TypeError):
+                page.header["next"] = 4
+            for again in (disk.read(page.block_id), disk.peek(page.block_id), read, page):
+                assert again.records() == [1, 2]
+                assert again.header == {"leaf": True, "next": None}
+            disk.write(read.replace(records, {**read.header, "next": 4}))
+            assert read.records() == [1, 2]          # the old page is still the old value
+            latest = disk.read(page.block_id)
+            assert latest.records() == [-1, 2, 9] and latest.header == {"leaf": True, "next": 4}
+        finally:
+            if isinstance(base, FileDisk):
+                base.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_overfull_page_is_refused_before_any_backend_holds_it(self, kind):
+        """A block of 5 records at ``B = 4`` is refused where it is written,
+        not at a later, unrelated eviction that would drop the dirty page."""
+        base, disk = _store(kind)
+        try:
+            page = disk.allocate([1])
+            with pytest.raises(ValueError, match="overfull"):
+                disk.write(page.replace([1, 2, 3, 4, 5]))
+            with pytest.raises(ValueError, match="overfull"):
+                Page(page.block_id, 4, 5, page.header, page.columns, page.tally)
+            with pytest.raises(ValueError, match="overfull"):
+                disk.allocate([1, 2, 3, 4, 5])
+            disk.allocate([2])                       # evictions in a pool: nothing to fail
+            disk.allocate([3])
+            getattr(disk, "flush", lambda: None)()
+            assert disk.read(page.block_id).records() == [1]
+            assert base.peek(page.block_id).records() == [1]
+        finally:
+            if isinstance(base, FileDisk):
+                base.close()

@@ -130,7 +130,7 @@ class _ReadLog:
 
 def _assert_pending_on_control_pages(tree):
     for mb in tree.iter_metablocks():
-        stored = tree.disk.peek(mb.control_block_id).records
+        stored = tree.disk.peek(mb.control_block_id).records()
         assert [p.uid for p in stored] == [p.uid for p in mb.update_points]
         assert len(stored) < tree.B
 

@@ -37,7 +37,7 @@ class TestStaticOrganisation:
                     )[: cap]
                     stored = []
                     for bid in child.ts.block_ids:
-                        stored.extend(p.y for p in tree.disk.peek(bid).records)
+                        stored.extend(p.y for p in tree.disk.peek(bid).records())
                     assert sorted(stored, reverse=True) == sorted(expected, reverse=True)
                 accumulated.extend(child.points)
 
@@ -53,7 +53,7 @@ class TestStaticOrganisation:
             for blocking in (mb.vertical, mb.horizontal):
                 stored = []
                 for bid in blocking.block_ids:
-                    stored.extend(blocking and tree.disk.peek(bid).records)
+                    stored.extend(blocking and tree.disk.peek(bid).records())
                 assert sorted((p.x, p.y) for p in stored) == sorted((p.x, p.y) for p in mb.points)
 
     def test_corner_structures_only_where_needed(self, tree):
@@ -82,7 +82,7 @@ class TestDynamicOrganisation:
         tree = AugmentedMetablockTree(disk, make_interval_points(100, seed=18))
 
         def pending():
-            return [disk.peek(mb.control_block_id).records for mb in tree.iter_metablocks()]
+            return [disk.peek(mb.control_block_id).records() for mb in tree.iter_metablocks()]
 
         assert all(isinstance(mb, DynamicMetablock) for mb in tree.iter_metablocks())
         assert not any(pending())  # no inserts yet -> no pending points
@@ -100,7 +100,7 @@ class TestDynamicOrganisation:
         # B inserts into the root leaf trigger exactly one level I reorganisation
         assert len(tree.root.update_points) == 0
         assert len(tree.root.points) == B
-        assert disk.peek(tree.root.control_block_id).records == []
+        assert disk.peek(tree.root.control_block_id).records() == []
 
     def test_td_structures_track_descending_points(self):
         B = 4

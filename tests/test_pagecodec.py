@@ -10,9 +10,6 @@ import os
 import pickle
 import random
 import struct
-import sys
-import threading
-import time
 import zlib
 from pathlib import Path
 
@@ -26,9 +23,7 @@ from repro.cli import main
 from repro.errors import DomainError
 from repro.interval import Interval
 from repro.io import pagecodec
-from repro.io.disk import Block
 from repro.io.pagecodec import PAGE_FORMAT, PageCorruptError, PageFormatError
-from repro.metablock import blocking as blk
 from repro.metablock.geometry import PlanarPoint
 from repro.values import identical
 from repro.workloads.generators import (
@@ -373,60 +368,31 @@ def test_block_from_filedisk_is_lazy_until_records_are_touched(tmp_path):
     try:
         block = disk.read(bid)
         assert disk.decoded.pages == 1 and disk.decoded.records == 0
-        assert len(block) == 6 and not block.is_full and block.columns is not None
-        assert [iv.payload for iv in block.take(block.columns, [1, 4], payloads=True)] == [1, 4]
+        assert block.count == 6 and block.capacity == 8
+        assert [iv.payload for iv in block.take([1, 4], payloads=True)] == [1, 4]
         assert disk.decoded.records == 2
-        records = block.records
-        assert block.columns is None and disk.decoded.records == 8
-        records.append(records[0])                      # the list is now the truth
-        disk.write(block)
-        assert len(disk.read(bid).records) == 7
-        block.records = records[:2]
-        assert len(block) == 2
-        assert isinstance(Block(9, 4, [1]).columns, type(None))
+        records = block.records()
+        assert disk.decoded.records == 8
+        assert block.records() is not records and disk.decoded.records == 14   # built anew
+        disk.write(block.replace(records + records[:1]))
+        assert disk.read(bid).count == 7 and block.count == 6
     finally:
         disk.close()
 
 
-def test_readers_sharing_a_cached_lazy_block_do_not_race(tmp_path):
-    """Under a buffer pool concurrent readers share one Block object: some
-    scan its columns while others touch ``records`` (which drops them)."""
-    disk = FileDisk(str(tmp_path / "db.pages"), block_size=16)
-    points = [PlanarPoint(float(i), float(i + 5), Interval(float(i), float(i + 5), "p%d" % i))
-              for i in range(16)]
-    bid = disk.allocate(records=points).block_id
-    errors, done = [], threading.Event()
-
-    def reader(kind):
-        try:
-            while not done.is_set():
-                block = shared[0]
-                if kind == "scan":
-                    got = blk.select(block, blk.Hits(payloads=True), x_max=7.0, y_min=6.0)
-                    assert [iv.payload for iv in got] == ["p%d" % i for i in range(1, 8)]
-                else:
-                    assert block.records == points and len(block) == 16
-        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-
-    shared = [disk.read(bid)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    threads = [threading.Thread(target=reader, args=(kind,)) for kind in ("scan", "records") * 3]
-    try:
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 1.5
-        while time.monotonic() < deadline and not errors:
-            shared[0] = disk.read(bid)          # a fresh lazy block for them to fight over
-    finally:
-        done.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        sys.setswitchinterval(interval)
-        disk.close()
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+@settings(**SETTINGS)
+@given(records=st.one_of(record_lists, st.lists(domain_records(payloads), max_size=6)))
+def test_the_split_is_the_reader_decode_gives_back(records):
+    """What a page holds on every backend: the columns ``split`` makes of
+    its records are the columns ``decode`` makes of its bytes — the same
+    readers, kinds and records, and they pack to the same bytes."""
+    split = pagecodec.split(records)
+    decoded = pagecodec.decode(pagecodec.encode(len(records), records, {}))[3]
+    assert _structure(split) == _structure(decoded)
+    assert same(split.tolist(), decoded.tolist()) and same(split.tolist(), records)
+    assert pagecodec.pack(len(records), len(records), {}, split) == pagecodec.pack(
+        len(records), len(records), {}, decoded
+    )
 
 
 def test_filedisk_stab_materialises_what_it_returns_plus_at_most_a_block(tmp_path):
@@ -547,7 +513,7 @@ def _structure(column):
     endpoint columns — everything but the values ``same`` compares."""
     if type(column) is tuple:
         return "tuple"
-    slots = [getattr(column, name) for name in type(column).__slots__]
+    slots = [getattr(column, name) for name in type(column).__slots__ if name != "objects"]
     shape = [type(column).__name__, getattr(column, "kinds", None)]
     shape += [_structure(part) for part in slots if not isinstance(part, tuple)]
     if type(column) is pagecodec.PointColumn and type(column.payloads) is pagecodec.IntervalColumn:
@@ -561,7 +527,7 @@ def test_the_unpack_plan_reads_what_the_generic_decoder_reads(n, monkeypatch):
     monkeypatch.setattr(pagecodec, "_PLANS", {})
     for name, records in _packed_pages(n).items():
         raw = pagecodec.encode(PLAN_B, records, {"leaf": True})
-        column = len(raw) - len(pagecodec._encode_column(records) if n else b"-")
+        column = 24 + len(pagecodec._encode_header({"leaf": True}))
         assert raw[column] == ord(name[0] if n else "-"), name   # the layout of this case
         pagecodec._PLANS.clear()
         generic.calls = 0

@@ -149,7 +149,7 @@ class TestIOStatsThreadSafety:
                 for i in range(400):
                     bid = blocks[(tid * 7 + i) % len(blocks)].block_id
                     block = fdisk.read(bid)
-                    assert block.records[0] == ("payload", bid)
+                    assert block.records()[0] == ("payload", bid)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -172,7 +172,7 @@ class TestIOStatsThreadSafety:
             try:
                 for i in range(500):
                     bid = blocks[(tid * 5 + i) % len(blocks)].block_id
-                    assert pool.read(bid).records == [bid]
+                    assert pool.read(bid).records() == [bid]
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
