@@ -20,7 +20,8 @@ space is ``O((n/B) log2 c)`` blocks and an insert touches at most
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.classes.collection import CollectionIndex
 from repro.classes.decomposition import (
@@ -101,17 +102,17 @@ class CombinedClassIndex:
         """Attribute range query against the full extent of ``class_name``."""
         return list(self.iter_query(class_name, low, high))
 
-    def iter_query(self, class_name: str, low: Any, high: Any):
+    def iter_query(self, class_name: str, low: Any, high: Any) -> Iterator[ClassObject]:
         """Stream the answer; rake pieces stream leaf by leaf, path pieces
-        produce their (``O(B^3)``-point bounded) 3-sided answer on demand."""
+        produce their 3-sided answer on demand, as the objects the points
+        carry (no point is built)."""
         if class_name not in self._query_plan:
             raise KeyError(f"unknown class {class_name!r}")
         piece_id, position = self._query_plan[class_name]
         structure = self._structures[piece_id]
         if isinstance(structure, CollectionIndex):
-            yield from structure.iter_range(low, high)
-        else:
-            yield from [p.payload for p in structure.query_3sided(low, high, position)]
+            return structure.iter_range(low, high)
+        return chain.from_iterable(structure.iter_3sided_blocks(low, high, position, payloads=True))
 
     # ------------------------------------------------------------------ #
     # introspection / accounting
@@ -149,3 +150,4 @@ class CombinedClassIndex:
 
     def __len__(self) -> int:
         return self._size
+

@@ -86,6 +86,8 @@ class Hits:
     of its blockings or its corner structure (whose two stages are disjoint
     in x), a point lives in exactly one metablock's points or pending list,
     and TS(M) is read *instead of* the left siblings whose points it holds.
+    The 3-sided walk keeps the same contract (see
+    :mod:`~repro.metablock.three_sided`).
     With ``payloads`` the scans hand up what the points carry instead of
     the points — a stabbing query wants the intervals, and on a page store
     the points then never get built.
@@ -144,6 +146,51 @@ def select(
             if not (uids[i] in seen or seen.add(uids[i]))
         ]
     return page.take(rows, payloads=hits.payloads)
+
+
+def select_above(
+    page: Page, hits: Optional[Hits], y_min: Any, x_min: Any = None, x_max: Any = None
+) -> Tuple[Batch, int]:
+    """The points of ``page`` with ``y >= y_min`` and ``x_min <= x <= x_max``
+    (a side left ``None`` is unconstrained), for a page that stores its
+    points by descending y — a PST node, a horizontal block.
+
+    The y test is a prefix: it stops at the first point below ``y_min``,
+    and with neither x side the prefix goes up whole.  Returns the batch
+    (see :func:`select`) and the length of that prefix, so a caller knows
+    whether the page dipped below the query (``< page.count``).
+    """
+    columns = page.columns
+    ys = column_values(columns.ys)
+    k = len(ys)
+    if k and ys[-1] < y_min:
+        k = 0
+        for y in ys:
+            if y < y_min:
+                break
+            k += 1
+    rows: Optional[Sequence[int]]
+    if x_max is not None:
+        xs = column_values(columns.xs)
+        if x_min is None:
+            rows = [i for i in range(k) if xs[i] <= x_max]
+        else:
+            rows = [i for i in range(k) if x_min <= xs[i] <= x_max]
+    elif x_min is not None:
+        xs = column_values(columns.xs)
+        rows = [i for i in range(k) if x_min <= xs[i]]
+    else:
+        rows = None if k == len(ys) else range(k)
+    if hits is None:
+        return page.take(rows), k
+    seen = hits.seen
+    if seen is not None:
+        uids = column_values(columns.uids)
+        rows = [
+            i for i in (range(k) if rows is None else rows)
+            if not (uids[i] in seen or seen.add(uids[i]))
+        ]
+    return page.take(rows, payloads=hits.payloads), k
 
 
 def scan_vertical_upto(

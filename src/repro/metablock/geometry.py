@@ -167,17 +167,3 @@ class BoundingBox:
     def entirely_right_of(self, x: Any) -> bool:
         return self.min_x > x
 
-
-def dedupe_points(points: Iterable[PlanarPoint]) -> List[PlanarPoint]:
-    """Remove duplicate reports while preserving order.
-
-    Identity is the record ``uid``: the structures store the same
-    :class:`PlanarPoint` record in every block that mentions it (the update
-    block, the TD corner structure, ...), so a record surfaced through two
-    organisations is reported once while two distinct records that happen
-    to share coordinates are both kept.
-    The uid survives serialization, so deduplication also works on backends
-    (``FileDisk``) where two reads of the same page yield distinct objects.
-    A dict keeps its keys in first-seen order.
-    """
-    return list({p.uid: p for p in points}.values())

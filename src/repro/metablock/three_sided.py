@@ -26,8 +26,8 @@ invariants are inherited — with one override per item:
    every nonleaf metablock carries ``children_pst``, a 3-sided structure
    over the points of *all its children* (``O(B^3)`` points), built by the
    ``_rebuild_sibling_structures`` override, freed by
-   ``ThreeSidedMetablock.destroy`` and used exactly once per query, at the
-   divergence node (``_handle_divergence_middles``).
+   ``ThreeSidedMetablock.destroy`` and read exactly once per query, at the
+   divergence node.
 5. A query may extend to the right of the search path as well as to the
    left — next to the inherited ``ts`` (the left siblings) every metablock
    carries ``ts_right`` (the right siblings): the same override runs the
@@ -40,6 +40,21 @@ skip subtrees with nothing above its bottom, and
 ``_push_down_reorganisation`` also refreshes the structures of the
 metablock that pushed down, because ``children_pst`` is built from the
 children's own points, which a push-down changes.
+
+Each point is reported once, as in the diagonal walk.  A child's own points
+(its PST and pending points) are read through one structure: at a divergence
+node ``children_pst``, under a covered TS the TS.  A child the walk then
+enters for what lies below it is entered *covered*: its own PST and pending
+points are skipped, its TD structure and children are not, and a covered
+child with nothing below it is not entered.  The coverage invariant makes
+that sound: each point a child holds is in its parent's ``children_pst`` or
+TD structure, read at the parent — a point that enters a child after
+``children_pst`` was built passes TD(parent), and push-downs and splits
+rebuild ``children_pst`` — and ``children_pst`` holds only points a child
+holds (``_check_disjoint`` asserts both).  So only a TD structure, which
+copies points held below it, can repeat a point, and the answer is
+deduplicated by uid only while some TD holds points (``td_holders``).  Pages
+are scanned by column (:func:`~repro.metablock.blocking.select_above`).
 
 Bounds: ``O(n/B)`` blocks, queries in ``O(log_B n + log2 B + t/B)`` I/Os,
 inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os (Lemma 4.4).
@@ -54,7 +69,7 @@ from typing import Any, Iterator, List, Optional
 from repro.analysis.complexity import Bound, three_sided_query_bound
 from repro.metablock import blocking as blk
 from repro.metablock.dynamic_tree import AugmentedMetablockTree, DynamicMetablock
-from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery, dedupe_points
+from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
 from repro.pst.external_pst import ExternalPST
 
 
@@ -146,21 +161,33 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
     # ------------------------------------------------------------------ #
     def query_3sided(self, x1: Any, x2: Any, y0: Any) -> List[PlanarPoint]:
         """All points with ``x1 <= x <= x2`` and ``y >= y0``."""
+        return list(chain.from_iterable(self.iter_3sided_blocks(x1, x2, y0)))
+
+    def iter_3sided_blocks(self, x1: Any, x2: Any, y0: Any, payloads: bool = False) -> Iterator[Any]:
+        """The 3-sided answer in the batches the walk read it in: one per
+        page (a :class:`~repro.io.disk.Batch` of its rows) or pending list;
+        with ``payloads`` they hold the points' payloads (see
+        :class:`~repro.metablock.blocking.Hits`).  The walk runs, whole,
+        at the first ``next()``.
+
+        Every point is reported once (see the module docstring), so the
+        answer is deduplicated by uid only while some TD structure holds
+        points (:attr:`td_holders`).
+        """
         if x2 < x1 or self.root is None:
-            return []
-        out: List[PlanarPoint] = []
-        self._query_node(self.root, x1, x2, y0, out)
-        return dedupe_points(out)
+            return
+        out: List[Any] = []
+        self._query_node(self.root, x1, x2, y0, blk.Hits(payloads, track=self.td_holders > 0), out, False)
+        yield from out
 
     def query(self, query: ThreeSidedQuery) -> List[PlanarPoint]:
         return self.query_3sided(query.x1, query.x2, query.y0)
 
-    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[List[Any]]:
+    def iter_diagonal_blocks(self, corner: Any, payloads: bool = False) -> Iterator[Any]:
         """A diagonal corner query is the 3-sided query ``x <= corner <= y``."""
         if self.root is None:
             return iter(())
-        found = self.query_3sided(self.root.subtree_min_x, corner, corner)
-        return iter([[p.payload for p in found] if payloads else found])
+        return self.iter_3sided_blocks(self.root.subtree_min_x, corner, corner, payloads)
 
     def supports(self, q: Any) -> bool:
         """3-sided query shapes (Lemma 4.4)."""
@@ -173,30 +200,38 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             "log_B n + log2 B + t/B", lambda t: three_sided_query_bound(n, b, t)
         )
 
-    def _query_node(self, mb: ThreeSidedMetablock, x1, x2, y0, out: List[PlanarPoint]) -> None:
+    def _query_node(
+        self, mb: ThreeSidedMetablock, x1, x2, y0, hits: blk.Hits, out: List[Any], covered: bool
+    ) -> None:
+        """Append the answer's batches under ``mb`` to ``out``.  With
+        ``covered`` a structure read above already reported ``mb``'s own
+        points, so its PST and pending points are skipped, and a covered
+        metablock with nothing below it is not visited at all."""
         if mb.subtree_min_x is None or mb.subtree_min_x > x2 or mb.subtree_max_x < x1:
             return
         if mb.subtree_max_y is not None and mb.subtree_max_y < y0:
             return
+        bottom = mb.is_leaf or not mb.children
+        if covered and bottom:
+            return
         if mb.control_block_id is not None:
             self.disk.read(mb.control_block_id)
 
-        # the metablock's own points (cases 1–3 of Lemma 4.3)
-        if mb.pst is not None:
-            out.extend(mb.pst.query_3sided(x1, x2, y0))
-        if mb.update_points:
+        if not covered:
+            # the metablock's own points (cases 1–3 of Lemma 4.3)
+            if mb.pst is not None:
+                out.extend(mb.pst.iter_3sided_blocks(x1, x2, y0, hits))
             # the records of the control block just read: no I/O of their own
-            out.extend(p for p in mb.update_points if x1 <= p.x <= x2 and p.y >= y0)
-
-        if mb.is_leaf or not mb.children:
+            self._report_pending(mb.update_points, x1, x2, y0, hits, out)
+        if bottom:
             return
 
         # inserted points that descended past this metablock
         if mb.td_pst is not None:
-            out.extend(mb.td_pst.query_3sided(x1, x2, y0))
+            out.extend(mb.td_pst.iter_3sided_blocks(x1, x2, y0, hits))
         if mb.td_update_block_id is not None and mb.td_update_points:
             self.disk.read(mb.td_update_block_id)
-            out.extend(p for p in mb.td_update_points if x1 <= p.x <= x2 and p.y >= y0)
+            self._report_pending(mb.td_update_points, x1, x2, y0, hits, out)
 
         # classify the children against the two vertical sides; ties at group
         # boundaries can make more than one child overlap a query side, so
@@ -211,44 +246,52 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
                 middles.append(child)
             else:
                 boundaries.append(child)
-
-        for child in boundaries:
-            if child.subtree_max_y is not None and child.subtree_max_y >= y0:
-                self._query_node(child, x1, x2, y0, out)
-        if not middles:
-            return
-
         left_side = [c for c in boundaries if c.subtree_min_x <= x1 <= c.subtree_max_x]
         right_side = [c for c in boundaries if c.subtree_min_x <= x2 <= c.subtree_max_x]
-        has_left = bool(left_side)
 
-        if has_left and right_side and any(c not in left_side for c in right_side):
-            # case 4 of Lemma 4.3: the two sides diverge at this metablock
-            self._handle_divergence_middles(mb, middles, x1, x2, y0, out)
-        elif has_left:
+        # case 4 of Lemma 4.3: the two sides diverge at this metablock, and
+        # ``children_pst`` (with TD(mb), read above) reports every child's
+        # own points — the children the walk enters are covered
+        diverge = bool(middles and left_side) and any(c not in left_side for c in right_side)
+        if diverge and mb.children_pst is not None:
+            out.extend(mb.children_pst.iter_3sided_blocks(x1, x2, y0, hits))
+        for child in boundaries:
+            if child.subtree_max_y is not None and child.subtree_max_y >= y0:
+                self._query_node(child, x1, x2, y0, hits, out, diverge)
+        if diverge:
+            for child in middles:
+                if self._reaches_below(child, y0):
+                    self._query_node(child, x1, x2, y0, hits, out, True)
+        elif not middles:
+            return
+        elif left_side:
             anchor = max(left_side, key=lambda c: c.subtree_max_x)
-            self._handle_sided_middles(anchor, middles, x1, x2, y0, out, side="right")
+            self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="right")
         elif right_side:
             anchor = min(right_side, key=lambda c: c.subtree_min_x)
-            self._handle_sided_middles(anchor, middles, x1, x2, y0, out, side="left")
+            self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="left")
         else:
             # the whole x-extent of this metablock lies inside [x1, x2]
             for child in middles:
                 if child.subtree_max_y is not None and child.subtree_max_y >= y0:
-                    self._query_node(child, x1, x2, y0, out)
+                    self._query_node(child, x1, x2, y0, hits, out, False)
+
+    @staticmethod
+    def _report_pending(points, x1, x2, y0, hits: blk.Hits, out: List[Any]) -> None:
+        """Append the pending ``points`` inside the query (filtered in heap)."""
+        found = [p for p in points if x1 <= p.x <= x2 and p.y >= y0]
+        if found:
+            found = hits.fresh(found)
+            if found:
+                out.append(found)
+
+    @staticmethod
+    def _reaches_below(child: ThreeSidedMetablock, y0: Any) -> bool:
+        """Whether a point below ``child`` may reach ``y0`` (its guard)."""
+        return child.desc_max_y is not None and child.desc_max_y >= y0
 
     # -- middle-children strategies ---------------------------------------- #
-    def _handle_divergence_middles(self, mb, middles, x1, x2, y0, out) -> None:
-        """Case 4 of Lemma 4.3: both vertical sides fall on children of ``mb``."""
-        if mb.children_pst is not None:
-            out.extend(mb.children_pst.query_3sided(x1, x2, y0))
-        for child in middles:
-            fully_above = child.bbox is not None and child.bbox.min_y >= y0
-            deep_candidates = child.desc_max_y is not None and child.desc_max_y >= y0
-            if fully_above or deep_candidates:
-                self._query_node(child, x1, x2, y0, out)
-
-    def _handle_sided_middles(self, boundary, middles, x1, x2, y0, out, side: str) -> None:
+    def _handle_sided_middles(self, boundary, middles, x1, x2, y0, hits, out, side: str) -> None:
         """One-sided case: the query extends past ``boundary`` over its siblings."""
         ts = boundary.ts_right if side == "right" else boundary.ts
         ts_size = boundary.ts_right_size if side == "right" else boundary.ts_size
@@ -262,7 +305,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         off_side = [c for c in middles if c not in on_side]
         for child in off_side:
             if child.subtree_max_y is not None and child.subtree_max_y >= y0:
-                self._query_node(child, x1, x2, y0, out)
+                self._query_node(child, x1, x2, y0, hits, out, False)
         middles = on_side
         candidates = [c for c in middles if c.subtree_max_y is not None and c.subtree_max_y >= y0]
         if not candidates:
@@ -273,14 +316,40 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             if ts_bottom < y0 and (ts_size >= self.capacity or all(c.is_leaf for c in middles)):
                 covered = True
         if covered:
-            batches, _ = blk.scan_horizontal_downto(self.disk, ts, y0)
-            out.extend(p for p in chain.from_iterable(batches) if x1 <= p.x <= x2)
+            # TS holds every own point above y0 of the siblings it spans
+            # (the rest passed TD of their parent): read top-down, by column
+            bounds = ts.bounds
+            k = 0
+            while k < len(bounds) and bounds[k][0] >= y0:
+                k += 1
+            for page in self.disk.read_run(ts.block_ids[:k]):
+                batch, _ = blk.select_above(page, hits, y0, x1, x2)
+                if batch.count:
+                    out.append(batch)
             # deep descendants of middles cannot reach above y0 here (their
             # metablocks are all crossed by or below the query bottom), except
             # through the conservative desc_max_y guard:
             for child in candidates:
-                if child.desc_max_y is not None and child.desc_max_y >= y0 and not child.is_leaf:
-                    self._query_node(child, x1, x2, y0, out)
+                if self._reaches_below(child, y0):
+                    self._query_node(child, x1, x2, y0, hits, out, True)
         else:
             for child in candidates:
-                self._query_node(child, x1, x2, y0, out)
+                self._query_node(child, x1, x2, y0, hits, out, False)
+
+    # ------------------------------------------------------------------ #
+    # invariants
+    # ------------------------------------------------------------------ #
+    def _check_disjoint(self) -> None:
+        """Also what lets the 3-sided walk skip a covered child's own
+        points: each child's resident points are in its parent's
+        ``children_pst`` or TD structure, and ``children_pst`` holds no
+        point that is not a child's."""
+        super()._check_disjoint()
+        for mb in self.iter_metablocks():
+            if mb.is_leaf or not mb.children:
+                continue
+            resident = {p.uid for child in mb.children for p in child.resident()}
+            pst = set() if mb.children_pst is None else {p.uid for p in mb.children_pst.peek_points()}
+            td = {p.uid for p in mb.td_points + mb.td_update_points}
+            assert pst <= resident, "children_pst holds a point no child holds"
+            assert resident <= pst | td, "a child's point is in neither children_pst nor TD"

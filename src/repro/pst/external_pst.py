@@ -12,7 +12,10 @@ A 3-sided query ``x1 <= x <= x2, y >= y0`` walks the at most two root-to-leaf
 search paths for ``x1`` and ``x2`` (``O(log2 n)`` blocks) and, for every
 subtree completely inside ``[x1, x2]``, descends only while nodes keep
 producing output (every such block read either yields ``B`` reported points
-or terminates a branch), giving ``O(log2 n + t/B)`` I/Os.
+or terminates a branch), giving ``O(log2 n + t/B)`` I/Os.  A node stores its
+points by descending y, so its page is scanned as a prefix that stops at the
+first point below ``y0``, over the page's columns; the splits above a node
+bound its x-range, and a node inside ``[x1, x2]`` is scanned with no x test.
 
 The structure is static; the metablock-tree variants that need insertions
 rebuild their (small, ``O(B^2)``/``O(B^3)``-point) external PSTs wholesale,
@@ -26,12 +29,19 @@ from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.analysis.complexity import Bound, external_pst_query_bound
-from repro.io.disk import BlockId
+from repro.io.disk import Batch, BlockId
+from repro.metablock.blocking import Hits, select_above
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
 
 
 class ExternalPST:
-    """Static blocked priority search tree over :class:`PlanarPoint` records."""
+    """Static blocked priority search tree over :class:`PlanarPoint` records.
+
+    A node page holds its points by descending y (ties by descending x), so
+    a query's y test is a prefix of the page: the scan stops at the first
+    point below the query's bottom, and a node whose prefix is shorter than
+    the page has no descendant in the answer.
+    """
 
     def __init__(self, disk, points: Iterable[PlanarPoint] = ()) -> None:
         self.disk = disk
@@ -86,11 +96,15 @@ class ExternalPST:
 
     def iter_3sided(self, x1: Any, x2: Any, y0: Any) -> Iterator[PlanarPoint]:
         """Stream the 3-sided answer, reading one node block at a time."""
-        return chain.from_iterable(self._iter_blocks(x1, x2, y0))
+        return chain.from_iterable(self.iter_3sided_blocks(x1, x2, y0))
 
     def stream(self, q: Any) -> Iterator[PlanarPoint]:
         """The plain lazy hit iterator for a supported descriptor."""
         return self.iter_3sided(q.x1, q.x2, q.y0)
+
+    def stream_blocks(self, q: Any) -> Iterator[Batch]:
+        """:meth:`stream` a batch per node block read."""
+        return self.iter_3sided_blocks(q.x1, q.x2, q.y0)
 
     def query(self, q: Any) -> "Any":
         """Answer a query descriptor with a lazy ``QueryResult`` over :meth:`stream`.
@@ -113,33 +127,43 @@ class ExternalPST:
 
     def query_2sided(self, x_max: Any, y_min: Any) -> List[PlanarPoint]:
         """All points with ``x <= x_max`` and ``y >= y_min``."""
-        return list(chain.from_iterable(self._iter_blocks(None, x_max, y_min)))
+        return list(chain.from_iterable(self.iter_3sided_blocks(None, x_max, y_min)))
 
-    def _iter_blocks(self, x1: Optional[Any], x2: Any, y0: Any) -> Iterator[List[PlanarPoint]]:
+    def iter_3sided_blocks(
+        self, x1: Optional[Any], x2: Any, y0: Any, hits: Optional[Hits] = None
+    ) -> Iterator[Batch]:
         """The answer one node block at a time, depth first, left before
-        right; a block is read only when the consumer asks for the next."""
-        stack = [self.root_id]
+        right, as :class:`~repro.io.disk.Batch`es of the node pages' rows
+        (in ``hits``' form, and only rows it has not reported, when given);
+        a block is read only when the consumer asks for the next.
+
+        ``x1 = None`` leaves the left side open.  A stack entry carries the
+        x sides its node still has to test: the ancestors' ``split_x``
+        bound the node's x-range (left of a split ``x < split_x``, right of
+        it ``x >= split_x``), so below a split inside ``[x1, x2]`` one side
+        needs no test, and a node between two such splits none.
+        """
+        stack = [(self.root_id, x1, x2)]
         while stack:
-            block_id = stack.pop()
+            block_id, x_min, x_max = stack.pop()
             if block_id is None:
                 continue
             page = self.disk.read(block_id)
-            found = [
-                p for p in page.records()
-                if p.y >= y0 and (x1 is None or p.x >= x1) and p.x <= x2
-            ]
-            if found:
-                yield found
-            header = page.header
+            batch, k = select_above(page, hits, y0, x_min, x_max)
+            if batch.count:
+                yield batch
             # every point below this node has y <= the smallest y stored
             # here; stop when even the stored points dip below the bottom
-            if header["min_y"] < y0:
+            if k < page.count:
                 continue
+            header = page.header
             split_x = header["split_x"]
             if x2 >= split_x:
-                stack.append(header["right"])
+                right_min = x_min if x_min is not None and x_min > split_x else None
+                stack.append((header["right"], right_min, x_max))
             if x1 is None or x1 < split_x:
-                stack.append(header["left"])
+                left_max = x_max if x_max is not None and x_max < split_x else None
+                stack.append((header["left"], x_min, left_max))
 
     # ------------------------------------------------------------------ #
     # accounting / lifecycle
@@ -150,6 +174,10 @@ class ExternalPST:
 
     def block_count(self) -> int:
         return len(self._block_ids)
+
+    def peek_points(self) -> List[PlanarPoint]:
+        """Every stored point, read without I/O accounting (invariant checks)."""
+        return [p for bid in self._block_ids for p in self.disk.peek(bid).records()]
 
     def destroy(self) -> None:
         for bid in self._block_ids:

@@ -9,7 +9,6 @@ from repro.metablock.geometry import (
     RangeQuery,
     ThreeSidedQuery,
     TwoSidedQuery,
-    dedupe_points,
 )
 
 
@@ -80,20 +79,7 @@ class TestBoundingBox:
         assert box.entirely_right_of(-0.5)
 
 
-class TestDedupe:
-    def test_same_object_reported_once(self):
-        p = PlanarPoint(1, 2, payload="x")
-        assert dedupe_points([p, p, p]) == [p]
-
-    def test_distinct_objects_with_equal_coordinates_kept(self):
-        a = PlanarPoint(1, 2, payload="a")
-        b = PlanarPoint(1, 2, payload="b")
-        assert len(dedupe_points([a, b])) == 2
-
-    def test_order_preserved(self):
-        pts = [PlanarPoint(i, i) for i in range(5)]
-        assert dedupe_points(pts + pts) == pts
-
+class TestPlanarPoint:
     def test_point_ordering_and_str(self):
         assert PlanarPoint(1, 2) < PlanarPoint(1, 3) < PlanarPoint(2, 0)
         assert str(PlanarPoint(1, 2)) == "(1, 2)"

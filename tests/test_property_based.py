@@ -7,6 +7,7 @@ proofs rely on.  Sizes are kept moderate so the whole module stays fast.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -323,25 +324,39 @@ def test_rake_and_contract_invariants(hierarchy):
         assert labeling.thin_edge_count_to_root(cls, hierarchy) <= (math.log2(c) if c > 1 else 0)
 
 
-@settings(**SETTINGS)
-@given(
-    hierarchy=hierarchies(),
-    raw=st.lists(st.tuples(small_float, st.integers(min_value=0, max_value=1_000_000)), max_size=80),
-    window=st.tuples(small_float, small_float),
-    scheme=st.sampled_from(["simple", "combined"]),
-)
-def test_class_indexes_match_oracle(hierarchy, raw, window, scheme):
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@settings(**dict(TREE_SETTINGS, max_examples=40))
+@given(hierarchy=hierarchies(), data=st.data())
+def test_class_indexes_match_oracle(backend, hierarchy, data):
+    """Both schemes over integer keys that tie, a bulk-built prefix then
+    inserts, ``B`` in {2, 3, 4, 8}, and windows from the data's own keys
+    ± 1; answers are compared as multisets of object uids.  The file leg
+    reads decoded page columns."""
     classes = hierarchy.classes()
-    objects = [
-        ClassObject(key, classes[token % len(classes)], payload=i)
-        for i, (key, token) in enumerate(raw)
-    ]
-    cls = classes[len(raw) % len(classes)]
-    lo, hi = min(window), max(window)
-    index_cls = SimpleClassIndex if scheme == "simple" else CombinedClassIndex
-    index = index_cls(SimulatedDisk(4), hierarchy, objects)
-    wanted = set(hierarchy.descendants(cls))
-    expected = sorted(
-        (o.key, o.payload) for o in objects if o.class_name in wanted and lo <= o.key <= hi
-    )
-    assert sorted((o.key, o.payload) for o in index.query(cls, lo, hi)) == expected
+    n = data.draw(st.integers(0, 300))
+    grid = data.draw(st.sampled_from([3, 20, 200]))
+    raw = data.draw(st.lists(
+        st.tuples(st.integers(0, grid), st.integers(0, len(classes) - 1)), min_size=n, max_size=n
+    ))
+    objects = [ClassObject(key, classes[c], payload=i) for i, (key, c) in enumerate(raw)]
+    block_size = data.draw(st.sampled_from([2, 3, 4, 8]))
+    bulk = data.draw(st.one_of(st.just(0), st.integers(0, n)))
+    keys = sorted({o.key for o in objects}) or [0]
+    key = st.sampled_from([keys[0] - 1] + keys + [keys[-1] + 1])
+    windows = data.draw(st.lists(st.tuples(st.sampled_from(classes), key, key), min_size=1, max_size=6))
+    for index_cls in (SimpleClassIndex, CombinedClassIndex):
+        disk = SimulatedDisk(block_size) if backend == "memory" else FileDisk(block_size=block_size)
+        try:
+            index = index_cls(disk, hierarchy, objects[:bulk])
+            for obj in objects[bulk:]:
+                index.insert(obj)
+            for cls, a, b in windows:
+                lo, hi = min(a, b), max(a, b)
+                wanted = set(hierarchy.descendants(cls))
+                expected = Counter(
+                    o.uid for o in objects if o.class_name in wanted and lo <= o.key <= hi
+                )
+                assert Counter(o.uid for o in index.query(cls, lo, hi)) == expected, index_cls
+        finally:
+            if backend == "file":
+                disk.close()

@@ -1,11 +1,14 @@
 """Tests for the 3-sided metablock tree variant (Lemmas 4.3 and 4.4)."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.complexity import linear_space_bound, three_sided_query_bound
-from repro.io import SimulatedDisk
+from repro.io import FileDisk, SimulatedDisk
 from repro.metablock import ThreeSidedMetablockTree
 from repro.metablock.geometry import PlanarPoint, ThreeSidedQuery
 
@@ -210,3 +213,80 @@ class TestIsTheAugmentedTree:
             assert (mb.pst is not None) == bool(mb.points)
         assert tree.block_count() == disk.blocks_in_use
 
+
+
+class TestEachPointOnce:
+    """The walk reports each point once by construction: at a divergence
+    node ``children_pst`` stands for the children's own points, and under a
+    covered TS the TS does, so neither is read again below; only a TD
+    structure copies points, and only while one holds points is the answer
+    deduplicated."""
+
+    @staticmethod
+    def _raw_uids(tree, x1, x2, y0):
+        return [p.uid for batch in tree.iter_3sided_blocks(x1, x2, y0) for p in batch]
+
+    def test_a_divergence_reads_no_child_point_twice(self):
+        """Three leaf children, the query's sides on the outer two: the
+        children PST answers all three, and no child PST is read."""
+        disk = SimulatedDisk(3)
+        pts = [PlanarPoint(i, (i * 7) % 36, payload=i) for i in range(36)]
+        tree = ThreeSidedMetablockTree(disk, pts)
+        assert len(tree.root.children) == 3 and tree.td_holders == 0
+        with disk.measure() as m:
+            got = tree.query_3sided(2, 33, 0)
+        # the walk used to read both boundary children's PSTs as well: 31
+        # I/Os, and 56 reports of the 32 points, deduplicated by uid
+        assert m.ios == 17
+        raw = self._raw_uids(tree, 2, 33, 0)
+        assert len(raw) == len(set(raw)) == len(got) == 32
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @settings(
+        max_examples=40, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_each_point_is_reported_once(self, backend, data):
+        """A bulk-built prefix, then inserts, over tied integer coordinates:
+        the answer is the brute-force one as a multiset, and in the raw
+        (untracked) batches only a point a TD structure copies repeats — so
+        while no TD holds points they are uid-disjoint."""
+        grid = data.draw(st.sampled_from([3, 10, 40]))
+        n = data.draw(st.integers(0, 300))
+        raw = data.draw(st.lists(st.tuples(st.integers(0, grid), st.integers(0, grid)),
+                                 min_size=n, max_size=n))
+        points = [PlanarPoint(x, y, payload=i) for i, (x, y) in enumerate(raw)]
+        block_size = data.draw(st.sampled_from([2, 3, 4, 8]))
+        bulk = data.draw(st.integers(0, n))
+        values = sorted({v for p in points for v in (p.x, p.y)}) or [0]
+        coord = st.sampled_from([values[0] - 1] + values + [values[-1] + 1])
+        windows = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8))
+        disk = SimulatedDisk(block_size) if backend == "memory" else FileDisk(block_size=block_size)
+        try:
+            tree = ThreeSidedMetablockTree(disk, points[:bulk])
+            # check after the build, every 40 inserts and at the end
+            stops = sorted({bulk, n} | set(range(bulk, n, 40)))
+            for start, stop in zip(stops, stops[1:] + [None]):
+                tree.check_invariants()
+                live = points[:start]
+                for a, b, y0 in windows:
+                    x1, x2 = min(a, b), max(a, b)
+                    want = Counter(p.uid for p in live if x1 <= p.x <= x2 and p.y >= y0)
+                    assert Counter(p.uid for p in tree.query_3sided(x1, x2, y0)) == want
+                    # untracked, only a TD copy may repeat: with no TD
+                    # holding points the raw batches are uid-disjoint
+                    holders, tree.td_holders = tree.td_holders, 0
+                    try:
+                        reported = Counter(self._raw_uids(tree, x1, x2, y0))
+                    finally:
+                        tree.td_holders = holders
+                    copies = {p.uid for mb in tree.iter_metablocks()
+                              for p in mb.td_points + mb.td_update_points}
+                    assert {uid for uid, k in reported.items() if k > 1} <= copies
+                    assert (holders == 0) == (not copies)
+                if stop is not None:
+                    tree.insert_many(points[start:stop])
+        finally:
+            if backend == "file":
+                disk.close()
