@@ -136,16 +136,7 @@ def select(
         rows = [i for i, x in enumerate(xs) if x <= x_max]
     else:
         rows = [i for i, x in enumerate(xs) if x <= x_max and ys[i] >= y_min]
-    if hits is None:
-        return page.take(rows)
-    seen = hits.seen
-    if seen is not None:
-        uids = column_values(columns.uids)
-        rows = [
-            i for i in (range(len(uids)) if rows is None else rows)
-            if not (uids[i] in seen or seen.add(uids[i]))
-        ]
-    return page.take(rows, payloads=hits.payloads)
+    return _take_fresh(page, hits, rows)
 
 
 def select_above(
@@ -181,16 +172,23 @@ def select_above(
         rows = [i for i in range(k) if x_min <= xs[i]]
     else:
         rows = None if k == len(ys) else range(k)
+    return _take_fresh(page, hits, rows), k
+
+
+def _take_fresh(page: Page, hits: Optional[Hits], rows: Optional[Sequence[int]]) -> Batch:
+    """Rows ``rows`` of ``page`` (``None`` for all) as a batch in ``hits``'
+    form, less those ``hits`` has reported (which are reported now)."""
     if hits is None:
-        return page.take(rows), k
+        return page.take(rows)
     seen = hits.seen
     if seen is not None:
-        uids = column_values(columns.uids)
+        # ``set.add`` returns None: a uid passes once, the first time
+        uids = column_values(page.columns.uids)
         rows = [
-            i for i in (range(k) if rows is None else rows)
+            i for i in (range(len(uids)) if rows is None else rows)
             if not (uids[i] in seen or seen.add(uids[i]))
         ]
-    return page.take(rows, payloads=hits.payloads), k
+    return page.take(rows, payloads=hits.payloads)
 
 
 def scan_vertical_upto(
@@ -218,18 +216,20 @@ def scan_vertical_upto(
 
 
 def scan_horizontal_downto(
-    disk, blocking: Blocking, y_min: Any, hits: Optional[Hits] = None
+    disk, blocking: Blocking, y_min: Any, hits: Optional[Hits] = None,
+    x_min: Any = None, x_max: Any = None,
 ) -> Tuple[List[Any], int]:
     """Read horizontal blocks top-to-bottom while they may contain ``y >= y_min``,
-    as one run; one batch per block read.  There is no x test: the
-    diagonal-corner walk scans only blockings whose every x is inside its
-    query (a Type III / IV metablock, an explicit corner answer, a TS
-    structure)."""
+    as one run; one batch per block read (see :func:`select_above`), of the
+    points with ``x_min <= x <= x_max`` too, a side left ``None``
+    unconstrained.  The diagonal-corner walk needs no x side: it scans only
+    blockings whose every x is inside its query (a Type III / IV metablock,
+    an explicit corner answer, a TS structure)."""
     bounds = blocking.bounds
     k = 0
     while k < len(bounds) and bounds[k][0] >= y_min:
         k += 1
     return [
-        select(block, hits, None, None if last_y >= y_min else y_min)
-        for block, (_, last_y) in zip(disk.read_run(blocking.block_ids[:k]), bounds)
+        select_above(block, hits, y_min, x_min, x_max)[0]
+        for block in disk.read_run(blocking.block_ids[:k])
     ], k

@@ -42,19 +42,25 @@ metablock that pushed down, because ``children_pst`` is built from the
 children's own points, which a push-down changes.
 
 Each point is reported once, as in the diagonal walk.  A child's own points
-(its PST and pending points) are read through one structure: at a divergence
-node ``children_pst``, under a covered TS the TS.  A child the walk then
-enters for what lies below it is entered *covered*: its own PST and pending
+(its PST and pending points) are read through one structure.  At a
+divergence node ``children_pst`` reports them, and a child the walk enters
+there for what lies below it is entered *covered*: its own PST and pending
 points are skipped, its TD structure and children are not, and a covered
 child with nothing below it is not entered.  The coverage invariant makes
 that sound: each point a child holds is in its parent's ``children_pst`` or
 TD structure, read at the parent — a point that enters a child after
 ``children_pst`` was built passes TD(parent), and push-downs and splits
 rebuild ``children_pst`` — and ``children_pst`` holds only points a child
-holds (``_check_disjoint`` asserts both).  So only a TD structure, which
-copies points held below it, can repeat a point, and the answer is
-deduplicated by uid only while some TD holds points (``td_holders``).  Pages
-are scanned by column (:func:`~repro.metablock.blocking.select_above`).
+holds.  Under a covered TS (full, its bottom below the query's) the TS
+reports them, and the walk goes no deeper: a nonleaf metablock holds at
+least ``B^2`` points, none below a point under it (the *floor*), so when the
+TS was built — after the last push-down or split among the siblings it
+spans — every point under a nonleaf sibling lay below the query, and a point
+that went under one since passed TD(parent).  ``_check_disjoint`` asserts
+the coverage invariant and the floor.  So only a TD structure, which copies
+points held below it, can repeat a point, and the answer is deduplicated by
+uid only while some TD holds points (``td_holders``).  Pages are scanned by
+column (:func:`~repro.metablock.blocking.select_above`).
 
 Bounds: ``O(n/B)`` blocks, queries in ``O(log_B n + log2 B + t/B)`` I/Os,
 inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os (Lemma 4.4).
@@ -260,7 +266,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
                 self._query_node(child, x1, x2, y0, hits, out, diverge)
         if diverge:
             for child in middles:
-                if self._reaches_below(child, y0):
+                if child.desc_max_y is not None and child.desc_max_y >= y0:
                     self._query_node(child, x1, x2, y0, hits, out, True)
         elif not middles:
             return
@@ -284,11 +290,6 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             found = hits.fresh(found)
             if found:
                 out.append(found)
-
-    @staticmethod
-    def _reaches_below(child: ThreeSidedMetablock, y0: Any) -> bool:
-        """Whether a point below ``child`` may reach ``y0`` (its guard)."""
-        return child.desc_max_y is not None and child.desc_max_y >= y0
 
     # -- middle-children strategies ---------------------------------------- #
     def _handle_sided_middles(self, boundary, middles, x1, x2, y0, hits, out, side: str) -> None:
@@ -316,22 +317,10 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             if ts_bottom < y0 and (ts_size >= self.capacity or all(c.is_leaf for c in middles)):
                 covered = True
         if covered:
-            # TS holds every own point above y0 of the siblings it spans
-            # (the rest passed TD of their parent): read top-down, by column
-            bounds = ts.bounds
-            k = 0
-            while k < len(bounds) and bounds[k][0] >= y0:
-                k += 1
-            for page in self.disk.read_run(ts.block_ids[:k]):
-                batch, _ = blk.select_above(page, hits, y0, x1, x2)
-                if batch.count:
-                    out.append(batch)
-            # deep descendants of middles cannot reach above y0 here (their
-            # metablocks are all crossed by or below the query bottom), except
-            # through the conservative desc_max_y guard:
-            for child in candidates:
-                if self._reaches_below(child, y0):
-                    self._query_node(child, x1, x2, y0, hits, out, True)
+            # TS holds every point above y0 of the siblings it spans that
+            # TD(parent) does not, and none lies below them (the floor, see
+            # the module docstring): the TS alone answers for them
+            out.extend(blk.scan_horizontal_downto(self.disk, ts, y0, hits, x1, x2)[0])
         else:
             for child in candidates:
                 self._query_node(child, x1, x2, y0, hits, out, False)
@@ -340,15 +329,21 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
     # invariants
     # ------------------------------------------------------------------ #
     def _check_disjoint(self) -> None:
-        """Also what lets the 3-sided walk skip a covered child's own
-        points: each child's resident points are in its parent's
-        ``children_pst`` or TD structure, and ``children_pst`` holds no
-        point that is not a child's."""
+        """Also what lets the 3-sided walk read a child's own points once:
+        each child's resident points are in its parent's ``children_pst`` or
+        TD structure, ``children_pst`` holds no point that is not a child's,
+        and the floor under a covered TS — a nonleaf metablock holds at
+        least ``B^2`` points, and its children none above them."""
         super()._check_disjoint()
         for mb in self.iter_metablocks():
             if mb.is_leaf or not mb.children:
                 continue
-            resident = {p.uid for child in mb.children for p in child.resident()}
+            own = mb.resident()
+            assert len(own) >= self.capacity, "a nonleaf metablock holds fewer than B^2 points"
+            floor = min(p.y for p in own)
+            below = [p for child in mb.children for p in child.resident()]
+            assert all(p.y <= floor for p in below), "a child holds a point above its parent's"
+            resident = {p.uid for p in below}
             pst = set() if mb.children_pst is None else {p.uid for p in mb.children_pst.peek_points()}
             td = {p.uid for p in mb.td_points + mb.td_update_points}
             assert pst <= resident, "children_pst holds a point no child holds"

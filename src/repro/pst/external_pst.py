@@ -102,10 +102,6 @@ class ExternalPST:
         """The plain lazy hit iterator for a supported descriptor."""
         return self.iter_3sided(q.x1, q.x2, q.y0)
 
-    def stream_blocks(self, q: Any) -> Iterator[Batch]:
-        """:meth:`stream` a batch per node block read."""
-        return self.iter_3sided_blocks(q.x1, q.x2, q.y0)
-
     def query(self, q: Any) -> "Any":
         """Answer a query descriptor with a lazy ``QueryResult`` over :meth:`stream`.
 

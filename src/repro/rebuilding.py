@@ -429,14 +429,8 @@ class RebuildingIndex:
 
     def stream(self, q: Any) -> Iterator[Any]:
         """Stream the structure's answer and the matching side log, as the
-        reader's epoch sees them; a structure that reads in page batches
-        (``stream_blocks``) is filtered a batch at a time (:meth:`live_blocks`)."""
-        blocks = getattr(self.inner, "stream_blocks", None)
-        if blocks is None:
-            found = self.live(self.inner.stream(q))
-        else:
-            found = chain.from_iterable(self.live_blocks(blocks(q)))
-        return chain(found, self.live(self._logged(q)))
+        reader's epoch sees them."""
+        return self.live(chain(self.inner.stream(q), self._logged(q)))
 
     def _logged(self, q: Any) -> Iterator[Any]:
         if self._pending and self._log_block_id is not None:

@@ -55,6 +55,17 @@ class TestBlockings:
         assert sorted(p.y for batch in batches for p in batch) == list(range(55, 64))
         assert reads <= 2
 
+    def test_scan_horizontal_tests_the_x_sides_given(self, disk):
+        pts = [PlanarPoint(i % 7, i // 2) for i in range(64)]
+        blocking = blk.build_horizontal(disk, pts)
+        for x_min, x_max in ((None, None), (2, None), (None, 4), (2, 4), (3, 3)):
+            batches, _ = blk.scan_horizontal_downto(disk, blocking, 20, None, x_min, x_max)
+            expected = [
+                p.uid for p in pts
+                if p.y >= 20 and (x_min is None or p.x >= x_min) and (x_max is None or p.x <= x_max)
+            ]
+            assert sorted(p.uid for batch in batches for p in batch) == sorted(expected)
+
     def test_scan_counts_ios_on_disk(self, disk):
         pts = [PlanarPoint(i, i) for i in range(40)]
         blocking = blk.build_vertical(disk, pts)
