@@ -24,10 +24,12 @@ reorganisation:
   (at the root, the whole tree is rebuilt).
 
 Queries read, in addition to the static organisations, the TD structure of
-every visited nonleaf metablock, a constant number of I/Os per visited
-metablock (Lemma 3.5), so the query bound remains ``O(log_B n + t/B)``; the
-pending points come with the control block the static walk reads.  Amortized
-insertion costs ``O(log_B n + (log_B n)^2/B)`` I/Os (Lemma 3.6).
+a visited nonleaf metablock whose left children a TS structure stood in for,
+a constant number of I/Os per visited metablock (Lemma 3.5), so the query
+bound remains ``O(log_B n + t/B)``; where the walk enters every child that
+may hold a match it reaches the points TD copies there, and reads no TD.
+The pending points come with the control block the static walk reads.
+Amortized insertion costs ``O(log_B n + (log_B n)^2/B)`` I/Os (Lemma 3.6).
 
 Reproduction notes: TS rebuilds triggered by dynamic events
 take the *subtree* point sets of the left siblings (a superset of the
@@ -374,8 +376,10 @@ class AugmentedMetablockTree(StaticMetablockTree):
         return [found] if found else []
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
-        """Query the TD corner structure of a visited nonleaf metablock: the
-        one source whose points the walk may already have reported."""
+        """Query the TD corner structure of a visited nonleaf metablock whose
+        left children TS(rightmost) stood in for: it holds what went under
+        them since that TS was built, and is the one source whose points
+        the walk may already have reported."""
         out: List[Any] = []
         if mb.td_corner is not None:
             out = mb.td_corner.batches(q, hits)[0]

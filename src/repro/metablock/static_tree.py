@@ -476,18 +476,18 @@ class StaticMetablockTree:
             # ``subtree_max_x`` (tied coordinates)
             rightmost = left_children[-1]
             covered = self._ts_covers(rightmost, q, [c for c in left_children if c is not rightmost])
-            if covered is True:
-                chunk = self._ts_points(rightmost, q, hits)
-                if chunk:
-                    yield chunk
+            if covered is True and any(c is not rightmost for c in candidates):
+                # TS(rightmost) stands in for the left siblings, and the TD
+                # structure for what went under them since it was built;
+                # wherever the walk enters every child it needs neither
+                for chunk in (self._ts_points(rightmost, q, hits), self._td_sources(mb, q, hits)):
+                    if chunk:
+                        yield chunk
                 if rightmost in candidates:
                     yield from self._iter_query_node(rightmost, q, hits)
             else:
                 for child in candidates:
                     yield from self._iter_query_node(child, q, hits)
-        chunk = self._td_sources(mb, q, hits)
-        if chunk:
-            yield chunk
 
     def _td_sources(self, mb: Metablock, q: Any, hits: blk.Hits) -> List[Any]:
         """Hook for the dynamic tree (TD corner structures, in batches);

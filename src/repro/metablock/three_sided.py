@@ -57,10 +57,12 @@ least ``B^2`` points, none below a point under it (the *floor*), so when the
 TS was built — after the last push-down or split among the siblings it
 spans — every point under a nonleaf sibling lay below the query, and a point
 that went under one since passed TD(parent).  ``_check_disjoint`` asserts
-the coverage invariant and the floor.  So only a TD structure, which copies
-points held below it, can repeat a point, and the answer is deduplicated by
-uid only while some TD holds points (``td_holders``).  Pages are scanned by
-column (:func:`~repro.metablock.blocking.select_above`).
+the coverage invariant and the floor.  The walk reads TD(M) only where
+``children_pst`` or a covered TS stood in for M's children: where it enters
+every child uncovered it reaches their points there.  Only a TD structure,
+which copies points held below it, can repeat a point, so the answer is
+deduplicated by uid only while some TD holds points (``td_holders``).  Pages
+are scanned by column (:func:`~repro.metablock.blocking.select_above`).
 
 Bounds: ``O(n/B)`` blocks, queries in ``O(log_B n + log2 B + t/B)`` I/Os,
 inserts in ``O(log_B n + (log_B n)^2/B)`` amortized I/Os (Lemma 4.4).
@@ -212,7 +214,9 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         """Append the answer's batches under ``mb`` to ``out``.  With
         ``covered`` a structure read above already reported ``mb``'s own
         points, so its PST and pending points are skipped, and a covered
-        metablock with nothing below it is not visited at all."""
+        metablock with nothing below it is not visited at all.  TD(mb) is
+        read only where ``children_pst`` (a divergence) or a covered TS
+        stood in for children."""
         if mb.subtree_min_x is None or mb.subtree_min_x > x2 or mb.subtree_max_x < x1:
             return
         if mb.subtree_max_y is not None and mb.subtree_max_y < y0:
@@ -232,13 +236,6 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         if bottom:
             return
 
-        # inserted points that descended past this metablock
-        if mb.td_pst is not None:
-            out.extend(mb.td_pst.iter_3sided_blocks(x1, x2, y0, hits))
-        if mb.td_update_block_id is not None and mb.td_update_points:
-            self.disk.read(mb.td_update_block_id)
-            self._report_pending(mb.td_update_points, x1, x2, y0, hits, out)
-
         # classify the children against the two vertical sides; ties at group
         # boundaries can make more than one child overlap a query side, so
         # boundary children are kept as a list
@@ -256,7 +253,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         right_side = [c for c in boundaries if c.subtree_min_x <= x2 <= c.subtree_max_x]
 
         # case 4 of Lemma 4.3: the two sides diverge at this metablock, and
-        # ``children_pst`` (with TD(mb), read above) reports every child's
+        # ``children_pst`` (with TD(mb), read below) reports every child's
         # own points — the children the walk enters are covered
         diverge = bool(middles and left_side) and any(c not in left_side for c in right_side)
         if diverge and mb.children_pst is not None:
@@ -264,6 +261,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         for child in boundaries:
             if child.subtree_max_y is not None and child.subtree_max_y >= y0:
                 self._query_node(child, x1, x2, y0, hits, out, diverge)
+        shortcut = diverge
         if diverge:
             for child in middles:
                 if child.desc_max_y is not None and child.desc_max_y >= y0:
@@ -272,15 +270,24 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
             return
         elif left_side:
             anchor = max(left_side, key=lambda c: c.subtree_max_x)
-            self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="right")
+            shortcut = self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="right")
         elif right_side:
             anchor = min(right_side, key=lambda c: c.subtree_min_x)
-            self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="left")
+            shortcut = self._handle_sided_middles(anchor, middles, x1, x2, y0, hits, out, side="left")
         else:
             # the whole x-extent of this metablock lies inside [x1, x2]
             for child in middles:
                 if child.subtree_max_y is not None and child.subtree_max_y >= y0:
                     self._query_node(child, x1, x2, y0, hits, out, False)
+        if shortcut:
+            # the points that went under the children since ``children_pst``
+            # or the TS was built; a walk that enters every child reaches
+            # them there
+            if mb.td_pst is not None:
+                out.extend(mb.td_pst.iter_3sided_blocks(x1, x2, y0, hits))
+            if mb.td_update_block_id is not None and mb.td_update_points:
+                self.disk.read(mb.td_update_block_id)
+                self._report_pending(mb.td_update_points, x1, x2, y0, hits, out)
 
     @staticmethod
     def _report_pending(points, x1, x2, y0, hits: blk.Hits, out: List[Any]) -> None:
@@ -292,8 +299,10 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
                 out.append(found)
 
     # -- middle-children strategies ---------------------------------------- #
-    def _handle_sided_middles(self, boundary, middles, x1, x2, y0, hits, out, side: str) -> None:
-        """One-sided case: the query extends past ``boundary`` over its siblings."""
+    def _handle_sided_middles(self, boundary, middles, x1, x2, y0, hits, out, side: str) -> bool:
+        """One-sided case: the query extends past ``boundary`` over its
+        siblings.  Returns whether a covered TS answered for them, so that
+        the caller reads TD(parent) too."""
         ts = boundary.ts_right if side == "right" else boundary.ts
         ts_size = boundary.ts_right_size if side == "right" else boundary.ts_size
         # Only siblings on the ``side`` of the anchor are spanned by its TS
@@ -310,7 +319,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         middles = on_side
         candidates = [c for c in middles if c.subtree_max_y is not None and c.subtree_max_y >= y0]
         if not candidates:
-            return
+            return False
         covered = False
         if ts is not None and ts_size > 0:
             ts_bottom = ts.bounds[-1][1]
@@ -324,6 +333,7 @@ class ThreeSidedMetablockTree(AugmentedMetablockTree):
         else:
             for child in candidates:
                 self._query_node(child, x1, x2, y0, hits, out, False)
+        return covered
 
     # ------------------------------------------------------------------ #
     # invariants

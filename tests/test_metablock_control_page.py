@@ -14,6 +14,10 @@ run that reaches level I and level II reorganisations and a leaf split:
   counts exactly those;
 * a query reads no page outside the control pages and organisations of the
   metablocks whose control page it read.
+
+And, over a seeded bulk prefix and inserts that fill TD structures (``B`` in
+{2, 3, 4, 8, 16}), a query reads the TD structure of a metablock only where
+a TS structure or the 3-sided ``children_pst`` stood in for its children.
 """
 
 import random
@@ -194,3 +198,93 @@ def test_pending_points_ride_in_the_control_page(tree_cls, B, make_disk):
     assert calls["level_one"] >= 1
     assert calls["level_two"] >= 1
     assert calls["leaf_split"] >= 1
+
+
+def _td_pages(mb):
+    """The pages of ``mb``'s TD structure: its update block and the blocks of
+    its corner structure (augmented tree) or PST (3-sided tree)."""
+    ids = _structure_blocks(mb.td_corner)
+    if mb.td_update_block_id is not None:
+        ids.append(mb.td_update_block_id)
+    return ids
+
+
+def _shortcut_pages(mb):
+    """The pages whose read shows that the walk let a structure stand in for
+    ``mb``'s children: their TS structures, and the 3-sided ``children_pst``."""
+    ids = _structure_blocks(getattr(mb, "children_pst", None))
+    for child in mb.children:
+        for name in ("ts", "ts_right"):
+            blocking = getattr(child, name, None)
+            if blocking is not None:
+                ids += blocking.block_ids
+    return ids
+
+
+def _reached_children(mb, q, diagonal):
+    """The children of ``mb`` whose subtree may hold a point of query ``q``."""
+    x1, x2, y0 = (float("-inf"), q, q) if diagonal else q
+    return [c for c in mb.children if c.subtree_min_x is not None and c.subtree_min_x <= x2
+            and c.subtree_max_x >= x1 and c.subtree_max_y >= y0]
+
+
+def _td_workload(B, diagonal, seed):
+    """Seeded bulk points, inserts that descend past the root into TD
+    structures, and queries."""
+    rnd = random.Random(seed)
+    cap = B * B
+
+    def point():
+        x = rnd.uniform(0, 1000)
+        return PlanarPoint(x, x + rnd.uniform(0, 500) if diagonal else rnd.uniform(0, 60),
+                           payload=rnd.random())
+
+    bulk = [point() for _ in range(8 * cap + 3 * B)]
+    inserts = [point() for _ in range(3 * cap + B)]
+    if diagonal:
+        queries = [rnd.uniform(-10, 1070) for _ in range(12)]
+    else:
+        queries = []
+        for _ in range(12):
+            x1 = rnd.uniform(-10, 1000)
+            queries.append((x1, x1 + rnd.uniform(0, 1000), rnd.uniform(0, 60)))
+    return bulk, inserts, queries
+
+
+@pytest.mark.parametrize("B", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("tree_cls", [AugmentedMetablockTree, ThreeSidedMetablockTree])
+def test_td_is_read_only_where_a_shortcut_stood_in_for_the_children(tree_cls, B, make_disk):
+    """TD(M) holds what went under M's children since their TS structures
+    (and the 3-sided ``children_pst``) were built, so a query reads it only
+    where one of those stood in for a child it did not enter: it read such
+    a page, or skipped a child that may hold a point of the query (a TS
+    whose top lies below the query reads no page).  Where the walk enters
+    every child it reaches their points there."""
+    diagonal = tree_cls is AugmentedMetablockTree
+    bulk, inserts, queries = _td_workload(B, diagonal, seed=4400 + B)
+    tree = tree_cls(make_disk(B), bulk)
+    stored = list(bulk)
+    td_reads = checked = 0
+    for i, point in enumerate(inserts):
+        tree.insert(point)
+        stored.append(point)
+        if tree.td_holders == 0 or i % B:
+            continue
+        checked += 1
+        owner = {bid: mb for mb in tree.iter_metablocks() for bid in _td_pages(mb)}
+        for q in queries:
+            with _ReadLog(tree.disk) as log:
+                answer = tree.query_3sided(*q) if not diagonal else tree.diagonal_query(q)
+            if diagonal:
+                expected = [p.uid for p in stored if p.x <= q and p.y >= q]
+            else:
+                expected = [p.uid for p in stored if q[0] <= p.x <= q[1] and p.y >= q[2]]
+            assert sorted(p.uid for p in answer) == sorted(expected)
+            read = set(log.ids)
+            for mb in {owner[bid] for bid in read if bid in owner}:
+                td_reads += 1
+                assert read & set(_shortcut_pages(mb)) or any(
+                    c.control_block_id not in read for c in _reached_children(mb, q, diagonal)
+                ), "TD read where every child was entered"
+    assert tree.td_holders > 0
+    assert checked and td_reads, "the run never read a TD structure"

@@ -220,10 +220,15 @@ def test_insert_through_a_split_is_recorded_above_it():
 
 
 def test_a_point_copied_into_td_is_reported_once():
-    """TD(root) copies (1, 2), which also lives below the root, so the walk
-    must deduplicate while a TD holds points — and a walk that does not
-    reports it twice."""
-    tree, points = _grown([(8, 20), (4, 8), (1, 1), (5, 23), (1, 13)], [(1, 2)])
+    """TD(root) copies (0, 5), which also lives in the root's rightmost
+    child.  TS(rightmost) stands in for the other child, a leaf, so the walk
+    reads TD(root) and enters the rightmost child too: it must deduplicate
+    while a TD holds points — and a walk that does not reports (0, 5)
+    twice."""
+    tree, points = _grown(
+        [(6, 30), (8, 27), (1, 20), (-9, -3), (-2, 1), (0, 21), (-6, 19), (7, 32), (9, 28)],
+        [(0, 5)],
+    )
     assert tree.td_holders == 1
     _assert_diagonal_exact(tree, points, 1)
     tree.td_holders = 0  # force Hits to stop tracking
